@@ -1,14 +1,11 @@
 //! Criterion benchmark of end-to-end simulation throughput
 //! (instructions simulated per wall-clock second).
 //!
-//! The `sims_per_second` group is the PR-over-PR speed headline: it
-//! pits the naive hot path (boxed-policy dispatch, one probe per
-//! instruction) against the devirtualized run-batched path for the
+//! The `sims_per_second` group times the functional contents model
+//! (`functional::run_functional`: one probe per block run) for the
 //! LRU, SRRIP and ACIC organizations at 1 M instructions. Scale with
 //! `ACIC_BENCH_INSTRUCTIONS`.
 
-use acic_bench::baseline::{run_batched_devirt, run_naive_boxed};
-use acic_cache::policy::PolicyKind;
 use acic_sim::{functional, IcacheOrg, SimConfig, Simulator};
 use acic_trace::VecTrace;
 use acic_workloads::{AppProfile, SyntheticWorkload};
@@ -28,28 +25,15 @@ fn bench_throughput(c: &mut Criterion) {
         AppProfile::web_search(),
         n,
     ));
-    // Naive baseline: trait-object dispatch, one probe per
-    // instruction — the pre-optimization hot loop.
-    group.bench_function("naive_boxed_unbatched_lru", |b| {
-        b.iter(|| black_box(run_naive_boxed(PolicyKind::Lru, &wl)));
-    });
-    group.bench_function("naive_unbatched_acic", |b| {
-        let org = IcacheOrg::acic_default();
-        b.iter(|| black_box(functional::run_unbatched(&org, &wl)));
-    });
-    // Optimized: enum dispatch, one probe per block run.
-    for (name, kind) in [
-        ("devirt_batched_lru", PolicyKind::Lru),
-        ("devirt_batched_srrip", PolicyKind::Srrip),
+    for (name, org) in [
+        ("functional_lru", IcacheOrg::Lru),
+        ("functional_srrip", IcacheOrg::Srrip),
+        ("functional_acic", IcacheOrg::acic_default()),
     ] {
         group.bench_function(name, |b| {
-            b.iter(|| black_box(run_batched_devirt(kind, &wl)));
+            b.iter(|| black_box(functional::run_functional(&org, &wl)));
         });
     }
-    group.bench_function("devirt_batched_acic", |b| {
-        let org = IcacheOrg::acic_default();
-        b.iter(|| black_box(functional::run_functional(&org, &wl)));
-    });
     group.finish();
 }
 

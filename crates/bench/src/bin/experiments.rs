@@ -8,7 +8,6 @@
 //! cargo run --release -p acic-bench --bin experiments --only fig13_admit_rate
 //! cargo run --release -p acic-bench --bin experiments --smoke     # tiny grid, all figures
 //! cargo run --release -p acic-bench --bin experiments fig1        # substring filter
-//! cargo run --release -p acic-bench --bin experiments --bench-delta  # perf vs baseline
 //! cargo run --release -p acic-bench --bin experiments -- --window-threads 4 fig11_mpki
 //! cargo run --release -p acic-bench --bin experiments -- --window-smoke
 //! ```
@@ -40,13 +39,6 @@
 //! interesting cell is a sliver of the profile. It cannot be combined
 //! with `--only` (it selects its own figure) or `--supervise` (the
 //! profiler must see the simulation in this process).
-//!
-//! `--bench-delta` skips the figures entirely: it re-measures the
-//! committed `BENCH_baseline.json` throughput cells and prints a JSON
-//! report of percentage deltas, exiting non-zero on a missing/
-//! malformed baseline or a non-finite delta. Combined with `--smoke`
-//! it shrinks the budget to a CI-sized tripwire (deltas then are
-//! noise; the job checks the harness, not the numbers).
 //!
 //! Record/replay and resume:
 //!
@@ -231,7 +223,6 @@ struct Cli {
     dse_smoke: bool,
     supervise_smoke: bool,
     dse: bool,
-    bench_delta: bool,
     smoke: bool,
     fail_fast: bool,
     supervise: bool,
@@ -310,7 +301,6 @@ fn parse_cli(mut args: Vec<String>) -> Result<Cli, String> {
         dse_smoke: take_switch(&mut args, "--dse-smoke"),
         supervise_smoke: take_switch(&mut args, "--supervise-smoke"),
         dse,
-        bench_delta: take_switch(&mut args, "--bench-delta"),
         smoke: take_switch(&mut args, "--smoke"),
         fail_fast: take_switch(&mut args, "--fail-fast"),
         supervise,
@@ -574,17 +564,6 @@ fn main() {
         return;
     }
 
-    if cli.bench_delta {
-        match acic_bench::delta::bench_delta(cli.smoke) {
-            Ok(report) => println!("{report}"),
-            Err(e) => {
-                eprintln!("bench-delta failed: {e}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-
     if cli.smoke {
         let budget = std::env::var("ACIC_EXP_INSTRUCTIONS")
             .ok()
@@ -744,7 +723,7 @@ mod tests {
         assert!(cli.smoke && cli.fail_fast);
         assert_eq!(cli.results.as_deref(), Some("rd"));
         assert_eq!(cli.filter, "table");
-        assert!(!cli.list && !cli.bench_delta);
+        assert!(!cli.list);
     }
 
     #[test]

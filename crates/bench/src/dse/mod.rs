@@ -26,9 +26,9 @@
 //!
 //! Surfaced as `experiments --dse` (space file via `--dse-space`,
 //! JSON-lines provenance report via `--dse-report`, CI round trip via
-//! `--dse-smoke`); the committed `BENCH_baseline.json` `dse` section
-//! records the geometry-space wall time against the 20-cell
-//! exhaustive sampled grid.
+//! `--dse-smoke`). The adaptive frontier is always a superset of the
+//! exhaustive Pareto frontier (`tests/dse.rs`), so pruning trades wall
+//! time, never answers.
 
 pub mod frontier;
 pub mod ladder;

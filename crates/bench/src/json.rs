@@ -1,12 +1,12 @@
 //! A dependency-free recursive-descent JSON reader.
 //!
 //! Covers exactly the subset the workspace's machine-readable
-//! artifacts use (`BENCH_baseline.json`, `BENCH_delta.json`): objects,
-//! arrays, strings with the common escapes, `f64` numbers, booleans
-//! and `null`. The writers in `baseline.rs`/`delta.rs` must emit
+//! artifacts use (result-journal lines, DSE space files,
+//! `BENCHMARK.json`): objects, arrays, strings with the common
+//! escapes, `f64` numbers, booleans and `null`. Writers must emit
 //! *strict* JSON (no `+`-prefixed numbers) so external tooling can
-//! read the committed files; this reader is deliberately the lenient
-//! side of the pair.
+//! read their files; this reader is deliberately the lenient side of
+//! the pair.
 
 /// A parsed JSON value (numbers as `f64`, objects as ordered pairs).
 #[derive(Clone, Debug, PartialEq)]
@@ -48,11 +48,6 @@ impl Json {
             Json::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
-    }
-
-    /// Walks a path of object keys.
-    pub fn path(&self, keys: &[&str]) -> Option<&Json> {
-        keys.iter().try_fold(self, |v, k| v.get(k))
     }
 
     /// Numeric value, if this is a number.
@@ -213,34 +208,38 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parses_the_committed_baseline_shape() {
+    fn parses_nested_documents() {
         let doc = Json::parse(
             r#"{
-  "schema": "acic-throughput-baseline/v4",
+  "schema": "acic-results/v2",
   "instructions": 1000000,
-  "orgs": { "lru": { "naive_ips": 136513348, "batched_over_naive": 1.37 } },
+  "orgs": { "lru": { "ipc": 1.37 } },
   "nested": { "arr": [1, 2.5, -3e2], "flag": true, "none": null }
 }"#,
         )
         .expect("parses");
+        let nested = doc.get("nested").expect("nested object");
         assert_eq!(
-            doc.path(&["orgs", "lru", "naive_ips"]).and_then(Json::num),
-            Some(136513348.0)
+            doc.get("orgs")
+                .and_then(|o| o.get("lru"))
+                .and_then(|l| l.get("ipc"))
+                .and_then(Json::num),
+            Some(1.37)
         );
         assert_eq!(
             doc.get("schema").and_then(Json::str_val),
-            Some("acic-throughput-baseline/v4")
+            Some("acic-results/v2")
         );
         assert_eq!(
-            doc.path(&["nested", "arr"]),
+            nested.get("arr"),
             Some(&Json::Arr(vec![
                 Json::Num(1.0),
                 Json::Num(2.5),
                 Json::Num(-300.0)
             ]))
         );
-        assert_eq!(doc.path(&["nested", "flag"]), Some(&Json::Bool(true)));
-        assert_eq!(doc.path(&["nested", "none"]), Some(&Json::Null));
+        assert_eq!(nested.get("flag"), Some(&Json::Bool(true)));
+        assert_eq!(nested.get("none"), Some(&Json::Null));
     }
 
     #[test]

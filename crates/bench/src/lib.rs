@@ -15,8 +15,6 @@
 //! println!("{}", acic_bench::figures::fig10_speedup());
 //! ```
 
-pub mod baseline;
-pub mod delta;
 pub mod dse;
 pub mod fault;
 pub mod figures;

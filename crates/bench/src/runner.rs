@@ -608,9 +608,8 @@ pub fn run_spec(cfg: &SimConfig, spec: &WorkloadSpec, instructions: u64) -> SimR
 }
 
 /// Runs one spec under `cfg` straight off the generator — the
-/// pre-freeze path, kept (a) as the reference the bit-identity tests
-/// pin packed replay against and (b) as the regeneration leg the perf
-/// harness measures the frozen grid's win over.
+/// pre-freeze path, kept as the reference the bit-identity tests pin
+/// packed replay against.
 pub fn run_spec_generated(cfg: &SimConfig, spec: &WorkloadSpec, instructions: u64) -> SimReport {
     Simulator::run(cfg, &spec.generator(instructions))
 }
@@ -1069,25 +1068,6 @@ impl Runner {
                 crash_dir,
             })
         }
-    }
-
-    /// The pre-freeze grid: every cell regenerates its workload from
-    /// the spec. Kept only so the perf harness can measure the frozen
-    /// grid's improvement against it (`BENCH_baseline.json`'s
-    /// `trace.grid` section) — experiments should use
-    /// [`Runner::run_grid`]. No fault isolation or store on this
-    /// path: it exists to time raw simulation.
-    pub fn run_grid_regenerating(
-        &self,
-        configs: &[SimConfig],
-        specs: &[WorkloadSpec],
-    ) -> Vec<Vec<SimReport>> {
-        let instructions = self.instructions;
-        let flat = fan_out(configs.len() * specs.len(), |i| {
-            let (c, a) = (i / specs.len(), i % specs.len());
-            run_spec_generated(&configs[c], &specs[a], instructions)
-        });
-        Self::into_rows(flat, specs.len())
     }
 
     fn into_rows(flat: Vec<SimReport>, row_len: usize) -> Vec<Vec<SimReport>> {

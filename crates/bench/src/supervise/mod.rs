@@ -432,62 +432,18 @@ pub(crate) fn kill_self() -> ! {
     std::process::abort();
 }
 
-/// The `supervise` row of `BENCH_baseline.json`: supervised vs
-/// in-process wall clock on a small healthy grid.
-#[derive(Debug, Clone)]
-pub struct SuperviseRow {
-    pub figure: String,
-    pub instructions: u64,
-    pub cells: usize,
-    pub in_process_secs: f64,
-    pub supervised_secs: f64,
-}
-
-impl SuperviseRow {
-    /// Wall-clock ratio, higher is better for the supervised path
-    /// (1.0 = free supervision; expect < 1.0 from spawn overhead).
-    pub fn vs_in_process(&self) -> f64 {
-        self.in_process_secs / self.supervised_secs.max(1e-12)
-    }
-}
-
-/// Locates the `experiments` binary: this executable when we *are*
-/// it, else a sibling in the same target directory (the baseline
-/// harness runs as `throughput_baseline`).
-fn experiments_exe() -> Result<PathBuf, String> {
-    let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
-    let is_experiments = exe
-        .file_stem()
-        .and_then(|s| s.to_str())
-        .is_some_and(|s| s == "experiments");
-    if is_experiments {
-        return Ok(exe);
-    }
-    let sibling = exe
-        .parent()
-        .map(|d| d.join(format!("experiments{}", std::env::consts::EXE_SUFFIX)))
-        .filter(|p| p.is_file());
-    sibling.ok_or_else(|| {
-        format!(
-            "experiments binary not found next to {} (build it first)",
-            exe.display()
-        )
-    })
-}
-
 /// A scratch directory namespaced by pid, removed by the caller.
 fn scratch_dir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("acic-{tag}-{}", std::process::id()))
 }
 
-/// Spawns one `experiments` child for the overhead measurement /
-/// smoke, with a hermetic fault environment, returning (exit code,
-/// stdout, stderr, wall seconds).
+/// Spawns one `experiments` child for the smoke, with a hermetic
+/// fault environment, returning (exit code, stdout, stderr).
 fn run_experiments(
     exe: &Path,
     args: &[&str],
     envs: &[(&str, String)],
-) -> Result<(i32, String, String, f64), String> {
+) -> Result<(i32, String, String), String> {
     let mut cmd = Command::new(exe);
     cmd.args(args);
     for var in crate::fault::CELL_FAULT_VARS {
@@ -503,57 +459,14 @@ fn run_experiments(
     for (k, v) in envs {
         cmd.env(k, v);
     }
-    let start = Instant::now();
     let out = cmd
         .output()
         .map_err(|e| format!("spawn {}: {e}", exe.display()))?;
-    let wall = start.elapsed().as_secs_f64();
-    let code = out.status.code().unwrap_or(-1);
     Ok((
-        code,
+        out.status.code().unwrap_or(-1),
         String::from_utf8_lossy(&out.stdout).into_owned(),
         String::from_utf8_lossy(&out.stderr).into_owned(),
-        wall,
     ))
-}
-
-/// Measures supervised vs in-process wall clock on the small healthy
-/// `table3_mpki` grid (1 config x 10 specs), for the
-/// `supervise.vs_in_process` baseline/delta cell.
-pub fn measure_supervise_overhead(instructions: u64) -> Result<SuperviseRow, String> {
-    let exe = experiments_exe()?;
-    let scratch = scratch_dir("supervise-bench");
-    let _ = std::fs::remove_dir_all(&scratch);
-    std::fs::create_dir_all(&scratch).map_err(|e| format!("scratch dir: {e}"))?;
-    let budget = ("ACIC_EXP_INSTRUCTIONS", instructions.to_string());
-    let figure = "table3_mpki";
-    let run = |args: &[&str]| -> Result<f64, String> {
-        let (code, _out, err, wall) = run_experiments(&exe, args, std::slice::from_ref(&budget))?;
-        if code != 0 {
-            return Err(format!(
-                "experiments {args:?} exited {code}: {}",
-                err.trim()
-            ));
-        }
-        Ok(wall)
-    };
-    let in_process_secs = run(&["--only", figure])?;
-    let crash = scratch.join("crash-reports");
-    let supervised_secs = run(&[
-        "--only",
-        figure,
-        "--supervise",
-        "--crash-reports",
-        crash.to_str().unwrap_or("crash-reports"),
-    ])?;
-    let _ = std::fs::remove_dir_all(&scratch);
-    Ok(SuperviseRow {
-        figure: figure.to_string(),
-        instructions,
-        cells: 10,
-        in_process_secs,
-        supervised_secs,
-    })
 }
 
 /// End-to-end smoke for `--supervise-smoke`: drives the supervisor
@@ -562,7 +475,7 @@ pub fn measure_supervise_overhead(instructions: u64) -> Result<SuperviseRow, Str
 /// and hard-kill latency. Returns a human-readable summary or the
 /// first failed check.
 pub fn supervise_smoke() -> Result<String, String> {
-    let exe = experiments_exe()?;
+    let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
     let scratch = scratch_dir("supervise-smoke");
     let _ = std::fs::remove_dir_all(&scratch);
     std::fs::create_dir_all(&scratch).map_err(|e| format!("scratch dir: {e}"))?;
@@ -595,7 +508,7 @@ pub fn supervise_smoke() -> Result<String, String> {
 
     // 1. In-process reference run.
     let ref_rs = scratch.join("ref-results");
-    let (code, ref_out, err, _) = run_experiments(
+    let (code, ref_out, err) = run_experiments(
         &exe,
         &["--only", figure, "--results", ref_rs.to_str().unwrap()],
         std::slice::from_ref(&budget),
@@ -613,7 +526,7 @@ pub fn supervise_smoke() -> Result<String, String> {
     //    no crash reports.
     let sup_rs = scratch.join("sup-results");
     let sup_cr = scratch.join("sup-crash");
-    let (code, sup_out, err, _) = run_experiments(
+    let (code, sup_out, err) = run_experiments(
         &exe,
         &[
             "--only",
@@ -655,7 +568,7 @@ pub fn supervise_smoke() -> Result<String, String> {
     // 3. Transient child kill on one cell's first attempt: campaign
     //    still completes bit-identically, retry is journaled.
     let kill_cr = scratch.join("kill-crash");
-    let (code, kill_out, err, _) = run_experiments(
+    let (code, kill_out, err) = run_experiments(
         &exe,
         &[
             "--only",
@@ -689,7 +602,7 @@ pub fn supervise_smoke() -> Result<String, String> {
     //    far faster than the scripted 30s stall.
     let stall_cr = scratch.join("stall-crash");
     let stall_start = Instant::now();
-    let (code, stall_out, err, _) = run_experiments(
+    let (code, stall_out, err) = run_experiments(
         &exe,
         &[
             "--only",
@@ -731,7 +644,7 @@ pub fn supervise_smoke() -> Result<String, String> {
     // 5. Deterministic panic: retried once to confirm, then the cell
     //    fails loudly (exit 1) while the other nine complete.
     let panic_cr = scratch.join("panic-crash");
-    let (code, _out, err, _) = run_experiments(
+    let (code, _out, err) = run_experiments(
         &exe,
         &[
             "--only",

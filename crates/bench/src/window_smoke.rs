@@ -1,101 +1,20 @@
-//! Window-parallel smoke check and throughput measurement.
+//! Window-parallel smoke check.
 //!
-//! Two entry points. [`window_smoke`] is the CI tripwire
-//! (`experiments --window-smoke`): it runs one small sampled cell
-//! through `Engine::run_windowed` at one worker and at two, and fails
-//! loudly unless the reports are bit-identical — the determinism
-//! contract `tests/window_parallel.rs` pins at full width, exercised
-//! here in seconds on every push. [`measure_window_parallel`] is the
-//! `BENCH_baseline.json` cell (`window_parallel` section, schema v6):
-//! wall clock for the same windowed cell at one worker vs a worker
-//! fan-out, reported as the `vs_serial` speedup the ISSUE-6
-//! acceptance gate reads (target ≥ 3× at 4 workers on the
-//! 20 M-instruction sampled ACIC cell).
+//! [`window_smoke`] is the CI tripwire (`experiments --window-smoke`):
+//! it runs one small sampled cell through `Engine::run_windowed` at
+//! one worker and at two, and fails loudly unless the reports are
+//! bit-identical — the determinism contract `tests/window_parallel.rs`
+//! pins at full width, exercised here in seconds on every push.
 
 use acic_sim::{Engine, IcacheOrg, SampleSchedule, SimConfig, SimReport};
 use acic_trace::VecTrace;
 use acic_workloads::{AppProfile, SyntheticWorkload};
-use std::time::Instant;
-
-/// Workers the baseline's parallel leg fans each cell across.
-pub const BASELINE_WORKERS: usize = 4;
 
 /// Bit-identity over the whole report: `SimReport` carries `f64`s, so
 /// equality of the shortest-round-trip `Debug` rendering *is*
 /// bit-level equality of every counter and estimator.
 fn identical(a: &SimReport, b: &SimReport) -> bool {
     format!("{a:?}") == format!("{b:?}")
-}
-
-/// One windowed-throughput measurement (shared by the baseline
-/// renderer and the `--bench-delta` regression harness).
-pub struct WindowParallelRow {
-    /// Baseline-document key (`window_parallel.cell`).
-    pub label: &'static str,
-    /// Instructions in the measured cell.
-    pub instructions: u64,
-    /// Workers in the parallel leg.
-    pub workers: usize,
-    /// Wall seconds for the windowed schedule on one worker.
-    pub serial_secs: f64,
-    /// Wall seconds for the same plan fanned across [`Self::workers`].
-    pub parallel_secs: f64,
-    /// Detailed windows in the plan (0 when the budget degenerated to
-    /// a full-detail run — smoke-sized budgets can't hold the
-    /// documented schedule).
-    pub windows: u64,
-    /// Pooled IPC of the windowed run.
-    pub ipc: f64,
-    /// Whether the one-worker and fanned-out reports were
-    /// bit-identical (they must be; recorded so the committed
-    /// baseline asserts it in writing).
-    pub bit_identical: bool,
-}
-
-impl WindowParallelRow {
-    /// Wall-clock speedup of the fan-out over the one-worker run —
-    /// the ISSUE-6 acceptance cell.
-    pub fn vs_serial(&self) -> f64 {
-        self.serial_secs / self.parallel_secs.max(1e-12)
-    }
-}
-
-fn best_of_2(f: impl Fn() -> SimReport) -> (f64, SimReport) {
-    // The simulated results are deterministic; only the clock is
-    // noisy, and the minimum is the least noisy estimate of true
-    // cost.
-    let t0 = Instant::now();
-    let r = f();
-    let mut secs = t0.elapsed().as_secs_f64();
-    let t1 = Instant::now();
-    let _ = f();
-    secs = secs.min(t1.elapsed().as_secs_f64());
-    (secs, r)
-}
-
-/// Measures the windowed ACIC cell (web-search, documented default
-/// schedule) at one worker and at [`BASELINE_WORKERS`].
-pub fn measure_window_parallel(instructions: u64) -> WindowParallelRow {
-    let trace = VecTrace::from_source(&SyntheticWorkload::with_instructions(
-        AppProfile::web_search(),
-        instructions,
-    ));
-    let cfg = SimConfig::default()
-        .with_org(IcacheOrg::acic_default())
-        .with_schedule(SampleSchedule::default_sampled());
-    let (serial_secs, serial) = best_of_2(|| Engine::run_windowed(&cfg, &trace, 1));
-    let (parallel_secs, parallel) =
-        best_of_2(|| Engine::run_windowed(&cfg, &trace, BASELINE_WORKERS));
-    WindowParallelRow {
-        label: "acic_web_search_windowed_default_schedule",
-        instructions,
-        workers: BASELINE_WORKERS,
-        serial_secs,
-        parallel_secs,
-        windows: serial.sampled.map_or(0, |s| s.windows),
-        ipc: serial.ipc(),
-        bit_identical: identical(&serial, &parallel),
-    }
 }
 
 /// The CI smoke check behind `experiments --window-smoke`: one small
@@ -146,21 +65,6 @@ pub fn window_smoke() -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn vs_serial_is_the_wall_ratio() {
-        let row = WindowParallelRow {
-            label: "x",
-            instructions: 1,
-            workers: 4,
-            serial_secs: 3.0,
-            parallel_secs: 1.0,
-            windows: 26,
-            ipc: 3.3,
-            bit_identical: true,
-        };
-        assert!((row.vs_serial() - 3.0).abs() < 1e-12);
-    }
 
     #[test]
     fn smoke_passes_on_a_real_cell() {

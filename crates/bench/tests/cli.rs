@@ -54,9 +54,13 @@ fn a_flag_missing_its_value_is_a_usage_error_not_a_filter() {
     assert_eq!(out.status.code(), Some(2));
     assert!(stderr(&out).contains("--record-traces requires a value"));
 
-    let out = experiments().arg("--keep-gonig").output().unwrap();
-    assert_eq!(out.status.code(), Some(2));
-    assert!(stderr(&out).contains("unknown option"));
+    // A typo, and a retired flag: neither may fall through to the
+    // figure filter.
+    for flag in ["--keep-gonig", "--bench-delta"] {
+        let out = experiments().arg(flag).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        assert!(stderr(&out).contains("unknown option"), "{flag}");
+    }
 }
 
 #[test]

@@ -206,8 +206,8 @@ impl SetAssocCache {
     // `fill` into every simulation loop; once the tagged-identity
     // refactor grew their bodies past LLVM's hint threshold the
     // out-of-line calls cost ~25-40% of single-tenant throughput
-    // (measured in BENCH_baseline.json legs). Forcing the old
-    // inlining restores it.
+    // (measured on the functional-model throughput legs). Forcing the
+    // old inlining restores it.
     #[inline(always)]
     pub fn access(&mut self, ctx: &AccessCtx<'_>) -> bool {
         let t = ctx.tagged();

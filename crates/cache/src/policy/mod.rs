@@ -141,9 +141,8 @@ impl PolicyKind {
 
     /// Builds the same policy behind a trait object.
     ///
-    /// Kept for equivalence testing (the devirtualized enum dispatch
-    /// must behave bit-identically to boxed dispatch) and as the
-    /// naive-baseline construction for throughput benchmarks.
+    /// Kept for equivalence testing: the devirtualized enum dispatch
+    /// must behave bit-identically to boxed dispatch.
     pub fn build_boxed(self, geom: CacheGeometry) -> Box<dyn ReplacementPolicy> {
         match self {
             PolicyKind::Lru => Box::new(lru::LruPolicy::new(geom)),
@@ -186,8 +185,7 @@ impl PolicyKind {
 /// …) compile to a direct `match` over concrete types that the
 /// optimizer can inline into the tag-store loop — no vtable dispatch,
 /// no heap indirection. The [`AnyPolicy::Boxed`] variant preserves the
-/// old trait-object path for equivalence tests and naive-baseline
-/// benchmarks.
+/// old trait-object path for equivalence tests.
 pub enum AnyPolicy {
     /// Least recently used.
     Lru(lru::LruPolicy),

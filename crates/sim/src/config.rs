@@ -79,8 +79,8 @@ impl SampleSchedule {
     /// starts skipping, so the deep L2/L3 state never goes stale
     /// while it still matters. On a 20 M-instruction detailed ACIC
     /// cell this holds MPKI and IPC within 2% of full detail at a
-    /// ≥10× wall-clock win (asserted by `tests/sampled_sim.rs`,
-    /// recorded in `BENCH_baseline.json`). Wider periods are faster
+    /// ≥10× wall-clock win (asserted by `tests/sampled_sim.rs`).
+    /// Wider periods are faster
     /// but under-sample phase-varying traces; the `sampling_error`
     /// figure sweeps the trade-off.
     pub fn default_sampled() -> SampleSchedule {

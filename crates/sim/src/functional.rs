@@ -19,8 +19,8 @@
 //! the sampled engine's functional warming are the same code.
 //!
 //! [`run_unbatched`] keeps the naive one-probe-per-instruction loop as
-//! a reference baseline so throughput benchmarks (and the committed
-//! `BENCH_*.json` trajectory) can quantify what batching buys.
+//! a live reference for what batching replaces; a unit test pins the
+//! two loops to the same LRU miss count.
 //!
 //! # Examples
 //!
@@ -152,11 +152,10 @@ pub fn run_functional<W: TraceSource>(org: &IcacheOrg, workload: &W) -> Function
 /// Reference baseline: probes the organization once per *instruction*
 /// instead of once per block run.
 ///
-/// This is the naive loop the run-batched path replaces; it exists so
-/// benchmarks can measure the batching speedup against a live
-/// implementation rather than a guess. Not suitable for figure
-/// generation: per-instruction re-references inflate access counts
-/// and perturb reuse-trained policies.
+/// This is the naive loop the run-batched path replaces, kept as a
+/// live reference implementation rather than a description. Not
+/// suitable for figure generation: per-instruction re-references
+/// inflate access counts and perturb reuse-trained policies.
 pub fn run_unbatched<W: TraceSource>(org: &IcacheOrg, workload: &W) -> FunctionalReport {
     let oracle = oracle_for(org, workload);
     let mut cursor = oracle.as_ref().map(|o| o.cursor());

@@ -148,9 +148,7 @@ fn sampled_windows_cover_measured_instruction_budget() {
 /// The headline contract (ISSUE 3 acceptance): with the documented
 /// default schedule, a 20 M-instruction detailed ACIC cell runs an
 /// order of magnitude faster than full detail while staying within 2%
-/// on both MPKI and IPC. The same measurement is recorded in
-/// `BENCH_baseline.json` (schema v3, `sampled` section) by
-/// `throughput_baseline`.
+/// on both MPKI and IPC.
 ///
 /// The accuracy bounds are deterministic (same trace, same schedule →
 /// identical simulated results) and asserted strictly at 2%. The
