@@ -2,7 +2,7 @@
 //! its retained legacy implementation so the layout win stays
 //! measured, not asserted: the packed-lane CSHR vs. the
 //! array-of-structs one, the ring-buffered two-level predictor vs.
-//! the `VecDeque` one, and the open-addressed MSHR vs. the `HashMap`
+//! the `VecDeque` one, and the flat-list MSHR vs. the `HashMap`
 //! one. Drive orders are identical within each pair.
 //!
 //! Run: `cargo bench -p acic-bench --bench hot_structs`

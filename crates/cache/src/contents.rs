@@ -60,6 +60,15 @@ impl AccessOutcome {
 pub trait IcacheContents {
     /// Handles one access (demand fetch or prefetch probe, per
     /// `ctx.is_prefetch`).
+    ///
+    /// Residency contract: an access that returns a plain hit
+    /// ([`AccessOutcome::hit`]: `hit && extra_latency == 0`) may train
+    /// policies and predictors but never changes what
+    /// [`IcacheContents::contains_block`] answers for any block.
+    /// Organizations that move blocks on an access (victim swaps,
+    /// virtual hits) do so only on paths that return a miss or a
+    /// [`AccessOutcome::slow_hit`]. The timing engine's prefetch-scan
+    /// memo relies on this.
     fn access(&mut self, ctx: &AccessCtx<'_>) -> AccessOutcome;
 
     /// Installs a block that arrived from the next level.
@@ -86,7 +95,9 @@ pub trait IcacheContents {
 
     /// Advances internal pipelines to `now` (organizations with
     /// multi-cycle predictor-update paths override this; default
-    /// no-op).
+    /// no-op). A tick never changes what
+    /// [`IcacheContents::contains_block`] answers (the residency
+    /// contract of [`IcacheContents::access`]).
     fn tick(&mut self, _now: acic_types::Cycle) {}
 
     /// Whether [`IcacheContents::tick`] does anything. Hot loops skip

@@ -71,6 +71,7 @@ use acic_trace::{
     NO_NEXT_USE,
 };
 use acic_types::{Addr, Asid, Cycle, TaggedBlock};
+use std::ops::ControlFlow;
 
 pub mod window;
 
@@ -241,6 +242,22 @@ pub(crate) fn contents_step(
     hit
 }
 
+/// Whether the prefetch candidate `block` is filtered at `now`: it is
+/// resident, already in flight, or in an address space the core has
+/// not switched to yet (no active translations; a flush-on-switch
+/// cache would flush it at the switch).
+fn prefetch_filtered(
+    block: TaggedBlock,
+    fetch_asid: Asid,
+    contents: &dyn IcacheContents,
+    l1i_mshr: &mut MissTracker,
+    now: Cycle,
+) -> bool {
+    block.asid != fetch_asid
+        || contents.contains_block(block)
+        || l1i_mshr.lookup(block, now).is_some()
+}
+
 /// All mutable simulator state for one scheduled execution — caches,
 /// front end, predictors, MSHRs, and the phase cursors — as one
 /// explicit, cheaply constructible struct.
@@ -266,6 +283,17 @@ pub(crate) struct WindowCheckpoint<'o> {
     prefetch_stats: PrefetchStats,
     pending_prefetches: PendingPrefetches,
     candidates: Vec<TaggedBlock>,
+    /// Bumped whenever `contains_block` answers may have changed:
+    /// every fill, context switch, and non-plain-hit access, and on
+    /// entry to each detailed window (the contract on
+    /// [`IcacheContents::access`]).
+    residency_epoch: u64,
+    /// Key of the last prefetch scan — (residency epoch, L1i-MSHR
+    /// version, fetch ASID) — and the stamp issued for it. An FTQ
+    /// entry whose `pf_stamp` equals the stamp filtered under this
+    /// exact key, so its verdict still holds.
+    scan_key: (u64, u64, Asid),
+    scan_stamp: u64,
     /// Scratch for the pending-prefetch drain (reused every cycle; the
     /// loop never allocates for it in steady state).
     due_scratch: Vec<TaggedBlock>,
@@ -341,6 +369,9 @@ impl<'o> WindowCheckpoint<'o> {
             prefetch_stats: PrefetchStats::default(),
             pending_prefetches: PendingPrefetches::default(),
             candidates: Vec::new(),
+            residency_epoch: 0,
+            scan_key: (0, 0, Asid::HOST),
+            scan_stamp: 0,
             due_scratch: Vec::new(),
             run_scratch: RunInstrs::scratch(),
             timing_loop,
@@ -402,6 +433,9 @@ impl WindowCheckpoint<'_> {
             prefetch_stats,
             pending_prefetches,
             candidates,
+            residency_epoch,
+            scan_key,
+            scan_stamp,
             due_scratch,
             run_scratch,
             timing_loop,
@@ -434,6 +468,8 @@ impl WindowCheckpoint<'_> {
         };
         let mut measure_start: Option<Snapshot> = None;
         let mut measure_end: Option<Snapshot> = None;
+        // Warmup moved blocks behind the scan memo's back.
+        *residency_epoch += 1;
 
         loop {
             *now += 1;
@@ -464,6 +500,7 @@ impl WindowCheckpoint<'_> {
                         *fetch_asid = head.asid;
                         *context_switches += 1;
                         contents.on_context_switch(head.asid);
+                        *residency_epoch += 1;
                     }
                     let next_use = match cursor.as_mut() {
                         Some(c) => {
@@ -482,6 +519,9 @@ impl WindowCheckpoint<'_> {
                         contents.access(&ctx)
                     };
                     prefetcher.on_demand_fetch(tagged, *now);
+                    if !outcome.hit || outcome.extra_latency != 0 {
+                        *residency_epoch += 1;
+                    }
                     if outcome.hit {
                         head.ready_at = *now + outcome.extra_latency as u64;
                     } else {
@@ -518,6 +558,7 @@ impl WindowCheckpoint<'_> {
                             ctx = ctx.with_oracle(c);
                         }
                         contents.fill(&ctx);
+                        *residency_epoch += 1;
                     }
                     // Deliver instructions into the decode queue,
                     // reading straight out of the FTQ's ring arena.
@@ -577,41 +618,71 @@ impl WindowCheckpoint<'_> {
             // occupancy — all frozen across a skipped span — so the
             // skip logic below can replay this cycle's result for
             // every skipped cycle instead of re-scanning.
-            candidates.clear();
-            prefetcher.candidates(&frontend.ftq, candidates);
+            //
+            // FDP's candidates are the FTQ entries, scanned in place
+            // with a memo: an entry that filtered under the current
+            // (residency epoch, MSHR version, fetch ASID) key counts as
+            // filtered again without probing. Entangling's drained
+            // candidates are fresh every cycle and carry no memo.
+            let fdp = matches!(prefetcher, Prefetcher::Fdp);
+            if fdp {
+                let key = (*residency_epoch, l1i_mshr.version_at(*now), *fetch_asid);
+                if key != *scan_key {
+                    *scan_key = key;
+                    *scan_stamp += 1;
+                }
+            }
+            let stamp = *scan_stamp;
             let mut issued = 0;
             let mut cycle_filtered = 0u64;
             let mut width_break = false;
-            for &block in candidates.iter() {
+            let mut scan = |block: TaggedBlock, memo: Option<&mut u64>| {
                 if issued >= cfg.prefetch_width {
                     // Unexamined candidates remain; if the set
                     // persists, the next cycle may issue from them.
                     width_break = true;
-                    break;
+                    return ControlFlow::Break(());
                 }
-                // Never prefetch into an address space the core has
-                // not switched to yet: its translations are not
-                // active, and for flush-on-switch organizations the
-                // lines would be installed only to be flushed the
-                // moment the switch is crossed. (No-op single-tenant:
-                // every candidate carries the host ASID.)
-                if block.asid != *fetch_asid {
+                if memo.as_deref() == Some(&stamp) {
+                    debug_assert!(
+                        prefetch_filtered(block, *fetch_asid, contents.as_ref(), l1i_mshr, *now),
+                        "stale prefetch-filter memo for {block:?}"
+                    );
                     cycle_filtered += 1;
-                    continue;
+                    return ControlFlow::Continue(());
                 }
-                if contents.contains_block(block) || l1i_mshr.lookup(block, *now).is_some() {
+                if prefetch_filtered(block, *fetch_asid, contents.as_ref(), l1i_mshr, *now) {
+                    if let Some(m) = memo {
+                        *m = stamp;
+                    }
                     cycle_filtered += 1;
-                    continue;
+                    return ControlFlow::Continue(());
                 }
                 if l1i_mshr.full(*now) {
                     cycle_filtered += 1;
-                    break;
+                    return ControlFlow::Break(());
                 }
                 let ready = mem.fetch_instr_block(block, *now);
                 l1i_mshr.insert(block, ready);
                 pending_prefetches.push(ready, block);
                 prefetch_stats.issued += 1;
                 issued += 1;
+                ControlFlow::Continue(())
+            };
+            if fdp {
+                for e in frontend.ftq.fdp_candidates_mut() {
+                    if scan(e.block.with_asid(e.asid), Some(&mut e.pf_stamp)).is_break() {
+                        break;
+                    }
+                }
+            } else {
+                candidates.clear();
+                prefetcher.drain_candidates(candidates);
+                for &block in candidates.iter() {
+                    if scan(block, None).is_break() {
+                        break;
+                    }
+                }
             }
             prefetch_stats.filtered += cycle_filtered;
             due_scratch.clear();
@@ -627,6 +698,7 @@ impl WindowCheckpoint<'_> {
                     ctx = ctx.with_oracle(c);
                 }
                 contents.fill(&ctx);
+                *residency_epoch += 1;
             }
 
             if *wants_tick {
@@ -712,15 +784,13 @@ impl WindowCheckpoint<'_> {
                 // issuable. Drain-style prefetchers (Entangling)
                 // consumed their candidates this cycle; the span's sets
                 // are empty either way.
-                let persistent = matches!(prefetcher, Prefetcher::Fdp);
-                if persistent && cfg.prefetch_width > 0 && (width_break || !due_scratch.is_empty())
-                {
+                if fdp && cfg.prefetch_width > 0 && (width_break || !due_scratch.is_empty()) {
                     event(&mut horizon, floor);
                 }
 
                 if horizon > floor {
                     let skipped = horizon - floor;
-                    if persistent {
+                    if fdp {
                         prefetch_stats.filtered += (cycle_filtered + issued as u64) * skipped;
                     }
                     if *wants_tick {

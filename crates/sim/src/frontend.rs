@@ -47,6 +47,11 @@ pub struct FtqEntry {
     /// real fetch-directed prefetcher cannot see past an unpredicted
     /// redirect.
     pub prefetchable: bool,
+    /// The engine's prefetch-scan stamp under which this entry last
+    /// filtered (ASID mismatch, resident, or in flight); 0 on push. A
+    /// match with the current scan's stamp means the verdict still
+    /// holds and the entry counts as filtered without probing.
+    pub pf_stamp: u64,
 }
 
 impl Default for FtqEntry {
@@ -63,6 +68,7 @@ impl Default for FtqEntry {
             next_use: acic_trace::NO_NEXT_USE,
             delivered: 0,
             prefetchable: true,
+            pf_stamp: 0,
         }
     }
 }
@@ -225,6 +231,7 @@ impl Ftq {
         assert!(self.len < self.entries.len(), "FTQ overflow");
         entry.start = self.arena.push_run(instrs);
         entry.len = instrs.len() as u32;
+        entry.pf_stamp = 0;
         let slot = self.slot(self.len);
         self.entries[slot] = entry;
         self.len += 1;
@@ -233,6 +240,19 @@ impl Ftq {
     /// Iterates entries oldest-first.
     pub fn iter(&self) -> impl Iterator<Item = &FtqEntry> {
         (0..self.len).map(|i| &self.entries[self.slot(i)])
+    }
+
+    /// Fetch-directed prefetching's candidates: the prefetchable
+    /// entries behind the head (the head is the demand access), oldest
+    /// first.
+    pub fn fdp_candidates_mut(&mut self) -> impl Iterator<Item = &mut FtqEntry> {
+        let (wrapped, from_head) = self.entries.split_at_mut(self.head);
+        from_head
+            .iter_mut()
+            .chain(wrapped)
+            .take(self.len)
+            .skip(1)
+            .filter(|e| e.prefetchable)
     }
 
     /// The instruction arena (resolve an entry's `start..start+len`).
@@ -839,5 +859,30 @@ mod tests {
         }
         // FIFO order held across every wrap.
         assert!(popped > 50);
+    }
+
+    #[test]
+    fn fdp_candidates_skip_the_head_and_unpredicted_runs() {
+        let mut ftq = Ftq::new(4);
+        // Wrap the ring so the live range straddles the slot array's
+        // end: the head sits in the last slot.
+        for _ in 0..4 {
+            ftq.push(FtqEntry::default(), &[]);
+        }
+        for _ in 0..3 {
+            ftq.pop_front();
+        }
+        for b in 1..4u64 {
+            ftq.push(
+                FtqEntry {
+                    block: BlockAddr::new(b),
+                    prefetchable: b != 2,
+                    ..FtqEntry::default()
+                },
+                &[],
+            );
+        }
+        let blocks: Vec<u64> = ftq.fdp_candidates_mut().map(|e| e.block.raw()).collect();
+        assert_eq!(blocks, vec![1, 3], "head and unpredicted run excluded");
     }
 }

@@ -9,27 +9,20 @@
 use crate::config::SimConfig;
 use acic_cache::policy::PolicyKind;
 use acic_cache::{AccessCtx, CacheGeometry, CacheStats, SetAssocCache};
-use acic_types::hash::mix64;
 use acic_types::{Addr, Asid, Cycle, TaggedBlock};
 use std::collections::HashMap;
-
-/// Sentinel ident marking an unused MSHR slot (unreachable by real
-/// identities; see the tag store's encoding argument).
-const EMPTY_IDENT: u64 = u64::MAX;
 
 /// MSHR model: merges requests to the same block and bounds the
 /// number outstanding.
 ///
-/// The tracker is probed on every data access and every L1i miss, so
-/// entries live in a small linear-probed open-addressed table sized to
-/// the miss-level parallelism (2x capacity, power of two) instead of a
-/// `HashMap`: idents, ASIDs and ready times are parallel flat lanes.
-/// Expiry is batched: while the current cycle stays below the earliest
+/// The tracker holds at most a few dozen entries, so it is a flat list
+/// of live `(ident, asid, ready)` entries scanned linearly. Expiry is
+/// batched: while the current cycle stays below the earliest
 /// outstanding ready time, cleanup is a single compare; once something
-/// may have completed, the table is rebuilt from its (at most
-/// `capacity`) still-live entries, so probe chains never accumulate
-/// tombstones and every probe is bounded by the guaranteed-empty half
-/// of the table. The retired `HashMap` implementation survives as
+/// has completed, one `retain` drops every finished entry. A version
+/// counter moves whenever the live set changes
+/// ([`MissTracker::version_at`]). The retired `HashMap` implementation
+/// survives as
 /// [`LegacyMissTracker`] and the two are pinned together by an
 /// equivalence proptest (`tests/hot_structs_equivalence.rs`).
 ///
@@ -50,183 +43,93 @@ const EMPTY_IDENT: u64 = u64::MAX;
 #[derive(Debug)]
 pub struct MissTracker {
     capacity: usize,
-    /// Probe mask; table length is `mask + 1`.
-    mask: usize,
-    ids: Vec<u64>,
-    asids: Vec<u16>,
-    ready: Vec<Cycle>,
-    /// Live entries as of the last cleanup cycle.
-    live: usize,
-    /// The cycle of the most recent cleanup: slots with
-    /// `ready <= last_cleanup` are logically removed.
-    last_cleanup: Cycle,
-    /// Lower bound on the earliest expiry among live entries — while
-    /// `now` stays below it, cleanup is a no-op compare.
+    /// Outstanding `(ident, asid, ready)` entries, insertion order.
+    entries: Vec<(u64, u16, Cycle)>,
+    /// Lower bound on the earliest expiry among entries — while `now`
+    /// stays below it, cleanup is a no-op compare.
     earliest_expiry: Cycle,
-    /// Reusable survivor scratch for [`MissTracker::expire`] — the
-    /// rebuild allocates nothing in steady state.
-    scratch: Vec<(u64, u16, Cycle)>,
+    /// Bumped by every insert and every expiry.
+    version: u64,
 }
 
 impl MissTracker {
     /// Creates a tracker with `capacity` MSHRs.
     pub fn new(capacity: usize) -> Self {
-        let slots = (capacity.max(1) * 2).next_power_of_two();
         MissTracker {
             capacity,
-            mask: slots - 1,
-            ids: vec![EMPTY_IDENT; slots],
-            asids: vec![0; slots],
-            ready: vec![0; slots],
-            live: 0,
-            last_cleanup: 0,
+            entries: Vec::with_capacity(capacity),
             earliest_expiry: Cycle::MAX,
-            scratch: Vec::with_capacity(slots),
+            version: 0,
         }
     }
 
     #[inline]
     fn cleanup(&mut self, now: Cycle) {
-        self.last_cleanup = now;
         if now < self.earliest_expiry {
             return;
         }
-        self.expire(now);
+        self.entries.retain(|&(_, _, ready)| ready > now);
+        self.earliest_expiry = self.earliest_ready().unwrap_or(Cycle::MAX);
+        self.version += 1;
     }
 
-    /// Rebuilds the table from its still-outstanding entries. The
-    /// table is a few cache lines, so this beats the per-call
-    /// `HashMap::retain` it replaces — and it runs only when
-    /// something actually completed, not on every probe.
-    fn expire(&mut self, now: Cycle) {
-        let n = self.ids.len();
-        let mut survivors = std::mem::take(&mut self.scratch);
-        survivors.clear();
-        let mut earliest = Cycle::MAX;
-        for slot in 0..n {
-            if self.ids[slot] != EMPTY_IDENT && self.ready[slot] > now {
-                survivors.push((self.ids[slot], self.asids[slot], self.ready[slot]));
-                earliest = earliest.min(self.ready[slot]);
-            }
-        }
-        self.ids.fill(EMPTY_IDENT);
-        self.live = survivors.len();
-        self.earliest_expiry = earliest;
-        for &(id, asid, ready) in &survivors {
-            let mut slot = mix64(id) as usize & self.mask;
-            while self.ids[slot] != EMPTY_IDENT {
-                slot = (slot + 1) & self.mask;
-            }
-            self.ids[slot] = id;
-            self.asids[slot] = asid;
-            self.ready[slot] = ready;
-        }
-        self.scratch = survivors;
+    #[inline]
+    fn position(&self, t: TaggedBlock) -> Option<usize> {
+        let (id, asid) = (t.ident(), t.asid.raw());
+        self.entries
+            .iter()
+            .position(|&(i, a, _)| i == id && a == asid)
+    }
+
+    /// The live-set version at `now`: expires finished entries, then
+    /// returns a counter that moved if any entry was inserted or
+    /// removed since an earlier call. Equal versions mean every
+    /// [`MissTracker::lookup`] answers the same.
+    #[inline]
+    pub fn version_at(&mut self, now: Cycle) -> u64 {
+        self.cleanup(now);
+        self.version
     }
 
     /// Ready time of an already-outstanding request for `block`.
     #[inline]
     pub fn lookup(&mut self, block: impl Into<TaggedBlock>, now: Cycle) -> Option<Cycle> {
         self.cleanup(now);
-        let t = block.into();
-        let id = t.ident();
-        let asid = t.asid.raw();
-        let mut slot = mix64(id) as usize & self.mask;
-        // Probe bound: a table briefly saturated by over-capacity
-        // inserts (the waits-then-inserts path) has no empty slot to
-        // stop at.
-        for _ in 0..=self.mask {
-            if self.ids[slot] == EMPTY_IDENT {
-                return None;
-            }
-            if self.ids[slot] == id && self.asids[slot] == asid {
-                return (self.ready[slot] > now).then_some(self.ready[slot]);
-            }
-            slot = (slot + 1) & self.mask;
-        }
-        None
+        let ready = self.entries[self.position(block.into())?].2;
+        (ready > now).then_some(ready)
     }
 
     /// Whether all MSHRs are busy at `now`.
     #[inline]
     pub fn full(&mut self, now: Cycle) -> bool {
         self.cleanup(now);
-        self.live >= self.capacity
+        self.entries.len() >= self.capacity
     }
 
-    /// Earliest completion among outstanding requests (entries present
-    /// as of the last cleanup).
+    /// Earliest completion among tracked requests (as of the last
+    /// cleanup, every one of them is still outstanding).
     pub fn earliest_ready(&self) -> Option<Cycle> {
-        (0..self.ids.len())
-            .filter(|&s| self.ids[s] != EMPTY_IDENT && self.ready[s] > self.last_cleanup)
-            .map(|s| self.ready[s])
-            .min()
+        self.entries.iter().map(|e| e.2).min()
     }
 
-    /// Registers an outstanding request.
+    /// Registers an outstanding request: refreshes a tracked block's
+    /// ready time in place, else appends — even past capacity (the
+    /// timing model schedules such a request behind
+    /// [`MissTracker::earliest_ready`] instead of retrying).
     pub fn insert(&mut self, block: impl Into<TaggedBlock>, ready: Cycle) {
         let t = block.into();
-        let id = t.ident();
-        let asid = t.asid.raw();
-        let mut slot = mix64(id) as usize & self.mask;
-        let mut free = None;
-        for _ in 0..=self.mask {
-            if self.ids[slot] == EMPTY_IDENT {
-                free = Some(slot);
-                break;
-            }
-            if self.ids[slot] == id && self.asids[slot] == asid {
-                // Re-insert of a tracked block: refresh in place.
-                self.ready[slot] = ready;
-                self.earliest_expiry = self.earliest_expiry.min(ready);
-                return;
-            }
-            slot = (slot + 1) & self.mask;
+        match self.position(t) {
+            Some(i) => self.entries[i].2 = ready,
+            None => self.entries.push((t.ident(), t.asid.raw(), ready)),
         }
-        let Some(slot) = free else {
-            // The timing model can insert while nominally full (it
-            // schedules the start behind `earliest_ready` instead of
-            // retrying): keep at least one empty slot by doubling.
-            // Cold path — capacity-bounded drivers never reach it.
-            self.grow();
-            return self.insert(t, ready);
-        };
-        self.ids[slot] = id;
-        self.asids[slot] = asid;
-        self.ready[slot] = ready;
-        self.live += 1;
         self.earliest_expiry = self.earliest_expiry.min(ready);
-    }
-
-    /// Doubles the table, rehashing every entry (safety valve for
-    /// over-capacity insert bursts; see [`MissTracker::insert`]).
-    fn grow(&mut self) {
-        let ids = std::mem::take(&mut self.ids);
-        let asids = std::mem::take(&mut self.asids);
-        let ready = std::mem::take(&mut self.ready);
-        let slots = (ids.len() * 2).max(2);
-        self.mask = slots - 1;
-        self.ids = vec![EMPTY_IDENT; slots];
-        self.asids = vec![0; slots];
-        self.ready = vec![0; slots];
-        for i in 0..ids.len() {
-            if ids[i] == EMPTY_IDENT {
-                continue;
-            }
-            let mut slot = mix64(ids[i]) as usize & self.mask;
-            while self.ids[slot] != EMPTY_IDENT {
-                slot = (slot + 1) & self.mask;
-            }
-            self.ids[slot] = ids[i];
-            self.asids[slot] = asids[i];
-            self.ready[slot] = ready[i];
-        }
+        self.version += 1;
     }
 
     /// Outstanding request count at `now`.
     pub fn occupancy(&mut self, now: Cycle) -> usize {
         self.cleanup(now);
-        self.live
+        self.entries.len()
     }
 }
 

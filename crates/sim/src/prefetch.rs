@@ -4,9 +4,10 @@
 //! Both produce *candidate blocks*; the simulator filters them against
 //! the L1i contents and MSHR budget, issues them down the hierarchy,
 //! and fills them on arrival (into the i-Filter for ACIC, matching
-//! Figure 9's timeline).
+//! Figure 9's timeline). FDP's candidates are the FTQ entries
+//! themselves ([`crate::Ftq::fdp_candidates_mut`]), which the engine
+//! scans in place; entangling queues its own.
 
-use crate::frontend::Ftq;
 use acic_types::hash::{fold, mix64};
 use acic_types::{Cycle, TaggedBlock};
 use std::collections::VecDeque;
@@ -31,19 +32,12 @@ pub enum Prefetcher {
 }
 
 impl Prefetcher {
-    /// Candidate blocks to prefetch this cycle, given the FTQ
-    /// contents (head excluded — it is the demand access).
-    pub fn candidates(&mut self, ftq: &Ftq, out: &mut Vec<TaggedBlock>) {
-        match self {
-            Prefetcher::None => {}
-            Prefetcher::Fdp => {
-                for e in ftq.iter().skip(1) {
-                    if e.prefetchable {
-                        out.push(e.block.with_asid(e.asid));
-                    }
-                }
-            }
-            Prefetcher::Entangling(e) => e.drain_pending(out),
+    /// Moves the queued candidate blocks into `out` (entangling's
+    /// triggered destinations; FDP queues none — its candidates stay
+    /// in the FTQ).
+    pub fn drain_candidates(&mut self, out: &mut Vec<TaggedBlock>) {
+        if let Prefetcher::Entangling(e) = self {
+            e.drain_pending(out);
         }
     }
 
@@ -210,24 +204,5 @@ mod tests {
         let mut out = Vec::new();
         e.drain_pending(&mut out);
         assert_eq!(out.len(), 2, "table holds two destinations");
-    }
-
-    #[test]
-    fn fdp_yields_ftq_tail() {
-        use crate::frontend::FtqEntry;
-        let mut p = Prefetcher::Fdp;
-        let mut ftq = Ftq::new(8);
-        for b in 0..4u64 {
-            ftq.push(
-                FtqEntry {
-                    block: BlockAddr::new(b),
-                    ..FtqEntry::default()
-                },
-                &[],
-            );
-        }
-        let mut out = Vec::new();
-        p.candidates(&ftq, &mut out);
-        assert_eq!(out.len(), 3, "head excluded");
     }
 }

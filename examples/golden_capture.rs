@@ -18,28 +18,42 @@ fn orgs() -> Vec<(&'static str, IcacheOrg)> {
     ]
 }
 
+/// Organizations pinned by a timing row only: the two whose `access`
+/// moves blocks (single tenant) and flush-on-switch LRU (4 tenants).
+fn timing_only_orgs(tag: &str) -> Vec<(&'static str, IcacheOrg)> {
+    match tag {
+        "1ten" => vec![("vvc", IcacheOrg::Vvc), ("vc3k", IcacheOrg::Vc3k)],
+        _ => vec![("lru-flush", IcacheOrg::LruFlush)],
+    }
+}
+
+fn print_timing<W: TraceSource>(tag: &str, name: &str, org: &IcacheOrg, wl: &W) {
+    let r = Simulator::run(&SimConfig::default().with_org(org.clone()), wl);
+    println!(
+        "(\"{tag}/{name}/timing\", [{}, {}, {}, {}, {}, {}, {}, {}, {}, {}, {}, {}, {}, {}]),",
+        r.total_instructions,
+        r.total_cycles,
+        r.measured_instructions,
+        r.measured_cycles,
+        r.l1i.demand_accesses,
+        r.l1i.demand_misses,
+        r.l1i.demand_fills,
+        r.l1i.evictions,
+        r.branch.mispredicts,
+        r.prefetch.issued,
+        r.dram_accesses,
+        r.context_switches,
+        r.acic.map_or(0, |a| a.decisions),
+        r.prefetch.filtered,
+    );
+}
+
 fn run_one<W: TraceSource>(tag: &str, wl: &W) {
     for (name, org) in orgs() {
-        let r = Simulator::run(&SimConfig::default().with_org(org.clone()), wl);
-        println!(
-            "(\"{tag}/{name}/timing\", [{}, {}, {}, {}, {}, {}, {}, {}, {}, {}, {}, {}, {}]),",
-            r.total_instructions,
-            r.total_cycles,
-            r.measured_instructions,
-            r.measured_cycles,
-            r.l1i.demand_accesses,
-            r.l1i.demand_misses,
-            r.l1i.demand_fills,
-            r.l1i.evictions,
-            r.branch.mispredicts,
-            r.prefetch.issued,
-            r.dram_accesses,
-            r.context_switches,
-            r.acic.map_or(0, |a| a.decisions),
-        );
+        print_timing(tag, name, &org, wl);
         let f = functional::run_functional(&org, wl);
         println!(
-            "(\"{tag}/{name}/functional\", [{}, {}, {}, {}, {}, {}, 0, 0, 0, 0, 0, {}, {}]),",
+            "(\"{tag}/{name}/functional\", [{}, {}, {}, {}, {}, {}, 0, 0, 0, 0, 0, {}, {}, 0]),",
             f.instructions,
             f.accesses,
             0,
@@ -49,6 +63,9 @@ fn run_one<W: TraceSource>(tag: &str, wl: &W) {
             f.context_switches,
             f.acic.map_or(0, |a| a.decisions),
         );
+    }
+    for (name, org) in timing_only_orgs(tag) {
+        print_timing(tag, name, &org, wl);
     }
 }
 

@@ -7,6 +7,14 @@
 //! a `Full`-schedule engine run and the functional simulator are
 //! required to reproduce the original loops exactly, on LRU, SRRIP,
 //! and ACIC, single- and 4-tenant, timing and functional.
+//!
+//! The trailing `prefetch_filtered` column and the timing-only rows
+//! (VVC and VC3K single-tenant, flush-on-switch LRU 4-tenant) were
+//! captured later with the same example, from the tree just before
+//! the prefetch-scan memo landed. The column pins what the memo
+//! computes (the dense-vs-event proptest cannot: both loops share the
+//! memo), and the rows cover the organizations whose `access` moves
+//! blocks and the one whose context switches flush.
 
 use acic_sim::{functional, IcacheOrg, SampleSchedule, SimConfig, Simulator};
 use acic_trace::TraceSource;
@@ -17,72 +25,94 @@ use acic_workloads::{AppProfile, MultiTenantWorkload, SyntheticWorkload};
 /// measured_cycles, l1i_demand_accesses, l1i_demand_misses,
 /// l1i_demand_fills, l1i_evictions, branch_mispredicts,
 /// prefetch_issued, dram_accesses, context_switches,
-/// acic_decisions]`. Functional rows reuse the layout with timing
-/// fields zeroed and `accesses` in the `total_cycles` slot.
-const GOLDEN: &[(&str, [u64; 13])] = &[
+/// acic_decisions, prefetch_filtered]`. Functional rows reuse the
+/// layout with timing fields zeroed and `accesses` in the
+/// `total_cycles` slot.
+const GOLDEN: &[(&str, [u64; 14])] = &[
     (
         "1ten/lru/timing",
         [
-            200000, 270762, 179995, 204920, 17550, 682, 668, 1380, 1194, 2172, 6832, 0, 0,
+            200000, 270762, 179995, 204920, 17550, 682, 668, 1380, 1194, 2172, 6832, 0, 0, 1685011,
         ],
     ),
     (
         "1ten/lru/functional",
-        [200000, 19538, 0, 0, 19538, 1914, 0, 0, 0, 0, 0, 0, 0],
+        [200000, 19538, 0, 0, 19538, 1914, 0, 0, 0, 0, 0, 0, 0, 0],
     ),
     (
         "1ten/srrip/timing",
         [
-            200000, 270881, 179995, 205058, 17550, 722, 708, 1424, 1194, 2202, 6832, 0, 0,
+            200000, 270881, 179995, 205058, 17550, 722, 708, 1424, 1194, 2202, 6832, 0, 0, 1685667,
         ],
     ),
     (
         "1ten/srrip/functional",
-        [200000, 19538, 0, 0, 19538, 1865, 0, 0, 0, 0, 0, 0, 0],
+        [200000, 19538, 0, 0, 19538, 1865, 0, 0, 0, 0, 0, 0, 0, 0],
     ),
     (
         "1ten/acic/timing",
         [
-            200000, 270839, 179995, 204997, 17550, 716, 702, 0, 1194, 2281, 6832, 0, 1458,
+            200000, 270839, 179995, 204997, 17550, 716, 702, 0, 1194, 2281, 6832, 0, 1458, 1689706,
         ],
     ),
     (
         "1ten/acic/functional",
-        [200000, 19538, 0, 0, 19538, 1942, 0, 0, 0, 0, 0, 0, 1414],
+        [200000, 19538, 0, 0, 19538, 1942, 0, 0, 0, 0, 0, 0, 1414, 0],
+    ),
+    (
+        "1ten/vvc/timing",
+        [
+            200000, 270740, 179995, 204906, 17550, 685, 690, 1406, 1194, 2140, 6832, 0, 0, 1685110,
+        ],
+    ),
+    (
+        "1ten/vc3k/timing",
+        [
+            200000, 270552, 179995, 204729, 17550, 631, 632, 1131, 1194, 1759, 6832, 0, 0, 1684989,
+        ],
     ),
     (
         "4ten/lru/timing",
         [
             200000, 489198, 180000, 397436, 17421, 3031, 2991, 4177, 2753, 3555, 11235, 19, 0,
+            1349162,
         ],
     ),
     (
         "4ten/lru/functional",
-        [200000, 19347, 0, 0, 19347, 4768, 0, 0, 0, 0, 0, 19, 0],
+        [200000, 19347, 0, 0, 19347, 4768, 0, 0, 0, 0, 0, 19, 0, 0],
     ),
     (
         "4ten/srrip/timing",
         [
             200000, 489196, 180000, 397410, 17421, 3029, 2990, 4142, 2753, 3489, 11235, 19, 0,
+            1352454,
         ],
     ),
     (
         "4ten/srrip/functional",
-        [200000, 19347, 0, 0, 19347, 4651, 0, 0, 0, 0, 0, 19, 0],
+        [200000, 19347, 0, 0, 19347, 4651, 0, 0, 0, 0, 0, 19, 0, 0],
     ),
     (
         "4ten/acic/timing",
         [
             200000, 489130, 180000, 397368, 17421, 3031, 2992, 0, 2753, 3556, 11235, 19, 4240,
+            1349180,
         ],
     ),
     (
         "4ten/acic/functional",
-        [200000, 19347, 0, 0, 19347, 4768, 0, 0, 0, 0, 0, 19, 4240],
+        [200000, 19347, 0, 0, 19347, 4768, 0, 0, 0, 0, 0, 19, 4240, 0],
+    ),
+    (
+        "4ten/lru-flush/timing",
+        [
+            200000, 489495, 180000, 397733, 17421, 3068, 3029, 6, 2753, 3577, 11235, 19, 0, 1348556,
+        ],
     ),
 ];
 
-fn golden(tag: &str) -> [u64; 13] {
+fn golden(tag: &str) -> [u64; 14] {
     GOLDEN
         .iter()
         .find(|(t, _)| *t == tag)
@@ -96,6 +126,14 @@ fn orgs() -> Vec<(&'static str, IcacheOrg)> {
         ("srrip", IcacheOrg::Srrip),
         ("acic", IcacheOrg::acic_default()),
     ]
+}
+
+/// Organizations pinned by a timing row only (see the module doc).
+fn timing_only_orgs(tenants: &str) -> Vec<(&'static str, IcacheOrg)> {
+    match tenants {
+        "1ten" => vec![("vvc", IcacheOrg::Vvc), ("vc3k", IcacheOrg::Vc3k)],
+        _ => vec![("lru-flush", IcacheOrg::LruFlush)],
+    }
 }
 
 fn single_tenant() -> SyntheticWorkload {
@@ -128,6 +166,7 @@ fn check_timing<W: TraceSource>(tag: &str, wl: &W, org: IcacheOrg) {
         r.dram_accesses,
         r.context_switches,
         r.acic.map_or(0, |a| a.decisions),
+        r.prefetch.filtered,
     ];
     assert_eq!(got, g, "{tag} diverged from the pre-engine simulator");
     assert!(r.sampled.is_none(), "Full runs report no sampled stats");
@@ -150,6 +189,7 @@ fn check_functional<W: TraceSource>(tag: &str, wl: &W, org: &IcacheOrg) {
         0,
         f.context_switches,
         f.acic.map_or(0, |a| a.decisions),
+        0,
     ];
     assert_eq!(got, g, "{tag} diverged from the pre-engine functional loop");
 }
@@ -161,6 +201,9 @@ fn full_schedule_matches_pre_engine_goldens_single_tenant() {
         check_timing(&format!("1ten/{name}/timing"), &wl, org.clone());
         check_functional(&format!("1ten/{name}/functional"), &wl, &org);
     }
+    for (name, org) in timing_only_orgs("1ten") {
+        check_timing(&format!("1ten/{name}/timing"), &wl, org);
+    }
 }
 
 #[test]
@@ -169,6 +212,9 @@ fn full_schedule_matches_pre_engine_goldens_four_tenant() {
     for (name, org) in orgs() {
         check_timing(&format!("4ten/{name}/timing"), &wl, org.clone());
         check_functional(&format!("4ten/{name}/functional"), &wl, &org);
+    }
+    for (name, org) in timing_only_orgs("4ten") {
+        check_timing(&format!("4ten/{name}/timing"), &wl, org);
     }
 }
 

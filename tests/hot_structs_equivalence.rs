@@ -7,9 +7,12 @@
 //! * ring-buffered [`TwoLevelPredictor`] vs. `VecDeque`-queued
 //!   [`LegacyTwoLevelPredictor`] over randomized train/tick/flush
 //!   sequences in both update modes;
-//! * open-addressed [`MissTracker`] vs. `HashMap`-backed
+//! * flat-list [`MissTracker`] vs. `HashMap`-backed
 //!   [`LegacyMissTracker`] over randomized insert/lookup/full
-//!   sequences with a monotone clock;
+//!   sequences with a monotone clock, inserting the way the engine
+//!   does: a request that finds every MSHR busy starts at
+//!   `earliest_ready` and is inserted past capacity, and a request
+//!   for a block already in flight refreshes its entry;
 //! * flat-ring/open-addressed Hawkeye [`SampledSet`] vs. the
 //!   map/deque [`LegacySampledSet`] over randomized OPTgen access
 //!   sequences, plus [`BlockTimeMap`] vs. `HashMap` directly.
@@ -128,12 +131,21 @@ proptest! {
             prop_assert_eq!(flat.lookup(b, now), legacy.lookup(b, now));
             let was_full = legacy.full(now);
             prop_assert_eq!(flat.full(now), was_full);
-            if !was_full {
-                flat.insert(b, now + latency);
-                legacy.insert(b, now + latency);
-            }
+            // The engine's demand-miss and data paths: with every MSHR
+            // busy, the request starts when the earliest one frees and
+            // is inserted anyway (over capacity).
+            let start = if was_full {
+                let earliest = legacy.earliest_ready().expect("full tracker has entries");
+                prop_assert_eq!(flat.earliest_ready(), Some(earliest));
+                earliest.max(now)
+            } else {
+                now
+            };
+            flat.insert(b, start + latency);
+            legacy.insert(b, start + latency);
             prop_assert_eq!(flat.occupancy(now), legacy.occupancy(now));
             prop_assert_eq!(flat.earliest_ready(), legacy.earliest_ready());
+            prop_assert_eq!(flat.lookup(b, now), Some(start + latency));
         }
     }
 

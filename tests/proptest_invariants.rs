@@ -11,6 +11,45 @@ use proptest::prelude::*;
 use std::collections::HashSet;
 
 proptest! {
+    /// The residency contract on `IcacheContents::access`/`tick` that
+    /// the engine's prefetch-scan memo rests on: an access returning a
+    /// plain hit (`hit && extra_latency == 0`) and a tick never change
+    /// what `contains_block` answers, for any block. The traffic is
+    /// confined to three sets so every organization evicts, swaps and
+    /// parks victims (VVC, VC3K) along the way.
+    #[test]
+    fn plain_hits_and_ticks_never_change_residency(
+        ops in proptest::collection::vec((0u64..60, 0u8..4), 1..400),
+    ) {
+        use acic_repro::sim::IcacheOrg;
+        let blocks: Vec<BlockAddr> = (0..60u64).map(|b| BlockAddr::new(b % 3 + 64 * (b / 3))).collect();
+        let orgs = IcacheOrg::figure10_set()
+            .into_iter()
+            .chain([IcacheOrg::Lru, IcacheOrg::LruFlush, IcacheOrg::IFilterAlways, IcacheOrg::AccessCount])
+            .filter(|org| !org.needs_oracle());
+        for org in orgs {
+            let mut contents = org.build(7);
+            for (i, &(b, kind)) in ops.iter().enumerate() {
+                let before: Vec<bool> = blocks.iter().map(|&x| contents.contains_block(x.into())).collect();
+                let plain = if kind == 3 {
+                    contents.tick(i as u64);
+                    true
+                } else {
+                    let ctx = AccessCtx::demand(blocks[b as usize], i as u64);
+                    let out = contents.access(&ctx);
+                    if !out.hit {
+                        contents.fill(&ctx);
+                    }
+                    out.hit && out.extra_latency == 0
+                };
+                if plain {
+                    let after: Vec<bool> = blocks.iter().map(|&x| contents.contains_block(x.into())).collect();
+                    prop_assert_eq!(before, after, "{} changed residency at op {}", org.label(), i);
+                }
+            }
+        }
+    }
+
     #[test]
     fn sat_counter_stays_in_range(width in 1u32..=16, ops in proptest::collection::vec(any::<bool>(), 0..200)) {
         let mut c = SatCounter::new_weakly_high(width);

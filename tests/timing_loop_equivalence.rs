@@ -21,14 +21,22 @@ use acic_trace::VecTrace;
 use acic_workloads::{AppProfile, MultiTenantWorkload, SyntheticWorkload};
 use proptest::prelude::*;
 
-/// Organizations under test: the three headline policies plus the
-/// flush-on-switch LRU (exercises the ASID path).
+/// Number of organizations [`org`] cycles through.
+const ORGS: usize = 6;
+
+/// Organizations under test: the three headline policies, the
+/// flush-on-switch LRU (exercises the ASID path), and the two whose
+/// `access` moves blocks (VVC, VC3K) — debug builds re-probe every
+/// prefetch-scan memo hit, so these exercise the residency contract
+/// the memo rests on.
 fn org(idx: usize) -> IcacheOrg {
-    let orgs = [
+    let orgs: [IcacheOrg; ORGS] = [
         IcacheOrg::Lru,
         IcacheOrg::LruFlush,
         IcacheOrg::Srrip,
         IcacheOrg::acic_default(),
+        IcacheOrg::Vvc,
+        IcacheOrg::Vc3k,
     ];
     orgs[idx % orgs.len()].clone()
 }
@@ -91,7 +99,7 @@ proptest! {
     /// length) points.
     #[test]
     fn serial_dense_matches_event_horizon(
-        org_idx in 0usize..4,
+        org_idx in 0usize..ORGS,
         pf_idx in 0usize..3,
         sched_idx in 0usize..3,
         prof_idx in 0usize..4,
@@ -116,7 +124,7 @@ proptest! {
     /// same bit-identity requirement.
     #[test]
     fn multi_tenant_dense_matches_event_horizon(
-        org_idx in 0usize..4,
+        org_idx in 0usize..ORGS,
         pf_idx in 0usize..3,
         quantum in 500u64..2_000,
         per_tenant in 2_000u64..6_000,
@@ -142,7 +150,7 @@ proptest! {
     /// vs 2 workers) under the event loop.
     #[test]
     fn windowed_dense_matches_event_horizon(
-        org_idx in 0usize..4,
+        org_idx in 0usize..ORGS,
         pf_idx in 0usize..3,
         prof_idx in 0usize..4,
         instructions in 6_000u64..14_000,
