@@ -9,11 +9,11 @@
 //! cargo run --release -p acic-bench --bin experiments --smoke     # tiny grid, all figures
 //! cargo run --release -p acic-bench --bin experiments fig1        # substring filter
 //! cargo run --release -p acic-bench --bin experiments -- --window-threads 4 fig11_mpki
-//! cargo run --release -p acic-bench --bin experiments -- --window-smoke
 //! ```
 //!
 //! `--only` matches one figure by exact name (and fails loudly on a
-//! typo, unlike the substring filter); `--list` prints the runnable
+//! typo, unlike the substring filter, of which at most one is
+//! accepted — a second positional is a usage error); `--list` prints the runnable
 //! names without simulating anything; `--smoke` runs every registered
 //! figure on a tiny grid (50 k instructions per cell, honoring an
 //! explicit `ACIC_EXP_INSTRUCTIONS` if smaller) so the figure wiring
@@ -27,16 +27,16 @@
 //! The two modes run different sampling structures, so their results
 //! journal under different `--results` keys; the worker count itself
 //! is not part of the key (windowed output is bit-identical across
-//! worker counts). `--window-smoke` runs the 1-worker-vs-2-worker
-//! bit-identity check CI relies on and exits non-zero on divergence.
+//! worker counts).
 //!
 //! `--profile-cell <figure>:<cell-substring>` runs the named figure
 //! until the first grid cell whose label (`config <c> '<org>' x spec
-//! '<spec>'`) contains the substring, then re-simulates exactly that
-//! cell in a tight loop (`ACIC_PROFILE_ITERS` iterations, default 50)
-//! with minimal stderr chatter and exits — the shape `perf record` /
-//! flamegraph tooling wants, instead of a whole sweep where the
-//! interesting cell is a sliver of the profile. It cannot be combined
+//! '<spec>'`) contains the substring — the figure's earlier grids and
+//! non-grid work run normally on the way — then re-simulates exactly
+//! that cell 50 times, prints one best/mean instructions-per-second
+//! line, and exits: the shape `perf record` / flamegraph tooling
+//! wants, instead of a whole sweep where the interesting cell is a
+//! sliver of the profile. It cannot be combined
 //! with `--only` (it selects its own figure) or `--supervise` (the
 //! profiler must see the simulation in this process).
 //!
@@ -45,9 +45,7 @@
 //! ```text
 //! cargo run --release -p acic-bench --bin experiments -- --record-traces traces/ fig11
 //! cargo run --release -p acic-bench --bin experiments -- --traces traces/ fig11
-//! cargo run --release -p acic-bench --bin experiments -- --trace-smoke
 //! cargo run --release -p acic-bench --bin experiments -- --results results/ fig11
-//! cargo run --release -p acic-bench --bin experiments -- --results-smoke
 //! ```
 //!
 //! `--record-traces <dir>` freezes every workload the selected
@@ -56,15 +54,12 @@
 //! the generator (specs whose container is missing or unusable fall
 //! back to generation with a note) — drop in externally recorded
 //! traces under the right key and they become first-class workloads.
-//! The two flags are mutually exclusive. `--trace-smoke` runs the
-//! record → replay → bit-identity check CI relies on and exits
-//! non-zero on the first divergence.
+//! The two flags are mutually exclusive.
 //!
 //! `--results <dir>` journals every finished grid cell into
 //! `<dir>/results.jsonl`; an interrupted (or repeated) run replays
 //! finished cells from the journal and simulates only the rest, with
-//! output bit-identical to an uninterrupted run. `--results-smoke`
-//! runs the kill-and-resume round trip CI relies on.
+//! output bit-identical to an uninterrupted run.
 //!
 //! Adaptive design-space exploration (DESIGN.md §10):
 //!
@@ -72,7 +67,6 @@
 //! cargo run --release -p acic-bench --bin experiments -- --dse
 //! cargo run --release -p acic-bench --bin experiments -- --dse --dse-space space.json \
 //!     --dse-report dse.jsonl --results results/
-//! cargo run --release -p acic-bench --bin experiments -- --dse-smoke
 //! ```
 //!
 //! `--dse` skips the figures and sweeps a design space through the
@@ -82,9 +76,7 @@
 //! two-rung ladder instead). `--dse-report <file>` writes the
 //! JSON-lines provenance report (per config: pruned-at, refined-to,
 //! final confidence intervals); `--results <dir>` makes the sweep
-//! resumable per cell. `--dse-smoke` runs the in-process
-//! tear-and-resume round trip CI relies on and exits non-zero on the
-//! first violated invariant.
+//! resumable per cell.
 //!
 //! Failure handling: figures run in keep-going mode — a panicking
 //! figure (including a grid with failing cells, reported through the
@@ -101,7 +93,6 @@
 //! cargo run --release -p acic-bench --bin experiments -- --supervise fig11_mpki
 //! cargo run --release -p acic-bench --bin experiments -- --supervise \
 //!     --crash-reports crash-reports/ --results results/ fig11_mpki
-//! cargo run --release -p acic-bench --bin experiments -- --supervise-smoke
 //! ```
 //!
 //! `--supervise` runs every grid/DSE cell in its own child process
@@ -120,9 +111,6 @@
 //! `./crash-reports`). Output and `--results` journals are
 //! byte-identical to the in-process path; where spawning is
 //! unavailable the run degrades to in-process with one warning.
-//! `--supervise-smoke` drives the scripted hostile matrix
-//! (kill/stall/panic cells) through the supervisor and exits non-zero
-//! on the first violated invariant.
 //!
 //! Exit codes: `0` — success; `1` — one or more figures/cells failed;
 //! `2` — usage error. A `--run-cell` child additionally uses `3` —
@@ -217,11 +205,6 @@ fn take_switch(args: &mut Vec<String>, name: &str) -> bool {
 #[derive(Debug, Default, PartialEq)]
 struct Cli {
     list: bool,
-    trace_smoke: bool,
-    results_smoke: bool,
-    window_smoke: bool,
-    dse_smoke: bool,
-    supervise_smoke: bool,
     dse: bool,
     smoke: bool,
     fail_fast: bool,
@@ -295,11 +278,6 @@ fn parse_cli(mut args: Vec<String>) -> Result<Cli, String> {
     }
     let cli = Cli {
         list: take_switch(&mut args, "--list"),
-        trace_smoke: take_switch(&mut args, "--trace-smoke"),
-        results_smoke: take_switch(&mut args, "--results-smoke"),
-        window_smoke: take_switch(&mut args, "--window-smoke"),
-        dse_smoke: take_switch(&mut args, "--dse-smoke"),
-        supervise_smoke: take_switch(&mut args, "--supervise-smoke"),
         dse,
         smoke: take_switch(&mut args, "--smoke"),
         fail_fast: take_switch(&mut args, "--fail-fast"),
@@ -322,7 +300,12 @@ fn parse_cli(mut args: Vec<String>) -> Result<Cli, String> {
     if let Some(unknown) = args.iter().find(|a| a.starts_with("--")) {
         return Err(format!("unknown option '{unknown}'"));
     }
-    let filter = args.first().cloned().unwrap_or_default();
+    if let [_, extra, ..] = args.as_slice() {
+        return Err(format!(
+            "unexpected argument '{extra}': give at most one figure-name filter"
+        ));
+    }
+    let filter = args.pop().unwrap_or_default();
     Ok(Cli { filter, ..cli })
 }
 
@@ -440,61 +423,6 @@ fn main() {
             .unwrap_or_default();
         eprintln!("[panic{loc}] {}", msg.trim_end());
     }));
-
-    if cli.trace_smoke {
-        match acic_bench::trace_store::trace_smoke(SMOKE_INSTRUCTIONS) {
-            Ok(report) => println!("{report}"),
-            Err(e) => {
-                eprintln!("trace-smoke failed: {e}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-
-    if cli.results_smoke {
-        match acic_bench::result_store::results_smoke() {
-            Ok(report) => println!("{report}"),
-            Err(e) => {
-                eprintln!("results-smoke failed: {e}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-
-    if cli.window_smoke {
-        match acic_bench::window_smoke::window_smoke() {
-            Ok(report) => println!("{report}"),
-            Err(e) => {
-                eprintln!("window-smoke failed: {e}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-
-    if cli.dse_smoke {
-        match acic_bench::dse::dse_smoke() {
-            Ok(report) => println!("{report}"),
-            Err(e) => {
-                eprintln!("dse-smoke failed: {e}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-
-    if cli.supervise_smoke {
-        match acic_bench::supervise::supervise_smoke() {
-            Ok(report) => println!("{report}"),
-            Err(e) => {
-                eprintln!("supervise-smoke failed: {e}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
 
     if let Some(n) = cli.window_threads {
         // The runner reads this through the environment
@@ -704,6 +632,16 @@ mod tests {
     }
 
     #[test]
+    fn a_second_positional_is_an_error_not_dropped() {
+        // `experiments fig10 fig11` used to run only the figures
+        // matching `fig10`.
+        let err = parse_cli(argv(&["fig10", "fig11"])).unwrap_err();
+        assert!(err.contains("unexpected argument 'fig11'"), "{err}");
+        let err = parse_cli(argv(&["--smoke", "table", "--results", "rd", "fig1"])).unwrap_err();
+        assert!(err.contains("unexpected argument 'fig1'"), "{err}");
+    }
+
+    #[test]
     fn unknown_options_are_rejected_not_ignored() {
         let err = parse_cli(argv(&["--keep-gonig"])).unwrap_err();
         assert!(err.contains("unknown option '--keep-gonig'"), "{err}");
@@ -747,13 +685,6 @@ mod tests {
     }
 
     #[test]
-    fn window_smoke_switch_parses() {
-        let cli = parse_cli(argv(&["--window-smoke"])).unwrap();
-        assert!(cli.window_smoke);
-        assert!(!parse_cli(argv(&["--smoke"])).unwrap().window_smoke);
-    }
-
-    #[test]
     fn dse_flags_parse() {
         let cli = parse_cli(argv(&[
             "--dse",
@@ -770,9 +701,6 @@ mod tests {
         let cli = parse_cli(argv(&["--dse", "--smoke"])).unwrap();
         assert!(cli.dse && cli.smoke && cli.dse_space.is_none());
 
-        let cli = parse_cli(argv(&["--dse-smoke"])).unwrap();
-        assert!(cli.dse_smoke && !cli.dse);
-
         let err = parse_cli(argv(&["--dse-space", "s.json"])).unwrap_err();
         assert!(err.contains("only make sense with --dse"), "{err}");
         let err = parse_cli(argv(&["--dse-report", "r.jsonl"])).unwrap_err();
@@ -787,9 +715,6 @@ mod tests {
         assert!(cli.supervise);
         assert_eq!(cli.crash_reports.as_deref(), Some("cr"));
         assert_eq!(cli.filter, "fig11");
-
-        let cli = parse_cli(argv(&["--supervise-smoke"])).unwrap();
-        assert!(cli.supervise_smoke && !cli.supervise);
 
         let err = parse_cli(argv(&["--crash-reports", "cr"])).unwrap_err();
         assert!(err.contains("only makes sense with --supervise"), "{err}");

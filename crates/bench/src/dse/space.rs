@@ -305,7 +305,7 @@ pub fn parse_space(text: &str) -> Result<DseSpace, String> {
 }
 
 /// The CI smoke space: one app, four configurations — small enough
-/// for `--dse-smoke` to finish in seconds, rich enough to exercise
+/// for `--dse --smoke` to finish in seconds, rich enough to exercise
 /// protection, pruning, and the ladder.
 pub fn smoke_space() -> DseSpace {
     let base = SimConfig::default();

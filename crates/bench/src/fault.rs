@@ -303,8 +303,8 @@ pub enum CellFault {
 }
 
 /// The scripted cell-fault environment variables, in the order
-/// [`scripted_cell_fault`] consults them. Tests and smoke drivers
-/// clear exactly this list to isolate child environments.
+/// [`scripted_cell_fault`] consults them. Integration tests clear
+/// exactly this list to isolate child environments.
 pub const CELL_FAULT_VARS: &[&str] = &[
     "ACIC_PANIC_CELL",
     "ACIC_ABORT_CELL",

@@ -7,6 +7,10 @@
 //! application (the paper uses 500 M–1 B) and scales through the
 //! `ACIC_EXP_INSTRUCTIONS` environment variable.
 //!
+//! The library ships no self-tests: the record/replay, resume,
+//! window-parallel, DSE and supervision round trips are integration
+//! tests (`crates/bench/tests`, `tests/window_parallel.rs`).
+//!
 //! # Examples
 //!
 //! ```no_run
@@ -23,6 +27,5 @@ pub mod result_store;
 pub mod runner;
 pub mod supervise;
 pub mod trace_store;
-pub mod window_smoke;
 
 pub use runner::{instruction_budget, run_config, run_pair, run_spec, Runner, WorkloadSpec};

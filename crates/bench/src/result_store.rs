@@ -737,99 +737,6 @@ pub fn report_from_json(doc: &Json) -> Result<SimReport, String> {
     })
 }
 
-/// The CI kill-and-resume check (`experiments --results-smoke`): runs
-/// a small grid against a fresh store, tears the journal mid-file (a
-/// kill while rewriting would at worst leave the *previous* journal —
-/// this is strictly harsher), reopens, and reruns. The resumed grid
-/// must be bit-identical to an uninterrupted reference run, the torn
-/// journal must cost only recomputation, and a third run must replay
-/// every cell without simulating anything.
-///
-/// # Errors
-///
-/// Describes the first violated invariant.
-pub fn results_smoke() -> Result<String, String> {
-    use crate::runner::Runner;
-    use acic_sim::IcacheOrg;
-    use acic_workloads::AppProfile;
-
-    let dir = std::env::temp_dir().join(format!("acic-results-smoke-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let instructions = 20_000;
-    let configs = vec![
-        SimConfig::default(),
-        SimConfig::default().with_org(IcacheOrg::acic_default()),
-    ];
-    let specs = vec![
-        WorkloadSpec::Single(AppProfile::web_search()),
-        WorkloadSpec::Single(AppProfile::tpc_c()),
-    ];
-    let cells = (configs.len() * specs.len()) as u64;
-    let mut runner = Runner::new();
-    runner.instructions = instructions;
-    runner.store = None;
-    let reference = runner
-        .try_run_grid(&configs, &specs)
-        .map_err(|e| e.to_string())?;
-
-    runner.store = Some(Arc::new(
-        ResultStore::open(&dir).map_err(|e| e.to_string())?,
-    ));
-    let first = runner
-        .try_run_grid(&configs, &specs)
-        .map_err(|e| e.to_string())?;
-    if first.computed != cells {
-        return Err(format!(
-            "fresh store: expected {cells} computed cells, got {}",
-            first.computed
-        ));
-    }
-
-    // Tear the journal at 60% — mid-line, after several entries.
-    let journal = dir.join(JOURNAL_NAME);
-    let bytes = std::fs::read(&journal).map_err(|e| e.to_string())?;
-    std::fs::write(&journal, &bytes[..bytes.len() * 3 / 5]).map_err(|e| e.to_string())?;
-
-    runner.store = Some(Arc::new(
-        ResultStore::open(&dir).map_err(|e| e.to_string())?,
-    ));
-    let resumed = runner
-        .try_run_grid(&configs, &specs)
-        .map_err(|e| e.to_string())?;
-    if resumed.computed == 0 || resumed.computed == cells {
-        return Err(format!(
-            "torn journal: expected a partial recompute, got {} of {cells}",
-            resumed.computed
-        ));
-    }
-    if format!("{:?}", resumed.grid) != format!("{:?}", reference.grid) {
-        return Err("resumed grid diverged from the uninterrupted run".into());
-    }
-
-    runner.store = Some(Arc::new(
-        ResultStore::open(&dir).map_err(|e| e.to_string())?,
-    ));
-    let third = runner
-        .try_run_grid(&configs, &specs)
-        .map_err(|e| e.to_string())?;
-    if third.computed != 0 || third.replayed != cells {
-        return Err(format!(
-            "healed store: expected {cells} replayed / 0 computed, got {} / {}",
-            third.replayed, third.computed
-        ));
-    }
-    if format!("{:?}", third.grid) != format!("{:?}", reference.grid) {
-        return Err("replayed grid diverged from the uninterrupted run".into());
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-    Ok(format!(
-        "results-smoke: {cells} cells; torn journal kept {} cells, resume recomputed {}, \
-         final replay bit-identical\n",
-        cells - resumed.computed,
-        resumed.computed
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

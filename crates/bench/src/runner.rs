@@ -648,19 +648,12 @@ pub fn set_profile_cell(cell: String) {
     let _ = PROFILE_CELL.set(cell);
 }
 
-/// Iterations of the `--profile-cell` tight loop:
-/// `ACIC_PROFILE_ITERS` or 50 — long enough for a sampling profiler
-/// to see a stable hot-path histogram.
-fn profile_iters() -> u64 {
-    std::env::var("ACIC_PROFILE_ITERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(50)
-}
+/// Iterations of the `--profile-cell` tight loop — long enough for a
+/// sampling profiler to see a stable hot-path histogram.
+const PROFILE_ITERS: u64 = 50;
 
 /// The `--profile-cell` tight loop: freezes the target cell's spec
-/// once, then re-simulates the identical cell `ACIC_PROFILE_ITERS`
+/// once, then re-simulates the identical cell [`PROFILE_ITERS`]
 /// times with minimal stderr chatter (one line before, one line of
 /// stats after) so `perf record -p <pid>` sees almost nothing but the
 /// simulator's hot path. Exits the process when done.
@@ -671,15 +664,14 @@ fn run_profile_cell(
     window_threads: usize,
     label: &str,
 ) -> ! {
-    let iters = profile_iters();
     let trace = must_freeze(spec, instructions);
     eprintln!(
-        "[profile-cell: {label}; {iters} x {instructions} instructions, pid {}]",
+        "[profile-cell: {label}; {PROFILE_ITERS} x {instructions} instructions, pid {}]",
         std::process::id()
     );
     let start = Instant::now();
     let mut best = f64::INFINITY;
-    for _ in 0..iters {
+    for _ in 0..PROFILE_ITERS {
         let t0 = Instant::now();
         let report = if window_threads >= 1 {
             Engine::run_windowed(cfg, trace.as_ref(), window_threads)
@@ -692,9 +684,9 @@ fn run_profile_cell(
     let total = start.elapsed().as_secs_f64();
     let n = instructions as f64;
     eprintln!(
-        "[profile-cell: {iters} iterations in {total:.2}s; best {:.0} ips, mean {:.0} ips]",
+        "[profile-cell: {PROFILE_ITERS} iterations in {total:.2}s; best {:.0} ips, mean {:.0} ips]",
         n / best.max(1e-12),
-        n * iters as f64 / total.max(1e-12)
+        n * PROFILE_ITERS as f64 / total.max(1e-12)
     );
     std::process::exit(0);
 }
@@ -1354,6 +1346,26 @@ mod tests {
             format!("{:?}", second.grid),
             "replayed grid bit-identical to computed grid"
         );
+        // Tear the journal mid-line at 60%: the torn and later lines
+        // are dropped on reopen, so the rerun recomputes some cells
+        // but not all, and the grid is still bit-identical.
+        let journal = runner.store.as_ref().unwrap().journal_path().to_path_buf();
+        let bytes = std::fs::read(&journal).unwrap();
+        std::fs::write(&journal, &bytes[..bytes.len() * 3 / 5]).unwrap();
+        runner.store = Some(Arc::new(ResultStore::open(&dir).unwrap()));
+        let resumed = runner.try_run_grid(&configs, &specs).unwrap();
+        assert!(
+            (1..4).contains(&resumed.computed),
+            "a mid-line tear costs a partial recompute, got {} of 4",
+            resumed.computed
+        );
+        assert_eq!(resumed.replayed + resumed.computed, 4);
+        assert_eq!(format!("{:?}", resumed.grid), format!("{:?}", first.grid));
+        // The rerun healed the journal: a fresh handle replays all.
+        runner.store = Some(Arc::new(ResultStore::open(&dir).unwrap()));
+        let healed = runner.try_run_grid(&configs, &specs).unwrap();
+        assert_eq!((healed.replayed, healed.computed), (4, 0));
+        assert_eq!(format!("{:?}", healed.grid), format!("{:?}", first.grid));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -141,7 +141,7 @@ pub fn child_args(argv: &[String]) -> Vec<String> {
     let mut it = argv.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--supervise" | "--supervise-smoke" => {}
+            "--supervise" => {}
             "--crash-reports" | "--run-cell" | "--run-cell-out" => {
                 let _ = it.next();
             }
@@ -432,256 +432,6 @@ pub(crate) fn kill_self() -> ! {
     std::process::abort();
 }
 
-/// A scratch directory namespaced by pid, removed by the caller.
-fn scratch_dir(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("acic-{tag}-{}", std::process::id()))
-}
-
-/// Spawns one `experiments` child for the smoke, with a hermetic
-/// fault environment, returning (exit code, stdout, stderr).
-fn run_experiments(
-    exe: &Path,
-    args: &[&str],
-    envs: &[(&str, String)],
-) -> Result<(i32, String, String), String> {
-    let mut cmd = Command::new(exe);
-    cmd.args(args);
-    for var in crate::fault::CELL_FAULT_VARS {
-        cmd.env_remove(var);
-    }
-    for var in [
-        "ACIC_CELL_TIMEOUT_SECS",
-        "ACIC_SUPERVISE_RETRIES",
-        "ACIC_SUPERVISE_BACKOFF_MS",
-    ] {
-        cmd.env_remove(var);
-    }
-    for (k, v) in envs {
-        cmd.env(k, v);
-    }
-    let out = cmd
-        .output()
-        .map_err(|e| format!("spawn {}: {e}", exe.display()))?;
-    Ok((
-        out.status.code().unwrap_or(-1),
-        String::from_utf8_lossy(&out.stdout).into_owned(),
-        String::from_utf8_lossy(&out.stderr).into_owned(),
-    ))
-}
-
-/// End-to-end smoke for `--supervise-smoke`: drives the supervisor
-/// through the scripted hostile matrix (healthy, child-kill, stall,
-/// deterministic panic) and checks bit-identity, retry journaling,
-/// and hard-kill latency. Returns a human-readable summary or the
-/// first failed check.
-pub fn supervise_smoke() -> Result<String, String> {
-    let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
-    let scratch = scratch_dir("supervise-smoke");
-    let _ = std::fs::remove_dir_all(&scratch);
-    std::fs::create_dir_all(&scratch).map_err(|e| format!("scratch dir: {e}"))?;
-    let budget = ("ACIC_EXP_INSTRUCTIONS", "2000".to_string());
-    let figure = "table3_mpki";
-    let journal = |dir: &Path| -> Result<Vec<u8>, String> {
-        std::fs::read(dir.join("results.jsonl"))
-            .map_err(|e| format!("journal {}: {e}", dir.display()))
-    };
-    let crash_report = |dir: &Path| -> Result<String, String> {
-        let mut reports = Vec::new();
-        for ent in
-            std::fs::read_dir(dir).map_err(|e| format!("crash dir {}: {e}", dir.display()))?
-        {
-            let path = ent.map_err(|e| e.to_string())?.path();
-            if path.extension().is_some_and(|x| x == "txt") {
-                reports.push(std::fs::read_to_string(&path).map_err(|e| e.to_string())?);
-            }
-        }
-        if reports.len() != 1 {
-            return Err(format!(
-                "expected exactly 1 crash report in {}, found {}",
-                dir.display(),
-                reports.len()
-            ));
-        }
-        Ok(reports.pop().unwrap())
-    };
-    let mut lines = Vec::new();
-
-    // 1. In-process reference run.
-    let ref_rs = scratch.join("ref-results");
-    let (code, ref_out, err) = run_experiments(
-        &exe,
-        &["--only", figure, "--results", ref_rs.to_str().unwrap()],
-        std::slice::from_ref(&budget),
-    )?;
-    if code != 0 {
-        return Err(format!("reference run exited {code}: {}", err.trim()));
-    }
-    let ref_journal = journal(&ref_rs)?;
-    lines.push(format!(
-        "reference: in-process run ok, journal {} bytes",
-        ref_journal.len()
-    ));
-
-    // 2. Supervised healthy run: byte-identical output and journal,
-    //    no crash reports.
-    let sup_rs = scratch.join("sup-results");
-    let sup_cr = scratch.join("sup-crash");
-    let (code, sup_out, err) = run_experiments(
-        &exe,
-        &[
-            "--only",
-            figure,
-            "--results",
-            sup_rs.to_str().unwrap(),
-            "--supervise",
-            "--crash-reports",
-            sup_cr.to_str().unwrap(),
-        ],
-        std::slice::from_ref(&budget),
-    )?;
-    if code != 0 {
-        return Err(format!(
-            "supervised healthy run exited {code}: {}",
-            err.trim()
-        ));
-    }
-    if sup_out != ref_out {
-        return Err("supervised stdout differs from in-process reference".into());
-    }
-    if journal(&sup_rs)? != ref_journal {
-        return Err("supervised journal differs from in-process reference".into());
-    }
-    let stray = std::fs::read_dir(&sup_cr)
-        .map(|d| {
-            d.filter_map(|e| e.ok())
-                .filter(|e| e.path().extension().is_some_and(|x| x == "txt"))
-                .count()
-        })
-        .unwrap_or(0);
-    if stray != 0 {
-        return Err(format!("healthy supervised run left {stray} crash reports"));
-    }
-    lines.push(
-        "supervised healthy: exit 0, stdout and journal byte-identical, no crash reports".into(),
-    );
-
-    // 3. Transient child kill on one cell's first attempt: campaign
-    //    still completes bit-identically, retry is journaled.
-    let kill_cr = scratch.join("kill-crash");
-    let (code, kill_out, err) = run_experiments(
-        &exe,
-        &[
-            "--only",
-            figure,
-            "--supervise",
-            "--crash-reports",
-            kill_cr.to_str().unwrap(),
-        ],
-        &[
-            budget.clone(),
-            ("ACIC_KILL_CELL", "0:1".into()),
-            ("ACIC_FAULT_ATTEMPTS", "1".into()),
-        ],
-    )?;
-    if code != 0 {
-        return Err(format!("child-kill run exited {code}: {}", err.trim()));
-    }
-    if kill_out != ref_out {
-        return Err("child-kill run stdout differs from reference".into());
-    }
-    let report = crash_report(&kill_cr)?;
-    if !report.contains("transient") || !report.contains("recovered") {
-        return Err(format!(
-            "kill crash report lacks transient/recovered evidence:\n{report}"
-        ));
-    }
-    lines.push("child-kill: SIGKILLed attempt retried transient, campaign bit-identical, crash report journaled".into());
-
-    // 4. Stall past the hard timeout: SIGKILLed at the deadline, the
-    //    retry (fault disarmed after attempt 0) completes the campaign
-    //    far faster than the scripted 30s stall.
-    let stall_cr = scratch.join("stall-crash");
-    let stall_start = Instant::now();
-    let (code, stall_out, err) = run_experiments(
-        &exe,
-        &[
-            "--only",
-            figure,
-            "--supervise",
-            "--crash-reports",
-            stall_cr.to_str().unwrap(),
-        ],
-        &[
-            budget.clone(),
-            ("ACIC_STALL_CELL", "0:1:30000".into()),
-            ("ACIC_FAULT_ATTEMPTS", "1".into()),
-            ("ACIC_CELL_TIMEOUT_SECS", "2".into()),
-        ],
-    )?;
-    let stall_wall = stall_start.elapsed();
-    if code != 0 {
-        return Err(format!("stall run exited {code}: {}", err.trim()));
-    }
-    if stall_out != ref_out {
-        return Err("stall run stdout differs from reference".into());
-    }
-    if stall_wall > Duration::from_secs(25) {
-        return Err(format!(
-            "stall run took {stall_wall:?}; hard kill did not engage"
-        ));
-    }
-    let report = crash_report(&stall_cr)?;
-    if !report.contains("hard timeout") {
-        return Err(format!(
-            "stall crash report lacks hard-timeout evidence:\n{report}"
-        ));
-    }
-    lines.push(format!(
-        "stall: 30s wedge hard-killed at 2s deadline, campaign done in {:.1}s",
-        stall_wall.as_secs_f64()
-    ));
-
-    // 5. Deterministic panic: retried once to confirm, then the cell
-    //    fails loudly (exit 1) while the other nine complete.
-    let panic_cr = scratch.join("panic-crash");
-    let (code, _out, err) = run_experiments(
-        &exe,
-        &[
-            "--only",
-            figure,
-            "--supervise",
-            "--crash-reports",
-            panic_cr.to_str().unwrap(),
-        ],
-        &[budget.clone(), ("ACIC_PANIC_CELL", "0:1".into())],
-    )?;
-    if code != 1 {
-        return Err(format!(
-            "deterministic-panic run exited {code}, want 1: {}",
-            err.trim()
-        ));
-    }
-    if !err.contains("9 of 10 cells completed") {
-        return Err(format!(
-            "panic run summary missing 9-of-10 evidence:\n{}",
-            err.trim()
-        ));
-    }
-    let report = crash_report(&panic_cr)?;
-    if !report.contains("attempt 2") || !report.contains("deterministic") {
-        return Err(format!(
-            "panic crash report lacks retry-to-confirm evidence:\n{report}"
-        ));
-    }
-    lines.push(
-        "deterministic panic: retried once to confirm, failed loudly, 9 healthy cells completed"
-            .into(),
-    );
-
-    let _ = std::fs::remove_dir_all(&scratch);
-    Ok(lines.join("\n"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -704,7 +454,6 @@ mod tests {
             "k",
             "--run-cell-out",
             "d",
-            "--supervise-smoke",
         ]));
         assert_eq!(got, argv(&["--only", "fig7_ipc", "--results", "rs"]));
     }

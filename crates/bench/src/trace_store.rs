@@ -248,78 +248,6 @@ pub fn freeze_with(
     }
 }
 
-/// The CI trace-smoke check (`experiments --trace-smoke`): records a
-/// trace per representative spec, replays it through the full
-/// container round-trip, and demands the replayed [`SimReport`] be
-/// **bit-identical** to the generator-backed run. Runs independently
-/// of the global store mode (it drives [`freeze_with`] directly), so
-/// it composes with any CLI configuration.
-///
-/// # Errors
-///
-/// Returns a description of the first divergence: container
-/// round-trip mismatch, unexpected provenance, or any field of the
-/// replayed report differing from the generated one.
-pub fn trace_smoke(instructions: u64) -> Result<String, String> {
-    use acic_sim::{IcacheOrg, SimConfig, SimReport, Simulator};
-    use acic_workloads::AppProfile;
-
-    let dir = std::env::temp_dir().join(format!("acic-trace-smoke-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
-    let record = TraceStoreMode::Record(dir.clone());
-    let replay = TraceStoreMode::Replay(dir.clone());
-    let cells: Vec<(WorkloadSpec, SimConfig)> = vec![
-        (
-            WorkloadSpec::Single(AppProfile::web_search()),
-            SimConfig::default().with_org(IcacheOrg::acic_default()),
-        ),
-        (
-            WorkloadSpec::MultiTenant {
-                profiles: vec![AppProfile::web_search(), AppProfile::tpc_c()],
-                quantum: instructions / 8,
-            },
-            SimConfig::default(),
-        ),
-    ];
-    let mut out = format!("trace-smoke: {instructions} instructions/cell\n");
-    for (spec, cfg) in &cells {
-        let recorded = freeze_with(&record, spec, instructions).map_err(|e| e.to_string())?;
-        let loaded = freeze_with(&replay, spec, instructions).map_err(|e| e.to_string())?;
-        if loaded.provenance != Provenance::Replayed {
-            return Err(format!(
-                "expected a replayed container for '{}', got {:?}",
-                spec.label(),
-                loaded.provenance
-            ));
-        }
-        if loaded.trace.as_ref() != recorded.trace.as_ref() {
-            return Err(format!(
-                "container round-trip diverged for '{}'",
-                spec.label()
-            ));
-        }
-        let generated: SimReport = Simulator::run(cfg, &spec.generator(instructions));
-        let replayed: SimReport = Simulator::run(cfg, loaded.trace.as_ref());
-        let (g, r) = (format!("{generated:?}"), format!("{replayed:?}"));
-        if g != r {
-            return Err(format!(
-                "replayed report diverged from generated for '{}':\n  generated: {g}\n  replayed:  {r}",
-                spec.label()
-            ));
-        }
-        out.push_str(&format!(
-            "  {}: {} instrs, {:.2} B/instr packed, replay bit-identical (cycles {}, L1i misses {})\n",
-            spec.label(),
-            loaded.trace.len(),
-            loaded.trace.bytes_per_instr(),
-            replayed.total_cycles,
-            replayed.l1i.demand_misses,
-        ));
-    }
-    std::fs::remove_dir_all(&dir).ok();
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

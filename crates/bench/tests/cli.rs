@@ -54,13 +54,21 @@ fn a_flag_missing_its_value_is_a_usage_error_not_a_filter() {
     assert_eq!(out.status.code(), Some(2));
     assert!(stderr(&out).contains("--record-traces requires a value"));
 
-    // A typo, and a retired flag: neither may fall through to the
-    // figure filter.
-    for flag in ["--keep-gonig", "--bench-delta"] {
+    // A typo, and the retired flags (the self-test modes are now
+    // integration tests): none may fall through to the figure filter.
+    let retired_self_tests =
+        ["trace", "results", "window", "dse", "supervise"].map(|mode| format!("--{mode}-smoke"));
+    let flags = ["--keep-gonig".to_string(), "--bench-delta".to_string()];
+    for flag in flags.iter().chain(&retired_self_tests) {
         let out = experiments().arg(flag).output().unwrap();
         assert_eq!(out.status.code(), Some(2), "{flag}");
         assert!(stderr(&out).contains("unknown option"), "{flag}");
     }
+
+    // A second figure filter is rejected, not silently dropped.
+    let out = experiments().args(["fig10", "fig11"]).output().unwrap();
+    assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr(&out));
+    assert!(stderr(&out).contains("unexpected argument 'fig11'"));
 }
 
 #[test]

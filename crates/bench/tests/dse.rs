@@ -11,7 +11,8 @@
 //! 2. **Kill and resume** — a `--dse` sweep aborted mid-rung resumes
 //!    from its `--results` journal with zero recomputed finished
 //!    cells and reproduces the uninterrupted run's provenance report
-//!    line for line.
+//!    line for line; a journal torn mid-line costs a partial, not
+//!    total, recompute.
 
 use acic_bench::dse::{midpoints, pareto_frontier, pinned_space, run_dse, DseOptions, Ladder};
 use acic_bench::Runner;
@@ -210,12 +211,62 @@ fn killed_dse_sweep_resumes_with_zero_recomputed_finished_cells() {
         .unwrap();
     assert!(replayed.status.success(), "stderr: {}", stderr(&replayed));
     let so = stdout(&replayed);
-    for line in so.lines().filter(|l| l.trim_start().starts_with("rung ")) {
-        assert!(
-            line.contains(", 0 computed)"),
-            "every rung must be served from the journal:\n{so}"
-        );
-    }
+    let (cells, computed) = rung_counts(&so);
+    assert_eq!(
+        computed, 0,
+        "every rung must be served from the journal:\n{so}"
+    );
+
+    // Tear the journal mid-line at 60%: the torn and later lines are
+    // dropped on reopen, so the rerun recomputes some cells but not
+    // all, and still reproduces the reference provenance.
+    let journal = results.join("results.jsonl");
+    let bytes = std::fs::read(&journal).unwrap();
+    std::fs::write(&journal, &bytes[..bytes.len() * 3 / 5]).unwrap();
+    let torn_report = dir.join("torn.jsonl");
+    let torn = experiments()
+        .args([
+            "--dse",
+            "--smoke",
+            "--results",
+            &results_arg,
+            "--dse-report",
+            torn_report.to_str().unwrap(),
+        ])
+        .output()
+        .unwrap();
+    assert!(torn.status.success(), "stderr: {}", stderr(&torn));
+    let so = stdout(&torn);
+    let (replayed, computed) = rung_counts(&so);
+    assert!(
+        computed > 0 && computed < cells,
+        "a mid-line tear costs a partial recompute, got {computed} of {cells}:\n{so}"
+    );
+    assert_eq!(replayed + computed, cells, "{so}");
+    assert_eq!(
+        report_body(&torn_report),
+        report_body(&ref_report),
+        "torn-journal rerun must match the uninterrupted reference"
+    );
 
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Sums the `(N cells replayed, M computed)` counters over every
+/// `rung` line of a `--dse` summary.
+fn rung_counts(summary: &str) -> (u64, u64) {
+    let mut totals = (0, 0);
+    for line in summary.lines().filter(|l| l.starts_with("rung ")) {
+        let counts = line
+            .split_once('(')
+            .and_then(|(_, rest)| rest.split_once(')'))
+            .map(|(inner, _)| inner)
+            .unwrap_or_else(|| panic!("rung line without counters: {line}"));
+        let (rep, comp) = counts
+            .split_once(" cells replayed, ")
+            .unwrap_or_else(|| panic!("unexpected counters: {line}"));
+        totals.0 += rep.parse::<u64>().unwrap();
+        totals.1 += comp.trim_end_matches(" computed").parse::<u64>().unwrap();
+    }
+    totals
 }

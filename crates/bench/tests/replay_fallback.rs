@@ -5,7 +5,9 @@
 //! specs — observable through [`acic_bench::trace_store::Provenance`]
 //! — and produce a grid bit-identical to an all-generated run, because
 //! the generator is ground truth and packed replay round-trips it
-//! exactly.
+//! exactly. A healthy directory replays every spec, multi-tenant
+//! included, as the very container that was recorded, with a report
+//! bit-identical to the generator's.
 
 use acic_bench::trace_store::{freeze_with, Provenance, TraceStoreMode};
 use acic_sim::{IcacheOrg, SimConfig, Simulator};
@@ -98,10 +100,30 @@ fn healthy_directory_replays_every_spec() {
     let dir = scratch("healthy");
     let record = TraceStoreMode::Record(dir.clone());
     let replay = TraceStoreMode::Replay(dir.clone());
-    for spec in &specs() {
-        freeze_with(&record, spec, BUDGET).unwrap();
+    let mut specs = specs();
+    // A composed multi-tenant container round-trips like a single app.
+    specs.push(WorkloadSpec::MultiTenant {
+        profiles: vec![AppProfile::web_search(), AppProfile::tpc_c()],
+        quantum: BUDGET / 8,
+    });
+    let cfg = SimConfig::default().with_org(IcacheOrg::acic_default());
+    for spec in &specs {
+        let recorded = freeze_with(&record, spec, BUDGET).unwrap();
         let frozen = freeze_with(&replay, spec, BUDGET).unwrap();
         assert_eq!(frozen.provenance, Provenance::Replayed);
+        assert!(
+            frozen.trace.as_ref() == recorded.trace.as_ref(),
+            "container round-trip diverged for '{}'",
+            spec.label()
+        );
+        let generated = Simulator::run(&cfg, &spec.generator(BUDGET));
+        let replayed = Simulator::run(&cfg, frozen.trace.as_ref());
+        assert_eq!(
+            format!("{replayed:?}"),
+            format!("{generated:?}"),
+            "replayed report diverged from generated for '{}'",
+            spec.label()
+        );
     }
     std::fs::remove_dir_all(&dir).ok();
 }

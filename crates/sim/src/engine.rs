@@ -37,8 +37,12 @@
 //! (fast-forward|warm) → warmup → detailed each period — the first
 //! period halved so windows sit at period midpoints, an unbiased
 //! systematic sample — and extrapolates the windows to the whole
-//! trace ([`SampledStats`]). `ACIC_ENGINE_DEBUG=1` dumps per-window
-//! samples; `ACIC_PHASE_TIMES=1` prints per-phase wall time.
+//! trace ([`SampledStats`]).
+//!
+//! The engine reads no environment: a report depends only on the
+//! [`SimConfig`] and the trace. [`Engine::run`] always uses
+//! [`TimingLoop::EventHorizon`]; tests select the dense reference
+//! loop through [`Engine::run_with_loop`].
 //!
 //! # Examples
 //!
@@ -125,22 +129,10 @@ pub enum TimingLoop {
     #[default]
     EventHorizon,
     /// The reference cycle-by-cycle loop, retained as the
-    /// equivalence-tested twin (`ACIC_DENSE_LOOP=1` selects it at the
-    /// CLI without touching any [`SimConfig`] field, so result-store
-    /// keys are loop-agnostic).
+    /// equivalence-tested twin: the dense-vs-event suites select it
+    /// through [`Engine::run_with_loop`] and
+    /// [`Engine::run_windowed_with_loop`].
     Dense,
-}
-
-impl TimingLoop {
-    /// The process-wide loop selection: [`TimingLoop::Dense`] iff
-    /// `ACIC_DENSE_LOOP=1`, else [`TimingLoop::EventHorizon`].
-    pub fn from_env() -> Self {
-        if std::env::var_os("ACIC_DENSE_LOOP").is_some_and(|v| v == "1") {
-            TimingLoop::Dense
-        } else {
-            TimingLoop::EventHorizon
-        }
-    }
 }
 
 /// Prefetches issued to the hierarchy and awaiting their fill cycle,
@@ -321,12 +313,6 @@ pub(crate) struct WindowCheckpoint<'o> {
     /// Full-schedule warm-up bookkeeping (§IV-A first-10% exclusion).
     warmup_instrs: u64,
     warm_snapshot: Option<(Cycle, u64, CacheStats)>,
-    t_ff: f64,
-    t_warm: f64,
-    t_detail: f64,
-    /// Cycles actually executed by the detailed loop (diagnostics:
-    /// `now - executed_cycles` is what the event horizon skipped).
-    executed_cycles: u64,
 }
 
 impl<'o> WindowCheckpoint<'o> {
@@ -394,10 +380,6 @@ impl<'o> WindowCheckpoint<'o> {
             },
             warmup_instrs: (total_instructions as f64 * cfg.warmup_fraction) as u64,
             warm_snapshot: None,
-            t_ff: 0.0,
-            t_warm: 0.0,
-            t_detail: 0.0,
-            executed_cycles: 0,
         }
     }
 }
@@ -449,7 +431,6 @@ impl WindowCheckpoint<'_> {
             trace_over,
             warmup_instrs,
             warm_snapshot,
-            executed_cycles,
             ..
         } = self;
         let mut fed = 0u64;
@@ -473,7 +454,6 @@ impl WindowCheckpoint<'_> {
 
         loop {
             *now += 1;
-            *executed_cycles += 1;
             assert!(
                 *now < *max_cycles,
                 "simulation exceeded cycle bound (deadlock?)"
@@ -1018,8 +998,7 @@ impl WindowCheckpoint<'_> {
         cfg: &SimConfig,
         skip: impl FnOnce(&mut I, u64) -> u64,
     ) -> Option<WindowSample> {
-        let t0 = std::time::Instant::now();
-        let out = match phase {
+        match phase {
             Phase::FastForward => {
                 self.fast_forward(runs, budget, skip);
                 None
@@ -1029,14 +1008,7 @@ impl WindowCheckpoint<'_> {
                 None
             }
             Phase::Detailed => self.detailed_window(runs, budget, cfg),
-        };
-        let dt = t0.elapsed().as_secs_f64();
-        match phase {
-            Phase::FastForward => self.t_ff += dt,
-            Phase::Warmup => self.t_warm += dt,
-            Phase::Detailed => self.t_detail += dt,
         }
-        out
     }
 }
 
@@ -1064,7 +1036,7 @@ impl Engine {
     /// generous cycle bound (indicates a pipeline deadlock — a bug,
     /// not a workload property).
     pub fn run<W: TraceSource>(cfg: &SimConfig, workload: &W) -> SimReport {
-        Self::run_with_loop(cfg, workload, TimingLoop::from_env())
+        Self::run_with_loop(cfg, workload, TimingLoop::EventHorizon)
     }
 
     /// [`Engine::run`] with an explicit [`TimingLoop`] selection —
@@ -1191,32 +1163,6 @@ impl Engine {
             }
         }
 
-        if std::env::var_os("ACIC_PHASE_TIMES").is_some() {
-            eprintln!(
-                "phase times: ff={:.3}s warm={:.3}s detailed={:.3}s (ff {} instrs, warmed {}, windows {})",
-                state.t_ff, state.t_warm, state.t_detail, state.fastforwarded, state.warmed,
-                windows.len()
-            );
-            eprintln!(
-                "cycle loop ({:?}): executed {} of {} cycles ({:.1}% skipped)",
-                timing_loop,
-                state.executed_cycles,
-                state.now,
-                100.0 * (state.now.saturating_sub(state.executed_cycles)) as f64
-                    / state.now.max(1) as f64
-            );
-        }
-        if std::env::var_os("ACIC_ENGINE_DEBUG").is_some() {
-            for (i, w) in windows.iter().enumerate() {
-                eprintln!(
-                    "window {i}: instrs={} cycles={} ipc={:.3} mpki={:.3}",
-                    w.instructions,
-                    w.cycles,
-                    w.instructions as f64 / w.cycles as f64,
-                    w.full_demand_misses as f64 * 1000.0 / w.full_instructions.max(1) as f64
-                );
-            }
-        }
         Self::assemble_report(cfg, workload.name(), schedule, state, &windows)
     }
 

@@ -219,9 +219,6 @@ struct WindowOutcome {
     context_switches: u64,
     warmed: u64,
     fastforwarded: u64,
-    t_ff: f64,
-    t_warm: f64,
-    t_detail: f64,
     acic: Option<AcicStats>,
     cshr: Option<CshrStats>,
 }
@@ -250,9 +247,6 @@ fn finish_window(state: WindowCheckpoint<'_>, sample: Option<WindowSample>) -> W
         context_switches: state.context_switches,
         warmed: state.warmed,
         fastforwarded: state.fastforwarded,
-        t_ff: state.t_ff,
-        t_warm: state.t_warm,
-        t_detail: state.t_detail,
         acic,
         cshr,
     }
@@ -435,27 +429,6 @@ fn reduce(cfg: &SimConfig, app: &str, plan: &WindowPlan, outcomes: &[WindowOutco
     }
     let (est_total_cycles, detailed_instructions, detailed_cycles, stats, window_ipc, window_mpki) =
         super::pool_windows(&windows, plan.total_instructions, warmed, fastforwarded);
-    if std::env::var_os("ACIC_ENGINE_DEBUG").is_some() {
-        for (i, w) in windows.iter().enumerate() {
-            eprintln!(
-                "window {i}: instrs={} cycles={} ipc={:.3} mpki={:.3}",
-                w.instructions,
-                w.cycles,
-                w.instructions as f64 / w.cycles as f64,
-                w.full_demand_misses as f64 * 1000.0 / w.full_instructions.max(1) as f64
-            );
-        }
-    }
-    if std::env::var_os("ACIC_PHASE_TIMES").is_some() {
-        let (t_ff, t_warm, t_detail) = outcomes.iter().fold((0.0, 0.0, 0.0), |acc, o| {
-            (acc.0 + o.t_ff, acc.1 + o.t_warm, acc.2 + o.t_detail)
-        });
-        eprintln!(
-            "window-parallel phase times (cpu-summed): ff={t_ff:.3}s warm={t_warm:.3}s \
-             detailed={t_detail:.3}s (ff {fastforwarded} instrs, warmed {warmed}, windows {})",
-            windows.len()
-        );
-    }
     SimReport {
         app: app.to_string(),
         org: cfg.icache_org.label().to_string(),
@@ -511,7 +484,7 @@ impl Engine {
         workload: &W,
         workers: usize,
     ) -> SimReport {
-        Self::run_windowed_inner(cfg, workload, workers, None, TimingLoop::from_env())
+        Self::run_windowed_inner(cfg, workload, workers, None, TimingLoop::EventHorizon)
     }
 
     /// [`Engine::run_windowed`] with an explicit [`TimingLoop`]
@@ -547,7 +520,7 @@ impl Engine {
         workers: usize,
         plan: &WindowPlan,
     ) -> SimReport {
-        Self::run_windowed_inner(cfg, workload, workers, Some(plan), TimingLoop::from_env())
+        Self::run_windowed_inner(cfg, workload, workers, Some(plan), TimingLoop::EventHorizon)
     }
 
     fn run_windowed_inner<W: TraceSource + Sync>(
