@@ -8,7 +8,6 @@
 //! cargo run --release -p acic-bench --bin experiments --only fig13_admit_rate
 //! cargo run --release -p acic-bench --bin experiments --smoke     # tiny grid, all figures
 //! cargo run --release -p acic-bench --bin experiments fig1        # substring filter
-//! cargo run --release -p acic-bench --bin experiments -- --window-threads 4 fig11_mpki
 //! ```
 //!
 //! `--only` matches one figure by exact name (and fails loudly on a
@@ -19,15 +18,12 @@
 //! explicit `ACIC_EXP_INSTRUCTIONS` if smaller) so the figure wiring
 //! is exercisable in seconds — CI runs exactly this.
 //!
-//! `--window-threads <n>` fans each sampled grid cell's detailed
-//! windows across `n` workers (`Engine::run_windowed`) instead of
-//! running the serial adaptive engine; grid-level parallelism is
-//! divided down so grid × window threads stay within the single
-//! `ACIC_BENCH_THREADS` budget. `0` is an explicit "serial engine".
-//! The two modes run different sampling structures, so their results
-//! journal under different `--results` keys; the worker count itself
-//! is not part of the key (windowed output is bit-identical across
-//! worker counts).
+//! The flags are parsed once into one [`acic_bench::Runner`] — budget,
+//! `--results` store, `--supervise`/`--run-cell` role, watchdog —
+//! that every figure receives, and `--dse` builds its `DseOptions`
+//! from the same values. Only the trace-store mode
+//! (`--record-traces`/`--traces`) and the `--profile-cell` target
+//! stay process-wide settings (DESIGN.md §9 says why).
 //!
 //! `--profile-cell <figure>:<cell-substring>` runs the named figure
 //! until the first grid cell whose label (`config <c> '<org>' x spec
@@ -69,7 +65,8 @@
 //!     --dse-report dse.jsonl --results results/
 //! ```
 //!
-//! `--dse` skips the figures and sweeps a design space through the
+//! `--dse` runs no figures (so `--only`, `--profile-cell` and a
+//! figure filter are usage errors with it) and sweeps a design space through the
 //! CI-pruned fidelity ladder: the built-in ~870-cell cache-geometry
 //! space by default, or the axes file given with `--dse-space`
 //! (`--dse --smoke` sweeps the tiny built-in smoke space over a
@@ -117,9 +114,14 @@
 //! target cell not found in the selected figures, `4` — the child
 //! could not journal its result, and `101` — the cell panicked.
 
+use acic_bench::result_store::ResultStore;
+use acic_bench::supervise::{ChildTarget, Role, SuperviseCtx};
+use acic_bench::Runner;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::Path;
+use std::sync::Arc;
 
-type Experiment = (&'static str, fn() -> String);
+type Experiment = (&'static str, fn(&Runner) -> String);
 
 fn all_experiments() -> Vec<Experiment> {
     vec![
@@ -218,7 +220,6 @@ struct Cli {
     crash_reports: Option<String>,
     run_cell: Option<String>,
     run_cell_out: Option<String>,
-    window_threads: Option<usize>,
     /// `--profile-cell <figure>:<cell-substring>`: run one figure
     /// until the first grid cell whose label contains the substring,
     /// then re-simulate that cell in a tight loop for profilers.
@@ -236,12 +237,6 @@ fn parse_cli(mut args: Vec<String>) -> Result<Cli, String> {
     let crash_reports = take_flag_value(&mut args, "--crash-reports")?;
     let run_cell = take_flag_value(&mut args, "--run-cell")?;
     let run_cell_out = take_flag_value(&mut args, "--run-cell-out")?;
-    let window_threads = match take_flag_value(&mut args, "--window-threads")? {
-        None => None,
-        Some(raw) => Some(raw.parse::<usize>().map_err(|_| {
-            format!("--window-threads requires a non-negative integer, got '{raw}'")
-        })?),
-    };
     let profile_cell = match take_flag_value(&mut args, "--profile-cell")? {
         None => None,
         Some(raw) => match raw.split_once(':') {
@@ -291,7 +286,6 @@ fn parse_cli(mut args: Vec<String>) -> Result<Cli, String> {
         crash_reports,
         run_cell,
         run_cell_out,
-        window_threads,
         profile_cell,
         filter: String::new(),
     };
@@ -306,6 +300,11 @@ fn parse_cli(mut args: Vec<String>) -> Result<Cli, String> {
         ));
     }
     let filter = args.pop().unwrap_or_default();
+    if cli.dse && (cli.only.is_some() || cli.profile_cell.is_some() || !filter.is_empty()) {
+        return Err("--dse sweeps a design space and runs no figures; \
+                    it cannot be combined with --only, --profile-cell or a figure filter"
+            .into());
+    }
     Ok(Cli { filter, ..cli })
 }
 
@@ -313,7 +312,7 @@ fn parse_cli(mut args: Vec<String>) -> Result<Cli, String> {
 /// geometry sweep — the tiny smoke space under `--smoke`), sweep it
 /// through the fidelity ladder, optionally write the JSON-lines
 /// provenance report, and render a human summary.
-fn run_dse_cli(cli: &Cli) -> Result<String, String> {
+fn run_dse_cli(cli: &Cli, runner: &Runner) -> Result<String, String> {
     use acic_bench::dse;
     use acic_sim::SampleSchedule;
 
@@ -326,13 +325,17 @@ fn run_dse_cli(cli: &Cli) -> Result<String, String> {
         None if cli.smoke => dse::smoke_space(),
         None => dse::geometry_space(),
     };
-    let opts = if cli.smoke {
-        dse::DseOptions {
-            ladder: dse::Ladder::new(120_000, 2, SampleSchedule::Full),
-            ..dse::DseOptions::default()
-        }
+    let ladder = if cli.smoke {
+        dse::Ladder::new(120_000, 2, SampleSchedule::Full)
     } else {
-        dse::DseOptions::default()
+        dse::Ladder::new(runner.instructions, 3, SampleSchedule::default_sampled())
+    };
+    let opts = dse::DseOptions {
+        ladder,
+        store: runner.store.clone(),
+        cell_timeout: runner.cell_timeout,
+        supervise: runner.supervise.clone(),
+        ..dse::DseOptions::default()
     };
     eprintln!(
         "[dse: space '{}', {} configs x {} specs, {} rungs to {} instructions/cell]",
@@ -379,6 +382,67 @@ fn run_dse_cli(cli: &Cli) -> Result<String, String> {
     Ok(out)
 }
 
+/// Builds the one [`Runner`] every figure (and the DSE sweep) runs
+/// under: the budget (capped under `--smoke`), the `--results` store,
+/// and the supervision role — `--run-cell` makes this process a
+/// child, `--supervise` a parent. Exits 2 when the store cannot open.
+fn runner_from(cli: &Cli, raw_args: &[String]) -> Runner {
+    let store = cli.results.as_ref().map(|dir| {
+        eprintln!("[resumable results in {dir}]");
+        ResultStore::open(Path::new(dir))
+            .map(Arc::new)
+            .unwrap_or_else(|e| {
+                eprintln!("{e}");
+                std::process::exit(2);
+            })
+    });
+    let supervise = if let (Some(key), Some(out_dir)) = (&cli.run_cell, &cli.run_cell_out) {
+        // Child mode: this process runs exactly one cell and journals
+        // it to the private per-attempt store. The cell executor
+        // detects the target by journal key and exits through
+        // `run_child_cell`; falling out the bottom means the key
+        // matched nothing (exit 3).
+        Some(Role::Child(ChildTarget {
+            key: key.clone(),
+            out_dir: out_dir.into(),
+        }))
+    } else if cli.supervise {
+        let crash_dir = cli
+            .crash_reports
+            .clone()
+            .or_else(|| cli.results.as_ref().map(|r| format!("{r}/crash-reports")))
+            .unwrap_or_else(|| "crash-reports".into());
+        match SuperviseCtx::new(Path::new(&crash_dir), raw_args) {
+            Ok(ctx) => {
+                eprintln!(
+                    "[supervise: one child process per cell, crash reports in {}]",
+                    ctx.crash_dir.display()
+                );
+                Some(Role::Parent(Arc::new(ctx)))
+            }
+            Err(e) => {
+                eprintln!("[warning: supervision unavailable ({e}); running in-process]");
+                None
+            }
+        }
+    } else {
+        None
+    };
+    let mut runner = Runner {
+        store,
+        supervise,
+        ..Runner::new()
+    };
+    if cli.smoke && !cli.dse {
+        runner.instructions = runner.instructions.min(SMOKE_INSTRUCTIONS);
+        eprintln!(
+            "[smoke: every figure at {} instructions/cell]",
+            runner.instructions
+        );
+    }
+    runner
+}
+
 fn main() {
     // The supervisor re-execs this argv (minus supervision flags) for
     // each child, so keep the raw form around.
@@ -390,14 +454,6 @@ fn main() {
             std::process::exit(2);
         }
     };
-    if let (Some(key), Some(out_dir)) = (&cli.run_cell, &cli.run_cell_out) {
-        // Child mode: this process runs exactly one cell and journals
-        // it to the private per-attempt store. The figure/DSE code
-        // below detects the target by journal key and exits through
-        // `run_child_cell`; falling out the bottom means the key
-        // matched nothing (exit 3).
-        acic_bench::supervise::set_child_target(key.clone(), out_dir.into());
-    }
     let all = all_experiments();
 
     if cli.list {
@@ -424,16 +480,6 @@ fn main() {
         eprintln!("[panic{loc}] {}", msg.trim_end());
     }));
 
-    if let Some(n) = cli.window_threads {
-        // The runner reads this through the environment
-        // (acic_bench::runner::window_threads); pin it before any
-        // figure spawns workers. 0 is an explicit "serial engine".
-        std::env::set_var("ACIC_WINDOW_THREADS", n.to_string());
-        if n >= 1 {
-            eprintln!("[window-parallel: {n} workers per sampled cell]");
-        }
-    }
-
     match (&cli.record, &cli.replay) {
         (Some(dir), None) => {
             eprintln!("[recording frozen traces into {dir}]");
@@ -452,57 +498,24 @@ fn main() {
         _ => {}
     }
 
-    if let Some(dir) = &cli.results {
-        eprintln!("[resumable results in {dir}]");
-        if let Err(e) = acic_bench::result_store::configure(std::path::Path::new(dir)) {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    }
-
-    if cli.supervise {
-        let crash_dir = cli
-            .crash_reports
-            .clone()
-            .or_else(|| cli.results.as_ref().map(|r| format!("{r}/crash-reports")))
-            .unwrap_or_else(|| "crash-reports".into());
-        match acic_bench::supervise::configure(std::path::Path::new(&crash_dir), &raw_args) {
-            Ok(ctx) => eprintln!(
-                "[supervise: one child process per cell, crash reports in {}]",
-                ctx.crash_dir.display()
-            ),
-            Err(e) => eprintln!("[warning: supervision unavailable ({e}); running in-process]"),
-        }
-    }
+    let runner = runner_from(&cli, &raw_args);
+    let is_child = matches!(runner.supervise, Some(Role::Child(_)));
 
     if cli.dse {
-        match run_dse_cli(&cli) {
+        match run_dse_cli(&cli, &runner) {
             Ok(report) => println!("{report}"),
             Err(e) => {
                 eprintln!("dse failed: {e}");
                 std::process::exit(1);
             }
         }
-        if acic_bench::supervise::child_target().is_some() {
+        if is_child {
             // A --run-cell child that got here swept the whole ladder
             // without meeting its target key.
             eprintln!("run-cell target not found in the DSE sweep");
             std::process::exit(3);
         }
         return;
-    }
-
-    if cli.smoke {
-        let budget = std::env::var("ACIC_EXP_INSTRUCTIONS")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .unwrap_or(u64::MAX)
-            .min(SMOKE_INSTRUCTIONS);
-        // The figures read the budget through the environment; pin it
-        // before any simulation starts (single-threaded here, workers
-        // only spawn inside figures).
-        std::env::set_var("ACIC_EXP_INSTRUCTIONS", budget.to_string());
-        eprintln!("[smoke: every figure at {budget} instructions/cell]");
     }
 
     let selected: Vec<Experiment> = if let Some((fig, cell)) = &cli.profile_cell {
@@ -546,7 +559,7 @@ fn main() {
     for (name, f) in selected {
         let start = std::time::Instant::now();
         println!("==== {name} ====");
-        match catch_unwind(AssertUnwindSafe(f)) {
+        match catch_unwind(AssertUnwindSafe(|| f(&runner))) {
             Ok(text) => {
                 println!("{text}");
                 eprintln!("[{name} took {:.1}s]", start.elapsed().as_secs_f32());
@@ -568,7 +581,7 @@ fn main() {
             }
         }
     }
-    if acic_bench::supervise::child_target().is_some() {
+    if is_child {
         // A --run-cell child exits through `run_child_cell` the moment
         // its grid reaches the target; completing the figure loop
         // means the key matched no cell of the selected figures.
@@ -665,26 +678,6 @@ mod tests {
     }
 
     #[test]
-    fn window_threads_parse() {
-        let cli = parse_cli(argv(&["--window-threads", "4", "fig11"])).unwrap();
-        assert_eq!(cli.window_threads, Some(4));
-        assert_eq!(cli.filter, "fig11");
-        let cli = parse_cli(argv(&["--window-threads", "0"])).unwrap();
-        assert_eq!(cli.window_threads, Some(0), "explicit serial");
-        assert_eq!(
-            parse_cli(argv(&[])).unwrap().window_threads,
-            None,
-            "absent by default"
-        );
-        let err = parse_cli(argv(&["--window-threads", "many"])).unwrap_err();
-        assert!(err.contains("non-negative integer"), "{err}");
-        let err = parse_cli(argv(&["--window-threads"])).unwrap_err();
-        assert!(err.contains("requires a value"), "{err}");
-        let err = parse_cli(argv(&["--window-threads", "--smoke"])).unwrap_err();
-        assert!(err.contains("the option '--smoke'"), "{err}");
-    }
-
-    #[test]
     fn dse_flags_parse() {
         let cli = parse_cli(argv(&[
             "--dse",
@@ -707,6 +700,20 @@ mod tests {
         assert!(err.contains("only make sense with --dse"), "{err}");
         let err = parse_cli(argv(&["--dse", "--dse-space"])).unwrap_err();
         assert!(err.contains("requires a value"), "{err}");
+    }
+
+    #[test]
+    fn dse_rejects_figure_selectors() {
+        // `--dse` runs no figures, so a figure selector next to it
+        // would be dropped without a word.
+        for args in [
+            &["--dse", "--smoke", "--only", "fig10_speedup"][..],
+            &["--dse", "--smoke", "fig10"],
+            &["--dse", "--smoke", "--profile-cell", "table3_mpki:lru"],
+        ] {
+            let err = parse_cli(argv(args)).unwrap_err();
+            assert!(err.contains("cannot be combined"), "{args:?}: {err}");
+        }
     }
 
     #[test]

@@ -25,9 +25,7 @@ use super::frontier::{objective_coords, pareto_frontier, settled, Interval};
 use super::ladder::Ladder;
 use super::space::DseSpace;
 use crate::result_store::{dse_cell_key, ResultStore};
-use crate::runner::{
-    bench_threads, cell_timeout, injected_cell_failure, run_cells, try_freeze_specs, CellError,
-};
+use crate::runner::{bench_threads, cell_timeout, execute, try_freeze_specs, Batch, Traces};
 use acic_sim::{SampleSchedule, SimReport, Simulator};
 use acic_trace::{PackedTrace, Truncated};
 use std::sync::Arc;
@@ -50,11 +48,11 @@ pub struct DseOptions {
     pub cell_timeout: Option<Duration>,
     /// Worker threads (defaults to `ACIC_BENCH_THREADS`).
     pub threads: usize,
-    /// Process supervisor: when set, every to-be-computed rung cell
-    /// runs in its own `--run-cell` child process (hard timeouts,
-    /// retry with backoff, crash reports). Defaults to the
-    /// `--supervise` global ([`crate::supervise::active`]).
-    pub supervise: Option<Arc<crate::supervise::SuperviseCtx>>,
+    /// Process supervision, as on [`crate::Runner::supervise`]: a
+    /// supervised parent runs every to-be-computed rung cell in its
+    /// own `--run-cell` child (hard timeouts, retry with backoff,
+    /// crash reports). Defaults to `None` (in-process).
+    pub supervise: Option<crate::supervise::Role>,
 }
 
 impl Default for DseOptions {
@@ -67,10 +65,10 @@ impl Default for DseOptions {
             ),
             precision: 0.02,
             eps: 1e-3,
-            store: crate::result_store::active(),
+            store: None,
             cell_timeout: cell_timeout(),
             threads: bench_threads(),
-            supervise: crate::supervise::active(),
+            supervise: None,
         }
     }
 }
@@ -279,12 +277,10 @@ pub fn run_dse(space: &DseSpace, opts: &DseOptions) -> Result<DseRun, String> {
     if !freeze_failures.is_empty() {
         return Err(freeze_failures.join("\n"));
     }
-    let traces: Arc<Vec<Arc<PackedTrace>>> = Arc::new(
-        frozen
-            .into_iter()
-            .map(|r| r.expect("freeze failures handled above"))
-            .collect(),
-    );
+    let traces: Vec<Arc<PackedTrace>> = frozen
+        .into_iter()
+        .map(|r| r.expect("freeze failures handled above"))
+        .collect();
 
     let protected = space.protected();
     let mut alive = vec![true; n_cfg];
@@ -300,7 +296,6 @@ pub fn run_dse(space: &DseSpace, opts: &DseOptions) -> Result<DseRun, String> {
         let active: Vec<usize> = (0..n_cfg)
             .filter(|&i| alive[i] && (r == last_rung || settled_at[i].is_none()))
             .collect();
-        // (config, spec, journal key) for every cell of this rung.
         let rung_cfgs: Arc<Vec<acic_sim::SimConfig>> = Arc::new(
             space
                 .configs
@@ -308,153 +303,54 @@ pub fn run_dse(space: &DseSpace, opts: &DseOptions) -> Result<DseRun, String> {
                 .map(|c| c.cfg.with_schedule(rung.schedule))
                 .collect(),
         );
-        let mut cells: Vec<(usize, usize, String)> = Vec::with_capacity(active.len() * n_spec);
-        for &c in &active {
-            for a in 0..n_spec {
-                let key = dse_cell_key(&space.specs[a], full_budget, &rung_cfgs[c], r as u32);
-                cells.push((c, a, key));
-            }
-        }
-
-        // Supervised child mode: when this process is a `--run-cell`
-        // child and its one target cell belongs to this rung, run it,
-        // journal it into the private attempt store, and exit.
-        // Earlier rungs replay from the shared `--results` store (the
-        // supervised parent journals each rung before climbing) or
-        // recompute in-process with journal writes and scripted
-        // faults suppressed.
-        let child = crate::supervise::child_target();
-        if let Some(target) = child {
-            if let Some((c, a)) = cells
-                .iter()
-                .find(|(_, _, k)| k == &target.key)
-                .map(|(c, a, _)| (*c, *a))
-            {
-                let prefix_budget = rung.budget;
-                let cfg = rung_cfgs[c].clone();
-                let trace = Arc::clone(&traces[a]);
-                crate::supervise::run_child_cell(target, Some(r as u32), move || {
-                    injected_cell_failure(c, a);
-                    let prefix = Truncated::new(trace.as_ref(), prefix_budget);
-                    Simulator::run(&cfg, &prefix)
-                });
-            }
-        }
-        let supervisor = if child.is_some() {
-            None
-        } else {
-            opts.supervise.clone()
-        };
-
-        let mut slots: Vec<Option<Result<SimReport, CellError>>> = vec![None; cells.len()];
-        let mut replayed = 0u64;
-        if let Some(store) = &opts.store {
-            for (slot, (_, _, key)) in slots.iter_mut().zip(&cells) {
-                if let Some(report) = store.get(key) {
-                    *slot = Some(Ok(report));
-                    replayed += 1;
-                }
-            }
-        }
-        let todo: Vec<usize> = (0..cells.len()).filter(|&i| slots[i].is_none()).collect();
-        let computed = todo.len() as u64;
-        if !todo.is_empty() {
-            let todo_arc = Arc::new(todo.clone());
-            let cells_arc = Arc::new(cells.clone());
-            let store = opts.store.clone();
-            let rung_idx = r as u32;
-            if let Some(ctx) = supervisor.clone() {
-                // Supervised: one child process per rung cell; the
-                // parent journals what the child reported under the
-                // same rung-qualified key.
-                let labels: Arc<Vec<String>> = Arc::new(
-                    cells
-                        .iter()
-                        .map(|(c, a, _)| {
-                            format!(
-                                "rung {r}: config '{}' x spec '{}'",
-                                space.configs[*c].label,
-                                space.specs[*a].label()
-                            )
-                        })
-                        .collect(),
-                );
-                let timeout = opts.cell_timeout;
-                let results = run_cells(
-                    todo.len(),
-                    opts.threads.clamp(1, todo.len()),
-                    None, // the hard per-child deadline replaces the soft watchdog
-                    move |t| {
-                        let i = todo_arc[t];
-                        let (_, _, key) = &cells_arc[i];
-                        let report = crate::supervise::run_one(&ctx, key, &labels[i], timeout)?;
-                        if let Some(store) = &store {
-                            if let Err(e) = store.put_rung(key, rung_idx, &report) {
-                                eprintln!(
-                                    "[dse: failed to journal cell {key} ({e}); kept in memory]"
-                                );
-                            }
-                        }
-                        Ok(report)
-                    },
-                );
-                for (t, res) in results.into_iter().enumerate() {
-                    slots[todo[t]] = Some(match res {
-                        Ok(inner) => inner,
-                        Err(e) => Err(e),
-                    });
-                }
-            } else {
-                let traces = Arc::clone(&traces);
-                let cfgs = Arc::clone(&rung_cfgs);
-                // A `--run-cell` child replaying earlier rungs must
-                // neither re-journal cells nor trip scripted faults
-                // aimed at its target.
-                let store = if child.is_some() { None } else { store };
-                let inject = child.is_none();
-                let budget = rung.budget;
-                let results = run_cells(
-                    todo.len(),
-                    opts.threads.clamp(1, todo.len()),
-                    opts.cell_timeout,
-                    move |t| {
-                        let (c, a, key) = &cells_arc[todo_arc[t]];
-                        if inject {
-                            injected_cell_failure(*c, *a);
-                        }
-                        let prefix = Truncated::new(traces[*a].as_ref(), budget);
-                        let report = Simulator::run(&cfgs[*c], &prefix);
-                        if let Some(store) = &store {
-                            if let Err(e) = store.put_rung(key, rung_idx, &report) {
-                                eprintln!(
-                                    "[dse: failed to journal cell {key} ({e}); kept in memory]"
-                                );
-                            }
-                        }
-                        report
-                    },
-                );
-                for (t, res) in results.into_iter().enumerate() {
-                    slots[todo[t]] = Some(res);
-                }
-            }
-        }
+        let cells: Vec<(usize, usize)> = active
+            .iter()
+            .flat_map(|&c| (0..n_spec).map(move |a| (c, a)))
+            .collect();
+        let keys: Vec<String> = cells
+            .iter()
+            .map(|&(c, a)| dse_cell_key(&space.specs[a], full_budget, &rung_cfgs[c], r as u32))
+            .collect();
+        let labels: Vec<String> = cells
+            .iter()
+            .map(|&(c, a)| {
+                format!(
+                    "rung {r}: config '{}' x spec '{}'",
+                    space.configs[c].label,
+                    space.specs[a].label()
+                )
+            })
+            .collect();
+        // Earlier rungs replay from the shared store (a supervised
+        // parent journals each rung before climbing), so a
+        // `--run-cell` child reaches its target rung cheaply.
+        let budget = rung.budget;
+        let run = execute(
+            Batch {
+                cells: &cells,
+                keys: &keys,
+                labels: &labels,
+                rung: Some(r as u32),
+                traces: Traces::Frozen(&traces),
+                threads: opts.threads,
+                store: opts.store.as_ref(),
+                supervise: opts.supervise.as_ref(),
+                cell_timeout: opts.cell_timeout,
+            },
+            move |c, trace| Simulator::run(&rung_cfgs[c], &Truncated::new(trace, budget)),
+        );
 
         let mut failures: Vec<String> = Vec::new();
         let mut rung_reports: Vec<Vec<SimReport>> = vec![Vec::new(); n_cfg];
-        for (slot, (c, a, _)) in slots.into_iter().zip(&cells) {
-            match slot.expect("every cell resolved") {
-                Ok(rep) => rung_reports[*c].push(rep),
-                Err(e) => failures.push(format!(
-                    "rung {r}: config '{}' x spec '{}': {e}",
-                    space.configs[*c].label,
-                    space.specs[*a].label()
-                )),
+        for ((slot, &(c, _)), label) in run.slots.into_iter().zip(&cells).zip(&labels) {
+            match slot {
+                Ok(rep) => rung_reports[c].push(rep),
+                Err(e) => failures.push(format!("{label}: {e}")),
             }
         }
         if !failures.is_empty() {
-            if let Some(ctx) = &supervisor {
-                failures.push(format!("crash reports: {}", ctx.crash_dir.display()));
+            if let Some(dir) = &run.crash_dir {
+                failures.push(format!("crash reports: {}", dir.display()));
             }
             return Err(failures.join("\n"));
         }
@@ -495,8 +391,8 @@ pub fn run_dse(space: &DseSpace, opts: &DseOptions) -> Result<DseRun, String> {
             rung: r,
             budget: rung.budget,
             active: active.len(),
-            replayed,
-            computed,
+            replayed: run.replayed,
+            computed: run.computed,
             pruned,
             settled: newly_settled,
             alive_after: alive.iter().filter(|&&a| a).count(),

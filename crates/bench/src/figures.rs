@@ -1,10 +1,8 @@
-//! One function per paper figure/table; each returns the formatted
-//! text its bench target prints.
+//! One function per paper figure/table; each takes the run's
+//! [`Runner`] (budget, store, supervision) and returns the formatted
+//! text `experiments` prints for it.
 
-use crate::runner::{
-    instruction_budget, markdown_table, run_config, short_name, Runner, WorkloadSpec,
-};
-use crate::trace_store;
+use crate::runner::{markdown_table, must_freeze, run_config, short_name, Runner, WorkloadSpec};
 use acic_core::acic::{ACCURACY_BOUNDS, INSERT_DELTA_LABELS};
 use acic_core::{AcicConfig, PredictorKind, UpdateMode};
 use acic_energy::{storage_table_rows, EnergyModel};
@@ -15,12 +13,6 @@ use acic_workloads::AppProfile;
 
 fn dc_apps() -> Vec<AppProfile> {
     AppProfile::datacenter_suite()
-}
-
-/// Freezes or dies: figure-level fault isolation (the keep-going loop
-/// in `experiments`) catches the panic and fails just this figure.
-fn must_freeze(spec: &WorkloadSpec, instructions: u64) -> std::sync::Arc<acic_trace::PackedTrace> {
-    trace_store::freeze(spec, instructions).unwrap_or_else(|e| panic!("{e}"))
 }
 
 fn fmt_speedup_rows(
@@ -46,8 +38,8 @@ fn fmt_speedup_rows(
 }
 
 /// Figure 1a: reuse-distance distribution per application.
-pub fn fig01a_reuse_hist() -> String {
-    let n = instruction_budget();
+pub fn fig01a_reuse_hist(runner: &Runner) -> String {
+    let n = runner.instructions;
     let mut rows = Vec::new();
     for p in dc_apps() {
         let wl = must_freeze(&WorkloadSpec::Single(p), n);
@@ -66,17 +58,17 @@ pub fn fig01a_reuse_hist() -> String {
     header.extend(ReuseBucket::ALL.iter().map(|b| b.label().to_string()));
     format!(
         "Figure 1a — reuse-distance distribution ({} instructions/app)\n{}",
-        instruction_budget(),
+        runner.instructions,
         markdown_table(&header, &rows)
     )
 }
 
 /// Figure 1b: Markov chain of reuse-distance buckets in media
 /// streaming.
-pub fn fig01b_markov() -> String {
+pub fn fig01b_markov(runner: &Runner) -> String {
     let wl = must_freeze(
         &WorkloadSpec::Single(AppProfile::media_streaming()),
-        instruction_budget(),
+        runner.instructions,
     );
     let seq: Vec<_> = BlockRuns::new(wl.iter()).map(|r| r.block).collect();
     let chain = MarkovChain::from_sequence(&seq);
@@ -98,8 +90,7 @@ pub fn fig01b_markov() -> String {
 
 /// Figure 3a: always-insert i-Filter, access-count bypass and OPT
 /// replacement speedups over the LRU+FDP baseline.
-pub fn fig03a_ifilter_gap() -> String {
-    let runner = Runner::new();
+pub fn fig03a_ifilter_gap(runner: &Runner) -> String {
     let orgs = [
         IcacheOrg::IFilterAlways,
         IcacheOrg::AccessCount,
@@ -122,7 +113,7 @@ pub fn fig03a_ifilter_gap() -> String {
 
 /// Figure 3b: (incoming - outgoing) forward reuse distance at
 /// i-Filter-to-i-cache insertions, media streaming.
-pub fn fig03b_insert_delta() -> String {
+pub fn fig03b_insert_delta(runner: &Runner) -> String {
     let cfg = SimConfig {
         attach_oracle: true,
         icache_org: IcacheOrg::Acic(AcicConfig {
@@ -131,7 +122,7 @@ pub fn fig03b_insert_delta() -> String {
         }),
         ..SimConfig::default()
     };
-    let report = run_config(&cfg, &AppProfile::media_streaming(), instruction_budget());
+    let report = run_config(&cfg, &AppProfile::media_streaming(), runner.instructions);
     let acic = report.acic.expect("ACIC stats");
     let total: u64 = acic.insert_delta.iter().sum();
     let mut rows = Vec::new();
@@ -150,13 +141,13 @@ pub fn fig03b_insert_delta() -> String {
 }
 
 /// Figure 6: CSHR comparison-lifetime distribution, data caching.
-pub fn fig06_cshr_lifetime() -> String {
+pub fn fig06_cshr_lifetime(runner: &Runner) -> String {
     let cfg = SimConfig {
         unbounded_cshr: true,
         icache_org: IcacheOrg::acic_default(),
         ..SimConfig::default()
     };
-    let report = run_config(&cfg, &AppProfile::data_caching(), instruction_budget());
+    let report = run_config(&cfg, &AppProfile::data_caching(), runner.instructions);
     let f = report.cshr_lifetimes.expect("unbounded CSHR enabled");
     let labels = ["0", "50", "100", "150", "200", "250", "300", "350", "InF"];
     let rows: Vec<Vec<String>> = labels
@@ -176,8 +167,7 @@ pub fn fig06_cshr_lifetime() -> String {
 }
 
 /// Figures 10: speedup of every compared scheme over LRU+FDP.
-pub fn fig10_speedup() -> String {
-    let runner = Runner::new();
+pub fn fig10_speedup(runner: &Runner) -> String {
     let orgs = IcacheOrg::figure10_set();
     let apps = dc_apps();
     let (baseline, rows) = runner.run_orgs(&orgs, &apps);
@@ -195,8 +185,7 @@ pub fn fig10_speedup() -> String {
 }
 
 /// Figure 11: L1i MPKI reduction of every compared scheme.
-pub fn fig11_mpki() -> String {
-    let runner = Runner::new();
+pub fn fig11_mpki(runner: &Runner) -> String {
     let orgs = IcacheOrg::figure10_set();
     let apps = dc_apps();
     let (baseline, rows) = runner.run_orgs(&orgs, &apps);
@@ -214,13 +203,13 @@ pub fn fig11_mpki() -> String {
 }
 
 /// Figure 12a: ACIC bypass accuracy by reuse-distance range.
-pub fn fig12a_accuracy() -> String {
+pub fn fig12a_accuracy(runner: &Runner) -> String {
     let runner = Runner {
         baseline: SimConfig {
             attach_oracle: true,
-            ..SimConfig::default()
+            ..runner.baseline.clone()
         },
-        ..Runner::new()
+        ..runner.clone()
     };
     let apps = dc_apps();
     let grid = runner.run_grid(
@@ -259,8 +248,7 @@ pub fn fig12a_accuracy() -> String {
 }
 
 /// Figure 12b: MPKI reduction of random-60% bypass vs ACIC.
-pub fn fig12b_random() -> String {
-    let runner = Runner::new();
+pub fn fig12b_random(runner: &Runner) -> String {
     let random = IcacheOrg::Acic(AcicConfig {
         predictor: PredictorKind::Random {
             seed: 0xf12b,
@@ -295,8 +283,7 @@ pub fn fig12b_random() -> String {
 }
 
 /// Figure 13: percentage of i-Filter victims admitted per app.
-pub fn fig13_admit_rate() -> String {
-    let runner = Runner::new();
+pub fn fig13_admit_rate(runner: &Runner) -> String {
     let grid = runner.run_grid(
         &[runner.baseline.with_org(IcacheOrg::acic_default())],
         &WorkloadSpec::singles(&dc_apps()),
@@ -320,8 +307,7 @@ pub fn fig13_admit_rate() -> String {
 }
 
 /// Figure 14: parallel (2-cycle) vs instant predictor updates.
-pub fn fig14_update_latency() -> String {
-    let runner = Runner::new();
+pub fn fig14_update_latency(runner: &Runner) -> String {
     let parallel = IcacheOrg::Acic(AcicConfig::default());
     let instant = IcacheOrg::Acic(AcicConfig {
         update_mode: UpdateMode::Instant,
@@ -352,7 +338,7 @@ pub fn fig14_update_latency() -> String {
 }
 
 /// Figure 15: sensitivity of ACIC's gmean speedup to its parameters.
-pub fn fig15_sensitivity() -> String {
+pub fn fig15_sensitivity(runner: &Runner) -> String {
     let d = AcicConfig::default();
     let variants: Vec<(&str, AcicConfig)> = vec![
         ("default", d),
@@ -427,7 +413,6 @@ pub fn fig15_sensitivity() -> String {
             },
         ),
     ];
-    let runner = Runner::new();
     let orgs: Vec<IcacheOrg> = variants.iter().map(|(_, c)| IcacheOrg::Acic(*c)).collect();
     let apps = dc_apps();
     let (baseline, rows) = runner.run_orgs(&orgs, &apps);
@@ -453,8 +438,7 @@ pub fn fig15_sensitivity() -> String {
 }
 
 /// Figure 16: ACIC speedup over the FDP baseline *with* an i-Filter.
-pub fn fig16_over_ifilter() -> String {
-    let runner = Runner::new();
+pub fn fig16_over_ifilter(runner: &Runner) -> String {
     let apps = dc_apps();
     let configs = vec![
         runner.baseline.with_org(IcacheOrg::IFilterAlways),
@@ -480,7 +464,7 @@ pub fn fig16_over_ifilter() -> String {
 
 /// Figure 17: ACIC ablations (no filter / filter only / global
 /// history / bimodal).
-pub fn fig17_ablation() -> String {
+pub fn fig17_ablation(runner: &Runner) -> String {
     let d = AcicConfig::default();
     let variants: Vec<(&str, AcicConfig)> = vec![
         ("default", d),
@@ -513,7 +497,6 @@ pub fn fig17_ablation() -> String {
             },
         ),
     ];
-    let runner = Runner::new();
     let orgs: Vec<IcacheOrg> = variants.iter().map(|(_, c)| IcacheOrg::Acic(*c)).collect();
     let apps = dc_apps();
     let (baseline, rows) = runner.run_orgs(&orgs, &apps);
@@ -538,8 +521,13 @@ pub fn fig17_ablation() -> String {
     )
 }
 
-fn spec_comparison(prefetcher: PrefetcherKind, apps: &[AppProfile], title: &str) -> String {
-    let runner = Runner::with_prefetcher(prefetcher);
+fn spec_comparison(
+    runner: &Runner,
+    prefetcher: PrefetcherKind,
+    apps: &[AppProfile],
+    title: &str,
+) -> String {
+    let runner = runner.with_prefetcher(prefetcher);
     let orgs = [
         IcacheOrg::Ghrp,
         IcacheOrg::Larger36k,
@@ -567,8 +555,9 @@ fn spec_comparison(prefetcher: PrefetcherKind, apps: &[AppProfile], title: &str)
 }
 
 /// Figures 18 & 19: the SPEC2017 study.
-pub fn fig18_19_spec() -> String {
+pub fn fig18_19_spec(runner: &Runner) -> String {
     spec_comparison(
+        runner,
         PrefetcherKind::Fdp,
         &AppProfile::spec_suite(),
         "Figures 18/19 — SPEC2017 subset over FDP baseline (GHRP, 36KB L1i, ACIC, OPT)",
@@ -576,8 +565,9 @@ pub fn fig18_19_spec() -> String {
 }
 
 /// Figures 20 & 21: the entangling-prefetcher study.
-pub fn fig20_21_entangling() -> String {
+pub fn fig20_21_entangling(runner: &Runner) -> String {
     spec_comparison(
+        runner,
         PrefetcherKind::Entangling,
         &dc_apps(),
         "Figures 20/21 — datacenter suite over entangling-prefetcher baseline",
@@ -585,7 +575,7 @@ pub fn fig20_21_entangling() -> String {
 }
 
 /// Table I: ACIC storage breakdown.
-pub fn table1_storage() -> String {
+pub fn table1_storage(_runner: &Runner) -> String {
     let cfg = AcicConfig::default();
     let rows = vec![
         vec![
@@ -633,7 +623,7 @@ pub fn table1_storage() -> String {
 }
 
 /// Table II: simulated core parameters.
-pub fn table2_config() -> String {
+pub fn table2_config(_runner: &Runner) -> String {
     let c = SimConfig::default();
     let rows = vec![
         vec![
@@ -681,8 +671,7 @@ pub fn table2_config() -> String {
 }
 
 /// Table III: baseline (LRU + FDP) L1i MPKI per application.
-pub fn table3_mpki() -> String {
-    let runner = Runner::new();
+pub fn table3_mpki(runner: &Runner) -> String {
     let grid = runner.run_grid(
         std::slice::from_ref(&runner.baseline),
         &WorkloadSpec::singles(&dc_apps()),
@@ -699,7 +688,7 @@ pub fn table3_mpki() -> String {
 }
 
 /// Table IV: storage overhead of every compared scheme.
-pub fn table4_schemes() -> String {
+pub fn table4_schemes(_runner: &Runner) -> String {
     let rows: Vec<Vec<String>> = storage_table_rows()
         .into_iter()
         .map(|s| {
@@ -720,8 +709,7 @@ pub fn table4_schemes() -> String {
 }
 
 /// §III-D: chip-energy delta of ACIC vs the baseline.
-pub fn energy_summary() -> String {
-    let runner = Runner::new();
+pub fn energy_summary(runner: &Runner) -> String {
     let apps = dc_apps();
     let (baseline, rows) = runner.run_orgs(&[IcacheOrg::acic_default()], &apps);
     let model = EnergyModel::default();
@@ -751,8 +739,7 @@ pub fn energy_summary() -> String {
 /// (ASID-tagged i-Filter + admission predictor). Each scenario cell
 /// interleaves heterogeneous datacenter profiles at the same virtual
 /// addresses, so only the ASID keeps tenants apart.
-pub fn multi_tenant() -> String {
-    let runner = Runner::new();
+pub fn multi_tenant(runner: &Runner) -> String {
     let orgs = [
         IcacheOrg::LruFlush,
         IcacheOrg::Lru,
@@ -807,8 +794,8 @@ pub fn multi_tenant() -> String {
 /// convergence-gated fast-forward). The documented default schedule's
 /// full-scale accuracy is pinned by
 /// `tests/sampled_sim.rs::default_sampled_schedule_hits_10x_within_2pct`.
-pub fn sampling_error() -> String {
-    let n = instruction_budget();
+pub fn sampling_error(runner: &Runner) -> String {
+    let n = runner.instructions;
     let orgs = [IcacheOrg::Lru, IcacheOrg::acic_default()];
     let specs = [
         WorkloadSpec::Single(AppProfile::web_search()),

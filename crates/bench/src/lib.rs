@@ -1,9 +1,9 @@
 //! Experiment harness regenerating every table and figure of the
 //! paper's evaluation (§II, §IV).
 //!
-//! Each `benches/figNN_*.rs` target (all `harness = false`) prints the
-//! same rows/series the paper reports; `cargo bench --workspace` runs
-//! them all. The instruction budget defaults to 1 M instructions per
+//! Each function in [`figures`] prints the same rows/series the paper
+//! reports; the `experiments` binary runs them all (`--only <name>`
+//! runs one). The instruction budget defaults to 1 M instructions per
 //! application (the paper uses 500 M–1 B) and scales through the
 //! `ACIC_EXP_INSTRUCTIONS` environment variable.
 //!
@@ -14,9 +14,13 @@
 //! # Examples
 //!
 //! ```no_run
-//! // Regenerate Figure 10's speedup table at 4 M instructions/app:
-//! // ACIC_EXP_INSTRUCTIONS=4000000 cargo bench -p acic-bench --bench fig10_speedup
-//! println!("{}", acic_bench::figures::fig10_speedup());
+//! // Regenerate Figure 10's speedup table at 4 M instructions/app
+//! // (the same rows as `experiments --only fig10_speedup`):
+//! let runner = acic_bench::Runner {
+//!     instructions: 4_000_000,
+//!     ..acic_bench::Runner::new()
+//! };
+//! println!("{}", acic_bench::figures::fig10_speedup(&runner));
 //! ```
 
 pub mod dse;
@@ -28,4 +32,4 @@ pub mod runner;
 pub mod supervise;
 pub mod trace_store;
 
-pub use runner::{instruction_budget, run_config, run_pair, run_spec, Runner, WorkloadSpec};
+pub use runner::{instruction_budget, run_config, run_spec, Runner, WorkloadSpec};

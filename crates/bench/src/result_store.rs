@@ -61,7 +61,7 @@ use acic_types::stats::Ratio;
 use acic_workloads::WorkloadSpec;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Mutex;
 
 /// Journal schema tag; bump on any encoding change so an old journal
 /// is rejected loudly instead of decoded wrong. v2 added the
@@ -268,32 +268,6 @@ impl ResultStore {
     }
 }
 
-static STORE: OnceLock<Arc<ResultStore>> = OnceLock::new();
-
-/// Opens the process-global store (the `--results <dir>` singleton
-/// the [`crate::Runner`] constructors default to). Call at most once,
-/// before any simulation.
-///
-/// # Errors
-///
-/// Propagates [`ResultStore::open`] failures; a second call returns
-/// an IO error of kind [`std::io::ErrorKind::AlreadyExists`].
-pub fn configure(dir: &Path) -> Result<(), ResultStoreError> {
-    let store = Arc::new(ResultStore::open(dir)?);
-    STORE.set(store).map_err(|_| ResultStoreError::Io {
-        path: dir.to_path_buf(),
-        source: std::io::Error::new(
-            std::io::ErrorKind::AlreadyExists,
-            "result store already configured",
-        ),
-    })
-}
-
-/// The process-global store, when `--results` configured one.
-pub fn active() -> Option<Arc<ResultStore>> {
-    STORE.get().cloned()
-}
-
 /// The journal key of one grid cell: the spec's on-disk identity
 /// (which embeds the instruction budget) crossed with a hash of the
 /// *entire* simulator configuration — organization, prefetcher,
@@ -315,8 +289,8 @@ pub fn cell_key(spec: &WorkloadSpec, instructions: u64, cfg: &SimConfig) -> Stri
 ///
 /// The worker count is deliberately **not** part of the key: the
 /// windowed report is bit-identical for every worker count (pinned by
-/// `tests/window_parallel.rs`), so a journal written under
-/// `--window-threads 4` replays correctly under `--window-threads 2`.
+/// `tests/window_parallel.rs`), so a journal written with four
+/// workers per cell replays correctly with two.
 pub fn windowed_cell_key(spec: &WorkloadSpec, instructions: u64, cfg: &SimConfig) -> String {
     format!("{}-w", cell_key(spec, instructions, cfg))
 }
@@ -951,7 +925,7 @@ mod tests {
         assert_ne!(serial, windowed, "modes never share a journal entry");
         assert_eq!(windowed, format!("{serial}-w"));
         // No worker-count parameter exists: the same key serves every
-        // `--window-threads` value, because the windowed report is
+        // `Runner::window_threads` value, because the windowed report is
         // bit-identical across worker counts.
     }
 }

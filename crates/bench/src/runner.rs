@@ -25,15 +25,22 @@
 //! catches per figure).
 //!
 //! **Resume.** When a [`crate::result_store::ResultStore`] is
-//! attached (`experiments --results <dir>`, or [`Runner::store`]
-//! directly), every finished cell is journaled as soon as it
-//! completes and an interrupted sweep replays finished cells from
-//! disk, simulating only the rest.
+//! attached ([`Runner::store`]), every finished cell is journaled as
+//! soon as it completes and an interrupted sweep replays finished
+//! cells from disk, simulating only the rest.
+//!
+//! **One executor.** Figure grids ([`Runner::try_run_grid`]) and the
+//! DSE ladder (`dse::run_dse`) hand their cells to the same
+//! `execute`, which alone owns store replay, the `--run-cell` child
+//! intercept, supervised vs in-process dispatch, scripted faults and
+//! journaling. Its settings arrive as values — the store, the
+//! [`crate::supervise::Role`], the watchdog — that `experiments` builds
+//! once and passes down; [`Runner::new`] reads only the three
+//! `ACIC_EXP_INSTRUCTIONS` / `ACIC_CELL_TIMEOUT_SECS` /
+//! `ACIC_BENCH_THREADS` knobs and attaches no store and no supervisor.
 
 use crate::result_store::{cell_key, windowed_cell_key, ResultStore};
-use acic_sim::{
-    Engine, IcacheOrg, PrefetcherKind, SampleSchedule, SimConfig, SimReport, Simulator,
-};
+use acic_sim::{Engine, IcacheOrg, PrefetcherKind, SimConfig, SimReport, Simulator};
 use acic_trace::PackedTrace;
 use acic_workloads::AppProfile;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -46,7 +53,6 @@ pub use acic_workloads::{short_name, split_budget, WorkloadSpec};
 static BUDGET_WARNING: Once = Once::new();
 static THREADS_WARNING: Once = Once::new();
 static TIMEOUT_WARNING: Once = Once::new();
-static WINDOW_THREADS_WARNING: Once = Once::new();
 static OVERSUBSCRIPTION_WARNING: Once = Once::new();
 
 fn warn_ignored(once: &'static Once, var: &str, raw: &str) {
@@ -96,29 +102,6 @@ pub fn bench_threads() -> usize {
             .map(|n| n.get())
             .unwrap_or(2),
     )
-}
-
-/// Resolves the window-parallel worker count from an
-/// `ACIC_WINDOW_THREADS`-style override: a parseable positive value
-/// enables windowed execution with that many workers per cell, `0`
-/// (or unset, or garbage) keeps the serial engine. Pure for
-/// testability.
-pub fn window_threads_from(var: Option<&str>) -> usize {
-    var.and_then(|v| v.parse::<usize>().ok()).unwrap_or(0)
-}
-
-/// Window-parallel workers per grid cell: `ACIC_WINDOW_THREADS`
-/// (also set by `experiments --window-threads <n>`), `0` or unset
-/// meaning off (cells run the serial engine). An unparseable value
-/// warns once on stderr and is ignored.
-pub fn window_threads() -> usize {
-    let raw = std::env::var("ACIC_WINDOW_THREADS").ok();
-    if let Some(r) = raw.as_deref() {
-        if r.parse::<usize>().is_err() {
-            warn_ignored(&WINDOW_THREADS_WARNING, "ACIC_WINDOW_THREADS", r);
-        }
-    }
-    window_threads_from(raw.as_deref())
 }
 
 /// Composes the grid worker count and the per-cell window worker
@@ -313,42 +296,6 @@ fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
         .map(|s| (*s).to_string())
         .or_else(|| p.downcast_ref::<String>().cloned())
         .unwrap_or_else(|| "non-string panic payload".into())
-}
-
-/// Work-stealing parallel map over `0..work`: an atomic cursor hands
-/// out indices so long items (OPT cells, oracle pre-passes) don't
-/// serialize behind static chunking. Results come back in index
-/// order; `f` runs on worker threads. Panics in `f` propagate —
-/// fault-isolated execution is [`run_cells`].
-fn fan_out<T: Send>(work: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    if work == 0 {
-        return Vec::new();
-    }
-    let threads = bench_threads().min(work);
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, T)>();
-    let next_ref = &next;
-    let f_ref = &f;
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let tx = tx.clone();
-            scope.spawn(move || loop {
-                let i = next_ref.fetch_add(1, Ordering::Relaxed);
-                if i >= work {
-                    break;
-                }
-                tx.send((i, f_ref(i))).expect("collector outlives workers");
-            });
-        }
-    });
-    drop(tx);
-    let mut out: Vec<Option<T>> = (0..work).map(|_| None).collect();
-    for (i, v) in rx {
-        out[i] = Some(v);
-    }
-    out.into_iter()
-        .map(|v| v.expect("all work completed"))
-        .collect()
 }
 
 enum Msg<T> {
@@ -557,7 +504,7 @@ pub fn run_cells<T: Send + 'static>(
 /// specs share one frozen trace) and returns the per-spec outcomes,
 /// in input order — a freeze failure (store write error or a panic
 /// during materialization) fails only the cells that need that spec.
-/// Freezing fans out across the bench worker pool.
+/// Freezing fans out across the bench worker pool ([`run_cells`]).
 pub fn try_freeze_specs(
     specs: &[WorkloadSpec],
     instructions: u64,
@@ -575,29 +522,24 @@ pub fn try_freeze_specs(
             }
         }
     }
-    let frozen = fan_out(unique.len(), |u| {
-        let spec = &specs[unique[u]];
-        match catch_unwind(AssertUnwindSafe(|| {
-            crate::trace_store::freeze(spec, instructions)
-        })) {
-            Ok(Ok(t)) => Ok(t),
-            Ok(Err(e)) => Err(e.to_string()),
-            Err(p) => Err(panic_message(&*p)),
-        }
+    let unique: Arc<Vec<WorkloadSpec>> =
+        Arc::new(unique.iter().map(|&i| specs[i].clone()).collect());
+    let frozen = run_cells(unique.len(), bench_threads(), None, move |u| {
+        crate::trace_store::freeze(&unique[u], instructions).map_err(|e| e.to_string())
     });
-    to_unique.into_iter().map(|u| frozen[u].clone()).collect()
-}
-
-/// [`try_freeze_specs`] for callers without a per-cell failure path;
-/// panics on the first freeze failure.
-pub fn freeze_specs(specs: &[WorkloadSpec], instructions: u64) -> Vec<Arc<PackedTrace>> {
-    try_freeze_specs(specs, instructions)
+    to_unique
         .into_iter()
-        .map(|r| r.unwrap_or_else(|e| panic!("workload freeze failed: {e}")))
+        .map(|u| match &frozen[u] {
+            Ok(frozen) => frozen.clone(),
+            Err(CellError::Panicked(msg)) => Err(msg.clone()),
+            Err(e) => Err(e.to_string()),
+        })
         .collect()
 }
 
-fn must_freeze(spec: &WorkloadSpec, instructions: u64) -> Arc<PackedTrace> {
+/// Freezes or dies: callers without a per-cell failure path (the
+/// figures' keep-going loop catches the panic).
+pub(crate) fn must_freeze(spec: &WorkloadSpec, instructions: u64) -> Arc<PackedTrace> {
     crate::trace_store::freeze(spec, instructions).unwrap_or_else(|e| panic!("{e}"))
 }
 
@@ -618,22 +560,6 @@ pub fn run_spec_generated(cfg: &SimConfig, spec: &WorkloadSpec, instructions: u6
 /// trace.
 pub fn run_config(cfg: &SimConfig, profile: &AppProfile, instructions: u64) -> SimReport {
     run_spec(cfg, &WorkloadSpec::Single(profile.clone()), instructions)
-}
-
-/// Runs a candidate configuration and the matching baseline on the
-/// same frozen workload (one freeze, two replays); returns
-/// `(candidate, baseline)`.
-pub fn run_pair(
-    cfg: &SimConfig,
-    baseline: &SimConfig,
-    profile: &AppProfile,
-    instructions: u64,
-) -> (SimReport, SimReport) {
-    let trace = must_freeze(&WorkloadSpec::Single(profile.clone()), instructions);
-    (
-        Simulator::run(cfg, trace.as_ref()),
-        Simulator::run(baseline, trace.as_ref()),
-    )
 }
 
 /// The `--profile-cell` target: a substring matched against cell
@@ -719,66 +645,223 @@ pub(crate) fn injected_cell_failure(c: usize, a: usize) {
     }
 }
 
+/// Where a batch's frozen traces come from.
+#[derive(Clone, Copy)]
+pub(crate) enum Traces<'a> {
+    /// Freeze these specs at this budget for the batch: all of them
+    /// at once, or only the target's in a `--run-cell` child.
+    Freeze(&'a [WorkloadSpec], u64),
+    /// Frozen once by the caller and shared across batches (the DSE
+    /// ladder's full-budget traces).
+    Frozen(&'a [Arc<PackedTrace>]),
+}
+
+/// One batch of cells for [`execute`], with the run settings it
+/// executes under.
+pub(crate) struct Batch<'a> {
+    /// `(config, spec)` per cell: the indices `simulate` and the trace
+    /// lookup use, and the coordinates scripted faults aim at.
+    pub cells: &'a [(usize, usize)],
+    /// Journal key per cell.
+    pub keys: &'a [String],
+    /// Display label per cell (crash reports).
+    pub labels: &'a [String],
+    /// The DSE rung the cells journal under; `None` for grid cells.
+    pub rung: Option<u32>,
+    /// The traces indexed by each cell's spec.
+    pub traces: Traces<'a>,
+    /// Worker threads.
+    pub threads: usize,
+    /// Replay finished cells from, and journal new ones into, here.
+    pub store: Option<&'a Arc<ResultStore>>,
+    /// Supervised parent, `--run-cell` child, or in-process (`None`).
+    pub supervise: Option<&'a crate::supervise::Role>,
+    /// Soft watchdog in-process; the hard per-child deadline when
+    /// supervised.
+    pub cell_timeout: Option<Duration>,
+}
+
+/// What [`execute`] made of a batch.
+pub(crate) struct Executed {
+    /// One outcome per cell, in batch order.
+    pub slots: Vec<Result<SimReport, CellError>>,
+    /// Cells served from the store.
+    pub replayed: u64,
+    /// Cells simulated (or attempted) this run.
+    pub computed: u64,
+    /// Where crash reports went, when the batch ran supervised.
+    pub crash_dir: Option<std::path::PathBuf>,
+}
+
+/// The one cell executor behind figure grids and the DSE ladder.
+///
+/// In order: a `--run-cell` child whose target key is in this batch
+/// freezes only that cell's spec, runs it, journals it into its
+/// private attempt store and exits ([`crate::supervise::run_child_cell`]);
+/// otherwise the batch's specs are frozen, store hits replay, and the
+/// rest run either one child process per cell under a hard deadline
+/// ([`crate::supervise::run_one`], as a supervised parent) or on the
+/// [`run_cells`] pool under the soft watchdog, each finished cell
+/// journaled as it completes. A child recomputing a batch that does
+/// not hold its target (a figure's earlier grid, an earlier rung)
+/// still replays store hits, but neither journals nor trips scripted
+/// faults aimed at the target.
+pub(crate) fn execute<F>(batch: Batch<'_>, simulate: F) -> Executed
+where
+    F: Fn(usize, &PackedTrace) -> SimReport + Send + Sync + 'static,
+{
+    use crate::supervise::Role;
+    let n = batch.cells.len();
+    let (parent, child) = match batch.supervise {
+        Some(Role::Parent(ctx)) => (Some(Arc::clone(ctx)), None),
+        Some(Role::Child(target)) => (None, Some(target)),
+        None => (None, None),
+    };
+    let run_cell = move |(c, a): (usize, usize), trace: &PackedTrace, inject: bool| {
+        if inject {
+            injected_cell_failure(c, a);
+        }
+        simulate(c, trace)
+    };
+    if let Some(target) = child {
+        if let Some(i) = batch.keys.iter().position(|k| *k == target.key) {
+            let cell = batch.cells[i];
+            crate::supervise::run_child_cell(target, batch.rung, || match batch.traces {
+                Traces::Freeze(specs, instructions) => {
+                    run_cell(cell, &must_freeze(&specs[cell.1], instructions), true)
+                }
+                Traces::Frozen(traces) => run_cell(cell, &traces[cell.1], true),
+            });
+        }
+    }
+    let frozen = match batch.traces {
+        Traces::Freeze(specs, instructions) => try_freeze_specs(specs, instructions),
+        Traces::Frozen(traces) => traces.iter().map(|t| Ok(Arc::clone(t))).collect(),
+    };
+    let mut slots: Vec<Option<Result<SimReport, CellError>>> = vec![None; n];
+    let mut replayed = 0u64;
+    for (i, slot) in slots.iter_mut().enumerate() {
+        if let Some(report) = batch.store.and_then(|s| s.get(&batch.keys[i])) {
+            *slot = Some(Ok(report));
+            replayed += 1;
+        } else if let Err(e) = &frozen[batch.cells[i].1] {
+            *slot = Some(Err(CellError::Freeze(e.clone())));
+        }
+    }
+    let todo: Vec<usize> = (0..n).filter(|&i| slots[i].is_none()).collect();
+    let computed = todo.len() as u64;
+    let crash_dir = parent.as_ref().map(|ctx| ctx.crash_dir.clone());
+    if !todo.is_empty() {
+        let store = batch.store.filter(|_| child.is_none()).cloned();
+        let rung = batch.rung;
+        let journal = move |key: &str, report: &SimReport| {
+            let Some(store) = &store else { return };
+            let put = match rung {
+                Some(r) => store.put_rung(key, r, report),
+                None => store.put(key, report),
+            };
+            if let Err(e) = put {
+                eprintln!("[results: failed to journal cell {key} ({e}); kept in memory]");
+            }
+        };
+        let threads = batch.threads.clamp(1, todo.len());
+        let keys: Arc<Vec<String>> = Arc::new(batch.keys.to_vec());
+        let todo_arc = Arc::new(todo.clone());
+        let results: Vec<Result<SimReport, CellError>> = if let Some(ctx) = parent {
+            // The parent only journals what each child reported, so the
+            // journal stays byte-identical to the in-process path.
+            let labels: Vec<String> = batch.labels.to_vec();
+            let timeout = batch.cell_timeout;
+            run_cells(todo.len(), threads, None, move |t| {
+                let i = todo_arc[t];
+                let report = crate::supervise::run_one(&ctx, &keys[i], &labels[i], timeout)?;
+                journal(&keys[i], &report);
+                Ok(report)
+            })
+            .into_iter()
+            .map(|r| r.and_then(|inner| inner))
+            .collect()
+        } else {
+            let cells = batch.cells.to_vec();
+            let traces: Vec<Option<Arc<PackedTrace>>> =
+                frozen.into_iter().map(Result::ok).collect();
+            let inject = child.is_none();
+            run_cells(todo.len(), threads, batch.cell_timeout, move |t| {
+                let i = todo_arc[t];
+                let trace = traces[cells[i].1]
+                    .as_ref()
+                    .expect("cell scheduled only for frozen spec");
+                let report = run_cell(cells[i], trace, inject);
+                journal(&keys[i], &report);
+                report
+            })
+        };
+        for (i, res) in todo.into_iter().zip(results) {
+            slots[i] = Some(res);
+        }
+    }
+    Executed {
+        slots: slots
+            .into_iter()
+            .map(|s| s.expect("every cell resolved"))
+            .collect(),
+        replayed,
+        computed,
+        crash_dir,
+    }
+}
+
 /// A parallel fan-out over (organization x application) grids.
+#[derive(Clone)]
 pub struct Runner {
     /// Simulation length per application.
     pub instructions: u64,
     /// Baseline configuration (LRU + the chosen prefetcher).
     pub baseline: SimConfig,
     /// Resumable cell store; finished cells are journaled as they
-    /// complete and replayed on the next run. Constructors default to
-    /// the `--results` global ([`crate::result_store::active`]).
+    /// complete and replayed on the next run (`experiments
+    /// --results`).
     pub store: Option<Arc<ResultStore>>,
-    /// Soft per-cell watchdog; constructors default to
-    /// `ACIC_CELL_TIMEOUT_SECS` ([`cell_timeout`]).
+    /// Soft per-cell watchdog (the hard per-child deadline when
+    /// supervised); [`Runner::new`] reads `ACIC_CELL_TIMEOUT_SECS`
+    /// ([`cell_timeout`]).
     pub cell_timeout: Option<Duration>,
     /// Window-parallel workers per cell: `0` runs the serial engine
     /// ([`Simulator::run`]), `>= 1` fans each sampled cell's detailed
-    /// windows across this many workers
-    /// ([`Engine::run_windowed`]). Constructors default to
-    /// `ACIC_WINDOW_THREADS` ([`window_threads`]); grid parallelism
-    /// is divided down so grid × window threads stay within the one
-    /// [`bench_threads`] budget ([`split_thread_budget`]).
+    /// windows across this many workers ([`Engine::run_windowed`]),
+    /// with grid parallelism divided down so grid × window threads
+    /// stay within the one [`bench_threads`] budget
+    /// ([`split_thread_budget`]). No shipped figure sets it.
     pub window_threads: usize,
-    /// Process supervisor: when set, every to-be-computed cell runs
-    /// in its own `--run-cell` child process with hard timeouts,
-    /// retry-with-backoff, and crash reports
-    /// ([`crate::supervise::run_one`]). Constructors default to the
-    /// `--supervise` global ([`crate::supervise::active`]); `None`
-    /// keeps the in-process path, which stays the bit-identity
-    /// reference.
-    pub supervise: Option<Arc<crate::supervise::SuperviseCtx>>,
+    /// Process supervision: [`crate::supervise::Role::Parent`] runs
+    /// every to-be-computed cell in its own `--run-cell` child with
+    /// hard timeouts, retries and crash reports;
+    /// [`crate::supervise::Role::Child`] marks this process as such a
+    /// child. `None` keeps the in-process path, which stays the
+    /// bit-identity reference.
+    pub supervise: Option<crate::supervise::Role>,
 }
 
 impl Runner {
-    /// Creates a runner with the standard LRU+FDP baseline.
+    /// Creates a runner with the standard LRU+FDP baseline, no store
+    /// and no supervisor.
     pub fn new() -> Self {
         Runner {
             instructions: instruction_budget(),
             baseline: SimConfig::default(),
-            store: crate::result_store::active(),
+            store: None,
             cell_timeout: cell_timeout(),
-            window_threads: window_threads(),
-            supervise: crate::supervise::active(),
+            window_threads: 0,
+            supervise: None,
         }
     }
 
-    /// Creates a runner over a different prefetcher baseline
-    /// (Figures 20/21 use the entangling prefetcher).
-    pub fn with_prefetcher(prefetcher: PrefetcherKind) -> Self {
+    /// This runner over a different prefetcher baseline (Figures
+    /// 20/21 use the entangling prefetcher).
+    pub fn with_prefetcher(&self, prefetcher: PrefetcherKind) -> Self {
         Runner {
-            baseline: SimConfig::default().with_prefetcher(prefetcher),
-            ..Runner::new()
-        }
-    }
-
-    /// Creates a runner whose baseline (and therefore every config
-    /// derived from it through [`Runner::run_orgs`]) simulates under
-    /// the given fidelity schedule.
-    pub fn with_schedule(schedule: SampleSchedule) -> Self {
-        Runner {
-            baseline: SimConfig::default().with_schedule(schedule),
-            ..Runner::new()
+            baseline: self.baseline.with_prefetcher(prefetcher),
+            ..self.clone()
         }
     }
 
@@ -813,11 +896,11 @@ impl Runner {
     }
 
     /// [`Runner::run_grid`] with per-cell fault isolation surfaced:
-    /// every cell runs under `catch_unwind` on the [`run_cells`]
-    /// executor, a failing cell becomes one entry in the returned
-    /// [`GridError`] while every other cell still completes (and is
-    /// journaled when a store is attached), and the soft watchdog
-    /// fails wedged cells instead of hanging the sweep.
+    /// the grid's cells go through the one cell executor, a failing
+    /// cell becomes one entry in the returned [`GridError`] while
+    /// every other cell still completes (and is journaled when a
+    /// store is attached), and the soft watchdog fails wedged cells
+    /// instead of hanging the sweep.
     ///
     /// # Errors
     ///
@@ -838,13 +921,17 @@ impl Runner {
                 computed: 0,
             });
         }
-        let label_of = |c: usize, a: usize| {
-            format!(
-                "config {c} '{}' x spec '{}'",
-                configs[c].icache_org.label(),
-                specs[a].label()
-            )
-        };
+        let cells: Vec<(usize, usize)> = (0..n).map(|i| (i / n_spec, i % n_spec)).collect();
+        let labels: Vec<String> = cells
+            .iter()
+            .map(|&(c, a)| {
+                format!(
+                    "config {c} '{}' x spec '{}'",
+                    configs[c].icache_org.label(),
+                    specs[a].label()
+                )
+            })
+            .collect();
         // `--profile-cell` mode: the first cell whose label contains
         // the target substring is re-simulated in a tight loop and
         // the process exits (inside `run_profile_cell`). Grids of the
@@ -852,227 +939,93 @@ impl Runner {
         // run normally, so a later grid in the same figure is still
         // reachable.
         if let Some(target) = PROFILE_CELL.get() {
-            if let Some(i) = (0..n).find(|&i| label_of(i / n_spec, i % n_spec).contains(target)) {
-                let (c, a) = (i / n_spec, i % n_spec);
+            if let Some(i) = labels.iter().position(|l| l.contains(target.as_str())) {
+                let (c, a) = cells[i];
                 run_profile_cell(
                     &configs[c],
                     &specs[a],
                     self.instructions,
                     self.window_threads,
-                    &label_of(c, a),
+                    &labels[i],
                 );
             }
         }
-        let key_of = |spec: &WorkloadSpec, cfg: &SimConfig| {
-            if self.window_threads >= 1 {
-                windowed_cell_key(spec, self.instructions, cfg)
-            } else {
-                cell_key(spec, self.instructions, cfg)
-            }
-        };
-        // Supervised child mode: when this process is a `--run-cell`
-        // child and its one target cell lives in this grid, freeze
-        // only that cell's spec, run it, journal it into the private
-        // attempt store, and exit. Grids that don't contain the
-        // target recompute in-process below (replaying store hits,
-        // with journal writes and scripted faults suppressed) so a
-        // later grid in the same figure still reaches the target.
-        let child = crate::supervise::child_target();
-        if let Some(target) = child {
-            let hit =
-                (0..n).find(|&i| key_of(&specs[i % n_spec], &configs[i / n_spec]) == target.key);
-            if let Some(i) = hit {
-                let (c, a) = (i / n_spec, i % n_spec);
-                let window_threads = self.window_threads;
-                let cfg = configs[c].clone();
-                let spec = specs[a].clone();
-                let instructions = self.instructions;
-                crate::supervise::run_child_cell(target, None, move || {
-                    let trace = must_freeze(&spec, instructions);
-                    injected_cell_failure(c, a);
-                    if window_threads >= 1 {
-                        Engine::run_windowed(&cfg, trace.as_ref(), window_threads)
-                    } else {
-                        Simulator::run(&cfg, trace.as_ref())
-                    }
-                });
-            }
-        }
-        let supervisor = if child.is_some() {
-            None
-        } else {
-            self.supervise.clone()
-        };
-        let crash_dir = supervisor.as_ref().map(|ctx| ctx.crash_dir.clone());
-        let frozen = try_freeze_specs(specs, self.instructions);
-        let mut slots: Vec<Option<Result<SimReport, CellError>>> = (0..n).map(|_| None).collect();
-        let keys: Vec<String> = if self.store.is_some() || supervisor.is_some() {
-            (0..n)
-                .map(|i| key_of(&specs[i % n_spec], &configs[i / n_spec]))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let mut replayed = 0u64;
-        if let Some(store) = &self.store {
-            for (i, slot) in slots.iter_mut().enumerate() {
-                if let Some(report) = store.get(&keys[i]) {
-                    *slot = Some(Ok(report));
-                    replayed += 1;
-                }
-            }
-        }
-        for (i, slot) in slots.iter_mut().enumerate() {
-            if slot.is_none() {
-                if let Err(e) = &frozen[i % n_spec] {
-                    *slot = Some(Err(CellError::Freeze(e.clone())));
-                }
-            }
-        }
-        let todo: Vec<usize> = (0..n).filter(|&i| slots[i].is_none()).collect();
-        let computed = todo.len() as u64;
-        if !todo.is_empty() {
-            let budget = bench_threads();
-            let (grid_workers, oversubscribed) = split_thread_budget(budget, self.window_threads);
-            if oversubscribed {
-                let wt = self.window_threads;
-                OVERSUBSCRIPTION_WARNING.call_once(|| {
-                    eprintln!(
-                        "[warning: window-threads {wt} exceeds the thread budget {budget}; \
-                         a single cell already oversubscribes the machine]"
-                    );
-                });
-            }
-            let todo_arc = Arc::new(todo.clone());
-            let keys_arc = Arc::new(keys);
-            if let Some(ctx) = supervisor {
-                // Supervised: one child process per cell, hard
-                // timeouts and retries inside `run_one`; the parent
-                // only journals what the child reported, so the
-                // journal stays byte-identical to the in-process
-                // path.
-                let labels: Arc<Vec<String>> =
-                    Arc::new((0..n).map(|i| label_of(i / n_spec, i % n_spec)).collect());
-                let store = self.store.clone();
-                let timeout = self.cell_timeout;
-                let results = run_cells(
-                    todo.len(),
-                    grid_workers.min(todo.len()),
-                    None, // the hard per-child deadline replaces the soft watchdog
-                    move |t| {
-                        let i = todo_arc[t];
-                        let report =
-                            crate::supervise::run_one(&ctx, &keys_arc[i], &labels[i], timeout)?;
-                        if let Some(store) = &store {
-                            if let Err(e) = store.put(&keys_arc[i], &report) {
-                                eprintln!(
-                                    "[results: failed to journal cell {} ({e}); kept in memory]",
-                                    keys_arc[i]
-                                );
-                            }
-                        }
-                        Ok(report)
-                    },
-                );
-                for (t, res) in results.into_iter().enumerate() {
-                    slots[todo[t]] = Some(match res {
-                        Ok(inner) => inner,
-                        Err(e) => Err(e),
-                    });
-                }
-            } else {
-                let configs_arc: Arc<Vec<SimConfig>> = Arc::new(configs.to_vec());
-                let traces: Arc<Vec<Option<Arc<PackedTrace>>>> =
-                    Arc::new(frozen.iter().map(|r| r.as_ref().ok().cloned()).collect());
-                // A `--run-cell` child recomputing a grid that does
-                // not hold its target must neither re-journal cells
-                // nor trip scripted faults aimed at the target.
-                let store = if child.is_some() {
-                    None
+        let window_threads = self.window_threads;
+        let keys: Vec<String> = cells
+            .iter()
+            .map(|&(c, a)| {
+                if window_threads >= 1 {
+                    windowed_cell_key(&specs[a], self.instructions, &configs[c])
                 } else {
-                    self.store.clone()
-                };
-                let inject = child.is_none();
-                let window_threads = self.window_threads;
-                let results = run_cells(
-                    todo.len(),
-                    grid_workers.min(todo.len()),
-                    self.cell_timeout,
-                    move |t| {
-                        let i = todo_arc[t];
-                        let (c, a) = (i / n_spec, i % n_spec);
-                        if inject {
-                            injected_cell_failure(c, a);
-                        }
-                        let trace = traces[a]
-                            .as_ref()
-                            .expect("cell scheduled only for frozen spec");
-                        let report = if window_threads >= 1 {
-                            Engine::run_windowed(&configs_arc[c], trace.as_ref(), window_threads)
-                        } else {
-                            Simulator::run(&configs_arc[c], trace.as_ref())
-                        };
-                        if let Some(store) = &store {
-                            if let Err(e) = store.put(&keys_arc[i], &report) {
-                                eprintln!(
-                                    "[results: failed to journal cell {} ({e}); kept in memory]",
-                                    keys_arc[i]
-                                );
-                            }
-                        }
-                        report
-                    },
-                );
-                for (t, res) in results.into_iter().enumerate() {
-                    slots[todo[t]] = Some(res);
+                    cell_key(&specs[a], self.instructions, &configs[c])
                 }
-            }
+            })
+            .collect();
+        let budget = bench_threads();
+        let (threads, oversubscribed) = split_thread_budget(budget, window_threads);
+        if oversubscribed {
+            OVERSUBSCRIPTION_WARNING.call_once(|| {
+                eprintln!(
+                    "[warning: window-threads {window_threads} exceeds the thread budget \
+                     {budget}; a single cell already oversubscribes the machine]"
+                );
+            });
         }
+        let configs_arc: Arc<Vec<SimConfig>> = Arc::new(configs.to_vec());
+        let run = execute(
+            Batch {
+                cells: &cells,
+                keys: &keys,
+                labels: &labels,
+                rung: None,
+                traces: Traces::Freeze(specs, self.instructions),
+                threads,
+                store: self.store.as_ref(),
+                supervise: self.supervise.as_ref(),
+                cell_timeout: self.cell_timeout,
+            },
+            move |c, trace| {
+                if window_threads >= 1 {
+                    Engine::run_windowed(&configs_arc[c], trace, window_threads)
+                } else {
+                    Simulator::run(&configs_arc[c], trace)
+                }
+            },
+        );
         if self.store.is_some() {
-            eprintln!("[results: {replayed} replayed, {computed} computed]");
+            eprintln!(
+                "[results: {} replayed, {} computed]",
+                run.replayed, run.computed
+            );
         }
         let mut failures = Vec::new();
-        let mut reports: Vec<SimReport> = Vec::with_capacity(n);
-        for (i, slot) in slots.into_iter().enumerate() {
-            match slot.expect("every cell resolved") {
+        let mut reports = Vec::with_capacity(n);
+        for (slot, &(c, a)) in run.slots.into_iter().zip(&cells) {
+            match slot {
                 Ok(r) => reports.push(r),
-                Err(error) => {
-                    let (c, a) = (i / n_spec, i % n_spec);
-                    failures.push(CellFailure {
-                        config: format!("config {c} '{}'", configs[c].icache_org.label()),
-                        spec: format!("spec '{}'", specs[a].label()),
-                        error,
-                    });
-                }
+                Err(error) => failures.push(CellFailure {
+                    config: format!("config {c} '{}'", configs[c].icache_org.label()),
+                    spec: format!("spec '{}'", specs[a].label()),
+                    error,
+                }),
             }
         }
-        if failures.is_empty() {
-            Ok(GridRun {
-                grid: Self::into_rows(reports, n_spec),
-                replayed,
-                computed,
-            })
-        } else {
-            Err(GridError {
+        if !failures.is_empty() {
+            return Err(GridError {
                 completed: n - failures.len(),
                 total: n,
                 failures,
-                crash_dir,
-            })
+                crash_dir: run.crash_dir,
+            });
         }
-    }
-
-    fn into_rows(flat: Vec<SimReport>, row_len: usize) -> Vec<Vec<SimReport>> {
-        let mut grid: Vec<Vec<SimReport>> = Vec::new();
-        let mut it = flat.into_iter();
-        loop {
-            let row: Vec<SimReport> = it.by_ref().take(row_len).collect();
-            if row.is_empty() {
-                break;
-            }
-            grid.push(row);
-        }
-        grid
+        let mut flat = reports.into_iter();
+        Ok(GridRun {
+            grid: (0..n_cfg)
+                .map(|_| flat.by_ref().take(n_spec).collect())
+                .collect(),
+            replayed: run.replayed,
+            computed: run.computed,
+        })
     }
 
     /// Convenience: baseline plus a list of organizations over
@@ -1114,6 +1067,7 @@ pub fn markdown_table(header: &[String], rows: &[Vec<String>]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use acic_sim::SampleSchedule;
 
     #[test]
     fn budget_reads_env() {
@@ -1137,15 +1091,6 @@ mod tests {
         assert_eq!(cell_timeout_from(Some("0")), None, "zero: disabled");
         assert_eq!(cell_timeout_from(Some("30")), Some(Duration::from_secs(30)));
         assert_eq!(cell_timeout_from(Some("soon")), None, "garbage rejected");
-    }
-
-    #[test]
-    fn window_threads_policy() {
-        assert_eq!(window_threads_from(None), 0, "unset: serial engine");
-        assert_eq!(window_threads_from(Some("0")), 0, "explicit off");
-        assert_eq!(window_threads_from(Some("1")), 1, "windowed, one worker");
-        assert_eq!(window_threads_from(Some("4")), 4);
-        assert_eq!(window_threads_from(Some("many")), 0, "garbage rejected");
     }
 
     #[test]
@@ -1389,10 +1334,6 @@ mod tests {
             &WorkloadSpec::singles(&apps),
         );
         assert!(grid[0][0].sampled.is_some(), "schedule threads through");
-        assert!(Runner::with_schedule(SampleSchedule::default_sampled())
-            .baseline
-            .schedule
-            .is_sampled());
     }
 
     #[test]
@@ -1498,7 +1439,10 @@ mod tests {
     fn freeze_specs_shares_structurally_equal_specs() {
         let a = WorkloadSpec::Single(AppProfile::sibench());
         let specs = vec![a.clone(), WorkloadSpec::Single(AppProfile::x264()), a];
-        let traces = freeze_specs(&specs, 1_000);
+        let traces: Vec<_> = try_freeze_specs(&specs, 1_000)
+            .into_iter()
+            .map(Result::unwrap)
+            .collect();
         assert_eq!(traces.len(), 3);
         assert!(
             Arc::ptr_eq(&traces[0], &traces[2]),

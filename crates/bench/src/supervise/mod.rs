@@ -25,6 +25,13 @@
 //!   history) under `crash-reports/`, referenced from the `GridError`
 //!   summary.
 //!
+//! Supervision is a value, not a process global: `experiments` turns
+//! `--supervise` into [`Role::Parent`] and `--run-cell` into
+//! [`Role::Child`], and passes it down in the `supervise` slot of its
+//! one `Runner` and `DseOptions`. The single cell executor behind
+//! both (`runner::execute`) is the only caller of [`run_one`] and
+//! [`run_child_cell`].
+//!
 //! The in-process path stays the default and the bit-identity
 //! reference: a supervised run must produce byte-identical journals
 //! and figure output (children journal through the same bit-exact
@@ -41,7 +48,7 @@ use acic_sim::SimReport;
 use policy::{classify, ChildOutcome, Decision, RetryPolicy};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// How much child stderr the supervisor retains per attempt for the
@@ -78,60 +85,49 @@ pub struct ChildTarget {
     pub out_dir: PathBuf,
 }
 
-static SUPERVISOR: OnceLock<Arc<SuperviseCtx>> = OnceLock::new();
-static CHILD: OnceLock<ChildTarget> = OnceLock::new();
-
-/// Installs the process-wide supervisor used by default-constructed
-/// runners, mirroring `result_store::configure`. Fails (so the caller
-/// can warn once and fall back to in-process execution) when the
-/// current executable cannot be resolved or the crash directory
-/// cannot be created.
-pub fn configure(crash_dir: &Path, argv: &[String]) -> Result<Arc<SuperviseCtx>, String> {
-    let exe = std::env::current_exe()
-        .map_err(|e| format!("cannot resolve the current executable for self-exec: {e}"))?;
-    std::fs::create_dir_all(crash_dir).map_err(|e| {
-        format!(
-            "cannot create crash-report dir {}: {e}",
-            crash_dir.display()
-        )
-    })?;
-    let work_dir = crash_dir.join(".attempts");
-    std::fs::create_dir_all(&work_dir).map_err(|e| {
-        format!(
-            "cannot create attempt scratch dir {}: {e}",
-            work_dir.display()
-        )
-    })?;
-    let ctx = Arc::new(SuperviseCtx {
-        exe,
-        args: child_args(argv),
-        crash_dir: crash_dir.to_path_buf(),
-        work_dir,
-        policy: RetryPolicy::from_env(),
-    });
-    let _ = SUPERVISOR.set(Arc::clone(&ctx));
-    Ok(ctx)
+/// This process's part in process supervision: the value the
+/// `experiments` binary builds once from its flags and hands to every
+/// [`crate::Runner`] and [`crate::dse::DseOptions`] it creates (their
+/// `supervise` slot; `None` runs cells in-process).
+#[derive(Debug, Clone)]
+pub enum Role {
+    /// `--supervise`: every to-be-computed cell runs in its own
+    /// `--run-cell` child ([`run_one`]).
+    Parent(Arc<SuperviseCtx>),
+    /// `--run-cell`: this process runs exactly the target cell and
+    /// exits ([`run_child_cell`]); it never supervises.
+    Child(ChildTarget),
 }
 
-/// The process-wide supervisor, if one was configured. Always `None`
-/// inside a `--run-cell` child: children never recurse into
-/// supervision.
-pub fn active() -> Option<Arc<SuperviseCtx>> {
-    if CHILD.get().is_some() {
-        return None;
+impl SuperviseCtx {
+    /// The supervised parent's context. Fails (so the caller can warn
+    /// once and fall back to in-process execution) when the current
+    /// executable cannot be resolved or the crash directory cannot be
+    /// created.
+    pub fn new(crash_dir: &Path, argv: &[String]) -> Result<SuperviseCtx, String> {
+        let exe = std::env::current_exe()
+            .map_err(|e| format!("cannot resolve the current executable for self-exec: {e}"))?;
+        std::fs::create_dir_all(crash_dir).map_err(|e| {
+            format!(
+                "cannot create crash-report dir {}: {e}",
+                crash_dir.display()
+            )
+        })?;
+        let work_dir = crash_dir.join(".attempts");
+        std::fs::create_dir_all(&work_dir).map_err(|e| {
+            format!(
+                "cannot create attempt scratch dir {}: {e}",
+                work_dir.display()
+            )
+        })?;
+        Ok(SuperviseCtx {
+            exe,
+            args: child_args(argv),
+            crash_dir: crash_dir.to_path_buf(),
+            work_dir,
+            policy: RetryPolicy::from_env(),
+        })
     }
-    SUPERVISOR.get().cloned()
-}
-
-/// Marks this process as a supervised child responsible for exactly
-/// one cell.
-pub fn set_child_target(key: String, out_dir: PathBuf) {
-    let _ = CHILD.set(ChildTarget { key, out_dir });
-}
-
-/// The cell this child process must run, when in `--run-cell` mode.
-pub fn child_target() -> Option<&'static ChildTarget> {
-    CHILD.get()
 }
 
 /// Strips supervision flags from an argv so the child does not

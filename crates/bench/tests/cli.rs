@@ -69,6 +69,23 @@ fn a_flag_missing_its_value_is_a_usage_error_not_a_filter() {
     let out = experiments().args(["fig10", "fig11"]).output().unwrap();
     assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr(&out));
     assert!(stderr(&out).contains("unexpected argument 'fig11'"));
+
+    // `--dse` runs no figures: a figure selector next to it is a
+    // usage error, not silently dropped while the sweep runs.
+    for selector in [
+        &["--only", "fig10_speedup"][..],
+        &["fig10"],
+        &["--profile-cell", "table3_mpki:lru"],
+    ] {
+        let out = experiments()
+            .args(["--dse", "--smoke"])
+            .args(selector)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{selector:?}: {}", stderr(&out));
+        assert!(stderr(&out).contains("cannot be combined"), "{selector:?}");
+        assert!(stdout(&out).is_empty(), "{selector:?}: nothing swept");
+    }
 }
 
 #[test]

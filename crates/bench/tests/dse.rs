@@ -13,6 +13,9 @@
 //!    cells and reproduces the uninterrupted run's provenance report
 //!    line for line; a journal torn mid-line costs a partial, not
 //!    total, recompute.
+//! 3. **Supervision** — a `--dse --supervise` sweep (one child
+//!    process per rung cell) is bit-identical to the in-process
+//!    sweep: provenance report, result journal and summary.
 
 use acic_bench::dse::{midpoints, pareto_frontier, pinned_space, run_dse, DseOptions, Ladder};
 use acic_bench::Runner;
@@ -269,4 +272,65 @@ fn rung_counts(summary: &str) -> (u64, u64) {
         totals.1 += comp.trim_end_matches(" computed").parse::<u64>().unwrap();
     }
     totals
+}
+
+#[test]
+fn supervised_dse_sweep_is_bit_identical_to_in_process() {
+    let dir = scratch("supervise");
+    std::fs::create_dir_all(&dir).unwrap();
+    let sweep = |tag: &str, supervise: bool| {
+        let results = dir.join(format!("results-{tag}"));
+        let report = dir.join(format!("{tag}.jsonl"));
+        let mut cmd = experiments();
+        cmd.args(["--dse", "--smoke", "--results"])
+            .arg(&results)
+            .arg("--dse-report")
+            .arg(&report);
+        if supervise {
+            cmd.arg("--supervise");
+        }
+        let out = cmd.output().unwrap();
+        assert!(out.status.success(), "{tag} stderr: {}", stderr(&out));
+        (out, results, report)
+    };
+    let (sup, sup_results, sup_report) = sweep("supervised", true);
+    let (inp, inp_results, inp_report) = sweep("in-process", false);
+    assert!(
+        stderr(&sup).contains("[supervise: one child process per cell"),
+        "the sweep ran supervised: {}",
+        stderr(&sup)
+    );
+
+    assert_eq!(
+        report_body(&sup_report),
+        report_body(&inp_report),
+        "provenance report bodies"
+    );
+    assert_eq!(
+        std::fs::read(sup_results.join("results.jsonl")).unwrap(),
+        std::fs::read(inp_results.join("results.jsonl")).unwrap(),
+        "result journals byte-identical"
+    );
+    // The summary's only run-dependent part is its `in <t>s` suffix.
+    let summary = |out: &Output| -> String {
+        stdout(out)
+            .lines()
+            .map(|l| match l.split_once(" in ") {
+                Some((head, _)) if l.starts_with("survivors: ") => head,
+                _ => l,
+            })
+            .collect::<Vec<_>>()
+            .join("\n")
+    };
+    assert_eq!(summary(&sup), summary(&inp), "stdout");
+    // Healthy children leave no crash reports (the crash directory
+    // defaults to `<results>/crash-reports`).
+    let crash_reports: Vec<_> = std::fs::read_dir(sup_results.join("crash-reports"))
+        .unwrap()
+        .filter_map(|e| e.ok())
+        .filter(|e| e.path().extension().is_some_and(|x| x == "txt"))
+        .collect();
+    assert!(crash_reports.is_empty(), "{crash_reports:?}");
+
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -24,7 +24,6 @@ fn experiments() -> Command {
         "ACIC_CELL_TIMEOUT_SECS",
         "ACIC_SUPERVISE_RETRIES",
         "ACIC_SUPERVISE_BACKOFF_MS",
-        "ACIC_WINDOW_THREADS",
     ] {
         cmd.env_remove(var);
     }
