@@ -44,8 +44,11 @@
 //! cargo run --release -p acic-bench --bin experiments -- --results results/ fig11
 //! ```
 //!
-//! `--record-traces <dir>` freezes every workload the selected
-//! figures touch into `<dir>/<spec>-<budget>.acictrace` containers;
+//! `--record-traces <dir>` writes every workload the run freezes into
+//! `<dir>/<spec>-<budget>.acictrace` containers — a run freezes only
+//! the specs of cells it computes, so cells replayed from `--results`
+//! record nothing (record into a fresh `--results` to capture every
+//! spec);
 //! `--traces <dir>` replays those containers instead of re-running
 //! the generator (specs whose container is missing or unusable fall
 //! back to generation with a note) — drop in externally recorded
@@ -94,7 +97,9 @@
 //!
 //! `--supervise` runs every grid/DSE cell in its own child process
 //! (the binary self-execs with the hidden `--run-cell <journal-key>`
-//! / `--run-cell-out <dir>` flags): with it, the per-cell watchdog
+//! / `--run-cell-out <dir>` flags, plus `--run-cell-trace <file>`,
+//! the cell's trace as the parent froze it, which the child decodes
+//! instead of regenerating): with it, the per-cell watchdog
 //! becomes a *hard* timeout (the wedged child is SIGKILLed), an
 //! `abort()`/OOM/signal death costs one attempt of one cell instead
 //! of the campaign, and dead children are retried — transient
@@ -220,6 +225,7 @@ struct Cli {
     crash_reports: Option<String>,
     run_cell: Option<String>,
     run_cell_out: Option<String>,
+    run_cell_trace: Option<String>,
     /// `--profile-cell <figure>:<cell-substring>`: run one figure
     /// until the first grid cell whose label contains the substring,
     /// then re-simulate that cell in a tight loop for profilers.
@@ -237,6 +243,7 @@ fn parse_cli(mut args: Vec<String>) -> Result<Cli, String> {
     let crash_reports = take_flag_value(&mut args, "--crash-reports")?;
     let run_cell = take_flag_value(&mut args, "--run-cell")?;
     let run_cell_out = take_flag_value(&mut args, "--run-cell-out")?;
+    let run_cell_trace = take_flag_value(&mut args, "--run-cell-trace")?;
     let profile_cell = match take_flag_value(&mut args, "--profile-cell")? {
         None => None,
         Some(raw) => match raw.split_once(':') {
@@ -271,6 +278,9 @@ fn parse_cli(mut args: Vec<String>) -> Result<Cli, String> {
     if run_cell.is_some() != run_cell_out.is_some() {
         return Err("--run-cell and --run-cell-out must be given together".into());
     }
+    if run_cell_trace.is_some() && run_cell.is_none() {
+        return Err("--run-cell-trace only makes sense with --run-cell".into());
+    }
     let cli = Cli {
         list: take_switch(&mut args, "--list"),
         dse,
@@ -286,6 +296,7 @@ fn parse_cli(mut args: Vec<String>) -> Result<Cli, String> {
         crash_reports,
         run_cell,
         run_cell_out,
+        run_cell_trace,
         profile_cell,
         filter: String::new(),
     };
@@ -405,6 +416,7 @@ fn runner_from(cli: &Cli, raw_args: &[String]) -> Runner {
         Some(Role::Child(ChildTarget {
             key: key.clone(),
             out_dir: out_dir.into(),
+            trace: cli.run_cell_trace.as_ref().map(Into::into),
         }))
     } else if cli.supervise {
         let crash_dir = cli
@@ -739,6 +751,19 @@ mod tests {
         assert!(err.contains("must be given together"), "{err}");
         let err = parse_cli(argv(&["--run-cell-out", "d"])).unwrap_err();
         assert!(err.contains("must be given together"), "{err}");
+
+        let cli = parse_cli(argv(&[
+            "--run-cell",
+            "k",
+            "--run-cell-out",
+            "d",
+            "--run-cell-trace",
+            "t.acictrace",
+        ]))
+        .unwrap();
+        assert_eq!(cli.run_cell_trace.as_deref(), Some("t.acictrace"));
+        let err = parse_cli(argv(&["--run-cell-trace", "t.acictrace"])).unwrap_err();
+        assert!(err.contains("only makes sense with --run-cell"), "{err}");
     }
 
     #[test]

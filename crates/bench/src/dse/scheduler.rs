@@ -3,8 +3,9 @@
 //!
 //! Per rung, the scheduler simulates each still-interesting
 //! configuration over every spec's *frozen* full-budget trace through
-//! an [`acic_trace::Truncated`] prefix view (one freeze per spec for
-//! the whole sweep, shared across rungs and threads), pools the
+//! an [`acic_trace::Truncated`] prefix view (one trace set for the
+//! whole sweep: a spec freezes the first time a rung computes a cell
+//! over it, and later rungs and threads share that trace), pools the
 //! per-spec confidence intervals into objective coordinates, and runs
 //! one interval-dominance prune round ([`super::frontier`]). Pruned
 //! configurations never climb further; configurations whose
@@ -25,9 +26,9 @@ use super::frontier::{objective_coords, pareto_frontier, settled, Interval};
 use super::ladder::Ladder;
 use super::space::DseSpace;
 use crate::result_store::{dse_cell_key, ResultStore};
-use crate::runner::{bench_threads, cell_timeout, execute, try_freeze_specs, Batch, Traces};
+use crate::runner::{bench_threads, cell_timeout, execute, Batch, TraceSet};
 use acic_sim::{SampleSchedule, SimReport, Simulator};
-use acic_trace::{PackedTrace, Truncated};
+use acic_trace::Truncated;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -251,9 +252,11 @@ fn interval_json((lo, hi): Interval) -> String {
 ///
 /// # Errors
 ///
-/// Returns a message listing every failed cell (freeze failures,
-/// panics, watchdog timeouts). Cells that completed before the
-/// failure are already journaled, so a rerun resumes rather than
+/// Returns a message listing every failed cell of the first rung that
+/// had one — panics, watchdog timeouts, and freeze failures, which
+/// fail each cell over the spec that would not freeze
+/// ([`crate::runner::CellError::Freeze`]). Cells that completed before
+/// the failure are already journaled, so a rerun resumes rather than
 /// restarts.
 pub fn run_dse(space: &DseSpace, opts: &DseOptions) -> Result<DseRun, String> {
     opts.ladder.validate();
@@ -263,24 +266,10 @@ pub fn run_dse(space: &DseSpace, opts: &DseOptions) -> Result<DseRun, String> {
         return Err("empty design space".into());
     }
     let full_budget = opts.ladder.full_budget();
-    let frozen = try_freeze_specs(&space.specs, full_budget);
-    let freeze_failures: Vec<String> = space
-        .specs
-        .iter()
-        .zip(&frozen)
-        .filter_map(|(s, r)| {
-            r.as_ref()
-                .err()
-                .map(|e| format!("spec '{}': freeze failed: {e}", s.label()))
-        })
-        .collect();
-    if !freeze_failures.is_empty() {
-        return Err(freeze_failures.join("\n"));
-    }
-    let traces: Vec<Arc<PackedTrace>> = frozen
-        .into_iter()
-        .map(|r| r.expect("freeze failures handled above"))
-        .collect();
+    // One trace set for the whole ladder: a spec freezes at full
+    // budget the first time a rung has a cell to compute over it, and
+    // every later rung replays a prefix of the same trace.
+    let traces = TraceSet::new(&space.specs, full_budget);
 
     let protected = space.protected();
     let mut alive = vec![true; n_cfg];
@@ -331,7 +320,7 @@ pub fn run_dse(space: &DseSpace, opts: &DseOptions) -> Result<DseRun, String> {
                 keys: &keys,
                 labels: &labels,
                 rung: Some(r as u32),
-                traces: Traces::Frozen(&traces),
+                traces: &traces,
                 threads: opts.threads,
                 store: opts.store.as_ref(),
                 supervise: opts.supervise.as_ref(),

@@ -6,7 +6,9 @@
 //! [`WorkloadSpec`] is frozen **once** into an immutable
 //! [`PackedTrace`] (via [`crate::trace_store::freeze`], which also
 //! serves `--record-traces`/`--traces`), and every configuration row,
-//! thread, and repeat replays the shared `Arc` zero-copy. A
+//! thread, and repeat replays the shared `Arc` zero-copy. The cell
+//! executor freezes lazily through a per-run [`TraceSet`]: only the
+//! specs of cells the store did not replay, each at most once. A
 //! C-config × A-spec grid therefore pays A generation passes instead
 //! of C × A — the generation cost that used to dominate figure wall
 //! time after the simulators got fast. Replay is bit-identical to
@@ -504,37 +506,150 @@ pub fn run_cells<T: Send + 'static>(
 /// specs share one frozen trace) and returns the per-spec outcomes,
 /// in input order — a freeze failure (store write error or a panic
 /// during materialization) fails only the cells that need that spec.
-/// Freezing fans out across the bench worker pool ([`run_cells`]).
+/// Freezing fans out across the [`bench_threads`] pool; the cell
+/// executor freezes through the same [`TraceSet`] on its batch's
+/// thread count instead.
 pub fn try_freeze_specs(
     specs: &[WorkloadSpec],
     instructions: u64,
 ) -> Vec<Result<Arc<PackedTrace>, String>> {
-    // Dedup by structural equality: map every spec to the ordinal of
-    // its first occurrence.
-    let mut unique: Vec<usize> = Vec::new();
-    let mut to_unique: Vec<usize> = Vec::with_capacity(specs.len());
-    for (i, s) in specs.iter().enumerate() {
-        match specs[..i].iter().position(|t| t == s) {
-            Some(j) => to_unique.push(to_unique[j]),
-            None => {
-                to_unique.push(unique.len());
-                unique.push(i);
-            }
+    let set = TraceSet::new(specs, instructions);
+    set.freeze(0..specs.len(), bench_threads(), None);
+    (0..specs.len())
+        .map(|a| set.held(a).map(|held| held.trace().clone()))
+        .collect()
+}
+
+/// A frozen spec as a [`TraceSet`] keeps it.
+#[derive(Clone)]
+enum Held {
+    /// The trace itself, for cells simulated in this process.
+    Trace(Arc<PackedTrace>),
+    /// A supervised parent's handoff file, which the cell's children
+    /// decode; the parent keeps only the path.
+    Handoff(std::path::PathBuf),
+}
+
+impl Held {
+    fn trace(&self) -> &Arc<PackedTrace> {
+        match self {
+            Held::Trace(trace) => trace,
+            Held::Handoff(path) => unreachable!("handoff {} held in process", path.display()),
         }
     }
-    let unique: Arc<Vec<WorkloadSpec>> =
-        Arc::new(unique.iter().map(|&i| specs[i].clone()).collect());
-    let frozen = run_cells(unique.len(), bench_threads(), None, move |u| {
-        crate::trace_store::freeze(&unique[u], instructions).map_err(|e| e.to_string())
-    });
-    to_unique
-        .into_iter()
-        .map(|u| match &frozen[u] {
-            Ok(frozen) => frozen.clone(),
-            Err(CellError::Panicked(msg)) => Err(msg.clone()),
-            Err(e) => Err(e.to_string()),
-        })
-        .collect()
+}
+
+/// One run's traces: its specs, the budget they freeze at, and a
+/// per-spec cache the cell executor fills lazily. Structurally equal
+/// specs share a slot, a spec freezes at most once per set, and only
+/// when a batch has a cell left to compute over it. A supervised
+/// parent caches the path of the handoff file it wrote, not the
+/// trace, and dropping the set deletes those files. A figure grid
+/// builds one set per call; the DSE ladder builds one for all rungs.
+pub(crate) struct TraceSet {
+    /// Distinct specs, first-occurrence order.
+    specs: Vec<WorkloadSpec>,
+    /// Each input spec's index into `specs`.
+    slot_of: Vec<usize>,
+    budget: u64,
+    held: std::sync::Mutex<Vec<Option<Result<Held, String>>>>,
+    freezes: AtomicUsize,
+}
+
+impl TraceSet {
+    pub(crate) fn new(specs: &[WorkloadSpec], budget: u64) -> Self {
+        let mut distinct: Vec<WorkloadSpec> = Vec::new();
+        let slot_of = specs
+            .iter()
+            .map(|s| match distinct.iter().position(|t| t == s) {
+                Some(u) => u,
+                None => {
+                    distinct.push(s.clone());
+                    distinct.len() - 1
+                }
+            })
+            .collect();
+        TraceSet {
+            held: std::sync::Mutex::new(vec![None; distinct.len()]),
+            specs: distinct,
+            slot_of,
+            budget,
+            freezes: AtomicUsize::new(0),
+        }
+    }
+
+    fn spec(&self, a: usize) -> &WorkloadSpec {
+        &self.specs[self.slot_of[a]]
+    }
+
+    /// Distinct specs frozen so far (failed freezes included).
+    #[cfg(test)]
+    pub(crate) fn freezes(&self) -> usize {
+        self.freezes.load(Ordering::Relaxed)
+    }
+
+    /// Freezes the not-yet-frozen specs among `specs` (input indices)
+    /// on `threads` pool workers. Under a supervised `parent` each
+    /// worker writes its trace as a handoff file and drops it.
+    fn freeze(
+        &self,
+        specs: impl IntoIterator<Item = usize>,
+        threads: usize,
+        parent: Option<&Arc<crate::supervise::SuperviseCtx>>,
+    ) {
+        let mut held = self.held.lock().expect("trace set lock");
+        let mut slots: Vec<usize> = specs.into_iter().map(|a| self.slot_of[a]).collect();
+        slots.sort_unstable();
+        slots.dedup();
+        slots.retain(|&u| held[u].is_none());
+        if slots.is_empty() {
+            return;
+        }
+        self.freezes.fetch_add(slots.len(), Ordering::Relaxed);
+        let todo: Arc<Vec<WorkloadSpec>> =
+            Arc::new(slots.iter().map(|&u| self.specs[u].clone()).collect());
+        let (budget, parent) = (self.budget, parent.cloned());
+        let frozen = run_cells(todo.len(), threads, None, move |t| {
+            let trace = crate::trace_store::freeze(&todo[t], budget).map_err(|e| e.to_string())?;
+            match &parent {
+                Some(ctx) => ctx
+                    .write_handoff(&todo[t], budget, &trace)
+                    .map(Held::Handoff),
+                None => Ok(Held::Trace(trace)),
+            }
+        });
+        for (u, res) in slots.into_iter().zip(frozen) {
+            held[u] = Some(match res {
+                Ok(inner) => inner,
+                Err(CellError::Panicked(msg)) => Err(msg),
+                Err(e) => Err(e.to_string()),
+            });
+        }
+    }
+
+    /// Spec `a`'s frozen trace or handoff path, or why its freeze
+    /// failed.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `a` was never frozen.
+    fn held(&self, a: usize) -> Result<Held, String> {
+        self.held.lock().expect("trace set lock")[self.slot_of[a]]
+            .clone()
+            .expect("spec frozen before use")
+    }
+}
+
+impl Drop for TraceSet {
+    fn drop(&mut self) {
+        let held = self.held.get_mut().unwrap_or_else(|e| e.into_inner());
+        for path in held.iter().filter_map(|h| match h {
+            Some(Ok(Held::Handoff(path))) => Some(path),
+            _ => None,
+        }) {
+            let _ = std::fs::remove_file(path);
+        }
+    }
 }
 
 /// Freezes or dies: callers without a per-cell failure path (the
@@ -645,17 +760,6 @@ pub(crate) fn injected_cell_failure(c: usize, a: usize) {
     }
 }
 
-/// Where a batch's frozen traces come from.
-#[derive(Clone, Copy)]
-pub(crate) enum Traces<'a> {
-    /// Freeze these specs at this budget for the batch: all of them
-    /// at once, or only the target's in a `--run-cell` child.
-    Freeze(&'a [WorkloadSpec], u64),
-    /// Frozen once by the caller and shared across batches (the DSE
-    /// ladder's full-budget traces).
-    Frozen(&'a [Arc<PackedTrace>]),
-}
-
 /// One batch of cells for [`execute`], with the run settings it
 /// executes under.
 pub(crate) struct Batch<'a> {
@@ -668,9 +772,9 @@ pub(crate) struct Batch<'a> {
     pub labels: &'a [String],
     /// The DSE rung the cells journal under; `None` for grid cells.
     pub rung: Option<u32>,
-    /// The traces indexed by each cell's spec.
-    pub traces: Traces<'a>,
-    /// Worker threads.
+    /// The run's traces, indexed by each cell's spec.
+    pub traces: &'a TraceSet,
+    /// Worker threads, for freezing and for cells.
     pub threads: usize,
     /// Replay finished cells from, and journal new ones into, here.
     pub store: Option<&'a Arc<ResultStore>>,
@@ -696,11 +800,14 @@ pub(crate) struct Executed {
 /// The one cell executor behind figure grids and the DSE ladder.
 ///
 /// In order: a `--run-cell` child whose target key is in this batch
-/// freezes only that cell's spec, runs it, journals it into its
-/// private attempt store and exits ([`crate::supervise::run_child_cell`]);
-/// otherwise the batch's specs are frozen, store hits replay, and the
-/// rest run either one child process per cell under a hard deadline
-/// ([`crate::supervise::run_one`], as a supervised parent) or on the
+/// decodes its parent's handoff trace (or freezes the cell's spec when
+/// it got none), runs the cell, journals it into its private attempt
+/// store and exits ([`crate::supervise::run_child_cell`]); otherwise
+/// store hits replay, the specs of the cells left to compute freeze
+/// (each at most once per [`TraceSet`], on the batch's threads), and
+/// those cells run either one child process per cell under a hard
+/// deadline ([`crate::supervise::run_one`], as a supervised parent,
+/// which hands each child its spec's trace file) or on the
 /// [`run_cells`] pool under the soft watchdog, each finished cell
 /// journaled as it completes. A child recomputing a batch that does
 /// not hold its target (a figure's earlier grid, an earlier rung)
@@ -712,8 +819,9 @@ where
 {
     use crate::supervise::Role;
     let n = batch.cells.len();
+    let traces = batch.traces;
     let (parent, child) = match batch.supervise {
-        Some(Role::Parent(ctx)) => (Some(Arc::clone(ctx)), None),
+        Some(Role::Parent(ctx)) => (Some(ctx), None),
         Some(Role::Child(target)) => (None, Some(target)),
         None => (None, None),
     };
@@ -726,31 +834,41 @@ where
     if let Some(target) = child {
         if let Some(i) = batch.keys.iter().position(|k| *k == target.key) {
             let cell = batch.cells[i];
-            crate::supervise::run_child_cell(target, batch.rung, || match batch.traces {
-                Traces::Freeze(specs, instructions) => {
-                    run_cell(cell, &must_freeze(&specs[cell.1], instructions), true)
-                }
-                Traces::Frozen(traces) => run_cell(cell, &traces[cell.1], true),
+            let spec = traces.spec(cell.1);
+            crate::supervise::run_child_cell(target, batch.rung, || {
+                let trace = match &target.trace {
+                    Some(path) => {
+                        crate::trace_store::load_container(path, spec, traces.budget).trace
+                    }
+                    None => must_freeze(spec, traces.budget),
+                };
+                run_cell(cell, &trace, true)
             });
         }
     }
-    let frozen = match batch.traces {
-        Traces::Freeze(specs, instructions) => try_freeze_specs(specs, instructions),
-        Traces::Frozen(traces) => traces.iter().map(|t| Ok(Arc::clone(t))).collect(),
-    };
     let mut slots: Vec<Option<Result<SimReport, CellError>>> = vec![None; n];
     let mut replayed = 0u64;
     for (i, slot) in slots.iter_mut().enumerate() {
         if let Some(report) = batch.store.and_then(|s| s.get(&batch.keys[i])) {
             *slot = Some(Ok(report));
             replayed += 1;
-        } else if let Err(e) = &frozen[batch.cells[i].1] {
-            *slot = Some(Err(CellError::Freeze(e.clone())));
         }
     }
-    let todo: Vec<usize> = (0..n).filter(|&i| slots[i].is_none()).collect();
+    let pending: Vec<usize> = (0..n).filter(|&i| slots[i].is_none()).collect();
+    traces.freeze(
+        pending.iter().map(|&i| batch.cells[i].1),
+        batch.threads,
+        parent,
+    );
+    let mut todo: Vec<(usize, Held)> = Vec::with_capacity(pending.len());
+    for i in pending {
+        match traces.held(batch.cells[i].1) {
+            Ok(held) => todo.push((i, held)),
+            Err(e) => slots[i] = Some(Err(CellError::Freeze(e))),
+        }
+    }
     let computed = todo.len() as u64;
-    let crash_dir = parent.as_ref().map(|ctx| ctx.crash_dir.clone());
+    let crash_dir = parent.map(|ctx| ctx.crash_dir.clone());
     if !todo.is_empty() {
         let store = batch.store.filter(|_| child.is_none()).cloned();
         let rung = batch.rung;
@@ -766,16 +884,23 @@ where
         };
         let threads = batch.threads.clamp(1, todo.len());
         let keys: Arc<Vec<String>> = Arc::new(batch.keys.to_vec());
-        let todo_arc = Arc::new(todo.clone());
+        let order: Vec<usize> = todo.iter().map(|&(i, _)| i).collect();
+        let todo = Arc::new(todo);
         let results: Vec<Result<SimReport, CellError>> = if let Some(ctx) = parent {
             // The parent only journals what each child reported, so the
             // journal stays byte-identical to the in-process path.
+            let ctx = Arc::clone(ctx);
             let labels: Vec<String> = batch.labels.to_vec();
             let timeout = batch.cell_timeout;
             run_cells(todo.len(), threads, None, move |t| {
-                let i = todo_arc[t];
-                let report = crate::supervise::run_one(&ctx, &keys[i], &labels[i], timeout)?;
-                journal(&keys[i], &report);
+                let (i, held) = &todo[t];
+                let handoff = match held {
+                    Held::Handoff(path) => Some(path.as_path()),
+                    Held::Trace(_) => None,
+                };
+                let report =
+                    crate::supervise::run_one(&ctx, &keys[*i], &labels[*i], handoff, timeout)?;
+                journal(&keys[*i], &report);
                 Ok(report)
             })
             .into_iter()
@@ -783,20 +908,15 @@ where
             .collect()
         } else {
             let cells = batch.cells.to_vec();
-            let traces: Vec<Option<Arc<PackedTrace>>> =
-                frozen.into_iter().map(Result::ok).collect();
             let inject = child.is_none();
             run_cells(todo.len(), threads, batch.cell_timeout, move |t| {
-                let i = todo_arc[t];
-                let trace = traces[cells[i].1]
-                    .as_ref()
-                    .expect("cell scheduled only for frozen spec");
-                let report = run_cell(cells[i], trace, inject);
-                journal(&keys[i], &report);
+                let (i, held) = &todo[t];
+                let report = run_cell(cells[*i], held.trace(), inject);
+                journal(&keys[*i], &report);
                 report
             })
         };
-        for (i, res) in todo.into_iter().zip(results) {
+        for (i, res) in order.into_iter().zip(results) {
             slots[i] = Some(res);
         }
     }
@@ -972,13 +1092,14 @@ impl Runner {
             });
         }
         let configs_arc: Arc<Vec<SimConfig>> = Arc::new(configs.to_vec());
+        let traces = TraceSet::new(specs, self.instructions);
         let run = execute(
             Batch {
                 cells: &cells,
                 keys: &keys,
                 labels: &labels,
                 rung: None,
-                traces: Traces::Freeze(specs, self.instructions),
+                traces: &traces,
                 threads,
                 store: self.store.as_ref(),
                 supervise: self.supervise.as_ref(),
@@ -1449,6 +1570,133 @@ mod tests {
             "equal specs share one frozen arena"
         );
         assert!(!Arc::ptr_eq(&traces[0], &traces[1]));
+    }
+
+    /// One in-process grid batch over `set` through [`execute`]:
+    /// `configs x specs` cells keyed like [`Runner::try_run_grid`]
+    /// (rung-qualified when `rung` is set, like the DSE ladder), each
+    /// simulated over the first `prefix` instructions of its trace.
+    fn run_batch(
+        set: &TraceSet,
+        configs: &[SimConfig],
+        store: Option<&Arc<ResultStore>>,
+        rung: Option<u32>,
+        prefix: u64,
+    ) -> Executed {
+        let n_spec = set.slot_of.len();
+        let cells: Vec<(usize, usize)> = (0..configs.len() * n_spec)
+            .map(|i| (i / n_spec, i % n_spec))
+            .collect();
+        let keys: Vec<String> = cells
+            .iter()
+            .map(|&(c, a)| {
+                let key = cell_key(set.spec(a), set.budget, &configs[c]);
+                match rung {
+                    Some(r) => format!("{key}-r{r}"),
+                    None => key,
+                }
+            })
+            .collect();
+        let labels = keys.clone();
+        let configs = Arc::new(configs.to_vec());
+        execute(
+            Batch {
+                cells: &cells,
+                keys: &keys,
+                labels: &labels,
+                rung,
+                traces: set,
+                threads: 2,
+                store,
+                supervise: None,
+                cell_timeout: None,
+            },
+            move |c, trace| Simulator::run(&configs[c], &acic_trace::Truncated::new(trace, prefix)),
+        )
+    }
+
+    fn two_configs() -> Vec<SimConfig> {
+        vec![
+            SimConfig::default(),
+            SimConfig::default().with_org(IcacheOrg::Srrip),
+        ]
+    }
+
+    fn three_specs() -> Vec<WorkloadSpec> {
+        vec![
+            WorkloadSpec::Single(AppProfile::sibench()),
+            WorkloadSpec::Single(AppProfile::x264()),
+            WorkloadSpec::Single(AppProfile::web_search()),
+        ]
+    }
+
+    fn fresh_store(tag: &str) -> (std::path::PathBuf, Arc<ResultStore>) {
+        let dir = std::env::temp_dir().join(format!("acic-runner-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Arc::new(ResultStore::open(&dir).unwrap());
+        (dir, store)
+    }
+
+    #[test]
+    fn a_fully_replayed_batch_freezes_no_spec() {
+        let (dir, store) = fresh_store("allhit");
+        let (configs, specs) = (two_configs(), three_specs());
+        let first = TraceSet::new(&specs, 2_000);
+        let cold = run_batch(&first, &configs, Some(&store), None, 2_000);
+        assert_eq!((cold.replayed, cold.computed), (0, 6));
+        assert_eq!(first.freezes(), 3);
+        let second = TraceSet::new(&specs, 2_000);
+        let warm = run_batch(&second, &configs, Some(&store), None, 2_000);
+        assert_eq!((warm.replayed, warm.computed), (6, 0));
+        assert_eq!(second.freezes(), 0, "every key replayed: nothing to freeze");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_half_replayed_batch_freezes_only_the_todo_specs() {
+        let (dir, store) = fresh_store("halfhit");
+        let (configs, specs) = (two_configs(), three_specs());
+        // Journal every cell over the first spec and the LRU cell over
+        // the second: only the second and third specs have cells left.
+        run_batch(
+            &TraceSet::new(&specs[..2], 2_000),
+            &configs[..1],
+            Some(&store),
+            None,
+            2_000,
+        );
+        run_batch(
+            &TraceSet::new(&specs[..1], 2_000),
+            &configs,
+            Some(&store),
+            None,
+            2_000,
+        );
+        let set = TraceSet::new(&specs, 2_000);
+        let run = run_batch(&set, &configs, Some(&store), None, 2_000);
+        assert_eq!((run.replayed, run.computed), (3, 3));
+        assert_eq!(
+            set.freezes(),
+            2,
+            "the fully replayed first spec never froze"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_ladder_trace_set_freezes_each_spec_once_across_rungs() {
+        // Three rungs of growing prefixes over one full-budget set, as
+        // `dse::run_dse` climbs its ladder: each distinct spec (the
+        // repeated one included) freezes once, on the first rung.
+        let mut specs = three_specs();
+        specs.push(specs[0].clone());
+        let set = TraceSet::new(&specs, 4_000);
+        for (r, prefix) in [1_000u64, 2_000, 4_000].into_iter().enumerate() {
+            let run = run_batch(&set, &two_configs(), None, Some(r as u32), prefix);
+            assert_eq!(run.computed, 8);
+            assert!(run.slots.iter().all(Result::is_ok));
+            assert_eq!(set.freezes(), 3, "after rung {r}");
+        }
     }
 
     /// The acceptance pin: a frozen, spec-deduplicated grid is

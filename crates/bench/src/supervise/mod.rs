@@ -10,7 +10,21 @@
 //! `--run-cell-out <dir>` flags, locates its one cell by journal key,
 //! simulates it, and reports the result through a private
 //! `acic-results/v2` store that the parent re-reads after the child
-//! exits. That buys:
+//! exits.
+//!
+//! The child does not regenerate its workload: the parent freezes
+//! each spec it has cells to compute over once, writes it as a
+//! `.acictrace` handoff file in its scratch dir
+//! (`<crash-dir>/.attempts/<store-key>-<checksum>.acictrace`, atomic
+//! write) and drops the trace, keeping only the path, which every
+//! child of that spec gets as the hidden `--run-cell-trace <path>`.
+//! The child decodes it through the one validated container loader
+//! (`trace_store::load_container`), which regenerates the trace with
+//! a stderr note when the file is missing, torn, corrupt or at the
+//! wrong budget — so a bad handoff costs time, never a result. A
+//! handoff file lives exactly as long as the run's trace set: one
+//! figure grid, or the whole DSE ladder; dropping the set deletes it.
+//! That buys:
 //!
 //! * **Hard timeouts** — a stalled child is SIGKILLed at the
 //!   `ACIC_CELL_TIMEOUT_SECS` deadline; nothing leaks.
@@ -56,8 +70,9 @@ use std::time::{Duration, Instant};
 const STDERR_TAIL_BYTES: usize = 8 * 1024;
 
 /// How often the parent polls a running child between hard-deadline
-/// checks.
-const CHILD_POLL: Duration = Duration::from_millis(15);
+/// checks: short next to a child's life (a 1M-instruction cell lives
+/// about 0.2 s), so a finished child is reaped within a millisecond.
+const CHILD_POLL: Duration = Duration::from_millis(1);
 
 /// The supervised parent's execution context: how to re-exec
 /// ourselves for one cell and where crash artifacts go.
@@ -70,7 +85,8 @@ pub struct SuperviseCtx {
     args: Vec<String>,
     /// Where crash reports for failed/retried cells are written.
     pub crash_dir: PathBuf,
-    /// Scratch space for per-attempt child journals.
+    /// Scratch space for per-attempt child journals and the handoff
+    /// traces children decode.
     work_dir: PathBuf,
     /// The retry/backoff schedule.
     pub policy: RetryPolicy,
@@ -83,6 +99,10 @@ pub struct ChildTarget {
     pub key: String,
     /// The private store directory the child must report through.
     pub out_dir: PathBuf,
+    /// The parent's handoff trace for the cell's spec
+    /// (`--run-cell-trace`): decoded instead of regenerated, and
+    /// regenerated anyway when missing or invalid.
+    pub trace: Option<PathBuf>,
 }
 
 /// This process's part in process supervision: the value the
@@ -128,6 +148,28 @@ impl SuperviseCtx {
             policy: RetryPolicy::from_env(),
         })
     }
+
+    /// Writes `trace`, frozen from `spec` at `budget`, as the handoff
+    /// file its cells' children decode, and returns the path. The
+    /// name joins `spec.store_key(budget)` and the container checksum,
+    /// so it identifies the content; the write is atomic, so a child
+    /// never sees a torn file.
+    pub(crate) fn write_handoff(
+        &self,
+        spec: &acic_workloads::WorkloadSpec,
+        budget: u64,
+        trace: &acic_trace::PackedTrace,
+    ) -> Result<PathBuf, String> {
+        let bytes = trace.to_bytes();
+        let sum = acic_trace::PackedTrace::container_checksum(&bytes)
+            .expect("a serialized container holds its checksum");
+        let path = self
+            .work_dir
+            .join(format!("{}-{sum:016x}.acictrace", spec.store_key(budget)));
+        crate::fault::write_atomic(&path, &bytes)
+            .map_err(|e| format!("cannot write handoff trace {}: {e}", path.display()))?;
+        Ok(path)
+    }
 }
 
 /// Strips supervision flags from an argv so the child does not
@@ -138,7 +180,7 @@ pub fn child_args(argv: &[String]) -> Vec<String> {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--supervise" => {}
-            "--crash-reports" | "--run-cell" | "--run-cell-out" => {
+            "--crash-reports" | "--run-cell" | "--run-cell-out" | "--run-cell-trace" => {
                 let _ = it.next();
             }
             _ => out.push(a.clone()),
@@ -169,14 +211,16 @@ struct AttemptRecord {
 }
 
 /// Runs one cell to completion under process supervision: spawn a
-/// `--run-cell` child, enforce the hard timeout, classify any death,
-/// and retry per the policy. Returns the child's journaled report on
-/// success; writes a crash report and returns
+/// `--run-cell` child (handing it `trace`, the cell's handoff file,
+/// as `--run-cell-trace`), enforce the hard timeout, classify any
+/// death, and retry per the policy. Returns the child's journaled
+/// report on success; writes a crash report and returns
 /// [`CellError::ChildFailed`] when the attempt budget is spent.
 pub fn run_one(
     ctx: &SuperviseCtx,
     key: &str,
     label: &str,
+    trace: Option<&Path>,
     timeout: Option<Duration>,
 ) -> Result<SimReport, CellError> {
     let mut history: Vec<AttemptRecord> = Vec::new();
@@ -186,7 +230,8 @@ pub fn run_one(
             .work_dir
             .join(format!("{}-a{attempt}", sanitize_key(key)));
         let _ = std::fs::remove_dir_all(&out_dir);
-        let (outcome, stderr_tail) = spawn_and_wait(ctx, key, &out_dir, attempt - 1, timeout);
+        let (outcome, stderr_tail) =
+            spawn_and_wait(ctx, key, &out_dir, trace, attempt - 1, timeout);
         let report = if outcome == ChildOutcome::Exited(0) {
             ResultStore::open(&out_dir).ok().and_then(|s| s.get(key))
         } else {
@@ -245,6 +290,7 @@ fn spawn_and_wait(
     ctx: &SuperviseCtx,
     key: &str,
     out_dir: &Path,
+    trace: Option<&Path>,
     attempt_idx: u32,
     timeout: Option<Duration>,
 ) -> (ChildOutcome, String) {
@@ -256,8 +302,11 @@ fn spawn_and_wait(
         .arg("--run-cell")
         .arg(key)
         .arg("--run-cell-out")
-        .arg(out_dir)
-        .env("ACIC_SUPERVISE_ATTEMPT", attempt_idx.to_string())
+        .arg(out_dir);
+    if let Some(path) = trace {
+        cmd.arg("--run-cell-trace").arg(path);
+    }
+    cmd.env("ACIC_SUPERVISE_ATTEMPT", attempt_idx.to_string())
         .stdin(Stdio::null())
         .stdout(Stdio::null())
         .stderr(Stdio::piped());
@@ -450,6 +499,8 @@ mod tests {
             "k",
             "--run-cell-out",
             "d",
+            "--run-cell-trace",
+            "t.acictrace",
         ]));
         assert_eq!(got, argv(&["--only", "fig7_ipc", "--results", "rs"]));
     }

@@ -1,8 +1,9 @@
 //! On-disk record/replay store for frozen workload traces.
 //!
-//! `experiments --record-traces <dir>` freezes every workload spec the
-//! selected figures touch and writes each one as a `.acictrace`
-//! container named by [`WorkloadSpec::store_key`];
+//! `experiments --record-traces <dir>` writes every workload spec the
+//! run freezes as a `.acictrace` container named by
+//! [`WorkloadSpec::store_key`] (cells replayed from `--results` freeze
+//! nothing, so they record nothing);
 //! `experiments --traces <dir>` replays those containers instead of
 //! re-running the Markov walker — which also makes *externally*
 //! recorded traces a first-class scenario: any valid container dropped
@@ -23,7 +24,10 @@
 //! wrong-budget file falls back to regeneration with a loud note on
 //! stderr — safe because the generator is ground truth and packed
 //! replay is bit-identical to it, so a fallback changes wall-clock
-//! only, never results. Recording routes every container write
+//! only, never results. One loader, [`load_container`], implements
+//! that for every container read: `--traces` replay and a supervised
+//! child decoding the trace its parent handed it
+//! (`crate::supervise`). Recording routes every container write
 //! through [`crate::fault::write_atomic`] (sibling tmp + fsync +
 //! rename), so a killed `--record-traces` run never leaves a torn
 //! `.acictrace` at a final path.
@@ -197,54 +201,67 @@ pub fn freeze_with(
                 provenance: Provenance::Recorded,
             })
         }
-        TraceStoreMode::Replay(dir) => {
-            let path = container_path(dir, spec, instructions);
-            let regenerate = |why: &str, provenance: Provenance| {
-                eprintln!(
-                    "[traces: {why} for '{}' ({}), regenerating]",
-                    spec.label(),
-                    path.display()
-                );
-                Ok(Frozen {
-                    trace: Arc::new(spec.materialize(instructions)),
-                    provenance,
-                })
-            };
-            if !path.exists() {
-                return regenerate("no container", Provenance::RegeneratedMissing);
-            }
-            let bytes = match crate::fault::read(&path) {
-                Ok(b) => b,
-                Err(e) => {
-                    return regenerate(
-                        &format!("unreadable container ({e})"),
-                        Provenance::RegeneratedCorrupt,
-                    )
-                }
-            };
-            let trace = match PackedTrace::from_bytes(&bytes) {
-                Ok(t) => t,
-                Err(e) => {
-                    return regenerate(
-                        &format!("invalid container ({e})"),
-                        Provenance::RegeneratedCorrupt,
-                    )
-                }
-            };
-            if trace.len() != instructions {
-                return regenerate(
-                    &format!(
-                        "budget mismatch ({} recorded vs {instructions} requested)",
-                        trace.len()
-                    ),
-                    Provenance::RegeneratedBudget,
-                );
-            }
-            Ok(Frozen {
-                trace: Arc::new(trace),
-                provenance: Provenance::Replayed,
-            })
+        TraceStoreMode::Replay(dir) => Ok(load_container(
+            &container_path(dir, spec, instructions),
+            spec,
+            instructions,
+        )),
+    }
+}
+
+/// The one container loader, shared by `--traces` replay and a
+/// `--run-cell` child decoding its parent's handoff file: decodes the
+/// `.acictrace` at `path` and checks its checksum and its budget
+/// against `instructions`. A missing, unreadable, corrupt or
+/// wrong-budget file is regenerated from `spec` with a note on stderr
+/// and the matching [`Provenance`] — never an error, because the
+/// generator is ground truth and regeneration is bit-identical to a
+/// healthy decode.
+pub fn load_container(path: &Path, spec: &WorkloadSpec, instructions: u64) -> Frozen {
+    let regenerate = |why: &str, provenance: Provenance| {
+        eprintln!(
+            "[traces: {why} for '{}' ({}), regenerating]",
+            spec.label(),
+            path.display()
+        );
+        Frozen {
+            trace: Arc::new(spec.materialize(instructions)),
+            provenance,
         }
+    };
+    if !path.exists() {
+        return regenerate("no container", Provenance::RegeneratedMissing);
+    }
+    let bytes = match crate::fault::read(path) {
+        Ok(b) => b,
+        Err(e) => {
+            return regenerate(
+                &format!("unreadable container ({e})"),
+                Provenance::RegeneratedCorrupt,
+            )
+        }
+    };
+    let trace = match PackedTrace::from_bytes(&bytes) {
+        Ok(t) => t,
+        Err(e) => {
+            return regenerate(
+                &format!("invalid container ({e})"),
+                Provenance::RegeneratedCorrupt,
+            )
+        }
+    };
+    if trace.len() != instructions {
+        return regenerate(
+            &format!(
+                "budget mismatch ({} recorded vs {instructions} requested)",
+                trace.len()
+            ),
+            Provenance::RegeneratedBudget,
+        );
+    }
+    Frozen {
+        trace: Arc::new(trace),
+        provenance: Provenance::Replayed,
     }
 }
 

@@ -119,7 +119,109 @@ fn healthy_supervised_run_is_bit_identical_to_in_process() {
         })
         .unwrap_or(0);
     assert_eq!(stray, 0, "a healthy run must leave no crash reports");
+    let handoffs = files_under(&sup_cr)
+        .into_iter()
+        .filter(|p| p.extension().is_some_and(|x| x == "acictrace"))
+        .collect::<Vec<_>>();
+    assert!(
+        handoffs.is_empty(),
+        "no handoff trace may outlive the run: {handoffs:?}"
+    );
 
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Every file under `dir`, recursively.
+fn files_under(dir: &Path) -> Vec<PathBuf> {
+    let mut out = Vec::new();
+    for entry in std::fs::read_dir(dir).into_iter().flatten().flatten() {
+        let path = entry.path();
+        if path.is_dir() {
+            out.extend(files_under(&path));
+        } else {
+            out.push(path);
+        }
+    }
+    out
+}
+
+#[test]
+fn a_child_with_a_bad_handoff_trace_regenerates_and_journals_the_same_report() {
+    use acic_bench::result_store::{cell_key, ResultStore};
+    use acic_bench::trace_store::{freeze_with, TraceStoreMode};
+    use acic_sim::SimConfig;
+    use acic_workloads::{AppProfile, WorkloadSpec};
+
+    let dir = scratch("handoff");
+    let budget: u64 = BUDGET.parse().unwrap();
+    let spec = WorkloadSpec::Single(AppProfile::web_search());
+    let key = cell_key(&spec, budget, &SimConfig::default());
+
+    // Containers as a parent would hand them over: one at the cell's
+    // budget, and one at the wrong budget.
+    let record = |n: u64| {
+        let rec = dir.join(format!("rec-{n}"));
+        freeze_with(&TraceStoreMode::Record(rec.clone()), &spec, n).unwrap();
+        std::fs::read(rec.join(format!("{}.acictrace", spec.store_key(n)))).unwrap()
+    };
+    let healthy = record(budget);
+    let mut flipped = healthy.clone();
+    let mid = flipped.len() / 2;
+    flipped[mid] ^= 0x10;
+    let cases: [(&str, Option<Vec<u8>>); 5] = [
+        ("healthy", Some(healthy.clone())),
+        ("missing", None),
+        ("truncated", Some(healthy[..healthy.len() / 2].to_vec())),
+        ("bit-flipped", Some(flipped)),
+        ("wrong-budget", Some(record(budget - 1))),
+    ];
+
+    let out = experiments()
+        .args([
+            "--only",
+            FIGURE,
+            "--results",
+            dir.join("ref").to_str().unwrap(),
+        ])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    let want = ResultStore::open(&dir.join("ref"))
+        .unwrap()
+        .get(&key)
+        .expect("the reference run journaled the cell");
+
+    for (case, bytes) in cases {
+        let trace = dir.join(format!("{case}.acictrace"));
+        if let Some(bytes) = &bytes {
+            std::fs::write(&trace, bytes).unwrap();
+        }
+        let out_dir = dir.join(format!("out-{case}"));
+        let out = experiments()
+            .args(["--only", FIGURE, "--run-cell", &key])
+            .arg("--run-cell-out")
+            .arg(&out_dir)
+            .arg("--run-cell-trace")
+            .arg(&trace)
+            .output()
+            .unwrap();
+        let se = stderr(&out);
+        assert_eq!(out.status.code(), Some(0), "{case}: stderr: {se}");
+        let got = ResultStore::open(&out_dir)
+            .unwrap()
+            .get(&key)
+            .unwrap_or_else(|| panic!("{case}: the child journaled no report"));
+        assert_eq!(
+            format!("{got:?}"),
+            format!("{want:?}"),
+            "{case}: the child's report must match the in-process run"
+        );
+        assert_eq!(
+            se.contains("regenerating"),
+            case != "healthy",
+            "{case}: a bad handoff is named on stderr, a good one is not: {se}"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

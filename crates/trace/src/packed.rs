@@ -647,6 +647,11 @@ fn index_section(index: &[IndexEntry]) -> Vec<u8> {
     out
 }
 
+/// Byte offset of the checksum field: magic, version, stride,
+/// instruction count, payload length, index count and name length
+/// precede it.
+const CHECKSUM_AT: usize = 8 + 4 + 4 + 8 + 8 + 8 + 4;
+
 fn take<'a>(
     bytes: &'a [u8],
     pos: &mut usize,
@@ -702,6 +707,15 @@ impl PackedTrace {
         out.extend_from_slice(&self.bytes);
         out.extend_from_slice(&index);
         out
+    }
+
+    /// The checksum field a container produced by
+    /// [`PackedTrace::to_bytes`] stores in its header, read without
+    /// validating anything else; `None` when `bytes` is too short to
+    /// hold it. Equal traces serialize to equal checksums, so it can
+    /// name a container file by its content.
+    pub fn container_checksum(bytes: &[u8]) -> Option<u64> {
+        bytes.get(CHECKSUM_AT..CHECKSUM_AT + 8).map(le_u64)
     }
 
     /// Parses a container produced by [`PackedTrace::to_bytes`].
@@ -1182,6 +1196,24 @@ mod tests {
             PackedTrace::from_bytes(&bad),
             Err(TraceFileError::Format(m)) if m.contains("trailing")
         ));
+    }
+
+    #[test]
+    fn container_checksum_is_the_validated_header_field() {
+        let good = PackedTrace::from_instrs("sum", mixed_instrs(2_000, 17, 5)).to_bytes();
+        let sum = PackedTrace::container_checksum(&good).expect("full header");
+        // A flipped payload byte is reported against the stored sum.
+        let mut bad = good.clone();
+        let last = bad.len() - 1;
+        bad[last] ^= 0x01;
+        assert!(matches!(
+            PackedTrace::from_bytes(&bad),
+            Err(TraceFileError::Format(m)) if m.contains(&format!("stored {sum:#018x}"))
+        ));
+        assert_eq!(
+            PackedTrace::container_checksum(&good[..CHECKSUM_AT + 7]),
+            None
+        );
     }
 
     /// Recomputes a (possibly tampered) container's checksum field so
