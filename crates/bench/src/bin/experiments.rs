@@ -558,7 +558,7 @@ fn main() {
             }
         }
     } else {
-        // Legacy positional substring filter (empty = everything).
+        // Positional substring filter (empty = everything).
         all.into_iter()
             .filter(|(name, _)| cli.filter.is_empty() || name.contains(&cli.filter))
             .collect()

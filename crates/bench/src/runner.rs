@@ -664,13 +664,6 @@ pub fn run_spec(cfg: &SimConfig, spec: &WorkloadSpec, instructions: u64) -> SimR
     Simulator::run(cfg, trace.as_ref())
 }
 
-/// Runs one spec under `cfg` straight off the generator — the
-/// pre-freeze path, kept as the reference the bit-identity tests pin
-/// packed replay against.
-pub fn run_spec_generated(cfg: &SimConfig, spec: &WorkloadSpec, instructions: u64) -> SimReport {
-    Simulator::run(cfg, &spec.generator(instructions))
-}
-
 /// Runs one (configuration, application) pair over the app's frozen
 /// trace.
 pub fn run_config(cfg: &SimConfig, profile: &AppProfile, instructions: u64) -> SimReport {
@@ -1697,6 +1690,13 @@ mod tests {
             assert!(run.slots.iter().all(Result::is_ok));
             assert_eq!(set.freezes(), 3, "after rung {r}");
         }
+    }
+
+    /// Runs one spec under `cfg` straight off the generator — the
+    /// pre-freeze path, kept as the reference packed replay is pinned
+    /// against.
+    fn run_spec_generated(cfg: &SimConfig, spec: &WorkloadSpec, instructions: u64) -> SimReport {
+        Simulator::run(cfg, &spec.generator(instructions))
     }
 
     /// The acceptance pin: a frozen, spec-deduplicated grid is

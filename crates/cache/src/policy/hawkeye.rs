@@ -22,17 +22,16 @@
 //! sampled sets sit in a dense `Vec` indexed by `set / stride`, the
 //! occupancy vector is a fixed ring, and last-access times live in a
 //! small open-addressed table ([`BlockTimeMap`]) with exact-key
-//! semantics — behaviorally identical to the map it replaces (pinned
-//! by proptest in `tests/hot_structs_equivalence.rs` against
-//! [`LegacySampledSet`]).
+//! semantics — behaviorally identical to the map it replaces. The
+//! map/deque sampler survives only as a test oracle in this module's
+//! `tests`, where equivalence proptests pin the sampler and
+//! [`BlockTimeMap`] to their map-backed references.
 
 use crate::ctx::AccessCtx;
 use crate::geometry::CacheGeometry;
 use crate::policy::ReplacementPolicy;
 use acic_types::hash::{fold, mix64};
 use acic_types::{SatCounter, TaggedBlock};
-use std::collections::HashMap;
-use std::collections::VecDeque;
 
 /// Occupancy-vector window length (Table IV: 64 entries).
 const WINDOW: usize = 64;
@@ -255,50 +254,6 @@ impl SampledSet {
     }
 }
 
-/// The original map/deque-backed sampled set, retained as the
-/// behavioral reference for [`SampledSet`] (equivalence-pinned by
-/// proptest).
-#[derive(Debug, Default)]
-pub struct LegacySampledSet {
-    occupancy: VecDeque<u8>,
-    time: u64,
-    last: HashMap<TaggedBlock, (u64, u16)>,
-}
-
-impl LegacySampledSet {
-    /// Runs one OPTgen access (same contract as
-    /// [`SampledSet::optgen_step`]).
-    pub fn optgen_step(&mut self, block: TaggedBlock, sig: u16, ways: u8) -> Option<(u16, bool)> {
-        let now = self.time;
-        self.time += 1;
-
-        let mut train: Option<(u16, bool)> = None;
-        if let Some(&(t_prev, prev_sig)) = self.last.get(&block) {
-            let window_start = now.saturating_sub(self.occupancy.len() as u64);
-            if t_prev >= window_start {
-                let start = (t_prev - window_start) as usize;
-                let fits = self.occupancy.iter().skip(start).all(|&o| o < ways);
-                if fits {
-                    for o in self.occupancy.iter_mut().skip(start) {
-                        *o += 1;
-                    }
-                }
-                train = Some((prev_sig, fits));
-            }
-        }
-        self.last.insert(block, (now, sig));
-        self.occupancy.push_back(0);
-        if self.occupancy.len() > WINDOW {
-            self.occupancy.pop_front();
-            if self.last.len() > 4 * WINDOW {
-                let cutoff = now.saturating_sub(WINDOW as u64);
-                self.last.retain(|_, &mut (t, _)| t >= cutoff);
-            }
-        }
-        train
-    }
-}
-
 /// Per-line replacement metadata.
 #[derive(Clone, Copy, Debug, Default)]
 struct LineMeta {
@@ -468,7 +423,9 @@ impl ReplacementPolicy for HawkeyePolicy {
 mod tests {
     use super::*;
     use crate::cache::SetAssocCache;
-    use acic_types::BlockAddr;
+    use acic_types::{Asid, BlockAddr};
+    use proptest::prelude::*;
+    use std::collections::{HashMap, VecDeque};
 
     fn ctx(b: u64, i: u64) -> AccessCtx<'static> {
         AccessCtx::demand(BlockAddr::new(b), i)
@@ -575,5 +532,91 @@ mod tests {
         assert_eq!(m.len(), 5);
         assert_eq!(m.get(tb(9)), Some((9, 9)));
         assert_eq!(m.get(tb(1)), None);
+    }
+
+    /// The original map/deque-backed sampled set, retained as the
+    /// behavioral reference for [`SampledSet`] (equivalence-pinned by
+    /// `flat_hawkeye_sampler_matches_legacy`).
+    #[derive(Debug, Default)]
+    struct LegacySampledSet {
+        occupancy: VecDeque<u8>,
+        time: u64,
+        last: HashMap<TaggedBlock, (u64, u16)>,
+    }
+
+    impl LegacySampledSet {
+        /// Runs one OPTgen access (same contract as
+        /// [`SampledSet::optgen_step`]).
+        fn optgen_step(&mut self, block: TaggedBlock, sig: u16, ways: u8) -> Option<(u16, bool)> {
+            let now = self.time;
+            self.time += 1;
+
+            let mut train: Option<(u16, bool)> = None;
+            if let Some(&(t_prev, prev_sig)) = self.last.get(&block) {
+                let window_start = now.saturating_sub(self.occupancy.len() as u64);
+                if t_prev >= window_start {
+                    let start = (t_prev - window_start) as usize;
+                    let fits = self.occupancy.iter().skip(start).all(|&o| o < ways);
+                    if fits {
+                        for o in self.occupancy.iter_mut().skip(start) {
+                            *o += 1;
+                        }
+                    }
+                    train = Some((prev_sig, fits));
+                }
+            }
+            self.last.insert(block, (now, sig));
+            self.occupancy.push_back(0);
+            if self.occupancy.len() > WINDOW {
+                self.occupancy.pop_front();
+                if self.last.len() > 4 * WINDOW {
+                    let cutoff = now.saturating_sub(WINDOW as u64);
+                    self.last.retain(|_, &mut (t, _)| t >= cutoff);
+                }
+            }
+            train
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn flat_hawkeye_sampler_matches_legacy(
+            ways in 1u8..=8,
+            ops in proptest::collection::vec((0u64..96, 0u16..3, 0u16..512), 1..600),
+        ) {
+            let mut flat = SampledSet::default();
+            let mut legacy = LegacySampledSet::default();
+            for (i, &(block, asid, sig)) in ops.iter().enumerate() {
+                let b = BlockAddr::new(block).with_asid(Asid::new(asid));
+                prop_assert_eq!(
+                    flat.optgen_step(b, sig, ways),
+                    legacy.optgen_step(b, sig, ways),
+                    "optgen step {} diverged", i
+                );
+            }
+        }
+
+        #[test]
+        fn block_time_map_matches_hashmap(
+            ops in proptest::collection::vec((0u64..64, 0u64..1000, 0u16..512, any::<bool>()), 1..300),
+            cutoff in 0u64..1000,
+        ) {
+            let mut flat = BlockTimeMap::new();
+            let mut reference: HashMap<TaggedBlock, (u64, u16)> = HashMap::new();
+            for &(block, time, sig, trim) in &ops {
+                let b = TaggedBlock::untagged(BlockAddr::new(block));
+                flat.insert(b, time, sig);
+                reference.insert(b, (time, sig));
+                if trim {
+                    flat.trim(cutoff);
+                    reference.retain(|_, &mut (t, _)| t >= cutoff);
+                }
+                prop_assert_eq!(flat.len(), reference.len());
+                prop_assert_eq!(flat.get(b), reference.get(&b).copied());
+            }
+            for (&b, &v) in &reference {
+                prop_assert_eq!(flat.get(b), Some(v));
+            }
+        }
     }
 }

@@ -139,25 +139,6 @@ impl PolicyKind {
         }
     }
 
-    /// Builds the same policy behind a trait object.
-    ///
-    /// Kept for equivalence testing: the devirtualized enum dispatch
-    /// must behave bit-identically to boxed dispatch.
-    pub fn build_boxed(self, geom: CacheGeometry) -> Box<dyn ReplacementPolicy> {
-        match self {
-            PolicyKind::Lru => Box::new(lru::LruPolicy::new(geom)),
-            PolicyKind::Random { seed } => Box::new(random::RandomPolicy::new(geom, seed)),
-            PolicyKind::Srrip => Box::new(srrip::SrripPolicy::new(geom)),
-            PolicyKind::Ship => Box::new(ship::ShipPolicy::new(geom)),
-            PolicyKind::Hawkeye { prefetch_aware } => {
-                Box::new(hawkeye::HawkeyePolicy::new(geom, prefetch_aware))
-            }
-            PolicyKind::Ghrp => Box::new(ghrp::GhrpPolicy::new(geom)),
-            PolicyKind::Slru => Box::new(slru::SlruPolicy::new(geom)),
-            PolicyKind::Opt => Box::new(opt::OptPolicy::new(geom)),
-        }
-    }
-
     /// Report label matching the paper's figure legends.
     pub fn label(self) -> &'static str {
         match self {
@@ -184,8 +165,7 @@ impl PolicyKind {
 /// so the per-access policy hooks (`on_hit`, `on_fill`, `victim_way`,
 /// …) compile to a direct `match` over concrete types that the
 /// optimizer can inline into the tag-store loop — no vtable dispatch,
-/// no heap indirection. The [`AnyPolicy::Boxed`] variant preserves the
-/// old trait-object path for equivalence tests.
+/// no heap indirection.
 pub enum AnyPolicy {
     /// Least recently used.
     Lru(lru::LruPolicy),
@@ -203,8 +183,6 @@ pub enum AnyPolicy {
     Slru(slru::SlruPolicy),
     /// Belady OPT.
     Opt(opt::OptPolicy),
-    /// Legacy trait-object dispatch (reference/testing path).
-    Boxed(Box<dyn ReplacementPolicy>),
 }
 
 macro_rules! dispatch {
@@ -218,7 +196,6 @@ macro_rules! dispatch {
             AnyPolicy::Ghrp($p) => $e,
             AnyPolicy::Slru($p) => $e,
             AnyPolicy::Opt($p) => $e,
-            AnyPolicy::Boxed($p) => $e,
         }
     };
 }
@@ -300,12 +277,6 @@ impl_from_policy! {
     Ghrp => ghrp::GhrpPolicy,
     Slru => slru::SlruPolicy,
     Opt => opt::OptPolicy,
-}
-
-impl From<Box<dyn ReplacementPolicy>> for AnyPolicy {
-    fn from(p: Box<dyn ReplacementPolicy>) -> AnyPolicy {
-        AnyPolicy::Boxed(p)
-    }
 }
 
 #[cfg(test)]

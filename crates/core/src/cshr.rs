@@ -20,17 +20,16 @@
 //! branches once per *resolution*, not once per way. Results land in a
 //! caller-provided fixed [`ResolutionBuf`]
 //! ([`Cshr::search_into`]), so the steady-state probe performs no heap
-//! allocation. [`LegacyCshr`] retains the original array-of-structs
-//! implementation as the behavioral reference; the two are pinned
-//! against each other by an equivalence proptest
-//! (`tests/hot_structs_equivalence.rs`).
+//! allocation. The original array-of-structs implementation survives
+//! only as a test oracle in this module's `tests`, where an
+//! equivalence proptest pins the two together.
 //!
 //! [`UnboundedCshr`] is the instrumentation twin used to regenerate
 //! Figure 6 (how many concurrent comparisons a resolution needed). Its
 //! bookkeeping `HashMap`s exist only while Figure-6 instrumentation is
 //! explicitly enabled — default runs never construct it.
 
-use acic_types::{BlockAddr, LruStamps};
+use acic_types::BlockAddr;
 use std::collections::HashMap;
 
 /// A resolved (or force-resolved) comparison to train the predictor
@@ -241,7 +240,7 @@ impl Cshr {
 
     /// Least-recently-used way of `set` (lowest stamp, ties broken by
     /// lowest way index — untouched ways first, in order), matching
-    /// [`LruStamps::lru_way`].
+    /// [`acic_types::LruStamps::lru_way`].
     fn lru_way(&self, set: usize) -> usize {
         let base = set * self.ways;
         let mut best = 0usize;
@@ -293,7 +292,7 @@ impl Cshr {
     /// resolves matches into `out` (cleared first): a victim-field
     /// match trains `1`, contender matches train `0`; resolved entries
     /// are invalidated and reusable. Resolutions land in ascending way
-    /// order, matching [`LegacyCshr::search`].
+    /// order, matching the array-of-structs oracle in `tests`.
     #[inline]
     pub fn search_into(&mut self, fetched_ptag: u16, icache_set: usize, out: &mut ResolutionBuf) {
         out.clear();
@@ -327,7 +326,7 @@ impl Cshr {
             cmask |= (((lane >> 16) == probe) as u64) << w;
         }
         // A victim match wins over a contender match on the same entry
-        // (mirrors the legacy `if / else if`).
+        // (mirrors the array-of-structs oracle's `if / else if`).
         let vhits = vmask & live;
         let chits = cmask & live & !vmask;
         let mut hits = vhits | chits;
@@ -363,137 +362,6 @@ fn ways_mask(ways: usize) -> u64 {
         u64::MAX
     } else {
         (1u64 << ways) - 1
-    }
-}
-
-#[derive(Clone, Copy, Debug, Default)]
-struct LegacyEntry {
-    valid: bool,
-    victim: u16,
-    contender: u16,
-}
-
-/// The original array-of-structs CSHR, retained as the behavioral
-/// reference for the packed [`Cshr`]: one probe loop with a branch per
-/// way and a freshly allocated `Vec` per search. Benchmarks measure
-/// the layout win against it; the equivalence proptest pins the two
-/// implementations to identical observable behavior.
-#[derive(Debug)]
-pub struct LegacyCshr {
-    sets: usize,
-    ways: usize,
-    shift: u32,
-    entries: Vec<LegacyEntry>,
-    lru: Vec<LruStamps>,
-    stats: CshrStats,
-}
-
-impl LegacyCshr {
-    /// Creates the reference CSHR (same contract as [`Cshr::new`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless both set counts are powers of two and `ways` is
-    /// positive.
-    pub fn new(sets: usize, ways: usize, icache_sets: usize) -> Self {
-        assert!(sets.is_power_of_two() && icache_sets.is_power_of_two());
-        assert!(ways > 0);
-        let shift = icache_sets
-            .trailing_zeros()
-            .saturating_sub(sets.trailing_zeros());
-        LegacyCshr {
-            sets,
-            ways,
-            shift,
-            entries: vec![LegacyEntry::default(); sets * ways],
-            lru: (0..sets).map(|_| LruStamps::new(ways)).collect(),
-            stats: CshrStats::default(),
-        }
-    }
-
-    /// Number of valid entries.
-    pub fn occupancy(&self) -> usize {
-        self.entries.iter().filter(|e| e.valid).count()
-    }
-
-    /// Counters.
-    pub fn stats(&self) -> CshrStats {
-        self.stats
-    }
-
-    fn set_of(&self, icache_set: usize) -> usize {
-        (icache_set >> self.shift) & (self.sets - 1)
-    }
-
-    fn idx(&self, set: usize, way: usize) -> usize {
-        set * self.ways + way
-    }
-
-    /// Opens a comparison (same contract as [`Cshr::insert`]).
-    pub fn insert(
-        &mut self,
-        victim_ptag: u16,
-        contender_ptag: u16,
-        icache_set: usize,
-    ) -> Option<Resolution> {
-        self.stats.inserted += 1;
-        let set = self.set_of(icache_set);
-        let way = (0..self.ways).find(|&w| !self.entries[self.idx(set, w)].valid);
-        let (way, forced) = match way {
-            Some(w) => (w, None),
-            None => {
-                let w = self.lru[set].lru_way();
-                let old = self.entries[self.idx(set, w)];
-                self.stats.evicted_unresolved += 1;
-                (
-                    w,
-                    Some(Resolution {
-                        victim_ptag: old.victim,
-                        victim_won: true,
-                    }),
-                )
-            }
-        };
-        let i = self.idx(set, way);
-        self.entries[i] = LegacyEntry {
-            valid: true,
-            victim: victim_ptag,
-            contender: contender_ptag,
-        };
-        self.lru[set].touch(way);
-        forced
-    }
-
-    /// Searches and resolves matches (same contract as
-    /// [`Cshr::search`]).
-    pub fn search(&mut self, fetched_ptag: u16, icache_set: usize) -> Vec<Resolution> {
-        let set = self.set_of(icache_set);
-        let mut out = Vec::new();
-        for w in 0..self.ways {
-            let i = self.idx(set, w);
-            let e = self.entries[i];
-            if !e.valid {
-                continue;
-            }
-            if e.victim == fetched_ptag {
-                self.stats.victim_first += 1;
-                out.push(Resolution {
-                    victim_ptag: e.victim,
-                    victim_won: true,
-                });
-                self.entries[i].valid = false;
-                self.lru[set].clear(w);
-            } else if e.contender == fetched_ptag {
-                self.stats.contender_first += 1;
-                out.push(Resolution {
-                    victim_ptag: e.victim,
-                    victim_won: false,
-                });
-                self.entries[i].valid = false;
-                self.lru[set].clear(w);
-            }
-        }
-        out
     }
 }
 
@@ -608,6 +476,8 @@ impl UnboundedCshr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use acic_types::LruStamps;
+    use proptest::prelude::*;
 
     #[test]
     fn victim_match_wins() {
@@ -740,5 +610,193 @@ mod tests {
         u.insert(BlockAddr::new(1), BlockAddr::new(3));
         assert_eq!(u.open_count(), 1);
         assert_eq!(u.lifetime_counts[0], 1);
+    }
+
+    #[derive(Clone, Copy, Debug, Default)]
+    struct LegacyEntry {
+        valid: bool,
+        victim: u16,
+        contender: u16,
+    }
+
+    /// The original array-of-structs CSHR, retained as the behavioral
+    /// reference for the packed [`Cshr`]: one probe loop with a branch per
+    /// way and a freshly allocated `Vec` per search. The equivalence
+    /// proptest below pins the two implementations to identical observable
+    /// behavior.
+    #[derive(Debug)]
+    struct LegacyCshr {
+        sets: usize,
+        ways: usize,
+        shift: u32,
+        entries: Vec<LegacyEntry>,
+        lru: Vec<LruStamps>,
+        stats: CshrStats,
+    }
+
+    impl LegacyCshr {
+        /// Creates the reference CSHR (same contract as [`Cshr::new`]).
+        ///
+        /// # Panics
+        ///
+        /// Panics unless both set counts are powers of two and `ways` is
+        /// positive.
+        fn new(sets: usize, ways: usize, icache_sets: usize) -> Self {
+            assert!(sets.is_power_of_two() && icache_sets.is_power_of_two());
+            assert!(ways > 0);
+            let shift = icache_sets
+                .trailing_zeros()
+                .saturating_sub(sets.trailing_zeros());
+            LegacyCshr {
+                sets,
+                ways,
+                shift,
+                entries: vec![LegacyEntry::default(); sets * ways],
+                lru: (0..sets).map(|_| LruStamps::new(ways)).collect(),
+                stats: CshrStats::default(),
+            }
+        }
+
+        /// Number of valid entries.
+        fn occupancy(&self) -> usize {
+            self.entries.iter().filter(|e| e.valid).count()
+        }
+
+        /// Counters.
+        fn stats(&self) -> CshrStats {
+            self.stats
+        }
+
+        fn set_of(&self, icache_set: usize) -> usize {
+            (icache_set >> self.shift) & (self.sets - 1)
+        }
+
+        fn idx(&self, set: usize, way: usize) -> usize {
+            set * self.ways + way
+        }
+
+        /// Opens a comparison (same contract as [`Cshr::insert`]).
+        fn insert(
+            &mut self,
+            victim_ptag: u16,
+            contender_ptag: u16,
+            icache_set: usize,
+        ) -> Option<Resolution> {
+            self.stats.inserted += 1;
+            let set = self.set_of(icache_set);
+            let way = (0..self.ways).find(|&w| !self.entries[self.idx(set, w)].valid);
+            let (way, forced) = match way {
+                Some(w) => (w, None),
+                None => {
+                    let w = self.lru[set].lru_way();
+                    let old = self.entries[self.idx(set, w)];
+                    self.stats.evicted_unresolved += 1;
+                    (
+                        w,
+                        Some(Resolution {
+                            victim_ptag: old.victim,
+                            victim_won: true,
+                        }),
+                    )
+                }
+            };
+            let i = self.idx(set, way);
+            self.entries[i] = LegacyEntry {
+                valid: true,
+                victim: victim_ptag,
+                contender: contender_ptag,
+            };
+            self.lru[set].touch(way);
+            forced
+        }
+
+        /// Searches and resolves matches (same contract as
+        /// [`Cshr::search`]).
+        fn search(&mut self, fetched_ptag: u16, icache_set: usize) -> Vec<Resolution> {
+            let set = self.set_of(icache_set);
+            let mut out = Vec::new();
+            for w in 0..self.ways {
+                let i = self.idx(set, w);
+                let e = self.entries[i];
+                if !e.valid {
+                    continue;
+                }
+                if e.victim == fetched_ptag {
+                    self.stats.victim_first += 1;
+                    out.push(Resolution {
+                        victim_ptag: e.victim,
+                        victim_won: true,
+                    });
+                    self.entries[i].valid = false;
+                    self.lru[set].clear(w);
+                } else if e.contender == fetched_ptag {
+                    self.stats.contender_first += 1;
+                    out.push(Resolution {
+                        victim_ptag: e.victim,
+                        victim_won: false,
+                    });
+                    self.entries[i].valid = false;
+                    self.lru[set].clear(w);
+                }
+            }
+            out
+        }
+    }
+
+    /// One CSHR operation: open a comparison or probe a tag.
+    #[derive(Clone, Debug)]
+    enum CshrOp {
+        Insert {
+            victim: u16,
+            contender: u16,
+            set: usize,
+        },
+        Search {
+            probe: u16,
+            set: usize,
+        },
+    }
+
+    fn cshr_op() -> impl Strategy<Value = CshrOp> {
+        prop_oneof![
+            (0u16..64, 0u16..64, 0usize..64).prop_map(|(victim, contender, set)| CshrOp::Insert {
+                victim,
+                contender,
+                set
+            }),
+            (0u16..64, 0usize..64).prop_map(|(probe, set)| CshrOp::Search { probe, set }),
+        ]
+    }
+
+    proptest! {
+        #[test]
+        fn flat_cshr_matches_legacy(
+            sets in prop_oneof![Just(1usize), Just(2), Just(8)],
+            ways in 1usize..=32,
+            ops in proptest::collection::vec(cshr_op(), 1..300),
+        ) {
+            let mut flat = Cshr::new(sets, ways, 64);
+            let mut legacy = LegacyCshr::new(sets, ways, 64);
+            let mut buf = ResolutionBuf::new();
+            for (i, op) in ops.iter().enumerate() {
+                match *op {
+                    CshrOp::Insert { victim, contender, set } => {
+                        prop_assert_eq!(
+                            flat.insert(victim, contender, set),
+                            legacy.insert(victim, contender, set),
+                            "insert {} diverged", i
+                        );
+                    }
+                    CshrOp::Search { probe, set } => {
+                        flat.search_into(probe, set, &mut buf);
+                        let legacy_out = legacy.search(probe, set);
+                        prop_assert_eq!(buf.as_slice(), legacy_out.as_slice(),
+                            "search {} diverged", i);
+                    }
+                }
+            }
+            prop_assert_eq!(flat.stats(), legacy.stats());
+            prop_assert_eq!(flat.occupancy(), legacy.occupancy());
+        }
     }
 }

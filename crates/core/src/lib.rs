@@ -44,10 +44,10 @@ pub mod predictor;
 
 pub use acic::{AcicIcache, AcicStats};
 pub use config::{AcicConfig, PredictorKind, UpdateMode};
-pub use cshr::{Cshr, CshrStats, LegacyCshr, Resolution, ResolutionBuf, UnboundedCshr};
+pub use cshr::{Cshr, CshrStats, Resolution, ResolutionBuf, UnboundedCshr};
 pub use filter::IFilter;
 pub use filtered::FilteredIcache;
-pub use predictor::{AdmissionPredictor, LegacyTwoLevelPredictor, TwoLevelPredictor};
+pub use predictor::{AdmissionPredictor, TwoLevelPredictor};
 
 /// Computes the `tag_bits`-bit partial tag of a block identity
 /// (§III-C1: CSHR stores 12-bit partial tags, and the HRT is indexed

@@ -20,14 +20,13 @@
 //! `VecDeque`s, and the predictor tracks the total number of pending
 //! updates plus the earliest due cycle — the overwhelmingly common
 //! "nothing is due" tick is a two-compare early exit that never walks
-//! the queues. [`LegacyTwoLevelPredictor`] retains the `VecDeque`
-//! implementation as the behavioral reference, pinned by an
-//! equivalence proptest (`tests/hot_structs_equivalence.rs`).
+//! the queues. The `VecDeque` implementation survives only as a test
+//! oracle in this module's `tests`, pinned to the ring by an
+//! equivalence proptest.
 
 use crate::config::{AcicConfig, PredictorKind, UpdateMode};
 use acic_types::hash::{mix64, SplitMix64};
 use acic_types::{Cycle, HistoryReg, SatCounter};
-use std::collections::VecDeque;
 
 /// Latency of a pipelined predictor update in cycles (§III-C2: "at
 /// least 2 cycles are spent in updating HRT and PT").
@@ -231,114 +230,6 @@ impl TwoLevelPredictor {
     }
 }
 
-/// The original `VecDeque`-queued two-level predictor, retained as the
-/// behavioral reference for the ring-buffered [`TwoLevelPredictor`]
-/// (equivalence-pinned by proptest, measured against by the
-/// `hot_structs` bench group).
-#[derive(Debug)]
-pub struct LegacyTwoLevelPredictor {
-    hrt: Vec<HistoryReg>,
-    pt: Vec<SatCounter>,
-    queues: Vec<VecDeque<PendingUpdate>>,
-    queue_slots: usize,
-    mode: UpdateMode,
-    hrt_last_write: Vec<Cycle>,
-    /// Updates dropped due to queue overflow or HRT write conflicts.
-    pub dropped_updates: u64,
-}
-
-impl LegacyTwoLevelPredictor {
-    /// Builds the reference predictor from a configuration.
-    pub fn new(cfg: &AcicConfig) -> Self {
-        LegacyTwoLevelPredictor {
-            hrt: vec![HistoryReg::new(cfg.history_bits); cfg.hrt_entries],
-            pt: vec![SatCounter::new_weakly_high(cfg.pt_counter_bits); cfg.pt_entries()],
-            queues: vec![VecDeque::new(); cfg.pt_entries()],
-            queue_slots: cfg.pt_queue_slots,
-            mode: cfg.update_mode,
-            hrt_last_write: vec![Cycle::MAX; cfg.hrt_entries],
-            dropped_updates: 0,
-        }
-    }
-
-    fn hrt_index(&self, ptag: u16) -> usize {
-        (mix64(ptag as u64) as usize) & (self.hrt.len() - 1)
-    }
-
-    /// Predicts admission for `ptag` (same contract as
-    /// [`TwoLevelPredictor::predict`]).
-    pub fn predict(&self, ptag: u16) -> bool {
-        let pattern = self.hrt[self.hrt_index(ptag)].value() as usize;
-        self.pt[pattern].is_high()
-    }
-
-    /// Trains with a resolved comparison (same contract as
-    /// [`TwoLevelPredictor::train`]).
-    pub fn train(&mut self, ptag: u16, victim_won: bool, now: Cycle) {
-        let idx = self.hrt_index(ptag);
-        match self.mode {
-            UpdateMode::Instant => {
-                let pattern = self.hrt[idx].value() as usize;
-                self.pt[pattern].update(victim_won);
-                self.hrt[idx].push(victim_won);
-            }
-            UpdateMode::Pipelined => {
-                if self.hrt_last_write[idx] == now {
-                    self.dropped_updates += 1;
-                    return;
-                }
-                self.hrt_last_write[idx] = now;
-                let pattern = self.hrt[idx].value() as usize;
-                if self.queues[pattern].len() >= self.queue_slots {
-                    self.dropped_updates += 1;
-                } else {
-                    self.queues[pattern].push_back(PendingUpdate {
-                        apply_at: now + UPDATE_LATENCY,
-                        increment: victim_won,
-                    });
-                }
-                self.hrt[idx].push(victim_won);
-            }
-        }
-    }
-
-    /// Advances the update pipeline (same contract as
-    /// [`TwoLevelPredictor::tick`]).
-    pub fn tick(&mut self, now: Cycle) {
-        if self.mode == UpdateMode::Instant {
-            return;
-        }
-        for (pattern, queue) in self.queues.iter_mut().enumerate() {
-            if let Some(head) = queue.front() {
-                if head.apply_at <= now {
-                    let upd = queue.pop_front().expect("head exists");
-                    self.pt[pattern].update(upd.increment);
-                }
-            }
-        }
-    }
-
-    /// Drains all pending updates (same contract as
-    /// [`TwoLevelPredictor::flush`]).
-    pub fn flush(&mut self) {
-        for (pattern, queue) in self.queues.iter_mut().enumerate() {
-            while let Some(upd) = queue.pop_front() {
-                self.pt[pattern].update(upd.increment);
-            }
-        }
-    }
-
-    /// PT counter value for a pattern (test hook).
-    pub fn pt_value(&self, pattern: usize) -> u16 {
-        self.pt[pattern].value()
-    }
-
-    /// History value currently associated with `ptag` (test hook).
-    pub fn history_of(&self, ptag: u16) -> u32 {
-        self.hrt[self.hrt_index(ptag)].value()
-    }
-}
-
 /// Runtime-selectable admission predictor (Figure 17 ablations).
 #[derive(Debug)]
 pub enum AdmissionPredictor {
@@ -462,6 +353,8 @@ impl AdmissionPredictor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::VecDeque;
 
     fn instant_cfg() -> AcicConfig {
         AcicConfig {
@@ -649,5 +542,145 @@ mod tests {
         let mut p = AdmissionPredictor::new(&cfg);
         let admitted = (0..10_000).filter(|_| p.predict(0)).count();
         assert!((5700..=6300).contains(&admitted), "admitted = {admitted}");
+    }
+
+    /// The original `VecDeque`-queued two-level predictor, retained as the
+    /// behavioral reference for the ring-buffered [`TwoLevelPredictor`]
+    /// (equivalence-pinned by `ring_predictor_matches_legacy`).
+    #[derive(Debug)]
+    struct LegacyTwoLevelPredictor {
+        hrt: Vec<HistoryReg>,
+        pt: Vec<SatCounter>,
+        queues: Vec<VecDeque<PendingUpdate>>,
+        queue_slots: usize,
+        mode: UpdateMode,
+        hrt_last_write: Vec<Cycle>,
+        /// Updates dropped due to queue overflow or HRT write conflicts.
+        dropped_updates: u64,
+    }
+
+    impl LegacyTwoLevelPredictor {
+        /// Builds the reference predictor from a configuration.
+        fn new(cfg: &AcicConfig) -> Self {
+            LegacyTwoLevelPredictor {
+                hrt: vec![HistoryReg::new(cfg.history_bits); cfg.hrt_entries],
+                pt: vec![SatCounter::new_weakly_high(cfg.pt_counter_bits); cfg.pt_entries()],
+                queues: vec![VecDeque::new(); cfg.pt_entries()],
+                queue_slots: cfg.pt_queue_slots,
+                mode: cfg.update_mode,
+                hrt_last_write: vec![Cycle::MAX; cfg.hrt_entries],
+                dropped_updates: 0,
+            }
+        }
+
+        fn hrt_index(&self, ptag: u16) -> usize {
+            (mix64(ptag as u64) as usize) & (self.hrt.len() - 1)
+        }
+
+        /// Predicts admission for `ptag` (same contract as
+        /// [`TwoLevelPredictor::predict`]).
+        fn predict(&self, ptag: u16) -> bool {
+            let pattern = self.hrt[self.hrt_index(ptag)].value() as usize;
+            self.pt[pattern].is_high()
+        }
+
+        /// Trains with a resolved comparison (same contract as
+        /// [`TwoLevelPredictor::train`]).
+        fn train(&mut self, ptag: u16, victim_won: bool, now: Cycle) {
+            let idx = self.hrt_index(ptag);
+            match self.mode {
+                UpdateMode::Instant => {
+                    let pattern = self.hrt[idx].value() as usize;
+                    self.pt[pattern].update(victim_won);
+                    self.hrt[idx].push(victim_won);
+                }
+                UpdateMode::Pipelined => {
+                    if self.hrt_last_write[idx] == now {
+                        self.dropped_updates += 1;
+                        return;
+                    }
+                    self.hrt_last_write[idx] = now;
+                    let pattern = self.hrt[idx].value() as usize;
+                    if self.queues[pattern].len() >= self.queue_slots {
+                        self.dropped_updates += 1;
+                    } else {
+                        self.queues[pattern].push_back(PendingUpdate {
+                            apply_at: now + UPDATE_LATENCY,
+                            increment: victim_won,
+                        });
+                    }
+                    self.hrt[idx].push(victim_won);
+                }
+            }
+        }
+
+        /// Advances the update pipeline (same contract as
+        /// [`TwoLevelPredictor::tick`]).
+        fn tick(&mut self, now: Cycle) {
+            if self.mode == UpdateMode::Instant {
+                return;
+            }
+            for (pattern, queue) in self.queues.iter_mut().enumerate() {
+                if let Some(head) = queue.front() {
+                    if head.apply_at <= now {
+                        let upd = queue.pop_front().expect("head exists");
+                        self.pt[pattern].update(upd.increment);
+                    }
+                }
+            }
+        }
+
+        /// Drains all pending updates (same contract as
+        /// [`TwoLevelPredictor::flush`]).
+        fn flush(&mut self) {
+            for (pattern, queue) in self.queues.iter_mut().enumerate() {
+                while let Some(upd) = queue.pop_front() {
+                    self.pt[pattern].update(upd.increment);
+                }
+            }
+        }
+
+        /// PT counter value for a pattern (test hook).
+        fn pt_value(&self, pattern: usize) -> u16 {
+            self.pt[pattern].value()
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn ring_predictor_matches_legacy(
+            pipelined in any::<bool>(),
+            queue_slots in 1usize..=12,
+            ops in proptest::collection::vec((0u16..40, any::<bool>(), 0u64..4, any::<bool>()), 1..400),
+        ) {
+            let cfg = AcicConfig {
+                update_mode: if pipelined { UpdateMode::Pipelined } else { UpdateMode::Instant },
+                pt_queue_slots: queue_slots,
+                ..AcicConfig::default()
+            };
+            let mut ring = TwoLevelPredictor::new(&cfg);
+            let mut legacy = LegacyTwoLevelPredictor::new(&cfg);
+            let mut now = 0u64;
+            for &(ptag, won, advance, tick) in &ops {
+                // A bursty clock: several trains can share a cycle, and
+                // ticks fire irregularly (exercises both the HRT
+                // write-port conflict and the ring's earliest-due gate).
+                now += advance;
+                ring.train(ptag, won, now);
+                legacy.train(ptag, won, now);
+                if tick {
+                    ring.tick(now);
+                    legacy.tick(now);
+                }
+                prop_assert_eq!(ring.predict(ptag), legacy.predict(ptag));
+            }
+            prop_assert_eq!(ring.dropped_updates, legacy.dropped_updates);
+            ring.flush();
+            legacy.flush();
+            for pattern in 0..16 {
+                prop_assert_eq!(ring.pt_value(pattern), legacy.pt_value(pattern),
+                    "pattern {} diverged after flush", pattern);
+            }
+        }
     }
 }

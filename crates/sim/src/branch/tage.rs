@@ -103,7 +103,7 @@ impl TageStats {
 /// # Examples
 ///
 /// ```
-/// use acic_sim::Tage;
+/// use acic_sim::branch::tage::Tage;
 /// use acic_types::Addr;
 ///
 /// let mut tage = Tage::new();

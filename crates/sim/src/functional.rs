@@ -18,9 +18,10 @@
 //! [`Engine`](crate::Engine)'s warmup phase — the functional loop and
 //! the sampled engine's functional warming are the same code.
 //!
-//! [`run_unbatched`] keeps the naive one-probe-per-instruction loop as
-//! a live reference for what batching replaces; a unit test pins the
-//! two loops to the same LRU miss count.
+//! The naive one-probe-per-instruction loop that batching replaces
+//! survives only as a test oracle in this module's `tests`, where
+//! `batched_and_unbatched_agree_on_lru_misses` pins the two loops to
+//! the same LRU miss count.
 //!
 //! # Examples
 //!
@@ -36,9 +37,9 @@
 //! ```
 
 use crate::icache::IcacheOrg;
-use acic_cache::{AccessCtx, CacheStats};
+use acic_cache::CacheStats;
 use acic_core::{AcicIcache, AcicStats};
-use acic_trace::{BlockRuns, ReuseOracle, TraceSource, NO_NEXT_USE};
+use acic_trace::{BlockRuns, ReuseOracle, TraceSource};
 use acic_types::Asid;
 
 /// Result of a functional (contents-only) simulation.
@@ -50,8 +51,9 @@ pub struct FunctionalReport {
     pub org: String,
     /// Instructions consumed.
     pub instructions: u64,
-    /// Block-level accesses performed (runs in batched mode,
-    /// instructions in unbatched mode).
+    /// Block-level accesses performed: one per block run (the
+    /// per-instruction oracle in this module's `tests` counts one per
+    /// instruction).
     pub accesses: u64,
     /// Context switches crossed (0 for single-tenant traces).
     pub context_switches: u64,
@@ -149,75 +151,77 @@ pub fn run_functional<W: TraceSource>(org: &IcacheOrg, workload: &W) -> Function
     )
 }
 
-/// Reference baseline: probes the organization once per *instruction*
-/// instead of once per block run.
-///
-/// This is the naive loop the run-batched path replaces, kept as a
-/// live reference implementation rather than a description. Not
-/// suitable for figure generation: per-instruction re-references
-/// inflate access counts and perturb reuse-trained policies.
-pub fn run_unbatched<W: TraceSource>(org: &IcacheOrg, workload: &W) -> FunctionalReport {
-    let oracle = oracle_for(org, workload);
-    let mut cursor = oracle.as_ref().map(|o| o.cursor());
-    let mut contents = org.build(workload.seed());
-    let wants_tick = contents.wants_tick();
-    let mut instructions = 0u64;
-    let mut last_block = None;
-    let mut cur_asid = Asid::HOST;
-    let mut context_switches = 0u64;
-    // The oracle is indexed one position per BlockRun, and runs end
-    // at a block change, a taken branch (even to the same block), OR
-    // a context switch — mirror all three boundaries or the cursor
-    // desyncs.
-    let mut prev_ended_run = true;
-    for instr in workload.iter() {
-        instructions += 1;
-        let tagged = instr.tagged_block();
-        if instr.asid() != cur_asid {
-            cur_asid = instr.asid();
-            context_switches += 1;
-            contents.on_context_switch(instr.asid());
-        }
-        let starts_run = prev_ended_run || last_block != Some(tagged);
-        let next_use = match cursor.as_mut() {
-            Some(c) => {
-                if starts_run {
-                    c.advance(tagged.oracle_key());
-                }
-                c.next_use_of(tagged.oracle_key())
-            }
-            None => NO_NEXT_USE,
-        };
-        last_block = Some(tagged);
-        prev_ended_run = instr.is_taken_branch();
-        let mut ctx = AccessCtx::demand_tagged(tagged, instructions).with_next_use(next_use);
-        if let Some(c) = cursor.as_ref() {
-            ctx = ctx.with_oracle(c);
-        }
-        if !contents.access(&ctx).hit {
-            contents.fill(&ctx);
-        }
-        if wants_tick {
-            contents.tick(instructions);
-        }
-    }
-    finish(
-        workload.name(),
-        org.label(),
-        contents,
-        instructions,
-        instructions,
-        context_switches,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use acic_cache::AccessCtx;
+    use acic_trace::NO_NEXT_USE;
     use acic_workloads::{AppProfile, SyntheticWorkload};
 
     fn wl(n: u64) -> SyntheticWorkload {
         SyntheticWorkload::with_instructions(AppProfile::sibench(), n)
+    }
+
+    /// Reference baseline: probes the organization once per *instruction*
+    /// instead of once per block run.
+    ///
+    /// This is the naive loop the run-batched path replaces, kept as a
+    /// test oracle rather than a description. Not suitable for figure
+    /// generation: per-instruction re-references inflate access counts and
+    /// perturb reuse-trained policies.
+    fn run_unbatched<W: TraceSource>(org: &IcacheOrg, workload: &W) -> FunctionalReport {
+        let oracle = oracle_for(org, workload);
+        let mut cursor = oracle.as_ref().map(|o| o.cursor());
+        let mut contents = org.build(workload.seed());
+        let wants_tick = contents.wants_tick();
+        let mut instructions = 0u64;
+        let mut last_block = None;
+        let mut cur_asid = Asid::HOST;
+        let mut context_switches = 0u64;
+        // The oracle is indexed one position per BlockRun, and runs end
+        // at a block change, a taken branch (even to the same block), OR
+        // a context switch — mirror all three boundaries or the cursor
+        // desyncs.
+        let mut prev_ended_run = true;
+        for instr in workload.iter() {
+            instructions += 1;
+            let tagged = instr.tagged_block();
+            if instr.asid() != cur_asid {
+                cur_asid = instr.asid();
+                context_switches += 1;
+                contents.on_context_switch(instr.asid());
+            }
+            let starts_run = prev_ended_run || last_block != Some(tagged);
+            let next_use = match cursor.as_mut() {
+                Some(c) => {
+                    if starts_run {
+                        c.advance(tagged.oracle_key());
+                    }
+                    c.next_use_of(tagged.oracle_key())
+                }
+                None => NO_NEXT_USE,
+            };
+            last_block = Some(tagged);
+            prev_ended_run = instr.is_taken_branch();
+            let mut ctx = AccessCtx::demand_tagged(tagged, instructions).with_next_use(next_use);
+            if let Some(c) = cursor.as_ref() {
+                ctx = ctx.with_oracle(c);
+            }
+            if !contents.access(&ctx).hit {
+                contents.fill(&ctx);
+            }
+            if wants_tick {
+                contents.tick(instructions);
+            }
+        }
+        finish(
+            workload.name(),
+            org.label(),
+            contents,
+            instructions,
+            instructions,
+            context_switches,
+        )
     }
 
     #[test]

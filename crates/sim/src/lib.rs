@@ -43,12 +43,11 @@ pub mod report;
 pub mod simulator;
 
 pub use branch::btb::Btb;
-pub use branch::tage::Tage;
 pub use config::{BranchSwitchMode, PrefetcherKind, SampleSchedule, SimConfig};
 pub use engine::window::{PlannedWindow, WarmPolicy, WindowPlan};
 pub use engine::{Engine, Phase, TimingLoop};
-pub use frontend::{FrontEnd, Ftq, FtqEntry, InstrArena};
-pub use functional::{run_functional, run_unbatched, FunctionalReport};
+pub use frontend::FrontEnd;
+pub use functional::{run_functional, FunctionalReport};
 pub use icache::IcacheOrg;
 pub use report::{mean_ci95, BranchStats, PrefetchStats, SampledStats, SimReport};
 pub use simulator::Simulator;

@@ -10,7 +10,6 @@ use crate::config::SimConfig;
 use acic_cache::policy::PolicyKind;
 use acic_cache::{AccessCtx, CacheGeometry, CacheStats, SetAssocCache};
 use acic_types::{Addr, Asid, Cycle, TaggedBlock};
-use std::collections::HashMap;
 
 /// MSHR model: merges requests to the same block and bounds the
 /// number outstanding.
@@ -22,9 +21,8 @@ use std::collections::HashMap;
 /// has completed, one `retain` drops every finished entry. A version
 /// counter moves whenever the live set changes
 /// ([`MissTracker::version_at`]). The retired `HashMap` implementation
-/// survives as
-/// [`LegacyMissTracker`] and the two are pinned together by an
-/// equivalence proptest (`tests/hot_structs_equivalence.rs`).
+/// survives only as a test oracle in this module's `tests`, pinned to
+/// the flat list by an equivalence proptest.
 ///
 /// # Examples
 ///
@@ -130,57 +128,6 @@ impl MissTracker {
     pub fn occupancy(&mut self, now: Cycle) -> usize {
         self.cleanup(now);
         self.entries.len()
-    }
-}
-
-/// The retired `HashMap`-backed MSHR model, kept as the behavioral
-/// reference for [`MissTracker`] (equivalence-pinned by proptest,
-/// measured against by the `hot_structs` bench group).
-#[derive(Debug)]
-pub struct LegacyMissTracker {
-    capacity: usize,
-    in_flight: HashMap<TaggedBlock, Cycle>,
-}
-
-impl LegacyMissTracker {
-    /// Creates a tracker with `capacity` MSHRs.
-    pub fn new(capacity: usize) -> Self {
-        LegacyMissTracker {
-            capacity,
-            in_flight: HashMap::new(),
-        }
-    }
-
-    fn cleanup(&mut self, now: Cycle) {
-        self.in_flight.retain(|_, &mut ready| ready > now);
-    }
-
-    /// Ready time of an already-outstanding request for `block`.
-    pub fn lookup(&mut self, block: impl Into<TaggedBlock>, now: Cycle) -> Option<Cycle> {
-        self.cleanup(now);
-        self.in_flight.get(&block.into()).copied()
-    }
-
-    /// Whether all MSHRs are busy at `now`.
-    pub fn full(&mut self, now: Cycle) -> bool {
-        self.cleanup(now);
-        self.in_flight.len() >= self.capacity
-    }
-
-    /// Earliest completion among outstanding requests.
-    pub fn earliest_ready(&self) -> Option<Cycle> {
-        self.in_flight.values().copied().min()
-    }
-
-    /// Registers an outstanding request.
-    pub fn insert(&mut self, block: impl Into<TaggedBlock>, ready: Cycle) {
-        self.in_flight.insert(block.into(), ready);
-    }
-
-    /// Outstanding request count at `now`.
-    pub fn occupancy(&mut self, now: Cycle) -> usize {
-        self.cleanup(now);
-        self.in_flight.len()
     }
 }
 
@@ -368,6 +315,8 @@ impl core::fmt::Debug for MemoryHierarchy {
 mod tests {
     use super::*;
     use acic_types::BlockAddr;
+    use proptest::prelude::*;
+    use std::collections::HashMap;
 
     fn hierarchy() -> MemoryHierarchy {
         MemoryHierarchy::new(&SimConfig::default())
@@ -454,5 +403,90 @@ mod tests {
         let d1 = h.access_data(Addr::new(0x1_0000_0000), Asid::HOST, 0, false);
         let d2 = h.access_data(Addr::new(0x2_0000_0000), Asid::HOST, 0, false);
         assert!(d2 > d1, "second miss waits for a free MSHR");
+    }
+
+    /// The retired `HashMap`-backed MSHR model, kept as the behavioral
+    /// reference for [`MissTracker`] (equivalence-pinned by
+    /// `flat_mshr_matches_legacy`).
+    #[derive(Debug)]
+    struct LegacyMissTracker {
+        capacity: usize,
+        in_flight: HashMap<TaggedBlock, Cycle>,
+    }
+
+    impl LegacyMissTracker {
+        /// Creates a tracker with `capacity` MSHRs.
+        fn new(capacity: usize) -> Self {
+            LegacyMissTracker {
+                capacity,
+                in_flight: HashMap::new(),
+            }
+        }
+
+        fn cleanup(&mut self, now: Cycle) {
+            self.in_flight.retain(|_, &mut ready| ready > now);
+        }
+
+        /// Ready time of an already-outstanding request for `block`.
+        fn lookup(&mut self, block: impl Into<TaggedBlock>, now: Cycle) -> Option<Cycle> {
+            self.cleanup(now);
+            self.in_flight.get(&block.into()).copied()
+        }
+
+        /// Whether all MSHRs are busy at `now`.
+        fn full(&mut self, now: Cycle) -> bool {
+            self.cleanup(now);
+            self.in_flight.len() >= self.capacity
+        }
+
+        /// Earliest completion among outstanding requests.
+        fn earliest_ready(&self) -> Option<Cycle> {
+            self.in_flight.values().copied().min()
+        }
+
+        /// Registers an outstanding request.
+        fn insert(&mut self, block: impl Into<TaggedBlock>, ready: Cycle) {
+            self.in_flight.insert(block.into(), ready);
+        }
+
+        /// Outstanding request count at `now`.
+        fn occupancy(&mut self, now: Cycle) -> usize {
+            self.cleanup(now);
+            self.in_flight.len()
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn flat_mshr_matches_legacy(
+            capacity in 1usize..=16,
+            ops in proptest::collection::vec((0u64..32, 0u16..3, 0u64..30, 1u64..400), 1..300),
+        ) {
+            let mut flat = MissTracker::new(capacity);
+            let mut legacy = LegacyMissTracker::new(capacity);
+            let mut now = 0u64;
+            for &(block, asid, advance, latency) in &ops {
+                now += advance;
+                let b = BlockAddr::new(0x100 + block).with_asid(Asid::new(asid));
+                prop_assert_eq!(flat.lookup(b, now), legacy.lookup(b, now));
+                let was_full = legacy.full(now);
+                prop_assert_eq!(flat.full(now), was_full);
+                // The engine's demand-miss and data paths: with every MSHR
+                // busy, the request starts when the earliest one frees and
+                // is inserted anyway (over capacity).
+                let start = if was_full {
+                    let earliest = legacy.earliest_ready().expect("full tracker has entries");
+                    prop_assert_eq!(flat.earliest_ready(), Some(earliest));
+                    earliest.max(now)
+                } else {
+                    now
+                };
+                flat.insert(b, start + latency);
+                legacy.insert(b, start + latency);
+                prop_assert_eq!(flat.occupancy(now), legacy.occupancy(now));
+                prop_assert_eq!(flat.earliest_ready(), legacy.earliest_ready());
+                prop_assert_eq!(flat.lookup(b, now), Some(start + latency));
+            }
+        }
     }
 }

@@ -5,7 +5,7 @@
 //! the L1i contents and MSHR budget, issues them down the hierarchy,
 //! and fills them on arrival (into the i-Filter for ACIC, matching
 //! Figure 9's timeline). FDP's candidates are the FTQ entries
-//! themselves ([`crate::Ftq::fdp_candidates_mut`]), which the engine
+//! themselves ([`crate::frontend::Ftq::fdp_candidates_mut`]), which the engine
 //! scans in place; entangling queues its own.
 
 use acic_types::hash::{fold, mix64};

@@ -1,7 +1,7 @@
 //! Property-based tests (proptest) on the core data structures and
 //! the DESIGN.md §7 invariants.
 
-use acic_repro::cache::policy::{AnyPolicy, PolicyKind};
+use acic_repro::cache::policy::PolicyKind;
 use acic_repro::cache::{AccessCtx, CacheGeometry, SetAssocCache};
 use acic_repro::core::{Cshr, IFilter};
 use acic_repro::trace::{ReuseOracle, StackDistanceAnalyzer, NO_NEXT_USE};
@@ -135,57 +135,6 @@ proptest! {
             stack.truncate(2);
             prop_assert_eq!(hit, model_hit, "at access {} (block {})", i, b);
         }
-    }
-
-    #[test]
-    fn devirtualized_dispatch_matches_boxed_dispatch(
-        accesses in proptest::collection::vec((0u64..96, any::<bool>()), 1..400),
-        kind_sel in 0usize..8,
-    ) {
-        // The enum-dispatched policy (hot path) must be
-        // bit-identical in behavior to the legacy trait-object
-        // dispatch it replaced, for every deterministic policy,
-        // under mixed demand/prefetch streams.
-        let kinds = [
-            PolicyKind::Lru,
-            PolicyKind::Random { seed: 42 },
-            PolicyKind::Srrip,
-            PolicyKind::Ship,
-            PolicyKind::Hawkeye { prefetch_aware: false },
-            PolicyKind::Hawkeye { prefetch_aware: true },
-            PolicyKind::Ghrp,
-            PolicyKind::Slru,
-        ];
-        let kind = kinds[kind_sel];
-        let geom = CacheGeometry::from_sets_ways(4, 4);
-        let mut devirt = SetAssocCache::new(geom, kind.build(geom));
-        let mut boxed =
-            SetAssocCache::new(geom, AnyPolicy::from(kind.build_boxed(geom)));
-        for (i, (b, is_prefetch)) in accesses.iter().enumerate() {
-            let ctx = if *is_prefetch {
-                AccessCtx::prefetch(BlockAddr::new(*b), i as u64)
-            } else {
-                AccessCtx::demand(BlockAddr::new(*b), i as u64)
-            };
-            let hit_a = devirt.access(&ctx);
-            let hit_b = boxed.access(&ctx);
-            prop_assert_eq!(hit_a, hit_b, "hit divergence at access {} ({:?})", i, kind);
-            if !hit_a {
-                let ev_a = devirt.fill(&ctx);
-                let ev_b = boxed.fill(&ctx);
-                prop_assert_eq!(ev_a, ev_b, "eviction divergence at access {} ({:?})", i, kind);
-            }
-            prop_assert!(
-                devirt.iter_resident().eq(boxed.iter_resident()),
-                "contents divergence at access {} ({:?})",
-                i,
-                kind
-            );
-        }
-        let (sa, sb) = (devirt.stats(), boxed.stats());
-        prop_assert_eq!(sa.demand_misses, sb.demand_misses);
-        prop_assert_eq!(sa.prefetch_misses, sb.prefetch_misses);
-        prop_assert_eq!(sa.evictions, sb.evictions);
     }
 
     #[test]
