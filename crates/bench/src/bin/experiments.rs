@@ -21,39 +21,13 @@
 //! The flags are parsed once into one [`acic_bench::Runner`] — budget,
 //! `--results` store, `--supervise`/`--run-cell` role, watchdog —
 //! that every figure receives, and `--dse` builds its `DseOptions`
-//! from the same values. Only the trace-store mode
-//! (`--record-traces`/`--traces`) and the `--profile-cell` target
-//! stay process-wide settings (DESIGN.md §9 says why).
+//! from the same values; no setting lives in a process global.
 //!
-//! `--profile-cell <figure>:<cell-substring>` runs the named figure
-//! until the first grid cell whose label (`config <c> '<org>' x spec
-//! '<spec>'`) contains the substring — the figure's earlier grids and
-//! non-grid work run normally on the way — then re-simulates exactly
-//! that cell 50 times, prints one best/mean instructions-per-second
-//! line, and exits: the shape `perf record` / flamegraph tooling
-//! wants, instead of a whole sweep where the interesting cell is a
-//! sliver of the profile. It cannot be combined
-//! with `--only` (it selects its own figure) or `--supervise` (the
-//! profiler must see the simulation in this process).
-//!
-//! Record/replay and resume:
+//! Resume:
 //!
 //! ```text
-//! cargo run --release -p acic-bench --bin experiments -- --record-traces traces/ fig11
-//! cargo run --release -p acic-bench --bin experiments -- --traces traces/ fig11
 //! cargo run --release -p acic-bench --bin experiments -- --results results/ fig11
 //! ```
-//!
-//! `--record-traces <dir>` writes every workload the run freezes into
-//! `<dir>/<spec>-<budget>.acictrace` containers — a run freezes only
-//! the specs of cells it computes, so cells replayed from `--results`
-//! record nothing (record into a fresh `--results` to capture every
-//! spec);
-//! `--traces <dir>` replays those containers instead of re-running
-//! the generator (specs whose container is missing or unusable fall
-//! back to generation with a note) — drop in externally recorded
-//! traces under the right key and they become first-class workloads.
-//! The two flags are mutually exclusive.
 //!
 //! `--results <dir>` journals every finished grid cell into
 //! `<dir>/results.jsonl`; an interrupted (or repeated) run replays
@@ -68,8 +42,8 @@
 //!     --dse-report dse.jsonl --results results/
 //! ```
 //!
-//! `--dse` runs no figures (so `--only`, `--profile-cell` and a
-//! figure filter are usage errors with it) and sweeps a design space through the
+//! `--dse` runs no figures (so `--only` and a figure filter are
+//! usage errors with it) and sweeps a design space through the
 //! CI-pruned fidelity ladder: the built-in ~870-cell cache-geometry
 //! space by default, or the axes file given with `--dse-space`
 //! (`--dse --smoke` sweeps the tiny built-in smoke space over a
@@ -83,8 +57,7 @@
 //! structured [`acic_bench::runner::GridError`]) is recorded, every
 //! other selected figure still runs, and the process exits non-zero
 //! after printing a failure summary. `--fail-fast` stops at the first
-//! failure instead; `--keep-going` is accepted for symmetry (it is
-//! the default). `ACIC_CELL_TIMEOUT_SECS=<secs>` arms a soft per-cell
+//! failure instead. `ACIC_CELL_TIMEOUT_SECS=<secs>` arms a soft per-cell
 //! watchdog that fails wedged cells instead of hanging the sweep.
 //!
 //! Process supervision (DESIGN.md §9):
@@ -110,9 +83,11 @@
 //! deterministic seeded jitter. Every retried or failed cell leaves a
 //! crash report (exit evidence, stderr tail, retry history) under
 //! `--crash-reports <dir>` (default: `<results>/crash-reports`, or
-//! `./crash-reports`). Output and `--results` journals are
-//! byte-identical to the in-process path; where spawning is
-//! unavailable the run degrades to in-process with one warning.
+//! `./crash-reports`). Without `--results`, the parent journals into
+//! a private store under that dir for the run's length, so a child
+//! replays the run's earlier grids instead of recomputing them. Output and `--results` journals are byte-identical to the
+//! in-process path; where spawning is unavailable the run degrades
+//! to in-process with one warning.
 //!
 //! Exit codes: `0` — success; `1` — one or more figures/cells failed;
 //! `2` — usage error. A `--run-cell` child additionally uses `3` —
@@ -123,7 +98,7 @@ use acic_bench::result_store::ResultStore;
 use acic_bench::supervise::{ChildTarget, Role, SuperviseCtx};
 use acic_bench::Runner;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 type Experiment = (&'static str, fn(&Runner) -> String);
@@ -216,8 +191,6 @@ struct Cli {
     smoke: bool,
     fail_fast: bool,
     supervise: bool,
-    record: Option<String>,
-    replay: Option<String>,
     results: Option<String>,
     only: Option<String>,
     dse_space: Option<String>,
@@ -226,16 +199,10 @@ struct Cli {
     run_cell: Option<String>,
     run_cell_out: Option<String>,
     run_cell_trace: Option<String>,
-    /// `--profile-cell <figure>:<cell-substring>`: run one figure
-    /// until the first grid cell whose label contains the substring,
-    /// then re-simulate that cell in a tight loop for profilers.
-    profile_cell: Option<(String, String)>,
     filter: String,
 }
 
 fn parse_cli(mut args: Vec<String>) -> Result<Cli, String> {
-    let record = take_flag_value(&mut args, "--record-traces")?;
-    let replay = take_flag_value(&mut args, "--traces")?;
     let results = take_flag_value(&mut args, "--results")?;
     let only = take_flag_value(&mut args, "--only")?;
     let dse_space = take_flag_value(&mut args, "--dse-space")?;
@@ -244,22 +211,6 @@ fn parse_cli(mut args: Vec<String>) -> Result<Cli, String> {
     let run_cell = take_flag_value(&mut args, "--run-cell")?;
     let run_cell_out = take_flag_value(&mut args, "--run-cell-out")?;
     let run_cell_trace = take_flag_value(&mut args, "--run-cell-trace")?;
-    let profile_cell = match take_flag_value(&mut args, "--profile-cell")? {
-        None => None,
-        Some(raw) => match raw.split_once(':') {
-            Some((fig, cell)) if !fig.is_empty() && !cell.is_empty() => {
-                Some((fig.to_string(), cell.to_string()))
-            }
-            _ => {
-                return Err(format!(
-                    "--profile-cell requires '<figure>:<cell-substring>', got '{raw}'"
-                ))
-            }
-        },
-    };
-    if record.is_some() && replay.is_some() {
-        return Err("--record-traces and --traces are mutually exclusive".into());
-    }
     let dse = take_switch(&mut args, "--dse");
     if (dse_space.is_some() || dse_report.is_some()) && !dse {
         return Err("--dse-space/--dse-report only make sense with --dse".into());
@@ -267,13 +218,6 @@ fn parse_cli(mut args: Vec<String>) -> Result<Cli, String> {
     let supervise = take_switch(&mut args, "--supervise");
     if crash_reports.is_some() && !supervise {
         return Err("--crash-reports only makes sense with --supervise".into());
-    }
-    if profile_cell.is_some() && (supervise || only.is_some()) {
-        return Err(
-            "--profile-cell selects its own figure and runs in-process; \
-             it cannot be combined with --only or --supervise"
-                .into(),
-        );
     }
     if run_cell.is_some() != run_cell_out.is_some() {
         return Err("--run-cell and --run-cell-out must be given together".into());
@@ -287,8 +231,6 @@ fn parse_cli(mut args: Vec<String>) -> Result<Cli, String> {
         smoke: take_switch(&mut args, "--smoke"),
         fail_fast: take_switch(&mut args, "--fail-fast"),
         supervise,
-        record,
-        replay,
         results,
         only,
         dse_space,
@@ -297,11 +239,8 @@ fn parse_cli(mut args: Vec<String>) -> Result<Cli, String> {
         run_cell,
         run_cell_out,
         run_cell_trace,
-        profile_cell,
         filter: String::new(),
     };
-    // --keep-going is the default; accept and discard it.
-    take_switch(&mut args, "--keep-going");
     if let Some(unknown) = args.iter().find(|a| a.starts_with("--")) {
         return Err(format!("unknown option '{unknown}'"));
     }
@@ -311,9 +250,9 @@ fn parse_cli(mut args: Vec<String>) -> Result<Cli, String> {
         ));
     }
     let filter = args.pop().unwrap_or_default();
-    if cli.dse && (cli.only.is_some() || cli.profile_cell.is_some() || !filter.is_empty()) {
+    if cli.dse && (cli.only.is_some() || !filter.is_empty()) {
         return Err("--dse sweeps a design space and runs no figures; \
-                    it cannot be combined with --only, --profile-cell or a figure filter"
+                    it cannot be combined with --only or a figure filter"
             .into());
     }
     Ok(Cli { filter, ..cli })
@@ -396,17 +335,11 @@ fn run_dse_cli(cli: &Cli, runner: &Runner) -> Result<String, String> {
 /// Builds the one [`Runner`] every figure (and the DSE sweep) runs
 /// under: the budget (capped under `--smoke`), the `--results` store,
 /// and the supervision role — `--run-cell` makes this process a
-/// child, `--supervise` a parent. Exits 2 when the store cannot open.
-fn runner_from(cli: &Cli, raw_args: &[String]) -> Runner {
-    let store = cli.results.as_ref().map(|dir| {
-        eprintln!("[resumable results in {dir}]");
-        ResultStore::open(Path::new(dir))
-            .map(Arc::new)
-            .unwrap_or_else(|e| {
-                eprintln!("{e}");
-                std::process::exit(2);
-            })
-    });
+/// child, `--supervise` a parent. Also returns the directory of a
+/// parent's private journal (module docs), which the caller deletes
+/// when the run ends. Exits 2 when the store cannot open.
+fn runner_from(cli: &Cli, raw_args: &[String]) -> (Runner, Option<PathBuf>) {
+    let mut private = None;
     let supervise = if let (Some(key), Some(out_dir)) = (&cli.run_cell, &cli.run_cell_out) {
         // Child mode: this process runs exactly one cell and journals
         // it to the private per-attempt store. The cell executor
@@ -424,7 +357,18 @@ fn runner_from(cli: &Cli, raw_args: &[String]) -> Runner {
             .clone()
             .or_else(|| cli.results.as_ref().map(|r| format!("{r}/crash-reports")))
             .unwrap_or_else(|| "crash-reports".into());
-        match SuperviseCtx::new(Path::new(&crash_dir), raw_args) {
+        let mut child_argv = raw_args.to_vec();
+        if cli.results.is_none() {
+            let dir = Path::new(&crash_dir)
+                .join(".attempts")
+                .join(format!("journal-{}", std::process::id()));
+            // A journal an earlier run left under a reused pid must
+            // not replay into this one.
+            let _ = std::fs::remove_dir_all(&dir);
+            child_argv.extend(["--results".into(), dir.display().to_string()]);
+            private = Some(dir);
+        }
+        match SuperviseCtx::new(Path::new(&crash_dir), &child_argv) {
             Ok(ctx) => {
                 eprintln!(
                     "[supervise: one child process per cell, crash reports in {}]",
@@ -434,12 +378,27 @@ fn runner_from(cli: &Cli, raw_args: &[String]) -> Runner {
             }
             Err(e) => {
                 eprintln!("[warning: supervision unavailable ({e}); running in-process]");
+                private = None;
                 None
             }
         }
     } else {
         None
     };
+    if let Some(dir) = &cli.results {
+        eprintln!("[resumable results in {dir}]");
+    }
+    let store = cli
+        .results
+        .as_deref()
+        .map(Path::new)
+        .or(private.as_deref())
+        .map(|dir| {
+            ResultStore::open(dir).map(Arc::new).unwrap_or_else(|e| {
+                eprintln!("{e}");
+                std::process::exit(2);
+            })
+        });
     let mut runner = Runner {
         store,
         supervise,
@@ -452,7 +411,7 @@ fn runner_from(cli: &Cli, raw_args: &[String]) -> Runner {
             runner.instructions
         );
     }
-    runner
+    (runner, private)
 }
 
 fn main() {
@@ -475,6 +434,24 @@ fn main() {
         return;
     }
 
+    let selected: Vec<Experiment> = if let Some(wanted) = &cli.only {
+        match all.iter().find(|(name, _)| name == wanted) {
+            Some(&exp) => vec![exp],
+            None => {
+                eprintln!("unknown figure '{wanted}'; runnable figures:");
+                for (name, _) in &all {
+                    eprintln!("  {name}");
+                }
+                std::process::exit(2);
+            }
+        }
+    } else {
+        // Positional substring filter (empty = everything).
+        all.into_iter()
+            .filter(|(name, _)| cli.filter.is_empty() || name.contains(&cli.filter))
+            .collect()
+    };
+
     // Failed cells and figures are reported structurally at the end
     // of the run; keep each panic to one stderr line instead of the
     // default multi-line hook output.
@@ -492,77 +469,32 @@ fn main() {
         eprintln!("[panic{loc}] {}", msg.trim_end());
     }));
 
-    match (&cli.record, &cli.replay) {
-        (Some(dir), None) => {
-            eprintln!("[recording frozen traces into {dir}]");
-            acic_bench::trace_store::configure(acic_bench::trace_store::TraceStoreMode::Record(
-                dir.into(),
-            ))
-            .expect("trace store configured before first use");
-        }
-        (None, Some(dir)) => {
-            eprintln!("[replaying recorded traces from {dir}]");
-            acic_bench::trace_store::configure(acic_bench::trace_store::TraceStoreMode::Replay(
-                dir.into(),
-            ))
-            .expect("trace store configured before first use");
-        }
-        _ => {}
-    }
-
-    let runner = runner_from(&cli, &raw_args);
+    let (runner, private_journal) = runner_from(&cli, &raw_args);
     let is_child = matches!(runner.supervise, Some(Role::Child(_)));
+    // Every exit from here on deletes the private journal first.
+    let exit = |code: i32| -> ! {
+        if let Some(dir) = &private_journal {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+        std::process::exit(code)
+    };
 
     if cli.dse {
         match run_dse_cli(&cli, &runner) {
             Ok(report) => println!("{report}"),
             Err(e) => {
                 eprintln!("dse failed: {e}");
-                std::process::exit(1);
+                exit(1);
             }
         }
         if is_child {
             // A --run-cell child that got here swept the whole ladder
             // without meeting its target key.
             eprintln!("run-cell target not found in the DSE sweep");
-            std::process::exit(3);
+            exit(3);
         }
-        return;
+        exit(0);
     }
-
-    let selected: Vec<Experiment> = if let Some((fig, cell)) = &cli.profile_cell {
-        // Arm the runner-side interception before the figure runs:
-        // the first grid cell whose label contains `cell` re-simulates
-        // in a tight loop and the process exits from inside it.
-        acic_bench::runner::set_profile_cell(cell.clone());
-        eprintln!("[profile-cell: figure '{fig}', first cell whose label contains '{cell}']");
-        match all.iter().find(|(name, _)| name == fig) {
-            Some(&exp) => vec![exp],
-            None => {
-                eprintln!("unknown figure '{fig}' in --profile-cell; runnable figures:");
-                for (name, _) in &all {
-                    eprintln!("  {name}");
-                }
-                std::process::exit(2);
-            }
-        }
-    } else if let Some(wanted) = &cli.only {
-        match all.iter().find(|(name, _)| name == wanted) {
-            Some(&exp) => vec![exp],
-            None => {
-                eprintln!("unknown figure '{wanted}'; runnable figures:");
-                for (name, _) in &all {
-                    eprintln!("  {name}");
-                }
-                std::process::exit(2);
-            }
-        }
-    } else {
-        // Positional substring filter (empty = everything).
-        all.into_iter()
-            .filter(|(name, _)| cli.filter.is_empty() || name.contains(&cli.filter))
-            .collect()
-    };
 
     // Keep-going figure loop: one failing figure must not cost the
     // rest of the sweep (its grid cells already journaled to
@@ -598,7 +530,7 @@ fn main() {
         // its grid reaches the target; completing the figure loop
         // means the key matched no cell of the selected figures.
         eprintln!("run-cell target not found in the selected figures");
-        std::process::exit(3);
+        exit(3);
     }
     if !failures.is_empty() {
         eprintln!("==== failure summary ====");
@@ -609,14 +541,9 @@ fn main() {
                 eprintln!("  {line}");
             }
         }
-        std::process::exit(1);
+        exit(1);
     }
-    if cli.profile_cell.is_some() {
-        // `run_profile_cell` exits the process on a match; completing
-        // the figure loop means no cell label contained the substring.
-        eprintln!("profile-cell target matched no cell of the selected figure");
-        std::process::exit(2);
-    }
+    exit(0);
 }
 
 #[cfg(test)]
@@ -629,31 +556,23 @@ mod tests {
 
     #[test]
     fn flag_values_are_extracted_and_removed() {
-        let cli = parse_cli(argv(&["--record-traces", "td", "fig1"])).unwrap();
-        assert_eq!(cli.record.as_deref(), Some("td"));
+        let cli = parse_cli(argv(&["--results", "rd", "fig1"])).unwrap();
+        assert_eq!(cli.results.as_deref(), Some("rd"));
         assert_eq!(cli.filter, "fig1");
     }
 
     #[test]
     fn trailing_flag_without_value_is_an_error_not_a_filter() {
-        let err = parse_cli(argv(&["--record-traces"])).unwrap_err();
-        assert!(err.contains("--record-traces requires a value"), "{err}");
         let err = parse_cli(argv(&["fig1", "--results"])).unwrap_err();
         assert!(err.contains("--results requires a value"), "{err}");
     }
 
     #[test]
     fn flag_consuming_another_option_is_an_error() {
-        // Historically `--record-traces --smoke` silently recorded
-        // into a directory literally named `--smoke`.
-        let err = parse_cli(argv(&["--record-traces", "--smoke"])).unwrap_err();
+        // `--results --smoke` must not journal into a directory
+        // literally named `--smoke`.
+        let err = parse_cli(argv(&["--results", "--smoke"])).unwrap_err();
         assert!(err.contains("the option '--smoke'"), "{err}");
-    }
-
-    #[test]
-    fn record_and_replay_are_mutually_exclusive() {
-        let err = parse_cli(argv(&["--record-traces", "a", "--traces", "b"])).unwrap_err();
-        assert!(err.contains("mutually exclusive"), "{err}");
     }
 
     #[test]
@@ -670,6 +589,16 @@ mod tests {
     fn unknown_options_are_rejected_not_ignored() {
         let err = parse_cli(argv(&["--keep-gonig"])).unwrap_err();
         assert!(err.contains("unknown option '--keep-gonig'"), "{err}");
+        // Retired flags are unknown options too.
+        for flag in [
+            "--record-traces",
+            "--traces",
+            "--profile-cell",
+            "--keep-going",
+        ] {
+            let err = parse_cli(argv(&[flag, "x"])).unwrap_err();
+            assert!(err.contains(&format!("unknown option '{flag}'")), "{err}");
+        }
     }
 
     #[test]
@@ -677,7 +606,6 @@ mod tests {
         let cli = parse_cli(argv(&[
             "--smoke",
             "--fail-fast",
-            "--keep-going",
             "--results",
             "rd",
             "table",
@@ -721,7 +649,6 @@ mod tests {
         for args in [
             &["--dse", "--smoke", "--only", "fig10_speedup"][..],
             &["--dse", "--smoke", "fig10"],
-            &["--dse", "--smoke", "--profile-cell", "table3_mpki:lru"],
         ] {
             let err = parse_cli(argv(args)).unwrap_err();
             assert!(err.contains("cannot be combined"), "{args:?}: {err}");
@@ -764,26 +691,6 @@ mod tests {
         assert_eq!(cli.run_cell_trace.as_deref(), Some("t.acictrace"));
         let err = parse_cli(argv(&["--run-cell-trace", "t.acictrace"])).unwrap_err();
         assert!(err.contains("only makes sense with --run-cell"), "{err}");
-    }
-
-    #[test]
-    fn profile_cell_parses_figure_and_substring() {
-        let cli = parse_cli(argv(&["--profile-cell", "fig11_mpki:ACIC"])).unwrap();
-        assert_eq!(cli.profile_cell, Some(("fig11_mpki".into(), "ACIC".into())));
-
-        let err = parse_cli(argv(&["--profile-cell", "fig11_mpki"])).unwrap_err();
-        assert!(err.contains("<figure>:<cell-substring>"), "{err}");
-        let err = parse_cli(argv(&["--profile-cell", ":ACIC"])).unwrap_err();
-        assert!(err.contains("<figure>:<cell-substring>"), "{err}");
-        let err = parse_cli(argv(&["--profile-cell", "fig11_mpki:"])).unwrap_err();
-        assert!(err.contains("<figure>:<cell-substring>"), "{err}");
-        let err = parse_cli(argv(&["--profile-cell"])).unwrap_err();
-        assert!(err.contains("requires a value"), "{err}");
-
-        let err = parse_cli(argv(&["--profile-cell", "f:c", "--only", "fig11_mpki"])).unwrap_err();
-        assert!(err.contains("cannot be combined"), "{err}");
-        let err = parse_cli(argv(&["--profile-cell", "f:c", "--supervise"])).unwrap_err();
-        assert!(err.contains("cannot be combined"), "{err}");
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Deterministic IO fault injection for the on-disk stores.
 //!
-//! Everything `acic-bench` persists — `.acictrace` containers
-//! ([`crate::trace_store`]) and the resumable result journal
+//! Everything `acic-bench` persists — supervised runs' `.acictrace`
+//! handoff containers, read back through [`crate::trace_store`], and
+//! the resumable result journal
 //! ([`crate::result_store`]) — performs its filesystem IO through the
 //! two façades in this module, [`read`] and [`write_atomic`]. In
 //! normal operation they are a thin veneer over `std::fs` that adds

@@ -7,7 +7,7 @@
 //! application (the paper uses 500 M–1 B) and scales through the
 //! `ACIC_EXP_INSTRUCTIONS` environment variable.
 //!
-//! The library ships no self-tests: the record/replay, resume,
+//! The library ships no self-tests: the container-loader, resume,
 //! window-parallel, DSE and supervision round trips are integration
 //! tests (`crates/bench/tests`, `tests/window_parallel.rs`).
 //!

@@ -7,9 +7,8 @@
 //! instruction budget and the config hash covers the organization,
 //! prefetcher, fidelity schedule, and every other [`SimConfig`]
 //! field. A repeated or interrupted sweep replays finished cells from
-//! disk and simulates only the rest, exactly like the trace store
-//! replays frozen traces ([`crate::trace_store`]); the ROADMAP's DSE
-//! driver sits on this store.
+//! disk and simulates only the rest; the DSE driver sits on this
+//! store.
 //!
 //! **Journal format** (`acic-results/v2`). Line 1 is the schema
 //! header `{"schema":"acic-results/v2"}`; every further line is one

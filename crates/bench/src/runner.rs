@@ -4,15 +4,15 @@
 //!
 //! Every experiment path acquires instructions the same way now: a
 //! [`WorkloadSpec`] is frozen **once** into an immutable
-//! [`PackedTrace`] (via [`crate::trace_store::freeze`], which also
-//! serves `--record-traces`/`--traces`), and every configuration row,
-//! thread, and repeat replays the shared `Arc` zero-copy. The cell
-//! executor freezes lazily through a per-run [`TraceSet`]: only the
-//! specs of cells the store did not replay, each at most once. A
-//! C-config × A-spec grid therefore pays A generation passes instead
-//! of C × A — the generation cost that used to dominate figure wall
-//! time after the simulators got fast. Replay is bit-identical to
-//! generation (same stream, same name-derived seeds), pinned by
+//! [`PackedTrace`] (via [`crate::trace_store::freeze`]), and every
+//! configuration row, thread, and repeat replays the shared `Arc`
+//! zero-copy. The cell executor freezes lazily through a per-run
+//! [`TraceSet`]: only the specs of cells the store did not replay,
+//! each at most once. A C-config × A-spec grid therefore pays A
+//! generation passes instead of C × A — the generation cost that used
+//! to dominate figure wall time after the simulators got fast.
+//! Replay is bit-identical to generation (same stream, same
+//! name-derived seeds), pinned by
 //! `frozen_grid_matches_generator_backed_runs` below.
 //!
 //! **Fault isolation.** Grid cells run on the detached-thread
@@ -63,17 +63,27 @@ fn warn_ignored(once: &'static Once, var: &str, raw: &str) {
     });
 }
 
+/// Resolves the instruction budget from an `ACIC_EXP_INSTRUCTIONS`-
+/// style override: a parseable positive count wins, zero and garbage
+/// fall back to 1 M. Pure for testability.
+fn instruction_budget_from(var: Option<&str>) -> u64 {
+    var.and_then(|v| v.parse::<u64>().ok())
+        .filter(|&n| n >= 1)
+        .unwrap_or(1_000_000)
+}
+
 /// Instructions simulated per application: `ACIC_EXP_INSTRUCTIONS` or
 /// 1 M (the paper runs 500 M–1 B; shapes stabilize well below that).
-/// An unparseable override warns once on stderr and falls back.
+/// An override that parses to nothing usable (garbage or zero) warns
+/// once on stderr and falls back.
 pub fn instruction_budget() -> u64 {
-    match std::env::var("ACIC_EXP_INSTRUCTIONS") {
-        Ok(raw) => raw.parse().unwrap_or_else(|_| {
-            warn_ignored(&BUDGET_WARNING, "ACIC_EXP_INSTRUCTIONS", &raw);
-            1_000_000
-        }),
-        Err(_) => 1_000_000,
+    let raw = std::env::var("ACIC_EXP_INSTRUCTIONS").ok();
+    if let Some(r) = raw.as_deref() {
+        if r.parse::<u64>().ok().filter(|&n| n >= 1).is_none() {
+            warn_ignored(&BUDGET_WARNING, "ACIC_EXP_INSTRUCTIONS", r);
+        }
     }
+    instruction_budget_from(raw.as_deref())
 }
 
 /// Resolves the grid worker count from an `ACIC_BENCH_THREADS`-style
@@ -157,8 +167,8 @@ pub enum CellError {
     /// cell (or the worker pool died), so no thread was left to pick
     /// it up.
     Starved,
-    /// The cell's workload could not be frozen (trace-store write
-    /// failure or a panic during materialization).
+    /// The cell's workload could not be frozen (a panic during
+    /// materialization, or a failed handoff-file write).
     Freeze(String),
     /// The worker thread claiming the cell died without reporting
     /// (its panic payload unwound through `catch_unwind`); the cell
@@ -504,8 +514,8 @@ pub fn run_cells<T: Send + 'static>(
 
 /// Freezes every spec in `specs` exactly once (structurally equal
 /// specs share one frozen trace) and returns the per-spec outcomes,
-/// in input order — a freeze failure (store write error or a panic
-/// during materialization) fails only the cells that need that spec.
+/// in input order — a freeze failure (a panic during materialization)
+/// fails only the cells that need that spec.
 /// Freezing fans out across the [`bench_threads`] pool; the cell
 /// executor freezes through the same [`TraceSet`] on its batch's
 /// thread count instead.
@@ -610,7 +620,7 @@ impl TraceSet {
             Arc::new(slots.iter().map(|&u| self.specs[u].clone()).collect());
         let (budget, parent) = (self.budget, parent.cloned());
         let frozen = run_cells(todo.len(), threads, None, move |t| {
-            let trace = crate::trace_store::freeze(&todo[t], budget).map_err(|e| e.to_string())?;
+            let Ok(trace) = crate::trace_store::freeze(&todo[t], budget);
             match &parent {
                 Some(ctx) => ctx
                     .write_handoff(&todo[t], budget, &trace)
@@ -652,10 +662,10 @@ impl Drop for TraceSet {
     }
 }
 
-/// Freezes or dies: callers without a per-cell failure path (the
-/// figures' keep-going loop catches the panic).
+/// Freezes `spec` for callers that need the trace itself.
 pub(crate) fn must_freeze(spec: &WorkloadSpec, instructions: u64) -> Arc<PackedTrace> {
-    crate::trace_store::freeze(spec, instructions).unwrap_or_else(|e| panic!("{e}"))
+    let Ok(trace) = crate::trace_store::freeze(spec, instructions);
+    trace
 }
 
 /// Runs one spec under `cfg` by replaying its frozen trace.
@@ -668,61 +678,6 @@ pub fn run_spec(cfg: &SimConfig, spec: &WorkloadSpec, instructions: u64) -> SimR
 /// trace.
 pub fn run_config(cfg: &SimConfig, profile: &AppProfile, instructions: u64) -> SimReport {
     run_spec(cfg, &WorkloadSpec::Single(profile.clone()), instructions)
-}
-
-/// The `--profile-cell` target: a substring matched against cell
-/// labels (`config <c> '<org>' x spec '<spec>'`). Set once by the
-/// `experiments` binary before any figure runs.
-static PROFILE_CELL: std::sync::OnceLock<String> = std::sync::OnceLock::new();
-
-/// Arms `--profile-cell` mode: the first grid cell whose label
-/// contains `cell` runs in a tight measurement loop and the process
-/// exits, instead of sweeping the grid. See [`Runner::try_run_grid`].
-pub fn set_profile_cell(cell: String) {
-    let _ = PROFILE_CELL.set(cell);
-}
-
-/// Iterations of the `--profile-cell` tight loop — long enough for a
-/// sampling profiler to see a stable hot-path histogram.
-const PROFILE_ITERS: u64 = 50;
-
-/// The `--profile-cell` tight loop: freezes the target cell's spec
-/// once, then re-simulates the identical cell [`PROFILE_ITERS`]
-/// times with minimal stderr chatter (one line before, one line of
-/// stats after) so `perf record -p <pid>` sees almost nothing but the
-/// simulator's hot path. Exits the process when done.
-fn run_profile_cell(
-    cfg: &SimConfig,
-    spec: &WorkloadSpec,
-    instructions: u64,
-    window_threads: usize,
-    label: &str,
-) -> ! {
-    let trace = must_freeze(spec, instructions);
-    eprintln!(
-        "[profile-cell: {label}; {PROFILE_ITERS} x {instructions} instructions, pid {}]",
-        std::process::id()
-    );
-    let start = Instant::now();
-    let mut best = f64::INFINITY;
-    for _ in 0..PROFILE_ITERS {
-        let t0 = Instant::now();
-        let report = if window_threads >= 1 {
-            Engine::run_windowed(cfg, trace.as_ref(), window_threads)
-        } else {
-            Simulator::run(cfg, trace.as_ref())
-        };
-        std::hint::black_box(&report);
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    let total = start.elapsed().as_secs_f64();
-    let n = instructions as f64;
-    eprintln!(
-        "[profile-cell: {PROFILE_ITERS} iterations in {total:.2}s; best {:.0} ips, mean {:.0} ips]",
-        n / best.max(1e-12),
-        n * PROFILE_ITERS as f64 / total.max(1e-12)
-    );
-    std::process::exit(0);
 }
 
 /// Deliberate failure injection for crash-safety tests: the CLI and
@@ -1045,24 +1000,6 @@ impl Runner {
                 )
             })
             .collect();
-        // `--profile-cell` mode: the first cell whose label contains
-        // the target substring is re-simulated in a tight loop and
-        // the process exits (inside `run_profile_cell`). Grids of the
-        // selected figure that don't hold a match fall through and
-        // run normally, so a later grid in the same figure is still
-        // reachable.
-        if let Some(target) = PROFILE_CELL.get() {
-            if let Some(i) = labels.iter().position(|l| l.contains(target.as_str())) {
-                let (c, a) = cells[i];
-                run_profile_cell(
-                    &configs[c],
-                    &specs[a],
-                    self.instructions,
-                    self.window_threads,
-                    &labels[i],
-                );
-            }
-        }
         let window_threads = self.window_threads;
         let keys: Vec<String> = cells
             .iter()
@@ -1184,9 +1121,19 @@ mod tests {
     use acic_sim::SampleSchedule;
 
     #[test]
-    fn budget_reads_env() {
-        // Default without env (other tests may set it; just bounds).
-        assert!(instruction_budget() >= 1000);
+    fn budget_override_policy() {
+        assert_eq!(instruction_budget_from(None), 1_000_000, "unset: 1M");
+        assert_eq!(instruction_budget_from(Some("20000")), 20_000);
+        assert_eq!(
+            instruction_budget_from(Some("0")),
+            1_000_000,
+            "zero rejected"
+        );
+        assert_eq!(
+            instruction_budget_from(Some("lots")),
+            1_000_000,
+            "garbage rejected"
+        );
     }
 
     #[test]

@@ -39,6 +39,11 @@
 //!   history) under `crash-reports/`, referenced from the `GridError`
 //!   summary.
 //!
+//! A child replays the parent's argv, so it runs the selection's
+//! figure code up to its own cell, but replays every earlier grid or
+//! rung from the parent's `--results` journal (without `--results`,
+//! `experiments` gives the parent a private one for the run).
+//!
 //! Supervision is a value, not a process global: `experiments` turns
 //! `--supervise` into [`Role::Parent`] and `--run-cell` into
 //! [`Role::Child`], and passes it down in the `supervise` slot of its

@@ -45,20 +45,21 @@ fn a_flag_missing_its_value_is_a_usage_error_not_a_filter() {
     assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr(&out));
     assert!(stderr(&out).contains("--results requires a value"));
 
-    // Historically `--record-traces --smoke` recorded into a
-    // directory literally named `--smoke`.
-    let out = experiments()
-        .args(["--record-traces", "--smoke"])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(2));
-    assert!(stderr(&out).contains("--record-traces requires a value"));
-
     // A typo, and the retired flags (the self-test modes are now
-    // integration tests): none may fall through to the figure filter.
+    // integration tests; trace record/replay, the profiling loop and
+    // the no-op keep-going switch are gone): none may fall through to
+    // the figure filter.
     let retired_self_tests =
         ["trace", "results", "window", "dse", "supervise"].map(|mode| format!("--{mode}-smoke"));
-    let flags = ["--keep-gonig".to_string(), "--bench-delta".to_string()];
+    let flags = [
+        "--keep-gonig",
+        "--bench-delta",
+        "--record-traces",
+        "--traces",
+        "--profile-cell",
+        "--keep-going",
+    ]
+    .map(String::from);
     for flag in flags.iter().chain(&retired_self_tests) {
         let out = experiments().arg(flag).output().unwrap();
         assert_eq!(out.status.code(), Some(2), "{flag}");
@@ -72,11 +73,7 @@ fn a_flag_missing_its_value_is_a_usage_error_not_a_filter() {
 
     // `--dse` runs no figures: a figure selector next to it is a
     // usage error, not silently dropped while the sweep runs.
-    for selector in [
-        &["--only", "fig10_speedup"][..],
-        &["fig10"],
-        &["--profile-cell", "table3_mpki:lru"],
-    ] {
+    for selector in [&["--only", "fig10_speedup"][..], &["fig10"]] {
         let out = experiments()
             .args(["--dse", "--smoke"])
             .args(selector)

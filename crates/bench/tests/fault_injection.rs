@@ -122,11 +122,11 @@ proptest! {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// The one container loader (`--traces` replay and a supervised
-    /// child's handoff) under a faulted read: an EIO or a flipped bit
-    /// either leaves the container intact (the flip landed nowhere it
-    /// could) or is caught, and the loader regenerates — loudly, with
-    /// a `Regenerated*` provenance — a trace bit-identical to the one
+    /// The one container loader (a supervised child's handoff) under
+    /// a faulted read: an EIO or a flipped bit either leaves the
+    /// container intact (the flip landed nowhere it could) or is
+    /// caught, and the loader regenerates — loudly, with a
+    /// `Regenerated*` provenance — a trace bit-identical to the one
     /// recorded. It never hands back a corrupt trace.
     #[test]
     fn the_container_loader_regenerates_or_decodes_bit_identically(

@@ -1,18 +1,19 @@
-//! Replay fallback matrix (the `--traces <dir>` degradation paths).
+//! The container loader's fallback matrix.
 //!
-//! A replay directory with one healthy, one corrupt, one wrong-budget
-//! and one missing container must regenerate exactly the three broken
-//! specs — observable through [`acic_bench::trace_store::Provenance`]
-//! — and produce a grid bit-identical to an all-generated run, because
-//! the generator is ground truth and packed replay round-trips it
-//! exactly. A healthy directory replays every spec, multi-tenant
-//! included, as the very container that was recorded, with a report
-//! bit-identical to the generator's.
+//! [`acic_bench::trace_store::load_container`] is the one loader a
+//! supervised child decodes its handoff trace through. Over one
+//! healthy, one truncated, one wrong-budget and one missing container
+//! it must regenerate exactly the three broken specs — observable
+//! through [`acic_bench::trace_store::Provenance`] — and every report
+//! must be bit-identical to the generator's, because the generator is
+//! ground truth and packed replay round-trips it exactly. A healthy
+//! container decodes to the very trace that was written, multi-tenant
+//! included.
 
-use acic_bench::trace_store::{freeze_with, Provenance, TraceStoreMode};
+use acic_bench::trace_store::{load_container, Provenance};
 use acic_sim::{IcacheOrg, SimConfig, Simulator};
 use acic_workloads::{AppProfile, WorkloadSpec};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 const BUDGET: u64 = 2_000;
 
@@ -32,33 +33,30 @@ fn specs() -> Vec<WorkloadSpec> {
     ]
 }
 
-fn container(dir: &std::path::Path, spec: &WorkloadSpec, budget: u64) -> PathBuf {
-    dir.join(format!("{}.acictrace", spec.store_key(budget)))
+fn container(dir: &Path, spec: &WorkloadSpec) -> PathBuf {
+    dir.join(format!("{}.acictrace", spec.store_key(BUDGET)))
+}
+
+/// Writes `spec` frozen at `budget` as a container at `path`.
+fn write(path: &Path, spec: &WorkloadSpec, budget: u64) {
+    std::fs::write(path, spec.materialize(budget).to_bytes()).unwrap();
 }
 
 #[test]
 fn broken_containers_regenerate_exactly_and_bit_identically() {
     let dir = scratch("matrix");
-    let record = TraceStoreMode::Record(dir.clone());
-    let replay = TraceStoreMode::Replay(dir.clone());
     let specs = specs();
 
-    // Record containers for specs 0..3; leave spec 3 missing.
-    for spec in &specs[..3] {
-        freeze_with(&record, spec, BUDGET).unwrap();
-    }
-    // Corrupt spec 1's container: truncate to half.
-    let corrupt = container(&dir, &specs[1], BUDGET);
-    let bytes = std::fs::read(&corrupt).unwrap();
-    std::fs::write(&corrupt, &bytes[..bytes.len() / 2]).unwrap();
-    // Wrong budget for spec 2: record a valid container at a smaller
-    // budget and move it under the requested-budget key.
-    freeze_with(&record, &specs[2], BUDGET - 1).unwrap();
-    std::fs::rename(
-        container(&dir, &specs[2], BUDGET - 1),
-        container(&dir, &specs[2], BUDGET),
-    )
-    .unwrap();
+    // Spec 0: healthy.
+    write(&container(&dir, &specs[0]), &specs[0], BUDGET);
+    // Spec 1: truncated to half.
+    let truncated = container(&dir, &specs[1]);
+    write(&truncated, &specs[1], BUDGET);
+    let bytes = std::fs::read(&truncated).unwrap();
+    std::fs::write(&truncated, &bytes[..bytes.len() / 2]).unwrap();
+    // Spec 2: a valid container at a smaller budget.
+    write(&container(&dir, &specs[2]), &specs[2], BUDGET - 1);
+    // Spec 3: missing.
 
     let expected = [
         Provenance::Replayed,
@@ -71,7 +69,7 @@ fn broken_containers_regenerate_exactly_and_bit_identically() {
         SimConfig::default().with_org(IcacheOrg::acic_default()),
     ];
     for (spec, want) in specs.iter().zip(expected) {
-        let frozen = freeze_with(&replay, spec, BUDGET).unwrap();
+        let frozen = load_container(&container(&dir, spec), spec, BUDGET);
         assert_eq!(
             frozen.provenance,
             want,
@@ -83,11 +81,11 @@ fn broken_containers_regenerate_exactly_and_bit_identically() {
         // run bit-for-bit regardless of how the trace was obtained.
         for cfg in &configs {
             let generated = Simulator::run(cfg, &spec.generator(BUDGET));
-            let replayed = Simulator::run(cfg, frozen.trace.as_ref());
+            let loaded = Simulator::run(cfg, frozen.trace.as_ref());
             assert_eq!(
-                format!("{replayed:?}"),
+                format!("{loaded:?}"),
                 format!("{generated:?}"),
-                "replay-path grid cell diverged for '{}'",
+                "loaded grid cell diverged for '{}'",
                 spec.label()
             );
         }
@@ -96,10 +94,8 @@ fn broken_containers_regenerate_exactly_and_bit_identically() {
 }
 
 #[test]
-fn healthy_directory_replays_every_spec() {
+fn healthy_containers_load_every_spec() {
     let dir = scratch("healthy");
-    let record = TraceStoreMode::Record(dir.clone());
-    let replay = TraceStoreMode::Replay(dir.clone());
     let mut specs = specs();
     // A composed multi-tenant container round-trips like a single app.
     specs.push(WorkloadSpec::MultiTenant {
@@ -108,20 +104,22 @@ fn healthy_directory_replays_every_spec() {
     });
     let cfg = SimConfig::default().with_org(IcacheOrg::acic_default());
     for spec in &specs {
-        let recorded = freeze_with(&record, spec, BUDGET).unwrap();
-        let frozen = freeze_with(&replay, spec, BUDGET).unwrap();
+        let written = spec.materialize(BUDGET);
+        let path = container(&dir, spec);
+        std::fs::write(&path, written.to_bytes()).unwrap();
+        let frozen = load_container(&path, spec, BUDGET);
         assert_eq!(frozen.provenance, Provenance::Replayed);
         assert!(
-            frozen.trace.as_ref() == recorded.trace.as_ref(),
+            frozen.trace.as_ref() == &written,
             "container round-trip diverged for '{}'",
             spec.label()
         );
         let generated = Simulator::run(&cfg, &spec.generator(BUDGET));
-        let replayed = Simulator::run(&cfg, frozen.trace.as_ref());
+        let loaded = Simulator::run(&cfg, frozen.trace.as_ref());
         assert_eq!(
-            format!("{replayed:?}"),
+            format!("{loaded:?}"),
             format!("{generated:?}"),
-            "replayed report diverged from generated for '{}'",
+            "loaded report diverged from generated for '{}'",
             spec.label()
         );
     }

@@ -131,6 +131,43 @@ fn healthy_supervised_run_is_bit_identical_to_in_process() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+#[test]
+fn a_supervised_run_without_results_journals_privately_and_leaves_nothing() {
+    // Two figures: without `--results`, the parent journals into a
+    // private per-run store and hands it to its children, so a
+    // `fig12b_random` child replays `fig12a_accuracy`'s grid instead
+    // of recomputing it. The store goes when the run ends.
+    let dir = scratch("private");
+    let cr = dir.join("crash");
+    let reference = experiments().arg("fig12").output().unwrap();
+    assert!(reference.status.success(), "stderr: {}", stderr(&reference));
+    assert!(stdout(&reference).contains("==== fig12a_accuracy ===="));
+    assert!(stdout(&reference).contains("==== fig12b_random ===="));
+
+    let supervised = experiments()
+        .args(["fig12", "--supervise", "--crash-reports"])
+        .arg(&cr)
+        .output()
+        .unwrap();
+    let se = stderr(&supervised);
+    assert!(supervised.status.success(), "stderr: {se}");
+    assert_eq!(
+        stdout(&supervised),
+        stdout(&reference),
+        "supervised stdout must be bit-identical"
+    );
+    assert!(
+        se.contains("[results: 0 replayed, 30 computed]"),
+        "the parent journals the second figure's grid: {se}"
+    );
+    let left = files_under(&cr);
+    assert!(
+        left.is_empty(),
+        "neither journal nor handoff may outlive the run: {left:?}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Every file under `dir`, recursively.
 fn files_under(dir: &Path) -> Vec<PathBuf> {
     let mut out = Vec::new();
@@ -148,7 +185,6 @@ fn files_under(dir: &Path) -> Vec<PathBuf> {
 #[test]
 fn a_child_with_a_bad_handoff_trace_regenerates_and_journals_the_same_report() {
     use acic_bench::result_store::{cell_key, ResultStore};
-    use acic_bench::trace_store::{freeze_with, TraceStoreMode};
     use acic_sim::SimConfig;
     use acic_workloads::{AppProfile, WorkloadSpec};
 
@@ -159,11 +195,7 @@ fn a_child_with_a_bad_handoff_trace_regenerates_and_journals_the_same_report() {
 
     // Containers as a parent would hand them over: one at the cell's
     // budget, and one at the wrong budget.
-    let record = |n: u64| {
-        let rec = dir.join(format!("rec-{n}"));
-        freeze_with(&TraceStoreMode::Record(rec.clone()), &spec, n).unwrap();
-        std::fs::read(rec.join(format!("{}.acictrace", spec.store_key(n)))).unwrap()
-    };
+    let record = |n: u64| spec.materialize(n).to_bytes();
     let healthy = record(budget);
     let mut flipped = healthy.clone();
     let mid = flipped.len() / 2;

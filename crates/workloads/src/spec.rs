@@ -89,9 +89,10 @@ impl WorkloadSpec {
         }
     }
 
-    /// Filesystem-safe identity of (spec, budget) for the on-disk
-    /// record/replay store: lowercase alphanumerics, `.`, `_` and `-`
-    /// only, unique per distinct spec shape and instruction budget.
+    /// Filesystem-safe identity of (spec, budget), naming a supervised
+    /// run's handoff trace files (and prefixing result-journal keys):
+    /// lowercase alphanumerics, `.`, `_` and `-` only, unique per
+    /// distinct spec shape and instruction budget.
     pub fn store_key(&self, instructions: u64) -> String {
         let body = match self {
             WorkloadSpec::Single(p) => p.name.clone(),

@@ -2,11 +2,10 @@
 //! container, replay it from disk, and confirm the replayed run is
 //! bit-identical to the generator-backed run.
 //!
-//! This is the workflow behind `experiments --record-traces <dir>` /
-//! `--traces <dir>`: a trace is generated (or captured elsewhere)
-//! once, frozen into the compact packed format, and every later
-//! experiment replays the container instead of re-running the
-//! generator.
+//! This is the container format behind `experiments --supervise`: the
+//! parent freezes each workload once into a `.acictrace` handoff
+//! file, and every child process that simulates a cell over it
+//! decodes the container instead of re-running the generator.
 //!
 //! Run: `cargo run --release --example record_replay`
 
