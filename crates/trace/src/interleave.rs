@@ -12,6 +12,12 @@
 //! merges across one, so every downstream consumer sees the boundary
 //! without any side channel.
 //!
+//! The rotation rule lives in one private schedule. The interleaver's
+//! iterator pulls through it one instruction at a time, and
+//! [`timeslices`] turns it into `(tenant, count)` slices for sources
+//! of known length, so a consumer that can take a whole slice at once
+//! (the multi-tenant freeze path) composes the identical stream.
+//!
 //! **Single-tenant degeneracy.** With one child, quantum expiry
 //! re-selects the same tenant and tenant 0's stamp is [`Asid::HOST`],
 //! so the emitted stream is *bit-identical* to the child's own — the
@@ -112,60 +118,124 @@ impl<S: TraceSource> InterleavedTrace<S> {
     }
 }
 
+/// The stamp of tenant `tenant`'s instructions: ASID `tenant`
+/// (tenant 0 is [`Asid::HOST`]).
+#[inline]
+pub fn tenant_asid(tenant: usize) -> Asid {
+    Asid::new(tenant as u16)
+}
+
+/// The round-robin rotation rule of every interleave, defined once.
+///
+/// Tenant 0 gets the first grant. Each grant lets one tenant run up to
+/// a quantum of instructions; the next grant goes to the next live
+/// tenant after it (the same tenant again when it is the only
+/// survivor). A tenant that runs dry before using up its grant is
+/// retired and never granted again. [`InterleavedIter`] pulls through
+/// it one instruction at a time; [`timeslices`] follows it a whole
+/// grant at a time, so both compose the same stream.
+#[derive(Debug)]
+struct QuantumSchedule {
+    live: Vec<bool>,
+    /// The tenant holding the latest grant.
+    current: usize,
+}
+
+impl QuantumSchedule {
+    /// A schedule over `tenants` tenants, all live.
+    fn new(tenants: usize) -> Self {
+        // Start "just before" tenant 0 so the first rotation lands on
+        // it.
+        QuantumSchedule {
+            live: vec![true; tenants],
+            current: tenants.saturating_sub(1),
+        }
+    }
+
+    /// The tenant that runs the next quantum, or `None` once every
+    /// tenant is retired.
+    fn next_grant(&mut self) -> Option<usize> {
+        let n = self.live.len();
+        let idx = (1..=n)
+            .map(|step| (self.current + step) % n)
+            .find(|&idx| self.live[idx])?;
+        self.current = idx;
+        Some(idx)
+    }
+
+    /// Retires `tenant`: it ran dry inside its grant.
+    fn retire(&mut self, tenant: usize) {
+        self.live[tenant] = false;
+    }
+}
+
+/// The `(tenant, count)` timeslices of an interleave whose tenant
+/// lengths `lens` are known: the interleaver's rotation, each grant
+/// cut to what its tenant has left. Empty slices are skipped, so the
+/// counts sum to the total length, and running each slice's tenant for
+/// `count` instructions stamped with [`tenant_asid`] composes exactly
+/// [`InterleavedIter`]'s stream. Frozen multi-tenant workloads are
+/// encoded this way, one slice at a time.
+///
+/// # Panics
+///
+/// Panics if `quantum` is zero.
+///
+/// ```
+/// use acic_trace::interleave::timeslices;
+///
+/// let slices: Vec<_> = timeslices(vec![2, 6], 4).collect();
+/// assert_eq!(slices, vec![(0, 2), (1, 4), (1, 2)]);
+/// ```
+pub fn timeslices(lens: Vec<u64>, quantum: u64) -> impl Iterator<Item = (usize, u64)> {
+    assert!(quantum > 0, "switch quantum must be positive");
+    let mut schedule = QuantumSchedule::new(lens.len());
+    let mut left = lens;
+    std::iter::from_fn(move || loop {
+        let tenant = schedule.next_grant()?;
+        let count = left[tenant].min(quantum);
+        left[tenant] -= count;
+        if count < quantum {
+            schedule.retire(tenant);
+        }
+        if count > 0 {
+            return Some((tenant, count));
+        }
+    })
+}
+
 /// One pass over an [`InterleavedTrace`].
 #[derive(Debug)]
 pub struct InterleavedIter<'a, S: TraceSource + 'a> {
-    /// Child iterators; `None` once a child is exhausted.
-    children: Vec<Option<S::Iter<'a>>>,
+    children: Vec<S::Iter<'a>>,
+    schedule: QuantumSchedule,
     current: usize,
     left_in_quantum: u64,
     quantum: u64,
-}
-
-impl<'a, S: TraceSource + 'a> InterleavedIter<'a, S> {
-    /// Rotates to the next live tenant (possibly back to the current
-    /// one when it is the only survivor) and recharges the quantum.
-    /// Returns `false` when every child is exhausted.
-    fn switch_to_next_live(&mut self) -> bool {
-        let n = self.children.len();
-        for step in 1..=n {
-            let idx = (self.current + step) % n;
-            if self.children[idx].is_some() {
-                self.current = idx;
-                self.left_in_quantum = self.quantum;
-                return true;
-            }
-        }
-        false
-    }
 }
 
 impl<'a, S: TraceSource + 'a> Iterator for InterleavedIter<'a, S> {
     type Item = Instr;
 
     fn next(&mut self) -> Option<Instr> {
-        // At most one attempt per tenant before concluding the whole
-        // interleave is drained.
-        for _ in 0..=self.children.len() {
-            if (self.left_in_quantum == 0 || self.children[self.current].is_none())
-                && !self.switch_to_next_live()
-            {
-                return None;
+        loop {
+            if self.left_in_quantum == 0 {
+                self.current = self.schedule.next_grant()?;
+                self.left_in_quantum = self.quantum;
             }
-            let idx = self.current;
-            if let Some(it) = self.children[idx].as_mut() {
-                match it.next() {
-                    Some(i) => {
-                        self.left_in_quantum -= 1;
-                        return Some(i.with_asid(Asid::new(idx as u16)));
-                    }
-                    // Exhausted mid-quantum: retire this tenant and
-                    // let the loop rotate onward.
-                    None => self.children[idx] = None,
+            match self.children[self.current].next() {
+                Some(i) => {
+                    self.left_in_quantum -= 1;
+                    return Some(i.with_asid(tenant_asid(self.current)));
+                }
+                // Exhausted mid-quantum: retire this tenant and let
+                // the schedule rotate onward.
+                None => {
+                    self.schedule.retire(self.current);
+                    self.left_in_quantum = 0;
                 }
             }
         }
-        None
     }
 }
 
@@ -177,9 +247,10 @@ impl<S: TraceSource> TraceSource for InterleavedTrace<S> {
 
     fn iter(&self) -> Self::Iter<'_> {
         InterleavedIter {
-            children: self.tenants.iter().map(|t| Some(t.iter())).collect(),
+            children: self.tenants.iter().map(|t| t.iter()).collect(),
+            schedule: QuantumSchedule::new(self.tenants.len()),
             current: 0,
-            left_in_quantum: self.quantum,
+            left_in_quantum: 0,
             quantum: self.quantum,
         }
     }
@@ -324,6 +395,41 @@ mod tests {
     #[should_panic(expected = "tenant")]
     fn empty_tenant_list_rejected() {
         let _ = InterleavedTrace::new(Vec::<VecTrace>::new(), 4);
+    }
+
+    #[test]
+    fn timeslices_emit_the_iterator_stream() {
+        // Uneven, empty and exact-multiple tenants: the grant-at-a-time
+        // schedule must compose the per-instruction stream exactly.
+        for (lens, quantum) in [
+            (vec![6, 6], 3),
+            (vec![2, 6], 4),
+            (vec![0, 5, 0, 9], 2),
+            (vec![8, 4, 12], 4),
+            (vec![37], 5),
+            (vec![0, 0], 1),
+        ] {
+            let mt = InterleavedTrace::new(
+                lens.iter()
+                    .enumerate()
+                    .map(|(t, &n)| trace("t", n, t as u64 * 0x1000))
+                    .collect(),
+                quantum,
+            );
+            let mut cursors: Vec<_> = mt.tenants().iter().map(|t| t.iter()).collect();
+            let mut composed = Vec::new();
+            for (tenant, count) in timeslices(lens.clone(), quantum) {
+                assert!(count > 0 && count <= quantum);
+                composed.extend(
+                    cursors[tenant]
+                        .by_ref()
+                        .take(count as usize)
+                        .map(|i| i.with_asid(tenant_asid(tenant))),
+                );
+            }
+            let pulled: Vec<Instr> = mt.iter().collect();
+            assert_eq!(composed, pulled, "{lens:?} q{quantum}");
+        }
     }
 
     #[test]

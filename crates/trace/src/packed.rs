@@ -209,6 +209,14 @@ pub struct PackedTrace {
 /// instructions are accumulated into `AluRun` records; ASID changes
 /// emit explicit switch records; skip-index snapshots are taken every
 /// [`SKIP_STRIDE`] instructions at record boundaries.
+///
+/// `push` is a sink a producer can drive directly: the workload
+/// generator's freeze path (`WorkloadSpec::materialize` in
+/// `acic-workloads`) steps its walker straight into `push`, a whole
+/// segment or timeslice at a time, instead of pulling instructions one
+/// at a time through an iterator as [`PackedTrace::from_source`] does.
+/// Both feed the same instructions in the same order, so both seal the
+/// same bytes.
 #[derive(Debug)]
 pub struct PackedTraceBuilder {
     bytes: Vec<u8>,

@@ -51,7 +51,7 @@ pub use program::{Program, Terminator};
 pub use spec::{ladder_budgets, split_budget, GeneratedWorkload, WorkloadSpec};
 pub use walker::Walker;
 
-use acic_trace::TraceSource;
+use acic_trace::{PackedTrace, PackedTraceBuilder, TraceSource};
 
 /// Short names used as figure columns.
 pub fn short_name(app: &str) -> String {
@@ -99,13 +99,28 @@ impl SyntheticWorkload {
     pub fn instructions(&self) -> u64 {
         self.instructions
     }
+
+    /// A fresh walk over the program: the un-truncated stream.
+    pub(crate) fn walker(&self) -> Walker<'_> {
+        Walker::new(&self.program, &self.profile)
+    }
+
+    /// Freezes one pass into a [`PackedTrace`] by pushing the walker
+    /// straight into the encoder — the same instructions and name as
+    /// `PackedTrace::from_source(self)`, without pulling them one at a
+    /// time through an iterator.
+    pub(crate) fn freeze(&self) -> PackedTrace {
+        let mut builder = PackedTraceBuilder::new(self.name());
+        self.walker().fill(self.instructions, |i| builder.push(i));
+        builder.finish()
+    }
 }
 
 impl TraceSource for SyntheticWorkload {
     type Iter<'a> = core::iter::Take<Walker<'a>>;
 
     fn iter(&self) -> Self::Iter<'_> {
-        Walker::new(&self.program, &self.profile).take(self.instructions as usize)
+        self.walker().take(self.instructions as usize)
     }
 
     fn name(&self) -> &str {

@@ -13,7 +13,8 @@
 
 use crate::profile::AppProfile;
 use crate::SyntheticWorkload;
-use acic_trace::InterleavedTrace;
+use acic_trace::interleave::{tenant_asid, timeslices};
+use acic_trace::{InterleavedTrace, PackedTrace, PackedTraceBuilder, TraceSource};
 use acic_types::hash::mix2;
 
 /// Builder for an interleaved multi-tenant workload.
@@ -96,6 +97,22 @@ impl MultiTenantWorkload {
             .collect();
         InterleavedTrace::new(children, self.quantum)
     }
+}
+
+/// Freezes an interleave of synthetic tenants one timeslice at a time:
+/// each `(tenant, count)` slice of [`timeslices`] pushes that tenant's
+/// walker straight into the encoder, stamped with its ASID. The result
+/// equals `PackedTrace::from_source(mt)` byte for byte — the schedule
+/// and the stamp are the interleaver's own.
+pub(crate) fn freeze(mt: &InterleavedTrace<SyntheticWorkload>) -> PackedTrace {
+    let mut walkers: Vec<_> = mt.tenants().iter().map(SyntheticWorkload::walker).collect();
+    let lens = mt.tenants().iter().map(|t| t.instructions()).collect();
+    let mut builder = PackedTraceBuilder::new(mt.name());
+    for (tenant, count) in timeslices(lens, mt.quantum()) {
+        let asid = tenant_asid(tenant);
+        walkers[tenant].fill(count, |i| builder.push(i.with_asid(asid)));
+    }
+    builder.finish()
 }
 
 #[cfg(test)]

@@ -5,7 +5,8 @@
 //! quantum-scheduled multi-tenant interleave — without generating
 //! anything. The experiment harness keys its scheduling on specs:
 //! every distinct spec is frozen **exactly once** into a
-//! [`PackedTrace`] ([`WorkloadSpec::materialize`]) and every
+//! [`PackedTrace`] ([`WorkloadSpec::materialize`], which pushes the
+//! walker straight into the encoder) and every
 //! configuration row then replays the shared frozen trace, instead of
 //! paying the Markov-walker generation cost once per (config × spec)
 //! grid cell. The frozen trace carries the same name as the generator
@@ -142,15 +143,19 @@ impl WorkloadSpec {
     /// Freezes this spec into an immutable [`PackedTrace`]: one
     /// generation pass, then any number of zero-copy replays.
     ///
-    /// The frozen trace is bit-identical to the generator stream
-    /// (same instructions, same ASID boundaries, same name and
-    /// therefore the same derived seeds), and its length equals the
-    /// requested budget exactly — asserted here, which is what pins
-    /// the multi-tenant remainder distribution of [`split_budget`].
+    /// The generation pass pushes the walker straight into the
+    /// encoder, with no iterator in between: a single app's walker
+    /// fills the whole budget, and a multi-tenant spec's walkers fill
+    /// one interleave timeslice at a time. The frozen trace is
+    /// bit-identical to the generator stream (same instructions, same
+    /// ASID boundaries, same name and therefore the same derived
+    /// seeds), and its length equals the requested budget exactly —
+    /// asserted here, which is what pins the multi-tenant remainder
+    /// distribution of [`split_budget`].
     pub fn materialize(&self, instructions: u64) -> PackedTrace {
         let packed = match self.generator(instructions) {
-            GeneratedWorkload::Single(wl) => PackedTrace::from_source(wl.as_ref()),
-            GeneratedWorkload::MultiTenant(wl) => PackedTrace::from_source(&wl),
+            GeneratedWorkload::Single(wl) => wl.freeze(),
+            GeneratedWorkload::MultiTenant(wl) => crate::multi_tenant::freeze(&wl),
         };
         assert_eq!(
             packed.len(),
@@ -272,6 +277,30 @@ mod tests {
         assert_eq!(packed.iter().count(), 10_001);
         let gen = spec.generator(10_001);
         assert!(packed.iter().eq(gen.iter()), "frozen == generated");
+    }
+
+    #[test]
+    fn pushed_freeze_is_the_pulled_freeze_byte_for_byte() {
+        // Quanta that end mid-segment make a tenant resume inside a
+        // segment it started in an earlier timeslice.
+        for spec in [
+            WorkloadSpec::Single(AppProfile::tpc_c()),
+            WorkloadSpec::MultiTenant {
+                profiles: vec![AppProfile::web_search(), AppProfile::web_search()],
+                quantum: 777,
+            },
+            WorkloadSpec::MultiTenant {
+                profiles: AppProfile::datacenter_suite()[..3].to_vec(),
+                quantum: 5_000,
+            },
+        ] {
+            assert_eq!(
+                spec.materialize(20_011).to_bytes(),
+                PackedTrace::from_source(&spec.generator(20_011)).to_bytes(),
+                "{}",
+                spec.label()
+            );
+        }
     }
 
     #[test]

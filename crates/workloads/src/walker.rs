@@ -1,5 +1,5 @@
 //! The deterministic program walker: executes requests against a
-//! generated [`Program`], yielding the dynamic instruction stream.
+//! generated [`Program`], emitting the dynamic instruction stream.
 
 use crate::profile::AppProfile;
 use crate::program::{Program, Terminator, HEAP_BASE, STACK_BASE};
@@ -21,7 +21,7 @@ struct Frame {
     return_pc: Addr,
 }
 
-/// Iterator over the dynamic instruction stream of a program.
+/// The dynamic instruction stream of a program.
 ///
 /// The walker repeatedly executes *requests*: each request walks the
 /// dispatcher, whose call sites fan out into zipf-selected warm
@@ -29,11 +29,23 @@ struct Frame {
 /// cold paths. All randomness comes from a seeded PRNG, so the stream
 /// is identical on every pass — the property the two-pass Belady
 /// oracle relies on.
+///
+/// One segment step emits into a sink. [`Walker::fill`] pushes a
+/// counted stretch of the stream straight into a consumer (the freeze
+/// path: a `PackedTraceBuilder`); the [`Iterator`] impl is a thin
+/// adapter that steps into a buffer and pops it. Both run the same
+/// step, so they yield the same stream, and a `fill` may stop
+/// mid-segment: the rest of the segment waits in the buffer for the
+/// next `fill` or `next`.
 #[derive(Debug)]
 pub struct Walker<'a> {
     program: &'a Program,
     profile: &'a AppProfile,
     rng: StdRng,
+    /// `1 / (1 - min(heap_skew, 0.99))`: the heap-block power law's
+    /// exponent.
+    heap_exponent: f64,
+    /// Instructions stepped but not yet handed out.
     buf: VecDeque<Instr>,
     stack: Vec<Frame>,
     /// Request type currently being served.
@@ -49,6 +61,7 @@ impl<'a> Walker<'a> {
             program,
             profile,
             rng: StdRng::seed_from_u64(profile.seed ^ 0x57a1_c3d4_e5f6_0718),
+            heap_exponent: 1.0 / (1.0 - profile.heap_skew.min(0.99)),
             buf: VecDeque::with_capacity(32),
             stack: Vec::with_capacity(4),
             current_type: 0,
@@ -75,14 +88,13 @@ impl<'a> Walker<'a> {
         } else {
             // Heap: zipf-ish power-law over the footprint.
             let u: f64 = self.rng.gen_range(0.0..1.0f64);
-            let s = self.profile.heap_skew.min(0.99);
-            let block = (self.profile.heap_blocks as f64 * u.powf(1.0 / (1.0 - s))) as u64;
+            let block = (self.profile.heap_blocks as f64 * u.powf(self.heap_exponent)) as u64;
             let block = block.min(self.profile.heap_blocks - 1);
             Addr::new(HEAP_BASE + block * 64 + self.rng.gen_range(0..8u64) * 8)
         }
     }
 
-    fn emit_body(&mut self, fn_id: usize, start: Addr, count: u32) {
+    fn emit_body<F: FnMut(Instr)>(&mut self, fn_id: usize, start: Addr, count: u32, emit: &mut F) {
         for k in 0..count {
             let pc = start + k as u64 * 4;
             let draw: f64 = self.rng.gen_range(0.0..1.0);
@@ -98,12 +110,36 @@ impl<'a> Walker<'a> {
             } else {
                 Instr::alu(pc)
             };
-            self.buf.push_back(instr);
+            emit(instr);
         }
     }
 
-    /// Executes one segment of the top frame, refilling the buffer.
-    fn step(&mut self) {
+    /// Pushes the next `n` instructions of the stream into `out`.
+    ///
+    /// Buffered instructions go first; then whole segments are stepped
+    /// straight into `out`, and whatever the last segment emits past
+    /// `n` is buffered for the next call.
+    pub fn fill<F: FnMut(Instr)>(&mut self, n: u64, mut out: F) {
+        let buffered = (self.buf.len() as u64).min(n);
+        self.buf.drain(..buffered as usize).for_each(&mut out);
+        let mut left = n - buffered;
+        let mut carry = std::mem::take(&mut self.buf);
+        while left > 0 {
+            self.step(&mut |i| {
+                if left > 0 {
+                    left -= 1;
+                    out(i);
+                } else {
+                    carry.push_back(i);
+                }
+            });
+        }
+        self.buf = carry;
+    }
+
+    /// Executes one segment of the top frame, emitting its body and
+    /// terminator branch into `emit`.
+    fn step<F: FnMut(Instr)>(&mut self, emit: &mut F) {
         if self.stack.is_empty() {
             // New request: pick a request type and enter the
             // dispatcher. Its return jumps back to its own entry,
@@ -116,13 +152,16 @@ impl<'a> Walker<'a> {
         }
         let frame = self.stack.last().expect("frame pushed above");
         let (fn_id, seg_idx) = (frame.fn_id, frame.seg);
-        let func = &self.program.functions[fn_id];
+        // Borrowed from the program, not from `self`, so the segment's
+        // terminator needs no clone while the walker state mutates.
+        let program = self.program;
+        let func = &program.functions[fn_id];
         let seg = &func.segments[seg_idx];
-        let (start, body, term) = (seg.start, seg.body_instrs, seg.term.clone());
-        self.emit_body(fn_id, start, body);
+        let (start, body) = (seg.start, seg.body_instrs);
+        self.emit_body(fn_id, start, body, emit);
         let branch_pc = start + body as u64 * 4;
 
-        match term {
+        match seg.term {
             Terminator::FallThrough => {
                 self.stack.last_mut().expect("frame").seg += 1;
             }
@@ -145,7 +184,7 @@ impl<'a> Walker<'a> {
                 }
                 let iters = &mut frame.loop_iters[seg_idx];
                 let taken = *iters + 1 < frame.loop_trip[seg_idx];
-                self.buf.push_back(Instr::branch(
+                emit(Instr::branch(
                     branch_pc,
                     target,
                     taken,
@@ -164,7 +203,7 @@ impl<'a> Walker<'a> {
                 let target_idx = seg_idx + 1 + over;
                 let target = func.segments[target_idx].start;
                 let taken = self.rng.gen_bool(taken_prob);
-                self.buf.push_back(Instr::branch(
+                emit(Instr::branch(
                     branch_pc,
                     target,
                     taken,
@@ -173,11 +212,11 @@ impl<'a> Walker<'a> {
                 let frame = self.stack.last_mut().expect("frame");
                 frame.seg = if taken { target_idx } else { seg_idx + 1 };
             }
-            Terminator::Call { callees, cold } => {
+            Terminator::Call { ref callees, cold } => {
                 let (callee, class) = if callees.is_empty() {
                     // Dynamic warm dispatch (virtual call): the
                     // request type dictates the callee sequence.
-                    let seq = &self.program.types[self.current_type];
+                    let seq = &program.types[self.current_type];
                     let callee = seq[self.warm_site % seq.len()];
                     self.warm_site += 1;
                     (callee, BranchClass::Indirect)
@@ -195,16 +234,15 @@ impl<'a> Walker<'a> {
                         BranchClass::Indirect,
                     )
                 };
-                let target = self.program.functions[callee].base;
-                self.buf
-                    .push_back(Instr::branch(branch_pc, target, true, class));
+                let target = program.functions[callee].base;
+                emit(Instr::branch(branch_pc, target, true, class));
                 let return_pc = branch_pc + 4;
                 self.stack.last_mut().expect("frame").seg = seg_idx + 1;
                 self.push_frame(callee, return_pc);
             }
             Terminator::Ret => {
                 let frame = self.stack.pop().expect("frame");
-                self.buf.push_back(Instr::branch(
+                emit(Instr::branch(
                     branch_pc,
                     frame.return_pc,
                     true,
@@ -219,8 +257,12 @@ impl Iterator for Walker<'_> {
     type Item = Instr;
 
     fn next(&mut self) -> Option<Instr> {
-        while self.buf.is_empty() {
-            self.step();
+        if self.buf.is_empty() {
+            let mut buf = std::mem::take(&mut self.buf);
+            while buf.is_empty() {
+                self.step(&mut |i| buf.push_back(i));
+            }
+            self.buf = buf;
         }
         self.buf.pop_front()
     }
@@ -242,6 +284,29 @@ mod tests {
         let a = take(&p, 50_000);
         let b = take(&p, 50_000);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn fill_in_any_chunks_is_the_iterator_stream() {
+        // Chunks that stop mid-segment leave the segment's tail
+        // buffered; interleaving `fill` with `next` must not reorder it.
+        let p = AppProfile::web_search();
+        let program = Program::generate(&p);
+        let pulled = take(&p, 30_000);
+        let mut w = Walker::new(&program, &p);
+        let mut pushed = Vec::new();
+        for (k, chunk) in [1u64, 7, 0, 500, 3, 4096, 13].iter().cycle().enumerate() {
+            if pushed.len() >= pulled.len() {
+                break;
+            }
+            if k % 3 == 2 {
+                pushed.extend(w.next());
+            }
+            let n = (*chunk).min((pulled.len() - pushed.len()) as u64);
+            w.fill(n, |i| pushed.push(i));
+        }
+        assert_eq!(pushed.len(), pulled.len());
+        assert!(pushed == pulled, "fill diverged from the iterator");
     }
 
     #[test]

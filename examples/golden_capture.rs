@@ -1,14 +1,43 @@
-//! Prints the pinned report fields used by `tests/engine_equivalence.rs`.
+//! Prints the pinned report fields used by `tests/engine_equivalence.rs`
+//! and the frozen-trace checksums used by `tests/packed_trace.rs`.
 //!
-//! Run on a known-good tree to regenerate the golden table:
+//! Run on a known-good tree to regenerate both golden tables:
 //!
 //! ```text
 //! cargo run --release --example golden_capture
 //! ```
 
 use acic_sim::{functional, IcacheOrg, SimConfig, Simulator};
-use acic_trace::TraceSource;
-use acic_workloads::{AppProfile, MultiTenantWorkload, SyntheticWorkload};
+use acic_trace::{PackedTrace, TraceSource};
+use acic_workloads::{AppProfile, MultiTenantWorkload, SyntheticWorkload, WorkloadSpec};
+
+/// Budget of every frozen spec in the checksum table.
+const FROZEN_BUDGET: u64 = 100_000;
+
+/// Every shipped spec shape: the ten datacenter apps, one SPEC app,
+/// and the four multi-tenant shapes of the fig-grid benchmark.
+fn frozen_specs() -> Vec<WorkloadSpec> {
+    let apps = AppProfile::datacenter_suite();
+    let mut specs = WorkloadSpec::singles(&apps);
+    specs.push(WorkloadSpec::Single(AppProfile::spec_suite()[0].clone()));
+    for tenants in [2usize, 4] {
+        for quantum in [10_000u64, 50_000] {
+            specs.push(WorkloadSpec::MultiTenant {
+                profiles: apps[..tenants].to_vec(),
+                quantum,
+            });
+        }
+    }
+    specs
+}
+
+fn print_frozen_checksums() {
+    for spec in frozen_specs() {
+        let bytes = spec.materialize(FROZEN_BUDGET).to_bytes();
+        let sum = PackedTrace::container_checksum(&bytes).expect("full header");
+        println!("(\"{}\", {sum:#018x}),", spec.store_key(FROZEN_BUDGET));
+    }
+}
 
 fn orgs() -> Vec<(&'static str, IcacheOrg)> {
     vec![
@@ -79,4 +108,5 @@ fn main() {
         .tenant(AppProfile::data_serving(), 50_000)
         .build();
     run_one("4ten", &multi);
+    print_frozen_checksums();
 }

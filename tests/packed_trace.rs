@@ -2,12 +2,14 @@
 //! `PackedTrace` round-trips bit for bit (including ASID switch
 //! boundaries), index-jump `skip` is equivalent to walking, and the
 //! on-disk container rejects corruption and truncation at arbitrary
-//! offsets.
+//! offsets. A golden table pins the frozen bytes of every shipped
+//! workload spec shape.
 
 use acic_repro::trace::{
     BlockRuns, BranchClass, GroupedRuns, Instr, PackedTrace, TraceSource, VecTrace, SKIP_STRIDE,
 };
 use acic_repro::types::{Addr, Asid};
+use acic_repro::workloads::{AppProfile, WorkloadSpec};
 use proptest::prelude::*;
 
 /// Builds a plausible instruction stream from raw fuzz words: mostly
@@ -176,4 +178,70 @@ fn skip_strides_are_exercised() {
     let mut it = packed.iter();
     assert_eq!(PackedTrace::skip(&mut it, SKIP_STRIDE + 3), SKIP_STRIDE + 3);
     assert_eq!(it.next(), Some(instrs[SKIP_STRIDE as usize + 3]));
+}
+
+/// Budget of every spec in [`FROZEN_GOLDEN`].
+const FROZEN_BUDGET: u64 = 100_000;
+
+/// `container_checksum` of each spec's frozen container at
+/// [`FROZEN_BUDGET`], keyed by `store_key`. Regenerate with
+/// `cargo run --release --example golden_capture` only when a change
+/// to the generator is deliberate.
+const FROZEN_GOLDEN: [(&str, u64); 15] = [
+    ("media-streaming-100000", 0x2c740196406dbc7c),
+    ("data-caching-100000", 0x468a8e1f0f74a970),
+    ("data-serving-100000", 0xe654215bb3254b95),
+    ("web-serving-100000", 0xcbf4abb22eb718f4),
+    ("web-search-100000", 0x80ad76d878739495),
+    ("tpc-c-100000", 0xf0bc95aac71c1721),
+    ("wikipedia-100000", 0x1acaca2efafd5684),
+    ("sibench-100000", 0x38ad4b596b46f4b7),
+    ("finagle-http-100000", 0x6c499bda21c95b50),
+    ("neo4j-analytics-100000", 0x7dbc7ed2ceacb12c),
+    ("perlbench-100000", 0x792d6ff49caf2902),
+    (
+        "mt2q10000-media-streaming_data-caching-100000",
+        0x84b804154aad529c,
+    ),
+    (
+        "mt2q50000-media-streaming_data-caching-100000",
+        0x94e2cd9b516e40ee,
+    ),
+    (
+        "mt4q10000-media-streaming_data-caching_data-serving_web-serving-100000",
+        0x10a1f50f157d31b9,
+    ),
+    (
+        "mt4q50000-media-streaming_data-caching_data-serving_web-serving-100000",
+        0xfb6c014312f31b41,
+    ),
+];
+
+/// The ten datacenter apps, one SPEC app, and the 2- and 4-tenant
+/// mixes at 10k and 50k quanta (the fig-grid benchmark's shapes).
+fn frozen_specs() -> Vec<WorkloadSpec> {
+    let apps = AppProfile::datacenter_suite();
+    let mut specs = WorkloadSpec::singles(&apps);
+    specs.push(WorkloadSpec::Single(AppProfile::spec_suite()[0].clone()));
+    for tenants in [2usize, 4] {
+        for quantum in [10_000u64, 50_000] {
+            specs.push(WorkloadSpec::MultiTenant {
+                profiles: apps[..tenants].to_vec(),
+                quantum,
+            });
+        }
+    }
+    specs
+}
+
+#[test]
+fn frozen_bytes_of_every_spec_shape_are_pinned() {
+    let specs = frozen_specs();
+    assert_eq!(specs.len(), FROZEN_GOLDEN.len());
+    for (spec, (key, golden)) in specs.iter().zip(FROZEN_GOLDEN) {
+        assert_eq!(spec.store_key(FROZEN_BUDGET), key);
+        let bytes = spec.materialize(FROZEN_BUDGET).to_bytes();
+        let sum = PackedTrace::container_checksum(&bytes).expect("full header");
+        assert_eq!(sum, golden, "{key}: frozen bytes changed");
+    }
 }
