@@ -27,7 +27,7 @@ use super::ladder::Ladder;
 use super::space::DseSpace;
 use crate::result_store::{dse_cell_key, ResultStore};
 use crate::runner::{bench_threads, cell_timeout, execute, Batch, TraceSet};
-use acic_sim::{SampleSchedule, SimReport, Simulator};
+use acic_sim::{Engine, SampleSchedule, SimReport};
 use acic_trace::Truncated;
 use std::sync::Arc;
 use std::time::Duration;
@@ -326,7 +326,7 @@ pub fn run_dse(space: &DseSpace, opts: &DseOptions) -> Result<DseRun, String> {
                 supervise: opts.supervise.as_ref(),
                 cell_timeout: opts.cell_timeout,
             },
-            move |c, trace| Simulator::run(&rung_cfgs[c], &Truncated::new(trace, budget)),
+            move |c, trace| Engine::run(&rung_cfgs[c], &Truncated::new(trace, budget)),
         );
 
         let mut failures: Vec<String> = Vec::new();

@@ -35,6 +35,7 @@
 //! invariant: **loud failure or bit-identical success, never silent
 //! corruption**.
 
+use acic_types::hash::mix64;
 use std::cell::RefCell;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -99,7 +100,7 @@ impl FaultPlan {
         match self {
             FaultPlan::Script(faults) => faults.get(op as usize).copied().flatten(),
             FaultPlan::Seeded { seed, density_pct } => {
-                let h = splitmix64(seed ^ op.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+                let h = mix64(seed ^ op.wrapping_mul(0x9e37_79b9_7f4a_7c15));
                 if (h % 100) >= u64::from(*density_pct) {
                     return None;
                 }
@@ -117,13 +118,6 @@ impl FaultPlan {
             }
         }
     }
-}
-
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 struct Injector {
@@ -386,21 +380,6 @@ pub fn scripted_cell_fault(c: usize, a: usize) -> Option<CellFault> {
     }
     None
 }
-
-/// FNV-1a 64 over `bytes`, continued from `h`; seed with
-/// [`FNV_OFFSET`]. The stores use it for their line/container
-/// checksums.
-pub fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-/// FNV-1a initial state for [`fnv1a`].
-pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 #[cfg(test)]
 mod tests {

@@ -6,7 +6,7 @@ use crate::runner::{markdown_table, must_freeze, run_config, short_name, Runner,
 use acic_core::acic::{ACCURACY_BOUNDS, INSERT_DELTA_LABELS};
 use acic_core::{AcicConfig, PredictorKind, UpdateMode};
 use acic_energy::{storage_table_rows, EnergyModel};
-use acic_sim::{IcacheOrg, PrefetcherKind, SimConfig, SimReport, Simulator};
+use acic_sim::{Engine, IcacheOrg, PrefetcherKind, SimConfig, SimReport};
 use acic_trace::{BlockRuns, MarkovChain, ReuseBucket, StackDistanceAnalyzer, TraceSource};
 use acic_types::stats::{gmean, mean};
 use acic_workloads::AppProfile;
@@ -822,7 +822,7 @@ pub fn sampling_error(runner: &Runner) -> String {
         let trace = must_freeze(spec, n);
         for org in &orgs {
             let cfg = SimConfig::default().with_org(org.clone());
-            let full = Simulator::run(&cfg, trace.as_ref());
+            let full = Engine::run(&cfg, trace.as_ref());
             for &period in &periods {
                 for &div in &detail_divs {
                     let detailed_len = (period / div).max(1_000).min(period / 2);
@@ -832,7 +832,7 @@ pub fn sampling_error(runner: &Runner) -> String {
                         warmup_len,
                         detailed_len,
                     };
-                    let sampled = Simulator::run(&cfg.with_schedule(sched), trace.as_ref());
+                    let sampled = Engine::run(&cfg.with_schedule(sched), trace.as_ref());
                     let ipc_err = if full.ipc() > 0.0 {
                         (sampled.ipc() - full.ipc()).abs() / full.ipc() * 100.0
                     } else {

@@ -56,6 +56,7 @@ use acic_core::{AcicStats, CshrStats};
 use acic_sim::branch::btb::BtbStats;
 use acic_sim::branch::tage::TageStats;
 use acic_sim::{BranchStats, PrefetchStats, SampledStats, SimConfig, SimReport};
+use acic_types::hash::{fnv1a, FNV_OFFSET};
 use acic_types::stats::Ratio;
 use acic_workloads::WorkloadSpec;
 use std::collections::BTreeMap;
@@ -275,7 +276,7 @@ impl ResultStore {
 /// through `Debug` formatting; [`SCHEMA`] guards against the
 /// rendering drifting across versions.
 pub fn cell_key(spec: &WorkloadSpec, instructions: u64, cfg: &SimConfig) -> String {
-    let cfg_hash = crate::fault::fnv1a(crate::fault::FNV_OFFSET, format!("{cfg:?}").as_bytes());
+    let cfg_hash = fnv1a(FNV_OFFSET, format!("{cfg:?}").as_bytes());
     format!("{}-c{cfg_hash:016x}", spec.store_key(instructions))
 }
 
@@ -324,11 +325,11 @@ fn rung_json(rung: Option<u32>) -> String {
 }
 
 fn line_crc(key: &str, rung: &str, report_json: &str) -> u64 {
-    let h = crate::fault::fnv1a(crate::fault::FNV_OFFSET, key.as_bytes());
-    let h = crate::fault::fnv1a(h, &[0]);
-    let h = crate::fault::fnv1a(h, rung.as_bytes());
-    let h = crate::fault::fnv1a(h, &[0]);
-    crate::fault::fnv1a(h, report_json.as_bytes())
+    let h = fnv1a(FNV_OFFSET, key.as_bytes());
+    let h = fnv1a(h, &[0]);
+    let h = fnv1a(h, rung.as_bytes());
+    let h = fnv1a(h, &[0]);
+    fnv1a(h, report_json.as_bytes())
 }
 
 fn encode_entry(key: &str, rung: Option<u32>, report: &SimReport) -> String {
@@ -713,7 +714,7 @@ pub fn report_from_json(doc: &Json) -> Result<SimReport, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use acic_sim::{IcacheOrg, Simulator};
+    use acic_sim::{Engine, IcacheOrg};
     use acic_workloads::AppProfile;
 
     fn tdir(tag: &str) -> PathBuf {
@@ -729,7 +730,21 @@ mod tests {
             ..SimConfig::default()
         }
         .with_org(org);
-        Simulator::run(&cfg, &spec.generator(4_000))
+        Engine::run(&cfg, &spec.generator(4_000))
+    }
+
+    #[test]
+    fn key_crc_and_backoff_hashes_are_pinned() {
+        // Journal keys, journal-line CRCs and supervised backoff
+        // jitter hash through FNV-1a and SplitMix64; one pinned value
+        // each catches a drift in either function.
+        let spec = WorkloadSpec::Single(AppProfile::web_search());
+        let key = cell_key(&spec, 1_000_000, &SimConfig::default());
+        let crc = line_crc(&key, "null", "{\"app\":\"web-search\"}");
+        let delay = crate::supervise::policy::RetryPolicy::default().backoff(&key, 2);
+        assert_eq!(key, "web-search-1000000-c90ddcff030ce1183");
+        assert_eq!(crc, 0x8f6d_fab2_1292_9971);
+        assert_eq!(delay, std::time::Duration::from_nanos(400_400_000));
     }
 
     #[test]
@@ -842,9 +857,9 @@ mod tests {
         let report = sample_report(IcacheOrg::Lru);
         let r = report_to_json(&report);
         let v1_crc = {
-            let h = crate::fault::fnv1a(crate::fault::FNV_OFFSET, b"cell-a");
-            let h = crate::fault::fnv1a(h, &[0]);
-            crate::fault::fnv1a(h, r.as_bytes())
+            let h = fnv1a(FNV_OFFSET, b"cell-a");
+            let h = fnv1a(h, &[0]);
+            fnv1a(h, r.as_bytes())
         };
         std::fs::write(
             dir.join(JOURNAL_NAME),

@@ -42,7 +42,7 @@
 //! `ACIC_BENCH_THREADS` knobs and attaches no store and no supervisor.
 
 use crate::result_store::{cell_key, windowed_cell_key, ResultStore};
-use acic_sim::{Engine, IcacheOrg, PrefetcherKind, SimConfig, SimReport, Simulator};
+use acic_sim::{Engine, IcacheOrg, PrefetcherKind, SimConfig, SimReport};
 use acic_trace::PackedTrace;
 use acic_workloads::AppProfile;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -671,7 +671,7 @@ pub(crate) fn must_freeze(spec: &WorkloadSpec, instructions: u64) -> Arc<PackedT
 /// Runs one spec under `cfg` by replaying its frozen trace.
 pub fn run_spec(cfg: &SimConfig, spec: &WorkloadSpec, instructions: u64) -> SimReport {
     let trace = must_freeze(spec, instructions);
-    Simulator::run(cfg, trace.as_ref())
+    Engine::run(cfg, trace.as_ref())
 }
 
 /// Runs one (configuration, application) pair over the app's frozen
@@ -895,7 +895,7 @@ pub struct Runner {
     /// ([`cell_timeout`]).
     pub cell_timeout: Option<Duration>,
     /// Window-parallel workers per cell: `0` runs the serial engine
-    /// ([`Simulator::run`]), `>= 1` fans each sampled cell's detailed
+    /// ([`Engine::run`]), `>= 1` fans each sampled cell's detailed
     /// windows across this many workers ([`Engine::run_windowed`]),
     /// with grid parallelism divided down so grid × window threads
     /// stay within the one [`bench_threads`] budget
@@ -1039,7 +1039,7 @@ impl Runner {
                 if window_threads >= 1 {
                     Engine::run_windowed(&configs_arc[c], trace, window_threads)
                 } else {
-                    Simulator::run(&configs_arc[c], trace)
+                    Engine::run(&configs_arc[c], trace)
                 }
             },
         );
@@ -1551,7 +1551,7 @@ mod tests {
                 supervise: None,
                 cell_timeout: None,
             },
-            move |c, trace| Simulator::run(&configs[c], &acic_trace::Truncated::new(trace, prefix)),
+            move |c, trace| Engine::run(&configs[c], &acic_trace::Truncated::new(trace, prefix)),
         )
     }
 
@@ -1643,7 +1643,7 @@ mod tests {
     /// pre-freeze path, kept as the reference packed replay is pinned
     /// against.
     fn run_spec_generated(cfg: &SimConfig, spec: &WorkloadSpec, instructions: u64) -> SimReport {
-        Simulator::run(cfg, &spec.generator(instructions))
+        Engine::run(cfg, &spec.generator(instructions))
     }
 
     /// The acceptance pin: a frozen, spec-deduplicated grid is

@@ -30,7 +30,7 @@
 //! replay equal schedules — a failing supervision run reproduces
 //! exactly.
 
-use crate::fault::{fnv1a, splitmix64, FNV_OFFSET};
+use acic_types::hash::{fnv1a, mix64, FNV_OFFSET};
 use std::time::Duration;
 
 /// `SIGABRT` — the signal `abort()` raises; program-initiated, hence
@@ -181,7 +181,7 @@ impl RetryPolicy {
     pub fn backoff(&self, key: &str, attempts_made: u32) -> Duration {
         let exp = attempts_made.saturating_sub(1).min(20);
         let raw = self.base.as_nanos() << exp;
-        let h = splitmix64(
+        let h = mix64(
             self.seed
                 ^ fnv1a(FNV_OFFSET, key.as_bytes())
                 ^ u64::from(attempts_made).wrapping_mul(0x9e37_79b9_7f4a_7c15),

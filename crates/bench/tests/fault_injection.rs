@@ -13,7 +13,7 @@
 use acic_bench::fault::{self, Fault, FaultPlan};
 use acic_bench::result_store::ResultStore;
 use acic_bench::trace_store::{load_container, Provenance};
-use acic_sim::{IcacheOrg, SimConfig, SimReport, Simulator};
+use acic_sim::{Engine, IcacheOrg, SimConfig, SimReport};
 use acic_trace::PackedTrace;
 use acic_workloads::{AppProfile, WorkloadSpec};
 use proptest::prelude::*;
@@ -58,7 +58,7 @@ fn reports() -> &'static Vec<SimReport> {
             (AppProfile::web_search(), &acic, 2_500),
         ]
         .into_iter()
-        .map(|(app, cfg, n)| Simulator::run(cfg, &WorkloadSpec::Single(app).generator(n)))
+        .map(|(app, cfg, n)| Engine::run(cfg, &WorkloadSpec::Single(app).generator(n)))
         .collect()
     })
 }

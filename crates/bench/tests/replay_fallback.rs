@@ -11,7 +11,7 @@
 //! included.
 
 use acic_bench::trace_store::{load_container, Provenance};
-use acic_sim::{IcacheOrg, SimConfig, Simulator};
+use acic_sim::{Engine, IcacheOrg, SimConfig};
 use acic_workloads::{AppProfile, WorkloadSpec};
 use std::path::{Path, PathBuf};
 
@@ -80,8 +80,8 @@ fn broken_containers_regenerate_exactly_and_bit_identically() {
         // Grid row: every config's report must match the all-generated
         // run bit-for-bit regardless of how the trace was obtained.
         for cfg in &configs {
-            let generated = Simulator::run(cfg, &spec.generator(BUDGET));
-            let loaded = Simulator::run(cfg, frozen.trace.as_ref());
+            let generated = Engine::run(cfg, &spec.generator(BUDGET));
+            let loaded = Engine::run(cfg, frozen.trace.as_ref());
             assert_eq!(
                 format!("{loaded:?}"),
                 format!("{generated:?}"),
@@ -114,8 +114,8 @@ fn healthy_containers_load_every_spec() {
             "container round-trip diverged for '{}'",
             spec.label()
         );
-        let generated = Simulator::run(&cfg, &spec.generator(BUDGET));
-        let loaded = Simulator::run(&cfg, frozen.trace.as_ref());
+        let generated = Engine::run(&cfg, &spec.generator(BUDGET));
+        let loaded = Engine::run(&cfg, frozen.trace.as_ref());
         assert_eq!(
             format!("{loaded:?}"),
             format!("{generated:?}"),

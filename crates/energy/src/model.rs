@@ -121,13 +121,13 @@ impl EnergyModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use acic_sim::{IcacheOrg, PrefetcherKind, SimConfig, Simulator};
+    use acic_sim::{Engine, IcacheOrg, PrefetcherKind, SimConfig};
     use acic_workloads::{AppProfile, SyntheticWorkload};
 
     #[test]
     fn energy_is_positive_and_dominated_by_leakage_plus_core() {
         let wl = SyntheticWorkload::with_instructions(AppProfile::sibench(), 50_000);
-        let r = Simulator::run(&SimConfig::default(), &wl);
+        let r = Engine::run(&SimConfig::default(), &wl);
         let e = EnergyModel::default().evaluate(&r);
         assert!(e.dynamic_j > 0.0 && e.leakage_j > 0.0);
     }
@@ -139,8 +139,8 @@ mod tests {
             prefetcher: PrefetcherKind::None,
             ..SimConfig::default()
         };
-        let base = Simulator::run(&cfg, &wl);
-        let opt = Simulator::run(&cfg.with_org(IcacheOrg::Opt), &wl);
+        let base = Engine::run(&cfg, &wl);
+        let opt = Engine::run(&cfg.with_org(IcacheOrg::Opt), &wl);
         let m = EnergyModel::default();
         assert!(
             m.evaluate(&opt).leakage_j <= m.evaluate(&base).leakage_j,
@@ -151,7 +151,7 @@ mod tests {
     #[test]
     fn relative_delta_is_zero_against_self() {
         let wl = SyntheticWorkload::with_instructions(AppProfile::sibench(), 20_000);
-        let r = Simulator::run(&SimConfig::default(), &wl);
+        let r = Engine::run(&SimConfig::default(), &wl);
         let m = EnergyModel::default();
         assert_eq!(m.relative_delta(&r, &r), 0.0);
     }

@@ -77,7 +77,7 @@ use acic_trace::{
 use acic_types::{Addr, Asid, Cycle, TaggedBlock};
 use std::ops::ControlFlow;
 
-pub mod window;
+mod window;
 
 /// Instructions at the end of each warmup segment that receive full
 /// warming — the real L1i organization (tags, policies, ACIC's
@@ -129,9 +129,11 @@ pub enum TimingLoop {
     #[default]
     EventHorizon,
     /// The reference cycle-by-cycle loop, retained as the
-    /// equivalence-tested twin: the dense-vs-event suites select it
-    /// through [`Engine::run_with_loop`] and
-    /// [`Engine::run_windowed_with_loop`].
+    /// equivalence-tested twin and reached only from tests: the
+    /// dense-vs-event suite (`tests/timing_loop_equivalence.rs`)
+    /// selects it through [`Engine::run_with_loop`] for serial runs
+    /// and [`Engine::run_windowed_with_loop`] for window-parallel
+    /// ones, which walk the same periods.
     Dense,
 }
 
@@ -260,10 +262,9 @@ fn prefetch_filtered(
 /// statistics are phase-gated. The window-parallel mode
 /// ([`Engine::run_windowed`]) instead constructs one fresh checkpoint
 /// per sampled window ([`WindowCheckpoint::fresh`] is allocation-cheap
-/// — tag arrays and predictor tables, no trace-sized state), warms it
-/// over the window's bounded reach, and discards it after the
-/// detailed interior is measured. The same struct is the checkpoint
-/// substrate the roadmap's cluster and DSE items serialize.
+/// — tag arrays and predictor tables, no trace-sized state), walks the
+/// same periods up to that window, and discards it after the detailed
+/// interior is measured.
 pub(crate) struct WindowCheckpoint<'o> {
     contents: Box<dyn IcacheContents>,
     cursor: Option<OracleCursor<'o>>,
@@ -324,9 +325,7 @@ impl<'o> WindowCheckpoint<'o> {
     ///
     /// The oracle cursor starts detached; callers that simulate
     /// oracle-dependent organizations attach one afterwards
-    /// (`state.cursor = Some(...)`), which is also how the
-    /// window-parallel mode hands each worker a cursor pre-seeked to
-    /// its window ([`ReuseOracle::cursor_at`]).
+    /// (`state.cursor = Some(...)`).
     pub(crate) fn fresh(
         cfg: &SimConfig,
         seed: u64,
@@ -1010,6 +1009,202 @@ impl WindowCheckpoint<'_> {
             Phase::Detailed => self.detailed_window(runs, budget, cfg),
         }
     }
+
+    /// Walks a periodic schedule from instruction 0 and returns the
+    /// samples of its detailed interiors, in window order. The
+    /// cold-start span (§IV-A's excluded first 10%) is warmed
+    /// functionally, never measured — mirroring the Full schedule's
+    /// measured region. Each period then fast-forwards or warms its
+    /// gap, warms, and does with window `k`'s interior what
+    /// `interior(k)` says; `None` ends the walk before that period.
+    ///
+    /// Fast-forwarding is convergence-gated: a gap is skipped only
+    /// once the previous period's warm traffic installed fewer than
+    /// [`L3_CONVERGED_FILLS_PER_MI`] new L3 lines. The gate is
+    /// re-evaluated every period, hysteresis-free: a phase change that
+    /// reheats the L3 flips it back.
+    fn walk_periods<I: Iterator<Item = Instr>>(
+        &mut self,
+        runs: &mut GroupedRuns<I>,
+        periods: &Periods,
+        cfg: &SimConfig,
+        skip: impl Fn(&mut I, u64) -> u64 + Copy,
+        mut interior: impl FnMut(usize) -> Option<Interior>,
+    ) -> Vec<WindowSample> {
+        let mut samples = Vec::new();
+        self.segment(Phase::Warmup, runs, periods.initial_warmup, cfg, skip);
+        let mut converged = false;
+        let mut last_l3_fills = self.mem.warm_l3_fills;
+        let mut last_warmed = self.warmed;
+        for k in 0.. {
+            if self.trace_over || self.consumed >= periods.total {
+                break;
+            }
+            let Some(fate) = interior(k) else {
+                break;
+            };
+            let (ff, warmup) = periods.gap_and_warmup(k, periods.total - self.consumed);
+            if converged && ff > 0 {
+                self.segment(Phase::FastForward, runs, ff, cfg, skip);
+                if self.trace_over {
+                    break;
+                }
+                self.segment(Phase::Warmup, runs, warmup, cfg, skip);
+            } else {
+                self.segment(Phase::Warmup, runs, ff + warmup, cfg, skip);
+            }
+            if self.trace_over {
+                break;
+            }
+            match fate {
+                Interior::Detail(budget) => {
+                    samples.extend(self.segment(Phase::Detailed, runs, budget, cfg, skip));
+                    if !self.trace_over {
+                        self.frontend.resume_stream();
+                    }
+                }
+                Interior::Warm => {
+                    let len = periods.detailed_len.min(periods.total - self.consumed);
+                    self.segment(Phase::Warmup, runs, len, cfg, skip);
+                }
+            }
+            let fills = self.mem.warm_l3_fills - last_l3_fills;
+            let warmed = self.warmed - last_warmed;
+            last_l3_fills = self.mem.warm_l3_fills;
+            last_warmed = self.warmed;
+            converged = warmed > 0 && fills * 1_000_000 < warmed * L3_CONVERGED_FILLS_PER_MI;
+        }
+        samples
+    }
+}
+
+/// What [`WindowCheckpoint::walk_periods`] does with one window's
+/// interior.
+#[derive(Clone, Copy, Debug)]
+enum Interior {
+    /// Simulate and measure it in the cycle loop, feeding at most this
+    /// many instructions.
+    Detail(u64),
+    /// Warm it functionally, unmeasured: a window before the one a
+    /// window-parallel worker measures.
+    Warm,
+}
+
+/// A [`SampleSchedule::Periodic`] laid over one trace: the one
+/// definition of where the sampled engine warms, skips and measures,
+/// read by the serial walk and by every window-parallel worker alike.
+#[derive(Clone, Copy, Debug)]
+struct Periods {
+    /// Trace length: the population the pooled estimators
+    /// extrapolate to.
+    total: u64,
+    /// The cold-start span, warmed and never measured.
+    initial_warmup: u64,
+    period: u64,
+    warmup_len: u64,
+    detailed_len: u64,
+}
+
+impl Periods {
+    /// `cfg`'s periodic schedule over a `total`-instruction trace, or
+    /// `None` when the run is full detail: a [`SampleSchedule::Full`]
+    /// schedule, or a trace that cannot fit the initial warmup plus one
+    /// warmup+detailed window (sampling a trace that small would
+    /// measure nothing).
+    fn of(cfg: &SimConfig, total: u64) -> Option<Periods> {
+        let SampleSchedule::Periodic {
+            period,
+            warmup_len,
+            detailed_len,
+        } = cfg.schedule
+        else {
+            return None;
+        };
+        let initial_warmup = (total as f64 * cfg.warmup_fraction) as u64;
+        (total > initial_warmup + warmup_len + detailed_len).then_some(Periods {
+            total,
+            initial_warmup,
+            period,
+            warmup_len,
+            detailed_len,
+        })
+    }
+
+    /// Fast-forward gap and warmup length of period `k` with
+    /// `remaining` instructions left. The first period is halved so
+    /// windows land at period midpoints — an unbiased systematic
+    /// sample of the measured range rather than its right edges (IPC
+    /// trends along the trace would otherwise skew the extrapolation).
+    /// The gap never skips so far that the trace tail cannot fit a
+    /// final warmup+detailed window.
+    fn gap_and_warmup(&self, k: usize, remaining: u64) -> (u64, u64) {
+        let ff_len = self.period - self.warmup_len - self.detailed_len;
+        let (ff, warmup) = if k == 0 {
+            (ff_len / 2, self.warmup_len / 2)
+        } else {
+            (ff_len, self.warmup_len)
+        };
+        (
+            ff.min(remaining.saturating_sub(warmup + self.detailed_len)),
+            warmup,
+        )
+    }
+
+    /// Every window's interior budget, in canonical order, with the
+    /// windows laid at the schedule's idealized positions (a real walk
+    /// ends its segments on whole block runs, a few instructions
+    /// later): an interior that would cross end-of-trace is cut to it.
+    /// Never empty, since [`Periods::of`] admits only traces that fit
+    /// one window.
+    fn interiors(&self) -> Vec<u64> {
+        let mut budgets = Vec::new();
+        let mut pos = self.initial_warmup;
+        while pos < self.total {
+            let (ff, warmup) = self.gap_and_warmup(budgets.len(), self.total - pos);
+            let start = pos + ff + warmup;
+            if start >= self.total {
+                break;
+            }
+            let len = self.detailed_len.min(self.total - start);
+            budgets.push(len);
+            pos = start + len;
+        }
+        budgets
+    }
+}
+
+/// The engine's trace pre-pass: the reuse oracle when `cfg`'s
+/// organization needs it (OPT, OPT-bypass) or
+/// [`SimConfig::attach_oracle`] asks for it, and the trace's length.
+fn prepass<W: TraceSource>(cfg: &SimConfig, workload: &W) -> (Option<ReuseOracle>, u64) {
+    cfg.schedule.validate();
+    if cfg.icache_org.needs_oracle() || cfg.attach_oracle {
+        let (oracle, total) = reuse_oracle(workload);
+        (Some(oracle), total)
+    } else {
+        // No oracle: take the source's exact length when it knows it
+        // (synthetic workloads and in-memory traces do), and only fall
+        // back to a counting pass for sources that cannot answer
+        // without walking.
+        let total = workload
+            .len_hint()
+            .unwrap_or_else(|| workload.iter().count() as u64);
+        (None, total)
+    }
+}
+
+/// The reuse oracle over `workload`'s block-run sequence, and the
+/// trace's length, from one walk. Oracle keys are flattened tagged
+/// identities, so tenants' overlapping VAs stay distinct futures.
+pub(crate) fn reuse_oracle<W: TraceSource>(workload: &W) -> (ReuseOracle, u64) {
+    let mut total = 0u64;
+    let seq: Vec<_> = BlockRuns::new(workload.iter())
+        .map(|r| {
+            total += r.len as u64;
+            r.oracle_key()
+        })
+        .collect();
+    (ReuseOracle::from_sequence(&seq), total)
 }
 
 /// The phase-scheduled simulation engine: one state machine serving
@@ -1046,132 +1241,29 @@ impl Engine {
         workload: &W,
         timing_loop: TimingLoop,
     ) -> SimReport {
-        cfg.schedule.validate();
-        let needs_oracle = cfg.icache_org.needs_oracle() || cfg.attach_oracle;
-        let (oracle, total_instructions) = if needs_oracle {
-            // The oracle pre-pass has to walk the trace anyway; count
-            // instructions while materializing the block sequence.
-            let mut total = 0u64;
-            let mut seq = Vec::new();
-            for r in BlockRuns::new(workload.iter()) {
-                // Oracle keys are flattened tagged identities, so
-                // tenants' overlapping VAs stay distinct.
-                seq.push(r.oracle_key());
-                total += r.len as u64;
-            }
-            (Some(ReuseOracle::from_sequence(&seq)), total)
-        } else {
-            // No oracle: take the source's exact length when it knows
-            // it (synthetic workloads and in-memory traces do), and
-            // only fall back to a counting pass for sources that
-            // cannot answer without walking.
-            let total = workload
-                .len_hint()
-                .unwrap_or_else(|| workload.iter().count() as u64);
-            (None, total)
-        };
-
-        let mut state =
-            WindowCheckpoint::fresh(cfg, workload.seed(), total_instructions, timing_loop);
+        let (oracle, total) = prepass(cfg, workload);
+        let mut state = WindowCheckpoint::fresh(cfg, workload.seed(), total, timing_loop);
         state.cursor = oracle.as_ref().map(|o| o.cursor());
-
         let mut runs = GroupedRuns::new(workload.iter());
-        let mut windows: Vec<WindowSample> = Vec::new();
-
-        // A schedule that cannot fit the initial warmup plus a single
-        // warmup+detailed window degenerates to full detail —
-        // sampling a trace that small would measure nothing.
-        let initial_warmup = (total_instructions as f64 * cfg.warmup_fraction) as u64;
-        let schedule = match cfg.schedule {
-            SampleSchedule::Periodic {
-                warmup_len,
-                detailed_len,
-                ..
-            } if total_instructions <= initial_warmup + warmup_len + detailed_len => {
-                SampleSchedule::Full
-            }
-            s => s,
-        };
-
-        match schedule {
-            SampleSchedule::Full => {
+        let windows = match Periods::of(cfg, total) {
+            None => {
                 state.segment(Phase::Detailed, &mut runs, u64::MAX, cfg, W::skip);
+                None
             }
-            SampleSchedule::Periodic {
-                period,
-                warmup_len,
-                detailed_len,
-            } => {
-                // The cold-start transient (§IV-A's excluded first
-                // 10%) is warmed functionally, never measured —
-                // mirroring the Full schedule's measured region.
-                state.segment(Phase::Warmup, &mut runs, initial_warmup, cfg, W::skip);
-                let ff_len = period - warmup_len - detailed_len;
-                let mut first_period = true;
-                let mut converged = false;
-                let mut last_l3_fills = state.mem.warm_l3_fills;
-                let mut last_warmed = state.warmed;
-                while !state.trace_over && state.consumed < total_instructions {
-                    let remaining = total_instructions - state.consumed;
-                    // Halve the first period so windows land at
-                    // period midpoints — an unbiased systematic
-                    // sample of the measured range rather than its
-                    // right edges (IPC trends along the trace would
-                    // otherwise skew the extrapolation).
-                    let (ff_want, warmup) = if first_period {
-                        first_period = false;
-                        (ff_len / 2, warmup_len / 2)
-                    } else {
-                        (ff_len, warmup_len)
-                    };
-                    // Never skip so far that the trace tail cannot fit
-                    // a final warmup+detailed window.
-                    let ff = ff_want.min(remaining.saturating_sub(warmup + detailed_len));
-                    if converged && ff > 0 {
-                        state.segment(Phase::FastForward, &mut runs, ff, cfg, W::skip);
-                        if state.trace_over {
-                            break;
-                        }
-                        state.segment(Phase::Warmup, &mut runs, warmup, cfg, W::skip);
-                    } else {
-                        // Deep state still converging: warm the gap
-                        // instead of skipping it (adaptive
-                        // fast-forward; see `L3_CONVERGED_FILLS_PER_MI`).
-                        state.segment(Phase::Warmup, &mut runs, ff + warmup, cfg, W::skip);
-                    }
-                    if state.trace_over {
-                        break;
-                    }
-                    if let Some(w) =
-                        state.segment(Phase::Detailed, &mut runs, detailed_len, cfg, W::skip)
-                    {
-                        windows.push(w);
-                    }
-                    if !state.trace_over {
-                        state.frontend.resume_stream();
-                    }
-                    // Re-evaluate convergence from this period's
-                    // warm-traffic fill rate (hysteresis-free: a phase
-                    // change that reheats the L3 flips the gate back).
-                    let fills = state.mem.warm_l3_fills - last_l3_fills;
-                    let warmed = state.warmed - last_warmed;
-                    last_l3_fills = state.mem.warm_l3_fills;
-                    last_warmed = state.warmed;
-                    converged =
-                        warmed > 0 && fills * 1_000_000 < warmed * L3_CONVERGED_FILLS_PER_MI;
-                }
-            }
-        }
-
-        Self::assemble_report(cfg, workload.name(), schedule, state, &windows)
+            Some(p) => Some(state.walk_periods(&mut runs, &p, cfg, W::skip, |_| {
+                Some(Interior::Detail(p.detailed_len))
+            })),
+        };
+        Self::assemble_report(cfg, workload.name(), state, windows.as_deref())
     }
 
+    /// Assembles the report of a finished serial run: `windows` holds
+    /// a periodic walk's samples, `None` marks a full-detail run.
     fn assemble_report(
         cfg: &SimConfig,
         app: &str,
-        schedule: SampleSchedule,
         state: WindowCheckpoint<'_>,
-        windows: &[WindowSample],
+        windows: Option<&[WindowSample]>,
     ) -> SimReport {
         let acic = state
             .contents
@@ -1213,15 +1305,15 @@ impl Engine {
             window_mpki: Vec::new(),
         };
 
-        match schedule {
-            SampleSchedule::Full => {
+        match windows {
+            None => {
                 let (warm_cycle, warm_retired, warm_l1i) =
                     state.warm_snapshot.unwrap_or((0, 0, CacheStats::default()));
                 report.measured_instructions = state.backend.retired - warm_retired;
                 report.measured_cycles = state.now - warm_cycle;
                 report.l1i = report.l1i.delta_from(&warm_l1i);
             }
-            SampleSchedule::Periodic { .. } => {
+            Some(windows) => {
                 // The trace really ran start to finish; report the
                 // population size, with cycles extrapolated.
                 let total = state.consumed;
@@ -1356,5 +1448,190 @@ mod pool_tests {
         assert_eq!(stats.ipc_mean, 0.0);
         assert_eq!(stats.est_total_misses, 0.0);
         assert!(!stats.mpki_ci95.is_nan());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::PrefetcherKind;
+    use crate::icache::IcacheOrg;
+    use acic_trace::VecTrace;
+    use acic_workloads::{AppProfile, SyntheticWorkload};
+
+    fn small_workload(n: u64) -> SyntheticWorkload {
+        SyntheticWorkload::with_instructions(AppProfile::sibench(), n)
+    }
+
+    fn periods(
+        total: u64,
+        period: u64,
+        warmup_len: u64,
+        detailed_len: u64,
+        frac: f64,
+    ) -> Option<Periods> {
+        let cfg = SimConfig {
+            warmup_fraction: frac,
+            ..SimConfig::default()
+        }
+        .with_schedule(SampleSchedule::Periodic {
+            period,
+            warmup_len,
+            detailed_len,
+        });
+        Periods::of(&cfg, total)
+    }
+
+    #[test]
+    fn full_schedule_has_no_plan() {
+        assert!(Periods::of(&SimConfig::default(), 10_000_000).is_none());
+    }
+
+    #[test]
+    fn degenerate_trace_has_no_plan() {
+        // 20k instructions cannot fit 2k initial warmup + 185k warmup
+        // + 22k detailed: the run degenerates to Full.
+        assert!(periods(20_000, 700_000, 185_000, 22_000, 0.10).is_none());
+    }
+
+    #[test]
+    fn default_schedule_windows_land_at_period_midpoints() {
+        // 20M instructions, default 700k/185k/22k schedule, 10% initial
+        // warmup: first interior at 2M + 493k/2 + 185k/2 = 2,339,000,
+        // then one window per 700k period until the tail cannot fit a
+        // warmup+detailed pair.
+        let p = periods(20_000_000, 700_000, 185_000, 22_000, 0.10).expect("plannable");
+        assert_eq!(p.total, 20_000_000);
+        assert_eq!(p.initial_warmup, 2_000_000);
+        assert_eq!(p.gap_and_warmup(0, 18_000_000), (246_500, 92_500));
+        assert_eq!(p.gap_and_warmup(1, 17_000_000), (493_000, 185_000));
+        let budgets = p.interiors();
+        assert_eq!(budgets.len(), 26);
+        assert!(budgets.iter().all(|&b| b == 22_000));
+    }
+
+    #[test]
+    fn plan_is_monotonic_and_in_bounds() {
+        for &(total, period, warm, det, frac) in &[
+            (20_000_000u64, 700_000u64, 185_000u64, 22_000u64, 0.10f64),
+            (1_000_000, 100_000, 20_000, 10_000, 0.10),
+            (5_000_000, 250_000, 60_000, 15_000, 0.0),
+        ] {
+            let p = periods(total, period, warm, det, frac).expect("plannable");
+            let budgets = p.interiors();
+            assert!(!budgets.is_empty());
+            assert!(budgets.iter().all(|&b| b > 0 && b <= det));
+            let measured: u64 = budgets.iter().sum();
+            assert!(p.initial_warmup + measured <= total);
+        }
+    }
+
+    #[test]
+    fn final_window_truncates_at_end_of_trace() {
+        // With 80k instructions and a 100k/20k/10k schedule the second
+        // window's fast-forward clamps to zero and its interior hits
+        // end-of-trace at 5k of its 10k budget.
+        let p = periods(80_000, 100_000, 20_000, 10_000, 0.0).expect("plannable");
+        assert_eq!(p.interiors(), vec![10_000, 5_000]);
+    }
+
+    #[test]
+    fn fast_forward_clamp_matches_serial_tail_rule() {
+        // Near the tail, remaining - warmup - detailed drops below the
+        // full gap: the gap shrinks so a final window still fits.
+        let p = periods(1_050_000, 100_000, 20_000, 10_000, 0.0).expect("plannable");
+        assert_eq!(p.gap_and_warmup(3, 50_000), (20_000, 20_000));
+        assert_eq!(p.gap_and_warmup(3, 20_000), (0, 20_000));
+        // Every interior fits wholly inside the trace; the clamp never
+        // plans an empty window.
+        assert!(p.interiors().iter().all(|&b| b > 0));
+    }
+
+    #[test]
+    fn runs_to_completion_and_counts_instructions() {
+        let wl = small_workload(20_000);
+        let r = Engine::run(&SimConfig::default(), &wl);
+        assert_eq!(r.total_instructions, 20_000);
+        assert!(r.total_cycles > 0);
+        assert!(r.ipc() > 0.05 && r.ipc() < 6.0, "ipc = {}", r.ipc());
+    }
+
+    #[test]
+    fn deterministic_across_runs() {
+        let wl = small_workload(10_000);
+        let a = Engine::run(&SimConfig::default(), &wl);
+        let b = Engine::run(&SimConfig::default(), &wl);
+        assert_eq!(a.total_cycles, b.total_cycles);
+        assert_eq!(a.l1i.demand_misses, b.l1i.demand_misses);
+    }
+
+    #[test]
+    fn tiny_trace_with_single_block() {
+        // A degenerate workload: straight-line code in one block.
+        let instrs: Vec<Instr> = (0..16).map(|i| Instr::alu(Addr::new(i * 4))).collect();
+        let trace = VecTrace::with_name(instrs, "tiny");
+        let r = Engine::run(&SimConfig::default(), &trace);
+        assert_eq!(r.total_instructions, 16);
+        assert_eq!(
+            r.l1i.demand_misses + r.l1i.demand_hits(),
+            r.l1i.demand_accesses
+        );
+    }
+
+    #[test]
+    fn opt_never_misses_more_than_lru() {
+        let wl = small_workload(60_000);
+        let base = SimConfig {
+            prefetcher: PrefetcherKind::None,
+            ..SimConfig::default()
+        };
+        let lru = Engine::run(&base, &wl);
+        let opt = Engine::run(&base.with_org(IcacheOrg::Opt), &wl);
+        assert!(
+            opt.l1i.demand_misses <= lru.l1i.demand_misses,
+            "OPT {} vs LRU {}",
+            opt.l1i.demand_misses,
+            lru.l1i.demand_misses
+        );
+    }
+
+    #[test]
+    fn prefetching_reduces_misses() {
+        let wl = small_workload(60_000);
+        let none = Engine::run(
+            &SimConfig {
+                prefetcher: PrefetcherKind::None,
+                ..SimConfig::default()
+            },
+            &wl,
+        );
+        let fdp = Engine::run(&SimConfig::default(), &wl);
+        assert!(
+            fdp.l1i.demand_misses < none.l1i.demand_misses,
+            "FDP {} vs none {}",
+            fdp.l1i.demand_misses,
+            none.l1i.demand_misses
+        );
+    }
+
+    #[test]
+    fn acic_reports_admission_stats() {
+        let wl = SyntheticWorkload::with_instructions(AppProfile::web_search(), 120_000);
+        let r = Engine::run(
+            &SimConfig::default().with_org(IcacheOrg::acic_default()),
+            &wl,
+        );
+        let acic = r.acic.expect("ACIC stats present");
+        assert!(acic.decisions > 0);
+        let cshr = r.cshr.expect("CSHR stats present");
+        assert!(cshr.inserted > 0);
+    }
+
+    #[test]
+    fn warmup_excluded_from_measured_window() {
+        let wl = small_workload(20_000);
+        let r = Engine::run(&SimConfig::default(), &wl);
+        assert!(r.measured_instructions <= r.total_instructions);
+        assert!(r.measured_instructions >= r.total_instructions * 85 / 100);
     }
 }

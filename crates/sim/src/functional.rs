@@ -39,7 +39,7 @@
 use crate::icache::IcacheOrg;
 use acic_cache::CacheStats;
 use acic_core::{AcicIcache, AcicStats};
-use acic_trace::{BlockRuns, ReuseOracle, TraceSource};
+use acic_trace::{BlockRuns, TraceSource};
 use acic_types::Asid;
 
 /// Result of a functional (contents-only) simulation.
@@ -74,17 +74,6 @@ impl FunctionalReport {
     }
 }
 
-fn oracle_for<W: TraceSource>(org: &IcacheOrg, workload: &W) -> Option<ReuseOracle> {
-    org.needs_oracle().then(|| {
-        // Oracle keys are flattened tagged identities, so tenants'
-        // overlapping VAs stay distinct futures.
-        let seq: Vec<_> = BlockRuns::new(workload.iter())
-            .map(|r| r.oracle_key())
-            .collect();
-        ReuseOracle::from_sequence(&seq)
-    })
-}
-
 fn finish(
     app: &str,
     org_label: &str,
@@ -112,7 +101,9 @@ fn finish(
 /// filter+cache+CSHR probe per block run. Misses fill immediately
 /// (infinite MSHRs, zero latency — contents semantics only).
 pub fn run_functional<W: TraceSource>(org: &IcacheOrg, workload: &W) -> FunctionalReport {
-    let oracle = oracle_for(org, workload);
+    let oracle = org
+        .needs_oracle()
+        .then(|| crate::engine::reuse_oracle(workload).0);
     let mut cursor = oracle.as_ref().map(|o| o.cursor());
     let mut contents = org.build(workload.seed());
     let wants_tick = contents.wants_tick();
@@ -170,7 +161,9 @@ mod tests {
     /// generation: per-instruction re-references inflate access counts and
     /// perturb reuse-trained policies.
     fn run_unbatched<W: TraceSource>(org: &IcacheOrg, workload: &W) -> FunctionalReport {
-        let oracle = oracle_for(org, workload);
+        let oracle = org
+            .needs_oracle()
+            .then(|| crate::engine::reuse_oracle(workload).0);
         let mut cursor = oracle.as_ref().map(|o| o.cursor());
         let mut contents = org.build(workload.seed());
         let wants_tick = contents.wants_tick();

@@ -16,7 +16,7 @@
 //! # Examples
 //!
 //! ```
-//! use acic_sim::{IcacheOrg, PrefetcherKind, SimConfig, Simulator};
+//! use acic_sim::{Engine, IcacheOrg, PrefetcherKind, SimConfig};
 //! use acic_workloads::{AppProfile, SyntheticWorkload};
 //!
 //! let wl = SyntheticWorkload::with_instructions(AppProfile::sibench(), 50_000);
@@ -25,7 +25,7 @@
 //!     prefetcher: PrefetcherKind::Fdp,
 //!     ..SimConfig::default()
 //! };
-//! let report = Simulator::run(&cfg, &wl);
+//! let report = Engine::run(&cfg, &wl);
 //! assert!(report.ipc() > 0.0);
 //! assert!(report.l1i_mpki() >= 0.0);
 //! ```
@@ -40,14 +40,11 @@ pub mod icache;
 pub mod mem;
 pub mod prefetch;
 pub mod report;
-pub mod simulator;
 
 pub use branch::btb::Btb;
 pub use config::{BranchSwitchMode, PrefetcherKind, SampleSchedule, SimConfig};
-pub use engine::window::{PlannedWindow, WarmPolicy, WindowPlan};
 pub use engine::{Engine, Phase, TimingLoop};
 pub use frontend::FrontEnd;
 pub use functional::{run_functional, FunctionalReport};
 pub use icache::IcacheOrg;
 pub use report::{mean_ci95, BranchStats, PrefetchStats, SampledStats, SimReport};
-pub use simulator::Simulator;

@@ -140,30 +140,6 @@ impl ReuseOracle {
             last_access: HashMap::new(),
         }
     }
-
-    /// Creates a cursor positioned mid-sequence with an empty
-    /// last-access map — the window-parallel handoff: a worker that
-    /// fast-forwards to access `pos` resumes oracle queries there
-    /// without replaying the prefix. Blocks whose most recent access
-    /// precedes `pos` answer through [`ReuseOracle::next_use_from`]
-    /// (via [`OracleCursor::future_use_of`]) rather than the
-    /// last-access chain, exactly as prefetched blocks do.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pos` exceeds the sequence length.
-    pub fn cursor_at(&self, pos: u64) -> OracleCursor<'_> {
-        assert!(
-            pos <= self.len() as u64,
-            "cursor start {pos} past oracle end {}",
-            self.len()
-        );
-        OracleCursor {
-            oracle: self,
-            pos,
-            last_access: HashMap::new(),
-        }
-    }
 }
 
 /// Tracks the simulation's position in the access sequence and answers
@@ -191,11 +167,6 @@ impl<'a> OracleCursor<'a> {
         self.last_access.insert(block, pos as u32);
         self.pos += 1;
         pos
-    }
-
-    /// Current position (number of accesses consumed).
-    pub fn position(&self) -> u64 {
-        self.pos
     }
 
     /// Next-use position of `block` (based on its most recent access),
@@ -324,29 +295,6 @@ mod future_use_tests {
         assert_eq!(oracle.next_use_from(BlockAddr::new(1), 3), 4);
         assert_eq!(oracle.next_use_from(BlockAddr::new(1), 5), NO_NEXT_USE);
         assert_eq!(oracle.next_use_from(BlockAddr::new(9), 0), NO_NEXT_USE);
-    }
-
-    #[test]
-    fn cursor_at_resumes_mid_sequence() {
-        let seq = blocks(&[1, 2, 1, 3, 1]);
-        let oracle = ReuseOracle::from_sequence(&seq);
-        let mut cur = oracle.cursor_at(2);
-        assert_eq!(cur.position(), 2);
-        // Unobserved blocks answer from occurrences at or after pos.
-        assert_eq!(cur.future_use_of(BlockAddr::new(1)), 2);
-        assert_eq!(cur.future_use_of(BlockAddr::new(3)), 3);
-        // Advancing registers positions starting at pos.
-        assert_eq!(cur.advance(BlockAddr::new(1)), 2);
-        assert_eq!(cur.next_use_of(BlockAddr::new(1)), 4);
-        assert_eq!(cur.advance(BlockAddr::new(3)), 3);
-        assert_eq!(cur.next_use_of(BlockAddr::new(3)), NO_NEXT_USE);
-    }
-
-    #[test]
-    #[should_panic(expected = "past oracle end")]
-    fn cursor_at_rejects_out_of_range_start() {
-        let oracle = ReuseOracle::from_sequence(&blocks(&[1, 2]));
-        let _ = oracle.cursor_at(3);
     }
 
     #[test]

@@ -72,6 +72,7 @@
 
 use crate::instr::{BranchClass, Instr, InstrKind};
 use crate::source::TraceSource;
+use acic_types::hash::{fnv1a, FNV_OFFSET};
 use acic_types::{Addr, Asid};
 
 /// Instructions per skip-index snapshot. Every entry starts at a
@@ -627,19 +628,6 @@ impl From<std::io::Error> for TraceFileError {
     fn from(e: std::io::Error) -> Self {
         TraceFileError::Io(e)
     }
-}
-
-/// FNV-1a 64 over a byte slice, continued from `h` (seed with
-/// [`FNV_OFFSET`]).
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
 }
 
 const INDEX_ENTRY_BYTES: usize = 8 + 8 + 8 + 2;

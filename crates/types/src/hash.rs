@@ -6,6 +6,9 @@
 //! which is a strong 64-bit mixer, plus folding helpers to reduce a
 //! hash to an n-bit index or partial tag.
 //!
+//! [`fnv1a`] is the byte-stream hash behind every on-disk checksum
+//! (packed-trace containers, result-journal lines) and journal key.
+//!
 //! [`SplitMix64`] additionally serves as a tiny deterministic PRNG for
 //! components that need sampling decisions (DSB's probabilistic bypass,
 //! OBM's pair sampling) without pulling a full RNG dependency into the
@@ -65,6 +68,29 @@ pub fn fold(hash: u64, bits: u32) -> u64 {
         rest >>= bits;
     }
     out
+}
+
+/// FNV-1a initial state for [`fnv1a`].
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a 64 over `bytes`, continued from `h`; seed with
+/// [`FNV_OFFSET`].
+///
+/// # Examples
+///
+/// ```
+/// use acic_types::hash::{fnv1a, FNV_OFFSET};
+///
+/// // Hashing in pieces continues the same stream.
+/// assert_eq!(fnv1a(fnv1a(FNV_OFFSET, b"ab"), b"c"), fnv1a(FNV_OFFSET, b"abc"));
+/// ```
+pub fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(FNV_PRIME);
+    }
+    h
 }
 
 /// A small deterministic PRNG (SplitMix64 stream).

@@ -9,7 +9,7 @@
 //!
 //! Run: `cargo run --release --example custom_workload`
 
-use acic_sim::{IcacheOrg, SimConfig, Simulator};
+use acic_sim::{Engine, IcacheOrg, SimConfig};
 use acic_workloads::{AppProfile, SyntheticWorkload};
 
 fn service(name: &str, type_skew: f64, seed: u64) -> AppProfile {
@@ -32,8 +32,8 @@ fn main() {
         service("flat-service", 0.05, 0xc0ffef),
     ] {
         let workload = SyntheticWorkload::with_instructions(profile, 1_000_000);
-        let baseline = Simulator::run(&cfg, &workload);
-        let acic = Simulator::run(&cfg.with_org(IcacheOrg::acic_default()), &workload);
+        let baseline = Engine::run(&cfg, &workload);
+        let acic = Engine::run(&cfg.with_org(IcacheOrg::acic_default()), &workload);
         let stats = acic.acic.expect("ACIC stats");
         println!(
             "{:<14} baseline MPKI {:>5.2} | ACIC MPKI {:>5.2} ({:+.1}%) | victims admitted {:>5.1}% | decisions {}",

@@ -1,14 +1,17 @@
 //! Prints the pinned report fields used by `tests/engine_equivalence.rs`
-//! and the frozen-trace checksums used by `tests/packed_trace.rs`.
+//! (the Full-schedule `GOLDEN` table and the Periodic-schedule
+//! `SAMPLED_GOLDEN` table) and the frozen-trace checksums used by
+//! `tests/packed_trace.rs`.
 //!
-//! Run on a known-good tree to regenerate both golden tables:
+//! Run on a known-good tree to regenerate all three golden tables:
 //!
 //! ```text
 //! cargo run --release --example golden_capture
 //! ```
 
-use acic_sim::{functional, IcacheOrg, SimConfig, Simulator};
-use acic_trace::{PackedTrace, TraceSource};
+use acic_sim::{functional, Engine, IcacheOrg, SampleSchedule, SimConfig, SimReport};
+use acic_trace::{BranchClass, Instr, PackedTrace, TraceSource, VecTrace};
+use acic_types::Addr;
 use acic_workloads::{AppProfile, MultiTenantWorkload, SyntheticWorkload, WorkloadSpec};
 
 /// Budget of every frozen spec in the checksum table.
@@ -57,7 +60,7 @@ fn timing_only_orgs(tag: &str) -> Vec<(&'static str, IcacheOrg)> {
 }
 
 fn print_timing<W: TraceSource>(tag: &str, name: &str, org: &IcacheOrg, wl: &W) {
-    let r = Simulator::run(&SimConfig::default().with_org(org.clone()), wl);
+    let r = Engine::run(&SimConfig::default().with_org(org.clone()), wl);
     println!(
         "(\"{tag}/{name}/timing\", [{}, {}, {}, {}, {}, {}, {}, {}, {}, {}, {}, {}, {}, {}]),",
         r.total_instructions,
@@ -98,6 +101,90 @@ fn run_one<W: TraceSource>(tag: &str, wl: &W) {
     }
 }
 
+/// The Periodic schedule of the sampled table: a short period whose
+/// unconverged gaps still exceed the engine's full-warming tail, so
+/// both warming tiers and the fast-forward path run.
+fn sampled_schedule() -> SampleSchedule {
+    SampleSchedule::Periodic {
+        period: 120_000,
+        warmup_len: 30_000,
+        detailed_len: 10_000,
+    }
+}
+
+/// One sampled-table row, in `tests/engine_equivalence.rs`'s
+/// `SAMPLED_GOLDEN` order.
+fn print_sampled(tag: &str, r: &SimReport) {
+    let s = r.sampled.expect("periodic runs are sampled");
+    println!(
+        "(\"{tag}\", [{}, {}, {}, {}, {}, {}, {}, {}, {}, {}, {}, {}, {}, {}, {}, {:#018x}, {:#018x}]),",
+        r.total_instructions,
+        r.total_cycles,
+        r.measured_instructions,
+        r.measured_cycles,
+        r.l1i.demand_accesses,
+        r.l1i.demand_misses,
+        r.l3.demand_misses,
+        r.branch.mispredicts,
+        r.prefetch.issued,
+        r.dram_accesses,
+        r.context_switches,
+        r.acic.map_or(0, |a| a.decisions),
+        s.windows,
+        s.warmup_instructions,
+        s.fastforward_instructions,
+        s.ipc_mean.to_bits(),
+        s.mpki_mean.to_bits(),
+    );
+}
+
+/// A trace length whose final window is cut short by end of trace:
+/// the fourth interior starts 3,850 instructions before the end.
+const SHORT_TOTAL: u64 = 376_500;
+
+/// A tight loop (8 KiB of code, a 32 KiB data sweep) whose L3 stops
+/// filling after the first period, so the convergence gate opens and
+/// later gaps fast-forward.
+fn loop_trace() -> VecTrace {
+    const BODY: u64 = 2048;
+    let base = 0x40_0000;
+    let instrs = (0..400_000u64)
+        .map(|i| {
+            let k = i % BODY;
+            let pc = Addr::new(base + k * 4);
+            if k == BODY - 1 {
+                Instr::branch(pc, Addr::new(base), true, BranchClass::Conditional)
+            } else if k % 8 == 3 {
+                Instr::load(pc, Addr::new(0x1000_0000 + (i / 8 % 512) * 64))
+            } else {
+                Instr::alu(pc)
+            }
+        })
+        .collect();
+    VecTrace::with_name(instrs, "loop")
+}
+
+fn sampled_orgs() -> Vec<(&'static str, IcacheOrg)> {
+    vec![
+        ("lru", IcacheOrg::Lru),
+        ("acic", IcacheOrg::acic_default()),
+        ("opt", IcacheOrg::Opt),
+    ]
+}
+
+fn run_sampled<W: TraceSource + Sync>(tag: &str, wl: &W) {
+    for (name, org) in sampled_orgs() {
+        let cfg = SimConfig::default()
+            .with_org(org)
+            .with_schedule(sampled_schedule());
+        print_sampled(&format!("{tag}/{name}/serial"), &Engine::run(&cfg, wl));
+        print_sampled(
+            &format!("{tag}/{name}/windowed"),
+            &Engine::run_windowed(&cfg, wl, 1),
+        );
+    }
+}
+
 fn main() {
     let single = SyntheticWorkload::with_instructions(AppProfile::web_search(), 200_000);
     run_one("1ten", &single);
@@ -109,4 +196,20 @@ fn main() {
         .build();
     run_one("4ten", &multi);
     print_frozen_checksums();
+    run_sampled(
+        "1ten",
+        &SyntheticWorkload::with_instructions(AppProfile::web_search(), 400_000),
+    );
+    run_sampled(
+        "short",
+        &SyntheticWorkload::with_instructions(AppProfile::web_search(), SHORT_TOTAL),
+    );
+    run_sampled("loop", &loop_trace());
+    let sampled_multi = MultiTenantWorkload::new(10_000)
+        .tenant(AppProfile::web_search(), 100_000)
+        .tenant(AppProfile::tpc_c(), 100_000)
+        .tenant(AppProfile::media_streaming(), 100_000)
+        .tenant(AppProfile::data_serving(), 100_000)
+        .build();
+    run_sampled("4ten", &sampled_multi);
 }

@@ -3,7 +3,7 @@
 //!
 //! Run: `cargo run --release --example policy_shootout [app-name]`
 
-use acic_sim::{IcacheOrg, SimConfig, Simulator};
+use acic_sim::{Engine, IcacheOrg, SimConfig};
 use acic_workloads::{AppProfile, SyntheticWorkload};
 
 fn main() {
@@ -17,7 +17,7 @@ fn main() {
     let workload = SyntheticWorkload::with_instructions(profile, 1_000_000);
 
     let cfg = SimConfig::default();
-    let baseline = Simulator::run(&cfg, &workload);
+    let baseline = Engine::run(&cfg, &workload);
     println!(
         "{}: baseline LRU+FDP MPKI {:.2}, IPC {:.3}\n",
         workload.profile().name,
@@ -27,7 +27,7 @@ fn main() {
 
     let mut results = Vec::new();
     for org in IcacheOrg::figure10_set() {
-        let report = Simulator::run(&cfg.with_org(org.clone()), &workload);
+        let report = Engine::run(&cfg.with_org(org.clone()), &workload);
         results.push((
             org.label(),
             report.speedup_over(&baseline),

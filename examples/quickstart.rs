@@ -3,7 +3,7 @@
 //!
 //! Run: `cargo run --release --example quickstart`
 
-use acic_sim::{IcacheOrg, SimConfig, Simulator};
+use acic_sim::{Engine, IcacheOrg, SimConfig};
 use acic_workloads::{AppProfile, SyntheticWorkload};
 
 fn main() {
@@ -21,7 +21,7 @@ fn main() {
     // 2. Simulate the Table-II core with the LRU baseline (FDP
     //    prefetching on, as in the paper's baseline platform).
     let baseline_cfg = SimConfig::default();
-    let baseline = Simulator::run(&baseline_cfg, &workload);
+    let baseline = Engine::run(&baseline_cfg, &workload);
     println!(
         "baseline LRU : {:>8} cycles, IPC {:.3}, L1i MPKI {:.2}",
         baseline.measured_cycles,
@@ -32,7 +32,7 @@ fn main() {
     // 3. Same core, but the L1i is ACIC: a 16-entry i-Filter plus the
     //    two-level admission predictor and CSHR (Table I parameters).
     let acic_cfg = baseline_cfg.with_org(IcacheOrg::acic_default());
-    let acic = Simulator::run(&acic_cfg, &workload);
+    let acic = Engine::run(&acic_cfg, &workload);
     let stats = acic.acic.expect("ACIC organization reports its stats");
     println!(
         "ACIC         : {:>8} cycles, IPC {:.3}, L1i MPKI {:.2}",
@@ -51,7 +51,7 @@ fn main() {
 
     // 5. And the theoretical ceiling: Belady's OPT via the two-pass
     //    reuse oracle.
-    let opt = Simulator::run(&baseline_cfg.with_org(IcacheOrg::Opt), &workload);
+    let opt = Engine::run(&baseline_cfg.with_org(IcacheOrg::Opt), &workload);
     println!(
         "OPT ceiling  : speedup {:.4}, MPKI reduction {:.1}%",
         opt.speedup_over(&baseline),

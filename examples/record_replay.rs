@@ -9,7 +9,7 @@
 //!
 //! Run: `cargo run --release --example record_replay`
 
-use acic_sim::{IcacheOrg, SimConfig, Simulator};
+use acic_sim::{Engine, IcacheOrg, SimConfig};
 use acic_trace::{PackedTrace, TraceSource};
 use acic_workloads::{AppProfile, WorkloadSpec};
 
@@ -48,8 +48,8 @@ fn main() {
     //    replay carries the workload name, so even the seeded
     //    components initialize identically.
     let cfg = SimConfig::default().with_org(IcacheOrg::acic_default());
-    let from_generator = Simulator::run(&cfg, &spec.generator(instructions));
-    let from_replay = Simulator::run(&cfg, &replayed);
+    let from_generator = Engine::run(&cfg, &spec.generator(instructions));
+    let from_replay = Engine::run(&cfg, &replayed);
     assert_eq!(format!("{from_generator:?}"), format!("{from_replay:?}"));
     println!(
         "replay bit-identical: {} cycles, IPC {:.3}, L1i MPKI {:.2}, {} context switches",

@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: whole-simulator behavior that no
 //! single crate can check alone.
 
-use acic_repro::sim::{IcacheOrg, PrefetcherKind, SimConfig, Simulator};
+use acic_repro::sim::{Engine, IcacheOrg, PrefetcherKind, SimConfig};
 use acic_repro::workloads::{AppProfile, SyntheticWorkload};
 
 const N: u64 = 80_000;
@@ -14,8 +14,8 @@ fn workload(profile: AppProfile) -> SyntheticWorkload {
 fn simulation_is_deterministic_across_processes_and_runs() {
     let wl = workload(AppProfile::data_caching());
     let cfg = SimConfig::default().with_org(IcacheOrg::acic_default());
-    let a = Simulator::run(&cfg, &wl);
-    let b = Simulator::run(&cfg, &wl);
+    let a = Engine::run(&cfg, &wl);
+    let b = Engine::run(&cfg, &wl);
     assert_eq!(a.total_cycles, b.total_cycles);
     assert_eq!(a.l1i.demand_misses, b.l1i.demand_misses);
     assert_eq!(a.branch.mispredicts, b.branch.mispredicts);
@@ -32,7 +32,7 @@ fn every_figure10_org_completes_on_every_app_class() {
     ] {
         let wl = workload(profile);
         for org in IcacheOrg::figure10_set() {
-            let r = Simulator::run(&SimConfig::default().with_org(org.clone()), &wl);
+            let r = Engine::run(&SimConfig::default().with_org(org.clone()), &wl);
             assert_eq!(r.total_instructions, N, "{} under {}", r.app, org.label());
             assert!(r.ipc() > 0.0, "{} under {}", r.app, org.label());
         }
@@ -47,8 +47,8 @@ fn opt_replacement_never_misses_more_than_lru() {
             prefetcher: PrefetcherKind::None,
             ..SimConfig::default()
         };
-        let lru = Simulator::run(&cfg, &wl);
-        let opt = Simulator::run(&cfg.with_org(IcacheOrg::Opt), &wl);
+        let lru = Engine::run(&cfg, &wl);
+        let opt = Engine::run(&cfg.with_org(IcacheOrg::Opt), &wl);
         assert!(
             opt.l1i.demand_misses <= lru.l1i.demand_misses,
             "{}: OPT {} > LRU {}",
@@ -66,8 +66,8 @@ fn larger_cache_never_misses_more_under_lru() {
         prefetcher: PrefetcherKind::None,
         ..SimConfig::default()
     };
-    let base = Simulator::run(&cfg, &wl);
-    let bigger = Simulator::run(&cfg.with_org(IcacheOrg::Larger36k), &wl);
+    let base = Engine::run(&cfg, &wl);
+    let bigger = Engine::run(&cfg.with_org(IcacheOrg::Larger36k), &wl);
     // 36 KB/9-way strictly contains the 32 KB/8-way contents under
     // LRU (same sets, one extra way), so misses cannot increase.
     assert!(bigger.l1i.demand_misses <= base.l1i.demand_misses);
@@ -76,14 +76,14 @@ fn larger_cache_never_misses_more_under_lru() {
 #[test]
 fn prefetching_helps_the_front_end() {
     let wl = workload(AppProfile::web_serving());
-    let none = Simulator::run(
+    let none = Engine::run(
         &SimConfig {
             prefetcher: PrefetcherKind::None,
             ..SimConfig::default()
         },
         &wl,
     );
-    let fdp = Simulator::run(&SimConfig::default(), &wl);
+    let fdp = Engine::run(&SimConfig::default(), &wl);
     assert!(fdp.l1i.demand_misses < none.l1i.demand_misses);
     assert!(fdp.measured_cycles <= none.measured_cycles);
 }
@@ -94,9 +94,9 @@ fn acic_sits_between_baseline_and_opt_on_filtering_apps() {
     // admission structure.
     let wl = SyntheticWorkload::with_instructions(AppProfile::media_streaming(), 400_000);
     let cfg = SimConfig::default();
-    let lru = Simulator::run(&cfg, &wl);
-    let acic = Simulator::run(&cfg.with_org(IcacheOrg::acic_default()), &wl);
-    let opt = Simulator::run(&cfg.with_org(IcacheOrg::Opt), &wl);
+    let lru = Engine::run(&cfg, &wl);
+    let acic = Engine::run(&cfg.with_org(IcacheOrg::acic_default()), &wl);
+    let opt = Engine::run(&cfg.with_org(IcacheOrg::Opt), &wl);
     assert!(
         acic.l1i_mpki() < lru.l1i_mpki(),
         "ACIC {:.3} vs LRU {:.3}",
@@ -114,7 +114,7 @@ fn acic_sits_between_baseline_and_opt_on_filtering_apps() {
 #[test]
 fn warmup_window_is_excluded_from_measurements() {
     let wl = workload(AppProfile::sibench());
-    let r = Simulator::run(&SimConfig::default(), &wl);
+    let r = Engine::run(&SimConfig::default(), &wl);
     assert!(r.measured_instructions < r.total_instructions);
     assert!(r.measured_cycles < r.total_cycles);
     // Roughly 10% excluded.
@@ -131,8 +131,8 @@ fn oracle_attachment_does_not_change_timing() {
     // The oracle is instrumentation: attaching it must not perturb
     // the simulated machine.
     let wl = workload(AppProfile::finagle_http());
-    let plain = Simulator::run(&SimConfig::default(), &wl);
-    let oracled = Simulator::run(
+    let plain = Engine::run(&SimConfig::default(), &wl);
+    let oracled = Engine::run(
         &SimConfig {
             attach_oracle: true,
             ..SimConfig::default()
@@ -146,14 +146,14 @@ fn oracle_attachment_does_not_change_timing() {
 #[test]
 fn entangling_prefetcher_runs_and_reduces_misses() {
     let wl = workload(AppProfile::neo4j_analytics());
-    let none = Simulator::run(
+    let none = Engine::run(
         &SimConfig {
             prefetcher: PrefetcherKind::None,
             ..SimConfig::default()
         },
         &wl,
     );
-    let ent = Simulator::run(
+    let ent = Engine::run(
         &SimConfig {
             prefetcher: PrefetcherKind::Entangling,
             ..SimConfig::default()
@@ -167,7 +167,7 @@ fn entangling_prefetcher_runs_and_reduces_misses() {
 fn energy_model_shows_leakage_tracking_runtime() {
     use acic_repro::energy::EnergyModel;
     let wl = workload(AppProfile::data_serving());
-    let base = Simulator::run(&SimConfig::default(), &wl);
+    let base = Engine::run(&SimConfig::default(), &wl);
     let model = EnergyModel::default();
     let e = model.evaluate(&base);
     assert!(e.total_j() > 0.0);

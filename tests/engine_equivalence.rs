@@ -1,7 +1,7 @@
 //! The `Full` schedule must be the pre-engine simulator, bit for bit.
 //!
 //! The golden table below was captured from the tree *before* the
-//! engine refactor (commit 450b279's `Simulator::run` / functional
+//! engine refactor (commit 450b279's `Engine::run` / functional
 //! loops) via `cargo run --release --example golden_capture`. Every
 //! later change to the hot path must keep these numbers byte-stable:
 //! a `Full`-schedule engine run and the functional simulator are
@@ -15,9 +15,18 @@
 //! computes (the dense-vs-event proptest cannot: both loops share the
 //! memo), and the rows cover the organizations whose `access` moves
 //! blocks and the one whose context switches flush.
+//!
+//! `SAMPLED_GOLDEN` pins the Periodic schedule the same way: reports
+//! from `Engine::run` and from `Engine::run_windowed` on one worker,
+//! for LRU, ACIC and OPT (the reuse oracle), over a single tenant, four
+//! tenants, a length whose final window is cut short by end of trace,
+//! and a tight loop whose converged L3 opens the fast-forward gate.
+//! It was captured with the same example, from the tree before the
+//! serial and windowed period loops became one walker.
 
-use acic_sim::{functional, IcacheOrg, SampleSchedule, SimConfig, Simulator};
-use acic_trace::TraceSource;
+use acic_sim::{functional, Engine, IcacheOrg, SampleSchedule, SimConfig, SimReport};
+use acic_trace::{BranchClass, Instr, TraceSource, VecTrace};
+use acic_types::Addr;
 use acic_workloads::{AppProfile, MultiTenantWorkload, SyntheticWorkload};
 
 /// Pinned report fields, in `golden_capture`'s order:
@@ -151,7 +160,7 @@ fn four_tenant() -> impl TraceSource {
 
 fn check_timing<W: TraceSource>(tag: &str, wl: &W, org: IcacheOrg) {
     let g = golden(tag);
-    let r = Simulator::run(&SimConfig::default().with_org(org), wl);
+    let r = Engine::run(&SimConfig::default().with_org(org), wl);
     let got = [
         r.total_instructions,
         r.total_cycles,
@@ -224,8 +233,8 @@ fn explicit_full_schedule_is_the_default_path() {
     // default config (they are the same variant, but this pins the
     // engine's dispatch, not just the enum).
     let wl = single_tenant();
-    let a = Simulator::run(&SimConfig::default(), &wl);
-    let b = Simulator::run(
+    let a = Engine::run(&SimConfig::default(), &wl);
+    let b = Engine::run(
         &SimConfig::default().with_schedule(SampleSchedule::Full),
         &wl,
     );
@@ -255,8 +264,8 @@ fn all_detailed_schedule_preserves_miss_counts() {
             ..SimConfig::default()
         }
         .with_org(org);
-        let full = Simulator::run(&base, &wl);
-        let sampled = Simulator::run(
+        let full = Engine::run(&base, &wl);
+        let sampled = Engine::run(
             &base.with_schedule(SampleSchedule::Periodic {
                 period: 10_000,
                 warmup_len: 0,
@@ -270,4 +279,151 @@ fn all_detailed_schedule_preserves_miss_counts() {
         assert_eq!(full.total_instructions, sampled.total_instructions);
         assert!(sampled.sampled.is_some());
     }
+}
+
+/// Pinned sampled-report fields, in `golden_capture`'s order:
+/// `[total_instructions, total_cycles, measured_instructions,
+/// measured_cycles, l1i_demand_accesses, l1i_demand_misses,
+/// l3_demand_misses, branch_mispredicts, prefetch_issued,
+/// dram_accesses, context_switches, acic_decisions, windows,
+/// warmup_instructions, fastforward_instructions, ipc_mean bits,
+/// mpki_mean bits]`. Tags are `<trace>/<org>/<serial|windowed>`.
+#[rustfmt::skip]
+const SAMPLED_GOLDEN: &[(&str, [u64; 17])] = &[
+    ("1ten/lru/serial", [400000, 383204, 18957, 18161, 3915, 132, 752, 186, 815, 752, 0, 0, 4, 359972, 0, 0x3ff149ce29efca07, 0x400a6086581d5ffa]),
+    ("1ten/lru/windowed", [400000, 383204, 18957, 18161, 3915, 132, 752, 187, 815, 752, 0, 0, 4, 1035098, 0, 0x3ff149ce29efca07, 0x400a6086581d5ffa]),
+    ("1ten/acic/serial", [400000, 382360, 18957, 18121, 3915, 128, 752, 186, 748, 752, 0, 479, 4, 359972, 0, 0x3ff1595aff1589f2, 0x40099394e097205d]),
+    ("1ten/acic/windowed", [400000, 382740, 18957, 18139, 3915, 132, 752, 187, 708, 752, 0, 461, 4, 1035098, 0, 0x3ff152f4001cc45d, 0x400a6040f536c4c0]),
+    ("1ten/opt/serial", [400000, 381664, 18957, 18088, 3915, 96, 752, 186, 325, 752, 0, 0, 4, 359972, 0, 0x3ff160a913827c06, 0x40032e8ab614293b]),
+    ("1ten/opt/windowed", [400000, 381664, 18957, 18088, 3915, 96, 752, 187, 323, 752, 0, 0, 4, 1035098, 0, 0x3ff160a913827c06, 0x40032e8ab614293b]),
+    ("short/lru/serial", [376500, 300506, 17147, 13686, 3317, 102, 627, 156, 691, 627, 0, 0, 4, 342708, 0, 0x3ff4f4c7f9fa8fa6, 0x400560d758fe8fa2]),
+    ("short/lru/windowed", [376500, 306004, 15221, 12371, 3317, 102, 627, 156, 691, 627, 0, 0, 4, 1010818, 0, 0x3ff50c61665317f4, 0x400560d758fe8fa2]),
+    ("short/acic/serial", [376500, 301604, 17147, 13736, 3317, 102, 627, 156, 638, 627, 0, 403, 4, 342708, 0, 0x3ff4e09645b7c4cb, 0x40056101380d2ad6]),
+    ("short/acic/windowed", [376500, 305732, 15221, 12360, 3317, 98, 627, 156, 623, 627, 0, 393, 4, 1010818, 0, 0x3ff511fc401114d2, 0x40043f7f33e0ad06]),
+    ("short/opt/serial", [376500, 300155, 17147, 13670, 3317, 72, 627, 156, 306, 627, 0, 0, 4, 342708, 0, 0x3ff5060360e89ed2, 0x3ffd70c38a82217f]),
+    ("short/opt/windowed", [376500, 305929, 15221, 12368, 3317, 72, 627, 156, 306, 627, 0, 0, 4, 1010818, 0, 0x3ff515c3426b20e8, 0x3ffd70c38a82217f]),
+    ("loop/lru/serial", [400000, 75011, 18408, 3452, 2500, 0, 0, 0, 0, 0, 0, 0, 4, 185008, 174992, 0x4015548ad3ccfa5d, 0x0000000000000000]),
+    ("loop/lru/windowed", [400000, 75011, 18408, 3452, 2500, 0, 0, 0, 0, 0, 0, 0, 4, 620032, 414992, 0x4015548ad3ccfa5d, 0x0000000000000000]),
+    ("loop/acic/serial", [400000, 75011, 18408, 3452, 2500, 0, 0, 0, 0, 0, 0, 0, 4, 185008, 174992, 0x4015548ad3ccfa5d, 0x0000000000000000]),
+    ("loop/acic/windowed", [400000, 75011, 18408, 3452, 2500, 0, 0, 0, 0, 0, 0, 0, 4, 620032, 414992, 0x4015548ad3ccfa5d, 0x0000000000000000]),
+    ("loop/opt/serial", [400000, 75011, 18408, 3452, 2500, 0, 0, 0, 0, 0, 0, 0, 4, 185008, 174992, 0x4015548ad3ccfa5d, 0x0000000000000000]),
+    ("loop/opt/windowed", [400000, 75011, 18408, 3452, 2500, 0, 0, 0, 0, 0, 0, 0, 4, 620032, 414992, 0x4015548ad3ccfa5d, 0x0000000000000000]),
+    ("4ten/lru/serial", [400000, 548523, 18952, 25989, 3799, 650, 1331, 534, 688, 1331, 4, 0, 4, 359973, 0, 0x3fea0f0ff5e3cb34, 0x40303cdd67c60619]),
+    ("4ten/lru/windowed", [400000, 548523, 18952, 25989, 3799, 650, 1331, 534, 688, 1331, 4, 0, 4, 1035043, 0, 0x3fea0f0ff5e3cb34, 0x40303cdd67c60619]),
+    ("4ten/acic/serial", [400000, 548523, 18952, 25989, 3799, 650, 1331, 534, 688, 1331, 4, 930, 4, 359973, 0, 0x3fea0f0ff5e3cb34, 0x40303cdd67c60619]),
+    ("4ten/acic/windowed", [400000, 548523, 18952, 25989, 3799, 650, 1331, 534, 688, 1331, 4, 930, 4, 1035043, 0, 0x3fea0f0ff5e3cb34, 0x40303cdd67c60619]),
+    ("4ten/opt/serial", [400000, 473356, 18965, 22443, 3799, 383, 1331, 534, 367, 1331, 4, 0, 4, 359973, 0, 0x3fee983368766f2c, 0x4023228451cf5897]),
+    ("4ten/opt/windowed", [400000, 473356, 18965, 22443, 3799, 383, 1331, 534, 367, 1331, 4, 0, 4, 1035043, 0, 0x3fee983368766f2c, 0x4023228451cf5897]),
+];
+
+/// The Periodic schedule of the sampled table: a short period whose
+/// unconverged gaps still exceed the engine's full-warming tail, so
+/// both warming tiers and the fast-forward path run.
+fn sampled_schedule() -> SampleSchedule {
+    SampleSchedule::Periodic {
+        period: 120_000,
+        warmup_len: 30_000,
+        detailed_len: 10_000,
+    }
+}
+
+/// A trace length whose final window is cut short by end of trace:
+/// the fourth interior starts 3,850 instructions before the end.
+const SHORT_TOTAL: u64 = 376_500;
+
+/// A tight loop (8 KiB of code, a 32 KiB data sweep) whose L3 stops
+/// filling after the first period, so the convergence gate opens and
+/// later gaps fast-forward.
+fn loop_trace() -> VecTrace {
+    const BODY: u64 = 2048;
+    let base = 0x40_0000;
+    let instrs = (0..400_000u64)
+        .map(|i| {
+            let k = i % BODY;
+            let pc = Addr::new(base + k * 4);
+            if k == BODY - 1 {
+                Instr::branch(pc, Addr::new(base), true, BranchClass::Conditional)
+            } else if k % 8 == 3 {
+                Instr::load(pc, Addr::new(0x1000_0000 + (i / 8 % 512) * 64))
+            } else {
+                Instr::alu(pc)
+            }
+        })
+        .collect();
+    VecTrace::with_name(instrs, "loop")
+}
+
+fn sampled_row(r: &SimReport) -> [u64; 17] {
+    let s = r.sampled.expect("periodic runs are sampled");
+    [
+        r.total_instructions,
+        r.total_cycles,
+        r.measured_instructions,
+        r.measured_cycles,
+        r.l1i.demand_accesses,
+        r.l1i.demand_misses,
+        r.l3.demand_misses,
+        r.branch.mispredicts,
+        r.prefetch.issued,
+        r.dram_accesses,
+        r.context_switches,
+        r.acic.map_or(0, |a| a.decisions),
+        s.windows,
+        s.warmup_instructions,
+        s.fastforward_instructions,
+        s.ipc_mean.to_bits(),
+        s.mpki_mean.to_bits(),
+    ]
+}
+
+fn check_sampled<W: TraceSource + Sync>(trace: &str, wl: &W) {
+    for (name, org) in [
+        ("lru", IcacheOrg::Lru),
+        ("acic", IcacheOrg::acic_default()),
+        ("opt", IcacheOrg::Opt),
+    ] {
+        let cfg = SimConfig::default()
+            .with_org(org)
+            .with_schedule(sampled_schedule());
+        for (mode, r) in [
+            ("serial", Engine::run(&cfg, wl)),
+            ("windowed", Engine::run_windowed(&cfg, wl, 1)),
+        ] {
+            let tag = format!("{trace}/{name}/{mode}");
+            let g = SAMPLED_GOLDEN
+                .iter()
+                .find(|(t, _)| *t == tag)
+                .unwrap_or_else(|| panic!("no sampled golden row {tag}"))
+                .1;
+            assert_eq!(
+                sampled_row(&r),
+                g,
+                "{tag} diverged from the pinned schedule"
+            );
+        }
+    }
+}
+
+#[test]
+fn periodic_schedule_matches_sampled_goldens_single_tenant() {
+    check_sampled(
+        "1ten",
+        &SyntheticWorkload::with_instructions(AppProfile::web_search(), 400_000),
+    );
+    check_sampled(
+        "short",
+        &SyntheticWorkload::with_instructions(AppProfile::web_search(), SHORT_TOTAL),
+    );
+    check_sampled("loop", &loop_trace());
+}
+
+#[test]
+fn periodic_schedule_matches_sampled_goldens_four_tenant() {
+    let wl = MultiTenantWorkload::new(10_000)
+        .tenant(AppProfile::web_search(), 100_000)
+        .tenant(AppProfile::tpc_c(), 100_000)
+        .tenant(AppProfile::media_streaming(), 100_000)
+        .tenant(AppProfile::data_serving(), 100_000)
+        .build();
+    check_sampled("4ten", &wl);
 }

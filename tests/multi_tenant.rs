@@ -10,7 +10,7 @@
 //! flush-on-switch, tagged survival).
 
 use acic_repro::sim::functional::{run_functional, FunctionalReport};
-use acic_repro::sim::{BranchSwitchMode, IcacheOrg, PrefetcherKind, SimConfig, Simulator};
+use acic_repro::sim::{BranchSwitchMode, Engine, IcacheOrg, PrefetcherKind, SimConfig};
 use acic_repro::trace::{InterleavedTrace, TraceSource, VecTrace};
 use acic_repro::workloads::{AppProfile, MultiTenantWorkload, SyntheticWorkload};
 use proptest::prelude::*;
@@ -100,8 +100,8 @@ fn one_tenant_interleave_is_identical_in_the_timing_simulator() {
     let cfg = SimConfig::default();
     for org in [IcacheOrg::Lru, IcacheOrg::acic_default()] {
         let (direct, mt) = solo_pair(AppProfile::web_search(), 30_000);
-        let a = Simulator::run(&cfg.with_org(org.clone()), &direct);
-        let b = Simulator::run(&cfg.with_org(org.clone()), &mt);
+        let a = Engine::run(&cfg.with_org(org.clone()), &direct);
+        let b = Engine::run(&cfg.with_org(org.clone()), &mt);
         assert_eq!(a.total_cycles, b.total_cycles, "org {:?}", org);
         assert_eq!(a.l1i.demand_misses, b.l1i.demand_misses);
         assert_eq!(a.branch.mispredicts, b.branch.mispredicts);
@@ -183,7 +183,7 @@ fn timing_simulator_counts_switches_and_survives_multi_tenant() {
             ..SimConfig::default()
         }
         .with_org(org.clone());
-        let r = Simulator::run(&cfg, &wl);
+        let r = Engine::run(&cfg, &wl);
         assert_eq!(r.total_instructions, 24_000, "org {:?}", org);
         assert_eq!(r.context_switches, expected_switches, "org {:?}", org);
         assert!(r.ipc() > 0.01, "org {:?}", org);
@@ -211,8 +211,8 @@ fn branch_tag_mode_is_identity_single_tenant_and_runs_multi_tenant() {
     // Single tenant: no switches ever happen and ASID 0 XOR-tags to
     // the raw PC, so Flush and Tag must be bit-identical.
     let wl = SyntheticWorkload::with_instructions(AppProfile::web_search(), 25_000);
-    let flush = Simulator::run(&SimConfig::default(), &wl);
-    let tag = Simulator::run(
+    let flush = Engine::run(&SimConfig::default(), &wl);
+    let tag = Engine::run(
         &SimConfig::default().with_branch_switch(BranchSwitchMode::Tag),
         &wl,
     );
@@ -230,13 +230,13 @@ fn branch_tag_mode_is_identity_single_tenant_and_runs_multi_tenant() {
             .build()
     };
     let cfg_tag = SimConfig::default().with_branch_switch(BranchSwitchMode::Tag);
-    let a = Simulator::run(&cfg_tag, &build());
-    let b = Simulator::run(&cfg_tag, &build());
+    let a = Engine::run(&cfg_tag, &build());
+    let b = Engine::run(&cfg_tag, &build());
     assert_eq!(
         a.total_cycles, b.total_cycles,
         "Tag mode must be deterministic"
     );
-    let f = Simulator::run(&SimConfig::default(), &build());
+    let f = Engine::run(&SimConfig::default(), &build());
     assert_eq!(a.context_switches, f.context_switches);
     assert!(a.context_switches > 0);
     assert!(
@@ -287,7 +287,7 @@ fn frozen_multi_tenant_replay_is_bit_identical_in_both_simulators() {
     assert_eq!(a.insert_delta, b.insert_delta);
 
     let cfg = SimConfig::default().with_org(org);
-    let t_live = Simulator::run(&cfg, &live);
-    let t_frozen = Simulator::run(&cfg, &replayed);
+    let t_live = Engine::run(&cfg, &live);
+    let t_frozen = Engine::run(&cfg, &replayed);
     assert_eq!(format!("{t_live:?}"), format!("{t_frozen:?}"));
 }

@@ -1,7 +1,7 @@
 //! Sampled-engine behavior: schedule mechanics, extrapolation
 //! plumbing, and the headline speed/accuracy contract.
 
-use acic_sim::{Engine, IcacheOrg, SampleSchedule, SimConfig, Simulator};
+use acic_sim::{Engine, IcacheOrg, SampleSchedule, SimConfig};
 use acic_trace::VecTrace;
 use acic_workloads::{AppProfile, SyntheticWorkload};
 use std::time::Instant;
@@ -184,7 +184,7 @@ fn default_sampled_schedule_hits_10x_within_2pct() {
     let sampled_cfg = full_cfg.with_schedule(SampleSchedule::default_sampled());
 
     let t0 = Instant::now();
-    let full = Simulator::run(&full_cfg, &wl);
+    let full = Engine::run(&full_cfg, &wl);
     let full_secs = t0.elapsed().as_secs_f64();
 
     // Best-of-2 on the short leg: the wall-clock ratio is the only
@@ -194,7 +194,7 @@ fn default_sampled_schedule_hits_10x_within_2pct() {
     let mut sampled = None;
     for _ in 0..2 {
         let t1 = Instant::now();
-        let r = Simulator::run(&sampled_cfg, &wl);
+        let r = Engine::run(&sampled_cfg, &wl);
         sampled_secs = sampled_secs.min(t1.elapsed().as_secs_f64());
         sampled = Some(r);
     }

@@ -1,17 +1,18 @@
 //! Window-parallel execution pins: the worker count must be
 //! unobservable in the output.
 //!
-//! `Engine::run_windowed` derives a `WindowPlan` before any window
-//! runs, executes every window on a private fresh checkpoint, and
-//! reduces outcomes in canonical window order — so running the plan on
-//! one worker *is* the serial execution of the windowed schedule, and
+//! `Engine::run_windowed` fixes every window's interior budget before
+//! any window runs, executes every window on a private fresh
+//! checkpoint, and reduces outcomes in canonical window order — so
+//! running the windows on one worker *is* the serial execution of the
+//! windowed schedule, and
 //! any other worker count must pool bit-identical `SampledStats` and
 //! identical statistics blocks. These tests pin that across
 //! organizations (including the oracle-backed ones), multi-tenant
 //! interleaves, generator-backed, materialized, and
 //! `.acictrace`-replayed traces, and worker counts {1, 2, 7}.
 
-use acic_sim::{Engine, IcacheOrg, SampleSchedule, SimConfig, SimReport, WindowPlan};
+use acic_sim::{Engine, IcacheOrg, SampleSchedule, SimConfig, SimReport};
 use acic_trace::{PackedTrace, TraceSource, VecTrace};
 use acic_workloads::{AppProfile, MultiTenantWorkload, SyntheticWorkload};
 
@@ -76,39 +77,12 @@ fn worker_count_is_unobservable_across_organizations() {
 
 #[test]
 fn oracle_cursor_handoff_is_deterministic() {
-    // OPT consults the reuse oracle; windowed mode hands each worker a
-    // cursor pre-seeked to its window's first block run. The handoff
-    // must be position-exact for every worker count.
+    // OPT consults the reuse oracle; every windowed worker walks its
+    // own cursor from the first block run in lockstep with its replay.
+    // The cursor must stay position-exact for every worker count.
     let wl = SyntheticWorkload::with_instructions(AppProfile::sibench(), 500_000);
     let r = pin_worker_counts(&cfg(IcacheOrg::Opt), &wl, "opt");
     assert!(r.l1i.demand_misses > 0, "opt simulated real traffic");
-}
-
-#[test]
-fn bounded_reach_plans_stay_deterministic() {
-    // Bounded-reach plans (`WindowPlan::with_warm_reach`) exercise the
-    // paths a default full-prefix plan leaves trivial: a nonzero O(1)
-    // skip to each warm start and mid-trace oracle cursor seeks.
-    // Fidelity is explicitly out of scope for bounded reaches (module
-    // docs); worker-count determinism is not.
-    let wl = SyntheticWorkload::with_instructions(AppProfile::sibench(), 500_000);
-    let c = cfg(IcacheOrg::Opt);
-    let plan = WindowPlan::with_warm_reach(500_000, sched(), c.warmup_fraction, Some(60_000))
-        .expect("plannable");
-    assert!(
-        plan.windows.iter().skip(1).all(|w| w.warm_start > 0),
-        "bounded reach must leave real prefixes to skip"
-    );
-    let serial = Engine::run_windowed_with(&c, &wl, 1, &plan);
-    assert!(serial.sampled.is_some());
-    for workers in [2usize, 7] {
-        let parallel = Engine::run_windowed_with(&c, &wl, workers, &plan);
-        assert_identical(
-            &serial,
-            &parallel,
-            &format!("bounded reach @ {workers} workers"),
-        );
-    }
 }
 
 #[test]
@@ -127,7 +101,7 @@ fn multi_tenant_interleaves_pool_identically() {
 fn replayed_traces_match_generator_backed_runs() {
     // The same stream through all three source kinds: generated on
     // the fly, materialized in memory, and round-tripped through an
-    // on-disk `.acictrace` replay. Window planning keys off positions,
+    // on-disk `.acictrace` replay. Window budgets key off positions,
     // not source internals, so all of them — at any worker count —
     // must produce the identical report.
     let generated = SyntheticWorkload::with_instructions(AppProfile::media_streaming(), 600_000);
@@ -159,7 +133,7 @@ fn zero_workers_mean_one() {
 
 #[test]
 fn short_traces_fall_back_to_the_serial_engine() {
-    // Too short to sample: the planner refuses and run_windowed must
+    // Too short to sample: there are no windows and run_windowed must
     // defer to Engine::run's degenerate-to-full behavior, identically
     // for every worker count.
     let wl = SyntheticWorkload::with_instructions(AppProfile::sibench(), 30_000);
