@@ -1,12 +1,17 @@
 //! One function per paper figure/table; each takes the run's
 //! [`Runner`] (budget, store, supervision) and returns the formatted
 //! text `experiments` prints for it.
+//!
+//! A figure only builds grids: [`Runner::run_grid`] is its one path
+//! to the engine, so every simulated cell is journaled, supervised and
+//! watchdog-covered alike.
 
-use crate::runner::{markdown_table, must_freeze, run_config, short_name, Runner, WorkloadSpec};
+use crate::runner::{markdown_table, short_name, Runner, WorkloadSpec};
+use crate::trace_store::freeze;
 use acic_core::acic::{ACCURACY_BOUNDS, INSERT_DELTA_LABELS};
 use acic_core::{AcicConfig, PredictorKind, UpdateMode};
 use acic_energy::{storage_table_rows, EnergyModel};
-use acic_sim::{Engine, IcacheOrg, PrefetcherKind, SimConfig, SimReport};
+use acic_sim::{IcacheOrg, PrefetcherKind, SampleSchedule, SimConfig, SimReport};
 use acic_trace::{BlockRuns, MarkovChain, ReuseBucket, StackDistanceAnalyzer, TraceSource};
 use acic_types::stats::{gmean, mean};
 use acic_workloads::AppProfile;
@@ -15,14 +20,29 @@ fn dc_apps() -> Vec<AppProfile> {
     AppProfile::datacenter_suite()
 }
 
-fn fmt_speedup_rows(
+/// What an org row reports per app against the baseline, and the
+/// summary column that closes it.
+#[derive(Clone, Copy)]
+enum Metric {
+    /// Speedup, closed by the gmean.
+    Speedup,
+    /// L1i MPKI reduction as a fraction, closed by the mean.
+    MpkiReduction,
+}
+
+/// One row per org: its [`Metric`] on each app, then the summary.
+fn fmt_org_rows(
     orgs: &[IcacheOrg],
     baseline: &[SimReport],
     rows: &[Vec<SimReport>],
-    value: impl Fn(&SimReport, &SimReport) -> f64,
-    summary: impl Fn(&[f64]) -> f64,
-    summary_label: &str,
+    metric: Metric,
 ) -> String {
+    type Value = fn(&SimReport, &SimReport) -> f64;
+    type Summary = fn(&[f64]) -> Option<f64>;
+    let (value, summary, summary_label): (Value, Summary, _) = match metric {
+        Metric::Speedup => (SimReport::speedup_over, gmean, "gmean"),
+        Metric::MpkiReduction => (SimReport::mpki_reduction_over, mean, "avg"),
+    };
     let mut header = vec!["config".to_string()];
     header.extend(baseline.iter().map(|r| short_name(&r.app)));
     header.push(summary_label.to_string());
@@ -31,10 +51,57 @@ fn fmt_speedup_rows(
         let vals: Vec<f64> = row.iter().zip(baseline).map(|(r, b)| value(r, b)).collect();
         let mut cells = vec![org.label().to_string()];
         cells.extend(vals.iter().map(|v| format!("{v:.4}")));
-        cells.push(format!("{:.4}", summary(&vals)));
+        cells.push(format!("{:.4}", summary(&vals).unwrap_or(0.0)));
         out_rows.push(cells);
     }
     markdown_table(&header, &out_rows)
+}
+
+/// Runs each labelled organization against the runner's baseline over
+/// the datacenter suite: one row per label, each app's L1i MPKI
+/// reduction in percent, then their mean.
+fn mpki_reduction_table(runner: &Runner, first: &str, variants: &[(&str, IcacheOrg)]) -> String {
+    let orgs: Vec<IcacheOrg> = variants.iter().map(|(_, o)| o.clone()).collect();
+    let (baseline, rows) = runner.run_orgs(&orgs, &dc_apps());
+    let mut header = vec![first.to_string()];
+    header.extend(baseline.iter().map(|r| short_name(&r.app)));
+    header.push("avg".into());
+    let mut out_rows = Vec::new();
+    for ((label, _), row) in variants.iter().zip(&rows) {
+        let vals: Vec<f64> = row
+            .iter()
+            .zip(&baseline)
+            .map(|(r, b)| r.mpki_reduction_over(b))
+            .collect();
+        let mut cells = vec![label.to_string()];
+        cells.extend(vals.iter().map(|v| format!("{:.2}%", v * 100.0)));
+        cells.push(format!("{:.2}%", mean(&vals).unwrap_or(0.0) * 100.0));
+        out_rows.push(cells);
+    }
+    markdown_table(&header, &out_rows)
+}
+
+/// Runs each labelled ACIC variant against the runner's baseline over
+/// the datacenter suite: one row per label with its gmean speedup.
+fn gmean_speedup_table(runner: &Runner, first: &str, variants: &[(&str, AcicConfig)]) -> String {
+    let orgs: Vec<IcacheOrg> = variants.iter().map(|(_, c)| IcacheOrg::Acic(*c)).collect();
+    let (baseline, rows) = runner.run_orgs(&orgs, &dc_apps());
+    let out_rows: Vec<Vec<String>> = variants
+        .iter()
+        .zip(&rows)
+        .map(|((label, _), row)| {
+            let sp: Vec<f64> = row
+                .iter()
+                .zip(&baseline)
+                .map(|(r, b)| r.speedup_over(b))
+                .collect();
+            vec![
+                label.to_string(),
+                format!("{:.4}", gmean(&sp).unwrap_or(0.0)),
+            ]
+        })
+        .collect();
+    markdown_table(&[first.into(), "gmean speedup".into()], &out_rows)
 }
 
 /// Figure 1a: reuse-distance distribution per application.
@@ -42,7 +109,7 @@ pub fn fig01a_reuse_hist(runner: &Runner) -> String {
     let n = runner.instructions;
     let mut rows = Vec::new();
     for p in dc_apps() {
-        let wl = must_freeze(&WorkloadSpec::Single(p), n);
+        let Ok(wl) = freeze(&WorkloadSpec::Single(p), n);
         let blocks: Vec<_> = wl.iter().map(|i| i.pc().block()).collect();
         let h = StackDistanceAnalyzer::histogram(&blocks);
         let f = h.fractions();
@@ -66,7 +133,7 @@ pub fn fig01a_reuse_hist(runner: &Runner) -> String {
 /// Figure 1b: Markov chain of reuse-distance buckets in media
 /// streaming.
 pub fn fig01b_markov(runner: &Runner) -> String {
-    let wl = must_freeze(
+    let Ok(wl) = freeze(
         &WorkloadSpec::Single(AppProfile::media_streaming()),
         runner.instructions,
     );
@@ -100,14 +167,7 @@ pub fn fig03a_ifilter_gap(runner: &Runner) -> String {
     let (baseline, rows) = runner.run_orgs(&orgs, &apps);
     format!(
         "Figure 3a — speedup over LRU+FDP baseline\n{}",
-        fmt_speedup_rows(
-            &orgs,
-            &baseline,
-            &rows,
-            |r, b| r.speedup_over(b),
-            |v| gmean(v).unwrap_or(0.0),
-            "gmean",
-        )
+        fmt_org_rows(&orgs, &baseline, &rows, Metric::Speedup)
     )
 }
 
@@ -122,8 +182,10 @@ pub fn fig03b_insert_delta(runner: &Runner) -> String {
         }),
         ..SimConfig::default()
     };
-    let report = run_config(&cfg, &AppProfile::media_streaming(), runner.instructions);
-    let acic = report.acic.expect("ACIC stats");
+    let spec = WorkloadSpec::Single(AppProfile::media_streaming());
+    let acic = runner.run_grid(&[cfg], &[spec])[0][0]
+        .acic
+        .expect("ACIC stats");
     let total: u64 = acic.insert_delta.iter().sum();
     let mut rows = Vec::new();
     for (label, count) in INSERT_DELTA_LABELS.iter().zip(acic.insert_delta.iter()) {
@@ -147,8 +209,10 @@ pub fn fig06_cshr_lifetime(runner: &Runner) -> String {
         icache_org: IcacheOrg::acic_default(),
         ..SimConfig::default()
     };
-    let report = run_config(&cfg, &AppProfile::data_caching(), runner.instructions);
-    let f = report.cshr_lifetimes.expect("unbounded CSHR enabled");
+    let spec = WorkloadSpec::Single(AppProfile::data_caching());
+    let f = runner.run_grid(&[cfg], &[spec])[0][0]
+        .cshr_lifetimes
+        .expect("unbounded CSHR enabled");
     let labels = ["0", "50", "100", "150", "200", "250", "300", "350", "InF"];
     let rows: Vec<Vec<String>> = labels
         .iter()
@@ -173,14 +237,7 @@ pub fn fig10_speedup(runner: &Runner) -> String {
     let (baseline, rows) = runner.run_orgs(&orgs, &apps);
     format!(
         "Figure 10 — speedup over LRU baseline with fetch-directed prefetching\n{}",
-        fmt_speedup_rows(
-            &orgs,
-            &baseline,
-            &rows,
-            |r, b| r.speedup_over(b),
-            |v| gmean(v).unwrap_or(0.0),
-            "gmean",
-        )
+        fmt_org_rows(&orgs, &baseline, &rows, Metric::Speedup)
     )
 }
 
@@ -191,14 +248,7 @@ pub fn fig11_mpki(runner: &Runner) -> String {
     let (baseline, rows) = runner.run_orgs(&orgs, &apps);
     format!(
         "Figure 11 — L1i MPKI reduction over LRU baseline with FDP\n{}",
-        fmt_speedup_rows(
-            &orgs,
-            &baseline,
-            &rows,
-            |r, b| r.mpki_reduction_over(b),
-            |v| mean(v).unwrap_or(0.0),
-            "avg",
-        )
+        fmt_org_rows(&orgs, &baseline, &rows, Metric::MpkiReduction)
     )
 }
 
@@ -257,29 +307,15 @@ pub fn fig12b_random(runner: &Runner) -> String {
         },
         ..AcicConfig::default()
     });
-    let orgs = [random, IcacheOrg::acic_default()];
-    let apps = dc_apps();
-    let (baseline, rows) = runner.run_orgs(&orgs, &apps);
-    let labels = ["Random bypass (60%)", "ACIC"];
-    let mut header = vec!["config".to_string()];
-    header.extend(baseline.iter().map(|r| short_name(&r.app)));
-    header.push("avg".into());
-    let mut out_rows = Vec::new();
-    for (label, row) in labels.iter().zip(&rows) {
-        let vals: Vec<f64> = row
-            .iter()
-            .zip(&baseline)
-            .map(|(r, b)| r.mpki_reduction_over(b))
-            .collect();
-        let mut cells = vec![label.to_string()];
-        cells.extend(vals.iter().map(|v| format!("{:.2}%", v * 100.0)));
-        cells.push(format!("{:.2}%", mean(&vals).unwrap_or(0.0) * 100.0));
-        out_rows.push(cells);
-    }
-    format!(
-        "Figure 12b — MPKI reduction: random bypass vs ACIC over FDP baseline\n{}",
-        markdown_table(&header, &out_rows)
-    )
+    let table = mpki_reduction_table(
+        runner,
+        "config",
+        &[
+            ("Random bypass (60%)", random),
+            ("ACIC", IcacheOrg::acic_default()),
+        ],
+    );
+    format!("Figure 12b — MPKI reduction: random bypass vs ACIC over FDP baseline\n{table}")
 }
 
 /// Figure 13: percentage of i-Filter victims admitted per app.
@@ -313,28 +349,12 @@ pub fn fig14_update_latency(runner: &Runner) -> String {
         update_mode: UpdateMode::Instant,
         ..AcicConfig::default()
     });
-    let apps = dc_apps();
-    let (baseline, rows) = runner.run_orgs(&[parallel, instant], &apps);
-    let labels = ["parallel update", "instant update"];
-    let mut out_rows = Vec::new();
-    for (label, row) in labels.iter().zip(&rows) {
-        let vals: Vec<f64> = row
-            .iter()
-            .zip(&baseline)
-            .map(|(r, b)| r.mpki_reduction_over(b))
-            .collect();
-        let mut cells = vec![label.to_string()];
-        cells.extend(vals.iter().map(|v| format!("{:.2}%", v * 100.0)));
-        cells.push(format!("{:.2}%", mean(&vals).unwrap_or(0.0) * 100.0));
-        out_rows.push(cells);
-    }
-    let mut header = vec!["scheme".to_string()];
-    header.extend(baseline.iter().map(|r| short_name(&r.app)));
-    header.push("avg".into());
-    format!(
-        "Figure 14 — MPKI reduction: 2-cycle (parallel) vs instant predictor update\n{}",
-        markdown_table(&header, &out_rows)
-    )
+    let table = mpki_reduction_table(
+        runner,
+        "scheme",
+        &[("parallel update", parallel), ("instant update", instant)],
+    );
+    format!("Figure 14 — MPKI reduction: 2-cycle (parallel) vs instant predictor update\n{table}")
 }
 
 /// Figure 15: sensitivity of ACIC's gmean speedup to its parameters.
@@ -413,27 +433,9 @@ pub fn fig15_sensitivity(runner: &Runner) -> String {
             },
         ),
     ];
-    let orgs: Vec<IcacheOrg> = variants.iter().map(|(_, c)| IcacheOrg::Acic(*c)).collect();
-    let apps = dc_apps();
-    let (baseline, rows) = runner.run_orgs(&orgs, &apps);
-    let out_rows: Vec<Vec<String>> = variants
-        .iter()
-        .zip(&rows)
-        .map(|((label, _), row)| {
-            let sp: Vec<f64> = row
-                .iter()
-                .zip(&baseline)
-                .map(|(r, b)| r.speedup_over(b))
-                .collect();
-            vec![
-                label.to_string(),
-                format!("{:.4}", gmean(&sp).unwrap_or(0.0)),
-            ]
-        })
-        .collect();
     format!(
         "Figure 15 — ACIC sensitivity (gmean speedup over LRU+FDP). Note: the paper's\n27-bit CSHR tag point is capped at 15 bits here (tags are folded hashes).\n{}",
-        markdown_table(&["configuration".into(), "gmean speedup".into()], &out_rows)
+        gmean_speedup_table(runner, "configuration", &variants)
     )
 }
 
@@ -497,27 +499,9 @@ pub fn fig17_ablation(runner: &Runner) -> String {
             },
         ),
     ];
-    let orgs: Vec<IcacheOrg> = variants.iter().map(|(_, c)| IcacheOrg::Acic(*c)).collect();
-    let apps = dc_apps();
-    let (baseline, rows) = runner.run_orgs(&orgs, &apps);
-    let out_rows: Vec<Vec<String>> = variants
-        .iter()
-        .zip(&rows)
-        .map(|((label, _), row)| {
-            let sp: Vec<f64> = row
-                .iter()
-                .zip(&baseline)
-                .map(|(r, b)| r.speedup_over(b))
-                .collect();
-            vec![
-                label.to_string(),
-                format!("{:.4}", gmean(&sp).unwrap_or(0.0)),
-            ]
-        })
-        .collect();
     format!(
         "Figure 17 — gmean speedup of ACIC with simpler designs over FDP baseline\n{}",
-        markdown_table(&["design".into(), "gmean speedup".into()], &out_rows)
+        gmean_speedup_table(runner, "design", &variants)
     )
 }
 
@@ -535,22 +519,8 @@ fn spec_comparison(
         IcacheOrg::Opt,
     ];
     let (baseline, rows) = runner.run_orgs(&orgs, apps);
-    let speedups = fmt_speedup_rows(
-        &orgs,
-        &baseline,
-        &rows,
-        |r, b| r.speedup_over(b),
-        |v| gmean(v).unwrap_or(0.0),
-        "gmean",
-    );
-    let mpki = fmt_speedup_rows(
-        &orgs,
-        &baseline,
-        &rows,
-        |r, b| r.mpki_reduction_over(b),
-        |v| mean(v).unwrap_or(0.0),
-        "avg",
-    );
+    let speedups = fmt_org_rows(&orgs, &baseline, &rows, Metric::Speedup);
+    let mpki = fmt_org_rows(&orgs, &baseline, &rows, Metric::MpkiReduction);
     format!("{title}\nSpeedup:\n{speedups}\nMPKI reduction (fractions):\n{mpki}")
 }
 
@@ -786,7 +756,8 @@ pub fn multi_tenant(runner: &Runner) -> String {
 /// full detail, and the share of instructions it simulated in detail,
 /// over period × detailed-window size, for LRU and ACIC on single- and
 /// multi-tenant workloads. Every column is deterministic, so the table
-/// is byte-identical run to run.
+/// is byte-identical run to run. All 20 cells (2 orgs × full detail
+/// plus 4 schedules, over 2 workloads) run as one grid.
 ///
 /// Periods scale with the instruction budget (`total/8`, `total/4`)
 /// so the sweep stays meaningful at any `ACIC_EXP_INSTRUCTIONS`;
@@ -807,8 +778,31 @@ pub fn sampling_error(runner: &Runner) -> String {
     // Clamp so tiny budgets still produce a valid schedule: the
     // detailed window never exceeds half the period, warmup fills at
     // most the remainder.
-    let periods = [(n / 8).max(4), (n / 4).max(4)];
-    let detail_divs = [20u64, 10];
+    let sizes: Vec<(u64, u64)> = [(n / 8).max(4), (n / 4).max(4)]
+        .into_iter()
+        .flat_map(|period| {
+            [20u64, 10].map(|div| (period, (period / div).max(1_000).min(period / 2)))
+        })
+        .collect();
+    // Per org: its full-detail reference, then one sampled config per
+    // (period, detailed window).
+    let mut configs = Vec::new();
+    for org in &orgs {
+        let full = SimConfig::default().with_org(org.clone());
+        let sampled: Vec<SimConfig> = sizes
+            .iter()
+            .map(|&(period, detailed_len)| {
+                full.with_schedule(SampleSchedule::Periodic {
+                    period,
+                    warmup_len: (period / 4).min(period - detailed_len),
+                    detailed_len,
+                })
+            })
+            .collect();
+        configs.push(full);
+        configs.extend(sampled);
+    }
+    let grid = runner.run_grid(&configs, &specs);
 
     let header: Vec<String> = [
         "config", "workload", "period", "detailed", "windows", "ipc err", "mpki err", "detail %",
@@ -817,52 +811,39 @@ pub fn sampling_error(runner: &Runner) -> String {
     .map(|s| s.to_string())
     .collect();
     let mut rows = Vec::new();
-    for spec in &specs {
-        // One freeze per spec; every (org, schedule) cell replays it.
-        let trace = must_freeze(spec, n);
-        for org in &orgs {
-            let cfg = SimConfig::default().with_org(org.clone());
-            let full = Engine::run(&cfg, trace.as_ref());
-            for &period in &periods {
-                for &div in &detail_divs {
-                    let detailed_len = (period / div).max(1_000).min(period / 2);
-                    let warmup_len = (period / 4).min(period - detailed_len);
-                    let sched = acic_sim::SampleSchedule::Periodic {
-                        period,
-                        warmup_len,
-                        detailed_len,
-                    };
-                    let sampled = Engine::run(&cfg.with_schedule(sched), trace.as_ref());
-                    let ipc_err = if full.ipc() > 0.0 {
-                        (sampled.ipc() - full.ipc()).abs() / full.ipc() * 100.0
-                    } else {
-                        0.0
-                    };
-                    let mpki_err = if full.l1i_mpki() > 0.0 {
-                        (sampled.l1i_mpki() - full.l1i_mpki()).abs() / full.l1i_mpki() * 100.0
-                    } else {
-                        0.0
-                    };
-                    // A schedule that degenerated to full detail
-                    // simulated every instruction in detail.
-                    let (windows, detailed) = sampled
-                        .sampled
-                        .map_or((0, sampled.total_instructions), |s| {
-                            (s.windows, s.detailed_instructions)
-                        });
-                    let detail_pct =
-                        detailed as f64 / sampled.total_instructions.max(1) as f64 * 100.0;
-                    rows.push(vec![
-                        org.label().to_string(),
-                        spec.label(),
-                        format!("{}k", period / 1000),
-                        format!("{}k", detailed_len / 1000),
-                        windows.to_string(),
-                        format!("{ipc_err:.2}%"),
-                        format!("{mpki_err:.2}%"),
-                        format!("{detail_pct:.1}%"),
-                    ]);
-                }
+    for (a, spec) in specs.iter().enumerate() {
+        for (org, block) in orgs.iter().zip(grid.chunks(sizes.len() + 1)) {
+            let full = &block[0][a];
+            for (&(period, detailed_len), row) in sizes.iter().zip(&block[1..]) {
+                let sampled = &row[a];
+                let ipc_err = if full.ipc() > 0.0 {
+                    (sampled.ipc() - full.ipc()).abs() / full.ipc() * 100.0
+                } else {
+                    0.0
+                };
+                let mpki_err = if full.l1i_mpki() > 0.0 {
+                    (sampled.l1i_mpki() - full.l1i_mpki()).abs() / full.l1i_mpki() * 100.0
+                } else {
+                    0.0
+                };
+                // A schedule that degenerated to full detail
+                // simulated every instruction in detail.
+                let (windows, detailed) = sampled
+                    .sampled
+                    .map_or((0, sampled.total_instructions), |s| {
+                        (s.windows, s.detailed_instructions)
+                    });
+                let detail_pct = detailed as f64 / sampled.total_instructions.max(1) as f64 * 100.0;
+                rows.push(vec![
+                    org.label().to_string(),
+                    spec.label(),
+                    format!("{}k", period / 1000),
+                    format!("{}k", detailed_len / 1000),
+                    windows.to_string(),
+                    format!("{ipc_err:.2}%"),
+                    format!("{mpki_err:.2}%"),
+                    format!("{detail_pct:.1}%"),
+                ]);
             }
         }
     }

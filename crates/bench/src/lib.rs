@@ -3,9 +3,12 @@
 //!
 //! Each function in [`figures`] prints the same rows/series the paper
 //! reports; the `experiments` binary runs them all (`--only <name>`
-//! runs one). The instruction budget defaults to 1 M instructions per
-//! application (the paper uses 500 M–1 B) and scales through the
-//! `ACIC_EXP_INSTRUCTIONS` environment variable.
+//! runs one). A figure only builds grids, so every simulated cell goes
+//! through [`Runner::run_grid`] and the one cell executor. The
+//! instruction budget defaults to 1 M instructions per application
+//! (the paper uses 500 M–1 B) and scales through the
+//! `ACIC_EXP_INSTRUCTIONS` environment variable. At that default the
+//! whole campaign's stdout is pinned by `tests/golden/campaign.txt`.
 //!
 //! The library ships no self-tests: the container-loader, resume,
 //! window-parallel, DSE and supervision round trips are integration
@@ -32,4 +35,4 @@ pub mod runner;
 pub mod supervise;
 pub mod trace_store;
 
-pub use runner::{instruction_budget, run_config, run_spec, Runner, WorkloadSpec};
+pub use runner::{instruction_budget, Runner, WorkloadSpec};

@@ -662,24 +662,6 @@ impl Drop for TraceSet {
     }
 }
 
-/// Freezes `spec` for callers that need the trace itself.
-pub(crate) fn must_freeze(spec: &WorkloadSpec, instructions: u64) -> Arc<PackedTrace> {
-    let Ok(trace) = crate::trace_store::freeze(spec, instructions);
-    trace
-}
-
-/// Runs one spec under `cfg` by replaying its frozen trace.
-pub fn run_spec(cfg: &SimConfig, spec: &WorkloadSpec, instructions: u64) -> SimReport {
-    let trace = must_freeze(spec, instructions);
-    Engine::run(cfg, trace.as_ref())
-}
-
-/// Runs one (configuration, application) pair over the app's frozen
-/// trace.
-pub fn run_config(cfg: &SimConfig, profile: &AppProfile, instructions: u64) -> SimReport {
-    run_spec(cfg, &WorkloadSpec::Single(profile.clone()), instructions)
-}
-
 /// Deliberate failure injection for crash-safety tests: the CLI and
 /// integration tests pin a single cell to panic, abort, stall, be
 /// SIGKILLed, or exit with a bad status via the `ACIC_*_CELL` knobs
@@ -788,7 +770,10 @@ where
                     Some(path) => {
                         crate::trace_store::load_container(path, spec, traces.budget).trace
                     }
-                    None => must_freeze(spec, traces.budget),
+                    None => {
+                        let Ok(trace) = crate::trace_store::freeze(spec, traces.budget);
+                        trace
+                    }
                 };
                 run_cell(cell, &trace, true)
             });
@@ -1422,7 +1407,7 @@ mod tests {
         ];
         let specs = vec![WorkloadSpec::Single(AppProfile::sibench())];
         let grid = runner.run_grid(&configs, &specs);
-        let trace = must_freeze(&specs[0], runner.instructions);
+        let trace = crate::trace_store::freeze(&specs[0], runner.instructions).unwrap();
         for (c, cfg) in configs.iter().enumerate() {
             let direct = Engine::run_windowed(cfg, trace.as_ref(), 1);
             assert_eq!(grid[c][0].sampled, direct.sampled, "pooled stats");

@@ -182,6 +182,24 @@ fn killed_sweep_resumes_bit_identically_from_the_result_store() {
     assert!(stderr(&replayed).contains("[results: 10 replayed, 0 computed]"));
     assert_eq!(stdout(&replayed), stdout(&reference));
 
+    // The sampling study and Figure 6 journal their cells like every
+    // other grid: at smoke budget, a rerun against the same store
+    // replays them all and prints the same rows.
+    for (figure, cells) in [("sampling_error", 20), ("fig06_cshr_lifetime", 1)] {
+        let run = || {
+            let out = experiments()
+                .args(["--smoke", "--results", results_arg, "--only", figure])
+                .output()
+                .unwrap();
+            assert!(out.status.success(), "{figure}: {}", stderr(&out));
+            out
+        };
+        let (first, second) = (run(), run());
+        let replayed = format!("[results: {cells} replayed, 0 computed]");
+        assert!(stderr(&second).contains(&replayed), "{}", stderr(&second));
+        assert_eq!(stdout(&second), stdout(&first), "{figure}");
+    }
+
     std::fs::remove_dir_all(&results).ok();
 }
 

@@ -43,7 +43,7 @@ pub mod report;
 
 pub use branch::btb::Btb;
 pub use config::{BranchSwitchMode, PrefetcherKind, SampleSchedule, SimConfig};
-pub use engine::{Engine, Phase, TimingLoop};
+pub use engine::{Engine, TimingLoop};
 pub use frontend::FrontEnd;
 pub use functional::{run_functional, FunctionalReport};
 pub use icache::IcacheOrg;
