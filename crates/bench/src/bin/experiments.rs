@@ -19,9 +19,9 @@
 //! is exercisable in seconds — CI runs exactly this.
 //!
 //! The flags are parsed once into one [`acic_bench::Runner`] — budget,
-//! `--results` store, `--supervise`/`--run-cell` role, watchdog —
-//! that every figure receives, and `--dse` builds its `DseOptions`
-//! from the same values; no setting lives in a process global.
+//! `--results` store, `--supervise` context, watchdog — that every
+//! figure receives, and `--dse` builds its `DseOptions` from the same
+//! values; no setting lives in a process global.
 //!
 //! Resume:
 //!
@@ -68,11 +68,14 @@
 //!     --crash-reports crash-reports/ --results results/ fig11_mpki
 //! ```
 //!
-//! `--supervise` runs every grid/DSE cell in its own child process
-//! (the binary self-execs with the hidden `--run-cell <journal-key>`
-//! / `--run-cell-out <dir>` flags, plus `--run-cell-trace <file>`,
-//! the cell's trace as the parent froze it, which the child decodes
-//! instead of regenerating): with it, the per-cell watchdog
+//! `--supervise` runs every grid/DSE cell in its own child process:
+//! the binary self-execs as `experiments --run-cell` (a hidden switch
+//! that takes no other argument) and writes the cell to the child's
+//! stdin — its canonical encoding, its `(config, spec)` coordinates
+//! and the path of the trace the parent froze for it, which the child
+//! decodes instead of regenerating. The child runs that one cell, no
+//! figure code, and prints its result as one journal line on stdout.
+//! With supervision the per-cell watchdog
 //! becomes a *hard* timeout (the wedged child is SIGKILLed), an
 //! `abort()`/OOM/signal death costs one attempt of one cell instead
 //! of the campaign, and dead children are retried — transient
@@ -81,24 +84,23 @@
 //! `abort()`, non-zero exit) once to confirm — with capped
 //! exponential backoff (base `ACIC_SUPERVISE_BACKOFF_MS`) and
 //! deterministic seeded jitter. Every retried or failed cell leaves a
-//! crash report (exit evidence, stderr tail, retry history) under
-//! `--crash-reports <dir>` (default: `<results>/crash-reports`, or
-//! `./crash-reports`). Without `--results`, the parent journals into
-//! a private store under that dir for the run's length, so a child
-//! replays the run's earlier grids instead of recomputing them. Output and `--results` journals are byte-identical to the
-//! in-process path; where spawning is unavailable the run degrades
-//! to in-process with one warning.
+//! crash report (exit evidence, stderr tail, retry history, and the
+//! child's stdin message, which `experiments --run-cell` replays)
+//! under `--crash-reports <dir>` (default: `<results>/crash-reports`,
+//! or `./crash-reports`). Output and `--results` journals are
+//! byte-identical to the in-process path; where spawning is
+//! unavailable the run degrades to in-process with one warning.
 //!
 //! Exit codes: `0` — success; `1` — one or more figures/cells failed;
-//! `2` — usage error. A `--run-cell` child additionally uses `3` —
-//! target cell not found in the selected figures, `4` — the child
-//! could not journal its result, and `101` — the cell panicked.
+//! `2` — usage error. A `--run-cell` child exits `2` on a message it
+//! cannot decode, `4` when it cannot write its result, and `101` when
+//! the cell panicked.
 
 use acic_bench::result_store::ResultStore;
-use acic_bench::supervise::{ChildTarget, Role, SuperviseCtx};
+use acic_bench::supervise::SuperviseCtx;
 use acic_bench::Runner;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 
 type Experiment = (&'static str, fn(&Runner) -> String);
@@ -196,21 +198,26 @@ struct Cli {
     dse_space: Option<String>,
     dse_report: Option<String>,
     crash_reports: Option<String>,
-    run_cell: Option<String>,
-    run_cell_out: Option<String>,
-    run_cell_trace: Option<String>,
+    run_cell: bool,
     filter: String,
 }
 
 fn parse_cli(mut args: Vec<String>) -> Result<Cli, String> {
+    if args.iter().any(|a| a == "--run-cell") {
+        // The supervisor's child reads its one cell from stdin.
+        return match args.as_slice() {
+            [_] => Ok(Cli {
+                run_cell: true,
+                ..Cli::default()
+            }),
+            _ => Err("--run-cell reads one cell from stdin and takes no other argument".into()),
+        };
+    }
     let results = take_flag_value(&mut args, "--results")?;
     let only = take_flag_value(&mut args, "--only")?;
     let dse_space = take_flag_value(&mut args, "--dse-space")?;
     let dse_report = take_flag_value(&mut args, "--dse-report")?;
     let crash_reports = take_flag_value(&mut args, "--crash-reports")?;
-    let run_cell = take_flag_value(&mut args, "--run-cell")?;
-    let run_cell_out = take_flag_value(&mut args, "--run-cell-out")?;
-    let run_cell_trace = take_flag_value(&mut args, "--run-cell-trace")?;
     let dse = take_switch(&mut args, "--dse");
     if (dse_space.is_some() || dse_report.is_some()) && !dse {
         return Err("--dse-space/--dse-report only make sense with --dse".into());
@@ -218,12 +225,6 @@ fn parse_cli(mut args: Vec<String>) -> Result<Cli, String> {
     let supervise = take_switch(&mut args, "--supervise");
     if crash_reports.is_some() && !supervise {
         return Err("--crash-reports only makes sense with --supervise".into());
-    }
-    if run_cell.is_some() != run_cell_out.is_some() {
-        return Err("--run-cell and --run-cell-out must be given together".into());
-    }
-    if run_cell_trace.is_some() && run_cell.is_none() {
-        return Err("--run-cell-trace only makes sense with --run-cell".into());
     }
     let cli = Cli {
         list: take_switch(&mut args, "--list"),
@@ -236,9 +237,7 @@ fn parse_cli(mut args: Vec<String>) -> Result<Cli, String> {
         dse_space,
         dse_report,
         crash_reports,
-        run_cell,
-        run_cell_out,
-        run_cell_trace,
+        run_cell: false,
         filter: String::new(),
     };
     if let Some(unknown) = args.iter().find(|a| a.starts_with("--")) {
@@ -334,71 +333,40 @@ fn run_dse_cli(cli: &Cli, runner: &Runner) -> Result<String, String> {
 
 /// Builds the one [`Runner`] every figure (and the DSE sweep) runs
 /// under: the budget (capped under `--smoke`), the `--results` store,
-/// and the supervision role — `--run-cell` makes this process a
-/// child, `--supervise` a parent. Also returns the directory of a
-/// parent's private journal (module docs), which the caller deletes
-/// when the run ends. Exits 2 when the store cannot open.
-fn runner_from(cli: &Cli, raw_args: &[String]) -> (Runner, Option<PathBuf>) {
-    let mut private = None;
-    let supervise = if let (Some(key), Some(out_dir)) = (&cli.run_cell, &cli.run_cell_out) {
-        // Child mode: this process runs exactly one cell and journals
-        // it to the private per-attempt store. The cell executor
-        // detects the target by journal key and exits through
-        // `run_child_cell`; falling out the bottom means the key
-        // matched nothing (exit 3).
-        Some(Role::Child(ChildTarget {
-            key: key.clone(),
-            out_dir: out_dir.into(),
-            trace: cli.run_cell_trace.as_ref().map(Into::into),
-        }))
-    } else if cli.supervise {
+/// and, under `--supervise`, the supervisor's context. Exits 2 when
+/// the store cannot open.
+fn runner_from(cli: &Cli) -> Runner {
+    let supervise = if cli.supervise {
         let crash_dir = cli
             .crash_reports
             .clone()
             .or_else(|| cli.results.as_ref().map(|r| format!("{r}/crash-reports")))
             .unwrap_or_else(|| "crash-reports".into());
-        let mut child_argv = raw_args.to_vec();
-        if cli.results.is_none() {
-            let dir = Path::new(&crash_dir)
-                .join(".attempts")
-                .join(format!("journal-{}", std::process::id()));
-            // A journal an earlier run left under a reused pid must
-            // not replay into this one.
-            let _ = std::fs::remove_dir_all(&dir);
-            child_argv.extend(["--results".into(), dir.display().to_string()]);
-            private = Some(dir);
-        }
-        match SuperviseCtx::new(Path::new(&crash_dir), &child_argv) {
+        match SuperviseCtx::new(Path::new(&crash_dir)) {
             Ok(ctx) => {
                 eprintln!(
                     "[supervise: one child process per cell, crash reports in {}]",
                     ctx.crash_dir.display()
                 );
-                Some(Role::Parent(Arc::new(ctx)))
+                Some(Arc::new(ctx))
             }
             Err(e) => {
                 eprintln!("[warning: supervision unavailable ({e}); running in-process]");
-                private = None;
                 None
             }
         }
     } else {
         None
     };
-    if let Some(dir) = &cli.results {
+    let store = cli.results.as_deref().map(|dir| {
         eprintln!("[resumable results in {dir}]");
-    }
-    let store = cli
-        .results
-        .as_deref()
-        .map(Path::new)
-        .or(private.as_deref())
-        .map(|dir| {
-            ResultStore::open(dir).map(Arc::new).unwrap_or_else(|e| {
+        ResultStore::open(Path::new(dir))
+            .map(Arc::new)
+            .unwrap_or_else(|e| {
                 eprintln!("{e}");
                 std::process::exit(2);
             })
-        });
+    });
     let mut runner = Runner {
         store,
         supervise,
@@ -411,22 +379,40 @@ fn runner_from(cli: &Cli, raw_args: &[String]) -> (Runner, Option<PathBuf>) {
             runner.instructions
         );
     }
-    (runner, private)
+    runner
 }
 
 fn main() {
-    // The supervisor re-execs this argv (minus supervision flags) for
-    // each child, so keep the raw form around.
-    let raw_args: Vec<String> = std::env::args().skip(1).collect();
-    let cli = match parse_cli(raw_args.clone()) {
+    let cli = match parse_cli(std::env::args().skip(1).collect()) {
         Ok(cli) => cli,
         Err(e) => {
             eprintln!("{e}");
             std::process::exit(2);
         }
     };
-    let all = all_experiments();
 
+    // Failed cells and figures are reported structurally at the end
+    // of the run; keep each panic to one stderr line instead of the
+    // default multi-line hook output.
+    std::panic::set_hook(Box::new(|info| {
+        let msg = info
+            .payload()
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_string())
+            .or_else(|| info.payload().downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".into());
+        let loc = info
+            .location()
+            .map(|l| format!(" at {}:{}", l.file(), l.line()))
+            .unwrap_or_default();
+        eprintln!("[panic{loc}] {}", msg.trim_end());
+    }));
+
+    if cli.run_cell {
+        acic_bench::supervise::run_child();
+    }
+
+    let all = all_experiments();
     if cli.list {
         for (name, _) in &all {
             println!("{name}");
@@ -452,48 +438,17 @@ fn main() {
             .collect()
     };
 
-    // Failed cells and figures are reported structurally at the end
-    // of the run; keep each panic to one stderr line instead of the
-    // default multi-line hook output.
-    std::panic::set_hook(Box::new(|info| {
-        let msg = info
-            .payload()
-            .downcast_ref::<&str>()
-            .map(|s| (*s).to_string())
-            .or_else(|| info.payload().downcast_ref::<String>().cloned())
-            .unwrap_or_else(|| "non-string panic payload".into());
-        let loc = info
-            .location()
-            .map(|l| format!(" at {}:{}", l.file(), l.line()))
-            .unwrap_or_default();
-        eprintln!("[panic{loc}] {}", msg.trim_end());
-    }));
-
-    let (runner, private_journal) = runner_from(&cli, &raw_args);
-    let is_child = matches!(runner.supervise, Some(Role::Child(_)));
-    // Every exit from here on deletes the private journal first.
-    let exit = |code: i32| -> ! {
-        if let Some(dir) = &private_journal {
-            let _ = std::fs::remove_dir_all(dir);
-        }
-        std::process::exit(code)
-    };
+    let runner = runner_from(&cli);
 
     if cli.dse {
         match run_dse_cli(&cli, &runner) {
             Ok(report) => println!("{report}"),
             Err(e) => {
                 eprintln!("dse failed: {e}");
-                exit(1);
+                std::process::exit(1);
             }
         }
-        if is_child {
-            // A --run-cell child that got here swept the whole ladder
-            // without meeting its target key.
-            eprintln!("run-cell target not found in the DSE sweep");
-            exit(3);
-        }
-        exit(0);
+        return;
     }
 
     // Keep-going figure loop: one failing figure must not cost the
@@ -525,13 +480,6 @@ fn main() {
             }
         }
     }
-    if is_child {
-        // A --run-cell child exits through `run_child_cell` the moment
-        // its grid reaches the target; completing the figure loop
-        // means the key matched no cell of the selected figures.
-        eprintln!("run-cell target not found in the selected figures");
-        exit(3);
-    }
     if !failures.is_empty() {
         eprintln!("==== failure summary ====");
         eprintln!("{} figure(s) failed:", failures.len());
@@ -541,9 +489,8 @@ fn main() {
                 eprintln!("  {line}");
             }
         }
-        exit(1);
+        std::process::exit(1);
     }
-    exit(0);
 }
 
 #[cfg(test)]
@@ -669,28 +616,24 @@ mod tests {
     }
 
     #[test]
-    fn run_cell_flags_must_pair_up() {
-        let cli = parse_cli(argv(&["--run-cell", "k", "--run-cell-out", "d"])).unwrap();
-        assert_eq!(cli.run_cell.as_deref(), Some("k"));
-        assert_eq!(cli.run_cell_out.as_deref(), Some("d"));
-
-        let err = parse_cli(argv(&["--run-cell", "k"])).unwrap_err();
-        assert!(err.contains("must be given together"), "{err}");
-        let err = parse_cli(argv(&["--run-cell-out", "d"])).unwrap_err();
-        assert!(err.contains("must be given together"), "{err}");
-
-        let cli = parse_cli(argv(&[
-            "--run-cell",
-            "k",
-            "--run-cell-out",
-            "d",
-            "--run-cell-trace",
-            "t.acictrace",
-        ]))
-        .unwrap();
-        assert_eq!(cli.run_cell_trace.as_deref(), Some("t.acictrace"));
-        let err = parse_cli(argv(&["--run-cell-trace", "t.acictrace"])).unwrap_err();
-        assert!(err.contains("only makes sense with --run-cell"), "{err}");
+    fn run_cell_stands_alone() {
+        let cli = parse_cli(argv(&["--run-cell"])).unwrap();
+        assert_eq!(
+            cli,
+            Cli {
+                run_cell: true,
+                ..Cli::default()
+            }
+        );
+        for args in [
+            &["--run-cell", "k"][..],
+            &["--only", "table3_mpki", "--run-cell"],
+            &["--run-cell", "--results", "d"],
+            &["--supervise", "--run-cell"],
+        ] {
+            let err = parse_cli(argv(args)).unwrap_err();
+            assert!(err.contains("takes no other argument"), "{args:?}: {err}");
+        }
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //!    (every CI half-width under the precision target) skip
 //!    intermediate rungs; the final rung re-simulates every survivor
 //!    at full budget and figure-grade fidelity, and every finished
-//!    cell is journaled (`acic-results/v2`, rung-keyed) so a killed
+//!    cell is journaled (`acic-results/v3`, rung-keyed) so a killed
 //!    sweep resumes with zero recomputed finished cells.
 //!
 //! Surfaced as `experiments --dse` (space file via `--dse-space`,

@@ -17,7 +17,7 @@
 //! full-detail reference.
 //!
 //! Every finished cell is journaled under its
-//! [`crate::result_store::dse_cell_key`] as soon as it completes, so
+//! [`crate::cell::dse_cell_key`] as soon as it completes, so
 //! a killed sweep resumes with zero recomputed finished cells; the
 //! prune/settle decisions are pure functions of the reports, so a
 //! resumed sweep reproduces the identical frontier.
@@ -25,10 +25,11 @@
 use super::frontier::{objective_coords, pareto_frontier, settled, Interval};
 use super::ladder::Ladder;
 use super::space::DseSpace;
-use crate::result_store::{dse_cell_key, ResultStore};
+use crate::cell::{Cell, Exec};
+use crate::result_store::ResultStore;
 use crate::runner::{bench_threads, cell_timeout, execute, Batch, TraceSet};
-use acic_sim::{Engine, SampleSchedule, SimReport};
-use acic_trace::Truncated;
+use crate::supervise::SuperviseCtx;
+use acic_sim::{SampleSchedule, SimReport};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -53,7 +54,7 @@ pub struct DseOptions {
     /// supervised parent runs every to-be-computed rung cell in its
     /// own `--run-cell` child (hard timeouts, retry with backoff,
     /// crash reports). Defaults to `None` (in-process).
-    pub supervise: Option<crate::supervise::Role>,
+    pub supervise: Option<Arc<SuperviseCtx>>,
 }
 
 impl Default for DseOptions {
@@ -285,22 +286,24 @@ pub fn run_dse(space: &DseSpace, opts: &DseOptions) -> Result<DseRun, String> {
         let active: Vec<usize> = (0..n_cfg)
             .filter(|&i| alive[i] && (r == last_rung || settled_at[i].is_none()))
             .collect();
-        let rung_cfgs: Arc<Vec<acic_sim::SimConfig>> = Arc::new(
-            space
-                .configs
-                .iter()
-                .map(|c| c.cfg.with_schedule(rung.schedule))
-                .collect(),
-        );
-        let cells: Vec<(usize, usize)> = active
+        let coords: Vec<(usize, usize)> = active
             .iter()
             .flat_map(|&c| (0..n_spec).map(move |a| (c, a)))
             .collect();
-        let keys: Vec<String> = cells
+        let exec = Exec::Rung {
+            rung: r as u32,
+            prefix: rung.budget,
+        };
+        let cells: Vec<Cell> = coords
             .iter()
-            .map(|&(c, a)| dse_cell_key(&space.specs[a], full_budget, &rung_cfgs[c], r as u32))
+            .map(|&(c, a)| Cell {
+                spec: space.specs[a].clone(),
+                config: space.configs[c].cfg.with_schedule(rung.schedule),
+                budget: full_budget,
+                exec,
+            })
             .collect();
-        let labels: Vec<String> = cells
+        let labels: Vec<String> = coords
             .iter()
             .map(|&(c, a)| {
                 format!(
@@ -310,28 +313,20 @@ pub fn run_dse(space: &DseSpace, opts: &DseOptions) -> Result<DseRun, String> {
                 )
             })
             .collect();
-        // Earlier rungs replay from the shared store (a supervised
-        // parent journals each rung before climbing), so a
-        // `--run-cell` child reaches its target rung cheaply.
-        let budget = rung.budget;
-        let run = execute(
-            Batch {
-                cells: &cells,
-                keys: &keys,
-                labels: &labels,
-                rung: Some(r as u32),
-                traces: &traces,
-                threads: opts.threads,
-                store: opts.store.as_ref(),
-                supervise: opts.supervise.as_ref(),
-                cell_timeout: opts.cell_timeout,
-            },
-            move |c, trace| Engine::run(&rung_cfgs[c], &Truncated::new(trace, budget)),
-        );
+        let run = execute(Batch {
+            cells,
+            coords: coords.clone(),
+            labels: labels.clone(),
+            traces: &traces,
+            threads: opts.threads,
+            store: opts.store.as_ref(),
+            supervise: opts.supervise.as_ref(),
+            cell_timeout: opts.cell_timeout,
+        });
 
         let mut failures: Vec<String> = Vec::new();
         let mut rung_reports: Vec<Vec<SimReport>> = vec![Vec::new(); n_cfg];
-        for ((slot, &(c, _)), label) in run.slots.into_iter().zip(&cells).zip(&labels) {
+        for ((slot, &(c, _)), label) in run.slots.into_iter().zip(&coords).zip(&labels) {
             match slot {
                 Ok(rep) => rung_reports[c].push(rep),
                 Err(e) => failures.push(format!("{label}: {e}")),

@@ -211,7 +211,7 @@ mod tests {
     fn parses_nested_documents() {
         let doc = Json::parse(
             r#"{
-  "schema": "acic-results/v2",
+  "schema": "acic-results/v3",
   "instructions": 1000000,
   "orgs": { "lru": { "ipc": 1.37 } },
   "nested": { "arr": [1, 2.5, -3e2], "flag": true, "none": null }
@@ -228,7 +228,7 @@ mod tests {
         );
         assert_eq!(
             doc.get("schema").and_then(Json::str_val),
-            Some("acic-results/v2")
+            Some("acic-results/v3")
         );
         assert_eq!(
             nested.get("arr"),

@@ -4,7 +4,8 @@
 //! Each function in [`figures`] prints the same rows/series the paper
 //! reports; the `experiments` binary runs them all (`--only <name>`
 //! runs one). A figure only builds grids, so every simulated cell goes
-//! through [`Runner::run_grid`] and the one cell executor. The
+//! through [`Runner::run_grid`] and the one cell executor as a
+//! [`cell::Cell`]. The
 //! instruction budget defaults to 1 M instructions per application
 //! (the paper uses 500 M–1 B) and scales through the
 //! `ACIC_EXP_INSTRUCTIONS` environment variable. At that default the
@@ -26,6 +27,7 @@
 //! println!("{}", acic_bench::figures::fig10_speedup(&runner));
 //! ```
 
+pub mod cell;
 pub mod dse;
 pub mod fault;
 pub mod figures;

@@ -2,23 +2,25 @@
 //!
 //! `experiments --results <dir>` persists every computed
 //! [`SimReport`] into a checksummed JSON-lines journal
-//! (`results.jsonl`) keyed by [`cell_key`] — the cell's full identity
-//! `(spec store_key × config hash)`, where the store key embeds the
-//! instruction budget and the config hash covers the organization,
-//! prefetcher, fidelity schedule, and every other [`SimConfig`]
-//! field. A repeated or interrupted sweep replays finished cells from
-//! disk and simulates only the rest; the DSE driver sits on this
-//! store.
+//! (`results.jsonl`) keyed by [`cell_key`] — the spec's readable
+//! store key (which embeds the instruction budget) plus a hash of the
+//! cell's canonical encoding and [`crate::cell::MODEL_VERSION`], so
+//! every profile parameter and every [`acic_sim::SimConfig`] field is
+//! part of the identity ([`crate::cell`]). A repeated or interrupted
+//! sweep replays finished cells from disk and simulates only the
+//! rest; the DSE driver sits on this store.
 //!
-//! **Journal format** (`acic-results/v2`). Line 1 is the schema
-//! header `{"schema":"acic-results/v2"}`; every further line is one
+//! **Journal format** (`acic-results/v3`). Line 1 is the schema
+//! header `{"schema":"acic-results/v3"}`; every further line is one
 //! cell: `{"key":K,"rung":G,"crc":C,"report":R}` where `G` is the
 //! cell's fidelity rung on the DSE ladder (`null` for plain grid
 //! cells, a decimal-string rung index for [`dse_cell_key`] cells) and
 //! `C` is the FNV-1a 64 hash (16 hex digits) of `K`, a zero byte, the
-//! serialized `G`, a zero byte, and the serialized `R`. v1 journals
-//! (no rung field, two-part CRC) are rejected by the schema header —
-//! loudly, never misread as v2.
+//! serialized `G`, a zero byte, and the serialized `R`. v3 changed
+//! the keys, not the line: v2 keys hashed the config's `Debug` text
+//! and left profile parameters out. Older journals (v1 without the
+//! rung field, v2 with the old keys) are rejected by the schema
+//! header — loudly, never misread as v3.
 //! Reports serialize every `u64` as a decimal *string* (the workspace
 //! JSON reader models numbers as `f64`, which is lossy above 2^53)
 //! and every `f64` through its shortest round-trip form (non-finite
@@ -39,14 +41,12 @@
 //! silent corruption, and a resumed sweep never loses or
 //! double-counts a completed cell.
 //!
-//! **Single-writer contract under `--supervise`.** The shared journal
-//! has exactly one writer: the parent. A `--run-cell` child journals
-//! its one cell into a *private* per-attempt store
-//! ([`crate::supervise::run_child_cell`]) that the parent re-reads
-//! after the child exits and then re-puts into the shared journal
-//! itself — children never append to (or even open for write) the
-//! shared `results.jsonl`, so concurrent cell completion cannot race
-//! the whole-file atomic rewrite, and the journal bytes stay
+//! **Single writer under `--supervise`.** The shared journal has
+//! exactly one writer: the parent. A `--run-cell` child opens no
+//! store; it prints its one cell as a journal line on stdout, and the
+//! parent checks that line's CRC and key and re-puts the report into
+//! the shared journal itself — so concurrent cell completion cannot
+//! race the whole-file atomic rewrite, and the journal bytes stay
 //! independent of completion order (the `BTreeMap` rewrite sorts by
 //! key).
 
@@ -55,18 +55,20 @@ use acic_cache::CacheStats;
 use acic_core::{AcicStats, CshrStats};
 use acic_sim::branch::btb::BtbStats;
 use acic_sim::branch::tage::TageStats;
-use acic_sim::{BranchStats, PrefetchStats, SampledStats, SimConfig, SimReport};
+use acic_sim::{BranchStats, PrefetchStats, SampledStats, SimReport};
 use acic_types::hash::{fnv1a, FNV_OFFSET};
 use acic_types::stats::Ratio;
-use acic_workloads::WorkloadSpec;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
+pub use crate::cell::{cell_key, dse_cell_key, windowed_cell_key};
+
 /// Journal schema tag; bump on any encoding change so an old journal
 /// is rejected loudly instead of decoded wrong. v2 added the
-/// fidelity-rung field (and folded it into the line CRC).
-pub const SCHEMA: &str = "acic-results/v2";
+/// fidelity-rung field (and folded it into the line CRC); v3 keys
+/// cells by the hash of their canonical encoding.
+pub const SCHEMA: &str = "acic-results/v3";
 
 const JOURNAL_NAME: &str = "results.jsonl";
 
@@ -114,9 +116,9 @@ impl std::error::Error for ResultStoreError {}
 /// One journal entry: the report plus the fidelity rung it was
 /// computed at (`None` for plain grid cells).
 #[derive(Clone, Debug)]
-struct Entry {
-    rung: Option<u32>,
-    report: SimReport,
+pub(crate) struct Entry {
+    pub(crate) rung: Option<u32>,
+    pub(crate) report: SimReport,
 }
 
 /// The resumable cell store: an in-memory map mirrored to the
@@ -268,55 +270,6 @@ impl ResultStore {
     }
 }
 
-/// The journal key of one grid cell: the spec's on-disk identity
-/// (which embeds the instruction budget) crossed with a hash of the
-/// *entire* simulator configuration — organization, prefetcher,
-/// fidelity schedule, oracle flags — so no two cells that could
-/// produce different reports ever share a key. The config hash goes
-/// through `Debug` formatting; [`SCHEMA`] guards against the
-/// rendering drifting across versions.
-pub fn cell_key(spec: &WorkloadSpec, instructions: u64, cfg: &SimConfig) -> String {
-    let cfg_hash = fnv1a(FNV_OFFSET, format!("{cfg:?}").as_bytes());
-    format!("{}-c{cfg_hash:016x}", spec.store_key(instructions))
-}
-
-/// [`cell_key`] for cells simulated through the window-parallel
-/// engine (`Engine::run_windowed`): the serial key plus a `-w` mode
-/// suffix, because windowed execution runs a *different* sampling
-/// structure (independent mirror-replayed windows) than the serial
-/// adaptive engine, so the two modes must never share a journal
-/// entry.
-///
-/// The worker count is deliberately **not** part of the key: the
-/// windowed report is bit-identical for every worker count (pinned by
-/// `tests/window_parallel.rs`), so a journal written with four
-/// workers per cell replays correctly with two.
-pub fn windowed_cell_key(spec: &WorkloadSpec, instructions: u64, cfg: &SimConfig) -> String {
-    format!("{}-w", cell_key(spec, instructions, cfg))
-}
-
-/// [`cell_key`] for one rung of the DSE fidelity ladder: the serial
-/// key at the **full** per-cell budget plus an `-r<rung>` suffix.
-///
-/// The full budget (not the rung's truncated budget) is deliberate:
-/// a rung simulates a *prefix view* of the one frozen full-budget
-/// trace (`acic_trace::Truncated`), which for multi-tenant specs is
-/// **not** the same stream a fresh generation at the smaller budget
-/// would produce (`split_budget` depends on the total). Keying rungs
-/// by `cell_key(spec, rung_budget, cfg)` would let a ladder cell
-/// masquerade as — or replay — a genuine small-budget freeze; the
-/// rung suffix on the full-budget key makes the fidelity explicit
-/// and collision-free across rungs, the serial grid, and the `-w`
-/// windowed mode.
-pub fn dse_cell_key(
-    spec: &WorkloadSpec,
-    full_instructions: u64,
-    cfg: &SimConfig,
-    rung: u32,
-) -> String {
-    format!("{}-r{rung}", cell_key(spec, full_instructions, cfg))
-}
-
 fn rung_json(rung: Option<u32>) -> String {
     match rung {
         None => "null".into(),
@@ -332,7 +285,7 @@ fn line_crc(key: &str, rung: &str, report_json: &str) -> u64 {
     fnv1a(h, report_json.as_bytes())
 }
 
-fn encode_entry(key: &str, rung: Option<u32>, report: &SimReport) -> String {
+pub(crate) fn encode_entry(key: &str, rung: Option<u32>, report: &SimReport) -> String {
     let r = report_to_json(report);
     let g = rung_json(rung);
     format!(
@@ -342,7 +295,7 @@ fn encode_entry(key: &str, rung: Option<u32>, report: &SimReport) -> String {
     )
 }
 
-fn decode_entry(line: &str) -> Result<(String, Entry), String> {
+pub(crate) fn decode_entry(line: &str) -> Result<(String, Entry), String> {
     // The CRC is computed over the serialized report substring, so
     // re-extract it verbatim rather than re-encoding the parse.
     let doc = Json::parse(line).map_err(|e| format!("bad JSON: {e}"))?;
@@ -376,7 +329,7 @@ fn decode_entry(line: &str) -> Result<(String, Entry), String> {
 
 // ---- SimReport <-> JSON (bit-exact, see the module docs) ----
 
-fn esc(s: &str) -> String {
+pub(crate) fn esc(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -394,11 +347,11 @@ fn esc(s: &str) -> String {
     out
 }
 
-fn ju(v: u64) -> String {
+pub(crate) fn ju(v: u64) -> String {
     format!("\"{v}\"")
 }
 
-fn jf(v: f64) -> String {
+pub(crate) fn jf(v: f64) -> String {
     if v.is_nan() {
         "\"NaN\"".into()
     } else if v == f64::INFINITY {
@@ -516,19 +469,19 @@ pub fn report_to_json(r: &SimReport) -> String {
     out
 }
 
-fn s_str(j: Option<&Json>, what: &str) -> Result<String, String> {
+pub(crate) fn s_str(j: Option<&Json>, what: &str) -> Result<String, String> {
     j.and_then(Json::str_val)
         .map(String::from)
         .ok_or_else(|| format!("{what}: expected string"))
 }
 
-fn s_u64(j: Option<&Json>, what: &str) -> Result<u64, String> {
+pub(crate) fn s_u64(j: Option<&Json>, what: &str) -> Result<u64, String> {
     j.and_then(Json::str_val)
         .and_then(|s| s.parse().ok())
         .ok_or_else(|| format!("{what}: expected u64 string"))
 }
 
-fn s_f64(j: Option<&Json>, what: &str) -> Result<f64, String> {
+pub(crate) fn s_f64(j: Option<&Json>, what: &str) -> Result<f64, String> {
     match j {
         Some(Json::Num(n)) => Ok(*n),
         Some(Json::Str(s)) => match s.as_str() {
@@ -541,7 +494,7 @@ fn s_f64(j: Option<&Json>, what: &str) -> Result<f64, String> {
     }
 }
 
-fn s_arr<'a>(j: Option<&'a Json>, len: usize, what: &str) -> Result<&'a [Json], String> {
+pub(crate) fn s_arr<'a>(j: Option<&'a Json>, len: usize, what: &str) -> Result<&'a [Json], String> {
     match j {
         Some(Json::Arr(items)) if items.len() == len => Ok(items),
         Some(Json::Arr(items)) => Err(format!("{what}: expected {len} items, got {}", items.len())),
@@ -714,8 +667,8 @@ pub fn report_from_json(doc: &Json) -> Result<SimReport, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use acic_sim::{Engine, IcacheOrg};
-    use acic_workloads::AppProfile;
+    use acic_sim::{Engine, IcacheOrg, SimConfig};
+    use acic_workloads::{AppProfile, WorkloadSpec};
 
     fn tdir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("acic-results-{}-{tag}", std::process::id()));
@@ -735,16 +688,19 @@ mod tests {
 
     #[test]
     fn key_crc_and_backoff_hashes_are_pinned() {
-        // Journal keys, journal-line CRCs and supervised backoff
-        // jitter hash through FNV-1a and SplitMix64; one pinned value
-        // each catches a drift in either function.
-        let spec = WorkloadSpec::Single(AppProfile::web_search());
-        let key = cell_key(&spec, 1_000_000, &SimConfig::default());
-        let crc = line_crc(&key, "null", "{\"app\":\"web-search\"}");
-        let delay = crate::supervise::policy::RetryPolicy::default().backoff(&key, 2);
-        assert_eq!(key, "web-search-1000000-c90ddcff030ce1183");
+        // Journal-line CRCs and supervised backoff jitter hash through
+        // FNV-1a and SplitMix64; one pinned value each catches a drift
+        // in either function. The cell key pins the identity hash.
+        let key = "web-search-1000000-c90ddcff030ce1183";
+        let crc = line_crc(key, "null", "{\"app\":\"web-search\"}");
+        let delay = crate::supervise::policy::RetryPolicy::default().backoff(key, 2);
         assert_eq!(crc, 0x8f6d_fab2_1292_9971);
         assert_eq!(delay, std::time::Duration::from_nanos(400_400_000));
+        let spec = WorkloadSpec::Single(AppProfile::web_search());
+        assert_eq!(
+            cell_key(&spec, 1_000_000, &SimConfig::default()),
+            "web-search-1000000-c78afab55889cbd6a"
+        );
     }
 
     #[test]
@@ -846,14 +802,13 @@ mod tests {
     }
 
     #[test]
-    fn v1_journal_is_rejected_loudly_not_misread() {
-        // A well-formed v1 journal: schema header plus an entry in
-        // the old three-field shape (no rung, two-part CRC). The only
-        // acceptable outcome is the typed Schema error — decoding the
-        // line under v2 rules would at best drop it silently and at
-        // worst misattribute a fidelity.
-        let dir = tdir("v1compat");
-        std::fs::create_dir_all(&dir).unwrap();
+    fn older_journals_are_rejected_loudly_not_misread() {
+        // A well-formed v1 journal has entries in the old three-field
+        // shape (no rung, two-part CRC); a v2 line has the v3 shape
+        // but a key from the retired `Debug`-hash scheme. The only
+        // acceptable outcome is the typed Schema error — decoding
+        // either under v3 rules would at best drop lines silently and
+        // at worst replay a stale or aliased cell.
         let report = sample_report(IcacheOrg::Lru);
         let r = report_to_json(&report);
         let v1_crc = {
@@ -861,19 +816,22 @@ mod tests {
             let h = fnv1a(h, &[0]);
             fnv1a(h, r.as_bytes())
         };
-        std::fs::write(
-            dir.join(JOURNAL_NAME),
-            format!(
-                "{{\"schema\":\"acic-results/v1\"}}\n\
-                 {{\"key\":\"cell-a\",\"crc\":\"{v1_crc:016x}\",\"report\":{r}}}\n"
-            ),
-        )
-        .unwrap();
-        let err = ResultStore::open(&dir).expect_err("v1 journal must not open as v2");
-        assert!(matches!(err, ResultStoreError::Schema { .. }));
-        assert!(err.to_string().contains("acic-results/v1"));
-        assert!(err.to_string().contains("refusing"));
-        let _ = std::fs::remove_dir_all(&dir);
+        let v1_line = format!("{{\"key\":\"cell-a\",\"crc\":\"{v1_crc:016x}\",\"report\":{r}}}");
+        let v2_line = encode_entry("cell-a", None, &report);
+        for (schema, line) in [("acic-results/v1", v1_line), ("acic-results/v2", v2_line)] {
+            let dir = tdir(&schema.replace('/', "-"));
+            std::fs::create_dir_all(&dir).unwrap();
+            std::fs::write(
+                dir.join(JOURNAL_NAME),
+                format!("{{\"schema\":\"{schema}\"}}\n{line}\n"),
+            )
+            .unwrap();
+            let err = ResultStore::open(&dir).expect_err("an old journal must not open as v3");
+            assert!(matches!(err, ResultStoreError::Schema { .. }), "{schema}");
+            assert!(err.to_string().contains(schema), "{err}");
+            assert!(err.to_string().contains("refusing"), "{err}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

@@ -32,17 +32,20 @@
 //! cells from disk, simulating only the rest.
 //!
 //! **One executor.** Figure grids ([`Runner::try_run_grid`]) and the
-//! DSE ladder (`dse::run_dse`) hand their cells to the same
-//! `execute`, which alone owns store replay, the `--run-cell` child
-//! intercept, supervised vs in-process dispatch, scripted faults and
-//! journaling. Its settings arrive as values — the store, the
-//! [`crate::supervise::Role`], the watchdog — that `experiments` builds
-//! once and passes down; [`Runner::new`] reads only the three
-//! `ACIC_EXP_INSTRUCTIONS` / `ACIC_CELL_TIMEOUT_SECS` /
-//! `ACIC_BENCH_THREADS` knobs and attaches no store and no supervisor.
+//! DSE ladder (`dse::run_dse`) hand their [`Cell`]s to the same
+//! `execute`, which alone owns store replay, supervised vs in-process
+//! dispatch, scripted faults and journaling, and runs every cell
+//! through [`Cell::run`]. Its settings arrive as values — the store,
+//! the supervisor ([`crate::supervise::SuperviseCtx`]), the watchdog —
+//! that `experiments` builds once and passes down; [`Runner::new`]
+//! reads only the three `ACIC_EXP_INSTRUCTIONS` /
+//! `ACIC_CELL_TIMEOUT_SECS` / `ACIC_BENCH_THREADS` knobs and attaches
+//! no store and no supervisor.
 
-use crate::result_store::{cell_key, windowed_cell_key, ResultStore};
-use acic_sim::{Engine, IcacheOrg, PrefetcherKind, SimConfig, SimReport};
+use crate::cell::{Cell, Exec};
+use crate::result_store::ResultStore;
+use crate::supervise::SuperviseCtx;
+use acic_sim::{IcacheOrg, PrefetcherKind, SimConfig, SimReport};
 use acic_trace::PackedTrace;
 use acic_workloads::AppProfile;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -57,7 +60,7 @@ static THREADS_WARNING: Once = Once::new();
 static TIMEOUT_WARNING: Once = Once::new();
 static OVERSUBSCRIPTION_WARNING: Once = Once::new();
 
-fn warn_ignored(once: &'static Once, var: &str, raw: &str) {
+pub(crate) fn warn_ignored(once: &'static Once, var: &str, raw: &str) {
     once.call_once(|| {
         eprintln!("[warning: {var}={raw:?} is not a valid value; override ignored]");
     });
@@ -547,6 +550,13 @@ impl Held {
             Held::Handoff(path) => unreachable!("handoff {} held in process", path.display()),
         }
     }
+
+    fn handoff(&self) -> &std::path::Path {
+        match self {
+            Held::Handoff(path) => path,
+            Held::Trace(_) => unreachable!("in-process trace held by a supervised parent"),
+        }
+    }
 }
 
 /// One run's traces: its specs, the budget they freeze at, and a
@@ -588,6 +598,7 @@ impl TraceSet {
         }
     }
 
+    #[cfg(test)]
     fn spec(&self, a: usize) -> &WorkloadSpec {
         &self.specs[self.slot_of[a]]
     }
@@ -605,7 +616,7 @@ impl TraceSet {
         &self,
         specs: impl IntoIterator<Item = usize>,
         threads: usize,
-        parent: Option<&Arc<crate::supervise::SuperviseCtx>>,
+        parent: Option<&Arc<SuperviseCtx>>,
     ) {
         let mut held = self.held.lock().expect("trace set lock");
         let mut slots: Vec<usize> = specs.into_iter().map(|a| self.slot_of[a]).collect();
@@ -693,23 +704,21 @@ pub(crate) fn injected_cell_failure(c: usize, a: usize) {
 /// One batch of cells for [`execute`], with the run settings it
 /// executes under.
 pub(crate) struct Batch<'a> {
-    /// `(config, spec)` per cell: the indices `simulate` and the trace
-    /// lookup use, and the coordinates scripted faults aim at.
-    pub cells: &'a [(usize, usize)],
-    /// Journal key per cell.
-    pub keys: &'a [String],
+    /// The cells, in result order.
+    pub cells: Vec<Cell>,
+    /// `(config, spec)` per cell: the spec index picks the cell's
+    /// trace, and the pair is what scripted faults aim at.
+    pub coords: Vec<(usize, usize)>,
     /// Display label per cell (crash reports).
-    pub labels: &'a [String],
-    /// The DSE rung the cells journal under; `None` for grid cells.
-    pub rung: Option<u32>,
+    pub labels: Vec<String>,
     /// The run's traces, indexed by each cell's spec.
     pub traces: &'a TraceSet,
     /// Worker threads, for freezing and for cells.
     pub threads: usize,
     /// Replay finished cells from, and journal new ones into, here.
     pub store: Option<&'a Arc<ResultStore>>,
-    /// Supervised parent, `--run-cell` child, or in-process (`None`).
-    pub supervise: Option<&'a crate::supervise::Role>,
+    /// The supervised parent's context; `None` runs in process.
+    pub supervise: Option<&'a Arc<SuperviseCtx>>,
     /// Soft watchdog in-process; the hard per-child deadline when
     /// supervised.
     pub cell_timeout: Option<Duration>,
@@ -729,73 +738,36 @@ pub(crate) struct Executed {
 
 /// The one cell executor behind figure grids and the DSE ladder.
 ///
-/// In order: a `--run-cell` child whose target key is in this batch
-/// decodes its parent's handoff trace (or freezes the cell's spec when
-/// it got none), runs the cell, journals it into its private attempt
-/// store and exits ([`crate::supervise::run_child_cell`]); otherwise
-/// store hits replay, the specs of the cells left to compute freeze
-/// (each at most once per [`TraceSet`], on the batch's threads), and
-/// those cells run either one child process per cell under a hard
-/// deadline ([`crate::supervise::run_one`], as a supervised parent,
-/// which hands each child its spec's trace file) or on the
-/// [`run_cells`] pool under the soft watchdog, each finished cell
-/// journaled as it completes. A child recomputing a batch that does
-/// not hold its target (a figure's earlier grid, an earlier rung)
-/// still replays store hits, but neither journals nor trips scripted
-/// faults aimed at the target.
-pub(crate) fn execute<F>(batch: Batch<'_>, simulate: F) -> Executed
-where
-    F: Fn(usize, &PackedTrace) -> SimReport + Send + Sync + 'static,
-{
-    use crate::supervise::Role;
+/// In order: store hits replay, the specs of the cells left to
+/// compute freeze (each at most once per [`TraceSet`], on the batch's
+/// threads), and those cells run either one child process per cell
+/// under a hard deadline ([`crate::supervise::run_one`], as a
+/// supervised parent, which hands each child its cell and its spec's
+/// trace file) or through [`Cell::run`] on the [`run_cells`] pool
+/// under the soft watchdog, each finished cell journaled as it
+/// completes.
+pub(crate) fn execute(batch: Batch<'_>) -> Executed {
     let n = batch.cells.len();
     let traces = batch.traces;
-    let (parent, child) = match batch.supervise {
-        Some(Role::Parent(ctx)) => (Some(ctx), None),
-        Some(Role::Child(target)) => (None, Some(target)),
-        None => (None, None),
-    };
-    let run_cell = move |(c, a): (usize, usize), trace: &PackedTrace, inject: bool| {
-        if inject {
-            injected_cell_failure(c, a);
-        }
-        simulate(c, trace)
-    };
-    if let Some(target) = child {
-        if let Some(i) = batch.keys.iter().position(|k| *k == target.key) {
-            let cell = batch.cells[i];
-            let spec = traces.spec(cell.1);
-            crate::supervise::run_child_cell(target, batch.rung, || {
-                let trace = match &target.trace {
-                    Some(path) => {
-                        crate::trace_store::load_container(path, spec, traces.budget).trace
-                    }
-                    None => {
-                        let Ok(trace) = crate::trace_store::freeze(spec, traces.budget);
-                        trace
-                    }
-                };
-                run_cell(cell, &trace, true)
-            });
-        }
-    }
+    let keys: Vec<String> = batch.cells.iter().map(Cell::key).collect();
     let mut slots: Vec<Option<Result<SimReport, CellError>>> = vec![None; n];
     let mut replayed = 0u64;
-    for (i, slot) in slots.iter_mut().enumerate() {
-        if let Some(report) = batch.store.and_then(|s| s.get(&batch.keys[i])) {
+    for (slot, key) in slots.iter_mut().zip(&keys) {
+        if let Some(report) = batch.store.and_then(|s| s.get(key)) {
             *slot = Some(Ok(report));
             replayed += 1;
         }
     }
     let pending: Vec<usize> = (0..n).filter(|&i| slots[i].is_none()).collect();
+    let parent = batch.supervise;
     traces.freeze(
-        pending.iter().map(|&i| batch.cells[i].1),
+        pending.iter().map(|&i| batch.coords[i].1),
         batch.threads,
         parent,
     );
     let mut todo: Vec<(usize, Held)> = Vec::with_capacity(pending.len());
     for i in pending {
-        match traces.held(batch.cells[i].1) {
+        match traces.held(batch.coords[i].1) {
             Ok(held) => todo.push((i, held)),
             Err(e) => slots[i] = Some(Err(CellError::Freeze(e))),
         }
@@ -803,11 +775,10 @@ where
     let computed = todo.len() as u64;
     let crash_dir = parent.map(|ctx| ctx.crash_dir.clone());
     if !todo.is_empty() {
-        let store = batch.store.filter(|_| child.is_none()).cloned();
-        let rung = batch.rung;
-        let journal = move |key: &str, report: &SimReport| {
+        let store = batch.store.cloned();
+        let journal = move |key: &str, cell: &Cell, report: &SimReport| {
             let Some(store) = &store else { return };
-            let put = match rung {
+            let put = match cell.rung() {
                 Some(r) => store.put_rung(key, r, report),
                 None => store.put(key, report),
             };
@@ -816,36 +787,39 @@ where
             }
         };
         let threads = batch.threads.clamp(1, todo.len());
-        let keys: Arc<Vec<String>> = Arc::new(batch.keys.to_vec());
         let order: Vec<usize> = todo.iter().map(|&(i, _)| i).collect();
         let todo = Arc::new(todo);
+        let (cells, coords, keys) = (Arc::new(batch.cells), batch.coords, Arc::new(keys));
         let results: Vec<Result<SimReport, CellError>> = if let Some(ctx) = parent {
             // The parent only journals what each child reported, so the
             // journal stays byte-identical to the in-process path.
             let ctx = Arc::clone(ctx);
-            let labels: Vec<String> = batch.labels.to_vec();
+            let labels = batch.labels;
             let timeout = batch.cell_timeout;
             run_cells(todo.len(), threads, None, move |t| {
                 let (i, held) = &todo[t];
-                let handoff = match held {
-                    Held::Handoff(path) => Some(path.as_path()),
-                    Held::Trace(_) => None,
-                };
-                let report =
-                    crate::supervise::run_one(&ctx, &keys[*i], &labels[*i], handoff, timeout)?;
-                journal(&keys[*i], &report);
+                let report = crate::supervise::run_one(
+                    &ctx,
+                    &cells[*i],
+                    coords[*i],
+                    &keys[*i],
+                    &labels[*i],
+                    held.handoff(),
+                    timeout,
+                )?;
+                journal(&keys[*i], &cells[*i], &report);
                 Ok(report)
             })
             .into_iter()
             .map(|r| r.and_then(|inner| inner))
             .collect()
         } else {
-            let cells = batch.cells.to_vec();
-            let inject = child.is_none();
             run_cells(todo.len(), threads, batch.cell_timeout, move |t| {
                 let (i, held) = &todo[t];
-                let report = run_cell(cells[*i], held.trace(), inject);
-                journal(&keys[*i], &report);
+                let (c, a) = coords[*i];
+                injected_cell_failure(c, a);
+                let report = cells[*i].run(held.trace());
+                journal(&keys[*i], &cells[*i], &report);
                 report
             })
         };
@@ -880,19 +854,18 @@ pub struct Runner {
     /// ([`cell_timeout`]).
     pub cell_timeout: Option<Duration>,
     /// Window-parallel workers per cell: `0` runs the serial engine
-    /// ([`Engine::run`]), `>= 1` fans each sampled cell's detailed
-    /// windows across this many workers ([`Engine::run_windowed`]),
+    /// ([`acic_sim::Engine::run`]), `>= 1` fans each sampled cell's
+    /// detailed windows across this many workers
+    /// ([`acic_sim::Engine::run_windowed`]),
     /// with grid parallelism divided down so grid × window threads
     /// stay within the one [`bench_threads`] budget
     /// ([`split_thread_budget`]). No shipped figure sets it.
     pub window_threads: usize,
-    /// Process supervision: [`crate::supervise::Role::Parent`] runs
-    /// every to-be-computed cell in its own `--run-cell` child with
-    /// hard timeouts, retries and crash reports;
-    /// [`crate::supervise::Role::Child`] marks this process as such a
-    /// child. `None` keeps the in-process path, which stays the
+    /// Process supervision: runs every to-be-computed cell in its own
+    /// `--run-cell` child with hard timeouts, retries and crash
+    /// reports. `None` keeps the in-process path, which stays the
     /// bit-identity reference.
-    pub supervise: Option<crate::supervise::Role>,
+    pub supervise: Option<Arc<SuperviseCtx>>,
 }
 
 impl Runner {
@@ -974,8 +947,8 @@ impl Runner {
                 computed: 0,
             });
         }
-        let cells: Vec<(usize, usize)> = (0..n).map(|i| (i / n_spec, i % n_spec)).collect();
-        let labels: Vec<String> = cells
+        let coords: Vec<(usize, usize)> = (0..n).map(|i| (i / n_spec, i % n_spec)).collect();
+        let labels: Vec<String> = coords
             .iter()
             .map(|&(c, a)| {
                 format!(
@@ -986,14 +959,20 @@ impl Runner {
             })
             .collect();
         let window_threads = self.window_threads;
-        let keys: Vec<String> = cells
+        let exec = if window_threads >= 1 {
+            Exec::Windowed {
+                threads: window_threads,
+            }
+        } else {
+            Exec::Serial
+        };
+        let cells: Vec<Cell> = coords
             .iter()
-            .map(|&(c, a)| {
-                if window_threads >= 1 {
-                    windowed_cell_key(&specs[a], self.instructions, &configs[c])
-                } else {
-                    cell_key(&specs[a], self.instructions, &configs[c])
-                }
+            .map(|&(c, a)| Cell {
+                spec: specs[a].clone(),
+                config: configs[c].clone(),
+                budget: self.instructions,
+                exec,
             })
             .collect();
         let budget = bench_threads();
@@ -1006,28 +985,17 @@ impl Runner {
                 );
             });
         }
-        let configs_arc: Arc<Vec<SimConfig>> = Arc::new(configs.to_vec());
         let traces = TraceSet::new(specs, self.instructions);
-        let run = execute(
-            Batch {
-                cells: &cells,
-                keys: &keys,
-                labels: &labels,
-                rung: None,
-                traces: &traces,
-                threads,
-                store: self.store.as_ref(),
-                supervise: self.supervise.as_ref(),
-                cell_timeout: self.cell_timeout,
-            },
-            move |c, trace| {
-                if window_threads >= 1 {
-                    Engine::run_windowed(&configs_arc[c], trace, window_threads)
-                } else {
-                    Engine::run(&configs_arc[c], trace)
-                }
-            },
-        );
+        let run = execute(Batch {
+            cells,
+            coords: coords.clone(),
+            labels,
+            traces: &traces,
+            threads,
+            store: self.store.as_ref(),
+            supervise: self.supervise.as_ref(),
+            cell_timeout: self.cell_timeout,
+        });
         if self.store.is_some() {
             eprintln!(
                 "[results: {} replayed, {} computed]",
@@ -1036,7 +1004,7 @@ impl Runner {
         }
         let mut failures = Vec::new();
         let mut reports = Vec::with_capacity(n);
-        for (slot, &(c, a)) in run.slots.into_iter().zip(&cells) {
+        for (slot, &(c, a)) in run.slots.into_iter().zip(&coords) {
             match slot {
                 Ok(r) => reports.push(r),
                 Err(error) => failures.push(CellFailure {
@@ -1103,7 +1071,7 @@ pub fn markdown_table(header: &[String], rows: &[Vec<String>]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use acic_sim::SampleSchedule;
+    use acic_sim::{Engine, SampleSchedule};
 
     #[test]
     fn budget_override_policy() {
@@ -1498,46 +1466,37 @@ mod tests {
     }
 
     /// One in-process grid batch over `set` through [`execute`]:
-    /// `configs x specs` cells keyed like [`Runner::try_run_grid`]
-    /// (rung-qualified when `rung` is set, like the DSE ladder), each
-    /// simulated over the first `prefix` instructions of its trace.
+    /// `configs x specs` cells run as `exec`.
     fn run_batch(
         set: &TraceSet,
         configs: &[SimConfig],
         store: Option<&Arc<ResultStore>>,
-        rung: Option<u32>,
-        prefix: u64,
+        exec: Exec,
     ) -> Executed {
         let n_spec = set.slot_of.len();
-        let cells: Vec<(usize, usize)> = (0..configs.len() * n_spec)
+        let coords: Vec<(usize, usize)> = (0..configs.len() * n_spec)
             .map(|i| (i / n_spec, i % n_spec))
             .collect();
-        let keys: Vec<String> = cells
+        let cells: Vec<Cell> = coords
             .iter()
-            .map(|&(c, a)| {
-                let key = cell_key(set.spec(a), set.budget, &configs[c]);
-                match rung {
-                    Some(r) => format!("{key}-r{r}"),
-                    None => key,
-                }
+            .map(|&(c, a)| Cell {
+                spec: set.spec(a).clone(),
+                config: configs[c].clone(),
+                budget: set.budget,
+                exec,
             })
             .collect();
-        let labels = keys.clone();
-        let configs = Arc::new(configs.to_vec());
-        execute(
-            Batch {
-                cells: &cells,
-                keys: &keys,
-                labels: &labels,
-                rung,
-                traces: set,
-                threads: 2,
-                store,
-                supervise: None,
-                cell_timeout: None,
-            },
-            move |c, trace| Engine::run(&configs[c], &acic_trace::Truncated::new(trace, prefix)),
-        )
+        let labels = cells.iter().map(Cell::key).collect();
+        execute(Batch {
+            cells,
+            coords,
+            labels,
+            traces: set,
+            threads: 2,
+            store,
+            supervise: None,
+            cell_timeout: None,
+        })
     }
 
     fn two_configs() -> Vec<SimConfig> {
@@ -1567,11 +1526,11 @@ mod tests {
         let (dir, store) = fresh_store("allhit");
         let (configs, specs) = (two_configs(), three_specs());
         let first = TraceSet::new(&specs, 2_000);
-        let cold = run_batch(&first, &configs, Some(&store), None, 2_000);
+        let cold = run_batch(&first, &configs, Some(&store), Exec::Serial);
         assert_eq!((cold.replayed, cold.computed), (0, 6));
         assert_eq!(first.freezes(), 3);
         let second = TraceSet::new(&specs, 2_000);
-        let warm = run_batch(&second, &configs, Some(&store), None, 2_000);
+        let warm = run_batch(&second, &configs, Some(&store), Exec::Serial);
         assert_eq!((warm.replayed, warm.computed), (6, 0));
         assert_eq!(second.freezes(), 0, "every key replayed: nothing to freeze");
         let _ = std::fs::remove_dir_all(&dir);
@@ -1587,18 +1546,16 @@ mod tests {
             &TraceSet::new(&specs[..2], 2_000),
             &configs[..1],
             Some(&store),
-            None,
-            2_000,
+            Exec::Serial,
         );
         run_batch(
             &TraceSet::new(&specs[..1], 2_000),
             &configs,
             Some(&store),
-            None,
-            2_000,
+            Exec::Serial,
         );
         let set = TraceSet::new(&specs, 2_000);
-        let run = run_batch(&set, &configs, Some(&store), None, 2_000);
+        let run = run_batch(&set, &configs, Some(&store), Exec::Serial);
         assert_eq!((run.replayed, run.computed), (3, 3));
         assert_eq!(
             set.freezes(),
@@ -1617,7 +1574,11 @@ mod tests {
         specs.push(specs[0].clone());
         let set = TraceSet::new(&specs, 4_000);
         for (r, prefix) in [1_000u64, 2_000, 4_000].into_iter().enumerate() {
-            let run = run_batch(&set, &two_configs(), None, Some(r as u32), prefix);
+            let rung = Exec::Rung {
+                rung: r as u32,
+                prefix,
+            };
+            let run = run_batch(&set, &two_configs(), None, rung);
             assert_eq!(run.computed, 8);
             assert!(run.slots.iter().all(Result::is_ok));
             assert_eq!(set.freezes(), 3, "after rung {r}");

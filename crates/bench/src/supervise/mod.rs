@@ -5,26 +5,28 @@
 //! `catch_unwind` and a *soft* watchdog: a wedged worker is written
 //! off but leaks, and an `abort()` or OOM kill in any cell tears down
 //! the whole campaign. Under `--supervise` the parent instead
-//! self-execs **one child process per cell**: the child re-runs the
-//! same binary with the hidden `--run-cell <journal-key>` /
-//! `--run-cell-out <dir>` flags, locates its one cell by journal key,
-//! simulates it, and reports the result through a private
-//! `acic-results/v2` store that the parent re-reads after the child
-//! exits.
+//! self-execs **one child process per cell** as `experiments
+//! --run-cell` and writes one message to the child's stdin
+//! ([`message`]): the cell's canonical encoding ([`crate::cell`]), its
+//! `(config, spec)` coordinates (which scripted faults aim at) and the
+//! path of its spec's handoff trace. The child ([`run_child`]) decodes
+//! the message, loads the trace, runs the cell and prints one
+//! CRC-checked journal line on stdout; the parent accepts the line
+//! only when it decodes and carries the key the parent expects. The
+//! child runs no figure code and opens no result store.
 //!
 //! The child does not regenerate its workload: the parent freezes
 //! each spec it has cells to compute over once, writes it as a
 //! `.acictrace` handoff file in its scratch dir
 //! (`<crash-dir>/.attempts/<store-key>-<checksum>.acictrace`, atomic
-//! write) and drops the trace, keeping only the path, which every
-//! child of that spec gets as the hidden `--run-cell-trace <path>`.
-//! The child decodes it through the one validated container loader
-//! (`trace_store::load_container`), which regenerates the trace with
-//! a stderr note when the file is missing, torn, corrupt or at the
-//! wrong budget — so a bad handoff costs time, never a result. A
-//! handoff file lives exactly as long as the run's trace set: one
-//! figure grid, or the whole DSE ladder; dropping the set deletes it.
-//! That buys:
+//! write) and drops the trace, keeping only the path. The child
+//! decodes it through the one validated container loader
+//! (`trace_store::load_container`), which regenerates the trace from
+//! the decoded spec with a stderr note when the file is missing, torn,
+//! corrupt or at the wrong budget — so a bad handoff costs time, never
+//! a result. A handoff file lives exactly as long as the run's trace
+//! set: one figure grid, or the whole DSE ladder; dropping the set
+//! deletes it. That buys:
 //!
 //! * **Hard timeouts** — a stalled child is SIGKILLed at the
 //!   `ACIC_CELL_TIMEOUT_SECS` deadline; nothing leaks.
@@ -36,43 +38,49 @@
 //!   deterministic seeded jitter.
 //! * **Forensics** — every retried or failed cell leaves a crash
 //!   report (exit status / signal, captured stderr tail, full retry
-//!   history) under `crash-reports/`, referenced from the `GridError`
+//!   history, and the child's stdin message, so one command replays
+//!   the cell) under `crash-reports/`, referenced from the `GridError`
 //!   summary.
 //!
-//! A child replays the parent's argv, so it runs the selection's
-//! figure code up to its own cell, but replays every earlier grid or
-//! rung from the parent's `--results` journal (without `--results`,
-//! `experiments` gives the parent a private one for the run).
+//! Child exit codes: `0` — the journal line is on stdout; `2` — the
+//! message could not be read or decoded; `4` — the line could not be
+//! written; `101` — the cell panicked. `abort()` and signals surface
+//! as signal deaths.
 //!
 //! Supervision is a value, not a process global: `experiments` turns
-//! `--supervise` into [`Role::Parent`] and `--run-cell` into
-//! [`Role::Child`], and passes it down in the `supervise` slot of its
-//! one `Runner` and `DseOptions`. The single cell executor behind
-//! both (`runner::execute`) is the only caller of [`run_one`] and
-//! [`run_child_cell`].
+//! `--supervise` into one [`SuperviseCtx`] and passes it down in the
+//! `supervise` slot of its one `Runner` and `DseOptions`. The single
+//! cell executor behind both (`runner::execute`) is the only caller of
+//! [`run_one`].
 //!
 //! The in-process path stays the default and the bit-identity
 //! reference: a supervised run must produce byte-identical journals
-//! and figure output (children journal through the same bit-exact
-//! report round-trip, and the parent's whole-file `BTreeMap` rewrite
+//! and figure output (children report through the same bit-exact
+//! journal-line codec, and the parent's whole-file `BTreeMap` rewrite
 //! makes journal bytes independent of completion order). Where
 //! spawning is unavailable the supervisor degrades to in-process
 //! execution with a single warning.
 
 pub mod policy;
 
-use crate::result_store::ResultStore;
+use crate::cell::Cell;
+use crate::json::Json;
+use crate::result_store::{decode_entry, encode_entry, esc, ju, s_arr, s_str, s_u64};
 use crate::runner::CellError;
 use acic_sim::SimReport;
 use policy::{classify, ChildOutcome, Decision, RetryPolicy};
+use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// How much child stderr the supervisor retains per attempt for the
 /// crash report.
 const STDERR_TAIL_BYTES: usize = 8 * 1024;
+
+/// How much child stdout the supervisor reads: far more than one
+/// journal line, even a sampled report with hundreds of windows.
+const STDOUT_BYTES: usize = 16 << 20;
 
 /// How often the parent polls a running child between hard-deadline
 /// checks: short next to a child's life (a 1M-instruction cell lives
@@ -85,43 +93,12 @@ const CHILD_POLL: Duration = Duration::from_millis(1);
 pub struct SuperviseCtx {
     /// The `experiments` binary to self-exec.
     exe: PathBuf,
-    /// Original argv (minus supervision flags) so the child replays
-    /// the same figure/DSE selection and reaches the same cells.
-    args: Vec<String>,
     /// Where crash reports for failed/retried cells are written.
     pub crash_dir: PathBuf,
-    /// Scratch space for per-attempt child journals and the handoff
-    /// traces children decode.
+    /// Scratch space for the handoff traces children decode.
     work_dir: PathBuf,
     /// The retry/backoff schedule.
     pub policy: RetryPolicy,
-}
-
-/// The one cell a `--run-cell` child process is responsible for.
-#[derive(Debug, Clone)]
-pub struct ChildTarget {
-    /// The journal key identifying the cell.
-    pub key: String,
-    /// The private store directory the child must report through.
-    pub out_dir: PathBuf,
-    /// The parent's handoff trace for the cell's spec
-    /// (`--run-cell-trace`): decoded instead of regenerated, and
-    /// regenerated anyway when missing or invalid.
-    pub trace: Option<PathBuf>,
-}
-
-/// This process's part in process supervision: the value the
-/// `experiments` binary builds once from its flags and hands to every
-/// [`crate::Runner`] and [`crate::dse::DseOptions`] it creates (their
-/// `supervise` slot; `None` runs cells in-process).
-#[derive(Debug, Clone)]
-pub enum Role {
-    /// `--supervise`: every to-be-computed cell runs in its own
-    /// `--run-cell` child ([`run_one`]).
-    Parent(Arc<SuperviseCtx>),
-    /// `--run-cell`: this process runs exactly the target cell and
-    /// exits ([`run_child_cell`]); it never supervises.
-    Child(ChildTarget),
 }
 
 impl SuperviseCtx {
@@ -129,7 +106,7 @@ impl SuperviseCtx {
     /// once and fall back to in-process execution) when the current
     /// executable cannot be resolved or the crash directory cannot be
     /// created.
-    pub fn new(crash_dir: &Path, argv: &[String]) -> Result<SuperviseCtx, String> {
+    pub fn new(crash_dir: &Path) -> Result<SuperviseCtx, String> {
         let exe = std::env::current_exe()
             .map_err(|e| format!("cannot resolve the current executable for self-exec: {e}"))?;
         std::fs::create_dir_all(crash_dir).map_err(|e| {
@@ -147,7 +124,6 @@ impl SuperviseCtx {
         })?;
         Ok(SuperviseCtx {
             exe,
-            args: child_args(argv),
             crash_dir: crash_dir.to_path_buf(),
             work_dir,
             policy: RetryPolicy::from_env(),
@@ -177,21 +153,73 @@ impl SuperviseCtx {
     }
 }
 
-/// Strips supervision flags from an argv so the child does not
-/// recurse into spawning grandchildren. Pure for testability.
-pub fn child_args(argv: &[String]) -> Vec<String> {
-    let mut out = Vec::with_capacity(argv.len());
-    let mut it = argv.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--supervise" => {}
-            "--crash-reports" | "--run-cell" | "--run-cell-out" | "--run-cell-trace" => {
-                let _ = it.next();
-            }
-            _ => out.push(a.clone()),
+/// The one message a supervised parent writes to a `--run-cell`
+/// child's stdin: `{"cell":C,"coords":[c,a],"trace":P}` — the cell's
+/// canonical encoding, its `(config, spec)` fault coordinates and its
+/// handoff-trace path.
+pub fn message(cell: &Cell, (c, a): (usize, usize), trace: &Path) -> String {
+    format!(
+        "{{\"cell\":{},\"coords\":[{},{}],\"trace\":{}}}",
+        cell.encode(),
+        ju(c as u64),
+        ju(a as u64),
+        esc(&trace.to_string_lossy())
+    )
+}
+
+/// Decodes [`message`]'s output.
+///
+/// # Errors
+///
+/// Names the first malformed part.
+fn decode_message(text: &str) -> Result<(Cell, (usize, usize), PathBuf), String> {
+    let doc = Json::parse(text.trim()).map_err(|e| format!("bad JSON: {e}"))?;
+    let cell = Cell::decode(doc.get("cell").ok_or("missing cell")?)?;
+    let coords = s_arr(doc.get("coords"), 2, "coords")?;
+    let coord = |j: &Json| {
+        s_u64(Some(j), "coords")
+            .and_then(|v| usize::try_from(v).map_err(|_| "coords: out of range".to_string()))
+    };
+    let coords = (coord(&coords[0])?, coord(&coords[1])?);
+    let trace = PathBuf::from(s_str(doc.get("trace"), "trace")?);
+    Ok((cell, coords, trace))
+}
+
+/// The `experiments --run-cell` child: reads one [`message`] from
+/// stdin, loads the handoff trace (regenerating it from the decoded
+/// spec when the file is bad), runs the cell and prints its journal
+/// line on stdout. Never returns; exits with the codes in the module
+/// docs.
+pub fn run_child() -> ! {
+    let mut text = String::new();
+    let decoded = std::io::stdin()
+        .read_to_string(&mut text)
+        .map_err(|e| format!("cannot read stdin: {e}"))
+        .and_then(|_| decode_message(&text));
+    let (cell, (c, a), trace) = match decoded {
+        Ok(m) => m,
+        Err(e) => {
+            eprintln!("[run-cell: bad message: {e}]");
+            std::process::exit(2)
         }
+    };
+    let report = std::panic::catch_unwind(|| {
+        let frozen = crate::trace_store::load_container(&trace, &cell.spec, cell.budget);
+        crate::runner::injected_cell_failure(c, a);
+        cell.run(&frozen.trace)
+    });
+    // The panic hook already printed the message to stderr; exit like
+    // an uncaught panic so the parent classifies it deterministic.
+    let Ok(report) = report else {
+        std::process::exit(101)
+    };
+    let line = encode_entry(&cell.key(), cell.rung(), &report);
+    let mut out = std::io::stdout().lock();
+    if let Err(e) = writeln!(out, "{line}").and_then(|()| out.flush()) {
+        eprintln!("[run-cell: cannot write the report: {e}]");
+        std::process::exit(4)
     }
-    out
+    std::process::exit(0)
 }
 
 /// Flattens a journal key into something safe for a file name.
@@ -215,34 +243,45 @@ struct AttemptRecord {
     stderr_tail: String,
 }
 
+/// The report a child printed, when its stdout holds exactly one
+/// intact journal line for `key`.
+fn reported(stdout: &str, key: &str) -> Option<SimReport> {
+    let mut lines = stdout.lines();
+    let line = lines.next()?;
+    if lines.next().is_some() {
+        return None;
+    }
+    decode_entry(line)
+        .ok()
+        .filter(|(k, _)| k == key)
+        .map(|(_, entry)| entry.report)
+}
+
 /// Runs one cell to completion under process supervision: spawn a
-/// `--run-cell` child (handing it `trace`, the cell's handoff file,
-/// as `--run-cell-trace`), enforce the hard timeout, classify any
-/// death, and retry per the policy. Returns the child's journaled
-/// report on success; writes a crash report and returns
+/// `--run-cell` child, hand it `cell`, its `coords` and `trace` (its
+/// spec's handoff file) on stdin, enforce the hard timeout, classify
+/// any death, and retry per the policy. Returns the child's report on
+/// success; writes a crash report and returns
 /// [`CellError::ChildFailed`] when the attempt budget is spent.
 pub fn run_one(
     ctx: &SuperviseCtx,
+    cell: &Cell,
+    coords: (usize, usize),
     key: &str,
     label: &str,
-    trace: Option<&Path>,
+    trace: &Path,
     timeout: Option<Duration>,
 ) -> Result<SimReport, CellError> {
+    let message = message(cell, coords, trace);
     let mut history: Vec<AttemptRecord> = Vec::new();
     let mut attempt: u32 = 1;
     loop {
-        let out_dir = ctx
-            .work_dir
-            .join(format!("{}-a{attempt}", sanitize_key(key)));
-        let _ = std::fs::remove_dir_all(&out_dir);
-        let (outcome, stderr_tail) =
-            spawn_and_wait(ctx, key, &out_dir, trace, attempt - 1, timeout);
+        let (outcome, stdout, stderr_tail) = spawn_and_wait(ctx, &message, attempt - 1, timeout);
         let report = if outcome == ChildOutcome::Exited(0) {
-            ResultStore::open(&out_dir).ok().and_then(|s| s.get(key))
+            reported(&stdout, key)
         } else {
             None
         };
-        let _ = std::fs::remove_dir_all(&out_dir);
         if let Some(report) = report {
             if !history.is_empty() {
                 history.push(AttemptRecord {
@@ -251,11 +290,11 @@ pub fn run_one(
                     backoff: None,
                     stderr_tail: String::new(),
                 });
-                write_crash_report(ctx, key, label, &history, "recovered");
+                write_crash_report(ctx, key, label, &message, &history, "recovered");
             }
             return Ok(report);
         }
-        // A clean exit that never journaled the cell is its own
+        // A clean exit that never reported the cell is its own
         // (deterministic) failure mode.
         let outcome = if outcome == ChildOutcome::Exited(0) {
             ChildOutcome::NoReport
@@ -279,7 +318,14 @@ pub fn run_one(
                 attempt += 1;
             }
             Decision::GiveUp(class) => {
-                write_crash_report(ctx, key, label, &history, &format!("failed ({class})"));
+                write_crash_report(
+                    ctx,
+                    key,
+                    label,
+                    &message,
+                    &history,
+                    &format!("failed ({class})"),
+                );
                 return Err(CellError::ChildFailed {
                     outcome: outcome.to_string(),
                     attempts: attempt,
@@ -289,40 +335,45 @@ pub fn run_one(
     }
 }
 
-/// Spawns one `--run-cell` child and waits for it, SIGKILLing at the
-/// hard deadline. Returns the outcome plus the retained stderr tail.
+/// Spawns one `--run-cell` child, writes `message` to its stdin and
+/// waits for it, SIGKILLing at the hard deadline. Returns the outcome
+/// plus what the child printed on stdout and the retained stderr tail.
 fn spawn_and_wait(
     ctx: &SuperviseCtx,
-    key: &str,
-    out_dir: &Path,
-    trace: Option<&Path>,
+    message: &str,
     attempt_idx: u32,
     timeout: Option<Duration>,
-) -> (ChildOutcome, String) {
-    if let Err(e) = std::fs::create_dir_all(out_dir) {
-        return (ChildOutcome::SpawnFailed(e.to_string()), String::new());
-    }
-    let mut cmd = Command::new(&ctx.exe);
-    cmd.args(&ctx.args)
+) -> (ChildOutcome, String, String) {
+    let mut child = match Command::new(&ctx.exe)
         .arg("--run-cell")
-        .arg(key)
-        .arg("--run-cell-out")
-        .arg(out_dir);
-    if let Some(path) = trace {
-        cmd.arg("--run-cell-trace").arg(path);
-    }
-    cmd.env("ACIC_SUPERVISE_ATTEMPT", attempt_idx.to_string())
-        .stdin(Stdio::null())
-        .stdout(Stdio::null())
-        .stderr(Stdio::piped());
-    let mut child = match cmd.spawn() {
+        .env("ACIC_SUPERVISE_ATTEMPT", attempt_idx.to_string())
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+    {
         Ok(c) => c,
-        Err(e) => return (ChildOutcome::SpawnFailed(e.to_string()), String::new()),
+        Err(e) => {
+            return (
+                ChildOutcome::SpawnFailed(e.to_string()),
+                String::new(),
+                String::new(),
+            )
+        }
     };
-    let drain = child
+    // A child that dies before reading shows in its exit status; the
+    // write error itself adds nothing.
+    if let Some(mut stdin) = child.stdin.take() {
+        let _ = stdin.write_all(message.as_bytes());
+    }
+    let out = child
+        .stdout
+        .take()
+        .map(|p| std::thread::spawn(move || tail(p, STDOUT_BYTES)));
+    let err = child
         .stderr
         .take()
-        .map(|s| std::thread::spawn(move || stderr_tail(s)));
+        .map(|p| std::thread::spawn(move || tail(p, STDERR_TAIL_BYTES)));
     let deadline = timeout.map(|t| Instant::now() + t);
     let status = loop {
         match child.try_wait() {
@@ -341,7 +392,10 @@ fn spawn_and_wait(
             }
         }
     };
-    let tail = drain.and_then(|t| t.join().ok()).unwrap_or_default();
+    let joined = |t: Option<std::thread::JoinHandle<String>>| {
+        t.and_then(|t| t.join().ok()).unwrap_or_default()
+    };
+    let (stdout, stderr) = (joined(out), joined(err));
     let outcome = match status {
         None => ChildOutcome::TimedOut(timeout.unwrap_or_default()),
         Some(st) => match st.code() {
@@ -349,7 +403,7 @@ fn spawn_and_wait(
             None => ChildOutcome::Signaled(death_signal(&st)),
         },
     };
-    (outcome, tail)
+    (outcome, stdout, stderr)
 }
 
 #[cfg(unix)]
@@ -363,19 +417,18 @@ fn death_signal(_st: &std::process::ExitStatus) -> i32 {
     -1
 }
 
-/// Reads a child's piped stderr to the end, retaining only the last
-/// [`STDERR_TAIL_BYTES`] so a log-spewing child cannot balloon the
-/// parent.
-fn stderr_tail(mut pipe: impl std::io::Read) -> String {
-    let mut tail: Vec<u8> = Vec::with_capacity(STDERR_TAIL_BYTES);
+/// Reads a child's pipe to the end, retaining only the last `cap`
+/// bytes so a log-spewing child cannot balloon the parent.
+fn tail(mut pipe: impl Read, cap: usize) -> String {
+    let mut tail: Vec<u8> = Vec::with_capacity(cap.min(64 * 1024));
     let mut buf = [0u8; 4096];
     loop {
         match pipe.read(&mut buf) {
             Ok(0) | Err(_) => break,
             Ok(n) => {
                 tail.extend_from_slice(&buf[..n]);
-                if tail.len() > STDERR_TAIL_BYTES {
-                    let cut = tail.len() - STDERR_TAIL_BYTES;
+                if tail.len() > cap {
+                    let cut = tail.len() - cap;
                     tail.drain(..cut);
                 }
             }
@@ -384,19 +437,27 @@ fn stderr_tail(mut pipe: impl std::io::Read) -> String {
     String::from_utf8_lossy(&tail).into_owned()
 }
 
-/// Writes the per-cell crash artifact: identity, full retry history
-/// with per-attempt exit evidence and stderr tails, and the final
+/// Writes the per-cell crash artifact: identity, the child's stdin
+/// message (and the command that replays it), full retry history with
+/// per-attempt exit evidence and stderr tails, and the final
 /// disposition.
 fn write_crash_report(
     ctx: &SuperviseCtx,
     key: &str,
     label: &str,
+    message: &str,
     history: &[AttemptRecord],
     disposition: &str,
 ) {
+    let path = ctx.crash_dir.join(format!("{}.txt", sanitize_key(key)));
     let mut out = String::new();
     out.push_str(&format!("cell: {label}\n"));
     out.push_str(&format!("key: {key}\n"));
+    out.push_str(&format!("message: {message}\n"));
+    out.push_str(&format!(
+        "reproduce: sed -n 's/^message: //p' {} | experiments --run-cell\n",
+        path.display()
+    ));
     out.push_str(&format!("attempts: {}\n", history.len()));
     for (i, rec) in history.iter().enumerate() {
         match (&rec.class, rec.backoff) {
@@ -420,47 +481,11 @@ fn write_crash_report(
         }
     }
     out.push_str(&format!("disposition: {disposition}\n"));
-    let path = ctx.crash_dir.join(format!("{}.txt", sanitize_key(key)));
     if let Err(e) = std::fs::write(&path, out) {
         eprintln!(
             "[warning: could not write crash report {}: {e}]",
             path.display()
         );
-    }
-}
-
-/// Runs the closure as this child process's one cell: journal the
-/// report into the private per-attempt store and exit. Never returns.
-/// Exit taxonomy (observed by the parent): 0 = journaled OK, 101 =
-/// cell panicked, 4 = journal write failed; `abort()`/signals
-/// propagate as signal deaths.
-pub fn run_child_cell(target: &ChildTarget, rung: Option<u32>, f: impl FnOnce() -> SimReport) -> ! {
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
-        Ok(report) => {
-            let journaled = ResultStore::open(&target.out_dir)
-                .map_err(|e| e.to_string())
-                .and_then(|s| {
-                    match rung {
-                        Some(r) => s.put_rung(&target.key, r, &report),
-                        None => s.put(&target.key, &report),
-                    }
-                    .map_err(|e| e.to_string())
-                });
-            match journaled {
-                Ok(()) => std::process::exit(0),
-                Err(e) => {
-                    eprintln!(
-                        "[supervise child: failed to journal cell {}: {e}]",
-                        target.key
-                    );
-                    std::process::exit(4)
-                }
-            }
-        }
-        // The process panic hook already printed the panic message to
-        // stderr; exit like an uncaught panic would so the parent
-        // classifies it deterministic.
-        Err(_) => std::process::exit(101),
     }
 }
 
@@ -486,28 +511,43 @@ pub(crate) fn kill_self() -> ! {
 mod tests {
     use super::*;
 
-    fn argv(parts: &[&str]) -> Vec<String> {
-        parts.iter().map(|s| s.to_string()).collect()
+    use crate::cell::Exec;
+    use acic_sim::SimConfig;
+    use acic_workloads::{AppProfile, WorkloadSpec};
+
+    fn sample_cell() -> Cell {
+        Cell {
+            spec: WorkloadSpec::Single(AppProfile::web_search()),
+            config: SimConfig::default(),
+            budget: 2_000,
+            exec: Exec::Rung {
+                rung: 1,
+                prefix: 1_000,
+            },
+        }
     }
 
     #[test]
-    fn child_args_strips_supervision_flags() {
-        let got = child_args(&argv(&[
-            "--only",
-            "fig7_ipc",
-            "--supervise",
-            "--crash-reports",
-            "cr",
-            "--results",
-            "rs",
-            "--run-cell",
-            "k",
-            "--run-cell-out",
-            "d",
-            "--run-cell-trace",
-            "t.acictrace",
-        ]));
-        assert_eq!(got, argv(&["--only", "fig7_ipc", "--results", "rs"]));
+    fn messages_round_trip() {
+        let cell = sample_cell();
+        let trace = Path::new("/tmp/dir with \"quotes\"/t.acictrace");
+        let text = message(&cell, (3, 7), trace);
+        let (back, coords, path) = decode_message(&text).unwrap();
+        assert_eq!((back, coords, path.as_path()), (cell, (3, 7), trace));
+        assert!(decode_message("{\"cell\":{}}").is_err());
+    }
+
+    #[test]
+    fn only_one_journal_line_with_the_expected_key_is_a_report() {
+        let cell = sample_cell();
+        let key = cell.key();
+        let line = encode_entry(&key, cell.rung(), &SimReport::default());
+        assert!(reported(&format!("{line}\n"), &key).is_some());
+        assert!(reported(&line, "another-key").is_none(), "wrong key");
+        assert!(reported(&format!("{line}\n{line}\n"), &key).is_none());
+        assert!(reported("", &key).is_none());
+        let torn = &line[..line.len() - 10];
+        assert!(reported(torn, &key).is_none(), "torn line");
     }
 
     #[test]
@@ -520,9 +560,10 @@ mod tests {
     }
 
     #[test]
-    fn stderr_tail_keeps_only_the_last_bytes() {
-        let big = "x".repeat(3 * STDERR_TAIL_BYTES);
-        let tail = stderr_tail(big.as_bytes());
-        assert_eq!(tail.len(), STDERR_TAIL_BYTES);
+    fn tail_keeps_only_the_last_bytes() {
+        let big = format!("{}y", "x".repeat(3 * STDERR_TAIL_BYTES));
+        let kept = tail(big.as_bytes(), STDERR_TAIL_BYTES);
+        assert_eq!(kept.len(), STDERR_TAIL_BYTES);
+        assert!(kept.ends_with('y'));
     }
 }

@@ -16,7 +16,7 @@
 //! * *Deterministic* — the program itself failed: a non-zero exit
 //!   status (a Rust panic exits 101), a SIGABRT (`abort()` is
 //!   program-initiated, not environmental), or a clean exit that never
-//!   journaled its cell (a protocol violation). Deterministic
+//!   reported its cell (a protocol violation). Deterministic
 //!   failures are retried **once** to confirm — a panic that
 //!   reproduces is real; one that doesn't was transient after all.
 //!
@@ -31,7 +31,11 @@
 //! exactly.
 
 use acic_types::hash::{fnv1a, mix64, FNV_OFFSET};
+use std::sync::Once;
 use std::time::Duration;
+
+static RETRIES_WARNING: Once = Once::new();
+static BACKOFF_WARNING: Once = Once::new();
 
 /// `SIGABRT` — the signal `abort()` raises; program-initiated, hence
 /// classified deterministic unlike other signal deaths.
@@ -40,8 +44,8 @@ pub const SIGABRT: i32 = 6;
 /// How a supervised child's attempt ended, as observed by the parent.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ChildOutcome {
-    /// Exited with this status (`0` with a journaled report is
-    /// success and never reaches the policy).
+    /// Exited with this status (`0` with a reported cell is success
+    /// and never reaches the policy).
     Exited(i32),
     /// Killed by this signal (not by the supervisor).
     Signaled(i32),
@@ -49,8 +53,8 @@ pub enum ChildOutcome {
     TimedOut(Duration),
     /// The child process could not be spawned.
     SpawnFailed(String),
-    /// Exited `0` but its cell never appeared in the attempt journal —
-    /// a protocol violation.
+    /// Exited `0` without printing the one journal line for its cell
+    /// on stdout — a protocol violation.
     NoReport,
 }
 
@@ -66,7 +70,7 @@ impl std::fmt::Display for ChildOutcome {
                 write!(f, "hard timeout after {}s (SIGKILLed)", limit.as_secs())
             }
             ChildOutcome::SpawnFailed(e) => write!(f, "spawn failed: {e}"),
-            ChildOutcome::NoReport => write!(f, "exited 0 without journaling its cell"),
+            ChildOutcome::NoReport => write!(f, "exited 0 without reporting its cell"),
         }
     }
 }
@@ -143,28 +147,44 @@ impl Default for RetryPolicy {
 /// Resolves a policy from `ACIC_SUPERVISE_RETRIES` /
 /// `ACIC_SUPERVISE_BACKOFF_MS`-style overrides (transient attempt
 /// budget, base delay). Garbage and zero fall back to the defaults.
-/// Pure for testability.
-pub fn retry_policy_from(retries: Option<&str>, backoff_ms: Option<&str>) -> RetryPolicy {
+/// Also returns each ignored override as `(variable, value)`. Pure
+/// for testability.
+pub fn retry_policy_from<'a>(
+    retries: Option<&'a str>,
+    backoff_ms: Option<&'a str>,
+) -> (RetryPolicy, Vec<(&'static str, &'a str)>) {
     let mut p = RetryPolicy::default();
-    if let Some(n) = retries
-        .and_then(|v| v.parse::<u32>().ok())
-        .filter(|&n| n >= 1)
-    {
-        p.transient_attempts = n;
+    let mut ignored = Vec::new();
+    if let Some(raw) = retries {
+        match raw.parse::<u32>().ok().filter(|&n| n >= 1) {
+            Some(n) => p.transient_attempts = n,
+            None => ignored.push(("ACIC_SUPERVISE_RETRIES", raw)),
+        }
     }
-    if let Some(ms) = backoff_ms.and_then(|v| v.parse::<u64>().ok()) {
-        p.base = Duration::from_millis(ms);
+    if let Some(raw) = backoff_ms {
+        match raw.parse::<u64>() {
+            Ok(ms) => p.base = Duration::from_millis(ms),
+            Err(_) => ignored.push(("ACIC_SUPERVISE_BACKOFF_MS", raw)),
+        }
     }
-    p
+    (p, ignored)
 }
 
 impl RetryPolicy {
-    /// The policy the process environment asks for.
+    /// The policy the process environment asks for. An override that
+    /// parses to nothing usable warns once on stderr and is ignored.
     pub fn from_env() -> RetryPolicy {
-        retry_policy_from(
-            std::env::var("ACIC_SUPERVISE_RETRIES").ok().as_deref(),
-            std::env::var("ACIC_SUPERVISE_BACKOFF_MS").ok().as_deref(),
-        )
+        let retries = std::env::var("ACIC_SUPERVISE_RETRIES").ok();
+        let backoff = std::env::var("ACIC_SUPERVISE_BACKOFF_MS").ok();
+        let (policy, ignored) = retry_policy_from(retries.as_deref(), backoff.as_deref());
+        for (var, raw) in ignored {
+            let once = match var {
+                "ACIC_SUPERVISE_RETRIES" => &RETRIES_WARNING,
+                _ => &BACKOFF_WARNING,
+            };
+            crate::runner::warn_ignored(once, var, raw);
+        }
+        policy
     }
 
     /// Total attempts permitted for a failure class.
@@ -265,10 +285,23 @@ mod tests {
 
     #[test]
     fn env_overrides_parse_with_fallbacks() {
-        let p = retry_policy_from(Some("5"), Some("50"));
+        let (p, ignored) = retry_policy_from(Some("5"), Some("50"));
         assert_eq!(p.transient_attempts, 5);
         assert_eq!(p.base, Duration::from_millis(50));
-        let d = retry_policy_from(Some("0"), Some("soon"));
+        assert!(ignored.is_empty(), "{ignored:?}");
+        assert_eq!(
+            retry_policy_from(None, None),
+            (RetryPolicy::default(), vec![])
+        );
+        let (d, ignored) = retry_policy_from(Some("0"), Some("soon"));
         assert_eq!(d, RetryPolicy::default(), "zero and garbage rejected");
+        assert_eq!(
+            ignored,
+            [
+                ("ACIC_SUPERVISE_RETRIES", "0"),
+                ("ACIC_SUPERVISE_BACKOFF_MS", "soon")
+            ],
+            "each rejected override is named for the warning"
+        );
     }
 }

@@ -4,8 +4,9 @@
 //! `table3_mpki` grid (1 config x 10 specs) at a tiny instruction
 //! budget so the debug binary stays fast.
 
+use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 use std::time::{Duration, Instant};
 
 const BUDGET: &str = "2000";
@@ -132,12 +133,11 @@ fn healthy_supervised_run_is_bit_identical_to_in_process() {
 }
 
 #[test]
-fn a_supervised_run_without_results_journals_privately_and_leaves_nothing() {
-    // Two figures: without `--results`, the parent journals into a
-    // private per-run store and hands it to its children, so a
-    // `fig12b_random` child replays `fig12a_accuracy`'s grid instead
-    // of recomputing it. The store goes when the run ends.
-    let dir = scratch("private");
+fn a_supervised_run_without_results_matches_in_process_and_leaves_nothing() {
+    // Two figures, no `--results`: every child gets its cell on stdin
+    // and runs no figure code, so nothing is journaled anywhere, and
+    // the handoff traces go when the run ends.
+    let dir = scratch("no-results");
     let cr = dir.join("crash");
     let reference = experiments().arg("fig12").output().unwrap();
     assert!(reference.status.success(), "stderr: {}", stderr(&reference));
@@ -155,10 +155,6 @@ fn a_supervised_run_without_results_journals_privately_and_leaves_nothing() {
         stdout(&supervised),
         stdout(&reference),
         "supervised stdout must be bit-identical"
-    );
-    assert!(
-        se.contains("[results: 0 replayed, 30 computed]"),
-        "the parent journals the second figure's grid: {se}"
     );
     let left = files_under(&cr);
     assert!(
@@ -182,16 +178,45 @@ fn files_under(dir: &Path) -> Vec<PathBuf> {
     out
 }
 
+/// Runs `cmd` (an `experiments()` command) as `--run-cell` with
+/// `message` on stdin.
+fn run_cell(cmd: &mut Command, message: &str) -> Output {
+    let mut child = cmd
+        .arg("--run-cell")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    child
+        .stdin
+        .take()
+        .unwrap()
+        .write_all(message.as_bytes())
+        .unwrap();
+    child.wait_with_output().unwrap()
+}
+
 #[test]
-fn a_child_with_a_bad_handoff_trace_regenerates_and_journals_the_same_report() {
-    use acic_bench::result_store::{cell_key, ResultStore};
+fn a_child_with_a_bad_handoff_trace_regenerates_and_reports_the_same_cell() {
+    use acic_bench::cell::{Cell, Exec};
+    use acic_bench::json::Json;
+    use acic_bench::result_store::{report_from_json, ResultStore};
+    use acic_bench::supervise::message;
     use acic_sim::SimConfig;
     use acic_workloads::{AppProfile, WorkloadSpec};
 
     let dir = scratch("handoff");
+    std::fs::create_dir_all(&dir).unwrap();
     let budget: u64 = BUDGET.parse().unwrap();
     let spec = WorkloadSpec::Single(AppProfile::web_search());
-    let key = cell_key(&spec, budget, &SimConfig::default());
+    let cell = Cell {
+        spec: spec.clone(),
+        config: SimConfig::default(),
+        budget,
+        exec: Exec::Serial,
+    };
+    let key = cell.key();
 
     // Containers as a parent would hand them over: one at the cell's
     // budget, and one at the wrong budget.
@@ -228,21 +253,15 @@ fn a_child_with_a_bad_handoff_trace_regenerates_and_journals_the_same_report() {
         if let Some(bytes) = &bytes {
             std::fs::write(&trace, bytes).unwrap();
         }
-        let out_dir = dir.join(format!("out-{case}"));
-        let out = experiments()
-            .args(["--only", FIGURE, "--run-cell", &key])
-            .arg("--run-cell-out")
-            .arg(&out_dir)
-            .arg("--run-cell-trace")
-            .arg(&trace)
-            .output()
-            .unwrap();
+        // The cell is web-search, spec 1 of the figure's grid.
+        let out = run_cell(&mut experiments(), &message(&cell, (0, 1), &trace));
         let se = stderr(&out);
         assert_eq!(out.status.code(), Some(0), "{case}: stderr: {se}");
-        let got = ResultStore::open(&out_dir)
-            .unwrap()
-            .get(&key)
-            .unwrap_or_else(|| panic!("{case}: the child journaled no report"));
+        let line = stdout(&out);
+        let doc = Json::parse(line.trim())
+            .unwrap_or_else(|e| panic!("{case}: the child printed no journal line ({e})"));
+        assert_eq!(doc.get("key").and_then(Json::str_val), Some(key.as_str()));
+        let got = report_from_json(doc.get("report").unwrap()).unwrap();
         assert_eq!(
             format!("{got:?}"),
             format!("{want:?}"),
@@ -387,6 +406,24 @@ fn a_deterministically_panicking_cell_fails_loudly_with_forensics() {
     );
     assert!(report.contains("stderr tail:"), "report:\n{report}");
     assert!(report.contains("injected test panic"), "report:\n{report}");
+    // The report carries the child's stdin message: piping it back
+    // into `experiments --run-cell` reproduces the failure.
+    let message = report
+        .lines()
+        .find_map(|l| l.strip_prefix("message: "))
+        .unwrap_or_else(|| panic!("no message in the report:\n{report}"));
+    assert!(
+        report.contains("experiments --run-cell"),
+        "report:\n{report}"
+    );
+    let replay = run_cell(experiments().env("ACIC_PANIC_CELL", "0:1"), message);
+    assert_eq!(
+        replay.status.code(),
+        Some(101),
+        "stderr: {}",
+        stderr(&replay)
+    );
+    assert!(stderr(&replay).contains("injected test panic"));
     std::fs::remove_dir_all(&dir).ok();
 }
 
