@@ -5,68 +5,82 @@
 //! into the ROB, complete after a latency (loads consult the memory
 //! hierarchy), and retire in order. This converts front-end stalls
 //! and cache misses into cycles without modeling a full scheduler.
+//!
+//! Nothing here holds an instruction. The front end's [`InstrArena`]
+//! does, at positions equal to global indices, and every in-flight
+//! instruction occupies one contiguous window of them: positions
+//! `[retired, dq_head)` are in the ROB and `[dq_head, dq_tail)` in the
+//! decode queue. Fetch delivers by moving `dq_tail`, dispatch reads
+//! each instruction from the arena once and releases it there, and the
+//! ROB keeps only completion cycles, in a ring indexed by position.
 
 use crate::config::SimConfig;
+use crate::frontend::InstrArena;
 use crate::mem::MemoryHierarchy;
-use acic_trace::{Instr, InstrKind};
+use acic_trace::InstrKind;
 use acic_types::Cycle;
-use std::collections::VecDeque;
-
-/// An instruction waiting in the decode queue.
-#[derive(Clone, Copy, Debug)]
-pub struct DecodedInstr {
-    /// The instruction.
-    pub instr: Instr,
-    /// Global index assigned by the front end.
-    pub index: u64,
-}
-
-#[derive(Clone, Copy, Debug)]
-struct RobEntry {
-    done: Cycle,
-}
 
 /// Decode queue + ROB + retirement.
 pub struct Backend {
-    /// Decode queue (Table II: 60 entries).
-    pub dq: VecDeque<DecodedInstr>,
-    dq_capacity: usize,
-    rob: VecDeque<RobEntry>,
-    rob_capacity: usize,
+    /// Arena position of the oldest decode-queue instruction; the ROB
+    /// holds `[retired, dq_head)`.
+    dq_head: u64,
+    /// Arena position one past the newest decode-queue instruction:
+    /// the next position fetch delivers.
+    dq_tail: u64,
+    /// Decode queue capacity (Table II: 60 entries).
+    dq_capacity: u64,
+    /// Completion cycle of each ROB entry, at `position & rob_mask`.
+    rob: Vec<Cycle>,
+    rob_mask: u64,
+    rob_capacity: u64,
     dispatch_width: u32,
     retire_width: u32,
     long_alu_latency: u64,
-    /// Retired instruction count.
+    /// Retired instruction count — also the arena position of the ROB
+    /// head, since every instruction the front end admits retires in
+    /// order.
     pub retired: u64,
-    /// Resolved branches (global index, completion cycle) this cycle —
-    /// drained by the simulator to unstall the front end.
-    pub resolved_branches: Vec<(u64, Cycle)>,
 }
 
 impl Backend {
     /// Builds the backend from the simulation config.
     pub fn new(cfg: &SimConfig) -> Self {
+        let rob_slots = cfg.rob_entries.max(1).next_power_of_two();
         Backend {
-            dq: VecDeque::with_capacity(cfg.decode_queue_entries),
-            dq_capacity: cfg.decode_queue_entries,
-            rob: VecDeque::with_capacity(cfg.rob_entries),
-            rob_capacity: cfg.rob_entries,
+            dq_head: 0,
+            dq_tail: 0,
+            dq_capacity: cfg.decode_queue_entries as u64,
+            rob: vec![0; rob_slots],
+            rob_mask: rob_slots as u64 - 1,
+            rob_capacity: cfg.rob_entries as u64,
             dispatch_width: cfg.decode_width,
             retire_width: cfg.retire_width,
             long_alu_latency: 4,
             retired: 0,
-            resolved_branches: Vec::new(),
         }
     }
 
     /// Free slots in the decode queue.
     pub fn dq_space(&self) -> usize {
-        self.dq_capacity - self.dq.len()
+        (self.dq_capacity - (self.dq_tail - self.dq_head)) as usize
+    }
+
+    /// Arena position fetch delivers next (one past the decode queue's
+    /// newest instruction).
+    pub fn dq_tail(&self) -> u64 {
+        self.dq_tail
+    }
+
+    /// Fetch moved the next `n` arena positions into the decode queue.
+    pub fn deliver(&mut self, n: usize) {
+        self.dq_tail += n as u64;
+        debug_assert!(self.dq_tail - self.dq_head <= self.dq_capacity);
     }
 
     /// Whether every structure is empty (pipeline drained).
     pub fn drained(&self) -> bool {
-        self.dq.is_empty() && self.rob.is_empty()
+        self.retired == self.dq_tail
     }
 
     /// Completion cycle of the oldest ROB entry, or `None` when the
@@ -74,59 +88,68 @@ impl Backend {
     /// before this cycle (an already-due head means the next cycle
     /// retires more — the width limit, not latency, is the stall).
     pub fn next_retire_at(&self) -> Option<Cycle> {
-        self.rob.front().map(|e| e.done)
+        (self.retired < self.dq_head).then(|| self.rob[(self.retired & self.rob_mask) as usize])
     }
 
-    /// Whether the ROB has no free slot (dispatch is blocked until a
-    /// retire frees one).
-    pub fn rob_full(&self) -> bool {
-        self.rob.len() >= self.rob_capacity
+    /// Whether dispatch can move anything this cycle: the decode queue
+    /// holds an instruction and the ROB has a free slot.
+    pub fn can_dispatch(&self) -> bool {
+        self.dq_head < self.dq_tail && self.dq_head - self.retired < self.rob_capacity
     }
 
     /// Retires completed instructions in order.
     pub fn retire(&mut self, now: Cycle) {
-        let mut n = 0;
-        while n < self.retire_width {
-            match self.rob.front() {
-                Some(e) if e.done <= now => {
-                    self.rob.pop_front();
-                    self.retired += 1;
-                    n += 1;
-                }
-                _ => break,
-            }
+        let end = self.dq_head.min(self.retired + self.retire_width as u64);
+        while self.retired < end && self.rob[(self.retired & self.rob_mask) as usize] <= now {
+            self.retired += 1;
         }
     }
 
     /// Dispatches from the decode queue into the ROB, computing
-    /// completion times. Branch completions are reported through
-    /// [`Backend::resolved_branches`].
-    pub fn dispatch(&mut self, now: Cycle, mem: &mut MemoryHierarchy) {
-        let mut n = 0;
-        while n < self.dispatch_width && self.rob.len() < self.rob_capacity {
-            let Some(d) = self.dq.pop_front() else { break };
-            let done = match d.instr.kind {
+    /// completion times, reading each instruction from `arena` and
+    /// releasing it there. Returns the completion cycle of the branch
+    /// at global index `awaited` (the one the stalled BPU waits on) if
+    /// it dispatched.
+    pub fn dispatch(
+        &mut self,
+        now: Cycle,
+        mem: &mut MemoryHierarchy,
+        arena: &mut InstrArena,
+        awaited: Option<u64>,
+    ) -> Option<Cycle> {
+        let end = self
+            .dq_tail
+            .min(self.dq_head + self.dispatch_width as u64)
+            .min(self.retired + self.rob_capacity);
+        let mut resolved = None;
+        while self.dq_head < end {
+            let pos = self.dq_head;
+            let instr = arena.get(pos);
+            let done = match instr.kind {
                 InstrKind::Alu => now + 1,
                 InstrKind::LongAlu => now + self.long_alu_latency,
-                InstrKind::Load { addr } => mem.access_data(addr, d.instr.asid(), now, false),
-                InstrKind::Store { addr } => mem.access_data(addr, d.instr.asid(), now, true),
+                InstrKind::Load { addr } => mem.access_data(addr, instr.asid(), now, false),
+                InstrKind::Store { addr } => mem.access_data(addr, instr.asid(), now, true),
                 InstrKind::Branch { .. } => {
-                    let done = now + 1;
-                    self.resolved_branches.push((d.index, done));
-                    done
+                    if awaited == Some(pos) {
+                        resolved = Some(now + 1);
+                    }
+                    now + 1
                 }
             };
-            self.rob.push_back(RobEntry { done });
-            n += 1;
+            self.rob[(pos & self.rob_mask) as usize] = done;
+            self.dq_head += 1;
         }
+        arena.release_to(self.dq_head);
+        resolved
     }
 }
 
 impl core::fmt::Debug for Backend {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("Backend")
-            .field("dq", &self.dq.len())
-            .field("rob", &self.rob.len())
+            .field("dq", &(self.dq_tail - self.dq_head))
+            .field("rob", &(self.dq_head - self.retired))
             .field("retired", &self.retired)
             .finish()
     }
@@ -135,65 +158,84 @@ impl core::fmt::Debug for Backend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use acic_trace::Instr;
     use acic_types::Addr;
 
-    fn backend() -> (Backend, MemoryHierarchy) {
+    fn backend() -> (Backend, MemoryHierarchy, InstrArena) {
         let cfg = SimConfig::default();
-        (Backend::new(&cfg), MemoryHierarchy::new(&cfg))
+        (
+            Backend::new(&cfg),
+            MemoryHierarchy::new(&cfg),
+            InstrArena::new(),
+        )
     }
 
-    fn alu(i: u64) -> DecodedInstr {
-        DecodedInstr {
-            instr: Instr::alu(Addr::new(i * 4)),
-            index: i,
+    /// Fetch's part: writes `instrs` into the arena and delivers them
+    /// into the decode queue.
+    fn deliver(b: &mut Backend, arena: &mut InstrArena, instrs: impl IntoIterator<Item = Instr>) {
+        let mut n = 0;
+        for i in instrs {
+            arena.push(i);
+            n += 1;
         }
+        b.deliver(n);
+    }
+
+    fn alus(n: u64) -> impl Iterator<Item = Instr> {
+        (0..n).map(|i| Instr::alu(Addr::new(i * 4)))
     }
 
     #[test]
     fn dispatch_and_retire_width_limits() {
-        let (mut b, mut m) = backend();
-        for i in 0..20 {
-            b.dq.push_back(alu(i));
-        }
-        b.dispatch(0, &mut m);
-        assert_eq!(b.dq.len(), 14, "6-wide dispatch");
+        let (mut b, mut m, mut a) = backend();
+        deliver(&mut b, &mut a, alus(20));
+        b.dispatch(0, &mut m, &mut a, None);
+        assert_eq!(b.dq_tail - b.dq_head, 14, "6-wide dispatch");
         b.retire(1);
         assert_eq!(b.retired, 6, "6-wide retire");
     }
 
     #[test]
     fn in_order_retirement_blocks_on_slow_head() {
-        let (mut b, mut m) = backend();
+        let (mut b, mut m, mut a) = backend();
         // A cold load followed by fast ALUs: nothing retires until the
         // load completes.
-        b.dq.push_back(DecodedInstr {
-            instr: Instr::load(Addr::new(0), Addr::new(0x9999_0000)),
-            index: 0,
-        });
-        for i in 1..4 {
-            b.dq.push_back(alu(i));
-        }
-        b.dispatch(0, &mut m);
+        deliver(
+            &mut b,
+            &mut a,
+            core::iter::once(Instr::load(Addr::new(0), Addr::new(0x9999_0000))).chain(alus(3)),
+        );
+        b.dispatch(0, &mut m, &mut a, None);
         b.retire(10);
         assert_eq!(b.retired, 0, "head load still outstanding");
         b.retire(10_000);
         assert_eq!(b.retired, 4);
+        assert!(b.drained());
     }
 
     #[test]
     fn branches_report_resolution() {
-        let (mut b, mut m) = backend();
-        b.dq.push_back(DecodedInstr {
-            instr: Instr::branch(
-                Addr::new(0),
-                Addr::new(64),
-                true,
-                acic_trace::BranchClass::Direct,
-            ),
-            index: 42,
-        });
-        b.dispatch(5, &mut m);
-        assert_eq!(b.resolved_branches, vec![(42, 6)]);
+        let (mut b, mut m, mut a) = backend();
+        // Global index 42 is the branch's arena position.
+        deliver(&mut b, &mut a, alus(42));
+        let branch = Instr::branch(
+            Addr::new(0),
+            Addr::new(64),
+            true,
+            acic_trace::BranchClass::Direct,
+        );
+        deliver(&mut b, &mut a, [branch, branch]);
+        let mut now = 0;
+        while b.dq_head < 42 {
+            assert_eq!(b.dispatch(now, &mut m, &mut a, Some(42)), None);
+            b.retire(now);
+            now += 1;
+        }
+        // Only the awaited branch reports; the branch after it does not.
+        assert_eq!(b.dispatch(5, &mut m, &mut a, Some(42)), Some(6));
+        assert_eq!(b.dq_head, 44);
+        deliver(&mut b, &mut a, [branch]);
+        assert_eq!(b.dispatch(7, &mut m, &mut a, None), None);
     }
 
     #[test]
@@ -204,11 +246,11 @@ mod tests {
         };
         let mut b = Backend::new(&cfg);
         let mut m = MemoryHierarchy::new(&cfg);
-        for i in 0..20 {
-            b.dq.push_back(alu(i));
-        }
-        b.dispatch(0, &mut m);
-        b.dispatch(0, &mut m);
-        assert_eq!(b.rob.len(), 8);
+        let mut a = InstrArena::new();
+        deliver(&mut b, &mut a, alus(20));
+        b.dispatch(0, &mut m, &mut a, None);
+        b.dispatch(0, &mut m, &mut a, None);
+        assert_eq!(b.dq_head - b.retired, 8);
+        assert!(!b.can_dispatch(), "a full ROB blocks dispatch");
     }
 }

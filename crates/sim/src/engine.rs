@@ -30,7 +30,12 @@
 //! * Detailed (`detailed_window`) is the full cycle loop with
 //!   statistics on. Bounded windows measure only their steady-state
 //!   interior for IPC and the whole window for MPKI (see
-//!   `WindowSample`).
+//!   `WindowSample`). The loop moves each instruction once: the BPU
+//!   feed decodes runs straight into the FTQ's arena, the decode queue
+//!   and ROB are windows of it, and dispatch reads from it
+//!   ([`crate::frontend`], [`crate::backend`]). Per executed cycle the
+//!   FDP scan costs O(1) for its memoised prefix and probes only past
+//!   it ([`crate::frontend::Ftq::fdp_scan`]).
 //!
 //! A [`SampleSchedule::Full`] run is a single unbounded detailed
 //! phase and reproduces the pre-sampling simulator bit for bit
@@ -64,20 +69,18 @@
 //! assert!(r.ipc() > 0.0);
 //! ```
 
-use crate::backend::{Backend, DecodedInstr};
+use crate::backend::Backend;
 use crate::config::{PrefetcherKind, SampleSchedule, SimConfig};
-use crate::frontend::FrontEnd;
+use crate::frontend::{FrontEnd, ScanVerdict};
 use crate::mem::{MemoryHierarchy, MissTracker};
 use crate::prefetch::{Entangling, Prefetcher};
 use crate::report::{mean_ci95, PrefetchStats, SampledStats, SimReport};
 use acic_cache::{AccessCtx, CacheStats, IcacheContents};
 use acic_core::AcicIcache;
 use acic_trace::{
-    BlockRuns, GroupedRuns, Instr, InstrKind, OracleCursor, ReuseOracle, RunInstrs, TraceSource,
-    NO_NEXT_USE,
+    BlockRuns, GroupedRuns, Instr, InstrKind, OracleCursor, ReuseOracle, TraceSource, NO_NEXT_USE,
 };
 use acic_types::{Addr, Asid, Cycle, TaggedBlock};
-use std::ops::ControlFlow;
 
 mod window;
 
@@ -274,14 +277,13 @@ pub(crate) struct WindowCheckpoint<'o> {
     /// Key of the last prefetch scan — (residency epoch, L1i-MSHR
     /// version, fetch ASID) — and the stamp issued for it. An FTQ
     /// entry whose `pf_stamp` equals the stamp filtered under this
-    /// exact key, so its verdict still holds.
+    /// exact key, so its verdict still holds; the FTQ's memo prefix
+    /// holds under the stamp too.
     scan_key: (u64, u64, Asid),
     scan_stamp: u64,
     /// Scratch for the pending-prefetch drain (reused every cycle; the
     /// loop never allocates for it in steady state).
     due_scratch: Vec<TaggedBlock>,
-    /// Scratch run the BPU feed fills in place (no per-run `Vec`).
-    run_scratch: RunInstrs,
     timing_loop: TimingLoop,
     fetch_asid: Asid,
     context_switches: u64,
@@ -348,7 +350,6 @@ impl<'o> WindowCheckpoint<'o> {
             scan_key: (0, 0, Asid::HOST),
             scan_stamp: 0,
             due_scratch: Vec::new(),
-            run_scratch: RunInstrs::scratch(),
             timing_loop,
             fetch_asid: Asid::HOST,
             context_switches: 0,
@@ -408,7 +409,6 @@ impl WindowCheckpoint<'_> {
             scan_key,
             scan_stamp,
             due_scratch,
-            run_scratch,
             timing_loop,
             fetch_asid,
             context_switches,
@@ -448,16 +448,17 @@ impl WindowCheckpoint<'_> {
                 "simulation exceeded cycle bound (deadlock?)"
             );
 
-            // Backend: retire, then dispatch.
+            // Backend: retire, then dispatch (which reports the
+            // awaited mispredict's resolution).
             backend.retire(*now);
-            backend.dispatch(*now, mem);
-            for (index, done) in backend.resolved_branches.drain(..) {
-                frontend.on_branch_resolved(index, done);
+            let awaited = frontend.awaited_branch();
+            if let Some(done) = backend.dispatch(*now, mem, frontend.ftq.arena_mut(), awaited) {
+                frontend.on_branch_resolved(done);
             }
 
             // Fetch: service the FTQ head.
             let mut pop_head = false;
-            if let Some((head, arena)) = frontend.ftq.front_mut_with_arena() {
+            if let Some(head) = frontend.ftq.front_mut() {
                 if !head.accessed {
                     head.accessed = true;
                     *access_index += 1;
@@ -529,20 +530,16 @@ impl WindowCheckpoint<'_> {
                         contents.fill(&ctx);
                         *residency_epoch += 1;
                     }
-                    // Deliver instructions into the decode queue,
-                    // reading straight out of the FTQ's ring arena.
-                    let space = backend.dq_space();
-                    let remaining = head.len as usize - head.delivered;
-                    let n = remaining.min(space).min(cfg.fetch_width as usize);
-                    for k in 0..n {
-                        let at = head.delivered + k;
-                        backend.dq.push_back(DecodedInstr {
-                            instr: arena.get(head.start + at as u64),
-                            index: head.first_index + at as u64,
-                        });
-                    }
-                    head.delivered += n;
-                    pop_head = head.delivered == head.len as usize;
+                    // Deliver instructions into the decode queue: the
+                    // queue is a window of the FTQ's arena, so this
+                    // moves its tail and copies nothing.
+                    let end = head.start + head.len as u64;
+                    let remaining = (end - backend.dq_tail()) as usize;
+                    let n = remaining
+                        .min(backend.dq_space())
+                        .min(cfg.fetch_width as usize);
+                    backend.deliver(n);
+                    pop_head = n == remaining;
                 }
             }
             if pop_head {
@@ -550,20 +547,20 @@ impl WindowCheckpoint<'_> {
             }
 
             // BPU: run ahead of fetch, within the window's budget.
-            frontend.bpu_cycle(*now, run_scratch, |out| {
+            frontend.bpu_cycle(*now, |arena| {
                 if fed >= budget {
                     budget_hit = true;
-                    return false;
+                    return None;
                 }
-                if runs.next_into(out) {
-                    let len = out.instrs.len() as u64;
-                    fed += len;
-                    *consumed += len;
-                    true
-                } else {
-                    *trace_over = true;
-                    false
+                let run = runs.next_run_with(|i| arena.push(i));
+                match run {
+                    Some(r) => {
+                        fed += r.len as u64;
+                        *consumed += r.len as u64;
+                    }
+                    None => *trace_over = true,
                 }
+                run
             });
             if sampling {
                 if measure_start.is_none() && backend.retired >= retired0 + ramp {
@@ -591,8 +588,10 @@ impl WindowCheckpoint<'_> {
             // FDP's candidates are the FTQ entries, scanned in place
             // with a memo: an entry that filtered under the current
             // (residency epoch, MSHR version, fetch ASID) key counts as
-            // filtered again without probing. Entangling's drained
-            // candidates are fresh every cycle and carry no memo.
+            // filtered again without probing, and the FTQ counts its
+            // memo prefix of such entries in O(1). Entangling's
+            // drained candidates are fresh every cycle and carry no
+            // memo.
             let fdp = matches!(prefetcher, Prefetcher::Fdp);
             if fdp {
                 let key = (*residency_epoch, l1i_mshr.version_at(*now), *fetch_asid);
@@ -600,59 +599,70 @@ impl WindowCheckpoint<'_> {
                     *scan_key = key;
                     *scan_stamp += 1;
                 }
+                // The memo contract, re-probed where it is cheap to.
+                #[cfg(debug_assertions)]
+                for e in frontend.ftq.memo_prefix(*scan_stamp) {
+                    debug_assert!(
+                        e.pf_stamp == *scan_stamp
+                            && prefetch_filtered(
+                                e.tagged(),
+                                *fetch_asid,
+                                contents.as_ref(),
+                                l1i_mshr,
+                                *now
+                            ),
+                        "stale prefetch-filter memo prefix at {:?}",
+                        e.tagged()
+                    );
+                }
             }
             let stamp = *scan_stamp;
             let mut issued = 0;
             let mut cycle_filtered = 0u64;
             let mut width_break = false;
-            let mut scan = |block: TaggedBlock, memo: Option<&mut u64>| {
+            let mut scan = |block: TaggedBlock, memo_hit: bool| {
                 if issued >= cfg.prefetch_width {
                     // Unexamined candidates remain; if the set
                     // persists, the next cycle may issue from them.
                     width_break = true;
-                    return ControlFlow::Break(());
+                    return ScanVerdict::Stop;
                 }
-                if memo.as_deref() == Some(&stamp) {
+                if memo_hit {
                     debug_assert!(
                         prefetch_filtered(block, *fetch_asid, contents.as_ref(), l1i_mshr, *now),
                         "stale prefetch-filter memo for {block:?}"
                     );
                     cycle_filtered += 1;
-                    return ControlFlow::Continue(());
+                    return ScanVerdict::Filtered;
                 }
                 if prefetch_filtered(block, *fetch_asid, contents.as_ref(), l1i_mshr, *now) {
-                    if let Some(m) = memo {
-                        *m = stamp;
-                    }
                     cycle_filtered += 1;
-                    return ControlFlow::Continue(());
+                    return ScanVerdict::Filtered;
                 }
                 if l1i_mshr.full(*now) {
                     cycle_filtered += 1;
-                    return ControlFlow::Break(());
+                    return ScanVerdict::Stop;
                 }
                 let ready = mem.fetch_instr_block(block, *now);
                 l1i_mshr.insert(block, ready);
                 pending_prefetches.push(ready, block);
                 prefetch_stats.issued += 1;
                 issued += 1;
-                ControlFlow::Continue(())
+                ScanVerdict::Issued
             };
-            if fdp {
-                for e in frontend.ftq.fdp_candidates_mut() {
-                    if scan(e.block.with_asid(e.asid), Some(&mut e.pf_stamp)).is_break() {
-                        break;
-                    }
-                }
+            let memoised = if fdp {
+                frontend.ftq.fdp_scan(stamp, &mut scan)
             } else {
                 candidates.clear();
                 prefetcher.drain_candidates(candidates);
                 for &block in candidates.iter() {
-                    if scan(block, None).is_break() {
+                    if scan(block, false) == ScanVerdict::Stop {
                         break;
                     }
                 }
-            }
+                0
+            };
+            cycle_filtered += memoised;
             prefetch_stats.filtered += cycle_filtered;
             due_scratch.clear();
             pending_prefetches.drain_due(*now, due_scratch);
@@ -708,7 +718,7 @@ impl WindowCheckpoint<'_> {
                 }
                 // (b) Dispatch drains the decode queue any cycle the
                 // ROB has room.
-                if !backend.dq.is_empty() && !backend.rob_full() {
+                if backend.can_dispatch() {
                     event(&mut horizon, floor);
                 }
                 // (c) The FTQ head: first touch is immediate; an
@@ -957,18 +967,17 @@ impl WindowCheckpoint<'_> {
         }
         if self.cursor.is_some() {
             let mut done = 0u64;
-            let mut scratch = RunInstrs::scratch();
             while done < budget {
-                if !runs.next_into(&mut scratch) {
+                let Some(run) = runs.next_run_with(|_| {}) else {
                     self.trace_over = true;
                     break;
-                }
-                let len = scratch.instrs.len() as u64;
+                };
+                let len = run.len as u64;
                 done += len;
                 self.consumed += len;
                 self.fastforwarded += len;
                 if let Some(c) = self.cursor.as_mut() {
-                    c.advance(scratch.tagged().oracle_key());
+                    c.advance(run.oracle_key());
                 }
             }
         } else {

@@ -7,30 +7,38 @@
 //! branch (plus a redirect penalty) — the wrong path itself is not
 //! simulated. BTB misses on taken branches charge a short
 //! decode-redirect bubble.
+//!
+//! The fetch path is zero-copy. The BPU's feed decodes each run
+//! straight into the FTQ's [`InstrArena`], and the instruction never
+//! moves again: an FTQ entry is a position range of the arena, the
+//! backend's decode queue and ROB are windows of it
+//! ([`crate::backend`]), and dispatch reads each instruction from it
+//! once. Arena positions start at 0 with the front end and advance by
+//! one per instruction entering the BPU, so an instruction's position
+//! *is* its global index.
 
 use crate::branch::btb::Btb;
 use crate::branch::tage::Tage;
 use crate::config::{BranchSwitchMode, SimConfig};
 use crate::report::BranchStats;
-use acic_trace::{BranchClass, Instr, InstrKind, RunInstrs};
-use acic_types::{Addr, Asid, BlockAddr, Cycle, ASID_IDENT_SHIFT};
+use acic_trace::{BlockRun, BranchClass, Instr, InstrKind};
+use acic_types::{Addr, Asid, BlockAddr, Cycle, TaggedBlock, ASID_IDENT_SHIFT};
 
 /// One fetch-target (block run) in the FTQ. The run's instructions
 /// live in the owning [`Ftq`]'s instruction arena; the entry carries
-/// only their `[start, start + len)` position range.
+/// only their `[start, start + len)` position range, which is also
+/// their global index range.
 #[derive(Clone, Copy, Debug)]
 pub struct FtqEntry {
     /// The instruction block to fetch.
     pub block: BlockAddr,
     /// Address space of the run.
     pub asid: Asid,
-    /// Arena position of the run's first instruction (read it back
-    /// with [`InstrArena::get`]).
+    /// Arena position (= global index) of the run's first instruction
+    /// (read it back with [`InstrArena::get`]).
     pub start: u64,
     /// Number of instructions in the run.
     pub len: u32,
-    /// Global index of the first instruction.
-    pub first_index: u64,
     /// Whether the demand i-cache access has been performed.
     pub accessed: bool,
     /// Cycle at which the block's bytes are available.
@@ -40,8 +48,6 @@ pub struct FtqEntry {
     /// The block's next-use position captured at access time (for
     /// OPT's fill decision).
     pub next_use: u64,
-    /// Instructions already delivered to decode.
-    pub delivered: usize,
     /// Whether a prefetcher may act on this entry: false when the BPU
     /// reached this run only via a BTB miss or a misprediction — a
     /// real fetch-directed prefetcher cannot see past an unpredicted
@@ -54,6 +60,14 @@ pub struct FtqEntry {
     pub pf_stamp: u64,
 }
 
+impl FtqEntry {
+    /// The ASID-tagged identity of the entry's block.
+    #[inline]
+    pub fn tagged(&self) -> TaggedBlock {
+        self.block.with_asid(self.asid)
+    }
+}
+
 impl Default for FtqEntry {
     fn default() -> Self {
         FtqEntry {
@@ -61,24 +75,25 @@ impl Default for FtqEntry {
             asid: Asid::HOST,
             start: 0,
             len: 0,
-            first_index: 0,
             accessed: false,
             ready_at: 0,
             needs_fill: false,
             next_use: acic_trace::NO_NEXT_USE,
-            delivered: 0,
             prefetchable: true,
             pf_stamp: 0,
         }
     }
 }
 
-/// Ring-buffer instruction arena backing the FTQ entries.
+/// Ring-buffer instruction arena: the one home of every instruction
+/// between the trace decoder and dispatch.
 ///
-/// Positions are *absolute* (monotonically increasing `u64`), so an
-/// entry's `start` stays valid across wraps and growth; the ring only
-/// reclaims space when the FTQ pops an entry (`release_to`). Capacity
-/// is a power of two and doubles on the cold overflow path, preserving
+/// Positions are *absolute* (monotonically increasing `u64`, starting
+/// at 0), so a position stays valid across wraps and growth and equals
+/// the instruction's global index. The ring reclaims space only when
+/// the backend dispatches (`release_to`), so an instruction outlives
+/// its FTQ entry while it waits in the decode queue. Capacity is a
+/// power of two and doubles on the cold overflow path, preserving
 /// every live position — steady-state pushes are allocation-free.
 #[derive(Debug)]
 pub struct InstrArena {
@@ -91,11 +106,12 @@ pub struct InstrArena {
 }
 
 /// Initial arena capacity: 24 FTQ entries × at most 16 instructions
-/// per 64 B fetch block leaves headroom; odd configs grow lazily.
+/// per 64 B fetch block plus a 60-entry decode queue leave headroom;
+/// odd configs grow lazily.
 const ARENA_INITIAL: usize = 1024;
 
 impl InstrArena {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         InstrArena {
             buf: vec![Instr::alu(Addr::new(0)); ARENA_INITIAL],
             mask: ARENA_INITIAL as u64 - 1,
@@ -104,28 +120,21 @@ impl InstrArena {
         }
     }
 
-    /// Copies a run's instructions into the ring, returning the
-    /// absolute position of the first one.
-    fn push_run(&mut self, instrs: &[Instr]) -> u64 {
-        let needed = self.tail - self.head + instrs.len() as u64;
-        if needed > self.buf.len() as u64 {
-            self.grow(needed);
+    /// Appends one instruction at position [`InstrArena::tail`].
+    #[inline]
+    pub fn push(&mut self, instr: Instr) {
+        if self.tail - self.head == self.buf.len() as u64 {
+            self.grow();
         }
-        let start = self.tail;
-        for (k, i) in instrs.iter().enumerate() {
-            self.buf[((start + k as u64) & self.mask) as usize] = *i;
-        }
-        self.tail = start + instrs.len() as u64;
-        start
+        self.buf[(self.tail & self.mask) as usize] = instr;
+        self.tail += 1;
     }
 
-    /// Cold path: doubles capacity until `needed` fits, re-laying the
-    /// live range so absolute positions keep resolving.
-    fn grow(&mut self, needed: u64) {
-        let mut cap = self.buf.len() * 2;
-        while (cap as u64) < needed {
-            cap *= 2;
-        }
+    /// Cold path: doubles capacity, re-laying the live range so
+    /// absolute positions keep resolving.
+    #[cold]
+    fn grow(&mut self) {
+        let cap = self.buf.len() * 2;
         let mut buf = vec![Instr::alu(Addr::new(0)); cap];
         let mask = cap as u64 - 1;
         for pos in self.head..self.tail {
@@ -142,23 +151,56 @@ impl InstrArena {
         self.buf[(pos & self.mask) as usize]
     }
 
-    /// Reclaims everything before `pos` (FIFO release on entry pop).
-    fn release_to(&mut self, pos: u64) {
+    /// Position one past the newest instruction: the global index the
+    /// next pushed instruction receives.
+    #[inline]
+    pub fn tail(&self) -> u64 {
+        self.tail
+    }
+
+    /// Reclaims everything before `pos` (FIFO release at dispatch).
+    #[inline]
+    pub(crate) fn release_to(&mut self, pos: u64) {
         debug_assert!(self.head <= pos && pos <= self.tail);
         self.head = pos;
     }
 }
 
+/// What a prefetch scan did with one candidate (see
+/// [`Ftq::fdp_scan`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ScanVerdict {
+    /// Filtered — resident, in flight, or in another address space —
+    /// under the scan's stamp.
+    Filtered,
+    /// Issued to the hierarchy.
+    Issued,
+    /// The scan ends here (prefetch width reached or MSHRs full).
+    Stop,
+}
+
 /// The Fetch Target Queue: a fixed-capacity entry ring plus the
-/// instruction arena its entries index into. Replaces the former
-/// `VecDeque<FtqEntry>`-of-`Vec<Instr>` shape — pushes and pops are
+/// instruction arena its entries index into — pushes and pops are
 /// allocation-free once the arena has warmed.
+///
+/// It also memoises fetch-directed prefetching's scan: a prefix of
+/// the candidates behind the head whose prefetchable entries all
+/// filtered under the current scan stamp, with the count of those
+/// entries, so a rescan under an unchanged stamp adds the count in
+/// O(1) and probes only from the prefix end.
 #[derive(Debug)]
 pub struct Ftq {
     entries: Vec<FtqEntry>,
     head: usize,
     len: usize,
     arena: InstrArena,
+    /// Scan stamp the memo prefix holds under.
+    memo_stamp: u64,
+    /// Candidates in the memo prefix: queue positions `1..=memo_len`.
+    memo_len: usize,
+    /// Prefetchable entries in the memo prefix (each carries
+    /// `memo_stamp`).
+    memo_filtered: u64,
 }
 
 impl Ftq {
@@ -169,6 +211,9 @@ impl Ftq {
             head: 0,
             len: 0,
             arena: InstrArena::new(),
+            memo_stamp: 0,
+            memo_len: 0,
+            memo_filtered: 0,
         }
     }
 
@@ -197,20 +242,24 @@ impl Ftq {
         (self.len > 0).then(|| &self.entries[self.head])
     }
 
-    /// The oldest entry, mutably, alongside the arena its instruction
-    /// range resolves in (split borrow: fetch delivery mutates the
-    /// entry while reading instructions).
-    pub fn front_mut_with_arena(&mut self) -> Option<(&mut FtqEntry, &InstrArena)> {
-        (self.len > 0).then(|| (&mut self.entries[self.head], &self.arena))
+    /// The oldest entry, mutably (fetch records its access state).
+    pub fn front_mut(&mut self) -> Option<&mut FtqEntry> {
+        (self.len > 0).then(|| &mut self.entries[self.head])
     }
 
-    /// Pops the oldest entry, releasing its arena range.
+    /// Pops the oldest entry. Its instructions stay in the arena until
+    /// the backend dispatches them.
     pub fn pop_front(&mut self) -> Option<FtqEntry> {
         if self.len == 0 {
             return None;
         }
+        if self.memo_len > 0 {
+            // The first memoised candidate becomes the head, which is
+            // the demand access and no candidate.
+            self.memo_len -= 1;
+            self.memo_filtered -= self.entries[self.slot(1)].prefetchable as u64;
+        }
         let e = self.entries[self.head];
-        self.arena.release_to(e.start + e.len as u64);
         self.head = (self.head + 1) % self.entries.len();
         self.len -= 1;
         if self.len == 0 {
@@ -221,16 +270,20 @@ impl Ftq {
         Some(e)
     }
 
-    /// Pushes an entry whose instructions are copied into the arena.
+    /// Pushes an entry for the run occupying the newest `entry.len`
+    /// arena positions (`entry.start` onward).
     ///
     /// # Panics
     ///
     /// Panics when the ring is full — the BPU checks capacity before
     /// producing.
-    pub fn push(&mut self, mut entry: FtqEntry, instrs: &[Instr]) {
+    pub fn push(&mut self, mut entry: FtqEntry) {
         assert!(self.len < self.entries.len(), "FTQ overflow");
-        entry.start = self.arena.push_run(instrs);
-        entry.len = instrs.len() as u32;
+        debug_assert_eq!(
+            entry.start + entry.len as u64,
+            self.arena.tail,
+            "an entry covers the newest run in the arena"
+        );
         entry.pf_stamp = 0;
         let slot = self.slot(self.len);
         self.entries[slot] = entry;
@@ -242,22 +295,67 @@ impl Ftq {
         (0..self.len).map(|i| &self.entries[self.slot(i)])
     }
 
-    /// Fetch-directed prefetching's candidates: the prefetchable
-    /// entries behind the head (the head is the demand access), oldest
-    /// first.
-    pub fn fdp_candidates_mut(&mut self) -> impl Iterator<Item = &mut FtqEntry> {
-        let (wrapped, from_head) = self.entries.split_at_mut(self.head);
-        from_head
-            .iter_mut()
-            .chain(wrapped)
-            .take(self.len)
-            .skip(1)
+    /// Fetch-directed prefetching's scan under `stamp`: the
+    /// prefetchable entries behind the head (the head is the demand
+    /// access), oldest first.
+    ///
+    /// The memo prefix counts as filtered without a visit: its count
+    /// is returned. Every later candidate goes to `visit` with whether
+    /// it already carries `stamp`, until `visit` answers
+    /// [`ScanVerdict::Stop`]. A `Filtered` candidate is stamped, and
+    /// the prefix grows over every candidate up to the first one that
+    /// did not filter. A new stamp empties the prefix.
+    pub fn fdp_scan<F>(&mut self, stamp: u64, mut visit: F) -> u64
+    where
+        F: FnMut(TaggedBlock, bool) -> ScanVerdict,
+    {
+        if stamp != self.memo_stamp {
+            self.memo_stamp = stamp;
+            self.memo_len = 0;
+            self.memo_filtered = 0;
+        }
+        let memoised = self.memo_filtered;
+        let mut extending = true;
+        for i in 1 + self.memo_len..self.len {
+            let slot = self.slot(i);
+            let e = &mut self.entries[slot];
+            if e.prefetchable {
+                match visit(e.tagged(), e.pf_stamp == stamp) {
+                    ScanVerdict::Filtered => e.pf_stamp = stamp,
+                    ScanVerdict::Issued => extending = false,
+                    ScanVerdict::Stop => break,
+                }
+            }
+            if extending {
+                self.memo_len += 1;
+                self.memo_filtered += e.prefetchable as u64;
+            }
+        }
+        memoised
+    }
+
+    /// The prefetchable entries of the memo prefix when it holds under
+    /// `stamp` (empty otherwise): what [`Ftq::fdp_scan`] counts as
+    /// filtered without a visit. Debug builds re-probe them.
+    pub fn memo_prefix(&self, stamp: u64) -> impl Iterator<Item = &FtqEntry> {
+        let len = if stamp == self.memo_stamp {
+            self.memo_len
+        } else {
+            0
+        };
+        (1..=len)
+            .map(|i| &self.entries[self.slot(i)])
             .filter(|e| e.prefetchable)
     }
 
     /// The instruction arena (resolve an entry's `start..start+len`).
     pub fn arena(&self) -> &InstrArena {
         &self.arena
+    }
+
+    /// The instruction arena, mutably (dispatch releases from it).
+    pub fn arena_mut(&mut self) -> &mut InstrArena {
+        &mut self.arena
     }
 }
 
@@ -313,7 +411,6 @@ pub struct FrontEnd {
     /// What prediction structures do when the stream switches spaces.
     switch_mode: BranchSwitchMode,
     state: BpuState,
-    next_index: u64,
     redirect_penalty: u64,
     btb_miss_penalty: u64,
     stats: BranchStats,
@@ -333,7 +430,6 @@ impl FrontEnd {
             cur_asid: Asid::HOST,
             switch_mode: cfg.branch_switch,
             state: BpuState::Running { available_at: 0 },
-            next_index: 0,
             redirect_penalty: cfg.redirect_penalty,
             btb_miss_penalty: cfg.btb_miss_penalty,
             stats: BranchStats::default(),
@@ -359,9 +455,10 @@ impl FrontEnd {
         self.trace_done
     }
 
-    /// Global index of the next instruction the BPU will assign.
+    /// Global index of the next instruction the BPU will assign (its
+    /// arena position).
     pub fn instructions_entered(&self) -> u64 {
-        self.next_index
+        self.ftq.arena.tail()
     }
 
     /// The lookup key for branch structures: the raw PC in
@@ -412,9 +509,10 @@ impl FrontEnd {
     /// instruction at a time — TAGE direction state plus the BTB and
     /// indirect-target predictor (the front end's large, slowest
     /// tables: a wide code footprint needs on the order of a million
-    /// instructions to cover 8192 BTB entries). Equivalent to
-    /// [`FrontEnd::train_run`] without run grouping; handles context
-    /// switches per the configured switch mode.
+    /// instructions to cover 8192 BTB entries). Handles context
+    /// switches per the configured switch mode. Call between
+    /// [`FrontEnd::set_stats_enabled`]`(false)`/`(true)` so warmup
+    /// traffic stays uncounted.
     pub fn warm_branches(&mut self, instr: &Instr) {
         let InstrKind::Branch {
             target,
@@ -449,26 +547,25 @@ impl FrontEnd {
         }
     }
 
-    /// Warmup-phase training: runs the prediction structures over one
-    /// fetch run with no timing — no FTQ entry, no stall modeling, no
-    /// global indices. Context switches still flush or re-key state
-    /// per the configured switch mode. Call between
-    /// [`FrontEnd::set_stats_enabled`]`(false)`/`(true)` so warmup
-    /// traffic stays uncounted.
-    pub fn train_run(&mut self, run: &RunInstrs) {
-        for instr in run.instrs.iter() {
-            self.warm_branches(instr);
+    /// Global index of the mispredicted branch the BPU is stalled on,
+    /// if any: the one branch whose resolution dispatch reports.
+    pub fn awaited_branch(&self) -> Option<u64> {
+        match self.state {
+            BpuState::WaitingOnBranch { index } => Some(index),
+            BpuState::Running { .. } => None,
         }
     }
 
-    /// The backend resolved the branch with global `index` at `done`;
-    /// unstall the BPU if it was the one being waited on.
-    pub fn on_branch_resolved(&mut self, index: u64, done: Cycle) {
-        if self.state == (BpuState::WaitingOnBranch { index }) {
-            self.state = BpuState::Running {
-                available_at: done + self.redirect_penalty,
-            };
-        }
+    /// The backend resolved the [awaited branch][FrontEnd::awaited_branch]
+    /// at `done`: the BPU restarts after the redirect penalty.
+    pub fn on_branch_resolved(&mut self, done: Cycle) {
+        debug_assert!(
+            self.awaited_branch().is_some(),
+            "a resolution with no branch awaited"
+        );
+        self.state = BpuState::Running {
+            available_at: done + self.redirect_penalty,
+        };
     }
 
     fn itp_slot(&self, pc: acic_types::Addr) -> (usize, u16) {
@@ -518,14 +615,15 @@ impl FrontEnd {
     }
 
     /// Runs the BPU for one cycle: asks `feed` for at most one
-    /// fetch-block run (written into `scratch`, whose buffer is reused
-    /// across calls — the hot path allocates nothing) and pushes it
-    /// into the FTQ. `feed` returning `false` means the stream is over
-    /// (trace end or window budget); the front end latches
-    /// `trace_done` and the caller disambiguates which.
-    pub fn bpu_cycle<F>(&mut self, now: Cycle, scratch: &mut RunInstrs, mut feed: F)
+    /// fetch-block run, which it writes straight into the FTQ's arena
+    /// (the hot path allocates and copies nothing), predicts over the
+    /// run in place, and pushes its FTQ entry. `feed` returning `None`
+    /// means the stream is over (trace end or window budget); the
+    /// front end latches `trace_done` and the caller disambiguates
+    /// which.
+    pub fn bpu_cycle<F>(&mut self, now: Cycle, feed: F)
     where
-        F: FnMut(&mut RunInstrs) -> bool,
+        F: FnOnce(&mut InstrArena) -> Option<BlockRun>,
     {
         let BpuState::Running { available_at } = self.state else {
             return;
@@ -533,21 +631,22 @@ impl FrontEnd {
         if now < available_at || self.ftq.len() >= self.capacity || self.trace_done {
             return;
         }
-        if !feed(scratch) {
+        let start = self.ftq.arena.tail();
+        let Some(run) = feed(&mut self.ftq.arena) else {
             self.trace_done = true;
             return;
-        }
-        let run = scratch;
+        };
+        let end = start + run.len as u64;
+        debug_assert_eq!(self.ftq.arena.tail(), end, "the feed wrote its run");
         if run.asid != self.cur_asid {
             self.on_context_switch(run.asid);
         }
 
-        let first_index = self.next_index;
-        self.next_index += run.instrs.len() as u64;
         let mut bubble = 0u64;
         let mut mispredicted_at: Option<u64> = None;
 
-        for (k, instr) in run.instrs.iter().enumerate() {
+        for index in start..end {
+            let instr = self.ftq.arena.get(index);
             let InstrKind::Branch {
                 target,
                 taken,
@@ -556,7 +655,6 @@ impl FrontEnd {
             else {
                 continue;
             };
-            let index = first_index + k as u64;
             match class {
                 BranchClass::Conditional => {
                     let correct = self.tage.predict_and_train(self.pc_key(instr.pc()), taken);
@@ -622,16 +720,14 @@ impl FrontEnd {
             }
         }
 
-        self.ftq.push(
-            FtqEntry {
-                block: run.block,
-                asid: run.asid,
-                first_index,
-                prefetchable: bubble == 0 && mispredicted_at.is_none(),
-                ..FtqEntry::default()
-            },
-            &run.instrs,
-        );
+        self.ftq.push(FtqEntry {
+            block: run.block,
+            asid: run.asid,
+            start,
+            len: run.len,
+            prefetchable: bubble == 0 && mispredicted_at.is_none(),
+            ..FtqEntry::default()
+        });
 
         self.state = match mispredicted_at {
             Some(index) => BpuState::WaitingOnBranch { index },
@@ -647,7 +743,7 @@ impl core::fmt::Debug for FrontEnd {
         f.debug_struct("FrontEnd")
             .field("ftq_len", &self.ftq.len())
             .field("state", &self.state)
-            .field("next_index", &self.next_index)
+            .field("next_index", &self.instructions_entered())
             .finish()
     }
 }
@@ -656,24 +752,35 @@ impl core::fmt::Debug for FrontEnd {
 mod tests {
     use super::*;
     use acic_types::Addr;
+    use proptest::prelude::*;
 
-    fn run_of(instrs: Vec<Instr>) -> RunInstrs {
-        RunInstrs {
-            block: instrs[0].pc().block(),
-            asid: instrs[0].asid(),
-            instrs,
-        }
+    /// Drives one BPU cycle fed with `run` as one fetch run (`None` =
+    /// stream over).
+    fn cycle(fe: &mut FrontEnd, now: Cycle, run: Option<Vec<Instr>>) {
+        fe.bpu_cycle(now, |arena| {
+            let instrs = run?;
+            for &i in &instrs {
+                arena.push(i);
+            }
+            Some(BlockRun {
+                block: instrs[0].pc().block(),
+                asid: instrs[0].asid(),
+                len: instrs.len() as u32,
+                ends_in_taken_branch: instrs.last().is_some_and(|i| i.is_taken_branch()),
+            })
+        });
     }
 
-    /// Drives one BPU cycle fed with `run` (`None` = stream over).
-    fn cycle(fe: &mut FrontEnd, now: Cycle, run: Option<RunInstrs>) {
-        let mut scratch = RunInstrs::scratch();
-        fe.bpu_cycle(now, &mut scratch, |out| match &run {
-            Some(r) => {
-                *out = r.clone();
-                true
-            }
-            None => false,
+    /// Writes `instrs` into the FTQ's arena and pushes `entry` for them.
+    fn push_run(ftq: &mut Ftq, entry: FtqEntry, instrs: &[Instr]) {
+        let start = ftq.arena.tail();
+        for &i in instrs {
+            ftq.arena.push(i);
+        }
+        ftq.push(FtqEntry {
+            start,
+            len: instrs.len() as u32,
+            ..entry
         });
     }
 
@@ -682,11 +789,7 @@ mod tests {
         let cfg = SimConfig::default();
         let mut fe = FrontEnd::new(&cfg);
         for now in 0..30u64 {
-            cycle(
-                &mut fe,
-                now,
-                Some(run_of(vec![Instr::alu(Addr::new(now * 64))])),
-            );
+            cycle(&mut fe, now, Some(vec![Instr::alu(Addr::new(now * 64))]));
         }
         assert_eq!(fe.ftq.len(), cfg.ftq_entries);
     }
@@ -697,19 +800,21 @@ mod tests {
         let mut fe = FrontEnd::new(&cfg);
         // An indirect branch with no BTB entry: guaranteed mispredict.
         let br = Instr::branch(Addr::new(0), Addr::new(0x100), true, BranchClass::Indirect);
-        cycle(&mut fe, 0, Some(run_of(vec![br])));
+        cycle(&mut fe, 0, Some(vec![br]));
         assert_eq!(fe.ftq.len(), 1);
         assert_eq!(fe.bpu_horizon(), None, "stalled BPU reports no horizon");
+        assert_eq!(fe.awaited_branch(), Some(0), "waits on global index 0");
         // Stalled: further cycles do nothing.
-        cycle(&mut fe, 1, Some(run_of(vec![Instr::alu(Addr::new(64))])));
+        cycle(&mut fe, 1, Some(vec![Instr::alu(Addr::new(64))]));
         assert_eq!(fe.ftq.len(), 1);
-        // Resolve the branch (global index 0) at cycle 10.
-        fe.on_branch_resolved(0, 10);
+        // Resolve the branch at cycle 10.
+        fe.on_branch_resolved(10);
+        assert_eq!(fe.awaited_branch(), None);
         assert_eq!(fe.bpu_horizon(), Some(10 + cfg.redirect_penalty));
         cycle(
             &mut fe,
             10 + cfg.redirect_penalty,
-            Some(run_of(vec![Instr::alu(Addr::new(64))])),
+            Some(vec![Instr::alu(Addr::new(64))]),
         );
         assert_eq!(fe.ftq.len(), 2);
     }
@@ -730,30 +835,30 @@ mod tests {
         let mut fe = FrontEnd::new(&cfg);
         let br = Instr::branch(Addr::new(0), Addr::new(0x100), true, BranchClass::Indirect);
         // First encounter mispredicts; resolve it.
-        cycle(&mut fe, 0, Some(run_of(vec![br])));
-        fe.on_branch_resolved(0, 5);
+        cycle(&mut fe, 0, Some(vec![br]));
+        fe.on_branch_resolved(5);
         // Second encounter: BTB now has the target; no stall.
         let before = fe.stats().mispredicts;
-        cycle(&mut fe, 20, Some(run_of(vec![br])));
+        cycle(&mut fe, 20, Some(vec![br]));
         assert_eq!(fe.stats().mispredicts, before);
         assert_eq!(fe.ftq.len(), 2);
     }
 
     #[test]
-    fn train_run_warms_predictors_without_stats() {
+    fn warm_branches_warms_predictors_without_stats() {
         let cfg = SimConfig::default();
         let mut fe = FrontEnd::new(&cfg);
         let br = Instr::branch(Addr::new(0), Addr::new(0x100), true, BranchClass::Indirect);
         fe.set_stats_enabled(false);
-        fe.train_run(&run_of(vec![br]));
+        fe.warm_branches(&br);
         fe.set_stats_enabled(true);
         let s = fe.stats();
         assert_eq!(s.mispredicts, 0);
         assert_eq!(s.btb.lookups, 0, "warmup lookups are uncounted");
         // The trained target now predicts: no mispredict, no stall.
-        cycle(&mut fe, 0, Some(run_of(vec![br])));
+        cycle(&mut fe, 0, Some(vec![br]));
         assert_eq!(fe.stats().mispredicts, 0);
-        cycle(&mut fe, 1, Some(run_of(vec![Instr::alu(Addr::new(64))])));
+        cycle(&mut fe, 1, Some(vec![Instr::alu(Addr::new(64))]));
         assert_eq!(fe.ftq.len(), 2, "BPU not stalled");
     }
 
@@ -765,7 +870,7 @@ mod tests {
         assert!(fe.trace_done());
         fe.resume_stream();
         assert!(!fe.trace_done());
-        cycle(&mut fe, 1, Some(run_of(vec![Instr::alu(Addr::new(0))])));
+        cycle(&mut fe, 1, Some(vec![Instr::alu(Addr::new(0))]));
         assert_eq!(fe.ftq.len(), 1);
     }
 
@@ -776,14 +881,11 @@ mod tests {
         cycle(
             &mut fe,
             0,
-            Some(run_of(vec![
-                Instr::alu(Addr::new(0)),
-                Instr::alu(Addr::new(4)),
-            ])),
+            Some(vec![Instr::alu(Addr::new(0)), Instr::alu(Addr::new(4))]),
         );
-        cycle(&mut fe, 1, Some(run_of(vec![Instr::alu(Addr::new(64))])));
-        assert_eq!(fe.ftq[0].first_index, 0);
-        assert_eq!(fe.ftq[1].first_index, 2);
+        cycle(&mut fe, 1, Some(vec![Instr::alu(Addr::new(64))]));
+        assert_eq!(fe.ftq[0].start, 0);
+        assert_eq!(fe.ftq[1].start, 2);
         assert_eq!(fe.instructions_entered(), 3);
     }
 
@@ -794,21 +896,22 @@ mod tests {
         cycle(
             &mut fe,
             0,
-            Some(run_of(vec![
-                Instr::alu(Addr::new(0)),
-                Instr::alu(Addr::new(4)),
-            ])),
+            Some(vec![Instr::alu(Addr::new(0)), Instr::alu(Addr::new(4))]),
         );
-        cycle(&mut fe, 1, Some(run_of(vec![Instr::alu(Addr::new(64))])));
+        cycle(&mut fe, 1, Some(vec![Instr::alu(Addr::new(64))]));
         let e0 = fe.ftq[0];
         assert_eq!(e0.len, 2);
         assert_eq!(fe.ftq.arena().get(e0.start).pc(), Addr::new(0));
         assert_eq!(fe.ftq.arena().get(e0.start + 1).pc(), Addr::new(4));
         let e1 = fe.ftq[1];
         assert_eq!(fe.ftq.arena().get(e1.start).pc(), Addr::new(64));
-        // Popping releases the arena range and keeps later entries valid.
+        // Popping keeps later entries valid, and the popped run's
+        // instructions stay readable until dispatch releases them.
         fe.ftq.pop_front();
         assert_eq!(fe.ftq.arena().get(fe.ftq[0].start).pc(), Addr::new(64));
+        assert_eq!(fe.ftq.arena().get(e0.start + 1).pc(), Addr::new(4));
+        fe.ftq.arena_mut().release_to(e1.start);
+        assert_eq!(fe.ftq.arena().get(e1.start).pc(), Addr::new(64));
     }
 
     #[test]
@@ -824,7 +927,7 @@ mod tests {
             })
             .collect();
         for instrs in &runs {
-            ftq.push(FtqEntry::default(), instrs);
+            push_run(&mut ftq, FtqEntry::default(), instrs);
         }
         for (r, instrs) in runs.iter().enumerate() {
             let e = ftq[r];
@@ -841,11 +944,9 @@ mod tests {
         let mut pushed = 0u64;
         for round in 0..50u64 {
             while ftq.len() < 4 {
-                ftq.push(
-                    FtqEntry {
-                        first_index: pushed,
-                        ..FtqEntry::default()
-                    },
+                push_run(
+                    &mut ftq,
+                    FtqEntry::default(),
                     &[Instr::alu(Addr::new(pushed * 4))],
                 );
                 pushed += 1;
@@ -853,8 +954,9 @@ mod tests {
             let take = 1 + (round % 3) as usize;
             for _ in 0..take.min(ftq.len()) {
                 let e = ftq.pop_front().unwrap();
-                assert_eq!(e.first_index, popped);
+                assert_eq!(e.start, popped);
                 popped += 1;
+                ftq.arena_mut().release_to(popped);
             }
         }
         // FIFO order held across every wrap.
@@ -867,13 +969,14 @@ mod tests {
         // Wrap the ring so the live range straddles the slot array's
         // end: the head sits in the last slot.
         for _ in 0..4 {
-            ftq.push(FtqEntry::default(), &[]);
+            push_run(&mut ftq, FtqEntry::default(), &[]);
         }
         for _ in 0..3 {
             ftq.pop_front();
         }
         for b in 1..4u64 {
-            ftq.push(
+            push_run(
+                &mut ftq,
                 FtqEntry {
                     block: BlockAddr::new(b),
                     prefetchable: b != 2,
@@ -882,7 +985,253 @@ mod tests {
                 &[],
             );
         }
-        let blocks: Vec<u64> = ftq.fdp_candidates_mut().map(|e| e.block.raw()).collect();
+        let mut blocks = Vec::new();
+        ftq.fdp_scan(1, |b, _| {
+            blocks.push(b.block.raw());
+            ScanVerdict::Issued
+        });
         assert_eq!(blocks, vec![1, 3], "head and unpredicted run excluded");
+    }
+
+    #[test]
+    fn fdp_memo_prefix_counts_without_revisiting() {
+        let mut ftq = Ftq::new(8);
+        for b in 0..5u64 {
+            push_run(
+                &mut ftq,
+                FtqEntry {
+                    block: BlockAddr::new(b),
+                    prefetchable: b != 2,
+                    ..FtqEntry::default()
+                },
+                &[Instr::alu(Addr::new(b * 64))],
+            );
+        }
+        // Blocks 1 and 3 filter, 4 issues: the prefix stops before 4.
+        let verdict = |b: TaggedBlock| {
+            if b.block.raw() == 4 {
+                ScanVerdict::Issued
+            } else {
+                ScanVerdict::Filtered
+            }
+        };
+        assert_eq!(ftq.fdp_scan(7, |b, _| verdict(b)), 0);
+        let prefix: Vec<u64> = ftq.memo_prefix(7).map(|e| e.block.raw()).collect();
+        assert_eq!(prefix, vec![1, 3]);
+        // A rescan under the same stamp counts both and visits only 4.
+        let mut visited = Vec::new();
+        let memo = ftq.fdp_scan(7, |b, _| {
+            visited.push(b.block.raw());
+            verdict(b)
+        });
+        assert_eq!((memo, visited), (2, vec![4]));
+        // Popping hands the first candidate to the head; a new stamp
+        // empties the prefix.
+        ftq.pop_front();
+        assert_eq!(ftq.memo_prefix(7).map(|e| e.block.raw()).next(), Some(3));
+        assert_eq!(ftq.memo_prefix(8).count(), 0);
+        assert_eq!(ftq.fdp_scan(8, |b, _| verdict(b)), 0);
+    }
+
+    #[test]
+    fn decode_queue_is_a_window_of_the_arena() {
+        use crate::backend::Backend;
+        use crate::mem::MemoryHierarchy;
+        use acic_trace::GroupedRuns;
+        // A deep FTQ lets the BPU run far enough ahead to outgrow the
+        // arena's initial ring, and the trace wraps it several times.
+        let cfg = SimConfig {
+            ftq_entries: 160,
+            ..SimConfig::default()
+        };
+        let mut fe = FrontEnd::new(&cfg);
+        let mut be = Backend::new(&cfg);
+        let mut mem = MemoryHierarchy::new(&cfg);
+        let branch_at = 1000u64;
+        let pc = |i: u64| Addr::new(0x4000 + 4 * i);
+        let trace: Vec<Instr> = (0..6000u64)
+            .map(|i| match i {
+                // A cold indirect branch: a certain misprediction.
+                _ if i == branch_at => Instr::branch(pc(i), pc(i + 1), true, BranchClass::Indirect),
+                _ if i % 7 == 3 => Instr::load(pc(i), Addr::new(0x9000_0000 + 64 * i)),
+                _ => Instr::alu(pc(i)),
+            })
+            .collect();
+        let mut runs = GroupedRuns::new(trace.iter().copied());
+        let mut dispatched = Vec::new();
+        let mut resolutions = 0;
+        let mut popped_while_queued = 0;
+        let mut now = 0;
+        while !(fe.drained() && be.drained()) {
+            now += 1;
+            assert!(now < 1_000_000, "pipeline wedged");
+            be.retire(now);
+            // The decode queue's instructions, read where they sit.
+            let first = be.dq_tail() - (cfg.decode_queue_entries - be.dq_space()) as u64;
+            let queued: Vec<Addr> = (first..be.dq_tail())
+                .map(|p| fe.ftq.arena().get(p).pc())
+                .collect();
+            let awaited = fe.awaited_branch();
+            if let Some(done) = be.dispatch(now, &mut mem, fe.ftq.arena_mut(), awaited) {
+                assert_eq!(awaited, Some(branch_at), "only the awaited branch resolves");
+                fe.on_branch_resolved(done);
+                resolutions += 1;
+            }
+            let still_queued = cfg.decode_queue_entries - be.dq_space();
+            dispatched.extend_from_slice(&queued[..queued.len() - still_queued]);
+            // Dispatch released what it read, and only that.
+            assert_eq!(fe.ftq.arena().head, be.dq_tail() - still_queued as u64);
+            if let Some(head) = fe.ftq.front() {
+                let end = head.start + head.len as u64;
+                let n = (end - be.dq_tail()).min(be.dq_space() as u64).min(6);
+                be.deliver(n as usize);
+                if be.dq_tail() == end {
+                    let e = fe.ftq.pop_front().expect("a head");
+                    // The popped run still waits in the decode queue,
+                    // readable in the arena until dispatch.
+                    let last = e.start + e.len as u64 - 1;
+                    assert_eq!(fe.ftq.arena().get(last).pc(), pc(last));
+                    popped_while_queued += 1;
+                }
+            }
+            fe.bpu_cycle(now, |arena| runs.next_run_with(|i| arena.push(i)));
+        }
+        let want: Vec<Addr> = trace.iter().map(|i| i.pc()).collect();
+        assert_eq!(dispatched, want, "dispatch order is trace order");
+        assert_eq!(resolutions, 1);
+        assert_eq!(be.retired, trace.len() as u64);
+        assert!(popped_while_queued > 0);
+        assert!(
+            fe.ftq.arena().buf.len() > ARENA_INITIAL,
+            "the arena grew while wrapping"
+        );
+    }
+
+    /// Whether the memo test's filter passes `block` under `stamp`: a
+    /// deterministic verdict per (block, stamp), like the engine's
+    /// filter under one scan key.
+    fn filters(block: TaggedBlock, stamp: u64) -> bool {
+        !acic_types::hash::mix2(block.block.raw(), stamp).is_multiple_of(3)
+    }
+
+    #[derive(Clone, Copy, Debug)]
+    enum Op {
+        Push { block: u64, prefetchable: bool },
+        Pop,
+        Bump,
+        Scan { room: u64 },
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        (0u8..10, 0u64..12, any::<bool>(), 0u64..4).prop_map(|(kind, block, prefetchable, room)| {
+            match kind {
+                0..=2 => Op::Push {
+                    block,
+                    prefetchable,
+                },
+                3 | 4 => Op::Pop,
+                5 => Op::Bump,
+                _ => Op::Scan { room },
+            }
+        })
+    }
+
+    /// One scan's outcome: filtered count, issues, width break.
+    type Outcome = (u64, u64, bool);
+
+    /// The engine's scan body, judging with [`filters`]: stop at the
+    /// width, count a memo hit, probe, stop on `room` exhausted, or
+    /// issue.
+    fn engine_visit<'a>(
+        out: &'a mut Outcome,
+        width: u64,
+        room: u64,
+        stamp: u64,
+    ) -> impl FnMut(TaggedBlock, bool) -> ScanVerdict + 'a {
+        move |block, memo_hit| {
+            if out.1 >= width {
+                out.2 = true;
+                return ScanVerdict::Stop;
+            }
+            if memo_hit {
+                assert!(filters(block, stamp), "stale memo for {block:?}");
+                out.0 += 1;
+                return ScanVerdict::Filtered;
+            }
+            if filters(block, stamp) {
+                out.0 += 1;
+                return ScanVerdict::Filtered;
+            }
+            if out.1 >= room {
+                out.0 += 1;
+                return ScanVerdict::Stop;
+            }
+            out.1 += 1;
+            ScanVerdict::Issued
+        }
+    }
+
+    /// The memo-free scan the prefix replaces: every candidate behind
+    /// the head, with the per-entry stamp as the only memo.
+    fn brute_scan(queue: &mut [FtqEntry], width: u64, room: u64, stamp: u64) -> Outcome {
+        let mut out = (0, 0, false);
+        {
+            let mut visit = engine_visit(&mut out, width, room, stamp);
+            for e in queue.iter_mut().skip(1).filter(|e| e.prefetchable) {
+                match visit(e.tagged(), e.pf_stamp == stamp) {
+                    ScanVerdict::Filtered => e.pf_stamp = stamp,
+                    ScanVerdict::Issued => {}
+                    ScanVerdict::Stop => break,
+                }
+            }
+        }
+        out
+    }
+
+    proptest! {
+        #[test]
+        fn fdp_memo_prefix_matches_a_brute_force_recount(
+            width in 0u64..3,
+            ops in proptest::collection::vec(op(), 1..200),
+        ) {
+            let mut ftq = Ftq::new(6);
+            let mut queue: Vec<FtqEntry> = Vec::new();
+            let mut stamp = 1u64;
+            for op in ops {
+                match op {
+                    Op::Push { block, prefetchable } => {
+                        if ftq.len() < 6 {
+                            let e = FtqEntry {
+                                block: BlockAddr::new(block),
+                                prefetchable,
+                                ..FtqEntry::default()
+                            };
+                            push_run(&mut ftq, e, &[Instr::alu(Addr::new(block * 64))]);
+                            queue.push(*ftq.get(ftq.len() - 1));
+                        }
+                    }
+                    Op::Pop => {
+                        prop_assert_eq!(
+                            ftq.pop_front().map(|e| e.start),
+                            (!queue.is_empty()).then(|| queue.remove(0).start)
+                        );
+                    }
+                    Op::Bump => stamp += 1,
+                    Op::Scan { room } => {
+                        let mut got = (0, 0, false);
+                        let memo = ftq.fdp_scan(stamp, engine_visit(&mut got, width, room, stamp));
+                        got.0 += memo;
+                        prop_assert_eq!(got, brute_scan(&mut queue, width, room, stamp));
+                    }
+                }
+                let stamps: Vec<u64> = ftq.iter().map(|e| e.pf_stamp).collect();
+                let want: Vec<u64> = queue.iter().map(|e| e.pf_stamp).collect();
+                prop_assert_eq!(stamps, want);
+                for e in ftq.memo_prefix(stamp) {
+                    prop_assert_eq!(e.pf_stamp, stamp);
+                    prop_assert!(filters(e.tagged(), stamp));
+                }
+            }
+        }
     }
 }

@@ -5,8 +5,8 @@
 //! the L1i contents and MSHR budget, issues them down the hierarchy,
 //! and fills them on arrival (into the i-Filter for ACIC, matching
 //! Figure 9's timeline). FDP's candidates are the FTQ entries
-//! themselves ([`crate::frontend::Ftq::fdp_candidates_mut`]), which the engine
-//! scans in place; entangling queues its own.
+//! themselves, which the engine scans in place
+//! ([`crate::frontend::Ftq::fdp_scan`]); entangling queues its own.
 
 use acic_types::hash::{fold, mix64};
 use acic_types::{Cycle, TaggedBlock};

@@ -50,6 +50,6 @@ pub use interleave::{InterleavedIter, InterleavedTrace};
 pub use markov::{MarkovChain, ReuseBucket};
 pub use oracle::{OracleCursor, ReuseOracle, NO_NEXT_USE};
 pub use packed::{PackedCursor, PackedTrace, PackedTraceBuilder, TraceFileError, SKIP_STRIDE};
-pub use runs::{BlockRun, BlockRuns, GroupedRuns, RunInstrs};
+pub use runs::{BlockRun, BlockRuns, GroupedRuns};
 pub use source::{skip_instrs, TraceSource, Truncated, TruncatedIter, VecTrace};
 pub use stack_distance::{ReuseHistogram, StackDistanceAnalyzer};

@@ -117,38 +117,9 @@ impl<I: Iterator<Item = Instr>> Iterator for BlockRuns<I> {
     }
 }
 
-/// A block run together with its instructions — the fetch-group unit
-/// the timing simulator's front end consumes.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct RunInstrs {
-    /// The instruction block being fetched.
-    pub block: BlockAddr,
-    /// Address space of every instruction in the run.
-    pub asid: Asid,
-    /// The instructions of the run, in order.
-    pub instrs: Vec<Instr>,
-}
-
-impl RunInstrs {
-    /// An empty placeholder run for use as a reusable
-    /// [`GroupedRuns::next_into`] scratch buffer. The field values are
-    /// meaningless until the first `next_into` overwrites them.
-    pub fn scratch() -> Self {
-        RunInstrs {
-            block: BlockAddr::new(0),
-            asid: Asid::HOST,
-            instrs: Vec::new(),
-        }
-    }
-
-    /// The ASID-tagged identity of the run's block.
-    #[inline]
-    pub fn tagged(&self) -> TaggedBlock {
-        self.block.with_asid(self.asid)
-    }
-}
-
-/// Like [`BlockRuns`] but carrying the instructions of each run.
+/// Like [`BlockRuns`] but handing out the instructions of each run
+/// ([`GroupedRuns::next_run_with`]), or streaming them for the warming
+/// tiers ([`GroupedRuns::stream_instrs`]).
 ///
 /// Run boundaries are guaranteed identical to [`BlockRuns`]' (same
 /// grouping rule), so the oracle pre-pass over `BlockRuns` indexes the
@@ -168,52 +139,58 @@ impl<I: Iterator<Item = Instr>> GroupedRuns<I> {
         }
     }
 
-    /// Allocation-free variant of [`Iterator::next`]: writes the next
-    /// run into `out`, reusing its `instrs` buffer, and returns
-    /// whether a run was produced. Run boundaries are identical to
-    /// `next()`'s — warmup-phase loops use this to avoid a `Vec`
-    /// allocation per run.
-    pub fn next_into(&mut self, out: &mut RunInstrs) -> bool {
-        let Some(first) = self.pending.take().or_else(|| self.inner.next()) else {
-            return false;
-        };
-        out.block = first.pc().block();
-        out.asid = first.asid();
-        out.instrs.clear();
-        out.instrs.push(first);
-        if !first.is_taken_branch() {
-            loop {
-                match self.inner.next() {
-                    None => break,
-                    Some(i) => {
-                        if i.pc().block() != out.block || i.asid() != out.asid {
-                            self.pending = Some(i);
-                            break;
-                        }
-                        let taken = i.is_taken_branch();
-                        out.instrs.push(i);
-                        if taken {
-                            break;
-                        }
-                    }
+    /// Reads the next run, handing each of its instructions to `sink`
+    /// in order, and returns the run's [`BlockRun`] (`None` at the end
+    /// of the stream). Boundaries are identical to [`BlockRuns`]'.
+    ///
+    /// This is the one run reader: the timing front end passes a sink
+    /// that writes straight into its instruction arena, and an
+    /// oracle-only walk passes a no-op sink.
+    #[inline]
+    pub fn next_run_with<F>(&mut self, mut sink: F) -> Option<BlockRun>
+    where
+        F: FnMut(Instr),
+    {
+        let first = self.pending.take().or_else(|| self.inner.next())?;
+        let block = first.pc().block();
+        let asid = first.asid();
+        let mut len = 1u32;
+        let mut ends_taken = first.is_taken_branch();
+        sink(first);
+        if !ends_taken {
+            for i in self.inner.by_ref() {
+                if i.pc().block() != block || i.asid() != asid {
+                    self.pending = Some(i);
+                    break;
+                }
+                len += 1;
+                ends_taken = i.is_taken_branch();
+                sink(i);
+                if ends_taken {
+                    break;
                 }
             }
         }
-        true
+        Some(BlockRun {
+            block,
+            asid,
+            len,
+            ends_in_taken_branch: ends_taken,
+        })
     }
 
     /// Streams instructions to `f` without materializing runs,
     /// flagging each instruction that begins a new fetch run (the
-    /// boundary rule is identical to [`Iterator::next`]'s). Delivers
-    /// at least `n` instructions, then keeps going to the end of the
-    /// current run so the stream always stops on a true run boundary
-    /// — the next `next()`/`next_into()` call starts a genuine run
+    /// boundary rule is identical to [`GroupedRuns::next_run_with`]'s).
+    /// Delivers at least `n` instructions, then keeps going to the end
+    /// of the current run so the stream always stops on a true run
+    /// boundary — the next `next_run_with` call starts a genuine run
     /// and per-run bookkeeping (e.g. an oracle cursor advanced once
     /// per run-start flag) stays exact across the hand-off. Returns
     /// the number delivered (fewer than `n` only at trace end).
     ///
-    /// This is the warming-tier fast path: no `Vec` per run, no
-    /// materialized `RunInstrs` — one callback per instruction.
+    /// This is the warming-tier fast path: no run bookkeeping, one
+    /// callback per instruction.
     pub fn stream_instrs<F>(&mut self, n: u64, mut f: F) -> u64
     where
         F: FnMut(Instr, bool),
@@ -248,8 +225,8 @@ impl<I: Iterator<Item = Instr>> GroupedRuns<I> {
     /// grouping them into runs, delegating the bulk skip to `skip`
     /// (pass [`TraceSource::skip`][crate::TraceSource::skip] of the
     /// source that produced `I`). Returns the number of instructions
-    /// actually dropped; the next [`Iterator::next`] call resumes run
-    /// grouping at the new position.
+    /// actually dropped; the next [`GroupedRuns::next_run_with`] call
+    /// resumes run grouping at the new position.
     pub fn skip_instrs_with<F>(&mut self, n: u64, skip: F) -> u64
     where
         F: FnOnce(&mut I, u64) -> u64,
@@ -262,40 +239,6 @@ impl<I: Iterator<Item = Instr>> GroupedRuns<I> {
             dropped = 1;
         }
         dropped + skip(&mut self.inner, n - dropped)
-    }
-}
-
-impl<I: Iterator<Item = Instr>> Iterator for GroupedRuns<I> {
-    type Item = RunInstrs;
-
-    fn next(&mut self) -> Option<RunInstrs> {
-        let first = self.pending.take().or_else(|| self.inner.next())?;
-        let block = first.pc().block();
-        let asid = first.asid();
-        let mut instrs = vec![first];
-        if !first.is_taken_branch() {
-            loop {
-                match self.inner.next() {
-                    None => break,
-                    Some(i) => {
-                        if i.pc().block() != block || i.asid() != asid {
-                            self.pending = Some(i);
-                            break;
-                        }
-                        let taken = i.is_taken_branch();
-                        instrs.push(i);
-                        if taken {
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-        Some(RunInstrs {
-            block,
-            asid,
-            instrs,
-        })
     }
 }
 
@@ -434,8 +377,22 @@ mod grouped_tests {
         assert_eq!(starts as usize, expect.len(), "one start per run");
     }
 
+    /// Every run of `runs` with the instructions its sink received.
+    fn collect_runs<I: Iterator<Item = Instr>>(
+        runs: &mut GroupedRuns<I>,
+    ) -> Vec<(BlockRun, Vec<Instr>)> {
+        let mut out = Vec::new();
+        loop {
+            let mut instrs = Vec::new();
+            match runs.next_run_with(|i| instrs.push(i)) {
+                Some(run) => out.push((run, instrs)),
+                None => return out,
+            }
+        }
+    }
+
     #[test]
-    fn next_into_matches_next() {
+    fn next_run_with_matches_block_runs() {
         let mut x: u64 = 3;
         let mut instrs = Vec::new();
         for i in 0..300u64 {
@@ -450,19 +407,26 @@ mod grouped_tests {
             } else {
                 instrs.push(Instr::alu(Addr::new(i * 4)));
             }
+            if i % 90 == 89 {
+                // Context switches split runs too.
+                let last = instrs.pop().expect("just pushed");
+                instrs.push(last.with_asid(acic_types::Asid::new(1 + (i / 90) as u16)));
+            }
         }
-        let by_next: Vec<RunInstrs> = GroupedRuns::new(instrs.iter().copied()).collect();
-        let mut by_into = Vec::new();
-        let mut it = GroupedRuns::new(instrs.iter().copied());
-        let mut scratch = RunInstrs {
-            block: acic_types::BlockAddr::new(0),
-            asid: acic_types::Asid::HOST,
-            instrs: Vec::new(),
-        };
-        while it.next_into(&mut scratch) {
-            by_into.push(scratch.clone());
+        let expect: Vec<BlockRun> = BlockRuns::new(instrs.iter().copied()).collect();
+        let got = collect_runs(&mut GroupedRuns::new(instrs.iter().copied()));
+        let runs: Vec<BlockRun> = got.iter().map(|(r, _)| *r).collect();
+        assert_eq!(runs, expect, "sink reader boundaries are BlockRuns'");
+        // The sink saw every instruction exactly once, in order, and
+        // each run's instructions all belong to its block and space.
+        let sunk: Vec<Instr> = got.iter().flat_map(|(_, i)| i.iter().copied()).collect();
+        assert_eq!(sunk, instrs);
+        for (run, instrs) in &got {
+            assert_eq!(instrs.len(), run.len as usize);
+            assert!(instrs
+                .iter()
+                .all(|i| i.pc().block() == run.block && i.asid() == run.asid));
         }
-        assert_eq!(by_next, by_into);
     }
 
     #[test]
@@ -471,15 +435,13 @@ mod grouped_tests {
         let mut runs = GroupedRuns::new(instrs.iter().copied());
         // Consume one run (16 instrs) — this buffers instruction 16 as
         // the pending lookahead.
-        assert_eq!(runs.next().unwrap().instrs.len(), 16);
+        assert_eq!(runs.next_run_with(|_| {}).unwrap().len, 16);
         // Skip 10 (the pending one + 9 more): resume at instr 26.
         assert_eq!(runs.skip_instrs_with(10, crate::source::skip_instrs), 10);
-        let resumed = runs.next().unwrap();
-        assert_eq!(resumed.instrs[0].pc(), Addr::new(26 * 4));
+        let rest = collect_runs(&mut runs);
+        assert_eq!(rest[0].1[0].pc(), Addr::new(26 * 4));
         // Remaining instructions all accounted for.
-        let rest: usize = core::iter::once(resumed.instrs.len())
-            .chain(runs.map(|r| r.instrs.len()))
-            .sum();
+        let rest: usize = rest.iter().map(|(r, _)| r.len as usize).sum();
         assert_eq!(rest, 40 - 16 - 10);
     }
 
@@ -507,13 +469,13 @@ mod grouped_tests {
             }
         }
         let simple: Vec<_> = BlockRuns::new(instrs.iter().copied()).collect();
-        let grouped: Vec<_> = GroupedRuns::new(instrs.iter().copied()).collect();
+        let grouped = collect_runs(&mut GroupedRuns::new(instrs.iter().copied()));
         assert_eq!(simple.len(), grouped.len());
-        for (s, g) in simple.iter().zip(&grouped) {
-            assert_eq!(s.block, g.block);
-            assert_eq!(s.len as usize, g.instrs.len());
+        for (s, (_, g)) in simple.iter().zip(&grouped) {
+            assert_eq!(s.block, g[0].pc().block());
+            assert_eq!(s.len as usize, g.len());
         }
-        let total: usize = grouped.iter().map(|g| g.instrs.len()).sum();
+        let total: usize = grouped.iter().map(|(_, g)| g.len()).sum();
         assert_eq!(total, instrs.len());
     }
 }

@@ -6,11 +6,21 @@
 //! workload spec shape.
 
 use acic_repro::trace::{
-    BlockRuns, BranchClass, GroupedRuns, Instr, PackedTrace, TraceSource, VecTrace, SKIP_STRIDE,
+    BlockRun, BlockRuns, BranchClass, GroupedRuns, Instr, PackedTrace, TraceSource, VecTrace,
+    SKIP_STRIDE,
 };
 use acic_repro::types::{Addr, Asid};
 use acic_repro::workloads::{AppProfile, WorkloadSpec};
 use proptest::prelude::*;
+
+/// The next run of `runs` with the instructions its sink received.
+fn next_run<I: Iterator<Item = Instr>>(
+    runs: &mut GroupedRuns<I>,
+) -> Option<(BlockRun, Vec<Instr>)> {
+    let mut instrs = Vec::new();
+    let run = runs.next_run_with(|i| instrs.push(i))?;
+    Some((run, instrs))
+}
 
 /// Builds a plausible instruction stream from raw fuzz words: mostly
 /// sequential PCs with branch redirects, loads/stores with mixed
@@ -118,23 +128,23 @@ proptest! {
         let mut runs = GroupedRuns::new(packed.iter());
         let mut consumed = 0u64;
         for _ in 0..consume {
-            match runs.next() {
-                Some(r) => consumed += r.instrs.len() as u64,
+            match runs.next_run_with(|_| {}) {
+                Some(r) => consumed += r.len as u64,
                 None => break,
             }
         }
         let dropped = runs.skip_instrs_with(gap, PackedTrace::skip);
         prop_assert!(dropped <= gap);
-        let resumed = runs.next();
+        let resumed = next_run(&mut runs);
 
         let mut slow = GroupedRuns::new(tiled.iter().copied());
         let mut slow_consumed = 0u64;
         while slow_consumed < consumed {
-            slow_consumed += slow.next().expect("same stream").instrs.len() as u64;
+            slow_consumed += slow.next_run_with(|_| {}).expect("same stream").len as u64;
         }
         let slow_dropped = slow.skip_instrs_with(gap, acic_repro::trace::skip_instrs);
         prop_assert_eq!(dropped, slow_dropped);
-        prop_assert_eq!(resumed, slow.next());
+        prop_assert_eq!(resumed, next_run(&mut slow));
     }
 
     #[test]
