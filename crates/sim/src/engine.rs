@@ -35,7 +35,7 @@
 //!   and ROB are windows of it, and dispatch reads from it
 //!   ([`crate::frontend`], [`crate::backend`]). Per executed cycle the
 //!   FDP scan costs O(1) for its memoised prefix and probes only past
-//!   it ([`crate::frontend::Ftq::fdp_scan`]).
+//!   it (`Ftq::fdp_scan`).
 //!
 //! A [`SampleSchedule::Full`] run is a single unbounded detailed
 //! phase and reproduces the pre-sampling simulator bit for bit
@@ -275,10 +275,9 @@ pub(crate) struct WindowCheckpoint<'o> {
     /// [`IcacheContents::access`]).
     residency_epoch: u64,
     /// Key of the last prefetch scan — (residency epoch, L1i-MSHR
-    /// version, fetch ASID) — and the stamp issued for it. An FTQ
-    /// entry whose `pf_stamp` equals the stamp filtered under this
-    /// exact key, so its verdict still holds; the FTQ's memo prefix
-    /// holds under the stamp too.
+    /// version, fetch ASID) — and the stamp issued for it. The FTQ's
+    /// memo prefix filtered under this exact key, so it holds while
+    /// the stamp does.
     scan_key: (u64, u64, Asid),
     scan_stamp: u64,
     /// Scratch for the pending-prefetch drain (reused every cycle; the
@@ -586,12 +585,14 @@ impl WindowCheckpoint<'_> {
             // every skipped cycle instead of re-scanning.
             //
             // FDP's candidates are the FTQ entries, scanned in place
-            // with a memo: an entry that filtered under the current
-            // (residency epoch, MSHR version, fetch ASID) key counts as
-            // filtered again without probing, and the FTQ counts its
-            // memo prefix of such entries in O(1). Entangling's
-            // drained candidates are fresh every cycle and carry no
-            // memo.
+            // with a memo: the FTQ counts in O(1) its prefix of
+            // candidates that filtered under the current (residency
+            // epoch, MSHR version, fetch ASID) key. Past the prefix no
+            // verdict is kept: a candidate there filtered only after
+            // an earlier one issued, and an issue moves the MSHR
+            // version, so no later scan runs under this stamp.
+            // Entangling's drained candidates are fresh every cycle and
+            // carry no memo.
             let fdp = matches!(prefetcher, Prefetcher::Fdp);
             if fdp {
                 let key = (*residency_epoch, l1i_mshr.version_at(*now), *fetch_asid);
@@ -603,14 +604,13 @@ impl WindowCheckpoint<'_> {
                 #[cfg(debug_assertions)]
                 for e in frontend.ftq.memo_prefix(*scan_stamp) {
                     debug_assert!(
-                        e.pf_stamp == *scan_stamp
-                            && prefetch_filtered(
-                                e.tagged(),
-                                *fetch_asid,
-                                contents.as_ref(),
-                                l1i_mshr,
-                                *now
-                            ),
+                        prefetch_filtered(
+                            e.tagged(),
+                            *fetch_asid,
+                            contents.as_ref(),
+                            l1i_mshr,
+                            *now
+                        ),
                         "stale prefetch-filter memo prefix at {:?}",
                         e.tagged()
                     );
@@ -620,20 +620,12 @@ impl WindowCheckpoint<'_> {
             let mut issued = 0;
             let mut cycle_filtered = 0u64;
             let mut width_break = false;
-            let mut scan = |block: TaggedBlock, memo_hit: bool| {
+            let mut scan = |block: TaggedBlock| {
                 if issued >= cfg.prefetch_width {
                     // Unexamined candidates remain; if the set
                     // persists, the next cycle may issue from them.
                     width_break = true;
                     return ScanVerdict::Stop;
-                }
-                if memo_hit {
-                    debug_assert!(
-                        prefetch_filtered(block, *fetch_asid, contents.as_ref(), l1i_mshr, *now),
-                        "stale prefetch-filter memo for {block:?}"
-                    );
-                    cycle_filtered += 1;
-                    return ScanVerdict::Filtered;
                 }
                 if prefetch_filtered(block, *fetch_asid, contents.as_ref(), l1i_mshr, *now) {
                     cycle_filtered += 1;
@@ -656,7 +648,7 @@ impl WindowCheckpoint<'_> {
                 candidates.clear();
                 prefetcher.drain_candidates(candidates);
                 for &block in candidates.iter() {
-                    if scan(block, false) == ScanVerdict::Stop {
+                    if scan(block) == ScanVerdict::Stop {
                         break;
                     }
                 }

@@ -53,11 +53,6 @@ pub struct FtqEntry {
     /// real fetch-directed prefetcher cannot see past an unpredicted
     /// redirect.
     pub prefetchable: bool,
-    /// The engine's prefetch-scan stamp under which this entry last
-    /// filtered (ASID mismatch, resident, or in flight); 0 on push. A
-    /// match with the current scan's stamp means the verdict still
-    /// holds and the entry counts as filtered without probing.
-    pub pf_stamp: u64,
 }
 
 impl FtqEntry {
@@ -80,7 +75,6 @@ impl Default for FtqEntry {
             needs_fill: false,
             next_use: acic_trace::NO_NEXT_USE,
             prefetchable: true,
-            pf_stamp: 0,
         }
     }
 }
@@ -169,7 +163,7 @@ impl InstrArena {
 /// What a prefetch scan did with one candidate (see
 /// [`Ftq::fdp_scan`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ScanVerdict {
+pub(crate) enum ScanVerdict {
     /// Filtered — resident, in flight, or in another address space —
     /// under the scan's stamp.
     Filtered,
@@ -198,7 +192,7 @@ pub struct Ftq {
     memo_stamp: u64,
     /// Candidates in the memo prefix: queue positions `1..=memo_len`.
     memo_len: usize,
-    /// Prefetchable entries in the memo prefix (each carries
+    /// Prefetchable entries in the memo prefix (each filtered under
     /// `memo_stamp`).
     memo_filtered: u64,
 }
@@ -277,14 +271,13 @@ impl Ftq {
     ///
     /// Panics when the ring is full — the BPU checks capacity before
     /// producing.
-    pub fn push(&mut self, mut entry: FtqEntry) {
+    pub fn push(&mut self, entry: FtqEntry) {
         assert!(self.len < self.entries.len(), "FTQ overflow");
         debug_assert_eq!(
             entry.start + entry.len as u64,
             self.arena.tail,
             "an entry covers the newest run in the arena"
         );
-        entry.pf_stamp = 0;
         let slot = self.slot(self.len);
         self.entries[slot] = entry;
         self.len += 1;
@@ -300,14 +293,13 @@ impl Ftq {
     /// access), oldest first.
     ///
     /// The memo prefix counts as filtered without a visit: its count
-    /// is returned. Every later candidate goes to `visit` with whether
-    /// it already carries `stamp`, until `visit` answers
-    /// [`ScanVerdict::Stop`]. A `Filtered` candidate is stamped, and
-    /// the prefix grows over every candidate up to the first one that
-    /// did not filter. A new stamp empties the prefix.
-    pub fn fdp_scan<F>(&mut self, stamp: u64, mut visit: F) -> u64
+    /// is returned. Every later candidate goes to `visit` until it
+    /// answers [`ScanVerdict::Stop`], and the prefix grows over every
+    /// candidate up to the first one that did not filter. A new stamp
+    /// empties the prefix.
+    pub(crate) fn fdp_scan<F>(&mut self, stamp: u64, mut visit: F) -> u64
     where
-        F: FnMut(TaggedBlock, bool) -> ScanVerdict,
+        F: FnMut(TaggedBlock) -> ScanVerdict,
     {
         if stamp != self.memo_stamp {
             self.memo_stamp = stamp;
@@ -317,11 +309,10 @@ impl Ftq {
         let memoised = self.memo_filtered;
         let mut extending = true;
         for i in 1 + self.memo_len..self.len {
-            let slot = self.slot(i);
-            let e = &mut self.entries[slot];
+            let e = &self.entries[self.slot(i)];
             if e.prefetchable {
-                match visit(e.tagged(), e.pf_stamp == stamp) {
-                    ScanVerdict::Filtered => e.pf_stamp = stamp,
+                match visit(e.tagged()) {
+                    ScanVerdict::Filtered => {}
                     ScanVerdict::Issued => extending = false,
                     ScanVerdict::Stop => break,
                 }
@@ -337,7 +328,8 @@ impl Ftq {
     /// The prefetchable entries of the memo prefix when it holds under
     /// `stamp` (empty otherwise): what [`Ftq::fdp_scan`] counts as
     /// filtered without a visit. Debug builds re-probe them.
-    pub fn memo_prefix(&self, stamp: u64) -> impl Iterator<Item = &FtqEntry> {
+    #[cfg(any(test, debug_assertions))]
+    pub(crate) fn memo_prefix(&self, stamp: u64) -> impl Iterator<Item = &FtqEntry> {
         let len = if stamp == self.memo_stamp {
             self.memo_len
         } else {
@@ -986,7 +978,7 @@ mod tests {
             );
         }
         let mut blocks = Vec::new();
-        ftq.fdp_scan(1, |b, _| {
+        ftq.fdp_scan(1, |b| {
             blocks.push(b.block.raw());
             ScanVerdict::Issued
         });
@@ -1015,12 +1007,12 @@ mod tests {
                 ScanVerdict::Filtered
             }
         };
-        assert_eq!(ftq.fdp_scan(7, |b, _| verdict(b)), 0);
+        assert_eq!(ftq.fdp_scan(7, verdict), 0);
         let prefix: Vec<u64> = ftq.memo_prefix(7).map(|e| e.block.raw()).collect();
         assert_eq!(prefix, vec![1, 3]);
         // A rescan under the same stamp counts both and visits only 4.
         let mut visited = Vec::new();
-        let memo = ftq.fdp_scan(7, |b, _| {
+        let memo = ftq.fdp_scan(7, |b| {
             visited.push(b.block.raw());
             verdict(b)
         });
@@ -1030,7 +1022,7 @@ mod tests {
         ftq.pop_front();
         assert_eq!(ftq.memo_prefix(7).map(|e| e.block.raw()).next(), Some(3));
         assert_eq!(ftq.memo_prefix(8).count(), 0);
-        assert_eq!(ftq.fdp_scan(8, |b, _| verdict(b)), 0);
+        assert_eq!(ftq.fdp_scan(8, verdict), 0);
     }
 
     #[test]
@@ -1171,15 +1163,25 @@ mod tests {
         }
     }
 
-    /// The memo-free scan the prefix replaces: every candidate behind
-    /// the head, with the per-entry stamp as the only memo.
-    fn brute_scan(queue: &mut [FtqEntry], width: u64, room: u64, stamp: u64) -> Outcome {
+    /// The scan the prefix replaces: every candidate behind the head,
+    /// with a per-entry stamp (`stamps`, parallel to `queue`) as the
+    /// only memo.
+    fn brute_scan(
+        queue: &[FtqEntry],
+        stamps: &mut [u64],
+        width: u64,
+        room: u64,
+        stamp: u64,
+    ) -> Outcome {
         let mut out = (0, 0, false);
         {
             let mut visit = engine_visit(&mut out, width, room, stamp);
-            for e in queue.iter_mut().skip(1).filter(|e| e.prefetchable) {
-                match visit(e.tagged(), e.pf_stamp == stamp) {
-                    ScanVerdict::Filtered => e.pf_stamp = stamp,
+            for (e, s) in queue.iter().zip(stamps.iter_mut()).skip(1) {
+                if !e.prefetchable {
+                    continue;
+                }
+                match visit(e.tagged(), *s == stamp) {
+                    ScanVerdict::Filtered => *s = stamp,
                     ScanVerdict::Issued => {}
                     ScanVerdict::Stop => break,
                 }
@@ -1196,6 +1198,7 @@ mod tests {
         ) {
             let mut ftq = Ftq::new(6);
             let mut queue: Vec<FtqEntry> = Vec::new();
+            let mut stamps: Vec<u64> = Vec::new();
             let mut stamp = 1u64;
             for op in ops {
                 match op {
@@ -1208,27 +1211,41 @@ mod tests {
                             };
                             push_run(&mut ftq, e, &[Instr::alu(Addr::new(block * 64))]);
                             queue.push(*ftq.get(ftq.len() - 1));
+                            stamps.push(0);
                         }
                     }
                     Op::Pop => {
                         prop_assert_eq!(
                             ftq.pop_front().map(|e| e.start),
-                            (!queue.is_empty()).then(|| queue.remove(0).start)
+                            (!queue.is_empty()).then(|| {
+                                stamps.remove(0);
+                                queue.remove(0).start
+                            })
                         );
                     }
                     Op::Bump => stamp += 1,
                     Op::Scan { room } => {
                         let mut got = (0, 0, false);
-                        let memo = ftq.fdp_scan(stamp, engine_visit(&mut got, width, room, stamp));
+                        let memo = {
+                            let mut visit = engine_visit(&mut got, width, room, stamp);
+                            ftq.fdp_scan(stamp, |b| visit(b, false))
+                        };
                         got.0 += memo;
-                        prop_assert_eq!(got, brute_scan(&mut queue, width, room, stamp));
+                        prop_assert_eq!(got, brute_scan(&queue, &mut stamps, width, room, stamp));
                     }
                 }
-                let stamps: Vec<u64> = ftq.iter().map(|e| e.pf_stamp).collect();
-                let want: Vec<u64> = queue.iter().map(|e| e.pf_stamp).collect();
-                prop_assert_eq!(stamps, want);
+                // The prefix is a run of the oracle's memo hits.
+                let prefix: Vec<u64> = ftq.memo_prefix(stamp).map(|e| e.start).collect();
+                let hits: Vec<u64> = queue
+                    .iter()
+                    .zip(&stamps)
+                    .skip(1)
+                    .filter(|(e, &s)| e.prefetchable && s == stamp)
+                    .map(|(e, _)| e.start)
+                    .take(prefix.len())
+                    .collect();
+                prop_assert_eq!(&prefix, &hits);
                 for e in ftq.memo_prefix(stamp) {
-                    prop_assert_eq!(e.pf_stamp, stamp);
                     prop_assert!(filters(e.tagged(), stamp));
                 }
             }

@@ -18,11 +18,8 @@ use acic_types::{Addr, Asid, Cycle, TaggedBlock};
 /// of live `(ident, asid, ready)` entries scanned linearly. Expiry is
 /// batched: while the current cycle stays below the earliest
 /// outstanding ready time, cleanup is a single compare; once something
-/// has completed, one `retain` drops every finished entry. A 64-bit
-/// membership filter (one bit per ident's low six bits, rebuilt at
-/// expiry and extended on insert) answers most lookups for blocks not
-/// in flight — the common case of an L1d hit — without the scan. A
-/// version counter moves whenever the live set changes
+/// has completed, one `retain` drops every finished entry. A version
+/// counter moves whenever the live set changes
 /// ([`MissTracker::version_at`]). The retired `HashMap` implementation
 /// survives only as a test oracle in this module's `tests`, pinned to
 /// the flat list by an equivalence proptest.
@@ -51,15 +48,6 @@ pub struct MissTracker {
     earliest_expiry: Cycle,
     /// Bumped by every insert and every expiry.
     version: u64,
-    /// Union of [`ident_bit`] over `entries`: a clear bit proves the
-    /// ident absent.
-    filter: u64,
-}
-
-/// An ident's bit in the [`MissTracker`] membership filter.
-#[inline]
-fn ident_bit(ident: u64) -> u64 {
-    1 << (ident & 63)
 }
 
 impl MissTracker {
@@ -70,7 +58,6 @@ impl MissTracker {
             entries: Vec::with_capacity(capacity),
             earliest_expiry: Cycle::MAX,
             version: 0,
-            filter: 0,
         }
     }
 
@@ -80,7 +67,6 @@ impl MissTracker {
             return;
         }
         self.entries.retain(|&(_, _, ready)| ready > now);
-        self.filter = self.entries.iter().fold(0, |f, e| f | ident_bit(e.0));
         self.earliest_expiry = self.earliest_ready().unwrap_or(Cycle::MAX);
         self.version += 1;
     }
@@ -88,9 +74,6 @@ impl MissTracker {
     #[inline]
     fn position(&self, t: TaggedBlock) -> Option<usize> {
         let (id, asid) = (t.ident(), t.asid.raw());
-        if self.filter & ident_bit(id) == 0 {
-            return None;
-        }
         self.entries
             .iter()
             .position(|&(i, a, _)| i == id && a == asid)
@@ -135,10 +118,7 @@ impl MissTracker {
         let t = block.into();
         match self.position(t) {
             Some(i) => self.entries[i].2 = ready,
-            None => {
-                self.entries.push((t.ident(), t.asid.raw(), ready));
-                self.filter |= ident_bit(t.ident());
-            }
+            None => self.entries.push((t.ident(), t.asid.raw(), ready)),
         }
         self.earliest_expiry = self.earliest_expiry.min(ready);
         self.version += 1;
@@ -480,20 +460,14 @@ mod tests {
         #[test]
         fn flat_mshr_matches_legacy(
             capacity in 1usize..=16,
-            ops in proptest::collection::vec(
-                (0u64..32, 0u64..4, 0u16..3, 0u64..30, 1u64..400),
-                1..300,
-            ),
+            ops in proptest::collection::vec((0u64..32, 0u16..3, 0u64..30, 1u64..400), 1..300),
         ) {
             let mut flat = MissTracker::new(capacity);
             let mut legacy = LegacyMissTracker::new(capacity);
             let mut now = 0u64;
-            for &(low, high, asid, advance, latency) in &ops {
+            for &(block, asid, advance, latency) in &ops {
                 now += advance;
-                // Blocks 64 apart share their low six bits, so the
-                // membership filter's false positives take the scan.
-                let block = 0x100 + low + (high << 6);
-                let b = BlockAddr::new(block).with_asid(Asid::new(asid));
+                let b = BlockAddr::new(0x100 + block).with_asid(Asid::new(asid));
                 prop_assert_eq!(flat.lookup(b, now), legacy.lookup(b, now));
                 let was_full = legacy.full(now);
                 prop_assert_eq!(flat.full(now), was_full);

@@ -6,7 +6,7 @@
 //! and fills them on arrival (into the i-Filter for ACIC, matching
 //! Figure 9's timeline). FDP's candidates are the FTQ entries
 //! themselves, which the engine scans in place
-//! ([`crate::frontend::Ftq::fdp_scan`]); entangling queues its own.
+//! (`Ftq::fdp_scan`); entangling queues its own.
 
 use acic_types::hash::{fold, mix64};
 use acic_types::{Cycle, TaggedBlock};
