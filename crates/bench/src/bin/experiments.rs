@@ -18,10 +18,12 @@
 //! explicit `ACIC_EXP_INSTRUCTIONS` if smaller) so the figure wiring
 //! is exercisable in seconds — CI runs exactly this.
 //!
-//! The flags are parsed once into one [`acic_bench::Runner`] — budget,
-//! `--results` store, `--supervise` context, watchdog — that every
-//! figure receives, and `--dse` builds its `DseOptions` from the same
-//! values; no setting lives in a process global.
+//! The flags and the `ACIC_EXP_INSTRUCTIONS` / `ACIC_CELL_TIMEOUT_SECS`
+//! knobs are read once, here, into one [`acic_bench::Runner`] —
+//! budget, `--results` store, `--supervise` context, per-cell deadline
+//! — that every figure receives, and `--dse` builds its `DseOptions`
+//! from the same values; no setting lives in a process global. A knob
+//! set to something unusable warns on stderr and is ignored.
 //!
 //! Resume:
 //!
@@ -57,8 +59,11 @@
 //! structured [`acic_bench::runner::GridError`]) is recorded, every
 //! other selected figure still runs, and the process exits non-zero
 //! after printing a failure summary. `--fail-fast` stops at the first
-//! failure instead. `ACIC_CELL_TIMEOUT_SECS=<secs>` arms a soft per-cell
-//! watchdog that fails wedged cells instead of hanging the sweep.
+//! failure instead. `ACIC_CELL_TIMEOUT_SECS=<secs>` arms a per-cell
+//! deadline. In process a wedged thread cannot be killed, so a cell
+//! past it ends the run at once: the failure summary names the cell
+//! and the process exits 1. Every cell finished before it is already
+//! journaled under `--results`, so a rerun resumes from there.
 //!
 //! Process supervision (DESIGN.md §9):
 //!
@@ -75,8 +80,8 @@
 //! and the path of the trace the parent froze for it, which the child
 //! decodes instead of regenerating. The child runs that one cell, no
 //! figure code, and prints its result as one journal line on stdout.
-//! With supervision the per-cell watchdog
-//! becomes a *hard* timeout (the wedged child is SIGKILLed), an
+//! With supervision the per-cell deadline
+//! is per child (the wedged child is SIGKILLed and retried), an
 //! `abort()`/OOM/signal death costs one attempt of one cell instead
 //! of the campaign, and dead children are retried — transient
 //! failures (timeout, signal, spawn failure) up to
@@ -97,11 +102,13 @@
 //! the cell panicked.
 
 use acic_bench::result_store::ResultStore;
+use acic_bench::runner::{exit_with_failure_summary, panic_message, DEFAULT_INSTRUCTIONS};
 use acic_bench::supervise::SuperviseCtx;
 use acic_bench::Runner;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::Arc;
+use std::time::Duration;
 
 type Experiment = (&'static str, fn(&Runner) -> String);
 
@@ -155,6 +162,33 @@ fn all_experiments() -> Vec<Experiment> {
 /// whole figure suite runs in seconds, honoring an explicitly smaller
 /// `ACIC_EXP_INSTRUCTIONS`.
 const SMOKE_INSTRUCTIONS: u64 = 50_000;
+
+/// Instructions per cell from an `ACIC_EXP_INSTRUCTIONS`-style value:
+/// a positive count wins, zero and garbage fall back to
+/// [`DEFAULT_INSTRUCTIONS`].
+fn instruction_budget_from(var: Option<&str>) -> u64 {
+    var.and_then(|v| v.parse::<u64>().ok())
+        .filter(|&n| n >= 1)
+        .unwrap_or(DEFAULT_INSTRUCTIONS)
+}
+
+/// The per-cell deadline from an `ACIC_CELL_TIMEOUT_SECS`-style value:
+/// a positive count of seconds arms it, `0` (or unset) leaves it off.
+fn cell_timeout_from(var: Option<&str>) -> Option<Duration> {
+    var.and_then(|v| v.parse::<u64>().ok())
+        .filter(|&s| s > 0)
+        .map(Duration::from_secs)
+}
+
+/// Reads the knob `var`, warning on stderr when it is set to a value
+/// `valid` rejects (its parser then ignores it).
+fn read_knob(var: &str, valid: fn(&str) -> bool) -> Option<String> {
+    let raw = std::env::var(var).ok();
+    if let Some(r) = raw.as_deref().filter(|r| !valid(r)) {
+        eprintln!("[warning: {var}={r:?} is not a valid value; override ignored]");
+    }
+    raw
+}
 
 /// Extracts `--flag <value>` from the argument list, returning the
 /// value and removing both tokens. A flag with no value — at the end
@@ -332,9 +366,9 @@ fn run_dse_cli(cli: &Cli, runner: &Runner) -> Result<String, String> {
 }
 
 /// Builds the one [`Runner`] every figure (and the DSE sweep) runs
-/// under: the budget (capped under `--smoke`), the `--results` store,
-/// and, under `--supervise`, the supervisor's context. Exits 2 when
-/// the store cannot open.
+/// under: the budget (capped under `--smoke`), the per-cell deadline,
+/// the `--results` store, and, under `--supervise`, the supervisor's
+/// context. Exits 2 when the store cannot open.
 fn runner_from(cli: &Cli) -> Runner {
     let supervise = if cli.supervise {
         let crash_dir = cli
@@ -367,7 +401,13 @@ fn runner_from(cli: &Cli) -> Runner {
                 std::process::exit(2);
             })
     });
+    let budget = read_knob("ACIC_EXP_INSTRUCTIONS", |r| {
+        r.parse::<u64>().is_ok_and(|n| n >= 1)
+    });
+    let timeout = read_knob("ACIC_CELL_TIMEOUT_SECS", |r| r.parse::<u64>().is_ok());
     let mut runner = Runner {
+        instructions: instruction_budget_from(budget.as_deref()),
+        cell_timeout: cell_timeout_from(timeout.as_deref()),
         store,
         supervise,
         ..Runner::new()
@@ -395,12 +435,7 @@ fn main() {
     // of the run; keep each panic to one stderr line instead of the
     // default multi-line hook output.
     std::panic::set_hook(Box::new(|info| {
-        let msg = info
-            .payload()
-            .downcast_ref::<&str>()
-            .map(|s| (*s).to_string())
-            .or_else(|| info.payload().downcast_ref::<String>().cloned())
-            .unwrap_or_else(|| "non-string panic payload".into());
+        let msg = panic_message(info.payload());
         let loc = info
             .location()
             .map(|l| format!(" at {}:{}", l.file(), l.line()))
@@ -454,7 +489,7 @@ fn main() {
     // Keep-going figure loop: one failing figure must not cost the
     // rest of the sweep (its grid cells already journaled to
     // --results are kept either way).
-    let mut failures: Vec<(&'static str, String)> = Vec::new();
+    let mut failures: Vec<(String, String)> = Vec::new();
     for (name, f) in selected {
         let start = std::time::Instant::now();
         println!("==== {name} ====");
@@ -464,16 +499,11 @@ fn main() {
                 eprintln!("[{name} took {:.1}s]", start.elapsed().as_secs_f32());
             }
             Err(payload) => {
-                let msg = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| (*s).to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "non-string panic payload".into());
                 eprintln!(
                     "[{name} FAILED after {:.1}s]",
                     start.elapsed().as_secs_f32()
                 );
-                failures.push((name, msg));
+                failures.push((name.to_string(), panic_message(&*payload)));
                 if cli.fail_fast {
                     break;
                 }
@@ -481,15 +511,7 @@ fn main() {
         }
     }
     if !failures.is_empty() {
-        eprintln!("==== failure summary ====");
-        eprintln!("{} figure(s) failed:", failures.len());
-        for (name, msg) in &failures {
-            eprintln!("--- {name} ---");
-            for line in msg.trim_end().lines() {
-                eprintln!("  {line}");
-            }
-        }
-        std::process::exit(1);
+        exit_with_failure_summary("figure", &failures);
     }
 }
 
@@ -499,6 +521,30 @@ mod tests {
 
     fn argv(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn budget_override_policy() {
+        assert_eq!(instruction_budget_from(None), 1_000_000, "unset: 1M");
+        assert_eq!(instruction_budget_from(Some("20000")), 20_000);
+        assert_eq!(
+            instruction_budget_from(Some("0")),
+            1_000_000,
+            "zero rejected"
+        );
+        assert_eq!(
+            instruction_budget_from(Some("lots")),
+            1_000_000,
+            "garbage rejected"
+        );
+    }
+
+    #[test]
+    fn cell_timeout_policy() {
+        assert_eq!(cell_timeout_from(None), None, "unset: disabled");
+        assert_eq!(cell_timeout_from(Some("0")), None, "zero: disabled");
+        assert_eq!(cell_timeout_from(Some("30")), Some(Duration::from_secs(30)));
+        assert_eq!(cell_timeout_from(Some("soon")), None, "garbage rejected");
     }
 
     #[test]

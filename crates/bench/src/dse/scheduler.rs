@@ -27,7 +27,7 @@ use super::ladder::Ladder;
 use super::space::DseSpace;
 use crate::cell::{Cell, Exec};
 use crate::result_store::ResultStore;
-use crate::runner::{bench_threads, cell_timeout, execute, Batch, TraceSet};
+use crate::runner::{bench_threads, execute, Batch, TraceSet, DEFAULT_INSTRUCTIONS};
 use crate::supervise::SuperviseCtx;
 use acic_sim::{SampleSchedule, SimReport};
 use std::sync::Arc;
@@ -46,7 +46,9 @@ pub struct DseOptions {
     pub eps: f64,
     /// Journal finished cells here and replay them on resume.
     pub store: Option<Arc<ResultStore>>,
-    /// Soft per-cell watchdog (defaults to `ACIC_CELL_TIMEOUT_SECS`).
+    /// Per-cell deadline, as on [`crate::Runner::cell_timeout`]: hard
+    /// per child when supervised; in process, a cell past it ends the
+    /// run. Defaults to none.
     pub cell_timeout: Option<Duration>,
     /// Worker threads (defaults to `ACIC_BENCH_THREADS`).
     pub threads: usize,
@@ -60,15 +62,11 @@ pub struct DseOptions {
 impl Default for DseOptions {
     fn default() -> Self {
         DseOptions {
-            ladder: Ladder::new(
-                crate::runner::instruction_budget(),
-                3,
-                SampleSchedule::default_sampled(),
-            ),
+            ladder: Ladder::new(DEFAULT_INSTRUCTIONS, 3, SampleSchedule::default_sampled()),
             precision: 0.02,
             eps: 1e-3,
             store: None,
-            cell_timeout: cell_timeout(),
+            cell_timeout: None,
             threads: bench_threads(),
             supervise: None,
         }
@@ -254,8 +252,8 @@ fn interval_json((lo, hi): Interval) -> String {
 /// # Errors
 ///
 /// Returns a message listing every failed cell of the first rung that
-/// had one — panics, watchdog timeouts, and freeze failures, which
-/// fail each cell over the spec that would not freeze
+/// had one — panics, failed supervised children, and freeze failures,
+/// which fail each cell over the spec that would not freeze
 /// ([`crate::runner::CellError::Freeze`]). Cells that completed before
 /// the failure are already journaled, so a rerun resumes rather than
 /// restarts.
@@ -320,7 +318,7 @@ pub fn run_dse(space: &DseSpace, opts: &DseOptions) -> Result<DseRun, String> {
             traces: &traces,
             threads: opts.threads,
             store: opts.store.as_ref(),
-            supervise: opts.supervise.as_ref(),
+            supervise: opts.supervise.as_deref(),
             cell_timeout: opts.cell_timeout,
         });
 

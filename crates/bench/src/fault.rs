@@ -289,7 +289,7 @@ pub enum CellFault {
     /// The cell calls `abort()` — un-catchable in-process, a SIGABRT
     /// death under supervision.
     Abort,
-    /// The cell sleeps this long (soft-watchdog / hard-timeout food).
+    /// The cell sleeps this long (in-process deadline / hard-timeout food).
     Stall(Duration),
     /// The cell SIGKILLs its own process — the OOM-killer stand-in.
     Kill,

@@ -5,11 +5,11 @@
 //! reports; the `experiments` binary runs them all (`--only <name>`
 //! runs one). A figure only builds grids, so every simulated cell goes
 //! through [`Runner::run_grid`] and the one cell executor as a
-//! [`cell::Cell`]. The
-//! instruction budget defaults to 1 M instructions per application
-//! (the paper uses 500 M–1 B) and scales through the
-//! `ACIC_EXP_INSTRUCTIONS` environment variable. At that default the
-//! whole campaign's stdout is pinned by `tests/golden/campaign.txt`.
+//! [`cell::Cell`]. The instruction budget defaults to 1 M instructions
+//! per application (the paper uses 500 M–1 B); the `experiments`
+//! binary scales it through the `ACIC_EXP_INSTRUCTIONS` environment
+//! variable. At that default the whole campaign's stdout is pinned by
+//! `tests/golden/campaign.txt`.
 //!
 //! The library ships no self-tests: the container-loader, resume,
 //! window-parallel, DSE and supervision round trips are integration
@@ -37,4 +37,4 @@ pub mod runner;
 pub mod supervise;
 pub mod trace_store;
 
-pub use runner::{instruction_budget, Runner, WorkloadSpec};
+pub use runner::{Runner, WorkloadSpec};

@@ -15,12 +15,15 @@
 //! name-derived seeds), pinned by
 //! `frozen_grid_matches_generator_backed_runs` below.
 //!
-//! **Fault isolation.** Grid cells run on the detached-thread
-//! executor [`run_cells`]: each cell is wrapped in `catch_unwind`, so
-//! one panicking cell becomes one [`CellError`] instead of tearing
-//! down the whole sweep, and a soft watchdog (`ACIC_CELL_TIMEOUT_SECS`)
-//! marks cells that exceed the budget failed without killing the
-//! process. [`Runner::try_run_grid`] surfaces the per-cell outcomes
+//! **Fault isolation.** Cells run on [`run_cells`], a scoped pool:
+//! each cell is wrapped in `catch_unwind`, so one panicking cell
+//! becomes one [`CellError`] instead of tearing down the whole sweep.
+//! An armed per-cell deadline ([`Runner::cell_timeout`]) cannot kill a
+//! wedged thread, so a cell that overruns it ends the run: the failure
+//! summary names the cell and the process exits 1, with every finished
+//! cell already journaled. Hard deadlines, retries and crash reports
+//! are the supervised tier's ([`crate::supervise`]).
+//! [`Runner::try_run_grid`] surfaces the per-cell outcomes
 //! as a structured [`GridError`]; [`Runner::run_grid`] keeps the
 //! infallible signature for figure code and panics with that
 //! structured report (which the `experiments` keep-going loop then
@@ -38,9 +41,9 @@
 //! through [`Cell::run`]. Its settings arrive as values — the store,
 //! the supervisor ([`crate::supervise::SuperviseCtx`]), the watchdog —
 //! that `experiments` builds once and passes down; [`Runner::new`]
-//! reads only the three `ACIC_EXP_INSTRUCTIONS` /
-//! `ACIC_CELL_TIMEOUT_SECS` / `ACIC_BENCH_THREADS` knobs and attaches
-//! no store and no supervisor.
+//! reads no environment and attaches no store, no supervisor and no
+//! deadline. Only the worker count comes from a knob read here
+//! (`ACIC_BENCH_THREADS`, [`bench_threads`]).
 
 use crate::cell::{Cell, Exec};
 use crate::result_store::ResultStore;
@@ -50,14 +53,12 @@ use acic_trace::PackedTrace;
 use acic_workloads::AppProfile;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Once};
+use std::sync::{Arc, Mutex, Once};
 use std::time::{Duration, Instant};
 
 pub use acic_workloads::{short_name, split_budget, WorkloadSpec};
 
-static BUDGET_WARNING: Once = Once::new();
 static THREADS_WARNING: Once = Once::new();
-static TIMEOUT_WARNING: Once = Once::new();
 static OVERSUBSCRIPTION_WARNING: Once = Once::new();
 
 pub(crate) fn warn_ignored(once: &'static Once, var: &str, raw: &str) {
@@ -66,28 +67,9 @@ pub(crate) fn warn_ignored(once: &'static Once, var: &str, raw: &str) {
     });
 }
 
-/// Resolves the instruction budget from an `ACIC_EXP_INSTRUCTIONS`-
-/// style override: a parseable positive count wins, zero and garbage
-/// fall back to 1 M. Pure for testability.
-fn instruction_budget_from(var: Option<&str>) -> u64 {
-    var.and_then(|v| v.parse::<u64>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(1_000_000)
-}
-
-/// Instructions simulated per application: `ACIC_EXP_INSTRUCTIONS` or
-/// 1 M (the paper runs 500 M–1 B; shapes stabilize well below that).
-/// An override that parses to nothing usable (garbage or zero) warns
-/// once on stderr and falls back.
-pub fn instruction_budget() -> u64 {
-    let raw = std::env::var("ACIC_EXP_INSTRUCTIONS").ok();
-    if let Some(r) = raw.as_deref() {
-        if r.parse::<u64>().ok().filter(|&n| n >= 1).is_none() {
-            warn_ignored(&BUDGET_WARNING, "ACIC_EXP_INSTRUCTIONS", r);
-        }
-    }
-    instruction_budget_from(raw.as_deref())
-}
+/// Instructions simulated per cell unless a caller sets its own (the
+/// paper runs 500 M–1 B; shapes stabilize well below that).
+pub const DEFAULT_INSTRUCTIONS: u64 = 1_000_000;
 
 /// Resolves the grid worker count from an `ACIC_BENCH_THREADS`-style
 /// override and the machine's available parallelism: a parseable
@@ -138,45 +120,14 @@ pub fn split_thread_budget(budget: usize, window_threads: usize) -> (usize, bool
     }
 }
 
-/// Resolves the per-cell soft watchdog from an
-/// `ACIC_CELL_TIMEOUT_SECS`-style value: a positive integer arms the
-/// watchdog, `0` (or unset) disables it. Pure for testability.
-pub fn cell_timeout_from(var: Option<&str>) -> Option<Duration> {
-    var.and_then(|v| v.parse::<u64>().ok())
-        .filter(|&s| s > 0)
-        .map(Duration::from_secs)
-}
-
-/// Per-cell soft watchdog: `ACIC_CELL_TIMEOUT_SECS` seconds, disabled
-/// when unset or `0`. An unparseable value warns once and is ignored.
-pub fn cell_timeout() -> Option<Duration> {
-    let raw = std::env::var("ACIC_CELL_TIMEOUT_SECS").ok();
-    if let Some(r) = raw.as_deref() {
-        if r.parse::<u64>().is_err() {
-            warn_ignored(&TIMEOUT_WARNING, "ACIC_CELL_TIMEOUT_SECS", r);
-        }
-    }
-    cell_timeout_from(raw.as_deref())
-}
-
 /// Why one grid cell failed while the rest of the sweep went on.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CellError {
     /// The cell's simulation panicked; the payload message.
     Panicked(String),
-    /// The cell exceeded the soft watchdog budget.
-    TimedOut(Duration),
-    /// The cell never ran: every worker was wedged in a timed-out
-    /// cell (or the worker pool died), so no thread was left to pick
-    /// it up.
-    Starved,
     /// The cell's workload could not be frozen (a panic during
     /// materialization, or a failed handoff-file write).
     Freeze(String),
-    /// The worker thread claiming the cell died without reporting
-    /// (its panic payload unwound through `catch_unwind`); the cell
-    /// was requeued once and its worker died again.
-    WorkerLost,
     /// Under `--supervise`: every attempt of the cell's child process
     /// failed; the final attempt's exit evidence and the attempt
     /// count (full history in the crash report).
@@ -193,14 +144,7 @@ impl std::fmt::Display for CellError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CellError::Panicked(msg) => write!(f, "panicked: {msg}"),
-            CellError::TimedOut(limit) => {
-                write!(f, "exceeded the {}s cell watchdog", limit.as_secs())
-            }
-            CellError::Starved => write!(f, "starved: no live worker left to run it"),
             CellError::Freeze(msg) => write!(f, "workload freeze failed: {msg}"),
-            CellError::WorkerLost => {
-                write!(f, "its worker thread died twice without reporting")
-            }
             CellError::ChildFailed { outcome, attempts } => {
                 write!(f, "child failed after {attempts} attempt(s): {outcome}")
             }
@@ -306,212 +250,121 @@ pub struct GridRun {
     pub computed: u64,
 }
 
-fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
+/// A panic payload's message (`&str` or `String` payloads).
+pub fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
     p.downcast_ref::<&str>()
         .map(|s| (*s).to_string())
         .or_else(|| p.downcast_ref::<String>().cloned())
         .unwrap_or_else(|| "non-string panic payload".into())
 }
 
-enum Msg<T> {
-    Started(usize, Instant),
-    Finished(usize, Result<T, String>),
-    /// A worker thread terminated: `Some(i)` with a claimed cell it
-    /// never finished (the thread died mid-cell), `None` after a
-    /// normal retirement.
-    Died(Option<usize>),
-}
-
-enum St<T> {
-    Pending,
-    Running(Instant),
-    Done(Result<T, CellError>),
-}
-
-/// Sends [`Msg::Died`] when the owning worker thread terminates for
-/// *any* reason — normal retirement (no claimed cell) or an unwind
-/// that escapes `catch_unwind` (a panic payload whose `Drop` panics).
-/// The claimed cell is set on claim and cleared once its `Finished`
-/// message is on the wire, so a silent worker death always surfaces
-/// as `Died(Some(cell))`.
-struct DeathWatch<T> {
-    tx: mpsc::Sender<Msg<T>>,
-    cell: Option<usize>,
-}
-
-impl<T> Drop for DeathWatch<T> {
-    fn drop(&mut self) {
-        let _ = self.tx.send(Msg::Died(self.cell.take()));
-    }
-}
-
-fn spawn_worker<T, F>(
-    first: Option<usize>,
-    work: usize,
-    cursor: &Arc<AtomicUsize>,
-    f: &Arc<F>,
-    tx: &mpsc::Sender<Msg<T>>,
-) where
-    T: Send + 'static,
-    F: Fn(usize) -> T + Send + Sync + 'static,
-{
-    let cursor = Arc::clone(cursor);
-    let f = Arc::clone(f);
-    let tx = tx.clone();
-    std::thread::spawn(move || {
-        let mut watch = DeathWatch { tx, cell: None };
-        let mut next = first;
-        loop {
-            let i = match next.take() {
-                Some(i) => i,
-                None => cursor.fetch_add(1, Ordering::Relaxed),
-            };
-            if i >= work {
-                break;
-            }
-            watch.cell = Some(i);
-            if watch.tx.send(Msg::Started(i, Instant::now())).is_err() {
-                watch.cell = None;
-                break; // collector gone (grid already resolved)
-            }
-            let res = catch_unwind(AssertUnwindSafe(|| f(i))).map_err(|p| panic_message(&*p));
-            if watch.tx.send(Msg::Finished(i, res)).is_err() {
-                watch.cell = None;
-                break;
-            }
-            watch.cell = None;
+/// Prints the run's failure summary on stderr and exits 1: the one
+/// place that writes the `==== failure summary ====` report, for the
+/// figures `experiments` saw fail and for a cell past its in-process
+/// deadline. Each failure is a name (a figure, or a cell's label) and
+/// its message.
+pub fn exit_with_failure_summary(kind: &str, failures: &[(String, String)]) -> ! {
+    eprintln!("==== failure summary ====");
+    eprintln!("{} {kind}(s) failed:", failures.len());
+    for (name, msg) in failures {
+        eprintln!("--- {name} ---");
+        for line in msg.trim_end().lines() {
+            eprintln!("  {line}");
         }
-    });
+    }
+    std::process::exit(1);
 }
 
-/// Fault-isolated parallel map over `0..work` on **detached** worker
-/// threads: each cell runs under `catch_unwind` (a panic fails that
-/// cell alone), and with `timeout` armed a soft watchdog marks cells
-/// that exceed it [`CellError::TimedOut`] without killing the worker
-/// — the thread is presumed wedged, and if *every* worker wedges, the
-/// not-yet-started cells resolve as [`CellError::Starved`] instead of
-/// hanging the process. A wedged worker that eventually finishes has
-/// its late result discarded (the cell already failed loudly) and
-/// goes back to stealing work.
+/// Fault-isolated parallel map over `0..work` on a scoped pool of
+/// `threads` workers. An atomic cursor hands out the cells, so long
+/// cells (OPT, oracle pre-passes) never serialize behind a static
+/// chunk. Each cell runs under `catch_unwind`: a panic fails that cell
+/// alone ([`CellError::Panicked`]) and every other cell still runs.
+/// Results come back in input order.
 ///
-/// A worker thread that *dies* (an unwind `catch_unwind` cannot
-/// contain) no longer starves the queue: the cell it had claimed is
-/// requeued once onto a replacement worker, and only a second death
-/// of the same cell fails it ([`CellError::WorkerLost`]). When the
-/// last live worker dies, everything unresolved fails
-/// [`CellError::Starved`] instead of hanging.
+/// With a `deadline` (a limit and each cell's label) the calling
+/// thread watches when each running cell started. A thread cannot be
+/// killed and a scope cannot join a wedged one, so a cell past the
+/// limit ends the process through [`exit_with_failure_summary`],
+/// naming the cell; the cells that finished are already journaled.
 ///
-/// Detached threads (not `thread::scope`) are the point: a scope
-/// join would block on a hung worker forever, which is exactly the
-/// dead-process failure mode this executor exists to remove.
-pub fn run_cells<T: Send + 'static>(
+/// # Panics
+///
+/// Panics once the scope has joined if a worker thread died anyway: an
+/// unwind that escapes `catch_unwind`, such as a panic payload whose
+/// `Drop` panics. The figure then fails loudly and is not retried.
+pub fn run_cells<T: Send>(
     work: usize,
     threads: usize,
-    timeout: Option<Duration>,
-    f: impl Fn(usize) -> T + Send + Sync + 'static,
+    deadline: Option<(Duration, &dyn Fn(usize) -> String)>,
+    f: impl Fn(usize) -> T + Sync,
 ) -> Vec<Result<T, CellError>> {
-    if work == 0 {
-        return Vec::new();
-    }
-    let threads = threads.clamp(1, work);
-    let f = Arc::new(f);
-    let cursor = Arc::new(AtomicUsize::new(0));
-    let (tx, rx) = mpsc::channel::<Msg<T>>();
-    for _ in 0..threads {
-        spawn_worker(None, work, &cursor, &f, &tx);
-    }
-    // Kept only to arm replacement workers; liveness is tracked
-    // through `Died` messages, not channel disconnection.
-    let worker_tx = tx.clone();
-    drop(tx);
-
-    let mut states: Vec<St<T>> = (0..work).map(|_| St::Pending).collect();
-    let mut resolved = 0usize;
-    let mut live = threads;
-    // Cells the watchdog failed whose worker hasn't reported back:
-    // each one pins a presumed-wedged worker thread.
-    let mut wedged: std::collections::HashSet<usize> = std::collections::HashSet::new();
-    // Cells already requeued once after a worker death.
-    let mut requeued: std::collections::HashSet<usize> = std::collections::HashSet::new();
-    while resolved < work {
-        match rx.recv_timeout(Duration::from_millis(100)) {
-            Ok(Msg::Started(i, at)) => {
-                if !matches!(states[i], St::Done(_)) {
-                    states[i] = St::Running(at);
-                }
-            }
-            Ok(Msg::Finished(i, res)) => {
-                if wedged.remove(&i) {
-                    continue; // late result: the watchdog already failed this cell
-                }
-                if matches!(states[i], St::Done(_)) {
-                    continue;
-                }
-                states[i] = St::Done(res.map_err(CellError::Panicked));
-                resolved += 1;
-            }
-            Ok(Msg::Died(cell)) => {
-                live = live.saturating_sub(1);
-                if let Some(i) = cell {
-                    wedged.remove(&i);
-                    if !matches!(states[i], St::Done(_)) {
-                        if requeued.insert(i) {
-                            // First death: hand the orphaned cell to a
-                            // fresh worker, which then goes back to
-                            // stealing.
-                            states[i] = St::Pending;
-                            spawn_worker(Some(i), work, &cursor, &f, &worker_tx);
-                            live += 1;
-                        } else {
-                            states[i] = St::Done(Err(CellError::WorkerLost));
-                            resolved += 1;
+    let (cursor, finished) = (AtomicUsize::new(0), AtomicUsize::new(0));
+    let caller = std::thread::current();
+    // Per worker: the cell it is running and when that cell started.
+    let running: Vec<Mutex<Option<(usize, Instant)>>> = (0..threads.max(1).min(work))
+        .map(|_| Mutex::new(None))
+        .collect();
+    let mut slots: Vec<Option<Result<T, CellError>>> = (0..work).map(|_| None).collect();
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = running
+            .iter()
+            .map(|current| {
+                let (cursor, finished, caller, f) = (&cursor, &finished, &caller, &f);
+                scope.spawn(move || {
+                    let mut done = Vec::new();
+                    loop {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        if i >= work {
+                            return done;
                         }
+                        *current.lock().expect("watch slot") = Some((i, Instant::now()));
+                        let res = catch_unwind(AssertUnwindSafe(|| f(i)))
+                            .map_err(|p| CellError::Panicked(panic_message(&*p)));
+                        *current.lock().expect("watch slot") = None;
+                        done.push((i, res));
+                        finished.fetch_add(1, Ordering::Release);
+                        caller.unpark();
+                    }
+                })
+            })
+            .collect();
+        if let Some((limit, label)) = deadline {
+            while finished.load(Ordering::Acquire) < work
+                && workers.iter().any(|w| !w.is_finished())
+            {
+                for (w, current) in workers.iter().zip(&running) {
+                    let overdue = match *current.lock().expect("watch slot") {
+                        Some((i, at)) if !w.is_finished() && at.elapsed() > limit => Some(i),
+                        _ => None,
+                    };
+                    if let Some(i) = overdue {
+                        let why = format!("exceeded the {}s cell watchdog", limit.as_secs());
+                        exit_with_failure_summary("cell", &[(label(i), why)]);
                     }
                 }
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {}
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                // Unreachable while `worker_tx` is held; kept as a
-                // defensive backstop.
-                live = 0;
+                std::thread::park_timeout(Duration::from_millis(100));
             }
         }
-        if let Some(limit) = timeout {
-            for (i, s) in states.iter_mut().enumerate() {
-                if matches!(s, St::Running(at) if at.elapsed() > limit) {
-                    *s = St::Done(Err(CellError::TimedOut(limit)));
-                    resolved += 1;
-                    wedged.insert(i);
-                }
-            }
-            if wedged.len() >= live {
-                // Every live worker is stuck inside a timed-out cell;
-                // the queue will never drain.
-                for s in states.iter_mut() {
-                    if matches!(s, St::Pending) {
-                        *s = St::Done(Err(CellError::Starved));
-                        resolved += 1;
+        let mut lost = 0;
+        for w in workers {
+            match w.join() {
+                Ok(done) => {
+                    for (i, res) in done {
+                        slots[i] = Some(res);
                     }
                 }
+                Err(_) => lost += 1,
             }
         }
-        if live == 0 {
-            // Every worker's messages precede its `Died` in the
-            // channel, so nothing unresolved can still arrive.
-            for s in states.iter_mut() {
-                if !matches!(s, St::Done(_)) {
-                    *s = St::Done(Err(CellError::Starved));
-                    resolved += 1;
-                }
-            }
-        }
-    }
-    states
+        assert!(
+            lost == 0,
+            "{lost} cell worker thread(s) died outside catch_unwind"
+        );
+    });
+    slots
         .into_iter()
-        .map(|s| match s {
-            St::Done(r) => r,
-            _ => Err(CellError::Starved),
-        })
+        .map(|s| s.expect("every cell ran"))
         .collect()
 }
 
@@ -572,7 +425,7 @@ pub(crate) struct TraceSet {
     /// Each input spec's index into `specs`.
     slot_of: Vec<usize>,
     budget: u64,
-    held: std::sync::Mutex<Vec<Option<Result<Held, String>>>>,
+    held: Mutex<Vec<Option<Result<Held, String>>>>,
     freezes: AtomicUsize,
 }
 
@@ -590,7 +443,7 @@ impl TraceSet {
             })
             .collect();
         TraceSet {
-            held: std::sync::Mutex::new(vec![None; distinct.len()]),
+            held: Mutex::new(vec![None; distinct.len()]),
             specs: distinct,
             slot_of,
             budget,
@@ -616,7 +469,7 @@ impl TraceSet {
         &self,
         specs: impl IntoIterator<Item = usize>,
         threads: usize,
-        parent: Option<&Arc<SuperviseCtx>>,
+        parent: Option<&SuperviseCtx>,
     ) {
         let mut held = self.held.lock().expect("trace set lock");
         let mut slots: Vec<usize> = specs.into_iter().map(|a| self.slot_of[a]).collect();
@@ -627,15 +480,12 @@ impl TraceSet {
             return;
         }
         self.freezes.fetch_add(slots.len(), Ordering::Relaxed);
-        let todo: Arc<Vec<WorkloadSpec>> =
-            Arc::new(slots.iter().map(|&u| self.specs[u].clone()).collect());
-        let (budget, parent) = (self.budget, parent.cloned());
-        let frozen = run_cells(todo.len(), threads, None, move |t| {
-            let Ok(trace) = crate::trace_store::freeze(&todo[t], budget);
-            match &parent {
-                Some(ctx) => ctx
-                    .write_handoff(&todo[t], budget, &trace)
-                    .map(Held::Handoff),
+        let budget = self.budget;
+        let frozen = run_cells(slots.len(), threads, None, |t| {
+            let spec = &self.specs[slots[t]];
+            let Ok(trace) = crate::trace_store::freeze(spec, budget);
+            match parent {
+                Some(ctx) => ctx.write_handoff(spec, budget, &trace).map(Held::Handoff),
                 None => Ok(Held::Trace(trace)),
             }
         });
@@ -718,9 +568,10 @@ pub(crate) struct Batch<'a> {
     /// Replay finished cells from, and journal new ones into, here.
     pub store: Option<&'a Arc<ResultStore>>,
     /// The supervised parent's context; `None` runs in process.
-    pub supervise: Option<&'a Arc<SuperviseCtx>>,
-    /// Soft watchdog in-process; the hard per-child deadline when
-    /// supervised.
+    pub supervise: Option<&'a SuperviseCtx>,
+    /// The per-cell deadline: the hard per-child deadline when
+    /// supervised; in process, a cell past it ends the run
+    /// ([`run_cells`]).
     pub cell_timeout: Option<Duration>,
 }
 
@@ -743,9 +594,9 @@ pub(crate) struct Executed {
 /// threads), and those cells run either one child process per cell
 /// under a hard deadline ([`crate::supervise::run_one`], as a
 /// supervised parent, which hands each child its cell and its spec's
-/// trace file) or through [`Cell::run`] on the [`run_cells`] pool
-/// under the soft watchdog, each finished cell journaled as it
-/// completes.
+/// trace file) or through [`Cell::run`] on the [`run_cells`] pool,
+/// where a cell past the deadline ends the run. Each finished cell is
+/// journaled as it completes.
 pub(crate) fn execute(batch: Batch<'_>) -> Executed {
     let n = batch.cells.len();
     let traces = batch.traces;
@@ -774,58 +625,55 @@ pub(crate) fn execute(batch: Batch<'_>) -> Executed {
     }
     let computed = todo.len() as u64;
     let crash_dir = parent.map(|ctx| ctx.crash_dir.clone());
-    if !todo.is_empty() {
-        let store = batch.store.cloned();
-        let journal = move |key: &str, cell: &Cell, report: &SimReport| {
-            let Some(store) = &store else { return };
-            let put = match cell.rung() {
-                Some(r) => store.put_rung(key, r, report),
-                None => store.put(key, report),
-            };
-            if let Err(e) = put {
-                eprintln!("[results: failed to journal cell {key} ({e}); kept in memory]");
-            }
+    let journal = |i: usize, report: &SimReport| {
+        let Some(store) = batch.store else { return };
+        let put = match batch.cells[i].rung() {
+            Some(r) => store.put_rung(&keys[i], r, report),
+            None => store.put(&keys[i], report),
         };
-        let threads = batch.threads.clamp(1, todo.len());
-        let order: Vec<usize> = todo.iter().map(|&(i, _)| i).collect();
-        let todo = Arc::new(todo);
-        let (cells, coords, keys) = (Arc::new(batch.cells), batch.coords, Arc::new(keys));
-        let results: Vec<Result<SimReport, CellError>> = if let Some(ctx) = parent {
-            // The parent only journals what each child reported, so the
-            // journal stays byte-identical to the in-process path.
-            let ctx = Arc::clone(ctx);
-            let labels = batch.labels;
-            let timeout = batch.cell_timeout;
-            run_cells(todo.len(), threads, None, move |t| {
-                let (i, held) = &todo[t];
-                let report = crate::supervise::run_one(
-                    &ctx,
-                    &cells[*i],
-                    coords[*i],
-                    &keys[*i],
-                    &labels[*i],
-                    held.handoff(),
-                    timeout,
-                )?;
-                journal(&keys[*i], &cells[*i], &report);
-                Ok(report)
-            })
-            .into_iter()
-            .map(|r| r.and_then(|inner| inner))
-            .collect()
-        } else {
-            run_cells(todo.len(), threads, batch.cell_timeout, move |t| {
-                let (i, held) = &todo[t];
-                let (c, a) = coords[*i];
-                injected_cell_failure(c, a);
-                let report = cells[*i].run(held.trace());
-                journal(&keys[*i], &cells[*i], &report);
-                report
-            })
-        };
-        for (i, res) in order.into_iter().zip(results) {
-            slots[i] = Some(res);
+        if let Err(e) = put {
+            eprintln!(
+                "[results: failed to journal cell {} ({e}); kept in memory]",
+                keys[i]
+            );
         }
+    };
+    let results: Vec<Result<SimReport, CellError>> = if let Some(ctx) = parent {
+        // The parent only journals what each child reported, so the
+        // journal stays byte-identical to the in-process path.
+        run_cells(todo.len(), batch.threads, None, |t| {
+            let (i, held) = &todo[t];
+            let report = crate::supervise::run_one(
+                ctx,
+                &batch.cells[*i],
+                batch.coords[*i],
+                &keys[*i],
+                &batch.labels[*i],
+                held.handoff(),
+                batch.cell_timeout,
+            )?;
+            journal(*i, &report);
+            Ok(report)
+        })
+        .into_iter()
+        .map(|r| r.and_then(|inner| inner))
+        .collect()
+    } else {
+        let label = |t: usize| batch.labels[todo[t].0].clone();
+        let deadline = batch
+            .cell_timeout
+            .map(|limit| (limit, &label as &dyn Fn(usize) -> String));
+        run_cells(todo.len(), batch.threads, deadline, |t| {
+            let (i, held) = &todo[t];
+            let (c, a) = batch.coords[*i];
+            injected_cell_failure(c, a);
+            let report = batch.cells[*i].run(held.trace());
+            journal(*i, &report);
+            report
+        })
+    };
+    for (&(i, _), res) in todo.iter().zip(results) {
+        slots[i] = Some(res);
     }
     Executed {
         slots: slots
@@ -849,9 +697,10 @@ pub struct Runner {
     /// complete and replayed on the next run (`experiments
     /// --results`).
     pub store: Option<Arc<ResultStore>>,
-    /// Soft per-cell watchdog (the hard per-child deadline when
-    /// supervised); [`Runner::new`] reads `ACIC_CELL_TIMEOUT_SECS`
-    /// ([`cell_timeout`]).
+    /// Per-cell deadline: the hard per-child deadline when supervised;
+    /// in process, a cell past it ends the run with a failure summary
+    /// ([`run_cells`]). `experiments` sets it from
+    /// `ACIC_CELL_TIMEOUT_SECS`; [`Runner::new`] leaves it off.
     pub cell_timeout: Option<Duration>,
     /// Window-parallel workers per cell: `0` runs the serial engine
     /// ([`acic_sim::Engine::run`]), `>= 1` fans each sampled cell's
@@ -869,14 +718,15 @@ pub struct Runner {
 }
 
 impl Runner {
-    /// Creates a runner with the standard LRU+FDP baseline, no store
-    /// and no supervisor.
+    /// Creates a runner with the standard LRU+FDP baseline at
+    /// [`DEFAULT_INSTRUCTIONS`], no store, no supervisor and no
+    /// deadline. It reads no environment.
     pub fn new() -> Self {
         Runner {
-            instructions: instruction_budget(),
+            instructions: DEFAULT_INSTRUCTIONS,
             baseline: SimConfig::default(),
             store: None,
-            cell_timeout: cell_timeout(),
+            cell_timeout: None,
             window_threads: 0,
             supervise: None,
         }
@@ -925,8 +775,8 @@ impl Runner {
     /// the grid's cells go through the one cell executor, a failing
     /// cell becomes one entry in the returned [`GridError`] while
     /// every other cell still completes (and is journaled when a
-    /// store is attached), and the soft watchdog fails wedged cells
-    /// instead of hanging the sweep.
+    /// store is attached). An in-process cell past
+    /// [`Runner::cell_timeout`] ends the run instead ([`run_cells`]).
     ///
     /// # Errors
     ///
@@ -993,7 +843,7 @@ impl Runner {
             traces: &traces,
             threads,
             store: self.store.as_ref(),
-            supervise: self.supervise.as_ref(),
+            supervise: self.supervise.as_deref(),
             cell_timeout: self.cell_timeout,
         });
         if self.store.is_some() {
@@ -1074,22 +924,6 @@ mod tests {
     use acic_sim::{Engine, SampleSchedule};
 
     #[test]
-    fn budget_override_policy() {
-        assert_eq!(instruction_budget_from(None), 1_000_000, "unset: 1M");
-        assert_eq!(instruction_budget_from(Some("20000")), 20_000);
-        assert_eq!(
-            instruction_budget_from(Some("0")),
-            1_000_000,
-            "zero rejected"
-        );
-        assert_eq!(
-            instruction_budget_from(Some("lots")),
-            1_000_000,
-            "garbage rejected"
-        );
-    }
-
-    #[test]
     fn thread_override_policy() {
         assert_eq!(bench_threads_from(None, 8), 8, "no override: available");
         assert_eq!(bench_threads_from(Some("3"), 8), 3, "override wins");
@@ -1097,14 +931,6 @@ mod tests {
         assert_eq!(bench_threads_from(Some("lots"), 8), 8, "garbage rejected");
         assert_eq!(bench_threads_from(Some("16"), 8), 16, "may exceed cores");
         assert_eq!(bench_threads_from(None, 0), 1, "clamped to >= 1");
-    }
-
-    #[test]
-    fn cell_timeout_policy() {
-        assert_eq!(cell_timeout_from(None), None, "unset: disabled");
-        assert_eq!(cell_timeout_from(Some("0")), None, "zero: disabled");
-        assert_eq!(cell_timeout_from(Some("30")), Some(Duration::from_secs(30)));
-        assert_eq!(cell_timeout_from(Some("soon")), None, "garbage rejected");
     }
 
     #[test]
@@ -1145,31 +971,6 @@ mod tests {
     }
 
     #[test]
-    fn run_cells_watchdog_fails_stuck_cells_and_starves_the_rest() {
-        // One worker, first cell sleeps far past the watchdog: cell 0
-        // times out, and with the only worker wedged, cells 1 and 2
-        // must resolve as starved instead of hanging the process.
-        let limit = Duration::from_millis(150);
-        let start = Instant::now();
-        let results = run_cells(3, 1, Some(limit), |i| {
-            if i == 0 {
-                std::thread::sleep(Duration::from_secs(20));
-            }
-            i
-        });
-        assert!(
-            start.elapsed() < Duration::from_secs(10),
-            "watchdog returned without waiting for the sleeper"
-        );
-        assert_eq!(
-            results[0].as_ref().unwrap_err(),
-            &CellError::TimedOut(limit)
-        );
-        assert_eq!(results[1].as_ref().unwrap_err(), &CellError::Starved);
-        assert_eq!(results[2].as_ref().unwrap_err(), &CellError::Starved);
-    }
-
-    #[test]
     fn grid_failure_report_is_structured() {
         let e = GridError {
             completed: 3,
@@ -1202,7 +1003,7 @@ mod tests {
         failures.push(CellFailure {
             config: "config 0 'LRU'".into(),
             spec: "spec 'x264'".into(),
-            error: CellError::Starved,
+            error: CellError::Freeze("no trace".into()),
         });
         let e = GridError {
             completed: 870 - 26,
@@ -1220,15 +1021,14 @@ mod tests {
             "exactly the first 10 exemplars are listed"
         );
         // The singleton keeps the compact one-line form.
-        assert!(text.contains("[config 0 'LRU' x spec 'x264']: starved"));
+        assert!(text.contains("[config 0 'LRU' x spec 'x264']: workload freeze failed: no trace"));
         assert!(text.contains("crash reports: crash-reports"));
     }
 
     /// A panic payload whose `Drop` re-panics: `catch_unwind` catches
     /// the original panic, but dropping the payload inside `map_err`
     /// panics *again* outside any catch, killing the worker thread
-    /// without aborting the process — the worker-death shape
-    /// `run_cells` must survive.
+    /// without aborting the process.
     struct GrenadePayload;
     impl Drop for GrenadePayload {
         // The original unwind was already caught when the payload is
@@ -1241,35 +1041,26 @@ mod tests {
     }
 
     #[test]
-    fn run_cells_requeues_a_dead_workers_cell_once() {
-        // Cell 1 kills its worker thread on the first attempt and
-        // succeeds on the second; with another live worker around the
-        // cell must be requeued and complete, not resolve Starved.
-        let attempts = Arc::new(AtomicUsize::new(0));
-        let attempts_in = Arc::clone(&attempts);
-        let results = run_cells(4, 2, None, move |i| {
-            if i == 1 && attempts_in.fetch_add(1, Ordering::Relaxed) == 0 {
-                std::panic::panic_any(GrenadePayload);
-            }
-            i * 10
-        });
-        for (i, r) in results.iter().enumerate() {
-            assert_eq!(*r.as_ref().unwrap(), i * 10, "cell {i} completed");
+    fn run_cells_panics_after_a_worker_dies_and_runs_every_other_cell() {
+        // Cell 1 kills its worker thread; the other worker drains the
+        // queue, and the pool panics once the scope has joined instead
+        // of returning a partial result or hanging.
+        let ran: Vec<AtomicUsize> = (0..6).map(|_| AtomicUsize::new(0)).collect();
+        let start = Instant::now();
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            run_cells(ran.len(), 2, None, |i| {
+                ran[i].fetch_add(1, Ordering::Relaxed);
+                if i == 1 {
+                    std::panic::panic_any(GrenadePayload);
+                }
+                i
+            })
+        }));
+        assert!(outcome.is_err(), "a dead worker fails the pool");
+        for (i, n) in ran.iter().enumerate() {
+            assert_eq!(n.load(Ordering::Relaxed), 1, "cell {i} ran once");
         }
-        assert_eq!(attempts.load(Ordering::Relaxed), 2, "cell 1 ran twice");
-    }
-
-    #[test]
-    fn run_cells_gives_up_after_a_second_worker_death() {
-        let results = run_cells(3, 2, None, |i| {
-            if i == 1 {
-                std::panic::panic_any(GrenadePayload);
-            }
-            i
-        });
-        assert_eq!(results[1].as_ref().unwrap_err(), &CellError::WorkerLost);
-        assert_eq!(*results[0].as_ref().unwrap(), 0, "other cells unaffected");
-        assert_eq!(*results[2].as_ref().unwrap(), 2);
+        assert!(start.elapsed() < Duration::from_secs(10), "bounded time");
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Process-supervised cell execution: hard isolation, retry with
 //! backoff, and crash forensics.
 //!
-//! The in-process grid runner (`runner.rs`) isolates cells with
-//! `catch_unwind` and a *soft* watchdog: a wedged worker is written
-//! off but leaks, and an `abort()` or OOM kill in any cell tears down
-//! the whole campaign. Under `--supervise` the parent instead
+//! The in-process cell pool (`runner::run_cells`) isolates panics
+//! with `catch_unwind`, but a wedged cell can only end the run at its
+//! deadline, and an `abort()` or OOM kill in any cell tears down the
+//! whole campaign. Under `--supervise` the parent instead
 //! self-execs **one child process per cell** as `experiments
 //! --run-cell` and writes one message to the child's stdin
 //! ([`message`]): the cell's canonical encoding ([`crate::cell`]), its

@@ -232,3 +232,55 @@ fn a_stalled_cell_is_failed_by_the_watchdog_not_hung_forever() {
     assert!(se.contains("==== failure summary ===="), "stderr: {se}");
     assert!(se.contains("cell watchdog"), "stderr: {se}");
 }
+
+#[test]
+fn an_in_process_overrun_ends_the_run_and_leaves_it_resumable() {
+    let results = scratch("overrun");
+    let results_arg = results.to_str().unwrap();
+    let clean = experiments()
+        .args(["--only", "table3_mpki"])
+        .output()
+        .unwrap();
+    assert!(clean.status.success(), "stderr: {}", stderr(&clean));
+
+    // One worker journals cells 0..=4, then cell 5 stalls past the
+    // deadline: the run ends loudly long before the stall would.
+    let start = std::time::Instant::now();
+    let overrun = experiments()
+        .env("ACIC_BENCH_THREADS", "1")
+        .env("ACIC_CELL_TIMEOUT_SECS", "1")
+        .env("ACIC_STALL_CELL", "0:5:30000")
+        .args(["--only", "table3_mpki", "--results", results_arg])
+        .output()
+        .unwrap();
+    assert_eq!(
+        overrun.status.code(),
+        Some(1),
+        "stderr: {}",
+        stderr(&overrun)
+    );
+    assert!(
+        start.elapsed() < std::time::Duration::from_secs(25),
+        "the deadline must end the run long before the 30s stall ends"
+    );
+    let se = stderr(&overrun);
+    assert!(se.contains("==== failure summary ===="), "stderr: {se}");
+    assert!(se.contains("exceeded the 1s cell watchdog"), "stderr: {se}");
+
+    // Ending the run cost nothing journaled: a rerun without the stall
+    // replays the finished cells and prints the clean run's rows.
+    let resumed = experiments()
+        .env("ACIC_BENCH_THREADS", "1")
+        .args(["--only", "table3_mpki", "--results", results_arg])
+        .output()
+        .unwrap();
+    assert!(resumed.status.success(), "stderr: {}", stderr(&resumed));
+    assert!(
+        stderr(&resumed).contains("[results: 5 replayed, 5 computed]"),
+        "stderr: {}",
+        stderr(&resumed)
+    );
+    assert_eq!(stdout(&resumed), stdout(&clean), "resume is bit-identical");
+
+    std::fs::remove_dir_all(&results).ok();
+}
