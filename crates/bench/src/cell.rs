@@ -1,4 +1,5 @@
-//! One unit of work: a [`Cell`] and its one canonical encoding.
+//! One unit of work: a [`Cell`], and the one canonical encoding of
+//! everything the harness hands between processes or to disk.
 //!
 //! A cell is everything that decides a report: the workload spec, the
 //! simulator configuration, the budget its spec freezes at, and how
@@ -6,16 +7,21 @@
 //! the one executor (`runner::execute`), which runs each through
 //! [`Cell::run`], in process or in a supervised child.
 //!
-//! **Encoding.** [`Cell::encode`] writes a compact JSON object with
-//! every field of the spec's [`AppProfile`]s, of [`SimConfig`], of
-//! [`AcicConfig`] and of every [`IcacheOrg`] variant, through the
-//! report codec's bit-exact helpers (integers as decimal strings,
-//! `f64`s in shortest round-trip form); [`Cell::decode`] reads it
-//! back, and decode then encode reproduces the bytes. Structs are
-//! written by destructuring without `..` and read by struct literals,
-//! and enum tags by exhaustive matches, so a new field or variant
-//! does not compile until it is encoded. A supervised parent sends
-//! this encoding to its child (`crate::supervise`).
+//! **Encoding.** One codec, the crate-private `Canon` trait, writes
+//! cells, the [`SimReport`]s the result journal stores
+//! (`crate::result_store`) and the message a supervised parent sends
+//! its child (`crate::supervise`). It writes compact JSON: integers
+//! as decimal strings (the workspace JSON reader models numbers as
+//! `f64`, which is lossy above 2^53), `f64`s in their shortest
+//! round-trip form (non-finite values as the strings
+//! `"NaN"`/`"inf"`/`"-inf"`), absent optional blocks as `null`, and
+//! structs as objects with one member per field in declaration order.
+//! Decoding is bit-exact, and decode then encode reproduces the bytes.
+//! Structs are written by destructuring without `..` and read by
+//! struct literals, and enum tags by exhaustive matches, so a new field
+//! or variant does not compile until it is encoded. No other module
+//! knows these conventions: the journal and the supervisor call only
+//! `enc`/`dec`.
 //!
 //! **Keys.** A cell's journal key ([`cell_key`], [`windowed_cell_key`],
 //! [`dse_cell_key`]) is the spec's readable `store_key` prefix, then
@@ -27,15 +33,19 @@
 //! journaled cell at once.
 
 use crate::json::Json;
-use crate::result_store::{esc, jf, ju, s_arr, s_f64, s_str, s_u64};
-use acic_cache::CacheGeometry;
-use acic_core::{AcicConfig, PredictorKind, UpdateMode};
+use acic_cache::{CacheGeometry, CacheStats};
+use acic_core::{AcicConfig, AcicStats, CshrStats, PredictorKind, UpdateMode};
+use acic_sim::branch::btb::BtbStats;
+use acic_sim::branch::tage::TageStats;
 use acic_sim::{
-    BranchSwitchMode, Engine, IcacheOrg, PrefetcherKind, SampleSchedule, SimConfig, SimReport,
+    BranchStats, BranchSwitchMode, Engine, IcacheOrg, PrefetchStats, PrefetcherKind,
+    SampleSchedule, SampledStats, SimConfig, SimReport,
 };
 use acic_trace::{PackedTrace, Truncated};
 use acic_types::hash::{fnv1a, FNV_OFFSET};
+use acic_types::stats::Ratio;
 use acic_workloads::{AppProfile, WorkloadSpec};
+use std::path::PathBuf;
 
 /// Stamped into every cell key. Bump it when a model change moves
 /// reports without changing any encoded field, so journals written
@@ -176,11 +186,36 @@ pub fn dse_cell_key(
     format!("{}-r{rung}", cell_key(spec, full_instructions, cfg))
 }
 
-/// A value with one canonical JSON encoding; `what` names the field
-/// in decode errors.
-trait Canon: Sized {
+/// A value with one canonical JSON encoding (module docs); `what`
+/// names the field in decode errors.
+pub(crate) trait Canon: Sized {
     fn enc(&self) -> String;
     fn dec(j: Option<&Json>, what: &str) -> Result<Self, String>;
+}
+
+/// `s` as a JSON string literal.
+fn esc(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
+fn s_str(j: Option<&Json>, what: &str) -> Result<String, String> {
+    j.and_then(Json::str_val)
+        .map(String::from)
+        .ok_or_else(|| format!("{what}: expected string"))
 }
 
 /// Integers, as decimal strings.
@@ -188,10 +223,14 @@ macro_rules! canon_int {
     ($($t:ty),*) => {$(
         impl Canon for $t {
             fn enc(&self) -> String {
-                ju(u64::try_from(*self).expect("fits in u64"))
+                format!("\"{self}\"")
             }
             fn dec(j: Option<&Json>, what: &str) -> Result<Self, String> {
-                <$t>::try_from(s_u64(j, what)?).map_err(|_| format!("{what}: out of range"))
+                let v: u64 = j
+                    .and_then(Json::str_val)
+                    .and_then(|s| s.parse().ok())
+                    .ok_or_else(|| format!("{what}: expected u64 string"))?;
+                <$t>::try_from(v).map_err(|_| format!("{what}: out of range"))
             }
         }
     )*};
@@ -199,12 +238,30 @@ macro_rules! canon_int {
 
 canon_int!(u64, usize, u32);
 
+/// Shortest round-trip form; non-finite values as strings.
 impl Canon for f64 {
     fn enc(&self) -> String {
-        jf(*self)
+        if self.is_nan() {
+            "\"NaN\"".into()
+        } else if *self == f64::INFINITY {
+            "\"inf\"".into()
+        } else if *self == f64::NEG_INFINITY {
+            "\"-inf\"".into()
+        } else {
+            format!("{self:?}")
+        }
     }
     fn dec(j: Option<&Json>, what: &str) -> Result<Self, String> {
-        s_f64(j, what)
+        match j {
+            Some(Json::Num(n)) => Ok(*n),
+            Some(Json::Str(s)) => match s.as_str() {
+                "NaN" => Ok(f64::NAN),
+                "inf" => Ok(f64::INFINITY),
+                "-inf" => Ok(f64::NEG_INFINITY),
+                _ => Err(format!("{what}: bad f64 string {s:?}")),
+            },
+            _ => Err(format!("{what}: expected f64")),
+        }
     }
 }
 
@@ -229,10 +286,38 @@ impl Canon for String {
     }
 }
 
+/// Paths, as strings (non-UTF-8 names lossily).
+impl Canon for PathBuf {
+    fn enc(&self) -> String {
+        esc(&self.to_string_lossy())
+    }
+    fn dec(j: Option<&Json>, what: &str) -> Result<Self, String> {
+        s_str(j, what).map(PathBuf::from)
+    }
+}
+
+/// `null` when absent; the member itself must be present.
+impl<T: Canon> Canon for Option<T> {
+    fn enc(&self) -> String {
+        self.as_ref().map_or_else(|| "null".into(), Canon::enc)
+    }
+    fn dec(j: Option<&Json>, what: &str) -> Result<Self, String> {
+        match j {
+            None => Err(format!("missing {what}")),
+            Some(Json::Null) => Ok(None),
+            j => T::dec(j, what).map(Some),
+        }
+    }
+}
+
+fn enc_items<T: Canon>(items: &[T]) -> String {
+    let items: Vec<String> = items.iter().map(Canon::enc).collect();
+    format!("[{}]", items.join(","))
+}
+
 impl<T: Canon> Canon for Vec<T> {
     fn enc(&self) -> String {
-        let items: Vec<String> = self.iter().map(Canon::enc).collect();
-        format!("[{}]", items.join(","))
+        enc_items(self)
     }
     fn dec(j: Option<&Json>, what: &str) -> Result<Self, String> {
         match j {
@@ -242,32 +327,61 @@ impl<T: Canon> Canon for Vec<T> {
     }
 }
 
+/// Arrays, as JSON arrays of exactly `N` items.
+impl<T: Canon, const N: usize> Canon for [T; N] {
+    fn enc(&self) -> String {
+        enc_items(self)
+    }
+    fn dec(j: Option<&Json>, what: &str) -> Result<Self, String> {
+        Vec::<T>::dec(j, what)?
+            .try_into()
+            .map_err(|v: Vec<T>| format!("{what}: expected {N} items, got {}", v.len()))
+    }
+}
+
 impl<T: Canon> Canon for (T, T) {
     fn enc(&self) -> String {
         format!("[{},{}]", self.0.enc(), self.1.enc())
     }
     fn dec(j: Option<&Json>, what: &str) -> Result<Self, String> {
-        let a = s_arr(j, 2, what)?;
-        Ok((T::dec(Some(&a[0]), what)?, T::dec(Some(&a[1]), what)?))
+        let [a, b] = <[T; 2]>::dec(j, what)?;
+        Ok((a, b))
+    }
+}
+
+/// `[numerator, denominator]`.
+impl Canon for Ratio {
+    fn enc(&self) -> String {
+        [self.numerator(), self.denominator()].enc()
+    }
+    fn dec(j: Option<&Json>, what: &str) -> Result<Self, String> {
+        let [num, den] = <[u64; 2]>::dec(j, what)?;
+        Ok(Ratio::from_parts(num, den))
     }
 }
 
 /// Structs, as objects with one member per field in declaration order.
 macro_rules! canon_struct {
     ($t:ident { $($f:ident),* $(,)? }) => {
-        impl Canon for $t {
+        impl $crate::cell::Canon for $t {
             fn enc(&self) -> String {
                 let $t { $($f),* } = self;
-                let members = [$(format!("\"{}\":{}", stringify!($f), $f.enc())),*];
+                let members = [$(format!(
+                    "\"{}\":{}",
+                    stringify!($f),
+                    $crate::cell::Canon::enc($f)
+                )),*];
                 format!("{{{}}}", members.join(","))
             }
-            fn dec(j: Option<&Json>, what: &str) -> Result<Self, String> {
+            fn dec(j: Option<&$crate::json::Json>, what: &str) -> Result<Self, String> {
                 let j = j.ok_or_else(|| format!("missing {what}"))?;
-                Ok($t { $($f: Canon::dec(j.get(stringify!($f)), stringify!($f))?),* })
+                Ok($t { $($f: $crate::cell::Canon::dec(j.get(stringify!($f)), stringify!($f))?),* })
             }
         }
     };
 }
+
+pub(crate) use canon_struct;
 
 canon_struct!(Cell {
     spec,
@@ -341,6 +455,90 @@ canon_struct!(AcicConfig {
     cshr_tag_bits,
     predictor,
     update_mode,
+});
+
+canon_struct!(SimReport {
+    app,
+    org,
+    total_instructions,
+    total_cycles,
+    measured_instructions,
+    measured_cycles,
+    l1i,
+    l1d,
+    l2,
+    l3,
+    dram_accesses,
+    branch,
+    prefetch,
+    context_switches,
+    acic,
+    cshr,
+    cshr_lifetimes,
+    sampled,
+    window_ipc,
+    window_mpki,
+});
+
+canon_struct!(CacheStats {
+    demand_accesses,
+    demand_misses,
+    prefetch_accesses,
+    prefetch_misses,
+    demand_fills,
+    prefetch_fills,
+    evictions,
+    bypasses,
+    flushed_lines,
+});
+
+canon_struct!(BranchStats {
+    mispredicts,
+    tage,
+    btb
+});
+
+canon_struct!(TageStats {
+    predictions,
+    mispredictions
+});
+
+canon_struct!(BtbStats {
+    lookups,
+    misses,
+    wrong_target
+});
+
+canon_struct!(PrefetchStats { issued, filtered });
+
+canon_struct!(AcicStats {
+    decisions,
+    admitted,
+    bypassed,
+    free_admissions,
+    accuracy,
+    oracle_admits,
+    insert_delta,
+});
+
+canon_struct!(CshrStats {
+    inserted,
+    victim_first,
+    contender_first,
+    evicted_unresolved,
+});
+
+canon_struct!(SampledStats {
+    windows,
+    detailed_instructions,
+    warmup_instructions,
+    fastforward_instructions,
+    ipc_mean,
+    ipc_ci95,
+    mpki_mean,
+    mpki_ci95,
+    est_total_cycles,
+    est_total_misses,
 });
 
 /// Fieldless enums, as string tags.

@@ -10,28 +10,28 @@
 //! sweep replays finished cells from disk and simulates only the
 //! rest; the DSE driver sits on this store.
 //!
-//! **Journal format** (`acic-results/v3`). Line 1 is the schema
-//! header `{"schema":"acic-results/v3"}`; every further line is one
+//! **Journal format** (`acic-results/v4`). Line 1 is the schema
+//! header `{"schema":"acic-results/v4"}`; every further line is one
 //! cell: `{"key":K,"rung":G,"crc":C,"report":R}` where `G` is the
 //! cell's fidelity rung on the DSE ladder (`null` for plain grid
-//! cells, a decimal-string rung index for [`dse_cell_key`] cells) and
-//! `C` is the FNV-1a 64 hash (16 hex digits) of `K`, a zero byte, the
-//! serialized `G`, a zero byte, and the serialized `R`. v3 changed
+//! cells, a decimal-string rung index for [`dse_cell_key`] cells), `R`
+//! is the report in the canonical encoding of [`crate::cell`] (one
+//! named member per [`SimReport`] field, bit-exact: integers as
+//! decimal strings, `f64`s in shortest round-trip form) and `C` is
+//! the FNV-1a 64 hash (16 hex digits) of `K`, a zero byte, the
+//! serialized `G`, a zero byte, and the serialized `R`. v4 replaced
+//! v3's positional report arrays with those named members; v3 changed
 //! the keys, not the line: v2 keys hashed the config's `Debug` text
 //! and left profile parameters out. Older journals (v1 without the
-//! rung field, v2 with the old keys) are rejected by the schema
-//! header — loudly, never misread as v3.
-//! Reports serialize every `u64` as a decimal *string* (the workspace
-//! JSON reader models numbers as `f64`, which is lossy above 2^53)
-//! and every `f64` through its shortest round-trip form (non-finite
-//! values as the strings `"NaN"`/`"inf"`/`"-inf"`), so decoding is
-//! bit-exact — pinned by the round-trip tests below.
+//! rung field, v2 with the old keys, v3 with positional reports) are
+//! rejected by the schema header — loudly, never misread as v4.
 //!
 //! **Failure model.** The journal is rewritten whole through
 //! [`crate::fault::write_atomic`] (sibling tmp + fsync + rename +
 //! directory fsync) on every [`ResultStore::put`], so a crash leaves
 //! either the previous journal or the new one, never a tear at the
-//! final path. Reading drops any line that fails to parse or
+//! final path. The store keeps every entry's line as read or written,
+//! so a put encodes only its own report. Reading drops any line that fails to parse or
 //! checksum — loudly, on stderr — and the affected cells simply
 //! recompute (deterministically, so resume can lose wall-clock but
 //! never correctness). A failed journal write keeps the entry in
@@ -50,14 +50,10 @@
 //! independent of completion order (the `BTreeMap` rewrite sorts by
 //! key).
 
+use crate::cell::Canon;
 use crate::json::Json;
-use acic_cache::CacheStats;
-use acic_core::{AcicStats, CshrStats};
-use acic_sim::branch::btb::BtbStats;
-use acic_sim::branch::tage::TageStats;
-use acic_sim::{BranchStats, PrefetchStats, SampledStats, SimReport};
+use acic_sim::SimReport;
 use acic_types::hash::{fnv1a, FNV_OFFSET};
-use acic_types::stats::Ratio;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
@@ -67,8 +63,9 @@ pub use crate::cell::{cell_key, dse_cell_key, windowed_cell_key};
 /// Journal schema tag; bump on any encoding change so an old journal
 /// is rejected loudly instead of decoded wrong. v2 added the
 /// fidelity-rung field (and folded it into the line CRC); v3 keys
-/// cells by the hash of their canonical encoding.
-pub const SCHEMA: &str = "acic-results/v3";
+/// cells by the hash of their canonical encoding; v4 writes reports
+/// in that encoding too.
+pub const SCHEMA: &str = "acic-results/v4";
 
 const JOURNAL_NAME: &str = "results.jsonl";
 
@@ -119,6 +116,9 @@ impl std::error::Error for ResultStoreError {}
 pub(crate) struct Entry {
     pub(crate) rung: Option<u32>,
     pub(crate) report: SimReport,
+    /// The entry's journal line, kept so that rewriting the journal
+    /// concatenates lines instead of re-encoding every report.
+    line: String,
 }
 
 /// The resumable cell store: an in-memory map mirrored to the
@@ -250,30 +250,25 @@ impl ResultStore {
     }
 
     fn put_entry(&self, key: &str, rung: Option<u32>, report: &SimReport) -> std::io::Result<()> {
+        let line = encode_entry(key, rung, report);
         let mut entries = self.entries.lock().unwrap();
         entries.insert(
             key.to_string(),
             Entry {
                 rung,
                 report: report.clone(),
+                line,
             },
         );
         let mut out = String::new();
         out.push_str("{\"schema\":\"");
         out.push_str(SCHEMA);
         out.push_str("\"}\n");
-        for (k, e) in entries.iter() {
-            out.push_str(&encode_entry(k, e.rung, &e.report));
+        for e in entries.values() {
+            out.push_str(&e.line);
             out.push('\n');
         }
         crate::fault::write_atomic(&self.journal, out.as_bytes())
-    }
-}
-
-fn rung_json(rung: Option<u32>) -> String {
-    match rung {
-        None => "null".into(),
-        Some(r) => format!("\"{r}\""),
     }
 }
 
@@ -286,11 +281,10 @@ fn line_crc(key: &str, rung: &str, report_json: &str) -> u64 {
 }
 
 pub(crate) fn encode_entry(key: &str, rung: Option<u32>, report: &SimReport) -> String {
-    let r = report_to_json(report);
-    let g = rung_json(rung);
+    let (r, g) = (report.enc(), rung.enc());
     format!(
         "{{\"key\":{},\"rung\":{g},\"crc\":\"{:016x}\",\"report\":{r}}}",
-        esc(key),
+        key.to_string().enc(),
         line_crc(key, &g, &r)
     )
 }
@@ -299,375 +293,42 @@ pub(crate) fn decode_entry(line: &str) -> Result<(String, Entry), String> {
     // The CRC is computed over the serialized report substring, so
     // re-extract it verbatim rather than re-encoding the parse.
     let doc = Json::parse(line).map_err(|e| format!("bad JSON: {e}"))?;
-    let key = doc
-        .get("key")
-        .and_then(Json::str_val)
-        .ok_or("missing key")?;
-    let rung = match doc.get("rung") {
-        None => return Err("missing rung".into()),
-        Some(Json::Null) => None,
-        Some(Json::Str(s)) => Some(s.parse::<u32>().map_err(|e| format!("bad rung: {e}"))?),
-        Some(_) => return Err("rung: expected null or string".into()),
-    };
-    let crc = doc
-        .get("crc")
-        .and_then(Json::str_val)
-        .ok_or("missing crc")?;
-    let crc = u64::from_str_radix(crc, 16).map_err(|e| format!("bad crc: {e}"))?;
+    let key = String::dec(doc.get("key"), "key")?;
+    let rung = Option::<u32>::dec(doc.get("rung"), "rung")?;
+    let crc = String::dec(doc.get("crc"), "crc")?;
+    let crc = u64::from_str_radix(&crc, 16).map_err(|e| format!("bad crc: {e}"))?;
     let marker = "\"report\":";
     let at = line.find(marker).ok_or("missing report")?;
     let report_json = line[at + marker.len()..]
         .trim_end()
         .strip_suffix('}')
         .ok_or("unterminated entry")?;
-    if line_crc(key, &rung_json(rung), report_json) != crc {
+    if line_crc(&key, &rung.enc(), report_json) != crc {
         return Err("checksum mismatch".into());
     }
-    let report = report_from_json(doc.get("report").ok_or("missing report")?)?;
-    Ok((key.to_string(), Entry { rung, report }))
+    let report = SimReport::dec(doc.get("report"), "report")?;
+    let line = line.trim_end().to_string();
+    Ok((key, Entry { rung, report, line }))
 }
 
-// ---- SimReport <-> JSON (bit-exact, see the module docs) ----
-
-pub(crate) fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-pub(crate) fn ju(v: u64) -> String {
-    format!("\"{v}\"")
-}
-
-pub(crate) fn jf(v: f64) -> String {
-    if v.is_nan() {
-        "\"NaN\"".into()
-    } else if v == f64::INFINITY {
-        "\"inf\"".into()
-    } else if v == f64::NEG_INFINITY {
-        "\"-inf\"".into()
-    } else {
-        format!("{v:?}")
-    }
-}
-
-fn jcache(c: &CacheStats) -> String {
-    format!(
-        "[{},{},{},{},{},{},{},{},{}]",
-        ju(c.demand_accesses),
-        ju(c.demand_misses),
-        ju(c.prefetch_accesses),
-        ju(c.prefetch_misses),
-        ju(c.demand_fills),
-        ju(c.prefetch_fills),
-        ju(c.evictions),
-        ju(c.bypasses),
-        ju(c.flushed_lines),
-    )
-}
-
-fn jratio(r: &Ratio) -> String {
-    format!("[{},{}]", ju(r.numerator()), ju(r.denominator()))
-}
-
-/// Serializes a report for the journal (compact single line).
+/// Serializes a report in its canonical encoding ([`crate::cell`]).
 pub fn report_to_json(r: &SimReport) -> String {
-    let mut out = String::with_capacity(512);
-    out.push('{');
-    out.push_str(&format!("\"app\":{},", esc(&r.app)));
-    out.push_str(&format!("\"org\":{},", esc(&r.org)));
-    out.push_str(&format!("\"ti\":{},", ju(r.total_instructions)));
-    out.push_str(&format!("\"tc\":{},", ju(r.total_cycles)));
-    out.push_str(&format!("\"mi\":{},", ju(r.measured_instructions)));
-    out.push_str(&format!("\"mc\":{},", ju(r.measured_cycles)));
-    out.push_str(&format!("\"l1i\":{},", jcache(&r.l1i)));
-    out.push_str(&format!("\"l1d\":{},", jcache(&r.l1d)));
-    out.push_str(&format!("\"l2\":{},", jcache(&r.l2)));
-    out.push_str(&format!("\"l3\":{},", jcache(&r.l3)));
-    out.push_str(&format!("\"dram\":{},", ju(r.dram_accesses)));
-    out.push_str(&format!(
-        "\"br\":[{},{},{},{},{},{}],",
-        ju(r.branch.mispredicts),
-        ju(r.branch.tage.predictions),
-        ju(r.branch.tage.mispredictions),
-        ju(r.branch.btb.lookups),
-        ju(r.branch.btb.misses),
-        ju(r.branch.btb.wrong_target),
-    ));
-    out.push_str(&format!(
-        "\"pf\":[{},{}],",
-        ju(r.prefetch.issued),
-        ju(r.prefetch.filtered)
-    ));
-    out.push_str(&format!("\"cs\":{},", ju(r.context_switches)));
-    match &r.acic {
-        None => out.push_str("\"acic\":null,"),
-        Some(a) => {
-            let acc: Vec<String> = a.accuracy.iter().map(jratio).collect();
-            let deltas: Vec<String> = a.insert_delta.iter().map(|&d| ju(d)).collect();
-            out.push_str(&format!(
-                "\"acic\":{{\"d\":{},\"a\":{},\"b\":{},\"f\":{},\"acc\":[{}],\"oa\":{},\"id\":[{}]}},",
-                ju(a.decisions),
-                ju(a.admitted),
-                ju(a.bypassed),
-                ju(a.free_admissions),
-                acc.join(","),
-                jratio(&a.oracle_admits),
-                deltas.join(","),
-            ));
-        }
-    }
-    match &r.cshr {
-        None => out.push_str("\"cshr\":null,"),
-        Some(c) => out.push_str(&format!(
-            "\"cshr\":[{},{},{},{}],",
-            ju(c.inserted),
-            ju(c.victim_first),
-            ju(c.contender_first),
-            ju(c.evicted_unresolved),
-        )),
-    }
-    match &r.cshr_lifetimes {
-        None => out.push_str("\"life\":null,"),
-        Some(l) => {
-            let vals: Vec<String> = l.iter().map(|&v| jf(v)).collect();
-            out.push_str(&format!("\"life\":[{}],", vals.join(",")));
-        }
-    }
-    match &r.sampled {
-        None => out.push_str("\"sampled\":null,"),
-        Some(s) => out.push_str(&format!(
-            "\"sampled\":[{},{},{},{},{},{},{},{},{},{}],",
-            ju(s.windows),
-            ju(s.detailed_instructions),
-            ju(s.warmup_instructions),
-            ju(s.fastforward_instructions),
-            jf(s.ipc_mean),
-            jf(s.ipc_ci95),
-            jf(s.mpki_mean),
-            jf(s.mpki_ci95),
-            jf(s.est_total_cycles),
-            jf(s.est_total_misses),
-        )),
-    }
-    let wi: Vec<String> = r.window_ipc.iter().map(|&v| jf(v)).collect();
-    let wm: Vec<String> = r.window_mpki.iter().map(|&v| jf(v)).collect();
-    out.push_str(&format!("\"wins\":[[{}],[{}]]", wi.join(","), wm.join(",")));
-    out.push('}');
-    out
-}
-
-pub(crate) fn s_str(j: Option<&Json>, what: &str) -> Result<String, String> {
-    j.and_then(Json::str_val)
-        .map(String::from)
-        .ok_or_else(|| format!("{what}: expected string"))
-}
-
-pub(crate) fn s_u64(j: Option<&Json>, what: &str) -> Result<u64, String> {
-    j.and_then(Json::str_val)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| format!("{what}: expected u64 string"))
-}
-
-pub(crate) fn s_f64(j: Option<&Json>, what: &str) -> Result<f64, String> {
-    match j {
-        Some(Json::Num(n)) => Ok(*n),
-        Some(Json::Str(s)) => match s.as_str() {
-            "NaN" => Ok(f64::NAN),
-            "inf" => Ok(f64::INFINITY),
-            "-inf" => Ok(f64::NEG_INFINITY),
-            _ => Err(format!("{what}: bad f64 string {s:?}")),
-        },
-        _ => Err(format!("{what}: expected f64")),
-    }
-}
-
-pub(crate) fn s_arr<'a>(j: Option<&'a Json>, len: usize, what: &str) -> Result<&'a [Json], String> {
-    match j {
-        Some(Json::Arr(items)) if items.len() == len => Ok(items),
-        Some(Json::Arr(items)) => Err(format!("{what}: expected {len} items, got {}", items.len())),
-        _ => Err(format!("{what}: expected array")),
-    }
-}
-
-fn s_cache(j: Option<&Json>, what: &str) -> Result<CacheStats, String> {
-    let a = s_arr(j, 9, what)?;
-    let g = |i: usize| s_u64(Some(&a[i]), what);
-    Ok(CacheStats {
-        demand_accesses: g(0)?,
-        demand_misses: g(1)?,
-        prefetch_accesses: g(2)?,
-        prefetch_misses: g(3)?,
-        demand_fills: g(4)?,
-        prefetch_fills: g(5)?,
-        evictions: g(6)?,
-        bypasses: g(7)?,
-        flushed_lines: g(8)?,
-    })
-}
-
-fn s_ratio(j: Option<&Json>, what: &str) -> Result<Ratio, String> {
-    let a = s_arr(j, 2, what)?;
-    Ok(Ratio::from_parts(
-        s_u64(Some(&a[0]), what)?,
-        s_u64(Some(&a[1]), what)?,
-    ))
+    r.enc()
 }
 
 /// Decodes a report serialized by [`report_to_json`].
 ///
 /// # Errors
 ///
-/// Describes the first missing or ill-typed field.
+/// Names the first missing or ill-typed field.
 pub fn report_from_json(doc: &Json) -> Result<SimReport, String> {
-    let br = s_arr(doc.get("br"), 6, "br")?;
-    let pf = s_arr(doc.get("pf"), 2, "pf")?;
-    let acic = match doc.get("acic") {
-        None => return Err("missing acic".into()),
-        Some(Json::Null) => None,
-        Some(a) => {
-            let acc_items = s_arr(
-                a.get("acc"),
-                acic_core::acic::ACCURACY_BOUNDS.len(),
-                "acic.acc",
-            )?;
-            let mut accuracy = [Ratio::default(); acic_core::acic::ACCURACY_BOUNDS.len()];
-            for (slot, item) in accuracy.iter_mut().zip(acc_items) {
-                *slot = s_ratio(Some(item), "acic.acc")?;
-            }
-            let delta_items = s_arr(a.get("id"), 11, "acic.id")?;
-            let mut insert_delta = [0u64; 11];
-            for (slot, item) in insert_delta.iter_mut().zip(delta_items) {
-                *slot = s_u64(Some(item), "acic.id")?;
-            }
-            Some(AcicStats {
-                decisions: s_u64(a.get("d"), "acic.d")?,
-                admitted: s_u64(a.get("a"), "acic.a")?,
-                bypassed: s_u64(a.get("b"), "acic.b")?,
-                free_admissions: s_u64(a.get("f"), "acic.f")?,
-                accuracy,
-                oracle_admits: s_ratio(a.get("oa"), "acic.oa")?,
-                insert_delta,
-            })
-        }
-    };
-    let cshr = match doc.get("cshr") {
-        None => return Err("missing cshr".into()),
-        Some(Json::Null) => None,
-        Some(c) => {
-            let a = s_arr(Some(c), 4, "cshr")?;
-            Some(CshrStats {
-                inserted: s_u64(Some(&a[0]), "cshr")?,
-                victim_first: s_u64(Some(&a[1]), "cshr")?,
-                contender_first: s_u64(Some(&a[2]), "cshr")?,
-                evicted_unresolved: s_u64(Some(&a[3]), "cshr")?,
-            })
-        }
-    };
-    let cshr_lifetimes = match doc.get("life") {
-        None => return Err("missing life".into()),
-        Some(Json::Null) => None,
-        Some(l) => {
-            let a = s_arr(Some(l), acic_core::cshr::LIFETIME_BUCKETS, "life")?;
-            let mut out = [0.0; acic_core::cshr::LIFETIME_BUCKETS];
-            for (slot, item) in out.iter_mut().zip(a) {
-                *slot = s_f64(Some(item), "life")?;
-            }
-            Some(out)
-        }
-    };
-    let sampled = match doc.get("sampled") {
-        None => return Err("missing sampled".into()),
-        Some(Json::Null) => None,
-        Some(s) => {
-            let a = s_arr(Some(s), 10, "sampled")?;
-            Some(SampledStats {
-                windows: s_u64(Some(&a[0]), "sampled")?,
-                detailed_instructions: s_u64(Some(&a[1]), "sampled")?,
-                warmup_instructions: s_u64(Some(&a[2]), "sampled")?,
-                fastforward_instructions: s_u64(Some(&a[3]), "sampled")?,
-                ipc_mean: s_f64(Some(&a[4]), "sampled")?,
-                ipc_ci95: s_f64(Some(&a[5]), "sampled")?,
-                mpki_mean: s_f64(Some(&a[6]), "sampled")?,
-                mpki_ci95: s_f64(Some(&a[7]), "sampled")?,
-                est_total_cycles: s_f64(Some(&a[8]), "sampled")?,
-                est_total_misses: s_f64(Some(&a[9]), "sampled")?,
-            })
-        }
-    };
-    let wins = match doc.get("wins") {
-        None => return Err("missing wins".into()),
-        Some(Json::Arr(a)) if a.len() == 2 => {
-            let mut out: Vec<Vec<f64>> = Vec::with_capacity(2);
-            for part in a {
-                match part {
-                    Json::Arr(vals) => out.push(
-                        vals.iter()
-                            .map(|v| s_f64(Some(v), "wins"))
-                            .collect::<Result<Vec<f64>, _>>()?,
-                    ),
-                    _ => return Err("wins: expected two float arrays".into()),
-                }
-            }
-            out
-        }
-        Some(_) => return Err("wins: expected two float arrays".into()),
-    };
-    let mut wins = wins.into_iter();
-    Ok(SimReport {
-        app: s_str(doc.get("app"), "app")?,
-        org: s_str(doc.get("org"), "org")?,
-        total_instructions: s_u64(doc.get("ti"), "ti")?,
-        total_cycles: s_u64(doc.get("tc"), "tc")?,
-        measured_instructions: s_u64(doc.get("mi"), "mi")?,
-        measured_cycles: s_u64(doc.get("mc"), "mc")?,
-        l1i: s_cache(doc.get("l1i"), "l1i")?,
-        l1d: s_cache(doc.get("l1d"), "l1d")?,
-        l2: s_cache(doc.get("l2"), "l2")?,
-        l3: s_cache(doc.get("l3"), "l3")?,
-        dram_accesses: s_u64(doc.get("dram"), "dram")?,
-        branch: BranchStats {
-            mispredicts: s_u64(Some(&br[0]), "br")?,
-            tage: TageStats {
-                predictions: s_u64(Some(&br[1]), "br")?,
-                mispredictions: s_u64(Some(&br[2]), "br")?,
-            },
-            btb: BtbStats {
-                lookups: s_u64(Some(&br[3]), "br")?,
-                misses: s_u64(Some(&br[4]), "br")?,
-                wrong_target: s_u64(Some(&br[5]), "br")?,
-            },
-        },
-        prefetch: PrefetchStats {
-            issued: s_u64(Some(&pf[0]), "pf")?,
-            filtered: s_u64(Some(&pf[1]), "pf")?,
-        },
-        context_switches: s_u64(doc.get("cs"), "cs")?,
-        acic,
-        cshr,
-        cshr_lifetimes,
-        sampled,
-        window_ipc: wins.next().expect("wins has two arrays"),
-        window_mpki: wins.next().expect("wins has two arrays"),
-    })
+    SimReport::dec(Some(doc), "report")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use acic_sim::{Engine, IcacheOrg, SimConfig};
+    use acic_sim::{Engine, IcacheOrg, SampleSchedule, SampledStats, SimConfig};
     use acic_workloads::{AppProfile, WorkloadSpec};
 
     fn tdir(tag: &str) -> PathBuf {
@@ -705,14 +366,37 @@ mod tests {
 
     #[test]
     fn report_json_round_trip_is_bit_exact() {
-        // An ACIC run exercises every optional block except sampled.
+        // An ACIC run exercises the acic and cshr blocks; a sampled
+        // ACIC run with the unbounded CSHR adds the sampled block, the
+        // lifetime histogram and both window vectors.
+        let sampled = {
+            let cfg = SimConfig {
+                unbounded_cshr: true,
+                schedule: SampleSchedule::Periodic {
+                    period: 4_000,
+                    warmup_len: 1_000,
+                    detailed_len: 500,
+                },
+                ..SimConfig::default().with_org(IcacheOrg::acic_default())
+            };
+            let spec = WorkloadSpec::Single(AppProfile::web_search());
+            Engine::run(&cfg, &spec.generator(20_000))
+        };
+        assert!(sampled.sampled.is_some() && sampled.cshr_lifetimes.is_some());
+        assert!(sampled.window_ipc.len() > 1 && sampled.window_mpki.len() > 1);
         for report in [
             sample_report(IcacheOrg::acic_default()),
             sample_report(IcacheOrg::Lru),
+            sampled,
         ] {
             let json = report_to_json(&report);
             let back = report_from_json(&Json::parse(&json).unwrap()).unwrap();
             assert_eq!(format!("{report:?}"), format!("{back:?}"));
+            assert_eq!(
+                report_to_json(&back),
+                json,
+                "decode then encode is the identity"
+            );
         }
     }
 
@@ -788,6 +472,17 @@ mod tests {
         assert!(store.get("flipped").is_none(), "tampered line dropped");
         assert!(store.get("good").is_some(), "healthy line survives");
         let _ = std::fs::remove_dir_all(&dir);
+
+        // A report missing a member fails decoding by name even when
+        // its line checksums.
+        let r = report_to_json(&report);
+        let (from, to) = (r.find("\"l1i\":").unwrap(), r.find("\"l1d\":").unwrap());
+        let r = format!("{}{}", &r[..from], &r[to..]);
+        let crc = line_crc("no-l1i", "null", &r);
+        let line =
+            format!("{{\"key\":\"no-l1i\",\"rung\":null,\"crc\":\"{crc:016x}\",\"report\":{r}}}");
+        let err = decode_entry(&line).unwrap_err();
+        assert!(err.contains("l1i"), "{err}");
     }
 
     #[test]
@@ -801,13 +496,17 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A line from a v3 journal: reports as positional arrays.
+    const V3_LINE: &str = r#"{"key":"data-caching-2000-cd90032d08f1ad5df","rung":null,"crc":"d674f2aaeda30a33","report":{"app":"data-caching","org":"LRU","ti":"2000","tc":"14078","mi":"1800","mc":"11692","l1i":["173","60","0","0","61","16","0","0","0"],"l1d":["554","202","0","0","202","0","0","0","0"],"l2":["305","290","0","0","290","0","0","0","0"],"l3":["290","290","0","0","290","0","0","0","0"],"dram":"290","br":["33","87","24","46","33","1"],"pf":["59","32327"],"cs":"0","acic":null,"cshr":null,"life":null,"sampled":null,"wins":[[],[]]}}"#;
+
     #[test]
     fn older_journals_are_rejected_loudly_not_misread() {
         // A well-formed v1 journal has entries in the old three-field
-        // shape (no rung, two-part CRC); a v2 line has the v3 shape
-        // but a key from the retired `Debug`-hash scheme. The only
-        // acceptable outcome is the typed Schema error — decoding
-        // either under v3 rules would at best drop lines silently and
+        // shape (no rung, two-part CRC); a v2 line has the v4 shape
+        // but a key from the retired `Debug`-hash scheme; a v3 line
+        // checksums but holds a positional report. The only
+        // acceptable outcome is the typed Schema error — decoding any
+        // of them under v4 rules would at best drop lines silently and
         // at worst replay a stale or aliased cell.
         let report = sample_report(IcacheOrg::Lru);
         let r = report_to_json(&report);
@@ -818,7 +517,15 @@ mod tests {
         };
         let v1_line = format!("{{\"key\":\"cell-a\",\"crc\":\"{v1_crc:016x}\",\"report\":{r}}}");
         let v2_line = encode_entry("cell-a", None, &report);
-        for (schema, line) in [("acic-results/v1", v1_line), ("acic-results/v2", v2_line)] {
+        assert!(
+            decode_entry(V3_LINE).is_err(),
+            "a v3 report is not a v4 report"
+        );
+        for (schema, line) in [
+            ("acic-results/v1", v1_line),
+            ("acic-results/v2", v2_line),
+            ("acic-results/v3", V3_LINE.to_string()),
+        ] {
             let dir = tdir(&schema.replace('/', "-"));
             std::fs::create_dir_all(&dir).unwrap();
             std::fs::write(
@@ -826,9 +533,10 @@ mod tests {
                 format!("{{\"schema\":\"{schema}\"}}\n{line}\n"),
             )
             .unwrap();
-            let err = ResultStore::open(&dir).expect_err("an old journal must not open as v3");
+            let err = ResultStore::open(&dir).expect_err("an old journal must not open as v4");
             assert!(matches!(err, ResultStoreError::Schema { .. }), "{schema}");
             assert!(err.to_string().contains(schema), "{err}");
+            assert!(err.to_string().contains(SCHEMA), "{err}");
             assert!(err.to_string().contains("refusing"), "{err}");
             let _ = std::fs::remove_dir_all(&dir);
         }

@@ -7,7 +7,7 @@
 //! [`PackedTrace`] (via [`crate::trace_store::freeze`]), and every
 //! configuration row, thread, and repeat replays the shared `Arc`
 //! zero-copy. The cell executor freezes lazily through a per-run
-//! [`TraceSet`]: only the specs of cells the store did not replay,
+//! `TraceSet`: only the specs of cells the store did not replay,
 //! each at most once. A C-config × A-spec grid therefore pays A
 //! generation passes instead of C × A — the generation cost that used
 //! to dominate figure wall time after the simulators got fast.
@@ -373,7 +373,7 @@ pub fn run_cells<T: Send>(
 /// in input order — a freeze failure (a panic during materialization)
 /// fails only the cells that need that spec.
 /// Freezing fans out across the [`bench_threads`] pool; the cell
-/// executor freezes through the same [`TraceSet`] on its batch's
+/// executor freezes through the same `TraceSet` on its batch's
 /// thread count instead.
 pub fn try_freeze_specs(
     specs: &[WorkloadSpec],

@@ -63,9 +63,9 @@
 
 pub mod policy;
 
-use crate::cell::Cell;
+use crate::cell::{canon_struct, Canon, Cell};
 use crate::json::Json;
-use crate::result_store::{decode_entry, encode_entry, esc, ju, s_arr, s_str, s_u64};
+use crate::result_store::{decode_entry, encode_entry};
 use crate::runner::CellError;
 use acic_sim::SimReport;
 use policy::{classify, ChildOutcome, Decision, RetryPolicy};
@@ -153,18 +153,32 @@ impl SuperviseCtx {
     }
 }
 
+/// A `--run-cell` child's input: the cell, its `(config, spec)` fault
+/// coordinates and its handoff-trace path.
+#[derive(Debug, PartialEq)]
+struct Message {
+    cell: Cell,
+    coords: (usize, usize),
+    trace: PathBuf,
+}
+
+canon_struct!(Message {
+    cell,
+    coords,
+    trace
+});
+
 /// The one message a supervised parent writes to a `--run-cell`
 /// child's stdin: `{"cell":C,"coords":[c,a],"trace":P}` — the cell's
-/// canonical encoding, its `(config, spec)` fault coordinates and its
-/// handoff-trace path.
-pub fn message(cell: &Cell, (c, a): (usize, usize), trace: &Path) -> String {
-    format!(
-        "{{\"cell\":{},\"coords\":[{},{}],\"trace\":{}}}",
-        cell.encode(),
-        ju(c as u64),
-        ju(a as u64),
-        esc(&trace.to_string_lossy())
-    )
+/// canonical encoding ([`crate::cell`]), its `(config, spec)` fault
+/// coordinates and its handoff-trace path.
+pub fn message(cell: &Cell, coords: (usize, usize), trace: &Path) -> String {
+    Message {
+        cell: cell.clone(),
+        coords,
+        trace: trace.to_path_buf(),
+    }
+    .enc()
 }
 
 /// Decodes [`message`]'s output.
@@ -172,17 +186,9 @@ pub fn message(cell: &Cell, (c, a): (usize, usize), trace: &Path) -> String {
 /// # Errors
 ///
 /// Names the first malformed part.
-fn decode_message(text: &str) -> Result<(Cell, (usize, usize), PathBuf), String> {
+fn decode_message(text: &str) -> Result<Message, String> {
     let doc = Json::parse(text.trim()).map_err(|e| format!("bad JSON: {e}"))?;
-    let cell = Cell::decode(doc.get("cell").ok_or("missing cell")?)?;
-    let coords = s_arr(doc.get("coords"), 2, "coords")?;
-    let coord = |j: &Json| {
-        s_u64(Some(j), "coords")
-            .and_then(|v| usize::try_from(v).map_err(|_| "coords: out of range".to_string()))
-    };
-    let coords = (coord(&coords[0])?, coord(&coords[1])?);
-    let trace = PathBuf::from(s_str(doc.get("trace"), "trace")?);
-    Ok((cell, coords, trace))
+    Message::dec(Some(&doc), "message")
 }
 
 /// The `experiments --run-cell` child: reads one [`message`] from
@@ -196,7 +202,11 @@ pub fn run_child() -> ! {
         .read_to_string(&mut text)
         .map_err(|e| format!("cannot read stdin: {e}"))
         .and_then(|_| decode_message(&text));
-    let (cell, (c, a), trace) = match decoded {
+    let Message {
+        cell,
+        coords: (c, a),
+        trace,
+    } = match decoded {
         Ok(m) => m,
         Err(e) => {
             eprintln!("[run-cell: bad message: {e}]");
@@ -532,8 +542,13 @@ mod tests {
         let cell = sample_cell();
         let trace = Path::new("/tmp/dir with \"quotes\"/t.acictrace");
         let text = message(&cell, (3, 7), trace);
-        let (back, coords, path) = decode_message(&text).unwrap();
-        assert_eq!((back, coords, path.as_path()), (cell, (3, 7), trace));
+        let back = decode_message(&text).unwrap();
+        let want = Message {
+            cell,
+            coords: (3, 7),
+            trace: trace.to_path_buf(),
+        };
+        assert_eq!(back, want);
         assert!(decode_message("{\"cell\":{}}").is_err());
     }
 

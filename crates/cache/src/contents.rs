@@ -261,11 +261,6 @@ impl VictimCachedIcache {
             swap_latency: 1,
         }
     }
-
-    /// The victim cache (for tests).
-    pub fn victim_cache(&self) -> &VictimCache {
-        &self.victim
-    }
 }
 
 impl IcacheContents for VictimCachedIcache {

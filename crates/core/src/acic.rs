@@ -182,14 +182,6 @@ impl AcicIcache {
         &self.cfg
     }
 
-    /// Drains the predictor's pending updates (call at simulation
-    /// end before inspecting predictor state).
-    pub fn finalize(&mut self) {
-        if let AdmissionPredictor::TwoLevel(p) = &mut self.predictor {
-            p.flush();
-        }
-    }
-
     /// The i-Filter, if configured (for tests and invariant checks).
     pub fn filter(&self) -> Option<&IFilter> {
         self.filter.as_ref()

@@ -8,10 +8,10 @@ pub enum PrefetcherKind {
     /// No instruction prefetching.
     None,
     /// Fetch-directed prefetching from the FTQ (the paper's baseline
-    /// prefetcher, [31]).
+    /// prefetcher, \[31\]).
     #[default]
     Fdp,
-    /// The entangling prefetcher (§IV-H4, [76]).
+    /// The entangling prefetcher (§IV-H4, \[76\]).
     Entangling,
 }
 

@@ -1,5 +1,5 @@
-//! Instruction prefetchers: fetch-directed prefetching (FDP, [31])
-//! and the entangling prefetcher ([76]).
+//! Instruction prefetchers: fetch-directed prefetching (FDP, \[31\])
+//! and the entangling prefetcher (\[76\]).
 //!
 //! Both produce *candidate blocks*; the simulator filters them against
 //! the L1i contents and MSHR budget, issues them down the hierarchy,

@@ -186,17 +186,6 @@ impl<'a> OracleCursor<'a> {
             .and_then(|&p| self.oracle.forward_distance_at(p as usize))
     }
 
-    /// Next-use position of the *current* access that was just
-    /// consumed via [`OracleCursor::advance`]; convenience for fill
-    /// decisions.
-    pub fn next_use_of_last(&self) -> u64 {
-        if self.pos == 0 {
-            NO_NEXT_USE
-        } else {
-            self.oracle.next_use_at(self.pos as usize - 1)
-        }
-    }
-
     /// Next use of `block` at or after the cursor's position, even if
     /// the block was never observed through [`OracleCursor::advance`]
     /// (needed when a prefetch fills a block the demand stream has

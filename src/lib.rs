@@ -11,7 +11,7 @@
 //! * [`core`] — ACIC itself: i-Filter, HRT/PT predictor, CSHR.
 //! * [`sim`] — the trace-driven cycle-level CPU simulator.
 //! * [`energy`] — storage and chip-energy accounting.
-//! * [`bench`] — the experiment harness behind every figure/table.
+//! * [`bench`](mod@bench) — the experiment harness behind every figure/table.
 //!
 //! See README.md for a tour and DESIGN.md for the system inventory.
 
