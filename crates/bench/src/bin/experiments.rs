@@ -73,33 +73,36 @@
 //!     --crash-reports crash-reports/ --results results/ fig11_mpki
 //! ```
 //!
-//! `--supervise` runs every grid/DSE cell in its own child process:
-//! the binary self-execs as `experiments --run-cell` (a hidden switch
-//! that takes no other argument) and writes the cell to the child's
-//! stdin — its canonical encoding, its `(config, spec)` coordinates
-//! and the path of the trace the parent froze for it, which the child
-//! decodes instead of regenerating. The child runs that one cell, no
-//! figure code, and prints its result as one journal line on stdout.
+//! `--supervise` runs every grid/DSE cell in a worker process: the
+//! binary self-execs one `experiments --run-cell` worker per pool slot
+//! (a hidden switch that takes no other argument) and writes cells to
+//! the worker's stdin, one line each — a cell's canonical encoding
+//! and its `(config, spec)` coordinates. The worker freezes each
+//! cell's spec unless it already holds that trace (the parent hands a
+//! slot the cells of one spec in a row), runs the cell, no figure
+//! code, and answers with one journal line on stdout.
 //! With supervision the per-cell deadline
-//! is per child (the wedged child is SIGKILLed and retried), an
-//! `abort()`/OOM/signal death costs one attempt of one cell instead
-//! of the campaign, and dead children are retried — transient
+//! is per cell attempt (the wedged worker is SIGKILLed and the cell
+//! retried), an `abort()`/OOM/signal death costs one attempt of one
+//! cell instead of the campaign, and failed cells are retried in a
+//! fresh worker — transient
 //! failures (timeout, signal, spawn failure) up to
 //! `ACIC_SUPERVISE_RETRIES` attempts, deterministic ones (panic,
 //! `abort()`, non-zero exit) once to confirm — with capped
 //! exponential backoff (base `ACIC_SUPERVISE_BACKOFF_MS`) and
 //! deterministic seeded jitter. Every retried or failed cell leaves a
 //! crash report (exit evidence, stderr tail, retry history, and the
-//! child's stdin message, which `experiments --run-cell` replays)
+//! cell's message, which `experiments --run-cell` replays)
 //! under `--crash-reports <dir>` (default: `<results>/crash-reports`,
 //! or `./crash-reports`). Output and `--results` journals are
 //! byte-identical to the in-process path; where spawning is
 //! unavailable the run degrades to in-process with one warning.
 //!
 //! Exit codes: `0` — success; `1` — one or more figures/cells failed;
-//! `2` — usage error. A `--run-cell` child exits `2` on a message it
-//! cannot decode, `4` when it cannot write its result, and `101` when
-//! the cell panicked.
+//! `2` — usage error. A `--run-cell` worker exits `0` once stdin
+//! closes after its last answer, `2` on a message it cannot decode
+//! (or no message at all), `4` when it cannot write a result, and
+//! `101` when a cell panicked.
 
 use acic_bench::result_store::ResultStore;
 use acic_bench::runner::{exit_with_failure_summary, panic_message, DEFAULT_INSTRUCTIONS};
@@ -238,13 +241,13 @@ struct Cli {
 
 fn parse_cli(mut args: Vec<String>) -> Result<Cli, String> {
     if args.iter().any(|a| a == "--run-cell") {
-        // The supervisor's child reads its one cell from stdin.
+        // A supervised worker reads its cells from stdin.
         return match args.as_slice() {
             [_] => Ok(Cli {
                 run_cell: true,
                 ..Cli::default()
             }),
-            _ => Err("--run-cell reads one cell from stdin and takes no other argument".into()),
+            _ => Err("--run-cell reads its cells from stdin and takes no other argument".into()),
         };
     }
     let results = take_flag_value(&mut args, "--results")?;
@@ -379,7 +382,7 @@ fn runner_from(cli: &Cli) -> Runner {
         match SuperviseCtx::new(Path::new(&crash_dir)) {
             Ok(ctx) => {
                 eprintln!(
-                    "[supervise: one child process per cell, crash reports in {}]",
+                    "[supervise: one worker process per pool slot, crash reports in {}]",
                     ctx.crash_dir.display()
                 );
                 Some(Arc::new(ctx))
@@ -444,7 +447,7 @@ fn main() {
     }));
 
     if cli.run_cell {
-        acic_bench::supervise::run_child();
+        acic_bench::supervise::run_worker();
     }
 
     let all = all_experiments();

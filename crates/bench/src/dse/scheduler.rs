@@ -54,7 +54,7 @@ pub struct DseOptions {
     pub threads: usize,
     /// Process supervision, as on [`crate::Runner::supervise`]: a
     /// supervised parent runs every to-be-computed rung cell in its
-    /// own `--run-cell` child (hard timeouts, retry with backoff,
+    /// pool slot's `--run-cell` worker (hard timeouts, retry with backoff,
     /// crash reports). Defaults to `None` (in-process).
     pub supervise: Option<Arc<SuperviseCtx>>,
 }

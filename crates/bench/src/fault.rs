@@ -1,10 +1,9 @@
 //! Deterministic IO fault injection for the on-disk stores.
 //!
-//! Everything `acic-bench` persists — supervised runs' `.acictrace`
-//! handoff containers, read back through [`crate::trace_store`], and
-//! the resumable result journal
-//! ([`crate::result_store`]) — performs its filesystem IO through the
-//! two façades in this module, [`read`] and [`write_atomic`]. In
+//! What `acic-bench` persists — the resumable result journal
+//! ([`crate::result_store`]) — goes through the two façades in this
+//! module, [`read`] and [`write_atomic`], and so do the `.acictrace`
+//! containers the fault properties write and read back. In
 //! normal operation they are a thin veneer over `std::fs` that adds
 //! the crash-safe write discipline (sibling temporary, fsync, atomic
 //! rename, directory fsync). Under a [`FaultPlan`] installed with

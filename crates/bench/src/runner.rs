@@ -6,11 +6,13 @@
 //! [`WorkloadSpec`] is frozen **once** into an immutable
 //! [`PackedTrace`] (via [`crate::trace_store::freeze`]), and every
 //! configuration row, thread, and repeat replays the shared `Arc`
-//! zero-copy. The cell executor freezes lazily through a per-run
-//! `TraceSet`: only the specs of cells the store did not replay,
-//! each at most once. A C-config × A-spec grid therefore pays A
-//! generation passes instead of C × A — the generation cost that used
-//! to dominate figure wall time after the simulators got fast.
+//! zero-copy. The in-process cell executor freezes lazily through a
+//! per-run `TraceSet`: only the specs of cells the store did not
+//! replay, each at most once (under `--supervise` the workers freeze
+//! instead, each spec about once). A C-config × A-spec grid therefore
+//! pays A generation passes instead of C × A — the generation cost
+//! that used to dominate figure wall time after the simulators got
+//! fast.
 //! Replay is bit-identical to generation (same stream, same
 //! name-derived seeds), pinned by
 //! `frozen_grid_matches_generator_backed_runs` below.
@@ -126,11 +128,11 @@ pub enum CellError {
     /// The cell's simulation panicked; the payload message.
     Panicked(String),
     /// The cell's workload could not be frozen (a panic during
-    /// materialization, or a failed handoff-file write).
+    /// materialization).
     Freeze(String),
-    /// Under `--supervise`: every attempt of the cell's child process
-    /// failed; the final attempt's exit evidence and the attempt
-    /// count (full history in the crash report).
+    /// Under `--supervise`: every attempt of the cell in a worker
+    /// process failed; the final attempt's exit evidence and the
+    /// attempt count (full history in the crash report).
     ChildFailed {
         /// The last attempt's [`crate::supervise::policy::ChildOutcome`],
         /// rendered.
@@ -380,52 +382,28 @@ pub fn try_freeze_specs(
     instructions: u64,
 ) -> Vec<Result<Arc<PackedTrace>, String>> {
     let set = TraceSet::new(specs, instructions);
-    set.freeze(0..specs.len(), bench_threads(), None);
-    (0..specs.len())
-        .map(|a| set.held(a).map(|held| held.trace().clone()))
-        .collect()
+    set.freeze(0..specs.len(), bench_threads());
+    (0..specs.len()).map(|a| set.held(a)).collect()
 }
 
-/// A frozen spec as a [`TraceSet`] keeps it.
-#[derive(Clone)]
-enum Held {
-    /// The trace itself, for cells simulated in this process.
-    Trace(Arc<PackedTrace>),
-    /// A supervised parent's handoff file, which the cell's children
-    /// decode; the parent keeps only the path.
-    Handoff(std::path::PathBuf),
-}
-
-impl Held {
-    fn trace(&self) -> &Arc<PackedTrace> {
-        match self {
-            Held::Trace(trace) => trace,
-            Held::Handoff(path) => unreachable!("handoff {} held in process", path.display()),
-        }
-    }
-
-    fn handoff(&self) -> &std::path::Path {
-        match self {
-            Held::Handoff(path) => path,
-            Held::Trace(_) => unreachable!("in-process trace held by a supervised parent"),
-        }
-    }
-}
+/// A spec's frozen trace, or why its freeze failed.
+type Frozen = Result<Arc<PackedTrace>, String>;
 
 /// One run's traces: its specs, the budget they freeze at, and a
-/// per-spec cache the cell executor fills lazily. Structurally equal
-/// specs share a slot, a spec freezes at most once per set, and only
-/// when a batch has a cell left to compute over it. A supervised
-/// parent caches the path of the handoff file it wrote, not the
-/// trace, and dropping the set deletes those files. A figure grid
-/// builds one set per call; the DSE ladder builds one for all rungs.
+/// per-spec cache the in-process cell executor fills lazily.
+/// Structurally equal specs share a slot, a spec freezes at most once
+/// per set, and only when a batch has a cell left to compute over it.
+/// A supervised parent freezes nothing: it uses the set only to group
+/// cells by spec, and its workers freeze their own traces
+/// ([`crate::supervise`]). A figure grid builds one set per call; the
+/// DSE ladder builds one for all rungs.
 pub(crate) struct TraceSet {
     /// Distinct specs, first-occurrence order.
     specs: Vec<WorkloadSpec>,
     /// Each input spec's index into `specs`.
     slot_of: Vec<usize>,
     budget: u64,
-    held: Mutex<Vec<Option<Result<Held, String>>>>,
+    held: Mutex<Vec<Option<Frozen>>>,
     freezes: AtomicUsize,
 }
 
@@ -463,14 +441,8 @@ impl TraceSet {
     }
 
     /// Freezes the not-yet-frozen specs among `specs` (input indices)
-    /// on `threads` pool workers. Under a supervised `parent` each
-    /// worker writes its trace as a handoff file and drops it.
-    fn freeze(
-        &self,
-        specs: impl IntoIterator<Item = usize>,
-        threads: usize,
-        parent: Option<&SuperviseCtx>,
-    ) {
+    /// on `threads` pool workers.
+    fn freeze(&self, specs: impl IntoIterator<Item = usize>, threads: usize) {
         let mut held = self.held.lock().expect("trace set lock");
         let mut slots: Vec<usize> = specs.into_iter().map(|a| self.slot_of[a]).collect();
         slots.sort_unstable();
@@ -482,44 +454,26 @@ impl TraceSet {
         self.freezes.fetch_add(slots.len(), Ordering::Relaxed);
         let budget = self.budget;
         let frozen = run_cells(slots.len(), threads, None, |t| {
-            let spec = &self.specs[slots[t]];
-            let Ok(trace) = crate::trace_store::freeze(spec, budget);
-            match parent {
-                Some(ctx) => ctx.write_handoff(spec, budget, &trace).map(Held::Handoff),
-                None => Ok(Held::Trace(trace)),
-            }
+            let Ok(trace) = crate::trace_store::freeze(&self.specs[slots[t]], budget);
+            trace
         });
         for (u, res) in slots.into_iter().zip(frozen) {
-            held[u] = Some(match res {
-                Ok(inner) => inner,
-                Err(CellError::Panicked(msg)) => Err(msg),
-                Err(e) => Err(e.to_string()),
-            });
+            held[u] = Some(res.map_err(|e| match e {
+                CellError::Panicked(msg) => msg,
+                e => e.to_string(),
+            }));
         }
     }
 
-    /// Spec `a`'s frozen trace or handoff path, or why its freeze
-    /// failed.
+    /// Spec `a`'s frozen trace, or why its freeze failed.
     ///
     /// # Panics
     ///
     /// Panics when `a` was never frozen.
-    fn held(&self, a: usize) -> Result<Held, String> {
+    fn held(&self, a: usize) -> Frozen {
         self.held.lock().expect("trace set lock")[self.slot_of[a]]
             .clone()
             .expect("spec frozen before use")
-    }
-}
-
-impl Drop for TraceSet {
-    fn drop(&mut self) {
-        let held = self.held.get_mut().unwrap_or_else(|e| e.into_inner());
-        for path in held.iter().filter_map(|h| match h {
-            Some(Ok(Held::Handoff(path))) => Some(path),
-            _ => None,
-        }) {
-            let _ = std::fs::remove_file(path);
-        }
     }
 }
 
@@ -589,14 +543,15 @@ pub(crate) struct Executed {
 
 /// The one cell executor behind figure grids and the DSE ladder.
 ///
-/// In order: store hits replay, the specs of the cells left to
-/// compute freeze (each at most once per [`TraceSet`], on the batch's
-/// threads), and those cells run either one child process per cell
-/// under a hard deadline ([`crate::supervise::run_one`], as a
-/// supervised parent, which hands each child its cell and its spec's
-/// trace file) or through [`Cell::run`] on the [`run_cells`] pool,
-/// where a cell past the deadline ends the run. Each finished cell is
-/// journaled as it completes.
+/// Store hits replay first. The cells left to compute then run either
+/// under process supervision ([`crate::supervise::run_batch`], as a
+/// supervised parent: one long-lived worker per slot freezes each
+/// spec it is handed, and every cell attempt runs under a hard
+/// deadline) or in process: their specs freeze (each at most once per
+/// [`TraceSet`], on the batch's threads) and the cells run through
+/// [`Cell::run`] on the [`run_cells`] pool, where a cell past the
+/// deadline ends the run. Each finished cell is journaled as it
+/// completes.
 pub(crate) fn execute(batch: Batch<'_>) -> Executed {
     let n = batch.cells.len();
     let traces = batch.traces;
@@ -610,21 +565,6 @@ pub(crate) fn execute(batch: Batch<'_>) -> Executed {
         }
     }
     let pending: Vec<usize> = (0..n).filter(|&i| slots[i].is_none()).collect();
-    let parent = batch.supervise;
-    traces.freeze(
-        pending.iter().map(|&i| batch.coords[i].1),
-        batch.threads,
-        parent,
-    );
-    let mut todo: Vec<(usize, Held)> = Vec::with_capacity(pending.len());
-    for i in pending {
-        match traces.held(batch.coords[i].1) {
-            Ok(held) => todo.push((i, held)),
-            Err(e) => slots[i] = Some(Err(CellError::Freeze(e))),
-        }
-    }
-    let computed = todo.len() as u64;
-    let crash_dir = parent.map(|ctx| ctx.crash_dir.clone());
     let journal = |i: usize, report: &SimReport| {
         let Some(store) = batch.store else { return };
         let put = match batch.cells[i].rung() {
@@ -638,41 +578,53 @@ pub(crate) fn execute(batch: Batch<'_>) -> Executed {
             );
         }
     };
-    let results: Vec<Result<SimReport, CellError>> = if let Some(ctx) = parent {
-        // The parent only journals what each child reported, so the
-        // journal stays byte-identical to the in-process path.
-        run_cells(todo.len(), batch.threads, None, |t| {
-            let (i, held) = &todo[t];
-            let report = crate::supervise::run_one(
+    let (todo, results): (Vec<usize>, Vec<Result<SimReport, CellError>>) =
+        if let Some(ctx) = batch.supervise {
+            // The parent only journals what each worker reported, so
+            // the journal stays byte-identical to the in-process path.
+            let jobs: Vec<crate::supervise::Job<'_>> = pending
+                .iter()
+                .map(|&i| crate::supervise::Job {
+                    cell: &batch.cells[i],
+                    coords: batch.coords[i],
+                    key: &keys[i],
+                    label: &batch.labels[i],
+                    spec: traces.slot_of[batch.coords[i].1],
+                })
+                .collect();
+            let results = crate::supervise::run_batch(
                 ctx,
-                &batch.cells[*i],
-                batch.coords[*i],
-                &keys[*i],
-                &batch.labels[*i],
-                held.handoff(),
+                &jobs,
+                batch.threads,
                 batch.cell_timeout,
-            )?;
-            journal(*i, &report);
-            Ok(report)
-        })
-        .into_iter()
-        .map(|r| r.and_then(|inner| inner))
-        .collect()
-    } else {
-        let label = |t: usize| batch.labels[todo[t].0].clone();
-        let deadline = batch
-            .cell_timeout
-            .map(|limit| (limit, &label as &dyn Fn(usize) -> String));
-        run_cells(todo.len(), batch.threads, deadline, |t| {
-            let (i, held) = &todo[t];
-            let (c, a) = batch.coords[*i];
-            injected_cell_failure(c, a);
-            let report = batch.cells[*i].run(held.trace());
-            journal(*i, &report);
-            report
-        })
-    };
-    for (&(i, _), res) in todo.iter().zip(results) {
+                &|j, report| journal(pending[j], report),
+            );
+            (pending, results)
+        } else {
+            traces.freeze(pending.iter().map(|&i| batch.coords[i].1), batch.threads);
+            let mut todo: Vec<(usize, Arc<PackedTrace>)> = Vec::with_capacity(pending.len());
+            for i in pending {
+                match traces.held(batch.coords[i].1) {
+                    Ok(trace) => todo.push((i, trace)),
+                    Err(e) => slots[i] = Some(Err(CellError::Freeze(e))),
+                }
+            }
+            let label = |t: usize| batch.labels[todo[t].0].clone();
+            let deadline = batch
+                .cell_timeout
+                .map(|limit| (limit, &label as &dyn Fn(usize) -> String));
+            let results = run_cells(todo.len(), batch.threads, deadline, |t| {
+                let (i, trace) = &todo[t];
+                let (c, a) = batch.coords[*i];
+                injected_cell_failure(c, a);
+                let report = batch.cells[*i].run(trace);
+                journal(*i, &report);
+                report
+            });
+            (todo.into_iter().map(|(i, _)| i).collect(), results)
+        };
+    let computed = todo.len() as u64;
+    for (i, res) in todo.into_iter().zip(results) {
         slots[i] = Some(res);
     }
     Executed {
@@ -682,7 +634,7 @@ pub(crate) fn execute(batch: Batch<'_>) -> Executed {
             .collect(),
         replayed,
         computed,
-        crash_dir,
+        crash_dir: batch.supervise.map(|ctx| ctx.crash_dir.clone()),
     }
 }
 

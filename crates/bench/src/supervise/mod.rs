@@ -4,62 +4,77 @@
 //! The in-process cell pool (`runner::run_cells`) isolates panics
 //! with `catch_unwind`, but a wedged cell can only end the run at its
 //! deadline, and an `abort()` or OOM kill in any cell tears down the
-//! whole campaign. Under `--supervise` the parent instead
-//! self-execs **one child process per cell** as `experiments
-//! --run-cell` and writes one message to the child's stdin
-//! ([`message`]): the cell's canonical encoding ([`crate::cell`]), its
-//! `(config, spec)` coordinates (which scripted faults aim at) and the
-//! path of its spec's handoff trace. The child ([`run_child`]) decodes
-//! the message, loads the trace, runs the cell and prints one
-//! CRC-checked journal line on stdout; the parent accepts the line
-//! only when it decodes and carries the key the parent expects. The
-//! child runs no figure code and opens no result store.
+//! whole campaign. Under `--supervise` the parent instead runs its
+//! cells in **one long-lived worker process per pool slot**
+//! (`runner::Batch::threads` slots), each a self-exec of
+//! `experiments --run-cell` (`run_batch`).
 //!
-//! The child does not regenerate its workload: the parent freezes
-//! each spec it has cells to compute over once, writes it as a
-//! `.acictrace` handoff file in its scratch dir
-//! (`<crash-dir>/.attempts/<store-key>-<checksum>.acictrace`, atomic
-//! write) and drops the trace, keeping only the path. The child
-//! decodes it through the one validated container loader
-//! (`trace_store::load_container`), which regenerates the trace from
-//! the decoded spec with a stderr note when the file is missing, torn,
-//! corrupt or at the wrong budget — so a bad handoff costs time, never
-//! a result. A handoff file lives exactly as long as the run's trace
-//! set: one figure grid, or the whole DSE ladder; dropping the set
-//! deletes it. That buys:
+//! **Worker protocol.** The parent writes one [`message`] per line to
+//! a worker's stdin: `{"cell":C,"coords":[c,a]}`, the cell's canonical
+//! encoding ([`crate::cell`]) and its `(config, spec)` coordinates
+//! (which scripted faults aim at). The worker ([`run_worker`]) reads
+//! messages until EOF. For each one it freezes the cell's spec in
+//! memory (`trace_store::freeze`) unless it already holds that trace,
+//! runs the cell, and answers with one CRC-checked journal line on
+//! stdout. The parent accepts a line only when it decodes and carries
+//! the key the parent expects. A worker runs no figure code, opens no
+//! result store and writes no file; neither does the parent write
+//! anything but the journal and crash reports. A one-message stdin —
+//! what a crash report's `reproduce:` line pipes in — runs that one
+//! cell and exits.
 //!
-//! * **Hard timeouts** — a stalled child is SIGKILLed at the
+//! **Spec affinity.** A worker keeps the last trace it froze, so the
+//! parent hands each slot, in order of preference, the next unstarted
+//! cell of the spec its worker holds, else the first cell of a spec
+//! no live worker holds, else any unstarted cell (`pick`). A
+//! C-config × A-spec grid on two slots therefore costs about A
+//! freezes and two spawns. Workers live for one batch (one figure
+//! grid, or one DSE rung) and are shut down by closing their stdin.
+//!
+//! **What a failure costs.** Supervision stays per cell attempt. The
+//! parent waits for each reply under that cell's hard deadline,
+//! counted from when the message was sent. A worker death, a deadline
+//! kill or a bad reply charges only the in-flight cell's attempt; the
+//! worker is killed (losing its trace), and the slot spawns a fresh
+//! one for its next cell. Retries run in a worker spawned with
+//! `ACIC_SUPERVISE_ATTEMPT=n` and given just that one cell (the
+//! long-lived worker runs with `0`). That buys:
+//!
+//! * **Hard timeouts** — a stalled worker is SIGKILLed at the
 //!   `ACIC_CELL_TIMEOUT_SECS` deadline; nothing leaks.
 //! * **Blast-radius one** — `abort()`, OOM, or any signal death kills
 //!   one attempt of one cell, never the campaign.
 //! * **Retries with taxonomy** — the pure [`policy`] module classifies
-//!   each dead child transient vs deterministic from its exit
+//!   each failed attempt transient vs deterministic from its exit
 //!   evidence and schedules capped exponential backoff with
 //!   deterministic seeded jitter.
 //! * **Forensics** — every retried or failed cell leaves a crash
-//!   report (exit status / signal, captured stderr tail, full retry
-//!   history, and the child's stdin message, so one command replays
-//!   the cell) under `crash-reports/`, referenced from the `GridError`
-//!   summary.
+//!   report (exit status / signal, the stderr tail of each attempt,
+//!   full retry history, and the cell's message, so one command
+//!   replays the cell) under `crash-reports/`, referenced from the
+//!   `GridError` summary. A worker prints a cell-start marker on
+//!   stderr before each cell, and a report keeps only what followed
+//!   the failing cell's marker.
 //!
-//! Child exit codes: `0` — the journal line is on stdout; `2` — the
-//! message could not be read or decoded; `4` — the line could not be
-//! written; `101` — the cell panicked. `abort()` and signals surface
-//! as signal deaths.
+//! Worker exit codes: `0` — stdin closed after every message was
+//! answered; `2` — a message could not be read or decoded, or stdin
+//! held none; `4` — a line could not be written; `101` — a cell
+//! panicked. `abort()` and signals surface as signal deaths.
 //!
 //! Supervision is a value, not a process global: `experiments` turns
 //! `--supervise` into one [`SuperviseCtx`] and passes it down in the
 //! `supervise` slot of its one `Runner` and `DseOptions`. The single
 //! cell executor behind both (`runner::execute`) is the only caller of
-//! [`run_one`].
+//! `run_batch`.
 //!
 //! The in-process path stays the default and the bit-identity
 //! reference: a supervised run must produce byte-identical journals
-//! and figure output (children report through the same bit-exact
-//! journal-line codec, and the parent's whole-file `BTreeMap` rewrite
-//! makes journal bytes independent of completion order). Where
-//! spawning is unavailable the supervisor degrades to in-process
-//! execution with a single warning.
+//! and figure output (workers report through the same bit-exact
+//! journal-line codec, a worker's trace is the same deterministic
+//! freeze, and the parent's whole-file `BTreeMap` rewrite makes
+//! journal bytes independent of completion order). Where spawning is
+//! unavailable the supervisor degrades to in-process execution with a
+//! single warning.
 
 pub mod policy;
 
@@ -69,34 +84,40 @@ use crate::result_store::{decode_entry, encode_entry};
 use crate::runner::CellError;
 use acic_sim::SimReport;
 use policy::{classify, ChildOutcome, Decision, RetryPolicy};
-use std::io::{Read, Write};
+use std::collections::VecDeque;
+use std::io::{BufRead, BufReader, Read, Write};
 use std::path::{Path, PathBuf};
-use std::process::{Command, Stdio};
+use std::process::{Child, Command, ExitStatus, Stdio};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
+use std::sync::Mutex;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How much child stderr the supervisor retains per attempt for the
-/// crash report.
+/// How much worker stderr the supervisor retains for a crash report.
 const STDERR_TAIL_BYTES: usize = 8 * 1024;
 
-/// How much child stdout the supervisor reads: far more than one
+/// The longest reply line the supervisor reads: far more than one
 /// journal line, even a sampled report with hundreds of windows.
-const STDOUT_BYTES: usize = 16 << 20;
+const STDOUT_BYTES: u64 = 16 << 20;
 
-/// How often the parent polls a running child between hard-deadline
-/// checks: short next to a child's life (a 1M-instruction cell lives
-/// about 0.2 s), so a finished child is reaped within a millisecond.
+/// How often the parent polls a worker whose stdout closed, between
+/// hard-deadline checks: a dying worker is reaped within a
+/// millisecond.
 const CHILD_POLL: Duration = Duration::from_millis(1);
 
+/// The line a worker prints on stderr before each cell, followed by
+/// the cell's key and `]`. A crash report's stderr tail starts after
+/// the last one.
+const CELL_START: &str = "[run-cell: running ";
+
 /// The supervised parent's execution context: how to re-exec
-/// ourselves for one cell and where crash artifacts go.
+/// ourselves as a worker and where crash artifacts go.
 #[derive(Debug)]
 pub struct SuperviseCtx {
     /// The `experiments` binary to self-exec.
     exe: PathBuf,
     /// Where crash reports for failed/retried cells are written.
     pub crash_dir: PathBuf,
-    /// Scratch space for the handoff traces children decode.
-    work_dir: PathBuf,
     /// The retry/backoff schedule.
     pub policy: RetryPolicy,
 }
@@ -115,68 +136,31 @@ impl SuperviseCtx {
                 crash_dir.display()
             )
         })?;
-        let work_dir = crash_dir.join(".attempts");
-        std::fs::create_dir_all(&work_dir).map_err(|e| {
-            format!(
-                "cannot create attempt scratch dir {}: {e}",
-                work_dir.display()
-            )
-        })?;
         Ok(SuperviseCtx {
             exe,
             crash_dir: crash_dir.to_path_buf(),
-            work_dir,
             policy: RetryPolicy::from_env(),
         })
     }
-
-    /// Writes `trace`, frozen from `spec` at `budget`, as the handoff
-    /// file its cells' children decode, and returns the path. The
-    /// name joins `spec.store_key(budget)` and the container checksum,
-    /// so it identifies the content; the write is atomic, so a child
-    /// never sees a torn file.
-    pub(crate) fn write_handoff(
-        &self,
-        spec: &acic_workloads::WorkloadSpec,
-        budget: u64,
-        trace: &acic_trace::PackedTrace,
-    ) -> Result<PathBuf, String> {
-        let bytes = trace.to_bytes();
-        let sum = acic_trace::PackedTrace::container_checksum(&bytes)
-            .expect("a serialized container holds its checksum");
-        let path = self
-            .work_dir
-            .join(format!("{}-{sum:016x}.acictrace", spec.store_key(budget)));
-        crate::fault::write_atomic(&path, &bytes)
-            .map_err(|e| format!("cannot write handoff trace {}: {e}", path.display()))?;
-        Ok(path)
-    }
 }
 
-/// A `--run-cell` child's input: the cell, its `(config, spec)` fault
-/// coordinates and its handoff-trace path.
+/// One message on a `--run-cell` worker's stdin: the cell and its
+/// `(config, spec)` fault coordinates.
 #[derive(Debug, PartialEq)]
 struct Message {
     cell: Cell,
     coords: (usize, usize),
-    trace: PathBuf,
 }
 
-canon_struct!(Message {
-    cell,
-    coords,
-    trace
-});
+canon_struct!(Message { cell, coords });
 
-/// The one message a supervised parent writes to a `--run-cell`
-/// child's stdin: `{"cell":C,"coords":[c,a],"trace":P}` — the cell's
-/// canonical encoding ([`crate::cell`]), its `(config, spec)` fault
-/// coordinates and its handoff-trace path.
-pub fn message(cell: &Cell, coords: (usize, usize), trace: &Path) -> String {
+/// One line of a supervised parent's input to a `--run-cell` worker:
+/// `{"cell":C,"coords":[c,a]}` — the cell's canonical encoding
+/// ([`crate::cell`]) and its `(config, spec)` fault coordinates.
+pub fn message(cell: &Cell, coords: (usize, usize)) -> String {
     Message {
         cell: cell.clone(),
         coords,
-        trace: trace.to_path_buf(),
     }
     .enc()
 }
@@ -191,45 +175,169 @@ fn decode_message(text: &str) -> Result<Message, String> {
     Message::dec(Some(&doc), "message")
 }
 
-/// The `experiments --run-cell` child: reads one [`message`] from
-/// stdin, loads the handoff trace (regenerating it from the decoded
-/// spec when the file is bad), runs the cell and prints its journal
-/// line on stdout. Never returns; exits with the codes in the module
-/// docs.
-pub fn run_child() -> ! {
-    let mut text = String::new();
-    let decoded = std::io::stdin()
-        .read_to_string(&mut text)
-        .map_err(|e| format!("cannot read stdin: {e}"))
-        .and_then(|_| decode_message(&text));
-    let Message {
-        cell,
-        coords: (c, a),
-        trace,
-    } = match decoded {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("[run-cell: bad message: {e}]");
-            std::process::exit(2)
+/// The `experiments --run-cell` worker: answers each [`message`] line
+/// on stdin with the cell's journal line on stdout, freezing a cell's
+/// spec only when the trace it holds is another spec's. Never
+/// returns; exits with the codes in the module docs.
+pub fn run_worker() -> ! {
+    let mut held: Option<(Cell, std::sync::Arc<acic_trace::PackedTrace>)> = None;
+    let mut answered = 0u64;
+    for line in std::io::stdin().lock().lines() {
+        let decoded = line
+            .map_err(|e| format!("cannot read stdin: {e}"))
+            .and_then(|text| decode_message(&text));
+        let Message {
+            cell,
+            coords: (c, a),
+        } = match decoded {
+            Ok(m) => m,
+            Err(e) => {
+                eprintln!("[run-cell: bad message: {e}]");
+                std::process::exit(2)
+            }
+        };
+        eprintln!("{CELL_START}{}]", cell.key());
+        let report = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            if held
+                .as_ref()
+                .is_none_or(|(h, _)| h.spec != cell.spec || h.budget != cell.budget)
+            {
+                // Drop the old trace before freezing the next one.
+                held = None;
+                let Ok(trace) = crate::trace_store::freeze(&cell.spec, cell.budget);
+                held = Some((cell.clone(), trace));
+            }
+            crate::runner::injected_cell_failure(c, a);
+            cell.run(&held.as_ref().expect("trace frozen above").1)
+        }));
+        // The panic hook already printed the message to stderr; exit like
+        // an uncaught panic so the parent classifies it deterministic.
+        let Ok(report) = report else {
+            std::process::exit(101)
+        };
+        let line = encode_entry(&cell.key(), cell.rung(), &report);
+        let mut out = std::io::stdout().lock();
+        if let Err(e) = writeln!(out, "{line}").and_then(|()| out.flush()) {
+            eprintln!("[run-cell: cannot write the report: {e}]");
+            std::process::exit(4)
         }
-    };
-    let report = std::panic::catch_unwind(|| {
-        let frozen = crate::trace_store::load_container(&trace, &cell.spec, cell.budget);
-        crate::runner::injected_cell_failure(c, a);
-        cell.run(&frozen.trace)
-    });
-    // The panic hook already printed the message to stderr; exit like
-    // an uncaught panic so the parent classifies it deterministic.
-    let Ok(report) = report else {
-        std::process::exit(101)
-    };
-    let line = encode_entry(&cell.key(), cell.rung(), &report);
-    let mut out = std::io::stdout().lock();
-    if let Err(e) = writeln!(out, "{line}").and_then(|()| out.flush()) {
-        eprintln!("[run-cell: cannot write the report: {e}]");
-        std::process::exit(4)
+        answered += 1;
+    }
+    if answered == 0 {
+        eprintln!("[run-cell: bad message: stdin held none]");
+        std::process::exit(2)
     }
     std::process::exit(0)
+}
+
+/// One cell of a supervised batch.
+pub(crate) struct Job<'a> {
+    /// The cell a worker runs.
+    pub cell: &'a Cell,
+    /// Its `(config, spec)` fault coordinates.
+    pub coords: (usize, usize),
+    /// Its journal key, which the reply must carry.
+    pub key: &'a str,
+    /// Its display label (crash reports).
+    pub label: &'a str,
+    /// Its spec's index among the batch's distinct specs: jobs with
+    /// equal indices share a worker's frozen trace.
+    pub spec: usize,
+}
+
+/// The spec a free pool slot takes its next cell from, or `None` when
+/// no cell is left: `unstarted` holds the unstarted cells grouped by
+/// spec and `held` the spec each slot's live worker holds (`None`
+/// without a worker). In order of preference: the spec `slot`'s
+/// worker holds, else the first spec no live worker holds, else the
+/// first spec with a cell left.
+pub(crate) fn pick(
+    unstarted: &[VecDeque<usize>],
+    held: &[Option<usize>],
+    slot: usize,
+) -> Option<usize> {
+    let open = |s: &usize| !unstarted[*s].is_empty();
+    held[slot]
+        .filter(open)
+        .or_else(|| (0..unstarted.len()).find(|s| open(s) && !held.contains(&Some(*s))))
+        .or_else(|| (0..unstarted.len()).find(open))
+}
+
+/// The parent's side of spec affinity: what is left to run and what
+/// each slot's worker holds.
+struct Queue {
+    unstarted: Vec<VecDeque<usize>>,
+    held: Vec<Option<usize>>,
+}
+
+impl Queue {
+    /// `slot`'s next job ([`pick`]); its worker now holds that job's
+    /// spec.
+    fn next(&mut self, slot: usize) -> Option<usize> {
+        let s = pick(&self.unstarted, &self.held, slot)?;
+        self.held[slot] = Some(s);
+        self.unstarted[s].pop_front()
+    }
+}
+
+/// Runs `jobs` under process supervision on `threads` pool slots, each
+/// driving one long-lived worker (module docs), and calls `done` with
+/// each job's index and report as it arrives. Returns one outcome per
+/// job, in order: the worker's report, or [`CellError::ChildFailed`]
+/// (with a crash report written) once the cell's attempt budget is
+/// spent.
+pub(crate) fn run_batch(
+    ctx: &SuperviseCtx,
+    jobs: &[Job<'_>],
+    threads: usize,
+    timeout: Option<Duration>,
+    done: &(dyn Fn(usize, &SimReport) + Sync),
+) -> Vec<Result<SimReport, CellError>> {
+    let specs = jobs.iter().map(|j| j.spec + 1).max().unwrap_or(0);
+    let mut unstarted = vec![VecDeque::new(); specs];
+    for (j, job) in jobs.iter().enumerate() {
+        unstarted[job.spec].push_back(j);
+    }
+    let slots = threads.max(1).min(jobs.len());
+    let queue = Mutex::new(Queue {
+        unstarted,
+        held: vec![None; slots],
+    });
+    let mut results: Vec<Option<Result<SimReport, CellError>>> =
+        (0..jobs.len()).map(|_| None).collect();
+    std::thread::scope(|scope| {
+        let slots: Vec<_> = (0..slots)
+            .map(|slot| {
+                let queue = &queue;
+                scope.spawn(move || {
+                    let mut worker = None;
+                    let mut finished = Vec::new();
+                    loop {
+                        let next = queue.lock().expect("slot queue").next(slot);
+                        let Some(j) = next else { break };
+                        let res = supervise_cell(ctx, &jobs[j], &mut worker, timeout);
+                        if worker.is_none() {
+                            queue.lock().expect("slot queue").held[slot] = None;
+                        }
+                        if let Ok(report) = &res {
+                            done(j, report);
+                        }
+                        finished.push((j, res));
+                    }
+                    finished
+                })
+            })
+            .collect();
+        for slot in slots {
+            for (j, res) in slot.join().expect("supervisor slot thread") {
+                results[j] = Some(res);
+            }
+        }
+    });
+    results
+        .into_iter()
+        .map(|r| r.expect("every job ran"))
+        .collect()
 }
 
 /// Flattens a journal key into something safe for a file name.
@@ -253,65 +361,60 @@ struct AttemptRecord {
     stderr_tail: String,
 }
 
-/// The report a child printed, when its stdout holds exactly one
-/// intact journal line for `key`.
-fn reported(stdout: &str, key: &str) -> Option<SimReport> {
-    let mut lines = stdout.lines();
-    let line = lines.next()?;
-    if lines.next().is_some() {
-        return None;
-    }
-    decode_entry(line)
+/// The report in a worker's reply line, when it is one intact journal
+/// line for `key`.
+fn reported(line: &str, key: &str) -> Option<SimReport> {
+    decode_entry(line.strip_suffix('\n')?)
         .ok()
         .filter(|(k, _)| k == key)
         .map(|(_, entry)| entry.report)
 }
 
-/// Runs one cell to completion under process supervision: spawn a
-/// `--run-cell` child, hand it `cell`, its `coords` and `trace` (its
-/// spec's handoff file) on stdin, enforce the hard timeout, classify
-/// any death, and retry per the policy. Returns the child's report on
-/// success; writes a crash report and returns
-/// [`CellError::ChildFailed`] when the attempt budget is spent.
-pub fn run_one(
+/// Runs one job to completion under supervision: its first attempt on
+/// the slot's long-lived `worker` (spawned when the slot has none),
+/// each retry on a fresh worker given only this cell, under the hard
+/// timeout and the retry policy. A failed attempt kills the worker it
+/// ran on and leaves `worker` empty. Returns the report on success;
+/// writes a crash report and returns [`CellError::ChildFailed`] when
+/// the attempt budget is spent.
+fn supervise_cell(
     ctx: &SuperviseCtx,
-    cell: &Cell,
-    coords: (usize, usize),
-    key: &str,
-    label: &str,
-    trace: &Path,
+    job: &Job<'_>,
+    worker: &mut Option<Worker>,
     timeout: Option<Duration>,
 ) -> Result<SimReport, CellError> {
-    let message = message(cell, coords, trace);
+    let message = message(job.cell, job.coords);
     let mut history: Vec<AttemptRecord> = Vec::new();
     let mut attempt: u32 = 1;
     loop {
-        let (outcome, stdout, stderr_tail) = spawn_and_wait(ctx, &message, attempt - 1, timeout);
-        let report = if outcome == ChildOutcome::Exited(0) {
-            reported(&stdout, key)
+        let mut retry_worker = None;
+        let on = if attempt == 1 {
+            &mut *worker
         } else {
-            None
+            &mut retry_worker
         };
-        if let Some(report) = report {
-            if !history.is_empty() {
-                history.push(AttemptRecord {
-                    outcome: "succeeded".into(),
-                    class: None,
-                    backoff: None,
-                    stderr_tail: String::new(),
-                });
-                write_crash_report(ctx, key, label, &message, &history, "recovered");
-            }
-            return Ok(report);
+        let answer = match on {
+            Some(w) => Ok(w),
+            None => Worker::spawn(ctx, attempt - 1).map(|w| on.insert(w)),
         }
-        // A clean exit that never reported the cell is its own
-        // (deterministic) failure mode.
-        let outcome = if outcome == ChildOutcome::Exited(0) {
-            ChildOutcome::NoReport
-        } else {
-            outcome
+        .and_then(|w| w.ask(&message, job.key, timeout));
+        let outcome = match answer {
+            Ok(report) => {
+                if !history.is_empty() {
+                    history.push(AttemptRecord {
+                        outcome: "succeeded".into(),
+                        class: None,
+                        backoff: None,
+                        stderr_tail: String::new(),
+                    });
+                    write_crash_report(ctx, job, &message, &history, "recovered");
+                }
+                return Ok(report);
+            }
+            Err(outcome) => outcome,
         };
-        let decision = ctx.policy.decide(key, &outcome, attempt);
+        let stderr_tail = on.take().map(Worker::stderr_tail).unwrap_or_default();
+        let decision = ctx.policy.decide(job.key, &outcome, attempt);
         let backoff = match &decision {
             Decision::Retry(d) => Some(*d),
             Decision::GiveUp(_) => None,
@@ -328,14 +431,7 @@ pub fn run_one(
                 attempt += 1;
             }
             Decision::GiveUp(class) => {
-                write_crash_report(
-                    ctx,
-                    key,
-                    label,
-                    &message,
-                    &history,
-                    &format!("failed ({class})"),
-                );
+                write_crash_report(ctx, job, &message, &history, &format!("failed ({class})"));
                 return Err(CellError::ChildFailed {
                     outcome: outcome.to_string(),
                     attempts: attempt,
@@ -345,75 +441,145 @@ pub fn run_one(
     }
 }
 
-/// Spawns one `--run-cell` child, writes `message` to its stdin and
-/// waits for it, SIGKILLing at the hard deadline. Returns the outcome
-/// plus what the child printed on stdout and the retained stderr tail.
-fn spawn_and_wait(
-    ctx: &SuperviseCtx,
-    message: &str,
-    attempt_idx: u32,
-    timeout: Option<Duration>,
-) -> (ChildOutcome, String, String) {
-    let mut child = match Command::new(&ctx.exe)
-        .arg("--run-cell")
-        .env("ACIC_SUPERVISE_ATTEMPT", attempt_idx.to_string())
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-    {
-        Ok(c) => c,
-        Err(e) => {
-            return (
-                ChildOutcome::SpawnFailed(e.to_string()),
-                String::new(),
-                String::new(),
-            )
-        }
-    };
-    // A child that dies before reading shows in its exit status; the
-    // write error itself adds nothing.
-    if let Some(mut stdin) = child.stdin.take() {
-        let _ = stdin.write_all(message.as_bytes());
-    }
-    let out = child
-        .stdout
-        .take()
-        .map(|p| std::thread::spawn(move || tail(p, STDOUT_BYTES)));
-    let err = child
-        .stderr
-        .take()
-        .map(|p| std::thread::spawn(move || tail(p, STDERR_TAIL_BYTES)));
-    let deadline = timeout.map(|t| Instant::now() + t);
-    let status = loop {
-        match child.try_wait() {
-            Ok(Some(st)) => break Some(st),
-            Ok(None) => {
-                if deadline.is_some_and(|d| Instant::now() >= d) {
-                    let _ = child.kill();
-                    let _ = child.wait();
-                    break None;
+/// One running `--run-cell` worker, with a thread per output pipe:
+/// one forwards each stdout line as a reply, one keeps the stderr
+/// tail. Dropping it closes its stdin and waits for it to exit.
+struct Worker {
+    child: Child,
+    replies: Receiver<String>,
+    stderr: Option<JoinHandle<String>>,
+}
+
+impl Worker {
+    /// Spawns a worker as supervision attempt `attempt_idx`
+    /// (`ACIC_SUPERVISE_ATTEMPT`, which gates scripted faults).
+    fn spawn(ctx: &SuperviseCtx, attempt_idx: u32) -> Result<Worker, ChildOutcome> {
+        let mut child = Command::new(&ctx.exe)
+            .arg("--run-cell")
+            .env("ACIC_SUPERVISE_ATTEMPT", attempt_idx.to_string())
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .map_err(|e| ChildOutcome::SpawnFailed(e.to_string()))?;
+        let (tx, replies) = mpsc::channel();
+        if let Some(stdout) = child.stdout.take() {
+            std::thread::spawn(move || {
+                let mut stdout = BufReader::new(stdout);
+                loop {
+                    let mut line = Vec::new();
+                    match (&mut stdout)
+                        .take(STDOUT_BYTES)
+                        .read_until(b'\n', &mut line)
+                    {
+                        Ok(0) | Err(_) => break,
+                        Ok(_) => {
+                            let line = String::from_utf8_lossy(&line).into_owned();
+                            if tx.send(line).is_err() {
+                                break;
+                            }
+                        }
+                    }
                 }
-                std::thread::sleep(CHILD_POLL);
-            }
-            Err(_) => {
-                let _ = child.kill();
-                break child.wait().ok();
+            });
+        }
+        let stderr = child
+            .stderr
+            .take()
+            .map(|p| std::thread::spawn(move || tail(p, STDERR_TAIL_BYTES)));
+        Ok(Worker {
+            child,
+            replies,
+            stderr,
+        })
+    }
+
+    /// Sends `message` and waits for the reply until `timeout` after
+    /// sending. Returns the report when the reply is the journal line
+    /// for `key`; otherwise kills the worker and returns how the
+    /// attempt failed.
+    fn ask(
+        &mut self,
+        message: &str,
+        key: &str,
+        timeout: Option<Duration>,
+    ) -> Result<SimReport, ChildOutcome> {
+        let deadline = timeout.map(|t| Instant::now() + t);
+        // A worker that died before reading shows in its exit status;
+        // the write error itself adds nothing.
+        if let Some(stdin) = &mut self.child.stdin {
+            let _ = stdin.write_all(format!("{message}\n").as_bytes());
+        }
+        let reply = match deadline {
+            Some(d) => self
+                .replies
+                .recv_timeout(d.saturating_duration_since(Instant::now())),
+            None => self
+                .replies
+                .recv()
+                .map_err(|_| RecvTimeoutError::Disconnected),
+        };
+        let timed_out = ChildOutcome::TimedOut(timeout.unwrap_or_default());
+        let outcome = match reply {
+            Ok(line) => match reported(&line, key) {
+                Some(report) => return Ok(report),
+                None => ChildOutcome::NoReport,
+            },
+            Err(RecvTimeoutError::Timeout) => timed_out,
+            // Stdout closed: the worker is exiting; its status is the
+            // evidence.
+            Err(RecvTimeoutError::Disconnected) => match self.reap(deadline) {
+                None => timed_out,
+                Some(st) => match st.code() {
+                    Some(0) => ChildOutcome::NoReport,
+                    Some(code) => ChildOutcome::Exited(code),
+                    None => ChildOutcome::Signaled(death_signal(&st)),
+                },
+            },
+        };
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+        Err(outcome)
+    }
+
+    /// Waits for the worker to exit, up to `deadline`.
+    fn reap(&mut self, deadline: Option<Instant>) -> Option<ExitStatus> {
+        loop {
+            match self.child.try_wait() {
+                Ok(Some(st)) => return Some(st),
+                Ok(None) if deadline.is_some_and(|d| Instant::now() >= d) => return None,
+                Ok(None) => std::thread::sleep(CHILD_POLL),
+                Err(_) => return self.child.wait().ok(),
             }
         }
-    };
-    let joined = |t: Option<std::thread::JoinHandle<String>>| {
-        t.and_then(|t| t.join().ok()).unwrap_or_default()
-    };
-    let (stdout, stderr) = (joined(out), joined(err));
-    let outcome = match status {
-        None => ChildOutcome::TimedOut(timeout.unwrap_or_default()),
-        Some(st) => match st.code() {
-            Some(code) => ChildOutcome::Exited(code),
-            None => ChildOutcome::Signaled(death_signal(&st)),
-        },
-    };
-    (outcome, stdout, stderr)
+    }
+
+    /// What a dead worker wrote on stderr since its last cell-start
+    /// marker: the failing attempt's output alone.
+    fn stderr_tail(mut self) -> String {
+        let tail = self
+            .stderr
+            .take()
+            .and_then(|t| t.join().ok())
+            .unwrap_or_default();
+        last_cell_output(&tail).to_string()
+    }
+}
+
+impl Drop for Worker {
+    fn drop(&mut self) {
+        drop(self.child.stdin.take());
+        let _ = self.child.wait();
+    }
+}
+
+/// The part of a worker's stderr `tail` after its last cell-start
+/// marker line; all of it when the marker fell out of the tail.
+fn last_cell_output(tail: &str) -> &str {
+    match tail.rfind(CELL_START) {
+        Some(at) => tail[at..].split_once('\n').map_or("", |(_, rest)| rest),
+        None => tail,
+    }
 }
 
 #[cfg(unix)]
@@ -447,22 +613,21 @@ fn tail(mut pipe: impl Read, cap: usize) -> String {
     String::from_utf8_lossy(&tail).into_owned()
 }
 
-/// Writes the per-cell crash artifact: identity, the child's stdin
-/// message (and the command that replays it), full retry history with
+/// Writes the per-cell crash artifact: identity, the cell's message
+/// (and the command that replays it), full retry history with
 /// per-attempt exit evidence and stderr tails, and the final
 /// disposition.
 fn write_crash_report(
     ctx: &SuperviseCtx,
-    key: &str,
-    label: &str,
+    job: &Job<'_>,
     message: &str,
     history: &[AttemptRecord],
     disposition: &str,
 ) {
-    let path = ctx.crash_dir.join(format!("{}.txt", sanitize_key(key)));
+    let path = ctx.crash_dir.join(format!("{}.txt", sanitize_key(job.key)));
     let mut out = String::new();
-    out.push_str(&format!("cell: {label}\n"));
-    out.push_str(&format!("key: {key}\n"));
+    out.push_str(&format!("cell: {}\n", job.label));
+    out.push_str(&format!("key: {}\n", job.key));
     out.push_str(&format!("message: {message}\n"));
     out.push_str(&format!(
         "reproduce: sed -n 's/^message: //p' {} | experiments --run-cell\n",
@@ -540,29 +705,119 @@ mod tests {
     #[test]
     fn messages_round_trip() {
         let cell = sample_cell();
-        let trace = Path::new("/tmp/dir with \"quotes\"/t.acictrace");
-        let text = message(&cell, (3, 7), trace);
+        let text = message(&cell, (3, 7));
+        assert!(!text.contains('\n'), "one message is one line");
         let back = decode_message(&text).unwrap();
         let want = Message {
             cell,
             coords: (3, 7),
-            trace: trace.to_path_buf(),
         };
         assert_eq!(back, want);
         assert!(decode_message("{\"cell\":{}}").is_err());
     }
 
     #[test]
-    fn only_one_journal_line_with_the_expected_key_is_a_report() {
+    fn only_one_whole_journal_line_with_the_expected_key_is_a_report() {
         let cell = sample_cell();
         let key = cell.key();
         let line = encode_entry(&key, cell.rung(), &SimReport::default());
         assert!(reported(&format!("{line}\n"), &key).is_some());
-        assert!(reported(&line, "another-key").is_none(), "wrong key");
-        assert!(reported(&format!("{line}\n{line}\n"), &key).is_none());
-        assert!(reported("", &key).is_none());
+        assert!(reported(&format!("{line}\n"), "another-key").is_none());
+        assert!(reported(&line, &key).is_none(), "cut before its newline");
+        assert!(reported("\n", &key).is_none());
         let torn = &line[..line.len() - 10];
-        assert!(reported(torn, &key).is_none(), "torn line");
+        assert!(reported(&format!("{torn}\n"), &key).is_none(), "torn line");
+    }
+
+    #[test]
+    fn a_stderr_tail_keeps_only_the_last_cell_output() {
+        let tail =
+            format!("{CELL_START}k1]\nnoise of the first cell\n{CELL_START}k2]\n[panic] boom\n");
+        assert_eq!(last_cell_output(&tail), "[panic] boom\n");
+        assert_eq!(last_cell_output(&format!("{CELL_START}k1]\n")), "");
+        assert_eq!(
+            last_cell_output("the marker fell out of the tail\n"),
+            "the marker fell out of the tail\n"
+        );
+    }
+
+    /// Runs `cost.len()` cells through the slot picker on `slots`
+    /// slots, the earliest-free slot (lowest index on ties) taking the
+    /// next cell, as a grid batch lists them: config-major, so cell `i`
+    /// is spec `i % specs`. Returns how many times a slot took a cell
+    /// of a spec its worker did not hold (a freeze), and the time the
+    /// last cell ended.
+    fn schedule(specs: usize, slots: usize, cost: &[u64]) -> (usize, u64) {
+        let mut queue = Queue {
+            unstarted: vec![VecDeque::new(); specs],
+            held: vec![None; slots],
+        };
+        for i in 0..cost.len() {
+            queue.unstarted[i % specs].push_back(i);
+        }
+        let mut free = vec![0u64; slots];
+        let mut idle = vec![false; slots];
+        let mut freezes = 0;
+        while let Some(slot) = (0..slots).filter(|&s| !idle[s]).min_by_key(|&s| free[s]) {
+            let held = queue.held[slot];
+            match queue.next(slot) {
+                Some(i) => {
+                    if held != Some(i % specs) {
+                        freezes += 1;
+                    }
+                    free[slot] += cost[i];
+                }
+                None => idle[slot] = true,
+            }
+        }
+        (freezes, free.into_iter().max().unwrap_or(0))
+    }
+
+    #[test]
+    fn figure_17_on_two_slots_freezes_each_spec_once_plus_at_most_one_steal() {
+        // 6 configs x 10 specs, under uniform, config-skewed (OPT-like
+        // heavy rows), spec-skewed and irregular cell costs.
+        let shapes: [&dyn Fn(usize) -> u64; 4] = [
+            &|_| 1,
+            &|i| 1 + 5 * (i / 10) as u64,
+            &|i| 1 + (i % 10) as u64,
+            &|i| 1 + (i * 7 % 11) as u64,
+        ];
+        for (k, cost) in shapes.iter().enumerate() {
+            let cost: Vec<u64> = (0..60).map(cost).collect();
+            let (freezes, _) = schedule(10, 2, &cost);
+            assert!(
+                (10..=11).contains(&freezes),
+                "cost shape {k}: {freezes} freezes"
+            );
+        }
+        assert_eq!(schedule(10, 2, &[1; 60]).0, 10, "uniform costs never steal");
+    }
+
+    #[test]
+    fn one_spec_keeps_both_slots_busy() {
+        let (freezes, end) = schedule(1, 2, &[1; 8]);
+        assert_eq!(end, 4, "8 unit cells on 2 slots end at 4");
+        assert_eq!(freezes, 2, "each slot's worker freezes the spec once");
+    }
+
+    #[test]
+    fn table_3_freezes_each_of_its_ten_specs_once() {
+        assert_eq!(schedule(10, 2, &[1; 10]).0, 10);
+        assert_eq!(schedule(10, 2, &[3, 1, 4, 1, 5, 9, 2, 6, 5, 3]).0, 10);
+    }
+
+    #[test]
+    fn a_slot_prefers_its_own_spec_then_an_unheld_one_then_any() {
+        let groups = |counts: &[usize]| -> Vec<VecDeque<usize>> {
+            counts.iter().map(|&n| (0..n).collect()).collect()
+        };
+        let unstarted = groups(&[2, 1, 3]);
+        assert_eq!(pick(&unstarted, &[Some(2), Some(0)], 0), Some(2));
+        assert_eq!(pick(&unstarted, &[None, Some(0)], 0), Some(1));
+        let drained = groups(&[2, 0, 0]);
+        assert_eq!(pick(&drained, &[Some(1), Some(0)], 0), Some(0), "steal");
+        assert_eq!(pick(&groups(&[0, 0]), &[Some(0)], 0), None);
     }
 
     #[test]

@@ -3,11 +3,11 @@
 //! Everything here is a function of its arguments — no sleeping, no
 //! clock reads, no environment access — so the policy is fully
 //! unit-testable (and property-tested in `tests/retry_policy.rs`)
-//! without spawning a single child. The supervisor proper
-//! ([`super::run_one`]) only *executes* the decisions made here.
+//! without spawning a single worker. The supervisor proper
+//! (`super::run_batch`) only *executes* the decisions made here.
 //!
-//! **Classification.** A dead child is classified by the evidence its
-//! exit leaves behind ([`classify`]):
+//! **Classification.** A failed attempt is classified by the evidence
+//! its worker's exit leaves behind ([`classify`]):
 //!
 //! * *Transient* — the failure is plausibly environmental and worth
 //!   retrying up to a cap: the supervisor's own hard-timeout kill, an
@@ -41,7 +41,7 @@ static BACKOFF_WARNING: Once = Once::new();
 /// classified deterministic unlike other signal deaths.
 pub const SIGABRT: i32 = 6;
 
-/// How a supervised child's attempt ended, as observed by the parent.
+/// How a supervised cell attempt ended, as observed by the parent.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ChildOutcome {
     /// Exited with this status (`0` with a reported cell is success
@@ -51,10 +51,11 @@ pub enum ChildOutcome {
     Signaled(i32),
     /// Exceeded the hard timeout; the supervisor SIGKILLed it.
     TimedOut(Duration),
-    /// The child process could not be spawned.
+    /// The worker process could not be spawned.
     SpawnFailed(String),
     /// Exited `0` without printing the one journal line for its cell
-    /// on stdout — a protocol violation.
+    /// on stdout, or answered with another line (and was killed) — a
+    /// protocol violation.
     NoReport,
 }
 
@@ -70,7 +71,7 @@ impl std::fmt::Display for ChildOutcome {
                 write!(f, "hard timeout after {}s (SIGKILLed)", limit.as_secs())
             }
             ChildOutcome::SpawnFailed(e) => write!(f, "spawn failed: {e}"),
-            ChildOutcome::NoReport => write!(f, "exited 0 without reporting its cell"),
+            ChildOutcome::NoReport => write!(f, "did not report its cell"),
         }
     }
 }

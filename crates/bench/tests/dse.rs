@@ -13,9 +13,9 @@
 //!    cells and reproduces the uninterrupted run's provenance report
 //!    line for line; a journal torn mid-line costs a partial, not
 //!    total, recompute.
-//! 3. **Supervision** — a `--dse --supervise` sweep (one child
-//!    process per rung cell) is bit-identical to the in-process
-//!    sweep: provenance report, result journal and summary.
+//! 3. **Supervision** — a `--dse --supervise` sweep (rung cells in
+//!    one worker process per pool slot) is bit-identical to the
+//!    in-process sweep: provenance report, result journal and summary.
 
 use acic_bench::dse::{midpoints, pareto_frontier, pinned_space, run_dse, DseOptions, Ladder};
 use acic_bench::Runner;
@@ -296,7 +296,7 @@ fn supervised_dse_sweep_is_bit_identical_to_in_process() {
     let (sup, sup_results, sup_report) = sweep("supervised", true);
     let (inp, inp_results, inp_report) = sweep("in-process", false);
     assert!(
-        stderr(&sup).contains("[supervise: one child process per cell"),
+        stderr(&sup).contains("[supervise: one worker process per pool slot"),
         "the sweep ran supervised: {}",
         stderr(&sup)
     );

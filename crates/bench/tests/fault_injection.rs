@@ -12,7 +12,6 @@
 
 use acic_bench::fault::{self, Fault, FaultPlan};
 use acic_bench::result_store::ResultStore;
-use acic_bench::trace_store::{load_container, Provenance};
 use acic_sim::{Engine, IcacheOrg, SimConfig, SimReport};
 use acic_trace::PackedTrace;
 use acic_workloads::{AppProfile, WorkloadSpec};
@@ -118,45 +117,6 @@ proptest! {
         prop_assert!(
             PackedTrace::from_bytes(&raw).is_err(),
             "bit {bit} flipped silently yet the container still parsed"
-        );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// The one container loader (a supervised child's handoff) under
-    /// a faulted read: an EIO or a flipped bit either leaves the
-    /// container intact (the flip landed nowhere it could) or is
-    /// caught, and the loader regenerates — loudly, with a
-    /// `Regenerated*` provenance — a trace bit-identical to the one
-    /// recorded. It never hands back a corrupt trace.
-    #[test]
-    fn the_container_loader_regenerates_or_decodes_bit_identically(
-        eio in any::<bool>(),
-        bit in any::<u32>(),
-    ) {
-        let bytes = container_bytes();
-        let dir = scratch("load");
-        let path = dir.join("t.acictrace");
-        std::fs::write(&path, bytes).unwrap();
-        let fault = if eio { Fault::ReadEio } else { Fault::BitFlipRead(bit) };
-        let spec = WorkloadSpec::Single(AppProfile::web_search());
-        let (frozen, injected) = fault::with_faults(FaultPlan::script(vec![Some(fault)]), || {
-            load_container(&path, &spec, 2_000)
-        });
-        prop_assert_eq!(injected, 1);
-        prop_assert!(
-            matches!(
-                frozen.provenance,
-                Provenance::Replayed | Provenance::RegeneratedCorrupt
-            ),
-            "unexpected provenance {:?}",
-            frozen.provenance
-        );
-        if eio {
-            prop_assert_eq!(frozen.provenance, Provenance::RegeneratedCorrupt);
-        }
-        prop_assert!(
-            frozen.trace.to_bytes() == bytes,
-            "the loader returned a trace other than the recorded one ({fault:?})"
         );
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -1,6 +1,7 @@
-//! End-to-end checks of `--supervise`: one child process per cell,
-//! hard timeouts, retry with backoff, crash forensics, and
-//! bit-identity with the in-process reference path — all on the small
+//! End-to-end checks of `--supervise`: one worker process per pool
+//! slot and its stdin protocol, hard timeouts, retry with backoff,
+//! crash forensics, and bit-identity with the in-process reference
+//! path — all on the small
 //! `table3_mpki` grid (1 config x 10 specs) at a tiny instruction
 //! budget so the debug binary stays fast.
 
@@ -112,21 +113,10 @@ fn healthy_supervised_run_is_bit_identical_to_in_process() {
         std::fs::read(ref_rs.join("results.jsonl")).unwrap(),
         "supervised journal must be byte-identical"
     );
-    let stray = std::fs::read_dir(&sup_cr)
-        .map(|d| {
-            d.filter_map(|e| e.ok())
-                .filter(|e| e.path().extension().is_some_and(|x| x == "txt"))
-                .count()
-        })
-        .unwrap_or(0);
-    assert_eq!(stray, 0, "a healthy run must leave no crash reports");
-    let handoffs = files_under(&sup_cr)
-        .into_iter()
-        .filter(|p| p.extension().is_some_and(|x| x == "acictrace"))
-        .collect::<Vec<_>>();
+    let left = entries_under(&sup_cr);
     assert!(
-        handoffs.is_empty(),
-        "no handoff trace may outlive the run: {handoffs:?}"
+        left.is_empty(),
+        "a healthy run leaves its crash dir empty: {left:?}"
     );
 
     std::fs::remove_dir_all(&dir).ok();
@@ -134,9 +124,9 @@ fn healthy_supervised_run_is_bit_identical_to_in_process() {
 
 #[test]
 fn a_supervised_run_without_results_matches_in_process_and_leaves_nothing() {
-    // Two figures, no `--results`: every child gets its cell on stdin
-    // and runs no figure code, so nothing is journaled anywhere, and
-    // the handoff traces go when the run ends.
+    // Two figures, no `--results`: every worker gets its cells on
+    // stdin and runs no figure code, so nothing is journaled anywhere,
+    // and no process writes a file under the crash dir.
     let dir = scratch("no-results");
     let cr = dir.join("crash");
     let reference = experiments().arg("fig12").output().unwrap();
@@ -156,31 +146,25 @@ fn a_supervised_run_without_results_matches_in_process_and_leaves_nothing() {
         stdout(&reference),
         "supervised stdout must be bit-identical"
     );
-    let left = files_under(&cr);
+    let left = entries_under(&cr);
     assert!(
         left.is_empty(),
-        "neither journal nor handoff may outlive the run: {left:?}"
+        "nothing may be left under the crash dir: {left:?}"
     );
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Every file under `dir`, recursively.
-fn files_under(dir: &Path) -> Vec<PathBuf> {
-    let mut out = Vec::new();
-    for entry in std::fs::read_dir(dir).into_iter().flatten().flatten() {
-        let path = entry.path();
-        if path.is_dir() {
-            out.extend(files_under(&path));
-        } else {
-            out.push(path);
-        }
-    }
-    out
+/// Every entry (file or directory) directly under `dir`.
+fn entries_under(dir: &Path) -> Vec<PathBuf> {
+    std::fs::read_dir(dir)
+        .unwrap_or_else(|e| panic!("crash dir {}: {e}", dir.display()))
+        .map(|e| e.unwrap().path())
+        .collect()
 }
 
-/// Runs `cmd` (an `experiments()` command) as `--run-cell` with
-/// `message` on stdin.
-fn run_cell(cmd: &mut Command, message: &str) -> Output {
+/// Runs `cmd` (an `experiments()` command) as a `--run-cell` worker
+/// with `input` on stdin.
+fn run_cell(cmd: &mut Command, input: &str) -> Output {
     let mut child = cmd
         .arg("--run-cell")
         .stdin(Stdio::piped())
@@ -192,13 +176,13 @@ fn run_cell(cmd: &mut Command, message: &str) -> Output {
         .stdin
         .take()
         .unwrap()
-        .write_all(message.as_bytes())
+        .write_all(input.as_bytes())
         .unwrap();
     child.wait_with_output().unwrap()
 }
 
 #[test]
-fn a_child_with_a_bad_handoff_trace_regenerates_and_reports_the_same_cell() {
+fn one_worker_answers_each_message_in_turn_and_stops_at_a_bad_one() {
     use acic_bench::cell::{Cell, Exec};
     use acic_bench::json::Json;
     use acic_bench::result_store::{report_from_json, ResultStore};
@@ -206,32 +190,16 @@ fn a_child_with_a_bad_handoff_trace_regenerates_and_reports_the_same_cell() {
     use acic_sim::SimConfig;
     use acic_workloads::{AppProfile, WorkloadSpec};
 
-    let dir = scratch("handoff");
-    std::fs::create_dir_all(&dir).unwrap();
-    let budget: u64 = BUDGET.parse().unwrap();
-    let spec = WorkloadSpec::Single(AppProfile::web_search());
-    let cell = Cell {
-        spec: spec.clone(),
+    let dir = scratch("worker");
+    let cell = |app: AppProfile| Cell {
+        spec: WorkloadSpec::Single(app),
         config: SimConfig::default(),
-        budget,
+        budget: BUDGET.parse().unwrap(),
         exec: Exec::Serial,
     };
-    let key = cell.key();
-
-    // Containers as a parent would hand them over: one at the cell's
-    // budget, and one at the wrong budget.
-    let record = |n: u64| spec.materialize(n).to_bytes();
-    let healthy = record(budget);
-    let mut flipped = healthy.clone();
-    let mid = flipped.len() / 2;
-    flipped[mid] ^= 0x10;
-    let cases: [(&str, Option<Vec<u8>>); 5] = [
-        ("healthy", Some(healthy.clone())),
-        ("missing", None),
-        ("truncated", Some(healthy[..healthy.len() / 2].to_vec())),
-        ("bit-flipped", Some(flipped)),
-        ("wrong-budget", Some(record(budget - 1))),
-    ];
+    // Two of the figure's cells: web-search is spec 4, sibench spec 7.
+    let (a, b) = (cell(AppProfile::web_search()), cell(AppProfile::sibench()));
+    let (msg_a, msg_b) = (message(&a, (0, 4)), message(&b, (0, 7)));
 
     let out = experiments()
         .args([
@@ -243,36 +211,56 @@ fn a_child_with_a_bad_handoff_trace_regenerates_and_reports_the_same_cell() {
         .output()
         .unwrap();
     assert!(out.status.success(), "stderr: {}", stderr(&out));
-    let want = ResultStore::open(&dir.join("ref"))
-        .unwrap()
-        .get(&key)
-        .expect("the reference run journaled the cell");
+    let reference = ResultStore::open(&dir.join("ref")).unwrap();
+    let want = |c: &Cell| {
+        let report = reference
+            .get(&c.key())
+            .expect("the reference run journaled the cell");
+        format!("{report:?}")
+    };
+    let answer = |line: &str| -> (String, String) {
+        let doc = Json::parse(line)
+            .unwrap_or_else(|e| panic!("the worker printed no journal line ({e}): {line}"));
+        let key = doc.get("key").and_then(Json::str_val).unwrap().to_string();
+        let report = report_from_json(doc.get("report").unwrap()).unwrap();
+        (key, format!("{report:?}"))
+    };
 
-    for (case, bytes) in cases {
-        let trace = dir.join(format!("{case}.acictrace"));
-        if let Some(bytes) = &bytes {
-            std::fs::write(&trace, bytes).unwrap();
-        }
-        // The cell is web-search, spec 1 of the figure's grid.
-        let out = run_cell(&mut experiments(), &message(&cell, (0, 1), &trace));
-        let se = stderr(&out);
-        assert_eq!(out.status.code(), Some(0), "{case}: stderr: {se}");
-        let line = stdout(&out);
-        let doc = Json::parse(line.trim())
-            .unwrap_or_else(|e| panic!("{case}: the child printed no journal line ({e})"));
-        assert_eq!(doc.get("key").and_then(Json::str_val), Some(key.as_str()));
-        let got = report_from_json(doc.get("report").unwrap()).unwrap();
+    // Spec A, spec B, then spec A again: three answers, in order, each
+    // the in-process journal's report for its cell.
+    let out = run_cell(&mut experiments(), &format!("{msg_a}\n{msg_b}\n{msg_a}\n"));
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+    let printed = stdout(&out);
+    let lines: Vec<&str> = printed.lines().collect();
+    assert_eq!(lines.len(), 3, "one line per message: {printed}");
+    for (line, c) in lines.iter().zip([&a, &b, &a]) {
         assert_eq!(
-            format!("{got:?}"),
-            format!("{want:?}"),
-            "{case}: the child's report must match the in-process run"
-        );
-        assert_eq!(
-            se.contains("regenerating"),
-            case != "healthy",
-            "{case}: a bad handoff is named on stderr, a good one is not: {se}"
+            answer(line),
+            (c.key(), want(c)),
+            "the worker's report must match the in-process run"
         );
     }
+
+    // A garbage second line: the first message is answered, then the
+    // worker exits 2 without answering anything else.
+    let out = run_cell(
+        &mut experiments(),
+        &format!("{msg_b}\nnot a message\n{msg_a}\n"),
+    );
+    assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr(&out));
+    let printed = stdout(&out);
+    let lines: Vec<&str> = printed.lines().collect();
+    assert_eq!(
+        lines.len(),
+        1,
+        "only the first message is answered: {printed}"
+    );
+    assert_eq!(answer(lines[0]), (b.key(), want(&b)));
+    assert!(
+        stderr(&out).contains("bad message"),
+        "stderr: {}",
+        stderr(&out)
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
