@@ -47,10 +47,10 @@ pub struct DseOptions {
     /// Journal finished cells here and replay them on resume.
     pub store: Option<Arc<ResultStore>>,
     /// Per-cell deadline, as on [`crate::Runner::cell_timeout`]: hard
-    /// per child when supervised; in process, a cell past it ends the
-    /// run. Defaults to none.
+    /// per cell attempt when supervised; in process, a cell past it
+    /// (its spec's freeze included) ends the run. Defaults to none.
     pub cell_timeout: Option<Duration>,
-    /// Worker threads (defaults to `ACIC_BENCH_THREADS`).
+    /// Cell pool slots (defaults to `ACIC_BENCH_THREADS`).
     pub threads: usize,
     /// Process supervision, as on [`crate::Runner::supervise`]: a
     /// supervised parent runs every to-be-computed rung cell in its

@@ -6,19 +6,22 @@
 //! [`WorkloadSpec`] is frozen **once** into an immutable
 //! [`PackedTrace`] (via [`crate::trace_store::freeze`]), and every
 //! configuration row, thread, and repeat replays the shared `Arc`
-//! zero-copy. The in-process cell executor freezes lazily through a
-//! per-run `TraceSet`: only the specs of cells the store did not
-//! replay, each at most once (under `--supervise` the workers freeze
-//! instead, each spec about once). A C-config × A-spec grid therefore
-//! pays A generation passes instead of C × A — the generation cost
-//! that used to dominate figure wall time after the simulators got
-//! fast.
+//! zero-copy. An in-process cell freezes its spec on first use
+//! through a per-run `TraceSet`: only the specs of cells the store
+//! did not replay, each at most once (under `--supervise` the workers
+//! freeze instead, each spec about once). A C-config × A-spec grid
+//! therefore pays A generation passes instead of C × A — the
+//! generation cost that used to dominate figure wall time after the
+//! simulators got fast.
 //! Replay is bit-identical to generation (same stream, same
 //! name-derived seeds), pinned by
 //! `frozen_grid_matches_generator_backed_runs` below.
 //!
-//! **Fault isolation.** Cells run on [`run_cells`], a scoped pool:
-//! each cell is wrapped in `catch_unwind`, so one panicking cell
+//! **One pool.** Both isolation tiers run their cells on
+//! [`run_cells`], a scoped, spec-affine pool: a free slot takes the
+//! next cell of the spec it last ran, else a spec no slot holds, else
+//! any cell left, so freezing one spec overlaps simulating another.
+//! Each cell is wrapped in `catch_unwind`, so one panicking cell
 //! becomes one [`CellError`] instead of tearing down the whole sweep.
 //! An armed per-cell deadline ([`Runner::cell_timeout`]) cannot kill a
 //! wedged thread, so a cell that overruns it ends the run: the failure
@@ -53,6 +56,7 @@ use crate::supervise::SuperviseCtx;
 use acic_sim::{IcacheOrg, PrefetcherKind, SimConfig, SimReport};
 use acic_trace::PackedTrace;
 use acic_workloads::AppProfile;
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, Once};
@@ -277,12 +281,48 @@ pub fn exit_with_failure_summary(kind: &str, failures: &[(String, String)]) -> !
     std::process::exit(1);
 }
 
-/// Fault-isolated parallel map over `0..work` on a scoped pool of
-/// `threads` workers. An atomic cursor hands out the cells, so long
-/// cells (OPT, oracle pre-passes) never serialize behind a static
-/// chunk. Each cell runs under `catch_unwind`: a panic fails that cell
-/// alone ([`CellError::Panicked`]) and every other cell still runs.
-/// Results come back in input order.
+/// The spec a free pool slot takes its next cell from, or `None` when
+/// no cell is left: `unstarted` holds the unstarted cells grouped by
+/// spec and `held` the spec each slot last ran (`None` before its
+/// first cell). In order of preference: the spec `slot` holds, else
+/// the first spec no slot holds, else the first spec with a cell left.
+fn pick(unstarted: &[VecDeque<usize>], held: &[Option<usize>], slot: usize) -> Option<usize> {
+    let open = |s: &usize| !unstarted[*s].is_empty();
+    held[slot]
+        .filter(open)
+        .or_else(|| (0..unstarted.len()).find(|s| open(s) && !held.contains(&Some(*s))))
+        .or_else(|| (0..unstarted.len()).find(open))
+}
+
+/// The pool's side of spec affinity: what is left to run and the spec
+/// each slot holds.
+struct Queue {
+    unstarted: Vec<VecDeque<usize>>,
+    held: Vec<Option<usize>>,
+}
+
+impl Queue {
+    /// `slot`'s next cell ([`pick`]); the slot now holds that cell's
+    /// spec.
+    fn next(&mut self, slot: usize) -> Option<usize> {
+        let s = pick(&self.unstarted, &self.held, slot)?;
+        self.held[slot] = Some(s);
+        self.unstarted[s].pop_front()
+    }
+}
+
+/// Fault-isolated parallel map over the cells `0..specs.len()` on a
+/// scoped pool of `threads` slots, the one cell pool of both isolation
+/// tiers. `specs[i]` is cell `i`'s spec index: a free slot takes the
+/// next cell of the spec it last ran, else the first cell of a spec no
+/// slot holds, else any cell left (`pick`), so a slot reuses what it
+/// holds for a spec (a supervised worker's trace) and two slots freeze
+/// different specs at once. Each slot owns one `S` for its lifetime,
+/// which `f` gets with every cell it runs there (`()` when a cell
+/// needs nothing, a supervised slot's worker). Each cell runs under
+/// `catch_unwind`: a panic fails that cell alone
+/// ([`CellError::Panicked`]) and every other cell still runs. Results
+/// come back in input order.
 ///
 /// With a `deadline` (a limit and each cell's label) the calling
 /// thread watches when each running cell started. A thread cannot be
@@ -295,33 +335,42 @@ pub fn exit_with_failure_summary(kind: &str, failures: &[(String, String)]) -> !
 /// Panics once the scope has joined if a worker thread died anyway: an
 /// unwind that escapes `catch_unwind`, such as a panic payload whose
 /// `Drop` panics. The figure then fails loudly and is not retried.
-pub fn run_cells<T: Send>(
-    work: usize,
+pub fn run_cells<S: Default, T: Send>(
+    specs: &[usize],
     threads: usize,
     deadline: Option<(Duration, &dyn Fn(usize) -> String)>,
-    f: impl Fn(usize) -> T + Sync,
+    f: impl Fn(&mut S, usize) -> T + Sync,
 ) -> Vec<Result<T, CellError>> {
-    let (cursor, finished) = (AtomicUsize::new(0), AtomicUsize::new(0));
+    let work = specs.len();
+    let slots = threads.max(1).min(work);
+    let mut unstarted = vec![VecDeque::new(); specs.iter().map(|&s| s + 1).max().unwrap_or(0)];
+    for (i, &s) in specs.iter().enumerate() {
+        unstarted[s].push_back(i);
+    }
+    let queue = Mutex::new(Queue {
+        unstarted,
+        held: vec![None; slots],
+    });
+    let finished = AtomicUsize::new(0);
     let caller = std::thread::current();
-    // Per worker: the cell it is running and when that cell started.
-    let running: Vec<Mutex<Option<(usize, Instant)>>> = (0..threads.max(1).min(work))
-        .map(|_| Mutex::new(None))
-        .collect();
-    let mut slots: Vec<Option<Result<T, CellError>>> = (0..work).map(|_| None).collect();
+    // Per slot: the cell it is running and when that cell started.
+    let running: Vec<Mutex<Option<(usize, Instant)>>> =
+        (0..slots).map(|_| Mutex::new(None)).collect();
+    let mut results: Vec<Option<Result<T, CellError>>> = (0..work).map(|_| None).collect();
     std::thread::scope(|scope| {
         let workers: Vec<_> = running
             .iter()
-            .map(|current| {
-                let (cursor, finished, caller, f) = (&cursor, &finished, &caller, &f);
+            .enumerate()
+            .map(|(slot, current)| {
+                let (queue, finished, caller, f) = (&queue, &finished, &caller, &f);
                 scope.spawn(move || {
+                    let mut state = S::default();
                     let mut done = Vec::new();
                     loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= work {
-                            return done;
-                        }
+                        let next = queue.lock().expect("slot queue").next(slot);
+                        let Some(i) = next else { return done };
                         *current.lock().expect("watch slot") = Some((i, Instant::now()));
-                        let res = catch_unwind(AssertUnwindSafe(|| f(i)))
+                        let res = catch_unwind(AssertUnwindSafe(|| f(&mut state, i)))
                             .map_err(|p| CellError::Panicked(panic_message(&*p)));
                         *current.lock().expect("watch slot") = None;
                         done.push((i, res));
@@ -353,7 +402,7 @@ pub fn run_cells<T: Send>(
             match w.join() {
                 Ok(done) => {
                     for (i, res) in done {
-                        slots[i] = Some(res);
+                        results[i] = Some(res);
                     }
                 }
                 Err(_) => lost += 1,
@@ -364,7 +413,7 @@ pub fn run_cells<T: Send>(
             "{lost} cell worker thread(s) died outside catch_unwind"
         );
     });
-    slots
+    results
         .into_iter()
         .map(|s| s.expect("every cell ran"))
         .collect()
@@ -374,36 +423,42 @@ pub fn run_cells<T: Send>(
 /// specs share one frozen trace) and returns the per-spec outcomes,
 /// in input order — a freeze failure (a panic during materialization)
 /// fails only the cells that need that spec.
-/// Freezing fans out across the [`bench_threads`] pool; the cell
-/// executor freezes through the same `TraceSet` on its batch's
-/// thread count instead.
+/// Freezing fans out across a [`run_cells`] pool of [`bench_threads`]
+/// slots, each spec one cell; the cell executor freezes through the
+/// same `TraceSet`, inside the cells that need a spec.
 pub fn try_freeze_specs(
     specs: &[WorkloadSpec],
     instructions: u64,
 ) -> Vec<Result<Arc<PackedTrace>, String>> {
     let set = TraceSet::new(specs, instructions);
-    set.freeze(0..specs.len(), bench_threads());
-    (0..specs.len()).map(|a| set.held(a)).collect()
+    run_cells(&set.slot_of, bench_threads(), None, |_: &mut (), a| {
+        set.trace(a)
+    })
+    .into_iter()
+    .map(|res| res.unwrap_or_else(|e| Err(e.to_string())))
+    .collect()
 }
 
 /// A spec's frozen trace, or why its freeze failed.
 type Frozen = Result<Arc<PackedTrace>, String>;
 
 /// One run's traces: its specs, the budget they freeze at, and a
-/// per-spec cache the in-process cell executor fills lazily.
-/// Structurally equal specs share a slot, a spec freezes at most once
-/// per set, and only when a batch has a cell left to compute over it.
-/// A supervised parent freezes nothing: it uses the set only to group
-/// cells by spec, and its workers freeze their own traces
-/// ([`crate::supervise`]). A figure grid builds one set per call; the
-/// DSE ladder builds one for all rungs.
+/// per-spec cache that in-process cells fill as they need it.
+/// Structurally equal specs share a slot, and a spec freezes at most
+/// once per set, in the first cell that needs it; a spec whose cells
+/// all replay from the store never freezes. A supervised parent
+/// freezes nothing: it uses the set only to group cells by spec, and
+/// its workers freeze their own traces ([`crate::supervise`]). A
+/// figure grid builds one set per call; the DSE ladder builds one for
+/// all rungs.
 pub(crate) struct TraceSet {
     /// Distinct specs, first-occurrence order.
     specs: Vec<WorkloadSpec>,
     /// Each input spec's index into `specs`.
     slot_of: Vec<usize>,
     budget: u64,
-    held: Mutex<Vec<Option<Frozen>>>,
+    /// Per distinct spec: its trace once a cell froze it.
+    held: Vec<Mutex<Option<Frozen>>>,
     freezes: AtomicUsize,
 }
 
@@ -421,7 +476,7 @@ impl TraceSet {
             })
             .collect();
         TraceSet {
-            held: Mutex::new(vec![None; distinct.len()]),
+            held: distinct.iter().map(|_| Mutex::new(None)).collect(),
             specs: distinct,
             slot_of,
             budget,
@@ -440,40 +495,22 @@ impl TraceSet {
         self.freezes.load(Ordering::Relaxed)
     }
 
-    /// Freezes the not-yet-frozen specs among `specs` (input indices)
-    /// on `threads` pool workers.
-    fn freeze(&self, specs: impl IntoIterator<Item = usize>, threads: usize) {
-        let mut held = self.held.lock().expect("trace set lock");
-        let mut slots: Vec<usize> = specs.into_iter().map(|a| self.slot_of[a]).collect();
-        slots.sort_unstable();
-        slots.dedup();
-        slots.retain(|&u| held[u].is_none());
-        if slots.is_empty() {
-            return;
-        }
-        self.freezes.fetch_add(slots.len(), Ordering::Relaxed);
-        let budget = self.budget;
-        let frozen = run_cells(slots.len(), threads, None, |t| {
-            let Ok(trace) = crate::trace_store::freeze(&self.specs[slots[t]], budget);
-            trace
-        });
-        for (u, res) in slots.into_iter().zip(frozen) {
-            held[u] = Some(res.map_err(|e| match e {
-                CellError::Panicked(msg) => msg,
-                e => e.to_string(),
-            }));
-        }
-    }
-
-    /// Spec `a`'s frozen trace, or why its freeze failed.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `a` was never frozen.
-    fn held(&self, a: usize) -> Frozen {
-        self.held.lock().expect("trace set lock")[self.slot_of[a]]
-            .clone()
-            .expect("spec frozen before use")
+    /// Spec `a`'s (an input index) frozen trace, or why its freeze
+    /// failed. The first call for a spec freezes it, under that spec's
+    /// lock, so concurrent cells of the spec wait for the one freeze;
+    /// a panic while freezing is kept as the spec's error.
+    fn trace(&self, a: usize) -> Frozen {
+        let u = self.slot_of[a];
+        let mut held = self.held[u].lock().expect("trace set lock");
+        held.get_or_insert_with(|| {
+            self.freezes.fetch_add(1, Ordering::Relaxed);
+            catch_unwind(AssertUnwindSafe(|| {
+                let Ok(trace) = crate::trace_store::freeze(&self.specs[u], self.budget);
+                trace
+            }))
+            .map_err(|p| panic_message(&*p))
+        })
+        .clone()
     }
 }
 
@@ -517,7 +554,9 @@ pub(crate) struct Batch<'a> {
     pub labels: Vec<String>,
     /// The run's traces, indexed by each cell's spec.
     pub traces: &'a TraceSet,
-    /// Worker threads, for freezing and for cells.
+    /// Slots of the [`run_cells`] pool the cells run on: each slot
+    /// runs its cells in process (freezing a spec on first use) or
+    /// drives one supervised worker.
     pub threads: usize,
     /// Replay finished cells from, and journal new ones into, here.
     pub store: Option<&'a Arc<ResultStore>>,
@@ -543,13 +582,13 @@ pub(crate) struct Executed {
 
 /// The one cell executor behind figure grids and the DSE ladder.
 ///
-/// Store hits replay first. The cells left to compute then run either
-/// under process supervision ([`crate::supervise::run_batch`], as a
-/// supervised parent: one long-lived worker per slot freezes each
-/// spec it is handed, and every cell attempt runs under a hard
-/// deadline) or in process: their specs freeze (each at most once per
-/// [`TraceSet`], on the batch's threads) and the cells run through
-/// [`Cell::run`] on the [`run_cells`] pool, where a cell past the
+/// Store hits replay first. The cells left to compute then run on one
+/// [`run_cells`] pool, and the isolation tier is only what a slot does
+/// with a cell. Supervised, the slot hands it to its long-lived worker
+/// process ([`crate::supervise::supervise_cell`]), which freezes the
+/// spec unless it holds it and runs under a hard deadline. In process,
+/// the slot fetches the spec's trace from the [`TraceSet`] (freezing
+/// it if no cell has yet) and runs [`Cell::run`]; a cell past the
 /// deadline ends the run. Each finished cell is journaled as it
 /// completes.
 pub(crate) fn execute(batch: Batch<'_>) -> Executed {
@@ -565,67 +604,56 @@ pub(crate) fn execute(batch: Batch<'_>) -> Executed {
         }
     }
     let pending: Vec<usize> = (0..n).filter(|&i| slots[i].is_none()).collect();
-    let journal = |i: usize, report: &SimReport| {
-        let Some(store) = batch.store else { return };
-        let put = match batch.cells[i].rung() {
-            Some(r) => store.put_rung(&keys[i], r, report),
-            None => store.put(&keys[i], report),
-        };
-        if let Err(e) = put {
-            eprintln!(
-                "[results: failed to journal cell {} ({e}); kept in memory]",
-                keys[i]
-            );
-        }
+    let specs: Vec<usize> = pending
+        .iter()
+        .map(|&i| traces.slot_of[batch.coords[i].1])
+        .collect();
+    let label = |t: usize| batch.labels[pending[t]].clone();
+    // A supervised worker's hard deadline (`Worker::ask`) replaces the
+    // in-process watchdog.
+    let deadline = match batch.supervise {
+        Some(_) => None,
+        None => batch
+            .cell_timeout
+            .map(|limit| (limit, &label as &dyn Fn(usize) -> String)),
     };
-    let (todo, results): (Vec<usize>, Vec<Result<SimReport, CellError>>) =
-        if let Some(ctx) = batch.supervise {
-            // The parent only journals what each worker reported, so
-            // the journal stays byte-identical to the in-process path.
-            let jobs: Vec<crate::supervise::Job<'_>> = pending
-                .iter()
-                .map(|&i| crate::supervise::Job {
-                    cell: &batch.cells[i],
-                    coords: batch.coords[i],
-                    key: &keys[i],
-                    label: &batch.labels[i],
-                    spec: traces.slot_of[batch.coords[i].1],
-                })
-                .collect();
-            let results = crate::supervise::run_batch(
+    let results = run_cells(&specs, batch.threads, deadline, |worker, t| {
+        let i = pending[t];
+        let (cell, (c, a)) = (&batch.cells[i], batch.coords[i]);
+        let res = match batch.supervise {
+            Some(ctx) => crate::supervise::supervise_cell(
                 ctx,
-                &jobs,
-                batch.threads,
+                worker,
+                cell,
+                (c, a),
+                &keys[i],
+                &batch.labels[i],
                 batch.cell_timeout,
-                &|j, report| journal(pending[j], report),
-            );
-            (pending, results)
-        } else {
-            traces.freeze(pending.iter().map(|&i| batch.coords[i].1), batch.threads);
-            let mut todo: Vec<(usize, Arc<PackedTrace>)> = Vec::with_capacity(pending.len());
-            for i in pending {
-                match traces.held(batch.coords[i].1) {
-                    Ok(trace) => todo.push((i, trace)),
-                    Err(e) => slots[i] = Some(Err(CellError::Freeze(e))),
-                }
-            }
-            let label = |t: usize| batch.labels[todo[t].0].clone();
-            let deadline = batch
-                .cell_timeout
-                .map(|limit| (limit, &label as &dyn Fn(usize) -> String));
-            let results = run_cells(todo.len(), batch.threads, deadline, |t| {
-                let (i, trace) = &todo[t];
-                let (c, a) = batch.coords[*i];
+            ),
+            None => traces.trace(a).map_err(CellError::Freeze).map(|trace| {
                 injected_cell_failure(c, a);
-                let report = batch.cells[*i].run(trace);
-                journal(*i, &report);
-                report
-            });
-            (todo.into_iter().map(|(i, _)| i).collect(), results)
+                cell.run(&trace)
+            }),
         };
-    let computed = todo.len() as u64;
-    for (i, res) in todo.into_iter().zip(results) {
-        slots[i] = Some(res);
+        // A supervised parent journals what its worker reported, so
+        // the journal stays byte-identical to the in-process path.
+        if let (Some(store), Ok(report)) = (batch.store, &res) {
+            let put = match cell.rung() {
+                Some(r) => store.put_rung(&keys[i], r, report),
+                None => store.put(&keys[i], report),
+            };
+            if let Err(e) = put {
+                eprintln!(
+                    "[results: failed to journal cell {} ({e}); kept in memory]",
+                    keys[i]
+                );
+            }
+        }
+        res
+    });
+    let computed = pending.len() as u64;
+    for (i, res) in pending.into_iter().zip(results) {
+        slots[i] = Some(res.and_then(|r| r));
     }
     Executed {
         slots: slots
@@ -649,10 +677,13 @@ pub struct Runner {
     /// complete and replayed on the next run (`experiments
     /// --results`).
     pub store: Option<Arc<ResultStore>>,
-    /// Per-cell deadline: the hard per-child deadline when supervised;
-    /// in process, a cell past it ends the run with a failure summary
-    /// ([`run_cells`]). `experiments` sets it from
-    /// `ACIC_CELL_TIMEOUT_SECS`; [`Runner::new`] leaves it off.
+    /// Per-cell deadline: when supervised, the hard deadline on each
+    /// cell attempt's reply from its worker; in process, a cell past it
+    /// ends the run with a failure summary ([`run_cells`]). Either way
+    /// it covers the cell's freeze when the cell is the first to need
+    /// its spec (or waits on another cell's freeze of it).
+    /// `experiments` sets it from `ACIC_CELL_TIMEOUT_SECS`;
+    /// [`Runner::new`] leaves it off.
     pub cell_timeout: Option<Duration>,
     /// Window-parallel workers per cell: `0` runs the serial engine
     /// ([`acic_sim::Engine::run`]), `>= 1` fans each sampled cell's
@@ -662,10 +693,11 @@ pub struct Runner {
     /// stay within the one [`bench_threads`] budget
     /// ([`split_thread_budget`]). No shipped figure sets it.
     pub window_threads: usize,
-    /// Process supervision: runs every to-be-computed cell in its own
-    /// `--run-cell` child with hard timeouts, retries and crash
-    /// reports. `None` keeps the in-process path, which stays the
-    /// bit-identity reference.
+    /// Process supervision: each pool slot drives one long-lived
+    /// `--run-cell` worker process that runs the slot's
+    /// to-be-computed cells, with hard timeouts, retries and crash
+    /// reports per cell. `None` keeps the in-process path, which stays
+    /// the bit-identity reference.
     pub supervise: Option<Arc<SuperviseCtx>>,
 }
 
@@ -696,12 +728,14 @@ impl Runner {
     /// Runs every (config, workload spec) pair in parallel, returning
     /// results in `configs x specs` order.
     ///
-    /// Scheduling is spec-keyed: each distinct spec is frozen into a
-    /// [`PackedTrace`] exactly once (in parallel), then the
-    /// config × spec cells replay the shared `Arc`s under
-    /// work-stealing (an atomic cursor over the cell list) so long
-    /// cells (OPT, oracle pre-passes) don't serialize behind static
-    /// chunking. Thread count follows available parallelism,
+    /// Scheduling is spec-keyed: the config × spec cells run on one
+    /// spec-affine [`run_cells`] pool, where the first cell over each
+    /// distinct spec freezes it into a [`PackedTrace`] exactly once
+    /// and every other cell over it replays the shared `Arc`. Slots
+    /// take cells one at a time, so long cells (OPT, oracle
+    /// pre-passes) don't serialize behind static chunking, and two
+    /// slots freeze different specs at once. Thread count follows
+    /// available parallelism,
     /// overridable via `ACIC_BENCH_THREADS` (clamped to ≥ 1 — handy
     /// for pinning CI or sharing a box). Results are identical to a
     /// serial generator-backed loop regardless of thread
@@ -903,7 +937,7 @@ mod tests {
 
     #[test]
     fn run_cells_isolates_a_panicking_cell() {
-        let results = run_cells(5, 2, None, |i| {
+        let results = run_cells(&[0; 5], 2, None, |_: &mut (), i| {
             if i == 2 {
                 panic!("cell 2 exploded");
             }
@@ -1000,7 +1034,7 @@ mod tests {
         let ran: Vec<AtomicUsize> = (0..6).map(|_| AtomicUsize::new(0)).collect();
         let start = Instant::now();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            run_cells(ran.len(), 2, None, |i| {
+            run_cells(&[0; 6], 2, None, |_: &mut (), i| {
                 ran[i].fetch_add(1, Ordering::Relaxed);
                 if i == 1 {
                     std::panic::panic_any(GrenadePayload);
@@ -1372,6 +1406,109 @@ mod tests {
                     assert_eq!(r.context_switches, serial.context_switches);
                     assert_eq!(r.app, serial.app);
                 }
+            }
+        }
+    }
+
+    /// Runs `cost.len()` cells through the slot picker on `slots`
+    /// slots, the earliest-free slot (lowest index on ties) taking the
+    /// next cell, as a grid batch lists them: config-major, so cell `i`
+    /// is spec `i % specs`. Returns how many times a slot took a cell
+    /// of a spec its worker did not hold (a freeze), and the time the
+    /// last cell ended.
+    fn schedule(specs: usize, slots: usize, cost: &[u64]) -> (usize, u64) {
+        let mut queue = Queue {
+            unstarted: vec![VecDeque::new(); specs],
+            held: vec![None; slots],
+        };
+        for i in 0..cost.len() {
+            queue.unstarted[i % specs].push_back(i);
+        }
+        let mut free = vec![0u64; slots];
+        let mut idle = vec![false; slots];
+        let mut freezes = 0;
+        while let Some(slot) = (0..slots).filter(|&s| !idle[s]).min_by_key(|&s| free[s]) {
+            let held = queue.held[slot];
+            match queue.next(slot) {
+                Some(i) => {
+                    if held != Some(i % specs) {
+                        freezes += 1;
+                    }
+                    free[slot] += cost[i];
+                }
+                None => idle[slot] = true,
+            }
+        }
+        (freezes, free.into_iter().max().unwrap_or(0))
+    }
+
+    #[test]
+    fn figure_17_on_two_slots_freezes_each_spec_once_plus_at_most_one_steal() {
+        // 6 configs x 10 specs, under uniform, config-skewed (OPT-like
+        // heavy rows), spec-skewed and irregular cell costs.
+        let shapes: [&dyn Fn(usize) -> u64; 4] = [
+            &|_| 1,
+            &|i| 1 + 5 * (i / 10) as u64,
+            &|i| 1 + (i % 10) as u64,
+            &|i| 1 + (i * 7 % 11) as u64,
+        ];
+        for (k, cost) in shapes.iter().enumerate() {
+            let cost: Vec<u64> = (0..60).map(cost).collect();
+            let (freezes, _) = schedule(10, 2, &cost);
+            assert!(
+                (10..=11).contains(&freezes),
+                "cost shape {k}: {freezes} freezes"
+            );
+        }
+        assert_eq!(schedule(10, 2, &[1; 60]).0, 10, "uniform costs never steal");
+    }
+
+    #[test]
+    fn one_spec_keeps_both_slots_busy() {
+        let (freezes, end) = schedule(1, 2, &[1; 8]);
+        assert_eq!(end, 4, "8 unit cells on 2 slots end at 4");
+        assert_eq!(freezes, 2, "each slot's worker freezes the spec once");
+    }
+
+    #[test]
+    fn table_3_freezes_each_of_its_ten_specs_once() {
+        assert_eq!(schedule(10, 2, &[1; 10]).0, 10);
+        assert_eq!(schedule(10, 2, &[3, 1, 4, 1, 5, 9, 2, 6, 5, 3]).0, 10);
+    }
+
+    #[test]
+    fn a_slot_prefers_its_own_spec_then_an_unheld_one_then_any() {
+        let groups = |counts: &[usize]| -> Vec<VecDeque<usize>> {
+            counts.iter().map(|&n| (0..n).collect()).collect()
+        };
+        let unstarted = groups(&[2, 1, 3]);
+        assert_eq!(pick(&unstarted, &[Some(2), Some(0)], 0), Some(2));
+        assert_eq!(pick(&unstarted, &[None, Some(0)], 0), Some(1));
+        let drained = groups(&[2, 0, 0]);
+        assert_eq!(pick(&drained, &[Some(1), Some(0)], 0), Some(0), "steal");
+        assert_eq!(pick(&groups(&[0, 0]), &[Some(0)], 0), None);
+    }
+
+    #[test]
+    fn a_spec_that_fails_to_freeze_fails_only_its_own_cells() {
+        // One tenant under a zero quantum panics in
+        // `MultiTenantWorkload::build`: that spec's cells fail with
+        // `CellError::Freeze` after one freeze attempt, and every
+        // other cell completes.
+        let broken = WorkloadSpec::MultiTenant {
+            profiles: vec![AppProfile::sibench()],
+            quantum: 0,
+        };
+        let mut specs = three_specs();
+        specs[1] = broken;
+        let set = TraceSet::new(&specs, 2_000);
+        let run = run_batch(&set, &two_configs(), None, Exec::Serial);
+        assert_eq!(set.freezes(), 3, "the broken spec is attempted once");
+        for (i, slot) in run.slots.iter().enumerate() {
+            match slot {
+                Err(CellError::Freeze(_)) => assert_eq!(i % 3, 1, "cell {i}"),
+                Err(e) => panic!("cell {i}: {e}"),
+                Ok(_) => assert_ne!(i % 3, 1, "cell {i} over the broken spec"),
             }
         }
     }

@@ -5,9 +5,9 @@
 //! with `catch_unwind`, but a wedged cell can only end the run at its
 //! deadline, and an `abort()` or OOM kill in any cell tears down the
 //! whole campaign. Under `--supervise` the parent instead runs its
-//! cells in **one long-lived worker process per pool slot**
-//! (`runner::Batch::threads` slots), each a self-exec of
-//! `experiments --run-cell` (`run_batch`).
+//! cells in **one long-lived worker process per pool slot** of that
+//! same pool (`runner::Batch::threads` slots), each a self-exec of
+//! `experiments --run-cell` driven by `supervise_cell`.
 //!
 //! **Worker protocol.** The parent writes one [`message`] per line to
 //! a worker's stdin: `{"cell":C,"coords":[c,a]}`, the cell's canonical
@@ -23,13 +23,15 @@
 //! what a crash report's `reproduce:` line pipes in — runs that one
 //! cell and exits.
 //!
-//! **Spec affinity.** A worker keeps the last trace it froze, so the
-//! parent hands each slot, in order of preference, the next unstarted
-//! cell of the spec its worker holds, else the first cell of a spec
-//! no live worker holds, else any unstarted cell (`pick`). A
-//! C-config × A-spec grid on two slots therefore costs about A
-//! freezes and two spawns. Workers live for one batch (one figure
-//! grid, or one DSE rung) and are shut down by closing their stdin.
+//! **Spec affinity.** A worker keeps the last trace it froze, and the
+//! pool (`runner::run_cells`, the one both tiers share) hands each
+//! slot, in order of preference, the next unstarted cell of the spec
+//! it last ran, else the first cell of a spec no slot holds, else any
+//! unstarted cell (`runner::pick`). A C-config × A-spec grid on two
+//! slots therefore costs about A freezes and two spawns; a worker
+//! respawned after a failure freezes whichever spec its slot picks
+//! next. Workers live for one batch (one figure grid, or one DSE
+//! rung) and are shut down by closing their stdin.
 //!
 //! **What a failure costs.** Supervision stays per cell attempt. The
 //! parent waits for each reply under that cell's hard deadline,
@@ -65,7 +67,7 @@
 //! `--supervise` into one [`SuperviseCtx`] and passes it down in the
 //! `supervise` slot of its one `Runner` and `DseOptions`. The single
 //! cell executor behind both (`runner::execute`) is the only caller of
-//! `run_batch`.
+//! `supervise_cell`.
 //!
 //! The in-process path stays the default and the bit-identity
 //! reference: a supervised run must produce byte-identical journals
@@ -84,12 +86,10 @@ use crate::result_store::{decode_entry, encode_entry};
 use crate::runner::CellError;
 use acic_sim::SimReport;
 use policy::{classify, ChildOutcome, Decision, RetryPolicy};
-use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, ExitStatus, Stdio};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
-use std::sync::Mutex;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -230,116 +230,6 @@ pub fn run_worker() -> ! {
     std::process::exit(0)
 }
 
-/// One cell of a supervised batch.
-pub(crate) struct Job<'a> {
-    /// The cell a worker runs.
-    pub cell: &'a Cell,
-    /// Its `(config, spec)` fault coordinates.
-    pub coords: (usize, usize),
-    /// Its journal key, which the reply must carry.
-    pub key: &'a str,
-    /// Its display label (crash reports).
-    pub label: &'a str,
-    /// Its spec's index among the batch's distinct specs: jobs with
-    /// equal indices share a worker's frozen trace.
-    pub spec: usize,
-}
-
-/// The spec a free pool slot takes its next cell from, or `None` when
-/// no cell is left: `unstarted` holds the unstarted cells grouped by
-/// spec and `held` the spec each slot's live worker holds (`None`
-/// without a worker). In order of preference: the spec `slot`'s
-/// worker holds, else the first spec no live worker holds, else the
-/// first spec with a cell left.
-pub(crate) fn pick(
-    unstarted: &[VecDeque<usize>],
-    held: &[Option<usize>],
-    slot: usize,
-) -> Option<usize> {
-    let open = |s: &usize| !unstarted[*s].is_empty();
-    held[slot]
-        .filter(open)
-        .or_else(|| (0..unstarted.len()).find(|s| open(s) && !held.contains(&Some(*s))))
-        .or_else(|| (0..unstarted.len()).find(open))
-}
-
-/// The parent's side of spec affinity: what is left to run and what
-/// each slot's worker holds.
-struct Queue {
-    unstarted: Vec<VecDeque<usize>>,
-    held: Vec<Option<usize>>,
-}
-
-impl Queue {
-    /// `slot`'s next job ([`pick`]); its worker now holds that job's
-    /// spec.
-    fn next(&mut self, slot: usize) -> Option<usize> {
-        let s = pick(&self.unstarted, &self.held, slot)?;
-        self.held[slot] = Some(s);
-        self.unstarted[s].pop_front()
-    }
-}
-
-/// Runs `jobs` under process supervision on `threads` pool slots, each
-/// driving one long-lived worker (module docs), and calls `done` with
-/// each job's index and report as it arrives. Returns one outcome per
-/// job, in order: the worker's report, or [`CellError::ChildFailed`]
-/// (with a crash report written) once the cell's attempt budget is
-/// spent.
-pub(crate) fn run_batch(
-    ctx: &SuperviseCtx,
-    jobs: &[Job<'_>],
-    threads: usize,
-    timeout: Option<Duration>,
-    done: &(dyn Fn(usize, &SimReport) + Sync),
-) -> Vec<Result<SimReport, CellError>> {
-    let specs = jobs.iter().map(|j| j.spec + 1).max().unwrap_or(0);
-    let mut unstarted = vec![VecDeque::new(); specs];
-    for (j, job) in jobs.iter().enumerate() {
-        unstarted[job.spec].push_back(j);
-    }
-    let slots = threads.max(1).min(jobs.len());
-    let queue = Mutex::new(Queue {
-        unstarted,
-        held: vec![None; slots],
-    });
-    let mut results: Vec<Option<Result<SimReport, CellError>>> =
-        (0..jobs.len()).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let slots: Vec<_> = (0..slots)
-            .map(|slot| {
-                let queue = &queue;
-                scope.spawn(move || {
-                    let mut worker = None;
-                    let mut finished = Vec::new();
-                    loop {
-                        let next = queue.lock().expect("slot queue").next(slot);
-                        let Some(j) = next else { break };
-                        let res = supervise_cell(ctx, &jobs[j], &mut worker, timeout);
-                        if worker.is_none() {
-                            queue.lock().expect("slot queue").held[slot] = None;
-                        }
-                        if let Ok(report) = &res {
-                            done(j, report);
-                        }
-                        finished.push((j, res));
-                    }
-                    finished
-                })
-            })
-            .collect();
-        for slot in slots {
-            for (j, res) in slot.join().expect("supervisor slot thread") {
-                results[j] = Some(res);
-            }
-        }
-    });
-    results
-        .into_iter()
-        .map(|r| r.expect("every job ran"))
-        .collect()
-}
-
 /// Flattens a journal key into something safe for a file name.
 fn sanitize_key(key: &str) -> String {
     key.chars()
@@ -370,20 +260,24 @@ fn reported(line: &str, key: &str) -> Option<SimReport> {
         .map(|(_, entry)| entry.report)
 }
 
-/// Runs one job to completion under supervision: its first attempt on
-/// the slot's long-lived `worker` (spawned when the slot has none),
-/// each retry on a fresh worker given only this cell, under the hard
-/// timeout and the retry policy. A failed attempt kills the worker it
-/// ran on and leaves `worker` empty. Returns the report on success;
-/// writes a crash report and returns [`CellError::ChildFailed`] when
-/// the attempt budget is spent.
-fn supervise_cell(
+/// Runs one cell to completion under supervision, as cell `coords`
+/// of its batch with journal key `key` and display `label`: its first
+/// attempt on the slot's long-lived `worker` (spawned when the slot
+/// has none), each retry on a fresh worker given only this cell, under
+/// the hard timeout and the retry policy. A failed attempt kills the
+/// worker it ran on and leaves `worker` empty. Returns the report on
+/// success; writes a crash report and returns
+/// [`CellError::ChildFailed`] when the attempt budget is spent.
+pub(crate) fn supervise_cell(
     ctx: &SuperviseCtx,
-    job: &Job<'_>,
     worker: &mut Option<Worker>,
+    cell: &Cell,
+    coords: (usize, usize),
+    key: &str,
+    label: &str,
     timeout: Option<Duration>,
 ) -> Result<SimReport, CellError> {
-    let message = message(job.cell, job.coords);
+    let message = message(cell, coords);
     let mut history: Vec<AttemptRecord> = Vec::new();
     let mut attempt: u32 = 1;
     loop {
@@ -397,7 +291,7 @@ fn supervise_cell(
             Some(w) => Ok(w),
             None => Worker::spawn(ctx, attempt - 1).map(|w| on.insert(w)),
         }
-        .and_then(|w| w.ask(&message, job.key, timeout));
+        .and_then(|w| w.ask(&message, key, timeout));
         let outcome = match answer {
             Ok(report) => {
                 if !history.is_empty() {
@@ -407,14 +301,14 @@ fn supervise_cell(
                         backoff: None,
                         stderr_tail: String::new(),
                     });
-                    write_crash_report(ctx, job, &message, &history, "recovered");
+                    write_crash_report(ctx, key, label, &message, &history, "recovered");
                 }
                 return Ok(report);
             }
             Err(outcome) => outcome,
         };
         let stderr_tail = on.take().map(Worker::stderr_tail).unwrap_or_default();
-        let decision = ctx.policy.decide(job.key, &outcome, attempt);
+        let decision = ctx.policy.decide(key, &outcome, attempt);
         let backoff = match &decision {
             Decision::Retry(d) => Some(*d),
             Decision::GiveUp(_) => None,
@@ -431,7 +325,14 @@ fn supervise_cell(
                 attempt += 1;
             }
             Decision::GiveUp(class) => {
-                write_crash_report(ctx, job, &message, &history, &format!("failed ({class})"));
+                write_crash_report(
+                    ctx,
+                    key,
+                    label,
+                    &message,
+                    &history,
+                    &format!("failed ({class})"),
+                );
                 return Err(CellError::ChildFailed {
                     outcome: outcome.to_string(),
                     attempts: attempt,
@@ -444,7 +345,7 @@ fn supervise_cell(
 /// One running `--run-cell` worker, with a thread per output pipe:
 /// one forwards each stdout line as a reply, one keeps the stderr
 /// tail. Dropping it closes its stdin and waits for it to exit.
-struct Worker {
+pub(crate) struct Worker {
     child: Child,
     replies: Receiver<String>,
     stderr: Option<JoinHandle<String>>,
@@ -619,15 +520,16 @@ fn tail(mut pipe: impl Read, cap: usize) -> String {
 /// disposition.
 fn write_crash_report(
     ctx: &SuperviseCtx,
-    job: &Job<'_>,
+    key: &str,
+    label: &str,
     message: &str,
     history: &[AttemptRecord],
     disposition: &str,
 ) {
-    let path = ctx.crash_dir.join(format!("{}.txt", sanitize_key(job.key)));
+    let path = ctx.crash_dir.join(format!("{}.txt", sanitize_key(key)));
     let mut out = String::new();
-    out.push_str(&format!("cell: {}\n", job.label));
-    out.push_str(&format!("key: {}\n", job.key));
+    out.push_str(&format!("cell: {label}\n"));
+    out.push_str(&format!("key: {key}\n"));
     out.push_str(&format!("message: {message}\n"));
     out.push_str(&format!(
         "reproduce: sed -n 's/^message: //p' {} | experiments --run-cell\n",
@@ -739,85 +641,6 @@ mod tests {
             last_cell_output("the marker fell out of the tail\n"),
             "the marker fell out of the tail\n"
         );
-    }
-
-    /// Runs `cost.len()` cells through the slot picker on `slots`
-    /// slots, the earliest-free slot (lowest index on ties) taking the
-    /// next cell, as a grid batch lists them: config-major, so cell `i`
-    /// is spec `i % specs`. Returns how many times a slot took a cell
-    /// of a spec its worker did not hold (a freeze), and the time the
-    /// last cell ended.
-    fn schedule(specs: usize, slots: usize, cost: &[u64]) -> (usize, u64) {
-        let mut queue = Queue {
-            unstarted: vec![VecDeque::new(); specs],
-            held: vec![None; slots],
-        };
-        for i in 0..cost.len() {
-            queue.unstarted[i % specs].push_back(i);
-        }
-        let mut free = vec![0u64; slots];
-        let mut idle = vec![false; slots];
-        let mut freezes = 0;
-        while let Some(slot) = (0..slots).filter(|&s| !idle[s]).min_by_key(|&s| free[s]) {
-            let held = queue.held[slot];
-            match queue.next(slot) {
-                Some(i) => {
-                    if held != Some(i % specs) {
-                        freezes += 1;
-                    }
-                    free[slot] += cost[i];
-                }
-                None => idle[slot] = true,
-            }
-        }
-        (freezes, free.into_iter().max().unwrap_or(0))
-    }
-
-    #[test]
-    fn figure_17_on_two_slots_freezes_each_spec_once_plus_at_most_one_steal() {
-        // 6 configs x 10 specs, under uniform, config-skewed (OPT-like
-        // heavy rows), spec-skewed and irregular cell costs.
-        let shapes: [&dyn Fn(usize) -> u64; 4] = [
-            &|_| 1,
-            &|i| 1 + 5 * (i / 10) as u64,
-            &|i| 1 + (i % 10) as u64,
-            &|i| 1 + (i * 7 % 11) as u64,
-        ];
-        for (k, cost) in shapes.iter().enumerate() {
-            let cost: Vec<u64> = (0..60).map(cost).collect();
-            let (freezes, _) = schedule(10, 2, &cost);
-            assert!(
-                (10..=11).contains(&freezes),
-                "cost shape {k}: {freezes} freezes"
-            );
-        }
-        assert_eq!(schedule(10, 2, &[1; 60]).0, 10, "uniform costs never steal");
-    }
-
-    #[test]
-    fn one_spec_keeps_both_slots_busy() {
-        let (freezes, end) = schedule(1, 2, &[1; 8]);
-        assert_eq!(end, 4, "8 unit cells on 2 slots end at 4");
-        assert_eq!(freezes, 2, "each slot's worker freezes the spec once");
-    }
-
-    #[test]
-    fn table_3_freezes_each_of_its_ten_specs_once() {
-        assert_eq!(schedule(10, 2, &[1; 10]).0, 10);
-        assert_eq!(schedule(10, 2, &[3, 1, 4, 1, 5, 9, 2, 6, 5, 3]).0, 10);
-    }
-
-    #[test]
-    fn a_slot_prefers_its_own_spec_then_an_unheld_one_then_any() {
-        let groups = |counts: &[usize]| -> Vec<VecDeque<usize>> {
-            counts.iter().map(|&n| (0..n).collect()).collect()
-        };
-        let unstarted = groups(&[2, 1, 3]);
-        assert_eq!(pick(&unstarted, &[Some(2), Some(0)], 0), Some(2));
-        assert_eq!(pick(&unstarted, &[None, Some(0)], 0), Some(1));
-        let drained = groups(&[2, 0, 0]);
-        assert_eq!(pick(&drained, &[Some(1), Some(0)], 0), Some(0), "steal");
-        assert_eq!(pick(&groups(&[0, 0]), &[Some(0)], 0), None);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! clock reads, no environment access — so the policy is fully
 //! unit-testable (and property-tested in `tests/retry_policy.rs`)
 //! without spawning a single worker. The supervisor proper
-//! (`super::run_batch`) only *executes* the decisions made here.
+//! (`super::supervise_cell`) only *executes* the decisions made here.
 //!
 //! **Classification.** A failed attempt is classified by the evidence
 //! its worker's exit leaves behind ([`classify`]):
