@@ -11,20 +11,22 @@
 //!
 //! # Encoding
 //!
-//! The stream is a sequence of records decoded against three words of
+//! The stream is a sequence of records decoded against four words of
 //! cursor state — the *expected* next PC (the fall-through/taken-path
-//! successor of the previous instruction), the current ASID, and the
-//! last data address:
+//! successor of the previous instruction), the current ASID, and two
+//! data-address bases:
 //!
 //! * **`AluRun`** — N sequential 1-cycle ALU instructions at the
 //!   expected PC. One or two bytes for a whole fetch run; the walker's
 //!   straight-line bursts (the ~85% distance-0 mass of Figure 1a)
 //!   collapse into these.
 //! * **`Alu`/`LongAlu`/`Load`/`Store`/`Branch`** — one header byte
-//!   (kind, PC-sequential flag, and for branches taken + class) plus
+//!   (kind, PC-sequential flag, for branches taken + class, for
+//!   loads/stores the data base and an equal-to-base flag) plus
 //!   zigzag-varint deltas for whatever the header cannot imply: the
-//!   PC (vs the expected PC), the data address (vs the previous one),
-//!   the branch target (vs the PC).
+//!   PC (vs the expected PC), the data address (vs whichever data
+//!   base is closer, named by a header bit), the branch target (vs
+//!   the PC).
 //! * **`AsidSwitch`** — an *explicit* context-switch record. ASIDs are
 //!   never carried per instruction; a switch record updates the cursor
 //!   ASID and every following instruction is stamped with it. This is
@@ -33,10 +35,22 @@
 //!   is visible in the stream, and here it is a first-class record at
 //!   exactly the original boundary.
 //!
+//! # Data-address bases
+//!
+//! Loads and stores dominate the payload when every data address is a
+//! delta from the previous one: a walker alternating between the stack
+//! (`0x7fff_…`) and the heap (`0x5555_…`) pays a ~46-bit delta on
+//! every switch. So each load/store is coded against the closer of two
+//! bases (smaller zigzag delta; a tie goes to base 0). Afterwards base
+//! 0 becomes the address, and base 1 takes the old base 0 when base 1
+//! was chosen or when the delta needed three or more varint bytes
+//! (zigzag ≥ 2^14); otherwise base 1 is unchanged. One base thus
+//! follows each of two regions without knowing either.
+//!
 //! # Skip index
 //!
 //! Every [`SKIP_STRIDE`] instructions the encoder flushes any pending
-//! run and snapshots `(byte offset, expected PC, last data address,
+//! run and snapshots `(byte offset, expected PC, both data bases,
 //! ASID)`. [`TraceSource::skip`] jumps to the nearest snapshot at or
 //! before the target and decodes at most one stride forward — O(1) by
 //! construction (stride-bounded, independent of trace length), which
@@ -93,9 +107,15 @@ const OP_MASK: u8 = 0b111;
 /// Header flag: an explicit zigzag-varint PC delta follows (the PC is
 /// not the expected fall-through/taken-path successor).
 const FLAG_PC: u8 = 0x08;
-/// Load/store header flag: the data address equals the previous one
+/// Load/store header flag: the data address equals the chosen base
 /// (no delta follows).
 const FLAG_DATA_SAME: u8 = 0x10;
+/// Load/store header flag: the data address is coded against base 1
+/// (clear: base 0).
+const FLAG_DATA_BASE1: u8 = 0x20;
+/// Zigzag data deltas from here up take three or more varint bytes;
+/// such a jump moves base 0 into base 1.
+const FAR_DATA_DELTA: u64 = 1 << 14;
 /// Branch header flag: the branch was taken.
 const FLAG_TAKEN: u8 = 0x10;
 /// Branch class lives in bits 5..8 of the header byte.
@@ -173,6 +193,38 @@ fn delta(new: u64, old: u64) -> i64 {
     new.wrapping_sub(old) as i64
 }
 
+/// The two delta bases for load/store addresses (see the module doc):
+/// base 0 is the last data address, base 1 the one before the last
+/// far jump or base-1 access.
+///
+/// Both steps are branch-free: which base an access takes is close to
+/// random, and a branch on it mispredicts often enough to cost the
+/// encoder several percent.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct DataBases([u64; 2]);
+
+impl DataBases {
+    /// Whether `addr` is coded against base 1, and its zigzag delta
+    /// from the chosen base. A tie goes to base 0.
+    #[inline]
+    fn choose(&self, addr: u64) -> (bool, u64) {
+        let z0 = zigzag(delta(addr, self.0[0]));
+        let z1 = zigzag(delta(addr, self.0[1]));
+        (z1 < z0, z0.min(z1))
+    }
+
+    /// The address at zigzag delta `z` from the chosen base; updates
+    /// both bases for the access. Encoder, decoder and validation all
+    /// step through here, so they cannot disagree on the rule.
+    #[inline]
+    fn advance(&mut self, base1: bool, z: u64) -> u64 {
+        let addr = self.0[base1 as usize].wrapping_add(unzigzag(z) as u64);
+        let moved = base1 | (z >= FAR_DATA_DELTA);
+        self.0 = [addr, self.0[moved as usize ^ 1]];
+        addr
+    }
+}
+
 /// One skip-index snapshot: full decoder state at an
 /// instruction-count multiple of [`SKIP_STRIDE`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -181,8 +233,8 @@ struct IndexEntry {
     byte_pos: u64,
     /// Expected PC of the next instruction.
     expect_pc: u64,
-    /// Last data address seen (delta base for the next load/store).
-    last_data: u64,
+    /// Delta bases for the next load/store.
+    data: DataBases,
     /// Current address space.
     asid: u16,
 }
@@ -224,7 +276,7 @@ pub struct PackedTraceBuilder {
     index: Vec<IndexEntry>,
     count: u64,
     expect_pc: u64,
-    last_data: u64,
+    data: DataBases,
     asid: u16,
     pending_run: u64,
     name: String,
@@ -239,7 +291,7 @@ impl PackedTraceBuilder {
             index: Vec::new(),
             count: 0,
             expect_pc: 0,
-            last_data: 0,
+            data: DataBases::default(),
             asid: 0,
             pending_run: 0,
             name: name.into(),
@@ -269,7 +321,7 @@ impl PackedTraceBuilder {
             self.index.push(IndexEntry {
                 byte_pos: self.bytes.len() as u64,
                 expect_pc: self.expect_pc,
-                last_data: self.last_data,
+                data: self.data,
                 asid: self.asid,
             });
         }
@@ -289,45 +341,43 @@ impl PackedTraceBuilder {
             return;
         }
         self.flush_run();
-        let (op, imm) = match instr.kind {
+        let (op, data) = match instr.kind {
             InstrKind::Alu => (OP_ALU, None),
             InstrKind::LongAlu => (OP_LONG_ALU, None),
-            InstrKind::Load { addr } => (OP_LOAD, Some(addr.raw())),
-            InstrKind::Store { addr } => (OP_STORE, Some(addr.raw())),
-            InstrKind::Branch {
-                target,
-                taken,
-                class,
-            } => {
+            InstrKind::Load { addr } => (OP_LOAD, Some(self.data.choose(addr.raw()))),
+            InstrKind::Store { addr } => (OP_STORE, Some(self.data.choose(addr.raw()))),
+            InstrKind::Branch { taken, class, .. } => {
                 let mut h = OP_BRANCH | (class_code(class) << CLASS_SHIFT);
                 if taken {
                     h |= FLAG_TAKEN;
                 }
-                (h, Some(target.raw()))
+                (h, None)
             }
         };
         let mut header = op;
         if !seq {
             header |= FLAG_PC;
         }
-        let data_same = matches!(instr.kind, InstrKind::Load { .. } | InstrKind::Store { .. })
-            && imm == Some(self.last_data);
-        if data_same {
-            header |= FLAG_DATA_SAME;
+        if let Some((base1, z)) = data {
+            if base1 {
+                header |= FLAG_DATA_BASE1;
+            }
+            if z == 0 {
+                header |= FLAG_DATA_SAME;
+            }
         }
         self.bytes.push(header);
         if !seq {
             write_varint(&mut self.bytes, zigzag(delta(pc, self.expect_pc)));
         }
-        match instr.kind {
-            InstrKind::Load { addr } | InstrKind::Store { addr } if !data_same => {
-                write_varint(&mut self.bytes, zigzag(delta(addr.raw(), self.last_data)));
-                self.last_data = addr.raw();
+        if let Some((base1, z)) = data {
+            if z != 0 {
+                write_varint(&mut self.bytes, z);
             }
-            InstrKind::Branch { target, .. } => {
-                write_varint(&mut self.bytes, zigzag(delta(target.raw(), pc)));
-            }
-            _ => {}
+            self.data.advance(base1, z);
+        }
+        if let InstrKind::Branch { target, .. } = instr.kind {
+            write_varint(&mut self.bytes, zigzag(delta(target.raw(), pc)));
         }
         self.expect_pc = instr.next_pc().raw();
         self.count += 1;
@@ -408,7 +458,7 @@ pub struct PackedCursor<'a> {
     /// Instructions already yielded.
     done: u64,
     expect_pc: u64,
-    last_data: u64,
+    data: DataBases,
     asid: u16,
     /// Remaining instructions of the current `AluRun` record.
     run_left: u64,
@@ -421,7 +471,7 @@ impl<'a> PackedCursor<'a> {
             pos: 0,
             done: 0,
             expect_pc: 0,
-            last_data: 0,
+            data: DataBases::default(),
             asid: 0,
             run_left: 0,
         }
@@ -484,13 +534,12 @@ impl<'a> PackedCursor<'a> {
                 OP_ALU => Instr::alu(Addr::new(pc)),
                 OP_LONG_ALU => Instr::long_alu(Addr::new(pc)),
                 OP_LOAD | OP_STORE => {
-                    let addr = if header & FLAG_DATA_SAME != 0 {
-                        self.last_data
+                    let z = if header & FLAG_DATA_SAME != 0 {
+                        0
                     } else {
-                        let d = unzigzag(read_varint(bytes, &mut self.pos));
-                        self.last_data = self.last_data.wrapping_add(d as u64);
-                        self.last_data
+                        read_varint(bytes, &mut self.pos)
                     };
+                    let addr = self.data.advance(header & FLAG_DATA_BASE1 != 0, z);
                     if op == OP_LOAD {
                         Instr::load(Addr::new(pc), Addr::new(addr))
                     } else {
@@ -534,7 +583,7 @@ impl<'a> PackedCursor<'a> {
                 self.pos = e.byte_pos as usize;
                 self.done = entry_instr;
                 self.expect_pc = e.expect_pc;
-                self.last_data = e.last_data;
+                self.data = e.data;
                 self.asid = e.asid;
                 self.run_left = 0;
             }
@@ -601,7 +650,11 @@ impl TraceSource for PackedTrace {
 /// so future revisions stay recognizable).
 pub const TRACE_MAGIC: &[u8; 8] = b"ACICTRC\0";
 /// Current container format version.
-pub const TRACE_VERSION: u32 = 1;
+///
+/// Version 2 codes data addresses against two bases (version 1 had
+/// one), so a version-1 payload does not decode under this build and
+/// is rejected as unsupported.
+pub const TRACE_VERSION: u32 = 2;
 
 /// Why a `.acictrace` container was rejected.
 #[derive(Debug)]
@@ -630,14 +683,16 @@ impl From<std::io::Error> for TraceFileError {
     }
 }
 
-const INDEX_ENTRY_BYTES: usize = 8 + 8 + 8 + 2;
+/// Byte offset, expected PC, data bases 0 and 1, ASID.
+const INDEX_ENTRY_BYTES: usize = 8 + 8 + 8 + 8 + 2;
 
 fn index_section(index: &[IndexEntry]) -> Vec<u8> {
     let mut out = Vec::with_capacity(index.len() * INDEX_ENTRY_BYTES);
     for e in index {
         out.extend_from_slice(&e.byte_pos.to_le_bytes());
         out.extend_from_slice(&e.expect_pc.to_le_bytes());
-        out.extend_from_slice(&e.last_data.to_le_bytes());
+        out.extend_from_slice(&e.data.0[0].to_le_bytes());
+        out.extend_from_slice(&e.data.0[1].to_le_bytes());
         out.extend_from_slice(&e.asid.to_le_bytes());
     }
     out
@@ -787,8 +842,8 @@ impl PackedTrace {
             index.push(IndexEntry {
                 byte_pos: le_u64(&chunk[0..8]),
                 expect_pc: le_u64(&chunk[8..16]),
-                last_data: le_u64(&chunk[16..24]),
-                asid: u16::from_le_bytes(chunk[24..26].try_into().expect("2-byte slice")),
+                data: DataBases([le_u64(&chunk[16..24]), le_u64(&chunk[24..32])]),
+                asid: u16::from_le_bytes(chunk[32..34].try_into().expect("2-byte slice")),
             });
         }
         let trace = PackedTrace {
@@ -839,7 +894,7 @@ impl PackedTrace {
         const PC_LIMIT: u64 = 1 << 48;
         let mut done = 0u64;
         let mut expect_pc = 0u64;
-        let mut last_data = 0u64;
+        let mut data = DataBases::default();
         let mut asid = 0u16;
         let mut next_entry = 0usize;
         while done < self.len {
@@ -849,7 +904,7 @@ impl PackedTrace {
                 };
                 if e.byte_pos as usize != pos
                     || e.expect_pc != expect_pc
-                    || e.last_data != last_data
+                    || e.data != data
                     || e.asid != asid
                 {
                     return err(format!(
@@ -908,10 +963,12 @@ impl PackedTrace {
             }
             expect_pc = match op {
                 OP_LOAD | OP_STORE => {
-                    if header & FLAG_DATA_SAME == 0 {
-                        let d = unzigzag(varint(&mut pos)?);
-                        last_data = last_data.wrapping_add(d as u64);
-                    }
+                    let z = if header & FLAG_DATA_SAME != 0 {
+                        0
+                    } else {
+                        varint(&mut pos)?
+                    };
+                    data.advance(header & FLAG_DATA_BASE1 != 0, z);
                     pc + 4
                 }
                 OP_BRANCH => {
@@ -987,6 +1044,7 @@ impl PackedTrace {
 mod tests {
     use super::*;
     use crate::source::VecTrace;
+    use proptest::prelude::*;
 
     /// Deterministic pseudo-random instruction mix with branches,
     /// loads, stores and ASID switches.
@@ -1284,6 +1342,152 @@ mod tests {
             PackedTrace::from_bytes(&reforge_checksum(bad)).is_err(),
             "truncated payload accepted"
         );
+    }
+
+    #[test]
+    fn every_byte_of_a_snapshot_is_validated() {
+        // Byte offset, expected PC, both data bases and the ASID of a
+        // snapshot are each checked against the decoded state.
+        let p = PackedTrace::from_instrs("snap", mixed_instrs(3 * SKIP_STRIDE, 37, 1000));
+        assert_ne!(p.index[1].data.0[1], 0, "base 1 is live at entry 1");
+        let good = p.to_bytes();
+        let entry1 = good.len() - (p.index.len() - 1) * INDEX_ENTRY_BYTES;
+        for off in 0..INDEX_ENTRY_BYTES {
+            let mut bad = good.clone();
+            bad[entry1 + off] ^= 0x01;
+            assert!(
+                PackedTrace::from_bytes(&reforge_checksum(bad)).is_err(),
+                "flip at byte {off} of skip-index entry 1 accepted"
+            );
+        }
+    }
+
+    #[test]
+    fn a_version_1_container_is_rejected_as_unsupported() {
+        // Version 1 coded every data address against one base, so its
+        // payload would decode to wrong addresses under this build.
+        let mut v1 = PackedTrace::from_instrs("v1", mixed_instrs(2_000, 19, 0)).to_bytes();
+        v1[8..12].copy_from_slice(&1u32.to_le_bytes());
+        let dir = std::env::temp_dir().join(format!("acic-packed-v1-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = dir.join("v1.acictrace");
+        std::fs::write(&path, reforge_checksum(v1)).expect("write");
+        let got = PackedTrace::read_from(&path);
+        std::fs::remove_dir_all(&dir).ok();
+        assert!(
+            matches!(&got, Err(TraceFileError::Format(m)) if m == "unsupported version 1 (expected 2)"),
+            "{got:?}"
+        );
+    }
+
+    #[test]
+    fn data_base_choice_is_visible_in_the_header() {
+        const STACK: u64 = 0x7fff_ffff_e000;
+        const HEAP: u64 = 0x5555_5555_8000;
+        // Each load's record, all at sequential PCs (no PC delta).
+        let records = |addrs: &[u64]| {
+            let mut b = PackedTraceBuilder::new("hdr");
+            let mut out = Vec::new();
+            for (pc, &a) in (0..).step_by(4).zip(addrs) {
+                let at = b.bytes.len();
+                b.push(Instr::load(Addr::new(pc), Addr::new(a)));
+                out.push(b.bytes[at..].to_vec());
+            }
+            out
+        };
+        // Both bases start at 0: a tie goes to base 0.
+        assert_eq!(records(&[0]), [vec![OP_LOAD | FLAG_DATA_SAME]]);
+        assert_eq!(records(&[5]), [vec![OP_LOAD, 10]]);
+        // Stack, heap (a far jump: the stack moves to base 1), stack
+        // again: equal to base 1, so no delta follows.
+        let r = records(&[STACK, HEAP, STACK, STACK + 8, HEAP + 16]);
+        assert_eq!(r[2], [OP_LOAD | FLAG_DATA_BASE1 | FLAG_DATA_SAME]);
+        assert_eq!(r[3], [OP_LOAD, 16]);
+        assert_eq!(r[4], [OP_LOAD | FLAG_DATA_BASE1, 32]);
+    }
+
+    #[test]
+    fn a_far_delta_starts_at_three_varint_bytes() {
+        // Zigzag 2^14 - 1 (delta -8192) still fits two varint bytes and
+        // leaves base 1 alone; zigzag 2^14 (delta +8192) moves base 0
+        // into base 1.
+        let mut near = DataBases([1 << 20, 7]);
+        let (base1, z) = near.choose((1 << 20) - 8192);
+        assert_eq!((base1, z), (false, FAR_DATA_DELTA - 1));
+        near.advance(base1, z);
+        assert_eq!(near, DataBases([(1 << 20) - 8192, 7]));
+        let mut far = DataBases([1 << 20, 7]);
+        let (base1, z) = far.choose((1 << 20) + 8192);
+        assert_eq!((base1, z), (false, FAR_DATA_DELTA));
+        far.advance(base1, z);
+        assert_eq!(far, DataBases([(1 << 20) + 8192, 1 << 20]));
+    }
+
+    /// Data addresses built to stress base selection: two far regions
+    /// visited in turn, addresses next to 0 and `u64::MAX` (wrapping
+    /// deltas), deltas at the 2^14 zigzag boundary, repeats of either
+    /// base, and arbitrary words.
+    fn adversarial_addrs(ops: &[(u8, u64)]) -> Vec<u64> {
+        let (mut last, mut before) = (0u64, 0u64);
+        let mut out = Vec::with_capacity(ops.len());
+        for &(shape, w) in ops {
+            let addr = match shape % 6 {
+                0 => 0x7fff_ffff_0000 + (w % 4096) * 8,
+                1 => 0x5555_5555_0000 + (w % 4096) * 8,
+                2 if w & 1 == 0 => w % 64,
+                2 => u64::MAX - w % 64,
+                3 => {
+                    let d = [8191i64, 8192, 8193, -8191, -8192, -8193][(w % 6) as usize];
+                    last.wrapping_add(d as u64)
+                }
+                4 if w & 1 == 0 => last,
+                4 => before,
+                _ => w,
+            };
+            (before, last) = (last, addr);
+            out.push(addr);
+        }
+        out
+    }
+
+    proptest! {
+        #[test]
+        fn adversarial_data_addresses_round_trip_and_skip_exactly(
+            ops in proptest::collection::vec((0u8..6, any::<u64>()), 1..2500),
+        ) {
+            // Up to 7 ALU instructions after each access spread the
+            // accesses over several skip-index strides.
+            let mut instrs = Vec::new();
+            let mut pc = 0x40_0000u64;
+            for (&(_, w), addr) in ops.iter().zip(adversarial_addrs(&ops)) {
+                let at = Addr::new(pc);
+                instrs.push(if w >> 63 == 0 {
+                    Instr::load(at, Addr::new(addr))
+                } else {
+                    Instr::store(at, Addr::new(addr))
+                });
+                pc += 4;
+                for _ in 0..(w >> 60) & 7 {
+                    instrs.push(Instr::alu(Addr::new(pc)));
+                    pc += 4;
+                }
+            }
+            let p = PackedTrace::from_instrs("adversarial", instrs.clone());
+            prop_assert!(p.iter().eq(instrs.iter().copied()));
+            let back = PackedTrace::from_bytes(&p.to_bytes());
+            prop_assert!(back.as_ref().is_ok_and(|b| *b == p), "{:?}", back.err());
+            for entry in 0..p.index.len() as u64 {
+                for target in [entry * SKIP_STRIDE, entry * SKIP_STRIDE + 1 + ops[0].1 % 97] {
+                    let target = target.min(p.len());
+                    let mut fast = p.iter();
+                    prop_assert_eq!(PackedTrace::skip(&mut fast, target), target);
+                    prop_assert!(
+                        fast.eq(instrs[target as usize..].iter().copied()),
+                        "skip({}) diverged from the walk", target
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,20 +1,22 @@
 //! Prints the pinned report fields used by `tests/engine_equivalence.rs`
 //! (the Full-schedule `GOLDEN` table and the Periodic-schedule
-//! `SAMPLED_GOLDEN` table) and the frozen-trace checksums used by
-//! `tests/packed_trace.rs`.
+//! `SAMPLED_GOLDEN` table) and the frozen-trace container checksums
+//! and decoded-stream digests used by `tests/packed_trace.rs`
+//! (`FROZEN_GOLDEN` and `FROZEN_STREAM_GOLDEN`).
 //!
-//! Run on a known-good tree to regenerate all three golden tables:
+//! Run on a known-good tree to regenerate all four golden tables:
 //!
 //! ```text
 //! cargo run --release --example golden_capture
 //! ```
 
 use acic_sim::{functional, Engine, IcacheOrg, SampleSchedule, SimConfig, SimReport};
-use acic_trace::{BranchClass, Instr, PackedTrace, TraceSource, VecTrace};
+use acic_trace::{BranchClass, Instr, InstrKind, PackedTrace, TraceSource, VecTrace};
+use acic_types::hash::{fnv1a, FNV_OFFSET};
 use acic_types::Addr;
 use acic_workloads::{AppProfile, MultiTenantWorkload, SyntheticWorkload, WorkloadSpec};
 
-/// Budget of every frozen spec in the checksum table.
+/// Budget of every frozen spec in the checksum and digest tables.
 const FROZEN_BUDGET: u64 = 100_000;
 
 /// Every shipped spec shape: the ten datacenter apps, one SPEC app,
@@ -34,11 +36,50 @@ fn frozen_specs() -> Vec<WorkloadSpec> {
     specs
 }
 
-fn print_frozen_checksums() {
-    for spec in frozen_specs() {
-        let bytes = spec.materialize(FROZEN_BUDGET).to_bytes();
-        let sum = PackedTrace::container_checksum(&bytes).expect("full header");
-        println!("(\"{}\", {sum:#018x}),", spec.store_key(FROZEN_BUDGET));
+/// FNV-1a over every decoded instruction of `trace`: PC, ASID, kind,
+/// and the kind's operands, each at a fixed width. The same digest as
+/// `tests/packed_trace.rs`'s `stream_digest`.
+fn stream_digest(trace: &PackedTrace) -> u64 {
+    trace.iter().fold(FNV_OFFSET, |h, i| {
+        let (kind, operand, extra) = match i.kind {
+            InstrKind::Alu => (0u8, 0, 0u8),
+            InstrKind::LongAlu => (1, 0, 0),
+            InstrKind::Load { addr } => (2, addr.raw(), 0),
+            InstrKind::Store { addr } => (3, addr.raw(), 0),
+            InstrKind::Branch {
+                target,
+                taken,
+                class,
+            } => (4, target.raw(), u8::from(taken) | (class as u8) << 1),
+        };
+        let mut rec = [0u8; 20];
+        rec[..8].copy_from_slice(&i.pc().raw().to_le_bytes());
+        rec[8..10].copy_from_slice(&i.asid().raw().to_le_bytes());
+        rec[10] = kind;
+        rec[11..19].copy_from_slice(&operand.to_le_bytes());
+        rec[19] = extra;
+        fnv1a(h, &rec)
+    })
+}
+
+/// Prints `FROZEN_GOLDEN` (container checksums), then
+/// `FROZEN_STREAM_GOLDEN` (decoded-stream digests).
+fn print_frozen_tables() {
+    let frozen: Vec<_> = frozen_specs()
+        .into_iter()
+        .map(|spec| {
+            (
+                spec.store_key(FROZEN_BUDGET),
+                spec.materialize(FROZEN_BUDGET),
+            )
+        })
+        .collect();
+    for (key, trace) in &frozen {
+        let sum = PackedTrace::container_checksum(&trace.to_bytes()).expect("full header");
+        println!("(\"{key}\", {sum:#018x}),");
+    }
+    for (key, trace) in &frozen {
+        println!("(\"{key}\", {:#018x}),", stream_digest(trace));
     }
 }
 
@@ -195,7 +236,7 @@ fn main() {
         .tenant(AppProfile::data_serving(), 50_000)
         .build();
     run_one("4ten", &multi);
-    print_frozen_checksums();
+    print_frozen_tables();
     run_sampled(
         "1ten",
         &SyntheticWorkload::with_instructions(AppProfile::web_search(), 400_000),

@@ -2,10 +2,11 @@
 //! container, replay it from disk, and confirm the replayed run is
 //! bit-identical to the generator-backed run.
 //!
-//! This is the container format behind `experiments --supervise`: the
-//! parent freezes each workload once into a `.acictrace` handoff
-//! file, and every child process that simulates a cell over it
-//! decodes the container instead of re-running the generator.
+//! No harness path reads or writes a container: `experiments` freezes
+//! each workload in memory, in process or in each `--supervise`
+//! worker. The container is the frozen trace's durable form: a
+//! versioned (v2), checksummed copy of the same packed arena that
+//! either replays bit for bit or is rejected at load.
 //!
 //! Run: `cargo run --release --example record_replay`
 
@@ -18,7 +19,7 @@ fn main() {
 
     // 1. Freeze a 2-tenant interleave once. The packed form keeps the
     //    full instruction stream — ASID switch boundaries included —
-    //    at a few bytes per 24-byte `Instr` record.
+    //    at about 1.5 bytes per 24-byte `Instr` record.
     let spec = WorkloadSpec::MultiTenant {
         profiles: vec![AppProfile::web_search(), AppProfile::tpc_c()],
         quantum: 20_000,

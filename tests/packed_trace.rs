@@ -2,13 +2,15 @@
 //! `PackedTrace` round-trips bit for bit (including ASID switch
 //! boundaries), index-jump `skip` is equivalent to walking, and the
 //! on-disk container rejects corruption and truncation at arbitrary
-//! offsets. A golden table pins the frozen bytes of every shipped
-//! workload spec shape.
+//! offsets. Two golden tables pin every shipped workload spec shape:
+//! one the decoded instruction stream (independent of the packed
+//! format), one the frozen container bytes.
 
 use acic_repro::trace::{
-    BlockRun, BlockRuns, BranchClass, GroupedRuns, Instr, PackedTrace, TraceSource, VecTrace,
-    SKIP_STRIDE,
+    BlockRun, BlockRuns, BranchClass, GroupedRuns, Instr, InstrKind, PackedTrace, TraceSource,
+    VecTrace, SKIP_STRIDE,
 };
+use acic_repro::types::hash::{fnv1a, FNV_OFFSET};
 use acic_repro::types::{Addr, Asid};
 use acic_repro::workloads::{AppProfile, WorkloadSpec};
 use proptest::prelude::*;
@@ -190,7 +192,8 @@ fn skip_strides_are_exercised() {
     assert_eq!(it.next(), Some(instrs[SKIP_STRIDE as usize + 3]));
 }
 
-/// Budget of every spec in [`FROZEN_GOLDEN`].
+/// Budget of every spec in [`FROZEN_GOLDEN`] and
+/// [`FROZEN_STREAM_GOLDEN`].
 const FROZEN_BUDGET: u64 = 100_000;
 
 /// `container_checksum` of each spec's frozen container at
@@ -198,34 +201,95 @@ const FROZEN_BUDGET: u64 = 100_000;
 /// `cargo run --release --example golden_capture` only when a change
 /// to the generator is deliberate.
 const FROZEN_GOLDEN: [(&str, u64); 15] = [
-    ("media-streaming-100000", 0x2c740196406dbc7c),
-    ("data-caching-100000", 0x468a8e1f0f74a970),
-    ("data-serving-100000", 0xe654215bb3254b95),
-    ("web-serving-100000", 0xcbf4abb22eb718f4),
-    ("web-search-100000", 0x80ad76d878739495),
-    ("tpc-c-100000", 0xf0bc95aac71c1721),
-    ("wikipedia-100000", 0x1acaca2efafd5684),
-    ("sibench-100000", 0x38ad4b596b46f4b7),
-    ("finagle-http-100000", 0x6c499bda21c95b50),
-    ("neo4j-analytics-100000", 0x7dbc7ed2ceacb12c),
-    ("perlbench-100000", 0x792d6ff49caf2902),
+    ("media-streaming-100000", 0x9dbf69ad6205807b),
+    ("data-caching-100000", 0x5c36e0aea4e2de1a),
+    ("data-serving-100000", 0x97a2240ee92b461a),
+    ("web-serving-100000", 0xdbcd4a230209bf8e),
+    ("web-search-100000", 0x59f31613261e4d7e),
+    ("tpc-c-100000", 0xb556b7c909dc6bed),
+    ("wikipedia-100000", 0x2645c347ceda64fb),
+    ("sibench-100000", 0xbedfd74f861f8976),
+    ("finagle-http-100000", 0xd499d7001c79a021),
+    ("neo4j-analytics-100000", 0xe0d2b83d3dbe6876),
+    ("perlbench-100000", 0x0bc596773c74bec1),
     (
         "mt2q10000-media-streaming_data-caching-100000",
-        0x84b804154aad529c,
+        0x453b8b0bd770aecf,
     ),
     (
         "mt2q50000-media-streaming_data-caching-100000",
-        0x94e2cd9b516e40ee,
+        0xaea932e15ad96620,
     ),
     (
         "mt4q10000-media-streaming_data-caching_data-serving_web-serving-100000",
-        0x10a1f50f157d31b9,
+        0x54dab7708ba59e0a,
     ),
     (
         "mt4q50000-media-streaming_data-caching_data-serving_web-serving-100000",
-        0xfb6c014312f31b41,
+        0x3f9c5349b849c00f,
     ),
 ];
+
+/// [`stream_digest`] of each spec's frozen trace at
+/// [`FROZEN_BUDGET`], keyed by `store_key`. It hashes the decoded
+/// `Instr` fields, not the packed bytes, so a change to the packed
+/// format alone must leave it as it is. Regenerate with
+/// `cargo run --release --example golden_capture` only when a change
+/// to the generator is deliberate.
+const FROZEN_STREAM_GOLDEN: [(&str, u64); 15] = [
+    ("media-streaming-100000", 0xc5a01dbe42855fb3),
+    ("data-caching-100000", 0x5db0816c7b67c8bc),
+    ("data-serving-100000", 0x19286de9f885b393),
+    ("web-serving-100000", 0xf1335d45181eddf9),
+    ("web-search-100000", 0xc3a053418d1f8331),
+    ("tpc-c-100000", 0xcbd732b91971a805),
+    ("wikipedia-100000", 0x166f21bc1af7c8cc),
+    ("sibench-100000", 0xe6583973393fd966),
+    ("finagle-http-100000", 0xa827f6cf1b6f8a55),
+    ("neo4j-analytics-100000", 0x65843a809d1c15b2),
+    ("perlbench-100000", 0x5b5c664509bec400),
+    (
+        "mt2q10000-media-streaming_data-caching-100000",
+        0x4afdc030531a8fcf,
+    ),
+    (
+        "mt2q50000-media-streaming_data-caching-100000",
+        0xa75d4f46bc5a2003,
+    ),
+    (
+        "mt4q10000-media-streaming_data-caching_data-serving_web-serving-100000",
+        0x5a67c7801efab33f,
+    ),
+    (
+        "mt4q50000-media-streaming_data-caching_data-serving_web-serving-100000",
+        0x9c12f3b652d6d1a7,
+    ),
+];
+
+/// FNV-1a over every decoded instruction of `trace`: PC, ASID, kind,
+/// and the kind's operands, each at a fixed width.
+fn stream_digest(trace: &PackedTrace) -> u64 {
+    trace.iter().fold(FNV_OFFSET, |h, i| {
+        let (kind, operand, extra) = match i.kind {
+            InstrKind::Alu => (0u8, 0, 0u8),
+            InstrKind::LongAlu => (1, 0, 0),
+            InstrKind::Load { addr } => (2, addr.raw(), 0),
+            InstrKind::Store { addr } => (3, addr.raw(), 0),
+            InstrKind::Branch {
+                target,
+                taken,
+                class,
+            } => (4, target.raw(), u8::from(taken) | (class as u8) << 1),
+        };
+        let mut rec = [0u8; 20];
+        rec[..8].copy_from_slice(&i.pc().raw().to_le_bytes());
+        rec[8..10].copy_from_slice(&i.asid().raw().to_le_bytes());
+        rec[10] = kind;
+        rec[11..19].copy_from_slice(&operand.to_le_bytes());
+        rec[19] = extra;
+        fnv1a(h, &rec)
+    })
+}
 
 /// The ten datacenter apps, one SPEC app, and the 2- and 4-tenant
 /// mixes at 10k and 50k quanta (the fig-grid benchmark's shapes).
@@ -253,5 +317,31 @@ fn frozen_bytes_of_every_spec_shape_are_pinned() {
         let bytes = spec.materialize(FROZEN_BUDGET).to_bytes();
         let sum = PackedTrace::container_checksum(&bytes).expect("full header");
         assert_eq!(sum, golden, "{key}: frozen bytes changed");
+    }
+}
+
+#[test]
+fn decoded_stream_of_every_spec_shape_is_pinned() {
+    let specs = frozen_specs();
+    assert_eq!(specs.len(), FROZEN_STREAM_GOLDEN.len());
+    for (spec, (key, golden)) in specs.iter().zip(FROZEN_STREAM_GOLDEN) {
+        assert_eq!(spec.store_key(FROZEN_BUDGET), key);
+        let digest = stream_digest(&spec.materialize(FROZEN_BUDGET));
+        assert_eq!(digest, golden, "{key}: decoded instructions changed");
+    }
+}
+
+#[test]
+fn every_spec_shape_packs_within_its_byte_budget() {
+    // Two data-address bases keep the shipped shapes near 1.4-1.5
+    // B/instr; one base (container version 1) packed them at ~2.
+    for spec in frozen_specs() {
+        let trace = spec.materialize(FROZEN_BUDGET);
+        let bpi = trace.bytes_per_instr();
+        assert!(
+            bpi <= 1.55,
+            "{}: {bpi:.3} B/instr over the 1.55 budget",
+            spec.store_key(FROZEN_BUDGET)
+        );
     }
 }
