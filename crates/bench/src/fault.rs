@@ -2,8 +2,7 @@
 //!
 //! What `acic-bench` persists — the resumable result journal
 //! ([`crate::result_store`]) — goes through the two façades in this
-//! module, [`read`] and [`write_atomic`], and so do the `.acictrace`
-//! containers the fault properties write and read back. In
+//! module, [`read`] and [`write_atomic`]. In
 //! normal operation they are a thin veneer over `std::fs` that adds
 //! the crash-safe write discipline (sibling temporary, fsync, atomic
 //! rename, directory fsync). Under a [`FaultPlan`] installed with

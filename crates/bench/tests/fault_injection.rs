@@ -1,10 +1,11 @@
-//! Fault-injection properties for the two on-disk stores.
+//! Fault-injection properties for the one on-disk store, the result
+//! journal.
 //!
 //! The store-layer invariant under injected IO faults
 //! ([`acic_bench::fault`]) is: **loud failure or bit-identical
 //! success, never silent corruption** — a read that parses yields
-//! exactly the bytes that were written, or the caller sees an error
-//! (or, for the result journal, a per-cell miss that recomputes).
+//! exactly the bytes that were written, or the caller sees a per-cell
+//! miss that recomputes.
 //! A second family of properties pins the resume guarantee: under the
 //! crash model (EIO / ENOSPC / torn rename — atomic rename honored),
 //! every acknowledged `put` survives reopen, and a torn journal
@@ -13,7 +14,6 @@
 use acic_bench::fault::{self, Fault, FaultPlan};
 use acic_bench::result_store::ResultStore;
 use acic_sim::{Engine, IcacheOrg, SimConfig, SimReport};
-use acic_trace::PackedTrace;
 use acic_workloads::{AppProfile, WorkloadSpec};
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -31,16 +31,6 @@ fn scratch(tag: &str) -> PathBuf {
     ));
     std::fs::create_dir_all(&d).unwrap();
     d
-}
-
-/// One small frozen container, serialized once for every case.
-fn container_bytes() -> &'static [u8] {
-    static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
-    BYTES.get_or_init(|| {
-        WorkloadSpec::Single(AppProfile::web_search())
-            .materialize(2_000)
-            .to_bytes()
-    })
 }
 
 /// A few distinct finished-cell reports (distinct budgets and
@@ -71,56 +61,6 @@ fn same_report(a: &SimReport, b: &SimReport) -> bool {
 }
 
 proptest! {
-    /// Trace containers under an arbitrary seeded fault plan over
-    /// both the write and the read: whenever `from_bytes` accepts
-    /// what came back, it is bit-identical to what went in.
-    #[test]
-    fn trace_containers_fail_loudly_or_round_trip(seed in any::<u64>(), density in 0u8..=60u8) {
-        let bytes = container_bytes();
-        let dir = scratch("tc");
-        let path = dir.join("t.acictrace");
-        let (_wrote, _) = fault::with_faults(FaultPlan::seeded(seed, density), || {
-            fault::write_atomic(&path, bytes)
-        });
-        let (raw, _) = fault::with_faults(FaultPlan::seeded(seed ^ 0x5bd1_e995, density), || {
-            fault::read(&path)
-        });
-        if let Ok(raw) = raw {
-            if let Ok(trace) = PackedTrace::from_bytes(&raw) {
-                prop_assert!(
-                    trace.to_bytes() == bytes,
-                    "a container that parses must be bit-identical to the recorded one \
-                     (seed {seed}, density {density}%)"
-                );
-            }
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// Silent media corruption — a write that flips one bit and still
-    /// reports success — is always rejected by the container parser:
-    /// the checksum covers every byte after the magic, and a flipped
-    /// magic or checksum field fails just the same.
-    #[test]
-    fn any_single_bit_flip_on_write_is_caught_at_parse(bit in any::<u32>()) {
-        let bytes = container_bytes();
-        let dir = scratch("flip");
-        let path = dir.join("t.acictrace");
-        let (wrote, injected) = fault::with_faults(
-            FaultPlan::script(vec![Some(Fault::BitFlipWrite(bit))]),
-            || fault::write_atomic(&path, bytes),
-        );
-        prop_assert!(wrote.is_ok(), "the flip is silent at write time");
-        prop_assert_eq!(injected, 1);
-        let raw = std::fs::read(&path).unwrap();
-        prop_assert!(raw != bytes, "exactly one bit differs");
-        prop_assert!(
-            PackedTrace::from_bytes(&raw).is_err(),
-            "bit {bit} flipped silently yet the container still parsed"
-        );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
     /// Crash model (atomic rename honored): every `put` that returned
     /// `Ok` is present and bit-identical after reopening the store,
     /// no matter which puts failed around it.

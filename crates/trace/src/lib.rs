@@ -9,10 +9,9 @@
 //! * [`Instr`] / [`InstrKind`] — the trace record.
 //! * [`TraceSource`] — a resettable, deterministic stream of
 //!   instructions (synthetic workloads implement this).
-//! * [`PackedTrace`] — the frozen form of any source: a delta/RLE
-//!   byte arena with a skip index and a versioned on-disk container,
-//!   replayed zero-copy and bit-identically by any number of
-//!   consumers.
+//! * [`PackedTrace`] — the frozen form of any source: an in-memory
+//!   delta/RLE byte arena with a skip index, replayed zero-copy and
+//!   bit-identically by any number of consumers.
 //! * [`BlockRuns`] — groups consecutive same-block instructions into
 //!   i-cache accesses, the granularity every cache model operates on.
 //! * [`StackDistanceAnalyzer`] — exact LRU stack distances over block
@@ -49,7 +48,7 @@ pub use instr::{BranchClass, Instr, InstrKind};
 pub use interleave::{InterleavedIter, InterleavedTrace};
 pub use markov::{MarkovChain, ReuseBucket};
 pub use oracle::{OracleCursor, ReuseOracle, NO_NEXT_USE};
-pub use packed::{PackedCursor, PackedTrace, PackedTraceBuilder, TraceFileError, SKIP_STRIDE};
+pub use packed::{PackedCursor, PackedTrace, PackedTraceBuilder, SKIP_STRIDE};
 pub use runs::{BlockRun, BlockRuns, GroupedRuns};
 pub use source::{skip_instrs, TraceSource, Truncated, TruncatedIter, VecTrace};
 pub use stack_distance::{ReuseHistogram, StackDistanceAnalyzer};

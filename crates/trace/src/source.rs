@@ -266,8 +266,7 @@ impl VecTrace {
     ///
     /// Generated sources (the synthetic workloads) pay the generator
     /// cost on every pass; materializing once turns repeat
-    /// simulations over the same trace — policy sweeps, throughput
-    /// benchmarks — into cheap slice iteration.
+    /// simulations over the same trace into cheap slice iteration.
     pub fn from_source<S: TraceSource>(source: &S) -> Self {
         VecTrace {
             instrs: source.iter().collect(),
@@ -286,82 +285,11 @@ impl VecTrace {
     }
 }
 
-/// Streaming iterator over a materialized trace.
-///
-/// Yields by copy like `slice::iter().copied()`, but every cache
-/// line's worth of instructions it issues a *non-temporal* host
-/// prefetch a couple of kilobytes ahead. A long trace (hundreds of
-/// megabytes) read at warm-phase rates is a firehose that would
-/// otherwise evict the simulator's tag and predictor arrays from the
-/// host's LLC on every pass; the NTA hint keeps the stream out of the
-/// way. Values are identical to plain slice iteration — the hint has
-/// no architectural effect — and `nth` stays O(1), which is what
-/// [`TraceSource::skip`] relies on.
-#[derive(Clone, Debug)]
-pub struct VecTraceIter<'a> {
-    instrs: &'a [Instr],
-    at: usize,
-}
-
-/// Bytes of lookahead for the streaming prefetch (amortized one hint
-/// per 64 B line).
-const STREAM_AHEAD_BYTES: usize = 2048;
-
-#[inline(always)]
-fn stream_hint(instrs: &[Instr], at: usize) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        let per_line = (64 / core::mem::size_of::<Instr>()).max(1);
-        if at.is_multiple_of(per_line) {
-            let ahead = at + STREAM_AHEAD_BYTES / core::mem::size_of::<Instr>();
-            if ahead < instrs.len() {
-                unsafe {
-                    core::arch::x86_64::_mm_prefetch(
-                        instrs.as_ptr().add(ahead) as *const i8,
-                        core::arch::x86_64::_MM_HINT_NTA,
-                    );
-                }
-            }
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = (instrs, at);
-}
-
-impl Iterator for VecTraceIter<'_> {
-    type Item = Instr;
-
-    #[inline(always)]
-    fn next(&mut self) -> Option<Instr> {
-        let i = self.instrs.get(self.at).copied()?;
-        stream_hint(self.instrs, self.at);
-        self.at += 1;
-        Some(i)
-    }
-
-    #[inline]
-    fn nth(&mut self, n: usize) -> Option<Instr> {
-        self.at = self.at.saturating_add(n);
-        self.next()
-    }
-
-    #[inline]
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = self.instrs.len() - self.at.min(self.instrs.len());
-        (left, Some(left))
-    }
-}
-
-impl ExactSizeIterator for VecTraceIter<'_> {}
-
 impl TraceSource for VecTrace {
-    type Iter<'a> = VecTraceIter<'a>;
+    type Iter<'a> = core::iter::Copied<core::slice::Iter<'a, Instr>>;
 
     fn iter(&self) -> Self::Iter<'_> {
-        VecTraceIter {
-            instrs: &self.instrs,
-            at: 0,
-        }
+        self.instrs.iter().copied()
     }
 
     fn name(&self) -> &str {

@@ -6,8 +6,8 @@
 //! which is a strong 64-bit mixer, plus folding helpers to reduce a
 //! hash to an n-bit index or partial tag.
 //!
-//! [`fnv1a`] is the byte-stream hash behind every on-disk checksum
-//! (packed-trace containers, result-journal lines) and journal key.
+//! [`fnv1a`] is the byte-stream hash behind the result journal's line
+//! checksums and keys, and behind `PackedTrace::checksum`.
 //!
 //! [`SplitMix64`] additionally serves as a tiny deterministic PRNG for
 //! components that need sampling decisions (DSB's probabilistic bypass,

@@ -90,10 +90,9 @@ impl WorkloadSpec {
         }
     }
 
-    /// Filesystem-safe identity of (spec, budget), naming a supervised
-    /// run's handoff trace files (and prefixing result-journal keys):
-    /// lowercase alphanumerics, `.`, `_` and `-` only, unique per
-    /// distinct spec shape and instruction budget.
+    /// Readable identity of (spec, budget) that prefixes result-journal
+    /// keys: alphanumerics, `.`, `_` and `-` only, unique per distinct
+    /// spec shape and instruction budget.
     pub fn store_key(&self, instructions: u64) -> String {
         let body = match self {
             WorkloadSpec::Single(p) => p.name.clone(),
@@ -295,8 +294,8 @@ mod tests {
             },
         ] {
             assert_eq!(
-                spec.materialize(20_011).to_bytes(),
-                PackedTrace::from_source(&spec.generator(20_011)).to_bytes(),
+                spec.materialize(20_011),
+                PackedTrace::from_source(&spec.generator(20_011)),
                 "{}",
                 spec.label()
             );

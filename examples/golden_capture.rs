@@ -1,8 +1,8 @@
 //! Prints the pinned report fields used by `tests/engine_equivalence.rs`
 //! (the Full-schedule `GOLDEN` table and the Periodic-schedule
-//! `SAMPLED_GOLDEN` table) and the frozen-trace container checksums
-//! and decoded-stream digests used by `tests/packed_trace.rs`
-//! (`FROZEN_GOLDEN` and `FROZEN_STREAM_GOLDEN`).
+//! `SAMPLED_GOLDEN` table) and the frozen-trace checksums
+//! (`PackedTrace::checksum`) and decoded-stream digests used by
+//! `tests/packed_trace.rs` (`FROZEN_GOLDEN` and `FROZEN_STREAM_GOLDEN`).
 //!
 //! Run on a known-good tree to regenerate all four golden tables:
 //!
@@ -62,7 +62,7 @@ fn stream_digest(trace: &PackedTrace) -> u64 {
     })
 }
 
-/// Prints `FROZEN_GOLDEN` (container checksums), then
+/// Prints `FROZEN_GOLDEN` (packed-byte checksums), then
 /// `FROZEN_STREAM_GOLDEN` (decoded-stream digests).
 fn print_frozen_tables() {
     let frozen: Vec<_> = frozen_specs()
@@ -75,8 +75,7 @@ fn print_frozen_tables() {
         })
         .collect();
     for (key, trace) in &frozen {
-        let sum = PackedTrace::container_checksum(&trace.to_bytes()).expect("full header");
-        println!("(\"{key}\", {sum:#018x}),");
+        println!("(\"{key}\", {:#018x}),", trace.checksum());
     }
     for (key, trace) in &frozen {
         println!("(\"{key}\", {:#018x}),", stream_digest(trace));

@@ -254,7 +254,6 @@ fn frozen_multi_tenant_replay_is_bit_identical_in_both_simulators() {
     // exact budget split) and replaying it produces bit-identical
     // reports to driving the live interleaver, functional and timing,
     // for an ASID-sensitive organization.
-    use acic_repro::trace::PackedTrace;
     use acic_repro::workloads::WorkloadSpec;
 
     // 25_001 over 2 tenants exercises the remainder distribution.
@@ -267,12 +266,10 @@ fn frozen_multi_tenant_replay_is_bit_identical_in_both_simulators() {
     let frozen = spec.materialize(n);
     assert_eq!(frozen.len(), n, "budget split must be remainder-exact");
     assert!(frozen.iter().eq(live.iter()), "stream must round-trip");
-    // Disk round-trip included: replay what a recorded file yields.
-    let replayed = PackedTrace::from_bytes(&frozen.to_bytes()).expect("container round-trips");
 
     let org = IcacheOrg::acic_default();
     let f_live = run_functional(&org, &live);
-    let f_frozen = run_functional(&org, &replayed);
+    let f_frozen = run_functional(&org, &frozen);
     assert!(f_live.context_switches > 0, "interleave must switch");
     assert_eq!(f_live.context_switches, f_frozen.context_switches);
     assert_eq!(f_live.accesses, f_frozen.accesses);
@@ -288,6 +285,6 @@ fn frozen_multi_tenant_replay_is_bit_identical_in_both_simulators() {
 
     let cfg = SimConfig::default().with_org(org);
     let t_live = Engine::run(&cfg, &live);
-    let t_frozen = Engine::run(&cfg, &replayed);
+    let t_frozen = Engine::run(&cfg, &frozen);
     assert_eq!(format!("{t_live:?}"), format!("{t_frozen:?}"));
 }

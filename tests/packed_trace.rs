@@ -1,10 +1,9 @@
 //! Property tests pinning the packed trace format: `VecTrace` ↔
 //! `PackedTrace` round-trips bit for bit (including ASID switch
-//! boundaries), index-jump `skip` is equivalent to walking, and the
-//! on-disk container rejects corruption and truncation at arbitrary
-//! offsets. Two golden tables pin every shipped workload spec shape:
-//! one the decoded instruction stream (independent of the packed
-//! format), one the frozen container bytes.
+//! boundaries), and index-jump `skip` is equivalent to walking. Two
+//! golden tables pin every shipped workload spec shape: one the
+//! decoded instruction stream (independent of the packed format), one
+//! the frozen bytes (`PackedTrace::checksum`).
 
 use acic_repro::trace::{
     BlockRun, BlockRuns, BranchClass, GroupedRuns, Instr, InstrKind, PackedTrace, TraceSource,
@@ -148,32 +147,6 @@ proptest! {
         prop_assert_eq!(dropped, slow_dropped);
         prop_assert_eq!(resumed, next_run(&mut slow));
     }
-
-    #[test]
-    fn container_survives_serialization_and_rejects_bit_flips(
-        words in proptest::collection::vec(any::<u64>(), 1..300),
-        flip in any::<u64>(),
-    ) {
-        let instrs = stream_from_words(&words, 13);
-        let packed = PackedTrace::from_instrs("disk-prop", instrs);
-        let bytes = packed.to_bytes();
-        let back = PackedTrace::from_bytes(&bytes).expect("own container parses");
-        prop_assert_eq!(&back, &packed);
-
-        // Any single bit flip must be rejected, except inside the
-        // stored checksum itself (still a mismatch) — i.e. everywhere.
-        let bit = flip % (bytes.len() as u64 * 8);
-        let mut corrupt = bytes.clone();
-        corrupt[(bit / 8) as usize] ^= 1 << (bit % 8);
-        prop_assert!(
-            PackedTrace::from_bytes(&corrupt).is_err(),
-            "bit flip at {} accepted", bit
-        );
-
-        // Any truncation must be rejected.
-        let cut = (flip % bytes.len() as u64) as usize;
-        prop_assert!(PackedTrace::from_bytes(&bytes[..cut]).is_err());
-    }
 }
 
 #[test]
@@ -196,37 +169,37 @@ fn skip_strides_are_exercised() {
 /// [`FROZEN_STREAM_GOLDEN`].
 const FROZEN_BUDGET: u64 = 100_000;
 
-/// `container_checksum` of each spec's frozen container at
+/// `PackedTrace::checksum` of each spec's frozen trace at
 /// [`FROZEN_BUDGET`], keyed by `store_key`. Regenerate with
 /// `cargo run --release --example golden_capture` only when a change
 /// to the generator is deliberate.
 const FROZEN_GOLDEN: [(&str, u64); 15] = [
-    ("media-streaming-100000", 0x9dbf69ad6205807b),
-    ("data-caching-100000", 0x5c36e0aea4e2de1a),
-    ("data-serving-100000", 0x97a2240ee92b461a),
-    ("web-serving-100000", 0xdbcd4a230209bf8e),
-    ("web-search-100000", 0x59f31613261e4d7e),
-    ("tpc-c-100000", 0xb556b7c909dc6bed),
-    ("wikipedia-100000", 0x2645c347ceda64fb),
-    ("sibench-100000", 0xbedfd74f861f8976),
-    ("finagle-http-100000", 0xd499d7001c79a021),
-    ("neo4j-analytics-100000", 0xe0d2b83d3dbe6876),
-    ("perlbench-100000", 0x0bc596773c74bec1),
+    ("media-streaming-100000", 0x852e4c68b642f5b6),
+    ("data-caching-100000", 0x5815988dbd3e971d),
+    ("data-serving-100000", 0x6bbfb575b8f79b9c),
+    ("web-serving-100000", 0xeee9a91e52ba9ec0),
+    ("web-search-100000", 0xd932b077acf75d88),
+    ("tpc-c-100000", 0x8bd39da7a30c728a),
+    ("wikipedia-100000", 0x1f6cbf7e2694f9fa),
+    ("sibench-100000", 0x2e14b4589b989647),
+    ("finagle-http-100000", 0x45fa1c2b1e4eb666),
+    ("neo4j-analytics-100000", 0x5070c4775d5059c3),
+    ("perlbench-100000", 0x05cb4386c9f6a1fa),
     (
         "mt2q10000-media-streaming_data-caching-100000",
-        0x453b8b0bd770aecf,
+        0xcd3f3dc00957fea2,
     ),
     (
         "mt2q50000-media-streaming_data-caching-100000",
-        0xaea932e15ad96620,
+        0xb15bc02eab3c95cc,
     ),
     (
         "mt4q10000-media-streaming_data-caching_data-serving_web-serving-100000",
-        0x54dab7708ba59e0a,
+        0xc10509934a3dc325,
     ),
     (
         "mt4q50000-media-streaming_data-caching_data-serving_web-serving-100000",
-        0x3f9c5349b849c00f,
+        0x7b8d91e26246fac5,
     ),
 ];
 
@@ -314,8 +287,7 @@ fn frozen_bytes_of_every_spec_shape_are_pinned() {
     assert_eq!(specs.len(), FROZEN_GOLDEN.len());
     for (spec, (key, golden)) in specs.iter().zip(FROZEN_GOLDEN) {
         assert_eq!(spec.store_key(FROZEN_BUDGET), key);
-        let bytes = spec.materialize(FROZEN_BUDGET).to_bytes();
-        let sum = PackedTrace::container_checksum(&bytes).expect("full header");
+        let sum = spec.materialize(FROZEN_BUDGET).checksum();
         assert_eq!(sum, golden, "{key}: frozen bytes changed");
     }
 }
@@ -334,7 +306,7 @@ fn decoded_stream_of_every_spec_shape_is_pinned() {
 #[test]
 fn every_spec_shape_packs_within_its_byte_budget() {
     // Two data-address bases keep the shipped shapes near 1.4-1.5
-    // B/instr; one base (container version 1) packed them at ~2.
+    // B/instr; one base (the previous encoding) packed them at ~2.
     for spec in frozen_specs() {
         let trace = spec.materialize(FROZEN_BUDGET);
         let bpi = trace.bytes_per_instr();

@@ -9,8 +9,8 @@
 //! any other worker count must pool bit-identical `SampledStats` and
 //! identical statistics blocks. These tests pin that across
 //! organizations (including the oracle-backed ones), multi-tenant
-//! interleaves, generator-backed, materialized, and
-//! `.acictrace`-replayed traces, and worker counts {1, 2, 7}.
+//! interleaves, generator-backed, materialized, and frozen
+//! (`PackedTrace`) traces, and worker counts {1, 2, 7}.
 
 use acic_sim::{Engine, IcacheOrg, SampleSchedule, SimConfig, SimReport};
 use acic_trace::{PackedTrace, TraceSource, VecTrace};
@@ -100,26 +100,20 @@ fn multi_tenant_interleaves_pool_identically() {
 #[test]
 fn replayed_traces_match_generator_backed_runs() {
     // The same stream through all three source kinds: generated on
-    // the fly, materialized in memory, and round-tripped through an
-    // on-disk `.acictrace` replay. Window budgets key off positions,
-    // not source internals, so all of them — at any worker count —
-    // must produce the identical report.
+    // the fly, materialized in memory, and frozen into a packed trace.
+    // Window budgets key off positions, not source internals, so all
+    // of them — at any worker count — must produce the identical
+    // report.
     let generated = SyntheticWorkload::with_instructions(AppProfile::media_streaming(), 600_000);
     let materialized = VecTrace::from_source(&generated);
     let packed = PackedTrace::from_source(&materialized);
-    let dir = std::env::temp_dir().join(format!("acic-window-parallel-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join("media-streaming-600k.acictrace");
-    packed.write_to(&path).expect("write trace");
-    let replayed = PackedTrace::read_from(&path).expect("replay trace");
-    std::fs::remove_dir_all(&dir).ok();
 
     let c = cfg(IcacheOrg::acic_default());
     let from_gen = pin_worker_counts(&c, &generated, "generator-backed");
     let from_vec = pin_worker_counts(&c, &materialized, "materialized");
-    let from_disk = pin_worker_counts(&c, &replayed, "replayed");
+    let from_packed = pin_worker_counts(&c, &packed, "packed");
     assert_identical(&from_gen, &from_vec, "generator vs materialized");
-    assert_identical(&from_gen, &from_disk, "generator vs replayed");
+    assert_identical(&from_gen, &from_packed, "generator vs packed");
 }
 
 #[test]
