@@ -85,18 +85,17 @@
 //! is per cell attempt (the wedged worker is SIGKILLed and the cell
 //! retried), an `abort()`/OOM/signal death costs one attempt of one
 //! cell instead of the campaign, and failed cells are retried in a
-//! fresh worker — transient
-//! failures (timeout, signal, spawn failure) up to
-//! `ACIC_SUPERVISE_RETRIES` attempts, deterministic ones (panic,
-//! `abort()`, non-zero exit) once to confirm — with capped
-//! exponential backoff (base `ACIC_SUPERVISE_BACKOFF_MS`) and
-//! deterministic seeded jitter. Every retried or failed cell leaves a
-//! crash report (exit evidence, stderr tail, retry history, and the
-//! cell's message, which `experiments --run-cell` replays)
-//! under `--crash-reports <dir>` (default: `<results>/crash-reports`,
-//! or `./crash-reports`). Output and `--results` journals are
-//! byte-identical to the in-process path; where spawning is
-//! unavailable the run degrades to in-process with one warning.
+//! fresh worker on fixed budgets with no knobs: transient failures
+//! (timeout, signal, spawn failure) get three attempts in all,
+//! deterministic ones (panic, `abort()`, non-zero exit) one retry to
+//! confirm, and every retry waits a fixed 200 ms. Every retried or
+//! failed cell leaves a crash report (exit evidence, stderr tail,
+//! retry history, and the cell's message, which `experiments
+//! --run-cell` replays) under `--crash-reports <dir>` (default:
+//! `<results>/crash-reports`, or `./crash-reports`). Output and
+//! `--results` journals are byte-identical to the in-process path;
+//! where spawning is unavailable the run degrades to in-process with
+//! one warning.
 //!
 //! Exit codes: `0` — success; `1` — one or more figures/cells failed;
 //! `2` — usage error. A `--run-cell` worker exits `0` once stdin

@@ -54,8 +54,8 @@ pub struct DseOptions {
     pub threads: usize,
     /// Process supervision, as on [`crate::Runner::supervise`]: a
     /// supervised parent runs every to-be-computed rung cell in its
-    /// pool slot's `--run-cell` worker (hard timeouts, retry with backoff,
-    /// crash reports). Defaults to `None` (in-process).
+    /// pool slot's `--run-cell` worker (hard timeouts, fixed-budget
+    /// retries, crash reports). Defaults to `None` (in-process).
     pub supervise: Option<Arc<SuperviseCtx>>,
 }
 

@@ -278,7 +278,7 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
 /// the supervision tier ([`crate::supervise`]) is tested against.
 /// Unlike the IO [`Fault`]s above, these don't corrupt storage: they
 /// make the cell's own execution hostile (panic, `abort()`, a stall
-/// past the watchdog, self-SIGKILL, a bad exit status).
+/// past the watchdog, self-SIGKILL).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CellFault {
     /// The cell panics (caught in-process by `catch_unwind`; kills a
@@ -291,8 +291,6 @@ pub enum CellFault {
     Stall(Duration),
     /// The cell SIGKILLs its own process — the OOM-killer stand-in.
     Kill,
-    /// The cell exits the whole process with this status.
-    Exit(i32),
 }
 
 /// The scripted cell-fault environment variables, in the order
@@ -303,7 +301,6 @@ pub const CELL_FAULT_VARS: &[&str] = &[
     "ACIC_ABORT_CELL",
     "ACIC_STALL_CELL",
     "ACIC_KILL_CELL",
-    "ACIC_EXIT_CELL",
     "ACIC_FAULT_ATTEMPTS",
     "ACIC_SUPERVISE_ATTEMPT",
 ];
@@ -343,9 +340,8 @@ pub fn supervise_attempt() -> u32 {
 
 /// The scripted process-level fault (if any) for cell `(c, a)`,
 /// honoring the attempt gate: `ACIC_PANIC_CELL` / `ACIC_ABORT_CELL` /
-/// `ACIC_STALL_CELL` (PR 6's knobs, `"<config>:<spec>[:<millis>]"`)
-/// plus `ACIC_KILL_CELL` (self-SIGKILL) and `ACIC_EXIT_CELL`
-/// (`"<config>:<spec>:<status>"`). `ACIC_FAULT_ATTEMPTS=<k>` restricts
+/// `ACIC_STALL_CELL` (`"<config>:<spec>[:<millis>]"`) and
+/// `ACIC_KILL_CELL` (self-SIGKILL). `ACIC_FAULT_ATTEMPTS=<k>` restricts
 /// any of them to the first `k` supervision attempts (see
 /// [`cell_fault_armed`]), which is how the hostile matrix scripts
 /// *transient* failures.
@@ -371,10 +367,6 @@ pub fn scripted_cell_fault(c: usize, a: usize) -> Option<CellFault> {
     }
     if knob("ACIC_KILL_CELL").is_some() {
         return Some(CellFault::Kill);
-    }
-    if let Some(parts) = knob("ACIC_EXIT_CELL") {
-        let status = parts.get(2).copied().unwrap_or(7) as i32;
-        return Some(CellFault::Exit(status));
     }
     None
 }

@@ -67,12 +67,6 @@ pub use acic_workloads::{short_name, split_budget, WorkloadSpec};
 static THREADS_WARNING: Once = Once::new();
 static OVERSUBSCRIPTION_WARNING: Once = Once::new();
 
-pub(crate) fn warn_ignored(once: &'static Once, var: &str, raw: &str) {
-    once.call_once(|| {
-        eprintln!("[warning: {var}={raw:?} is not a valid value; override ignored]");
-    });
-}
-
 /// Instructions simulated per cell unless a caller sets its own (the
 /// paper runs 500 M–1 B; shapes stabilize well below that).
 pub const DEFAULT_INSTRUCTIONS: u64 = 1_000_000;
@@ -96,7 +90,11 @@ pub fn bench_threads() -> usize {
     let raw = std::env::var("ACIC_BENCH_THREADS").ok();
     if let Some(r) = raw.as_deref() {
         if r.parse::<usize>().ok().filter(|&n| n >= 1).is_none() {
-            warn_ignored(&THREADS_WARNING, "ACIC_BENCH_THREADS", r);
+            THREADS_WARNING.call_once(|| {
+                eprintln!(
+                    "[warning: ACIC_BENCH_THREADS={r:?} is not a valid value; override ignored]"
+                );
+            });
         }
     }
     bench_threads_from(
@@ -515,8 +513,8 @@ impl TraceSet {
 }
 
 /// Deliberate failure injection for crash-safety tests: the CLI and
-/// integration tests pin a single cell to panic, abort, stall, be
-/// SIGKILLed, or exit with a bad status via the `ACIC_*_CELL` knobs
+/// integration tests pin a single cell to panic, abort, stall or be
+/// SIGKILLed via the `ACIC_*_CELL` knobs
 /// (`"<config>:<spec>"`, with an optional parameter suffix;
 /// scripting and attempt-gating live in
 /// [`crate::fault::scripted_cell_fault`]). No-ops unless a matching
@@ -534,10 +532,6 @@ pub(crate) fn injected_cell_failure(c: usize, a: usize) {
         Some(CellFault::Kill) => {
             eprintln!("[injected kill in cell ({c},{a})]");
             crate::supervise::kill_self();
-        }
-        Some(CellFault::Exit(code)) => {
-            eprintln!("[injected exit {code} in cell ({c},{a})]");
-            std::process::exit(code);
         }
     }
 }

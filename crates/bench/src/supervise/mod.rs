@@ -1,5 +1,5 @@
-//! Process-supervised cell execution: hard isolation, retry with
-//! backoff, and crash forensics.
+//! Process-supervised cell execution: hard isolation, fixed-budget
+//! retries, and crash forensics.
 //!
 //! The in-process cell pool (`runner::run_cells`) isolates panics
 //! with `catch_unwind`, but a wedged cell can only end the run at its
@@ -48,8 +48,9 @@
 //!   one attempt of one cell, never the campaign.
 //! * **Retries with taxonomy** — the pure [`policy`] module classifies
 //!   each failed attempt transient vs deterministic from its exit
-//!   evidence and schedules capped exponential backoff with
-//!   deterministic seeded jitter.
+//!   evidence and decides whether to retry: fixed budgets (three
+//!   attempts for transient failures, two for deterministic ones), a
+//!   fixed 200 ms delay before each retry, and no knobs.
 //! * **Forensics** — every retried or failed cell leaves a crash
 //!   report (exit status / signal, the stderr tail of each attempt,
 //!   full retry history, and the cell's message, so one command
@@ -85,7 +86,7 @@ use crate::json::Json;
 use crate::result_store::{decode_entry, encode_entry};
 use crate::runner::CellError;
 use acic_sim::SimReport;
-use policy::{classify, ChildOutcome, Decision, RetryPolicy};
+use policy::{classify, decide, ChildOutcome, Decision};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, ExitStatus, Stdio};
@@ -118,8 +119,6 @@ pub struct SuperviseCtx {
     exe: PathBuf,
     /// Where crash reports for failed/retried cells are written.
     pub crash_dir: PathBuf,
-    /// The retry/backoff schedule.
-    pub policy: RetryPolicy,
 }
 
 impl SuperviseCtx {
@@ -139,7 +138,6 @@ impl SuperviseCtx {
         Ok(SuperviseCtx {
             exe,
             crash_dir: crash_dir.to_path_buf(),
-            policy: RetryPolicy::from_env(),
         })
     }
 }
@@ -247,7 +245,7 @@ fn sanitize_key(key: &str) -> String {
 struct AttemptRecord {
     outcome: String,
     class: Option<String>,
-    backoff: Option<Duration>,
+    delay: Option<Duration>,
     stderr_tail: String,
 }
 
@@ -298,7 +296,7 @@ pub(crate) fn supervise_cell(
                     history.push(AttemptRecord {
                         outcome: "succeeded".into(),
                         class: None,
-                        backoff: None,
+                        delay: None,
                         stderr_tail: String::new(),
                     });
                     write_crash_report(ctx, key, label, &message, &history, "recovered");
@@ -308,15 +306,15 @@ pub(crate) fn supervise_cell(
             Err(outcome) => outcome,
         };
         let stderr_tail = on.take().map(Worker::stderr_tail).unwrap_or_default();
-        let decision = ctx.policy.decide(key, &outcome, attempt);
-        let backoff = match &decision {
+        let decision = decide(&outcome, attempt);
+        let delay = match &decision {
             Decision::Retry(d) => Some(*d),
             Decision::GiveUp(_) => None,
         };
         history.push(AttemptRecord {
             outcome: outcome.to_string(),
             class: Some(classify(&outcome).to_string()),
-            backoff,
+            delay,
             stderr_tail,
         });
         match decision {
@@ -537,7 +535,7 @@ fn write_crash_report(
     ));
     out.push_str(&format!("attempts: {}\n", history.len()));
     for (i, rec) in history.iter().enumerate() {
-        match (&rec.class, rec.backoff) {
+        match (&rec.class, rec.delay) {
             (Some(class), Some(delay)) => out.push_str(&format!(
                 "attempt {}: {} [{}]; retrying in {}ms\n",
                 i + 1,

@@ -1,32 +1,20 @@
-//! Property suite for the supervisor's pure retry/backoff policy
+//! Property suite for the supervisor's pure retry policy
 //! ([`acic_bench::supervise::policy`]).
 //!
 //! The policy is a function of its arguments — no clocks, no sleeps,
 //! no environment — so every property here runs without spawning a
-//! child or waiting a millisecond. Pinned invariants: backoff
-//! schedules are monotone non-decreasing and capped, equal seeds
-//! replay equal schedules, and the transient/deterministic
-//! classification drives the attempt budget exactly as documented
-//! (full budget for transient failures, one confirmation retry for
-//! deterministic ones).
+//! child or waiting a millisecond. Pinned invariants: the
+//! transient/deterministic classification drives the attempt budget
+//! exactly as documented (three attempts for transient failures, one
+//! confirmation retry for deterministic ones), and every retry waits
+//! the one fixed delay.
 
 use acic_bench::supervise::policy::{
-    classify, ChildOutcome, Decision, FailureClass, RetryPolicy, SIGABRT,
+    classify, decide, ChildOutcome, Decision, FailureClass, DETERMINISTIC_ATTEMPTS, RETRY_DELAY,
+    SIGABRT, TRANSIENT_ATTEMPTS,
 };
 use proptest::prelude::*;
 use std::time::Duration;
-
-/// A policy from raw knobs, keeping base ≤ cap so the cap is a real
-/// ceiling rather than degenerate.
-fn policy(base_ms: u64, cap_factor: u64, seed: u64) -> RetryPolicy {
-    let base = Duration::from_millis(base_ms);
-    RetryPolicy {
-        base,
-        cap: base * cap_factor as u32,
-        seed,
-        ..RetryPolicy::default()
-    }
-}
 
 /// An outcome from a small discriminant + payload, covering every arm
 /// of the taxonomy.
@@ -41,64 +29,6 @@ fn outcome(kind: u8, payload: i32) -> ChildOutcome {
 }
 
 proptest! {
-    /// Backoff never decreases from one attempt to the next, for any
-    /// key, seed, and base/cap shape: the jitter fraction stays under
-    /// 25% while the raw delay doubles, and the cap clamps both sides
-    /// of the comparison equally.
-    #[test]
-    fn backoff_is_monotone_non_decreasing(
-        seed in any::<u64>(),
-        key_salt in any::<u64>(),
-        base_ms in 1u64..=500,
-        cap_factor in 1u64..=100,
-    ) {
-        let p = policy(base_ms, cap_factor, seed);
-        let key = format!("cell-{key_salt}");
-        let mut prev = Duration::ZERO;
-        for attempt in 1..=24u32 {
-            let d = p.backoff(&key, attempt);
-            prop_assert!(
-                d >= prev,
-                "delay shrank at attempt {attempt}: {prev:?} -> {d:?} (seed {seed})"
-            );
-            prev = d;
-        }
-    }
-
-    /// No delay ever exceeds the cap, and once the raw exponential
-    /// passes it the schedule pins there exactly.
-    #[test]
-    fn backoff_respects_the_cap(
-        seed in any::<u64>(),
-        key_salt in any::<u64>(),
-        base_ms in 1u64..=500,
-        cap_factor in 1u64..=100,
-    ) {
-        let p = policy(base_ms, cap_factor, seed);
-        let key = format!("cell-{key_salt}");
-        for attempt in 1..=30u32 {
-            prop_assert!(p.backoff(&key, attempt) <= p.cap);
-        }
-        prop_assert_eq!(p.backoff(&key, 30), p.cap, "far attempts pin at the cap");
-    }
-
-    /// Equal seeds replay equal schedules; the jitter is a pure
-    /// function of (seed, key, attempt), so a failing supervision run
-    /// reproduces delay-for-delay.
-    #[test]
-    fn backoff_is_deterministic_under_a_fixed_seed(
-        seed in any::<u64>(),
-        key_salt in any::<u64>(),
-        base_ms in 1u64..=500,
-    ) {
-        let a = policy(base_ms, 50, seed);
-        let b = policy(base_ms, 50, seed);
-        let key = format!("cell-{key_salt}");
-        for attempt in 1..=10u32 {
-            prop_assert_eq!(a.backoff(&key, attempt), b.backoff(&key, attempt));
-        }
-    }
-
     /// The classification matrix: exactly the supervisor-kill,
     /// external-signal, and spawn-failure arms are transient; every
     /// exit status, SIGABRT, and the no-report protocol violation are
@@ -116,33 +46,25 @@ proptest! {
     }
 
     /// `decide` spends exactly the class's attempt budget for every
-    /// outcome shape and retry count: retries strictly below the cap,
-    /// a give-up carrying the class at and beyond it.
+    /// outcome shape and attempt count: a retry after [`RETRY_DELAY`]
+    /// strictly below the budget, a give-up carrying the class at and
+    /// beyond it.
     #[test]
-    fn decide_spends_exactly_the_class_budget(
-        kind in any::<u8>(),
-        payload in any::<i32>(),
-        key_salt in any::<u64>(),
-        transient_attempts in 1u32..=6,
-        deterministic_attempts in 1u32..=3,
-    ) {
-        let p = RetryPolicy {
-            transient_attempts,
-            deterministic_attempts,
-            ..RetryPolicy::default()
-        };
+    fn decide_spends_exactly_the_class_budget(kind in any::<u8>(), payload in any::<i32>()) {
         let o = outcome(kind, payload);
-        let key = format!("cell-{key_salt}");
         let class = classify(&o);
-        let cap = p.attempt_cap(class);
-        for attempts_made in 1..=cap + 2 {
-            match p.decide(&key, &o, attempts_made) {
+        let budget = match class {
+            FailureClass::Transient => TRANSIENT_ATTEMPTS,
+            FailureClass::Deterministic => DETERMINISTIC_ATTEMPTS,
+        };
+        for attempts_made in 1..=budget + 2 {
+            match decide(&o, attempts_made) {
                 Decision::Retry(delay) => {
-                    prop_assert!(attempts_made < cap, "retried at or past the cap ({o})");
-                    prop_assert_eq!(delay, p.backoff(&key, attempts_made));
+                    prop_assert!(attempts_made < budget, "retried at or past the budget ({o})");
+                    prop_assert_eq!(delay, RETRY_DELAY);
                 }
                 Decision::GiveUp(got) => {
-                    prop_assert!(attempts_made >= cap, "gave up under the cap ({o})");
+                    prop_assert!(attempts_made >= budget, "gave up under the budget ({o})");
                     prop_assert_eq!(got, class);
                 }
             }

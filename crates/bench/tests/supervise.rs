@@ -1,5 +1,5 @@
 //! End-to-end checks of `--supervise`: one worker process per pool
-//! slot and its stdin protocol, hard timeouts, retry with backoff,
+//! slot and its stdin protocol, hard timeouts, fixed-budget retries,
 //! crash forensics, and bit-identity with the in-process reference
 //! path — all on the small
 //! `table3_mpki` grid (1 config x 10 specs) at a tiny instruction
@@ -24,14 +24,10 @@ fn experiments() -> Command {
         "ACIC_EXP_INSTRUCTIONS",
         "ACIC_BENCH_THREADS",
         "ACIC_CELL_TIMEOUT_SECS",
-        "ACIC_SUPERVISE_RETRIES",
-        "ACIC_SUPERVISE_BACKOFF_MS",
     ] {
         cmd.env_remove(var);
     }
     cmd.env("ACIC_EXP_INSTRUCTIONS", BUDGET);
-    // Keep test-time retry delays in the milliseconds.
-    cmd.env("ACIC_SUPERVISE_BACKOFF_MS", "10");
     cmd
 }
 
@@ -286,6 +282,7 @@ fn a_sigkilled_child_is_retried_as_transient_and_the_campaign_recovers() {
     assert!(report.contains("killed by signal 9"), "report:\n{report}");
     assert!(report.contains("[transient]"), "report:\n{report}");
     assert!(report.contains("retrying in"), "report:\n{report}");
+    assert!(report.contains("retrying in 200ms"), "report:\n{report}");
     assert!(
         report.contains("disposition: recovered"),
         "report:\n{report}"

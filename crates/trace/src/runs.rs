@@ -67,16 +67,14 @@ impl BlockRun {
 /// ```
 #[derive(Debug)]
 pub struct BlockRuns<I> {
-    inner: I,
-    pending: Option<Instr>,
+    runs: GroupedRuns<I>,
 }
 
 impl<I: Iterator<Item = Instr>> BlockRuns<I> {
     /// Wraps an instruction iterator.
     pub fn new(inner: I) -> Self {
         BlockRuns {
-            inner,
-            pending: None,
+            runs: GroupedRuns::new(inner),
         }
     }
 }
@@ -85,35 +83,7 @@ impl<I: Iterator<Item = Instr>> Iterator for BlockRuns<I> {
     type Item = BlockRun;
 
     fn next(&mut self) -> Option<BlockRun> {
-        let first = self.pending.take().or_else(|| self.inner.next())?;
-        let block = first.pc().block();
-        let asid = first.asid();
-        let mut len = 1u32;
-        let mut ends_taken = first.is_taken_branch();
-        if !ends_taken {
-            loop {
-                match self.inner.next() {
-                    None => break,
-                    Some(i) => {
-                        if i.pc().block() != block || i.asid() != asid {
-                            self.pending = Some(i);
-                            break;
-                        }
-                        len += 1;
-                        if i.is_taken_branch() {
-                            ends_taken = true;
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-        Some(BlockRun {
-            block,
-            asid,
-            len,
-            ends_in_taken_branch: ends_taken,
-        })
+        self.runs.next_run_with(|_| {})
     }
 }
 
@@ -121,9 +91,9 @@ impl<I: Iterator<Item = Instr>> Iterator for BlockRuns<I> {
 /// ([`GroupedRuns::next_run_with`]), or streaming them for the warming
 /// tiers ([`GroupedRuns::stream_instrs`]).
 ///
-/// Run boundaries are guaranteed identical to [`BlockRuns`]' (same
-/// grouping rule), so the oracle pre-pass over `BlockRuns` indexes the
-/// timing pass over `GroupedRuns` one-to-one.
+/// `BlockRuns` is `next_run_with` with a no-op sink, so the two share
+/// one grouping rule and the oracle pre-pass over `BlockRuns` indexes
+/// the timing pass over `GroupedRuns` one-to-one.
 #[derive(Debug)]
 pub struct GroupedRuns<I> {
     inner: I,
@@ -141,11 +111,11 @@ impl<I: Iterator<Item = Instr>> GroupedRuns<I> {
 
     /// Reads the next run, handing each of its instructions to `sink`
     /// in order, and returns the run's [`BlockRun`] (`None` at the end
-    /// of the stream). Boundaries are identical to [`BlockRuns`]'.
+    /// of the stream).
     ///
     /// This is the one run reader: the timing front end passes a sink
-    /// that writes straight into its instruction arena, and an
-    /// oracle-only walk passes a no-op sink.
+    /// that writes straight into its instruction arena, and
+    /// [`BlockRuns`] passes a no-op sink.
     #[inline]
     pub fn next_run_with<F>(&mut self, mut sink: F) -> Option<BlockRun>
     where

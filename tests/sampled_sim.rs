@@ -162,23 +162,18 @@ fn sampled_windows_cover_measured_instruction_budget() {
 /// Runs only under `--release` (`cargo test --release`): the
 /// wall-clock assertion is meaningless at opt-level 0, and the
 /// full-detail leg would take minutes there. Debug builds skip with a
-/// note. Scale down via `ACIC_SAMPLED_TEST_INSTRUCTIONS` if needed;
-/// the accuracy assertions hold at the default 20 M.
+/// note. The trace is 20 M instructions.
 #[test]
 fn default_sampled_schedule_hits_10x_within_2pct() {
     if cfg!(debug_assertions) {
         eprintln!("skipping sampled speedup contract: release-only test");
         return;
     }
-    let n: u64 = std::env::var("ACIC_SAMPLED_TEST_INSTRUCTIONS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(20_000_000);
     // Materialize once: both legs simulate the identical trace and
     // neither pays the generator.
     let wl = VecTrace::from_source(&SyntheticWorkload::with_instructions(
         AppProfile::web_search(),
-        n,
+        20_000_000,
     ));
     let full_cfg = SimConfig::default().with_org(IcacheOrg::acic_default());
     let sampled_cfg = full_cfg.with_schedule(SampleSchedule::default_sampled());
