@@ -22,8 +22,10 @@
 //! knobs are read once, here, into one [`acic_bench::Runner`] —
 //! budget, `--results` store, `--supervise` context, per-cell deadline
 //! — that every figure receives, and `--dse` builds its `DseOptions`
-//! from the same values; no setting lives in a process global. A knob
-//! set to something unusable warns on stderr and is ignored.
+//! from the same values; no setting lives in a process global. The
+//! library reads `ACIC_BENCH_THREADS` and the test knob
+//! `ACIC_FAULT_CELL` (see `fault::ScriptedFault`). A knob set to
+//! something unusable warns once on stderr and is ignored.
 //!
 //! Resume:
 //!
@@ -77,7 +79,8 @@
 //! binary self-execs one `experiments --run-cell` worker per pool slot
 //! (a hidden switch that takes no other argument) and writes cells to
 //! the worker's stdin, one line each — a cell's canonical encoding
-//! and its `(config, spec)` coordinates. The worker freezes each
+//! and the scripted fault that attempt meets (`null` unless
+//! `ACIC_FAULT_CELL` aims at the cell). The worker freezes each
 //! cell's spec unless it already holds that trace (the parent hands a
 //! slot the cells of one spec in a row), runs the cell, no figure
 //! code, and answers with one journal line on stdout.
@@ -85,26 +88,30 @@
 //! is per cell attempt (the wedged worker is SIGKILLed and the cell
 //! retried), an `abort()`/OOM/signal death costs one attempt of one
 //! cell instead of the campaign, and failed cells are retried in a
-//! fresh worker on fixed budgets with no knobs: transient failures
+//! respawned worker on fixed budgets with no knobs: transient failures
 //! (timeout, signal, spawn failure) get three attempts in all,
 //! deterministic ones (panic, `abort()`, non-zero exit) one retry to
 //! confirm, and every retry waits a fixed 200 ms. Every retried or
 //! failed cell leaves a crash report (exit evidence, stderr tail,
-//! retry history, and the cell's message, which `experiments
-//! --run-cell` replays) under `--crash-reports <dir>` (default:
-//! `<results>/crash-reports`, or `./crash-reports`). Output and
-//! `--results` journals are byte-identical to the in-process path;
-//! where spawning is unavailable the run degrades to in-process with
-//! one warning.
+//! retry history, and the first failed attempt's message, which
+//! `experiments --run-cell` replays with no environment) under
+//! `--crash-reports <dir>` (default: `<results>/crash-reports`, or
+//! `./crash-reports`). Output and `--results` journals are
+//! byte-identical to the in-process path. A `--supervise` that cannot
+//! start (no current executable, or a crash dir that cannot be
+//! created) is a usage error: the run exits 2 before any figure.
 //!
 //! Exit codes: `0` — success; `1` — one or more figures/cells failed;
-//! `2` — usage error. A `--run-cell` worker exits `0` once stdin
+//! `2` — usage error, or a `--results` store or `--supervise` that
+//! cannot start. A `--run-cell` worker exits `0` once stdin
 //! closes after its last answer, `2` on a message it cannot decode
 //! (or no message at all), `4` when it cannot write a result, and
 //! `101` when a cell panicked.
 
 use acic_bench::result_store::ResultStore;
-use acic_bench::runner::{exit_with_failure_summary, panic_message, DEFAULT_INSTRUCTIONS};
+use acic_bench::runner::{
+    exit_with_failure_summary, panic_message, positive, read_knob, DEFAULT_INSTRUCTIONS,
+};
 use acic_bench::supervise::SuperviseCtx;
 use acic_bench::Runner;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -164,33 +171,6 @@ fn all_experiments() -> Vec<Experiment> {
 /// whole figure suite runs in seconds, honoring an explicitly smaller
 /// `ACIC_EXP_INSTRUCTIONS`.
 const SMOKE_INSTRUCTIONS: u64 = 50_000;
-
-/// Instructions per cell from an `ACIC_EXP_INSTRUCTIONS`-style value:
-/// a positive count wins, zero and garbage fall back to
-/// [`DEFAULT_INSTRUCTIONS`].
-fn instruction_budget_from(var: Option<&str>) -> u64 {
-    var.and_then(|v| v.parse::<u64>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(DEFAULT_INSTRUCTIONS)
-}
-
-/// The per-cell deadline from an `ACIC_CELL_TIMEOUT_SECS`-style value:
-/// a positive count of seconds arms it, `0` (or unset) leaves it off.
-fn cell_timeout_from(var: Option<&str>) -> Option<Duration> {
-    var.and_then(|v| v.parse::<u64>().ok())
-        .filter(|&s| s > 0)
-        .map(Duration::from_secs)
-}
-
-/// Reads the knob `var`, warning on stderr when it is set to a value
-/// `valid` rejects (its parser then ignores it).
-fn read_knob(var: &str, valid: fn(&str) -> bool) -> Option<String> {
-    let raw = std::env::var(var).ok();
-    if let Some(r) = raw.as_deref().filter(|r| !valid(r)) {
-        eprintln!("[warning: {var}={r:?} is not a valid value; override ignored]");
-    }
-    raw
-}
 
 /// Extracts `--flag <value>` from the argument list, returning the
 /// value and removing both tokens. A flag with no value — at the end
@@ -370,7 +350,8 @@ fn run_dse_cli(cli: &Cli, runner: &Runner) -> Result<String, String> {
 /// Builds the one [`Runner`] every figure (and the DSE sweep) runs
 /// under: the budget (capped under `--smoke`), the per-cell deadline,
 /// the `--results` store, and, under `--supervise`, the supervisor's
-/// context. Exits 2 when the store cannot open.
+/// context. Exits 2 when the store cannot open or supervision cannot
+/// start.
 fn runner_from(cli: &Cli) -> Runner {
     let supervise = if cli.supervise {
         let crash_dir = cli
@@ -387,8 +368,8 @@ fn runner_from(cli: &Cli) -> Runner {
                 Some(Arc::new(ctx))
             }
             Err(e) => {
-                eprintln!("[warning: supervision unavailable ({e}); running in-process]");
-                None
+                eprintln!("cannot supervise: {e}");
+                std::process::exit(2);
             }
         }
     } else {
@@ -403,13 +384,11 @@ fn runner_from(cli: &Cli) -> Runner {
                 std::process::exit(2);
             })
     });
-    let budget = read_knob("ACIC_EXP_INSTRUCTIONS", |r| {
-        r.parse::<u64>().is_ok_and(|n| n >= 1)
-    });
-    let timeout = read_knob("ACIC_CELL_TIMEOUT_SECS", |r| r.parse::<u64>().is_ok());
+    // A zero timeout is valid: it leaves the deadline off.
+    let timeout = read_knob("ACIC_CELL_TIMEOUT_SECS", |r| r.parse::<u64>().ok());
     let mut runner = Runner {
-        instructions: instruction_budget_from(budget.as_deref()),
-        cell_timeout: cell_timeout_from(timeout.as_deref()),
+        instructions: read_knob("ACIC_EXP_INSTRUCTIONS", positive).unwrap_or(DEFAULT_INSTRUCTIONS),
+        cell_timeout: timeout.filter(|&s| s > 0).map(Duration::from_secs),
         store,
         supervise,
         ..Runner::new()
@@ -520,33 +499,52 @@ fn main() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use acic_bench::runner::bench_threads;
 
     fn argv(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()
     }
 
     #[test]
-    fn budget_override_policy() {
-        assert_eq!(instruction_budget_from(None), 1_000_000, "unset: 1M");
-        assert_eq!(instruction_budget_from(Some("20000")), 20_000);
-        assert_eq!(
-            instruction_budget_from(Some("0")),
-            1_000_000,
-            "zero rejected"
-        );
-        assert_eq!(
-            instruction_budget_from(Some("lots")),
-            1_000_000,
-            "garbage rejected"
-        );
-    }
-
-    #[test]
-    fn cell_timeout_policy() {
-        assert_eq!(cell_timeout_from(None), None, "unset: disabled");
-        assert_eq!(cell_timeout_from(Some("0")), None, "zero: disabled");
-        assert_eq!(cell_timeout_from(Some("30")), Some(Duration::from_secs(30)));
-        assert_eq!(cell_timeout_from(Some("soon")), None, "garbage rejected");
+    fn knobs_parse_or_fall_back() {
+        // The one test in this binary that touches the environment.
+        let vars = [
+            "ACIC_EXP_INSTRUCTIONS",
+            "ACIC_CELL_TIMEOUT_SECS",
+            "ACIC_BENCH_THREADS",
+        ];
+        let cores = std::thread::available_parallelism().map_or(2, |n| n.get());
+        let secs = |s| Some(Duration::from_secs(s));
+        // Knob values -> (instructions, deadline, grid workers).
+        let cases = [
+            ([None, None, None], (DEFAULT_INSTRUCTIONS, None, cores)),
+            (
+                [Some("20000"), Some("30"), Some("16")],
+                (20_000, secs(30), 16),
+            ),
+            (
+                [Some("0"), Some("0"), Some("0")],
+                (DEFAULT_INSTRUCTIONS, None, cores),
+            ),
+            (
+                [Some("lots"), Some("soon"), Some("-1")],
+                (DEFAULT_INSTRUCTIONS, None, cores),
+            ),
+        ];
+        for (values, want) in cases {
+            for (var, value) in vars.into_iter().zip(values) {
+                match value {
+                    Some(v) => std::env::set_var(var, v),
+                    None => std::env::remove_var(var),
+                }
+            }
+            let runner = runner_from(&Cli::default());
+            let got = (runner.instructions, runner.cell_timeout, bench_threads());
+            assert_eq!(got, want, "{values:?}");
+        }
+        for var in vars {
+            std::env::remove_var(var);
+        }
     }
 
     #[test]

@@ -32,7 +32,14 @@
 //! proptests in `tests/fault_injection.rs` assert the store-layer
 //! invariant: **loud failure or bit-identical success, never silent
 //! corruption**.
+//!
+//! It also scripts hostile *cells* (`ScriptedFault`) for the
+//! crash-safety tests, and reads no environment: `runner::execute`
+//! parses `ACIC_FAULT_CELL` and fires each resolved fault in process or
+//! sends it in the worker's message, so a crash report replays alone.
 
+use crate::cell::Canon;
+use crate::json::Json;
 use acic_types::hash::mix64;
 use std::cell::RefCell;
 use std::io::{self, Write};
@@ -282,93 +289,100 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CellFault {
     /// The cell panics (caught in-process by `catch_unwind`; kills a
-    /// supervised child with the panic exit status).
+    /// supervised worker with the panic exit status).
     Panic,
     /// The cell calls `abort()` — un-catchable in-process, a SIGABRT
     /// death under supervision.
     Abort,
-    /// The cell sleeps this long (in-process deadline / hard-timeout food).
-    Stall(Duration),
+    /// The cell sleeps this many milliseconds (in-process deadline /
+    /// hard-timeout food).
+    Stall(u64),
     /// The cell SIGKILLs its own process — the OOM-killer stand-in.
     Kill,
 }
 
-/// The scripted cell-fault environment variables, in the order
-/// [`scripted_cell_fault`] consults them. Integration tests clear
-/// exactly this list to isolate child environments.
-pub const CELL_FAULT_VARS: &[&str] = &[
-    "ACIC_PANIC_CELL",
-    "ACIC_ABORT_CELL",
-    "ACIC_STALL_CELL",
-    "ACIC_KILL_CELL",
-    "ACIC_FAULT_ATTEMPTS",
-    "ACIC_SUPERVISE_ATTEMPT",
-];
-
-/// Parses one `"<config>:<spec>[:<param>]"` knob value against cell
-/// `(c, a)`: the numeric fields, when the first two match the cell.
-/// Pure for testability; tolerant of garbage (a malformed knob simply
-/// never matches).
-pub fn parse_cell_knob(raw: &str, c: usize, a: usize) -> Option<Vec<u64>> {
-    let parts: Vec<u64> = raw.split(':').filter_map(|p| p.parse().ok()).collect();
-    (parts.len() >= 2 && parts[0] == c as u64 && parts[1] == a as u64).then_some(parts)
-}
-
-/// Whether a scripted cell fault fires on supervision attempt
-/// `attempt` under an `ACIC_FAULT_ATTEMPTS`-style gate: the fault
-/// fires only on the first `gate` attempts (0-based `attempt < gate`),
-/// so `ACIC_FAULT_ATTEMPTS=1` makes a fault *transient* — it kills
-/// attempt 0 and lets the retry succeed. Unset (or garbage) means the
-/// fault always fires: a *deterministic* failure. Pure for
-/// testability.
-pub fn cell_fault_armed(attempt: u32, gate: Option<&str>) -> bool {
-    match gate.and_then(|g| g.parse::<u32>().ok()) {
-        Some(k) => attempt < k,
-        None => true,
+impl CellFault {
+    /// Misbehaves as scripted, in the cell `cell` names: panics,
+    /// aborts, sleeps, or SIGKILLs this process.
+    pub(crate) fn fire(self, cell: &str) {
+        match self {
+            CellFault::Panic => panic!("injected test panic in cell {cell}"),
+            CellFault::Abort => {
+                eprintln!("[injected abort in cell {cell}]");
+                std::process::abort();
+            }
+            CellFault::Stall(ms) => std::thread::sleep(Duration::from_millis(ms)),
+            CellFault::Kill => {
+                eprintln!("[injected kill in cell {cell}]");
+                crate::supervise::kill_self();
+            }
+        }
     }
 }
 
-/// The supervision attempt index this process is running as:
-/// `ACIC_SUPERVISE_ATTEMPT`, set by the supervisor on every child it
-/// spawns; `0` in unsupervised processes.
-pub fn supervise_attempt() -> u32 {
-    std::env::var("ACIC_SUPERVISE_ATTEMPT")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0)
+/// `"panic"`, `"abort"`, `"kill"`, or `{"stall":"<millis>"}`.
+impl Canon for CellFault {
+    fn enc(&self) -> String {
+        match self {
+            CellFault::Panic => "\"panic\"".into(),
+            CellFault::Abort => "\"abort\"".into(),
+            CellFault::Kill => "\"kill\"".into(),
+            CellFault::Stall(ms) => format!("{{\"stall\":{}}}", ms.enc()),
+        }
+    }
+    fn dec(j: Option<&Json>, what: &str) -> Result<Self, String> {
+        match j.and_then(Json::str_val) {
+            Some("panic") => Ok(CellFault::Panic),
+            Some("abort") => Ok(CellFault::Abort),
+            Some("kill") => Ok(CellFault::Kill),
+            Some(other) => Err(format!("{what}: unknown fault {other:?}")),
+            None => u64::dec(j.and_then(|j| j.get("stall")), "stall").map(CellFault::Stall),
+        }
+    }
 }
 
-/// The scripted process-level fault (if any) for cell `(c, a)`,
-/// honoring the attempt gate: `ACIC_PANIC_CELL` / `ACIC_ABORT_CELL` /
-/// `ACIC_STALL_CELL` (`"<config>:<spec>[:<millis>]"`) and
-/// `ACIC_KILL_CELL` (self-SIGKILL). `ACIC_FAULT_ATTEMPTS=<k>` restricts
-/// any of them to the first `k` supervision attempts (see
-/// [`cell_fault_armed`]), which is how the hostile matrix scripts
-/// *transient* failures.
-pub fn scripted_cell_fault(c: usize, a: usize) -> Option<CellFault> {
-    let gate = std::env::var("ACIC_FAULT_ATTEMPTS").ok();
-    if !cell_fault_armed(supervise_attempt(), gate.as_deref()) {
-        return None;
+/// A scripted cell fault, parsed from an `ACIC_FAULT_CELL` value
+/// `"<kind>:<config>:<spec>[:<millis>]"`: `kind` is `panic`, `abort`,
+/// `stall` or `kill`, and it fires in the cell at `(config, spec)` of
+/// each batch; a stall sleeps `millis` (60 s unless given). A `-once`
+/// suffix on the kind (`kill-once`) fires on a cell's first attempt
+/// only, a *transient* failure; without it every attempt fails.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct ScriptedFault {
+    fault: CellFault,
+    cell: (usize, usize),
+    once: bool,
+}
+
+impl ScriptedFault {
+    /// Parses a knob value; `None` for anything outside the grammar.
+    pub(crate) fn parse(raw: &str) -> Option<ScriptedFault> {
+        let mut parts = raw.split(':');
+        let kind = parts.next()?;
+        let (kind, once) = kind
+            .strip_suffix("-once")
+            .map_or((kind, false), |k| (k, true));
+        let cell = (parts.next()?.parse().ok()?, parts.next()?.parse().ok()?);
+        let millis = parts.next().map(str::parse::<u64>).transpose().ok()?;
+        if parts.next().is_some() {
+            return None;
+        }
+        let fault = match (kind, millis) {
+            ("panic", None) => CellFault::Panic,
+            ("abort", None) => CellFault::Abort,
+            ("kill", None) => CellFault::Kill,
+            ("stall", ms) => CellFault::Stall(ms.unwrap_or(60_000)),
+            _ => return None,
+        };
+        Some(ScriptedFault { fault, cell, once })
     }
-    let knob = |var: &str| {
-        std::env::var(var)
-            .ok()
-            .and_then(|r| parse_cell_knob(&r, c, a))
-    };
-    if knob("ACIC_PANIC_CELL").is_some() {
-        return Some(CellFault::Panic);
+
+    /// The fault cell `cell` (its `(config, spec)` in the batch) meets
+    /// on attempt `attempt`, counted from 1; an in-process cell runs
+    /// once, as attempt 1.
+    pub(crate) fn at(&self, cell: (usize, usize), attempt: u32) -> Option<CellFault> {
+        (cell == self.cell && (attempt == 1 || !self.once)).then_some(self.fault)
     }
-    if knob("ACIC_ABORT_CELL").is_some() {
-        return Some(CellFault::Abort);
-    }
-    if let Some(parts) = knob("ACIC_STALL_CELL") {
-        let millis = parts.get(2).copied().unwrap_or(60_000);
-        return Some(CellFault::Stall(Duration::from_millis(millis)));
-    }
-    if knob("ACIC_KILL_CELL").is_some() {
-        return Some(CellFault::Kill);
-    }
-    None
 }
 
 #[cfg(test)]
@@ -428,28 +442,51 @@ mod tests {
     }
 
     #[test]
-    fn cell_knob_parsing_matches_only_its_cell() {
-        assert_eq!(parse_cell_knob("0:5", 0, 5), Some(vec![0, 5]));
-        assert_eq!(parse_cell_knob("0:5:30000", 0, 5), Some(vec![0, 5, 30000]));
-        assert_eq!(parse_cell_knob("0:5", 0, 4), None, "other cell");
-        assert_eq!(parse_cell_knob("0:5", 1, 5), None, "other config");
-        assert_eq!(parse_cell_knob("garbage", 0, 0), None);
-        assert_eq!(parse_cell_knob("3", 3, 0), None, "needs both coordinates");
-    }
-
-    #[test]
-    fn fault_attempt_gate_scripts_transient_failures() {
-        // Unset gate: deterministic — every attempt faults.
-        assert!(cell_fault_armed(0, None));
-        assert!(cell_fault_armed(5, None));
-        // Gate of 1: transient — only attempt 0 faults, the retry
-        // runs clean.
-        assert!(cell_fault_armed(0, Some("1")));
-        assert!(!cell_fault_armed(1, Some("1")));
-        assert!(cell_fault_armed(1, Some("2")));
-        assert!(!cell_fault_armed(2, Some("2")));
-        // Garbage gate falls back to deterministic.
-        assert!(cell_fault_armed(3, Some("always")));
+    fn the_fault_grammar_resolves_per_cell_and_attempt() {
+        use CellFault::*;
+        // (knob, cell, attempt, the fault that cell meets)
+        let table = [
+            ("panic:0:5", (0, 5), 1, Some(Panic)),
+            ("abort:0:5", (0, 5), 2, Some(Abort)),
+            ("kill:2:0", (2, 0), 3, Some(Kill)),
+            ("stall:0:1:30000", (0, 1), 1, Some(Stall(30_000))),
+            ("stall:0:1", (0, 1), 1, Some(Stall(60_000))),
+            ("panic:0:5", (0, 4), 1, None),
+            ("panic:0:5", (1, 5), 1, None),
+            ("kill-once:0:1", (0, 1), 1, Some(Kill)),
+            ("kill-once:0:1", (0, 1), 2, None),
+            ("stall-once:0:1:5", (0, 1), 1, Some(Stall(5))),
+            ("stall-once:0:1:5", (0, 1), 2, None),
+        ];
+        for (raw, cell, attempt, want) in table {
+            let script = ScriptedFault::parse(raw).unwrap_or_else(|| panic!("{raw} parses"));
+            assert_eq!(
+                script.at(cell, attempt),
+                want,
+                "{raw} at {cell:?}, attempt {attempt}"
+            );
+        }
+        for garbage in [
+            "",
+            "garbage",
+            "0:5",
+            "panic",
+            "panic:0",
+            "panic:0:x",
+            "panic:0:5:9",
+            "kill:0:5:9",
+            "stall:0:5:soon",
+            "stall:0:5:1:2",
+            "boom:0:5",
+            "panic-twice:0:5",
+            "PANIC:0:5",
+        ] {
+            assert_eq!(
+                ScriptedFault::parse(garbage),
+                None,
+                "{garbage:?} never matches"
+            );
+        }
     }
 
     #[test]

@@ -47,10 +47,15 @@
 //! the supervisor ([`crate::supervise::SuperviseCtx`]), the watchdog —
 //! that `experiments` builds once and passes down; [`Runner::new`]
 //! reads no environment and attaches no store, no supervisor and no
-//! deadline. Only the worker count comes from a knob read here
-//! (`ACIC_BENCH_THREADS`, [`bench_threads`]).
+//! deadline.
+//!
+//! Every `ACIC_*` knob goes through [`read_knob`]; `experiments` reads
+//! two of them, and two are read here: the worker count
+//! (`ACIC_BENCH_THREADS`) and the scripted cell fault
+//! (`ACIC_FAULT_CELL`, once per `execute` batch).
 
 use crate::cell::{Cell, Exec};
+use crate::fault::ScriptedFault;
 use crate::result_store::ResultStore;
 use crate::supervise::SuperviseCtx;
 use acic_sim::{IcacheOrg, PrefetcherKind, SimConfig, SimReport};
@@ -59,50 +64,43 @@ use acic_workloads::AppProfile;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, Once};
+use std::sync::{Arc, Mutex, Once, PoisonError};
 use std::time::{Duration, Instant};
 
 pub use acic_workloads::{short_name, split_budget, WorkloadSpec};
 
-static THREADS_WARNING: Once = Once::new();
 static OVERSUBSCRIPTION_WARNING: Once = Once::new();
 
 /// Instructions simulated per cell unless a caller sets its own (the
 /// paper runs 500 M–1 B; shapes stabilize well below that).
 pub const DEFAULT_INSTRUCTIONS: u64 = 1_000_000;
 
-/// Resolves the grid worker count from an `ACIC_BENCH_THREADS`-style
-/// override and the machine's available parallelism: a parseable
-/// positive override wins (clamped to ≥ 1 by construction — zero and
-/// garbage fall back), otherwise `available`. Pure so the policy is
-/// testable without touching the process environment.
-pub fn bench_threads_from(var: Option<&str>, available: usize) -> usize {
-    var.and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(available)
-        .max(1)
+/// Reads the knob `var` through `parse`: `None` when it is unset or
+/// `parse` rejects it. A rejected value warns on stderr, at most once
+/// per knob per process. The crate's one reader of the environment.
+pub fn read_knob<T>(var: &'static str, parse: impl Fn(&str) -> Option<T>) -> Option<T> {
+    static WARNED: Mutex<Vec<&str>> = Mutex::new(Vec::new());
+    let raw = std::env::var(var).ok()?;
+    let value = parse(&raw);
+    let mut warned = WARNED.lock().unwrap_or_else(PoisonError::into_inner);
+    if value.is_none() && !warned.contains(&var) {
+        warned.push(var);
+        eprintln!("[warning: {var}={raw:?} is not a valid value; override ignored]");
+    }
+    value
 }
 
-/// Grid worker count: `ACIC_BENCH_THREADS` (clamped to ≥ 1) or the
-/// machine's available parallelism. An override that parses to
-/// nothing usable warns once on stderr and is ignored.
+/// A positive count (`0` and garbage are `None`), as
+/// `ACIC_BENCH_THREADS` and `ACIC_EXP_INSTRUCTIONS` take it.
+pub fn positive<T: std::str::FromStr + Default + PartialOrd>(raw: &str) -> Option<T> {
+    raw.parse().ok().filter(|n| *n > T::default())
+}
+
+/// Grid worker count: `ACIC_BENCH_THREADS` or the machine's available
+/// parallelism.
 pub fn bench_threads() -> usize {
-    let raw = std::env::var("ACIC_BENCH_THREADS").ok();
-    if let Some(r) = raw.as_deref() {
-        if r.parse::<usize>().ok().filter(|&n| n >= 1).is_none() {
-            THREADS_WARNING.call_once(|| {
-                eprintln!(
-                    "[warning: ACIC_BENCH_THREADS={r:?} is not a valid value; override ignored]"
-                );
-            });
-        }
-    }
-    bench_threads_from(
-        raw.as_deref(),
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(2),
-    )
+    read_knob("ACIC_BENCH_THREADS", positive)
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(2, |n| n.get()))
 }
 
 /// Composes the grid worker count and the per-cell window worker
@@ -512,37 +510,13 @@ impl TraceSet {
     }
 }
 
-/// Deliberate failure injection for crash-safety tests: the CLI and
-/// integration tests pin a single cell to panic, abort, stall or be
-/// SIGKILLed via the `ACIC_*_CELL` knobs
-/// (`"<config>:<spec>"`, with an optional parameter suffix;
-/// scripting and attempt-gating live in
-/// [`crate::fault::scripted_cell_fault`]). No-ops unless a matching
-/// variable is set.
-pub(crate) fn injected_cell_failure(c: usize, a: usize) {
-    use crate::fault::CellFault;
-    match crate::fault::scripted_cell_fault(c, a) {
-        None => {}
-        Some(CellFault::Panic) => panic!("injected test panic in cell ({c},{a})"),
-        Some(CellFault::Abort) => {
-            eprintln!("[injected abort in cell ({c},{a})]");
-            std::process::abort();
-        }
-        Some(CellFault::Stall(delay)) => std::thread::sleep(delay),
-        Some(CellFault::Kill) => {
-            eprintln!("[injected kill in cell ({c},{a})]");
-            crate::supervise::kill_self();
-        }
-    }
-}
-
 /// One batch of cells for [`execute`], with the run settings it
 /// executes under.
 pub(crate) struct Batch<'a> {
     /// The cells, in result order.
     pub cells: Vec<Cell>,
     /// `(config, spec)` per cell: the spec index picks the cell's
-    /// trace, and the pair is what scripted faults aim at.
+    /// trace, and the pair is what a [`ScriptedFault`] aims at.
     pub coords: Vec<(usize, usize)>,
     /// Display label per cell (crash reports).
     pub labels: Vec<String>,
@@ -584,7 +558,8 @@ pub(crate) struct Executed {
 /// the slot fetches the spec's trace from the [`TraceSet`] (freezing
 /// it if no cell has yet) and runs [`Cell::run`]; a cell past the
 /// deadline ends the run. Each finished cell is journaled as it
-/// completes.
+/// completes. A [`ScriptedFault`] read once per batch fires in process
+/// before [`Cell::run`], or rides in each attempt's worker message.
 pub(crate) fn execute(batch: Batch<'_>) -> Executed {
     let n = batch.cells.len();
     let traces = batch.traces;
@@ -603,6 +578,7 @@ pub(crate) fn execute(batch: Batch<'_>) -> Executed {
         .map(|&i| traces.slot_of[batch.coords[i].1])
         .collect();
     let label = |t: usize| batch.labels[pending[t]].clone();
+    let script = read_knob("ACIC_FAULT_CELL", ScriptedFault::parse);
     // A supervised worker's hard deadline (`Worker::ask`) replaces the
     // in-process watchdog.
     let deadline = match batch.supervise {
@@ -614,18 +590,21 @@ pub(crate) fn execute(batch: Batch<'_>) -> Executed {
     let results = run_cells(&specs, batch.threads, deadline, |worker, t| {
         let i = pending[t];
         let (cell, (c, a)) = (&batch.cells[i], batch.coords[i]);
+        let fault = |attempt| script.and_then(|s| s.at((c, a), attempt));
         let res = match batch.supervise {
             Some(ctx) => crate::supervise::supervise_cell(
                 ctx,
                 worker,
                 cell,
-                (c, a),
+                &fault,
                 &keys[i],
                 &batch.labels[i],
                 batch.cell_timeout,
             ),
             None => traces.trace(a).map_err(CellError::Freeze).map(|trace| {
-                injected_cell_failure(c, a);
+                if let Some(f) = fault(1) {
+                    f.fire(&format!("({c},{a})"));
+                }
                 cell.run(&trace)
             }),
         };
@@ -902,16 +881,6 @@ pub fn markdown_table(header: &[String], rows: &[Vec<String>]) -> String {
 mod tests {
     use super::*;
     use acic_sim::{Engine, SampleSchedule};
-
-    #[test]
-    fn thread_override_policy() {
-        assert_eq!(bench_threads_from(None, 8), 8, "no override: available");
-        assert_eq!(bench_threads_from(Some("3"), 8), 3, "override wins");
-        assert_eq!(bench_threads_from(Some("0"), 8), 8, "zero rejected");
-        assert_eq!(bench_threads_from(Some("lots"), 8), 8, "garbage rejected");
-        assert_eq!(bench_threads_from(Some("16"), 8), 16, "may exceed cores");
-        assert_eq!(bench_threads_from(None, 0), 1, "clamped to >= 1");
-    }
 
     #[test]
     fn thread_budget_splits_between_grid_and_windows() {

@@ -10,15 +10,16 @@
 //! `experiments --run-cell` driven by `supervise_cell`.
 //!
 //! **Worker protocol.** The parent writes one [`message`] per line to
-//! a worker's stdin: `{"cell":C,"coords":[c,a]}`, the cell's canonical
-//! encoding ([`crate::cell`]) and its `(config, spec)` coordinates
-//! (which scripted faults aim at). The worker ([`run_worker`]) reads
-//! messages until EOF. For each one it freezes the cell's spec in
-//! memory (`trace_store::freeze`) unless it already holds that trace,
-//! runs the cell, and answers with one CRC-checked journal line on
-//! stdout. The parent accepts a line only when it decodes and carries
-//! the key the parent expects. A worker runs no figure code, opens no
-//! result store and writes no file; neither does the parent write
+//! a worker's stdin: `{"cell":C,"fault":F}`, the cell's canonical
+//! encoding ([`crate::cell`]) and the [`CellFault`] the parent
+//! scripted for this attempt (`null` in a healthy run). The worker
+//! ([`run_worker`]) reads messages until EOF. For each one it freezes
+//! the cell's spec in memory (`trace_store::freeze`) unless it already
+//! holds that trace, fires the fault if any, runs the cell, and
+//! answers with one CRC-checked journal line on stdout. The parent
+//! accepts a line only when it decodes and carries the key the parent
+//! expects. A worker reads no environment, runs no figure code, opens
+//! no result store and writes no file; neither does the parent write
 //! anything but the journal and crash reports. A one-message stdin —
 //! what a crash report's `reproduce:` line pipes in — runs that one
 //! cell and exits.
@@ -37,10 +38,8 @@
 //! parent waits for each reply under that cell's hard deadline,
 //! counted from when the message was sent. A worker death, a deadline
 //! kill or a bad reply charges only the in-flight cell's attempt; the
-//! worker is killed (losing its trace), and the slot spawns a fresh
-//! one for its next cell. Retries run in a worker spawned with
-//! `ACIC_SUPERVISE_ATTEMPT=n` and given just that one cell (the
-//! long-lived worker runs with `0`). That buys:
+//! worker is killed (losing its trace), and the slot respawns it for
+//! the retry and its later cells. That buys:
 //!
 //! * **Hard timeouts** — a stalled worker is SIGKILLed at the
 //!   `ACIC_CELL_TIMEOUT_SECS` deadline; nothing leaks.
@@ -53,9 +52,9 @@
 //!   fixed 200 ms delay before each retry, and no knobs.
 //! * **Forensics** — every retried or failed cell leaves a crash
 //!   report (exit status / signal, the stderr tail of each attempt,
-//!   full retry history, and the cell's message, so one command
-//!   replays the cell) under `crash-reports/`, referenced from the
-//!   `GridError` summary. A worker prints a cell-start marker on
+//!   full retry history, and the first attempt's message, so one
+//!   command replays the failure) under `crash-reports/`, referenced
+//!   from the `GridError` summary. A worker prints a cell-start marker on
 //!   stderr before each cell, and a report keeps only what followed
 //!   the failing cell's marker.
 //!
@@ -75,13 +74,12 @@
 //! and figure output (workers report through the same bit-exact
 //! journal-line codec, a worker's trace is the same deterministic
 //! freeze, and the parent's whole-file `BTreeMap` rewrite makes
-//! journal bytes independent of completion order). Where spawning is
-//! unavailable the supervisor degrades to in-process execution with a
-//! single warning.
+//! journal bytes independent of completion order).
 
 pub mod policy;
 
 use crate::cell::{canon_struct, Canon, Cell};
+use crate::fault::CellFault;
 use crate::json::Json;
 use crate::result_store::{decode_entry, encode_entry};
 use crate::runner::CellError;
@@ -122,10 +120,9 @@ pub struct SuperviseCtx {
 }
 
 impl SuperviseCtx {
-    /// The supervised parent's context. Fails (so the caller can warn
-    /// once and fall back to in-process execution) when the current
-    /// executable cannot be resolved or the crash directory cannot be
-    /// created.
+    /// The supervised parent's context. Fails, naming the cause, when
+    /// the current executable cannot be resolved or the crash directory
+    /// cannot be created.
     pub fn new(crash_dir: &Path) -> Result<SuperviseCtx, String> {
         let exe = std::env::current_exe()
             .map_err(|e| format!("cannot resolve the current executable for self-exec: {e}"))?;
@@ -142,23 +139,24 @@ impl SuperviseCtx {
     }
 }
 
-/// One message on a `--run-cell` worker's stdin: the cell and its
-/// `(config, spec)` fault coordinates.
+/// One message on a `--run-cell` worker's stdin: the cell and the
+/// scripted fault it meets, if any.
 #[derive(Debug, PartialEq)]
 struct Message {
     cell: Cell,
-    coords: (usize, usize),
+    fault: Option<CellFault>,
 }
 
-canon_struct!(Message { cell, coords });
+canon_struct!(Message { cell, fault });
 
 /// One line of a supervised parent's input to a `--run-cell` worker:
-/// `{"cell":C,"coords":[c,a]}` — the cell's canonical encoding
-/// ([`crate::cell`]) and its `(config, spec)` fault coordinates.
-pub fn message(cell: &Cell, coords: (usize, usize)) -> String {
+/// `{"cell":C,"fault":F}` — the cell's canonical encoding
+/// ([`crate::cell`]) and the scripted fault the worker fires before
+/// running it (`null` for none).
+pub fn message(cell: &Cell, fault: Option<CellFault>) -> String {
     Message {
         cell: cell.clone(),
-        coords,
+        fault,
     }
     .enc()
 }
@@ -184,17 +182,15 @@ pub fn run_worker() -> ! {
         let decoded = line
             .map_err(|e| format!("cannot read stdin: {e}"))
             .and_then(|text| decode_message(&text));
-        let Message {
-            cell,
-            coords: (c, a),
-        } = match decoded {
+        let Message { cell, fault } = match decoded {
             Ok(m) => m,
             Err(e) => {
                 eprintln!("[run-cell: bad message: {e}]");
                 std::process::exit(2)
             }
         };
-        eprintln!("{CELL_START}{}]", cell.key());
+        let key = cell.key();
+        eprintln!("{CELL_START}{key}]");
         let report = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             if held
                 .as_ref()
@@ -205,7 +201,9 @@ pub fn run_worker() -> ! {
                 let Ok(trace) = crate::trace_store::freeze(&cell.spec, cell.budget);
                 held = Some((cell.clone(), trace));
             }
-            crate::runner::injected_cell_failure(c, a);
+            if let Some(f) = fault {
+                f.fire(&key);
+            }
             cell.run(&held.as_ref().expect("trace frozen above").1)
         }));
         // The panic hook already printed the message to stderr; exit like
@@ -213,7 +211,7 @@ pub fn run_worker() -> ! {
         let Ok(report) = report else {
             std::process::exit(101)
         };
-        let line = encode_entry(&cell.key(), cell.rung(), &report);
+        let line = encode_entry(&key, cell.rung(), &report);
         let mut out = std::io::stdout().lock();
         if let Err(e) = writeln!(out, "{line}").and_then(|()| out.flush()) {
             eprintln!("[run-cell: cannot write the report: {e}]");
@@ -258,38 +256,31 @@ fn reported(line: &str, key: &str) -> Option<SimReport> {
         .map(|(_, entry)| entry.report)
 }
 
-/// Runs one cell to completion under supervision, as cell `coords`
-/// of its batch with journal key `key` and display `label`: its first
-/// attempt on the slot's long-lived `worker` (spawned when the slot
-/// has none), each retry on a fresh worker given only this cell, under
-/// the hard timeout and the retry policy. A failed attempt kills the
-/// worker it ran on and leaves `worker` empty. Returns the report on
-/// success; writes a crash report and returns
-/// [`CellError::ChildFailed`] when the attempt budget is spent.
+/// Runs one cell to completion under supervision, with journal key
+/// `key` and display `label`: every attempt on the slot's `worker`
+/// (spawned when the slot has none; a failed attempt kills it), under
+/// the hard timeout and the retry policy, with the fault `fault` gives
+/// for that attempt in its message. Returns the report on success;
+/// writes a crash report, which keeps the first (failed) attempt's
+/// message, and returns [`CellError::ChildFailed`] when the attempt
+/// budget is spent.
 pub(crate) fn supervise_cell(
     ctx: &SuperviseCtx,
     worker: &mut Option<Worker>,
     cell: &Cell,
-    coords: (usize, usize),
+    fault: &dyn Fn(u32) -> Option<CellFault>,
     key: &str,
     label: &str,
     timeout: Option<Duration>,
 ) -> Result<SimReport, CellError> {
-    let message = message(cell, coords);
     let mut history: Vec<AttemptRecord> = Vec::new();
     let mut attempt: u32 = 1;
     loop {
-        let mut retry_worker = None;
-        let on = if attempt == 1 {
-            &mut *worker
-        } else {
-            &mut retry_worker
-        };
-        let answer = match on {
+        let answer = match worker {
             Some(w) => Ok(w),
-            None => Worker::spawn(ctx, attempt - 1).map(|w| on.insert(w)),
+            None => Worker::spawn(ctx).map(|w| worker.insert(w)),
         }
-        .and_then(|w| w.ask(&message, key, timeout));
+        .and_then(|w| w.ask(&message(cell, fault(attempt)), key, timeout));
         let outcome = match answer {
             Ok(report) => {
                 if !history.is_empty() {
@@ -299,13 +290,14 @@ pub(crate) fn supervise_cell(
                         delay: None,
                         stderr_tail: String::new(),
                     });
-                    write_crash_report(ctx, key, label, &message, &history, "recovered");
+                    let first = message(cell, fault(1));
+                    write_crash_report(ctx, key, label, &first, &history, "recovered");
                 }
                 return Ok(report);
             }
             Err(outcome) => outcome,
         };
-        let stderr_tail = on.take().map(Worker::stderr_tail).unwrap_or_default();
+        let stderr_tail = worker.take().map(Worker::stderr_tail).unwrap_or_default();
         let decision = decide(&outcome, attempt);
         let delay = match &decision {
             Decision::Retry(d) => Some(*d),
@@ -327,7 +319,7 @@ pub(crate) fn supervise_cell(
                     ctx,
                     key,
                     label,
-                    &message,
+                    &message(cell, fault(1)),
                     &history,
                     &format!("failed ({class})"),
                 );
@@ -350,12 +342,10 @@ pub(crate) struct Worker {
 }
 
 impl Worker {
-    /// Spawns a worker as supervision attempt `attempt_idx`
-    /// (`ACIC_SUPERVISE_ATTEMPT`, which gates scripted faults).
-    fn spawn(ctx: &SuperviseCtx, attempt_idx: u32) -> Result<Worker, ChildOutcome> {
+    /// Spawns a worker.
+    fn spawn(ctx: &SuperviseCtx) -> Result<Worker, ChildOutcome> {
         let mut child = Command::new(&ctx.exe)
             .arg("--run-cell")
-            .env("ACIC_SUPERVISE_ATTEMPT", attempt_idx.to_string())
             .stdin(Stdio::piped())
             .stdout(Stdio::piped())
             .stderr(Stdio::piped())
@@ -512,8 +502,9 @@ fn tail(mut pipe: impl Read, cap: usize) -> String {
     String::from_utf8_lossy(&tail).into_owned()
 }
 
-/// Writes the per-cell crash artifact: identity, the cell's message
-/// (and the command that replays it), full retry history with
+/// Writes the per-cell crash artifact: identity, the first failed
+/// attempt's message (and the command that replays it), full retry
+/// history with
 /// per-attempt exit evidence and stderr tails, and the final
 /// disposition.
 fn write_crash_report(
@@ -565,7 +556,7 @@ fn write_crash_report(
 }
 
 /// Kills the current process with SIGKILL (no unwinding, no exit
-/// status) — the scripted `ACIC_KILL_CELL` fault, standing in for the
+/// status) — the scripted [`CellFault::Kill`], standing in for the
 /// OOM killer. Falls back to `abort()` where no shell is available.
 pub(crate) fn kill_self() -> ! {
     #[cfg(unix)]
@@ -605,15 +596,37 @@ mod tests {
     #[test]
     fn messages_round_trip() {
         let cell = sample_cell();
-        let text = message(&cell, (3, 7));
-        assert!(!text.contains('\n'), "one message is one line");
-        let back = decode_message(&text).unwrap();
-        let want = Message {
-            cell,
-            coords: (3, 7),
-        };
-        assert_eq!(back, want);
+        let stall = CellFault::Stall(30_000);
+        let faults = [
+            None,
+            Some(CellFault::Panic),
+            Some(CellFault::Abort),
+            Some(stall),
+            Some(CellFault::Kill),
+        ];
+        for fault in faults {
+            let text = message(&cell, fault);
+            assert!(!text.contains('\n'), "one message is one line");
+            let back = decode_message(&text).unwrap();
+            let want = Message {
+                cell: cell.clone(),
+                fault,
+            };
+            assert_eq!(back, want);
+        }
+        assert!(message(&cell, None).ends_with(",\"fault\":null}"));
+        assert!(message(&cell, Some(stall)).ends_with(",\"fault\":{\"stall\":\"30000\"}}"));
         assert!(decode_message("{\"cell\":{}}").is_err());
+        let no_fault = message(&cell, None).replace(",\"fault\":null", "");
+        assert!(
+            decode_message(&no_fault).is_err(),
+            "the fault member is required"
+        );
+        let bad = message(&cell, None).replace("null", "\"boom\"");
+        assert!(
+            decode_message(&bad).is_err(),
+            "an unknown fault is an error"
+        );
     }
 
     #[test]

@@ -15,9 +15,7 @@ fn experiments() -> Command {
         "ACIC_EXP_INSTRUCTIONS",
         "ACIC_BENCH_THREADS",
         "ACIC_CELL_TIMEOUT_SECS",
-        "ACIC_PANIC_CELL",
-        "ACIC_ABORT_CELL",
-        "ACIC_STALL_CELL",
+        "ACIC_FAULT_CELL",
     ] {
         cmd.env_remove(var);
     }
@@ -92,7 +90,7 @@ fn keep_going_completes_every_other_figure_and_summarizes_failures() {
     // print, and every selected figure header must appear (the run
     // keeps going past failures).
     let out = experiments()
-        .env("ACIC_PANIC_CELL", "0:5")
+        .env("ACIC_FAULT_CELL", "panic:0:5")
         .arg("table")
         .output()
         .unwrap();
@@ -120,7 +118,7 @@ fn keep_going_completes_every_other_figure_and_summarizes_failures() {
 #[test]
 fn fail_fast_stops_at_the_first_failing_figure() {
     let out = experiments()
-        .env("ACIC_PANIC_CELL", "0:5")
+        .env("ACIC_FAULT_CELL", "panic:0:5")
         .args(["--fail-fast", "table"])
         .output()
         .unwrap();
@@ -146,7 +144,7 @@ fn killed_sweep_resumes_bit_identically_from_the_result_store() {
     // Killed run: one worker finishes cells 0..=4 into the journal,
     // then the process dies hard (abort, not a clean panic) in cell 5.
     let killed = experiments()
-        .env("ACIC_ABORT_CELL", "0:5")
+        .env("ACIC_FAULT_CELL", "abort:0:5")
         .env("ACIC_BENCH_THREADS", "1")
         .args(["--results", results_arg, "--only", "table3_mpki"])
         .output()
@@ -217,7 +215,7 @@ fn list_names_every_figure_without_simulating() {
 fn a_stalled_cell_is_failed_by_the_watchdog_not_hung_forever() {
     let start = std::time::Instant::now();
     let out = experiments()
-        .env("ACIC_STALL_CELL", "0:5:30000")
+        .env("ACIC_FAULT_CELL", "stall:0:5:30000")
         .env("ACIC_BENCH_THREADS", "1")
         .env("ACIC_CELL_TIMEOUT_SECS", "1")
         .args(["--only", "table3_mpki"])
@@ -249,7 +247,7 @@ fn an_in_process_overrun_ends_the_run_and_leaves_it_resumable() {
     let overrun = experiments()
         .env("ACIC_BENCH_THREADS", "1")
         .env("ACIC_CELL_TIMEOUT_SECS", "1")
-        .env("ACIC_STALL_CELL", "0:5:30000")
+        .env("ACIC_FAULT_CELL", "stall:0:5:30000")
         .args(["--only", "table3_mpki", "--results", results_arg])
         .output()
         .unwrap();
@@ -283,4 +281,41 @@ fn an_in_process_overrun_ends_the_run_and_leaves_it_resumable() {
     assert_eq!(stdout(&resumed), stdout(&clean), "resume is bit-identical");
 
     std::fs::remove_dir_all(&results).ok();
+}
+
+#[test]
+fn a_supervisor_that_cannot_start_is_a_usage_error() {
+    // The crash dir sits under a regular file, so it cannot be
+    // created: the run exits 2 naming it, and runs nothing in process.
+    let dir = scratch("no-supervise");
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("a-file");
+    std::fs::write(&file, b"").unwrap();
+    let crash = file.join("crash");
+    let out = experiments()
+        .args(["--only", "table3_mpki", "--supervise", "--crash-reports"])
+        .arg(&crash)
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr(&out));
+    let se = stderr(&out);
+    assert!(se.contains(crash.to_str().unwrap()), "stderr: {se}");
+    assert!(stdout(&out).is_empty(), "no figure ran: {}", stdout(&out));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn an_unusable_fault_knob_warns_once_and_is_ignored() {
+    // Two grid figures, so the knob is read in more than one batch.
+    let clean = experiments().arg("table").output().unwrap();
+    assert!(clean.status.success(), "stderr: {}", stderr(&clean));
+    let out = experiments()
+        .env("ACIC_FAULT_CELL", "panic:0")
+        .arg("table")
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    let warning = "[warning: ACIC_FAULT_CELL=\"panic:0\" is not a valid value";
+    assert_eq!(stderr(&out).matches(warning).count(), 1, "{}", stderr(&out));
+    assert_eq!(stdout(&out), stdout(&clean), "the knob is ignored");
 }

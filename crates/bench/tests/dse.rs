@@ -122,9 +122,7 @@ fn experiments() -> Command {
         "ACIC_EXP_INSTRUCTIONS",
         "ACIC_BENCH_THREADS",
         "ACIC_CELL_TIMEOUT_SECS",
-        "ACIC_PANIC_CELL",
-        "ACIC_ABORT_CELL",
-        "ACIC_STALL_CELL",
+        "ACIC_FAULT_CELL",
     ] {
         cmd.env_remove(var);
     }
@@ -172,7 +170,7 @@ fn killed_dse_sweep_resumes_with_zero_recomputed_finished_cells() {
     // Killed run: one worker journals configs 0 and 1 of rung 0, then
     // the process dies hard (abort, not a clean panic) in config 2.
     let killed = experiments()
-        .env("ACIC_ABORT_CELL", "2:0")
+        .env("ACIC_FAULT_CELL", "abort:2:0")
         .env("ACIC_BENCH_THREADS", "1")
         .args(["--dse", "--smoke", "--results", &results_arg])
         .output()

@@ -15,15 +15,13 @@ const FIGURE: &str = "table3_mpki";
 
 fn experiments() -> Command {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_experiments"));
-    // Isolate from ambient configuration: the harness (and every
-    // child it spawns) reads these.
-    for var in acic_bench::fault::CELL_FAULT_VARS {
-        cmd.env_remove(var);
-    }
+    // Isolate from ambient configuration: the harness reads these
+    // (its workers read none).
     for var in [
         "ACIC_EXP_INSTRUCTIONS",
         "ACIC_BENCH_THREADS",
         "ACIC_CELL_TIMEOUT_SECS",
+        "ACIC_FAULT_CELL",
     ] {
         cmd.env_remove(var);
     }
@@ -195,7 +193,7 @@ fn one_worker_answers_each_message_in_turn_and_stops_at_a_bad_one() {
     };
     // Two of the figure's cells: web-search is spec 4, sibench spec 7.
     let (a, b) = (cell(AppProfile::web_search()), cell(AppProfile::sibench()));
-    let (msg_a, msg_b) = (message(&a, (0, 4)), message(&b, (0, 7)));
+    let (msg_a, msg_b) = (message(&a, None), message(&b, None));
 
     let out = experiments()
         .args([
@@ -265,8 +263,7 @@ fn a_sigkilled_child_is_retried_as_transient_and_the_campaign_recovers() {
     let dir = scratch("kill");
     let cr = dir.join("crash");
     let out = experiments()
-        .env("ACIC_KILL_CELL", "0:1")
-        .env("ACIC_FAULT_ATTEMPTS", "1") // first attempt only
+        .env("ACIC_FAULT_CELL", "kill-once:0:1") // first attempt only
         .args([
             "--only",
             FIGURE,
@@ -287,6 +284,15 @@ fn a_sigkilled_child_is_retried_as_transient_and_the_campaign_recovers() {
         report.contains("disposition: recovered"),
         "report:\n{report}"
     );
+    // The report keeps the failed attempt's message, fault included.
+    let message = report
+        .lines()
+        .find_map(|l| l.strip_prefix("message: "))
+        .unwrap_or_else(|| panic!("no message in the report:\n{report}"));
+    assert!(
+        message.ends_with(",\"fault\":\"kill\"}"),
+        "report:\n{report}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -295,7 +301,7 @@ fn an_aborting_cell_costs_one_cell_not_the_campaign() {
     let dir = scratch("abort");
     let cr = dir.join("crash");
     let out = experiments()
-        .env("ACIC_ABORT_CELL", "0:1") // every attempt
+        .env("ACIC_FAULT_CELL", "abort:0:1") // every attempt
         .args([
             "--only",
             FIGURE,
@@ -331,8 +337,7 @@ fn a_stalled_child_is_hard_killed_at_the_deadline() {
     let cr = dir.join("crash");
     let start = Instant::now();
     let out = experiments()
-        .env("ACIC_STALL_CELL", "0:1:30000")
-        .env("ACIC_FAULT_ATTEMPTS", "1")
+        .env("ACIC_FAULT_CELL", "stall-once:0:1:30000")
         .env("ACIC_CELL_TIMEOUT_SECS", "2")
         .args([
             "--only",
@@ -366,7 +371,7 @@ fn a_deterministically_panicking_cell_fails_loudly_with_forensics() {
     let dir = scratch("panic");
     let cr = dir.join("crash");
     let out = experiments()
-        .env("ACIC_PANIC_CELL", "0:1") // every attempt
+        .env("ACIC_FAULT_CELL", "panic:0:1") // every attempt
         .args([
             "--only",
             FIGURE,
@@ -391,8 +396,9 @@ fn a_deterministically_panicking_cell_fails_loudly_with_forensics() {
     );
     assert!(report.contains("stderr tail:"), "report:\n{report}");
     assert!(report.contains("injected test panic"), "report:\n{report}");
-    // The report carries the child's stdin message: piping it back
-    // into `experiments --run-cell` reproduces the failure.
+    // The report carries the worker's stdin message, scripted fault
+    // included: piping it back into `experiments --run-cell`
+    // reproduces the failure with no fault knob set.
     let message = report
         .lines()
         .find_map(|l| l.strip_prefix("message: "))
@@ -401,7 +407,7 @@ fn a_deterministically_panicking_cell_fails_loudly_with_forensics() {
         report.contains("experiments --run-cell"),
         "report:\n{report}"
     );
-    let replay = run_cell(experiments().env("ACIC_PANIC_CELL", "0:1"), message);
+    let replay = run_cell(&mut experiments(), message);
     assert_eq!(
         replay.status.code(),
         Some(101),
@@ -421,7 +427,7 @@ fn a_failed_supervised_sweep_resumes_without_recomputing_finished_cells() {
     // First supervised run: one cell panics deterministically, the
     // other nine complete and are journaled.
     let failed = experiments()
-        .env("ACIC_PANIC_CELL", "0:1")
+        .env("ACIC_FAULT_CELL", "panic:0:1")
         .args([
             "--only",
             FIGURE,
