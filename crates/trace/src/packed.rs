@@ -4,10 +4,11 @@
 //! per configuration row, plus oracle pre-passes — and until this
 //! module existed each replay re-ran the Markov walker or re-read
 //! 24-byte [`Instr`] records. [`PackedTrace`] freezes a workload once
-//! into a delta/run-length byte stream (typically 1–6 B per
-//! instruction against `Instr`'s 24) that every consumer then shares
-//! read-only: the cursor borrows the arena (`&[u8]`), so N threads
-//! replaying one `Arc<PackedTrace>` touch one copy of the bytes.
+//! into a delta/run-length byte stream (about 1.2 B per instruction on
+//! the shipped workload shapes, against `Instr`'s 24) that every
+//! consumer then shares read-only: the cursor borrows the arena
+//! (`&[u8]`), so N threads replaying one `Arc<PackedTrace>` touch one
+//! copy of the bytes.
 //!
 //! # Encoding
 //!
@@ -18,15 +19,15 @@
 //!
 //! * **`AluRun`** — N sequential 1-cycle ALU instructions at the
 //!   expected PC. One or two bytes for a whole fetch run; the walker's
-//!   straight-line bursts (the ~85% distance-0 mass of Figure 1a)
+//!   long straight-line bursts (the ~85% distance-0 mass of Figure 1a)
 //!   collapse into these.
 //! * **`Alu`/`LongAlu`/`Load`/`Store`/`Branch`** — one header byte
 //!   (kind, PC-sequential flag, for branches taken + class, for
-//!   loads/stores the data base and an equal-to-base flag) plus
-//!   zigzag-varint deltas for whatever the header cannot imply: the
-//!   PC (vs the expected PC), the data address (vs whichever data
-//!   base is closer, named by a header bit), the branch target (vs
-//!   the PC).
+//!   loads/stores the data base and an equal-to-base flag, for all but
+//!   branches a folded run) plus zigzag-varint deltas for whatever the
+//!   header cannot imply: the PC (vs the expected PC), the data address
+//!   (vs whichever data base is closer, named by a header bit), the
+//!   branch target (vs the PC).
 //! * **`AsidSwitch`** — an *explicit* context-switch record. ASIDs are
 //!   never carried per instruction; a switch record updates the cursor
 //!   ASID and every following instruction is stamped with it. This is
@@ -35,6 +36,27 @@
 //!   is visible in the stream, and here it is a first-class record at
 //!   exactly the original boundary.
 //!
+//! Header bits, low to high (bits 0–2 are always the opcode):
+//!
+//! * `Alu`/`LongAlu`: 3 PC delta follows, 4–7 folded run (0–15).
+//! * `Load`/`Store`: 3 PC delta follows, 4 equal to the chosen base,
+//!   5 base 1 chosen, 6–7 folded run (0–3).
+//! * `Branch`: 3 PC delta follows, 4 taken, 5–7 class.
+//! * `AluRun`: 3–7 run length (1–31; 0: a varint length follows).
+//! * `AsidSwitch`: 3–7 unused; the ASID follows as a varint.
+//!
+//! # Folded runs
+//!
+//! Loads and stores cut the walker's fetch bursts into runs of only a
+//! few ALUs, and a standalone `AluRun` byte per run would cost as much
+//! as the record after it. So a run of up to 3 ALUs before a load or
+//! store, or up to 15 before an `Alu`/`LongAlu`, rides in that record's
+//! free header bits instead: the folded ALUs sit at the expected PC,
+//! and the record's own PC is coded against the PC after them. Longer
+//! runs, runs before a branch or an `AsidSwitch`, and runs cut by a
+//! skip-index entry stay standalone `AluRun` records. The cursor
+//! decodes a folded record first and holds it while it yields the run.
+//!
 //! # Data-address bases
 //!
 //! Loads and stores dominate the payload when every data address is a
@@ -42,17 +64,19 @@
 //! (`0x7fff_…`) and the heap (`0x5555_…`) pays a ~46-bit delta on
 //! every switch. So each load/store is coded against the closer of two
 //! bases (smaller zigzag delta; a tie goes to base 0). Afterwards base
-//! 0 becomes the address, and base 1 takes the old base 0 when base 1
-//! was chosen or when the delta needed three or more varint bytes
-//! (zigzag ≥ 2^14); otherwise base 1 is unchanged. One base thus
-//! follows each of two regions without knowing either.
+//! 0 becomes the address, and base 1 takes the old base 0 only when
+//! base 1 was chosen or when the access left base 0's region (zigzag
+//! delta ≥ 2^24, a jump of 8 MiB or more); otherwise base 1 is
+//! unchanged. One base thus follows each of two regions without
+//! knowing either, and a jump within the heap keeps the stack's base.
 //!
 //! # Skip index
 //!
 //! Every [`SKIP_STRIDE`] instructions the encoder flushes any pending
-//! run and snapshots `(byte offset, expected PC, both data bases,
-//! ASID)`. [`TraceSource::skip`] jumps to the nearest snapshot at or
-//! before the target and decodes at most one stride forward — O(1) by
+//! run (so no run, folded or not, spans an entry) and snapshots
+//! `(byte offset, expected PC, both data bases, ASID)`.
+//! [`TraceSource::skip`] jumps to the nearest snapshot at or before the
+//! target and decodes at most one stride forward — O(1) by
 //! construction (stride-bounded, independent of trace length), which
 //! is what makes SMARTS-style fast-forward over frozen traces free.
 //! Generated sources must produce-and-discard the same gap.
@@ -99,9 +123,9 @@ const FLAG_DATA_SAME: u8 = 0x10;
 /// Load/store header flag: the data address is coded against base 1
 /// (clear: base 0).
 const FLAG_DATA_BASE1: u8 = 0x20;
-/// Zigzag data deltas from here up take three or more varint bytes;
-/// such a jump moves base 0 into base 1.
-const FAR_DATA_DELTA: u64 = 1 << 14;
+/// Zigzag data deltas from here up (jumps of 8 MiB or more) leave base
+/// 0's region; such a jump moves base 0 into base 1.
+const FAR_DATA_DELTA: u64 = 1 << 24;
 /// Branch header flag: the branch was taken.
 const FLAG_TAKEN: u8 = 0x10;
 /// Branch class lives in bits 5..8 of the header byte.
@@ -111,6 +135,12 @@ const CLASS_SHIFT: u8 = 5;
 /// varint length follows.
 const RUN_SHIFT: u8 = 3;
 const RUN_INLINE_MAX: u64 = 31;
+
+/// Where each opcode's header keeps its folded run: the header bits
+/// from this position up count the 0..=(0xff >> shift) sequential ALUs
+/// that precede the record. 8 (branches, `AluRun`, `AsidSwitch`):
+/// nothing folds.
+const FOLD_SHIFT: [u32; 8] = [4, 4, 6, 6, 8, 8, 8, 8];
 
 #[inline]
 fn class_code(c: BranchClass) -> u8 {
@@ -245,9 +275,10 @@ pub struct PackedTrace {
 ///
 /// Feed instructions in trace order via [`PackedTraceBuilder::push`];
 /// [`PackedTraceBuilder::finish`] seals the arena. Sequential ALU
-/// instructions are accumulated into `AluRun` records; ASID changes
-/// emit explicit switch records; skip-index snapshots are taken every
-/// [`SKIP_STRIDE`] instructions at record boundaries.
+/// instructions are accumulated into runs, which fold into the next
+/// record's header when they fit and become `AluRun` records otherwise;
+/// ASID changes emit explicit switch records; skip-index snapshots are
+/// taken every [`SKIP_STRIDE`] instructions at record boundaries.
 ///
 /// `push` is a sink a producer can drive directly: the workload
 /// generator's freeze path (`WorkloadSpec::materialize` in
@@ -326,7 +357,6 @@ impl PackedTraceBuilder {
             self.count += 1;
             return;
         }
-        self.flush_run();
         let (op, data) = match instr.kind {
             InstrKind::Alu => (OP_ALU, None),
             InstrKind::LongAlu => (OP_LONG_ALU, None),
@@ -340,7 +370,14 @@ impl PackedTraceBuilder {
                 (h, None)
             }
         };
-        let mut header = op;
+        let shift = FOLD_SHIFT[(op & OP_MASK) as usize];
+        let fold = if self.pending_run <= 0xff >> shift {
+            std::mem::take(&mut self.pending_run)
+        } else {
+            self.flush_run();
+            0
+        };
+        let mut header = op | (fold << shift) as u8;
         if !seq {
             header |= FLAG_PC;
         }
@@ -460,8 +497,12 @@ pub struct PackedCursor<'a> {
     expect_pc: u64,
     data: DataBases,
     asid: u16,
-    /// Remaining instructions of the current `AluRun` record.
+    /// Remaining ALUs of the current run, standalone or folded.
     run_left: u64,
+    /// PC of the run's next ALU.
+    run_pc: u64,
+    /// The decoded record a folded run precedes, yielded after the run.
+    held: Option<Instr>,
 }
 
 impl<'a> PackedCursor<'a> {
@@ -474,6 +515,8 @@ impl<'a> PackedCursor<'a> {
             data: DataBases::default(),
             asid: 0,
             run_left: 0,
+            run_pc: 0,
+            held: None,
         }
     }
 
@@ -489,78 +532,95 @@ impl<'a> PackedCursor<'a> {
     /// Decodes the next instruction (`None` at end of trace).
     #[inline]
     fn decode_next(&mut self) -> Option<Instr> {
-        if self.run_left > 0 {
-            self.run_left -= 1;
-            self.done += 1;
-            let i = Instr::alu(Addr::new(self.expect_pc));
-            self.expect_pc += 4;
-            return Some(self.stamp(i));
-        }
-        let bytes = &self.trace.bytes;
         loop {
+            if self.run_left > 0 {
+                self.run_left -= 1;
+                self.done += 1;
+                let i = Instr::alu(Addr::new(self.run_pc));
+                self.run_pc += 4;
+                return Some(self.stamp(i));
+            }
+            if let Some(i) = self.held.take() {
+                self.done += 1;
+                return Some(i);
+            }
             if self.done == self.trace.len {
                 return None;
             }
-            let header = bytes[self.pos];
-            self.pos += 1;
-            let op = header & OP_MASK;
-            match op {
-                OP_ASID => {
-                    self.asid = read_varint(bytes, &mut self.pos) as u16;
-                    continue;
-                }
-                OP_ALU_RUN => {
-                    let inline = (header >> RUN_SHIFT) as u64;
-                    let n = if inline == 0 {
-                        read_varint(bytes, &mut self.pos)
-                    } else {
-                        inline
-                    };
-                    self.run_left = n - 1;
-                    self.done += 1;
-                    let i = Instr::alu(Addr::new(self.expect_pc));
-                    self.expect_pc += 4;
-                    return Some(self.stamp(i));
-                }
-                _ => {}
-            }
-            let pc = if header & FLAG_PC != 0 {
-                let d = unzigzag(read_varint(bytes, &mut self.pos));
-                self.expect_pc.wrapping_add(d as u64)
-            } else {
-                self.expect_pc
-            };
-            let instr = match op {
-                OP_ALU => Instr::alu(Addr::new(pc)),
-                OP_LONG_ALU => Instr::long_alu(Addr::new(pc)),
-                OP_LOAD | OP_STORE => {
-                    let z = if header & FLAG_DATA_SAME != 0 {
-                        0
-                    } else {
-                        read_varint(bytes, &mut self.pos)
-                    };
-                    let addr = self.data.advance(header & FLAG_DATA_BASE1 != 0, z);
-                    if op == OP_LOAD {
-                        Instr::load(Addr::new(pc), Addr::new(addr))
-                    } else {
-                        Instr::store(Addr::new(pc), Addr::new(addr))
-                    }
-                }
-                _ => {
-                    let d = unzigzag(read_varint(bytes, &mut self.pos));
-                    let target = pc.wrapping_add(d as u64);
-                    Instr::branch(
-                        Addr::new(pc),
-                        Addr::new(target),
-                        header & FLAG_TAKEN != 0,
-                        code_class(header >> CLASS_SHIFT),
-                    )
-                }
-            };
-            self.expect_pc = instr.next_pc().raw();
-            self.done += 1;
-            return Some(self.stamp(instr));
+            self.decode_record();
         }
+    }
+
+    /// Starts a run of `n` ALUs at the expected PC.
+    #[inline]
+    fn start_run(&mut self, n: u64) {
+        self.run_pc = self.expect_pc;
+        self.run_left = n;
+        self.expect_pc += 4 * n;
+    }
+
+    /// Decodes one record into cursor state: an `AsidSwitch` sets the
+    /// ASID, an `AluRun` starts a run, and an instruction record is
+    /// held behind the run folded into its header.
+    #[inline]
+    fn decode_record(&mut self) {
+        let bytes: &'a [u8] = &self.trace.bytes;
+        let header = bytes[self.pos];
+        self.pos += 1;
+        let op = header & OP_MASK;
+        match op {
+            OP_ASID => {
+                self.asid = read_varint(bytes, &mut self.pos) as u16;
+                return;
+            }
+            OP_ALU_RUN => {
+                let inline = (header >> RUN_SHIFT) as u64;
+                let n = if inline == 0 {
+                    read_varint(bytes, &mut self.pos)
+                } else {
+                    inline
+                };
+                self.start_run(n);
+                return;
+            }
+            _ => {}
+        }
+        self.start_run(u64::from(header) >> FOLD_SHIFT[op as usize]);
+        let pc = if header & FLAG_PC != 0 {
+            let d = unzigzag(read_varint(bytes, &mut self.pos));
+            self.expect_pc.wrapping_add(d as u64)
+        } else {
+            self.expect_pc
+        };
+        let instr = match op {
+            OP_ALU => Instr::alu(Addr::new(pc)),
+            OP_LONG_ALU => Instr::long_alu(Addr::new(pc)),
+            OP_LOAD | OP_STORE => {
+                let z = if header & FLAG_DATA_SAME != 0 {
+                    0
+                } else {
+                    read_varint(bytes, &mut self.pos)
+                };
+                let addr = self.data.advance(header & FLAG_DATA_BASE1 != 0, z);
+                if op == OP_LOAD {
+                    Instr::load(Addr::new(pc), Addr::new(addr))
+                } else {
+                    Instr::store(Addr::new(pc), Addr::new(addr))
+                }
+            }
+            _ => {
+                let d = unzigzag(read_varint(bytes, &mut self.pos));
+                let target = pc.wrapping_add(d as u64);
+                Instr::branch(
+                    Addr::new(pc),
+                    Addr::new(target),
+                    header & FLAG_TAKEN != 0,
+                    code_class(header >> CLASS_SHIFT),
+                )
+            }
+        };
+        self.expect_pc = instr.next_pc().raw();
+        self.held = Some(self.stamp(instr));
     }
 
     /// Advances past up to `n` instructions via the skip index,
@@ -586,19 +646,21 @@ impl<'a> PackedCursor<'a> {
                 self.data = e.data;
                 self.asid = e.asid;
                 self.run_left = 0;
+                self.held = None;
             }
         }
         while self.done < target {
-            // Consume whole pending runs without materializing them.
+            // Consume whole pending runs without materializing them;
+            // a held record is the instruction right after its run.
             if self.run_left > 0 {
                 let take = self.run_left.min(target - self.done);
                 self.run_left -= take;
                 self.done += take;
-                self.expect_pc += 4 * take;
-                continue;
-            }
-            if self.decode_next().is_none() {
-                break;
+                self.run_pc += 4 * take;
+            } else if self.held.take().is_some() {
+                self.done += 1;
+            } else {
+                self.decode_record();
             }
         }
         skipped
@@ -823,25 +885,202 @@ mod tests {
     }
 
     #[test]
-    fn a_far_delta_starts_at_three_varint_bytes() {
-        // Zigzag 2^14 - 1 (delta -8192) still fits two varint bytes and
-        // leaves base 1 alone; zigzag 2^14 (delta +8192) moves base 0
+    fn a_far_delta_starts_where_the_region_ends() {
+        // Zigzag 2^24 - 1 (delta -8 MiB) stays in base 0's region and
+        // leaves base 1 alone; zigzag 2^24 (delta +8 MiB) moves base 0
         // into base 1.
-        let mut near = DataBases([1 << 20, 7]);
-        let (base1, z) = near.choose((1 << 20) - 8192);
+        let mut near = DataBases([1 << 30, 7]);
+        let (base1, z) = near.choose((1 << 30) - (1 << 23));
         assert_eq!((base1, z), (false, FAR_DATA_DELTA - 1));
         near.advance(base1, z);
-        assert_eq!(near, DataBases([(1 << 20) - 8192, 7]));
-        let mut far = DataBases([1 << 20, 7]);
-        let (base1, z) = far.choose((1 << 20) + 8192);
+        assert_eq!(near, DataBases([(1 << 30) - (1 << 23), 7]));
+        let mut far = DataBases([1 << 30, 7]);
+        let (base1, z) = far.choose((1 << 30) + (1 << 23));
         assert_eq!((base1, z), (false, FAR_DATA_DELTA));
         far.advance(base1, z);
-        assert_eq!(far, DataBases([(1 << 20) + 8192, 1 << 20]));
+        assert_eq!(far, DataBases([(1 << 30) + (1 << 23), 1 << 30]));
+    }
+
+    #[test]
+    fn a_same_region_jump_keeps_the_other_base() {
+        const STACK: u64 = 0x7fff_ffff_e000;
+        const HEAP: u64 = 0x5555_5555_8000;
+        // Heap jumps with zigzag deltas from 2^14 up to just under
+        // 2^24 (8 KiB to 8 MiB) stay in the heap's region, so the
+        // stack keeps base 1 and comes back as a bare header.
+        for jump in [8192, 1 << 16, (1 << 23) - 1] {
+            let mut bases = DataBases::default();
+            for addr in [STACK, HEAP, HEAP + jump] {
+                let (base1, z) = bases.choose(addr);
+                bases.advance(base1, z);
+            }
+            assert_eq!(bases, DataBases([HEAP + jump, STACK]), "jump {jump}");
+            assert_eq!(bases.choose(STACK), (true, 0), "jump {jump}");
+        }
+    }
+
+    /// The sealed payload of `instrs`, after checking that it decodes
+    /// back to `instrs`.
+    fn payload(instrs: &[Instr]) -> Vec<u8> {
+        let p = PackedTrace::from_instrs("fold", instrs.iter().copied());
+        assert!(p.iter().eq(instrs.iter().copied()));
+        p.bytes
+    }
+
+    /// `n` sequential ALUs from `pc`.
+    fn alus(pc: u64, n: u64) -> impl Iterator<Item = Instr> {
+        (0..n).map(move |k| Instr::alu(Addr::new(pc + 4 * k)))
+    }
+
+    /// The payload of `n` sequential ALUs from PC 0 followed by `last`.
+    fn after_alus(n: u64, last: Instr) -> Vec<u8> {
+        payload(&alus(0, n).chain([last]).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn up_to_three_alus_fold_into_a_load_or_store() {
+        let load = |n: u64| Instr::load(Addr::new(4 * n), Addr::new(0));
+        let store = |n: u64| Instr::store(Addr::new(4 * n), Addr::new(0));
+        assert_eq!(after_alus(1, load(1)), [OP_LOAD | FLAG_DATA_SAME | 1 << 6]);
+        assert_eq!(after_alus(3, load(3)), [OP_LOAD | FLAG_DATA_SAME | 3 << 6]);
+        assert_eq!(
+            after_alus(3, store(3)),
+            [OP_STORE | FLAG_DATA_SAME | 3 << 6]
+        );
+        assert_eq!(
+            after_alus(4, load(4)),
+            [OP_ALU_RUN | 4 << RUN_SHIFT, OP_LOAD | FLAG_DATA_SAME]
+        );
+    }
+
+    #[test]
+    fn up_to_fifteen_alus_fold_into_an_alu_or_long_alu() {
+        let long = |n: u64| Instr::long_alu(Addr::new(4 * n));
+        assert_eq!(after_alus(15, long(15)), [OP_LONG_ALU | 15 << 4]);
+        assert_eq!(
+            after_alus(16, long(16)),
+            [OP_ALU_RUN | 16 << RUN_SHIFT, OP_LONG_ALU]
+        );
+        // A plain ALU is a record of its own only off the expected PC;
+        // its PC delta is coded against the PC after the folded run.
+        let jump = Instr::alu(Addr::new(0x1000));
+        let pc_delta = |expect: i64| {
+            let mut v = Vec::new();
+            write_varint(&mut v, zigzag(0x1000 - expect));
+            v
+        };
+        assert_eq!(
+            after_alus(15, jump),
+            [vec![OP_ALU | FLAG_PC | 15 << 4], pc_delta(60)].concat()
+        );
+        assert_eq!(
+            after_alus(16, jump),
+            [
+                vec![OP_ALU_RUN | 16 << RUN_SHIFT, OP_ALU | FLAG_PC],
+                pc_delta(64)
+            ]
+            .concat()
+        );
+    }
+
+    #[test]
+    fn a_branch_never_takes_a_fold() {
+        let branch = Instr::branch(Addr::new(4), Addr::new(0), true, BranchClass::Direct);
+        assert_eq!(
+            payload(&[Instr::alu(Addr::new(0)), branch]),
+            [
+                OP_ALU_RUN | 1 << RUN_SHIFT,
+                OP_BRANCH | FLAG_TAKEN | 1 << CLASS_SHIFT,
+                zigzag(-4) as u8
+            ]
+        );
+    }
+
+    #[test]
+    fn no_fold_spans_a_skip_index_entry_or_an_asid_switch() {
+        // Two ALUs around the first entry before a load: the one
+        // before the entry stands alone, the one after it folds.
+        let at = |k: u64| Addr::new(4 * k);
+        let before = SKIP_STRIDE - 1;
+        let mut instrs: Vec<Instr> = (0..before).map(|k| Instr::load(at(k), at(0))).collect();
+        instrs.extend(alus(4 * before, 2));
+        instrs.push(Instr::load(at(before + 2), at(0)));
+        let p = PackedTrace::from_instrs("entry", instrs.clone());
+        assert!(p.iter().eq(instrs.iter().copied()));
+        let entry = p.index[1].byte_pos as usize;
+        assert_eq!(
+            p.bytes[entry - 1..],
+            [
+                OP_ALU_RUN | 1 << RUN_SHIFT,
+                OP_LOAD | FLAG_DATA_SAME | 1 << 6
+            ]
+        );
+        // An ALU run before an ASID switch stands alone.
+        let switched = Instr::load(at(1), Addr::new(0)).with_asid(Asid::new(1));
+        assert_eq!(
+            payload(&[Instr::alu(at(0)), switched]),
+            [
+                OP_ALU_RUN | 1 << RUN_SHIFT,
+                OP_ASID,
+                1,
+                OP_LOAD | FLAG_DATA_SAME
+            ]
+        );
+    }
+
+    #[test]
+    fn skip_lands_inside_a_folded_run_and_on_its_held_record() {
+        // Load, three folded ALUs, load, a 15-ALU fold into a long ALU,
+        // and a trailing standalone run.
+        let at = |k: u64| Addr::new(4 * k);
+        let mut instrs = vec![Instr::load(at(0), Addr::new(8))];
+        instrs.extend(alus(4, 3));
+        instrs.push(Instr::load(at(4), Addr::new(16)));
+        instrs.extend(alus(4 * 5, 15));
+        instrs.push(Instr::long_alu(at(20)));
+        instrs.extend(alus(4 * 21, 2));
+        let p = PackedTrace::from_instrs("held", instrs.clone());
+        assert_eq!(p.payload_bytes(), 6);
+        // From a fresh cursor, and from one that holds the first folded
+        // record with one ALU of its run skipped, every target resumes
+        // exactly where a walk would.
+        for pre in [0, 2] {
+            for n in 0..=instrs.len() as u64 - pre {
+                let mut it = p.iter();
+                assert_eq!(PackedTrace::skip(&mut it, pre), pre);
+                assert_eq!(PackedTrace::skip(&mut it, n), n);
+                let from = (pre + n) as usize;
+                assert!(it.eq(instrs[from..].iter().copied()), "skip({pre}+{n})");
+            }
+        }
+        // The same block repeated over several strides: a cursor in a
+        // folded run or on its held record skips through the index.
+        let block = instrs.len() as u64;
+        let reps = 3 * SKIP_STRIDE / block;
+        let long: Vec<Instr> = (0..reps * block)
+            .map(|k| {
+                let i = instrs[(k % block) as usize];
+                let pc = Addr::new(i.pc().raw() + k / block * 4 * block);
+                match i.kind {
+                    InstrKind::Load { addr } => Instr::load(pc, addr),
+                    InstrKind::LongAlu => Instr::long_alu(pc),
+                    _ => Instr::alu(pc),
+                }
+            })
+            .collect();
+        let p = PackedTrace::from_instrs("held-long", long.clone());
+        for pre in 0..block {
+            let mut it = p.iter();
+            it.by_ref().take(pre as usize).for_each(drop);
+            assert_eq!(PackedTrace::skip(&mut it, SKIP_STRIDE + 1), SKIP_STRIDE + 1);
+            let from = (pre + SKIP_STRIDE + 1) as usize;
+            assert!(it.eq(long[from..].iter().copied()), "walk({pre}) then skip");
+        }
     }
 
     /// Data addresses built to stress base selection: two far regions
     /// visited in turn, addresses next to 0 and `u64::MAX` (wrapping
-    /// deltas), deltas at the 2^14 zigzag boundary, repeats of either
+    /// deltas), deltas at the 2^24 zigzag boundary, repeats of either
     /// base, and arbitrary words.
     fn adversarial_addrs(ops: &[(u8, u64)]) -> Vec<u64> {
         let (mut last, mut before) = (0u64, 0u64);
@@ -853,7 +1092,9 @@ mod tests {
                 2 if w & 1 == 0 => w % 64,
                 2 => u64::MAX - w % 64,
                 3 => {
-                    let d = [8191i64, 8192, 8193, -8191, -8192, -8193][(w % 6) as usize];
+                    const EDGE: i64 = 1 << 23;
+                    let d =
+                        [EDGE - 1, EDGE, EDGE + 1, 1 - EDGE, -EDGE, -1 - EDGE][(w % 6) as usize];
                     last.wrapping_add(d as u64)
                 }
                 4 if w & 1 == 0 => last,

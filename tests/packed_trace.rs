@@ -172,34 +172,34 @@ const FROZEN_BUDGET: u64 = 100_000;
 /// `PackedTrace::checksum` of each spec's frozen trace at
 /// [`FROZEN_BUDGET`], keyed by `store_key`. Regenerate with
 /// `cargo run --release --example golden_capture` only when a change
-/// to the generator is deliberate.
+/// to the generator or to the packed format is deliberate.
 const FROZEN_GOLDEN: [(&str, u64); 15] = [
-    ("media-streaming-100000", 0x852e4c68b642f5b6),
-    ("data-caching-100000", 0x5815988dbd3e971d),
-    ("data-serving-100000", 0x6bbfb575b8f79b9c),
-    ("web-serving-100000", 0xeee9a91e52ba9ec0),
-    ("web-search-100000", 0xd932b077acf75d88),
-    ("tpc-c-100000", 0x8bd39da7a30c728a),
-    ("wikipedia-100000", 0x1f6cbf7e2694f9fa),
-    ("sibench-100000", 0x2e14b4589b989647),
-    ("finagle-http-100000", 0x45fa1c2b1e4eb666),
-    ("neo4j-analytics-100000", 0x5070c4775d5059c3),
-    ("perlbench-100000", 0x05cb4386c9f6a1fa),
+    ("media-streaming-100000", 0x67d4013102659de8),
+    ("data-caching-100000", 0xe7e2c2e242ef5ab6),
+    ("data-serving-100000", 0x25c1b5a51ad9ed3e),
+    ("web-serving-100000", 0xca14bb4a25cf9e34),
+    ("web-search-100000", 0x82856400d385db29),
+    ("tpc-c-100000", 0xa39d27d9fae3cf83),
+    ("wikipedia-100000", 0x82b94800dd450b52),
+    ("sibench-100000", 0x5862134a6089ca86),
+    ("finagle-http-100000", 0x91b399cf0016074c),
+    ("neo4j-analytics-100000", 0xeb8dc6cd1cc42d97),
+    ("perlbench-100000", 0x6a1d80e130912c76),
     (
         "mt2q10000-media-streaming_data-caching-100000",
-        0xcd3f3dc00957fea2,
+        0x1c770b34217d8403,
     ),
     (
         "mt2q50000-media-streaming_data-caching-100000",
-        0xb15bc02eab3c95cc,
+        0x0d1f79dae366f727,
     ),
     (
         "mt4q10000-media-streaming_data-caching_data-serving_web-serving-100000",
-        0xc10509934a3dc325,
+        0xac7a4b2ff9dda9db,
     ),
     (
         "mt4q50000-media-streaming_data-caching_data-serving_web-serving-100000",
-        0x7b8d91e26246fac5,
+        0xd97190800759243e,
     ),
 ];
 
@@ -305,14 +305,16 @@ fn decoded_stream_of_every_spec_shape_is_pinned() {
 
 #[test]
 fn every_spec_shape_packs_within_its_byte_budget() {
-    // Two data-address bases keep the shipped shapes near 1.4-1.5
-    // B/instr; one base (the previous encoding) packed them at ~2.
+    // Short ALU runs folded into the next record's header and a data
+    // base kept per region pack the shipped shapes at 1.13-1.20
+    // B/instr; 1.25 leaves ~4% over the largest (neo4j-analytics,
+    // 1.198), so losing either rule (1.33 or more) fails here.
     for spec in frozen_specs() {
         let trace = spec.materialize(FROZEN_BUDGET);
         let bpi = trace.bytes_per_instr();
         assert!(
-            bpi <= 1.55,
-            "{}: {bpi:.3} B/instr over the 1.55 budget",
+            bpi <= 1.25,
+            "{}: {bpi:.3} B/instr over the 1.25 budget",
             spec.store_key(FROZEN_BUDGET)
         );
     }
